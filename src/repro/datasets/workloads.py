@@ -126,8 +126,8 @@ class TemporalJoinWorkload:
 
     Without a non-temporal equality the join's candidate structure is
     governed entirely by the interval envelopes: the ongoing engine uses
-    the merge (plane-sweep) interval join, Clifford's baseline the fixed
-    plane sweep.  This exposes the *location* effect of Fig. 9: expanding
+    the merge-interval join (envelope-overlap candidates), Clifford's
+    baseline the fixed plane sweep.  This exposes the *location* effect of Fig. 9: expanding
     intervals starting early (and shrinking intervals ending late) pair
     with many more partners.
     """

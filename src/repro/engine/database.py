@@ -614,7 +614,7 @@ class Database:
         :meth:`~repro.live.subscription.Subscription.explain_analyze` on a
         live subscription.
         """
-        from repro.engine.delta import DeltaEvaluator, NonIncrementalDelta
+        from repro.engine.delta import DeltaEvaluator
         from repro.obs.explain import (
             explain_analyze_data,
             render_explain_analyze,
@@ -636,20 +636,13 @@ class Database:
             plan = push_down_selections(plan, self)
         fingerprint = plan.fingerprint()
         evaluator = DeltaEvaluator(plan, self, optimize=optimize)
-        cold_reason = None
-        try:
-            with self.lock:
-                evaluator.refresh_full()
-        except NonIncrementalDelta as exc:
-            cold_reason = f"plan has no delta rules ({exc})"
+        with self.lock:
+            evaluator.refresh_full()
         renderer = (
             explain_analyze_data if format == "json" else render_explain_analyze
         )
         return renderer(
-            evaluator.node_report(),
-            label=label,
-            fingerprint=fingerprint,
-            cold_reason=cold_reason,
+            evaluator.node_report(), label=label, fingerprint=fingerprint
         )
 
     def live_session(self, **session_kwargs):

@@ -18,11 +18,12 @@ Design
   A current update is a delete+insert pair coalesced by
   :meth:`~repro.engine.database.Table.batch` into one delta.
 
-* Every physical operator (see :mod:`repro.engine.executor`) exposes two
-  entry points: ``evaluate(state, inputs)`` — the full computation, which
-  also populates the operator's :class:`OperatorState` — and
-  ``apply_delta(state, deltas)`` — the incremental rule that maps child
-  deltas to an output delta while updating the state.
+* Every physical operator (see :mod:`repro.engine.executor`) states its
+  semantics once, as ``apply_delta(state, deltas)`` — the rule that maps
+  child deltas to an output delta while advancing the operator's
+  :class:`OperatorState`.  Full evaluation (``evaluate(state, inputs)``)
+  is that same rule applied to one all-insert delta per input over a
+  fresh state.
 
 * States count **derivations** per output tuple (counting-based view
   maintenance over the set semantics of ongoing relations): a projection
@@ -34,8 +35,8 @@ Design
 * Joins keep their build state cached (hash indexes per side) and probe
   only the delta side:  ``Δ(L ⋈ R) = ΔL ⋈ R_old  ∪  L_new ⋈ ΔR``.
 
-* Anything non-incrementalizable — a full-flagged delta, a cold state, an
-  operator without a delta rule, an inconsistent count — raises
+* Anything non-incrementalizable — a full-flagged delta, a cold state,
+  an inconsistent count, an evicted top-k boundary — raises
   :class:`NonIncrementalDelta`; callers fall back to full re-evaluation
   **automatically** and the fallback is logged on the
   ``repro.engine.delta`` logger.
@@ -47,7 +48,6 @@ delta-maintained result equals a from-scratch evaluation of the plan.
 
 from __future__ import annotations
 
-import logging
 from time import perf_counter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -66,8 +66,6 @@ __all__ = [
     "apply_delta_to_rows",
     "DeltaEvaluator",
 ]
-
-logger = logging.getLogger("repro.engine.delta")
 
 
 class NonIncrementalDelta(Exception):
@@ -552,33 +550,6 @@ class DeltaEvaluator:
         self.full_evaluations += 1
         return self._store.snapshot()
 
-    def refresh(
-        self, table_deltas: Mapping[str, Delta]
-    ) -> Tuple[OngoingRelation, Optional[Delta]]:
-        """Refresh incrementally when possible, fully otherwise.
-
-        The one-call form of the engine's contract, shared by the
-        materialized-view and live-subscription consumers: warm state
-        applies *table_deltas* and returns ``(result, result_delta)``;
-        anything non-incrementalizable falls back to
-        :meth:`refresh_full` — automatically, with the reason logged —
-        and returns ``(result, None)``.
-        """
-        if self.warm:
-            try:
-                delta = self.apply(table_deltas)
-                return self.result, delta
-            except NonIncrementalDelta as exc:
-                logger.info(
-                    "delta propagation fell back to full re-evaluation "
-                    "(operator=%s, table=%s, delta=%s): %s",
-                    exc.operator,
-                    exc.table,
-                    exc.delta_shape,
-                    exc,
-                )
-        return self.refresh_full(), None
-
     def _evaluate(self, node, states) -> Dict[OngoingTuple, int]:
         from repro.engine.executor import SeqScan
 
@@ -588,17 +559,12 @@ class DeltaEvaluator:
             state.extra["plan_fingerprint"] = self.fingerprint
         states[node] = state
         if isinstance(node, SeqScan):
-            if not node.label:
-                raise NonIncrementalDelta(
-                    "scan without a table label cannot receive table deltas"
-                )
-            node.evaluate(state, (self.database.table(node.label).rows(),))
+            inputs = (self.database.table(node.label).rows(),)
         else:
             inputs = tuple(
-                tuple(self._evaluate(child, states))
-                for child in node._children()
+                self._evaluate(child, states) for child in node._children()
             )
-            node.evaluate(state, inputs)
+        node.evaluate(state, inputs)
         return state.counts
 
     def _invalidate(self) -> None:
@@ -739,8 +705,8 @@ class DeltaEvaluator:
         *table_deltas* maps base-table names to their coalesced deltas
         since the last refresh.  Tables the plan does not read are
         ignored.  Raises :class:`NonIncrementalDelta` when the state is
-        cold, a delta is full-flagged, or an operator has no incremental
-        rule — the caller then falls back to :meth:`refresh_full`.  On
+        cold, a delta is full-flagged, or an operator's rule cannot
+        absorb it — the caller then falls back to :meth:`refresh_full`.  On
         any propagation error the operator state is invalidated, so a
         later apply cannot observe half-updated state; the store keeps
         serving the last consistent snapshot meanwhile.

@@ -1,8 +1,8 @@
 """Physical operators of the ongoing-relation engine.
 
-Operators follow the pull model: each exposes its output ``schema`` and is
-iterable, yielding :class:`~repro.relational.tuples.OngoingTuple` streams.
-:func:`materialize` drains an operator into an
+Every operator exposes its output ``schema`` and is iterable, yielding
+:class:`~repro.relational.tuples.OngoingTuple` streams; :func:`materialize`
+drains an operator into an
 :class:`~repro.relational.relation.OngoingRelation`.
 
 The operators realize the implementation strategy of Section VIII:
@@ -12,36 +12,49 @@ The operators realize the implementation strategy of Section VIII:
 * predicates over **ongoing** attributes restrict the tuple's reference
   time (:class:`OngoingFilter`) via the sweep-line conjunction;
 * joins come in three physical flavours — :class:`HashJoin` on fixed
-  equality keys, :class:`MergeIntervalJoin` (an envelope plane-sweep for
-  temporal predicates, in the spirit of the forward-scan interval joins the
-  paper cites [37]), and :class:`NestedLoopJoin` as the general fallback.
+  equality keys, :class:`MergeIntervalJoin` (envelope-overlap candidates
+  for temporal predicates, in the spirit of the forward-scan interval
+  joins the paper cites [37]), and :class:`NestedLoopJoin` as the general
+  fallback.
 
 All three joins produce identical relations; the planner picks by cost and
 the test suite checks the equivalence.
 
-**Incremental protocol.**  Next to the pull iterator, every operator
-implements the delta-propagation protocol of :mod:`repro.engine.delta`:
-``evaluate(state, inputs)`` runs the full computation while populating the
-operator's :class:`~repro.engine.delta.OperatorState`, and
-``apply_delta(state, deltas)`` maps the children's set-level deltas to
-this operator's output delta, updating the state in place.  Filters and
-projections map deltas tuple-by-tuple; joins probe only the delta side
-against their cached build state (``Δ(L⋈R) = ΔL⋈R_old ∪ L_new⋈ΔR``);
-union and difference adjust derivation counts; aggregation
-(:class:`AggregateOp`) keeps per-group member sets and re-aggregates only
-the groups a delta touches, emitting a delete+insert pair for each
-changed group row; duplicate elimination (:class:`DistinctOp`) is the
-counting rule itself; ordered limits (:class:`SortLimitOp`) maintain a
-top-k window in O(Δ log k) and fall back only when the boundary is
-evicted.  An operator without an incremental rule raises
-:class:`~repro.engine.delta.NonIncrementalDelta`, which callers answer
-with an automatic full re-evaluation.
+**One rendering per operator.**  An operator *is* three things:
+``_children()`` (its inputs), ``delta_state()`` (its state over empty
+inputs) and ``apply_delta(state, deltas)`` — the operator's Theorem 2
+equivalence, stated once, as the rule that maps set-level changes of the
+children to the set-level change of the output while advancing *state*
+(see :mod:`repro.engine.delta`).  Everything else is derived from it:
+
+* ``evaluate(state, inputs)`` — cold evaluation — is ``apply_delta`` of
+  one all-insert delta per input over a fresh state.  The per-operator
+  equivalences hold at *all* reference times, which is what makes this
+  sound for every operator, the non-monotonic difference included;
+* ``__iter__`` — the pull path behind :func:`materialize` — runs
+  ``evaluate`` on a throw-away state and yields its output.  Map-like
+  operators (:class:`MappedDeltaOperator`) instead stream their per-tuple
+  map over the children with no state at all, so scan → filter → project
+  chains allocate nothing and keep riding the interval index; only the
+  scan sources and :class:`SortLimitOp` (which presents its window in
+  order) define an ``__iter__`` of their own.
+
+The delta rules: filters and projections map deltas tuple-by-tuple;
+joins probe only the delta side against their cached build state
+(``Δ(L⋈R) = ΔL⋈R_old ∪ L_new⋈ΔR``); union and duplicate elimination are
+derivation counting; difference recomputes only the left tuples whose
+fixed attributes a right change touches; aggregation re-aggregates only
+the touched groups; ordered limits maintain a top-k window in
+O(Δ log k).  A delta a rule cannot absorb (an unknown row, an evicted
+top-k boundary) raises :class:`~repro.engine.delta.NonIncrementalDelta`,
+which callers answer with an automatic full re-evaluation.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.integer import OngoingInt
@@ -61,6 +74,13 @@ from repro.engine.indexes import (
     PartitionIndex,
     SecondaryIndexRegistry,
 )
+from repro.errors import QueryError
+from repro.relational.aggregate import (
+    aggregate_function,
+    members_support,
+    scalar_empty_row,
+)
+from repro.relational.algebra import match_set
 from repro.relational.predicates import Expression, Predicate
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Schema
@@ -97,9 +117,6 @@ class PhysicalOperator:
 
     schema: Schema
 
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        raise NotImplementedError
-
     def explain(self, indent: int = 0) -> str:
         """A one-line-per-operator plan rendering (like EXPLAIN)."""
         lines = ["  " * indent + self._describe()]
@@ -113,38 +130,44 @@ class PhysicalOperator:
     def _children(self) -> Tuple["PhysicalOperator", ...]:
         return ()
 
-    # ------------------------------------------------------------------
-    # Incremental protocol (see repro.engine.delta)
-    # ------------------------------------------------------------------
-
     def delta_state(self) -> OperatorState:
-        """A fresh, empty incremental state for this operator."""
+        """The operator's state over empty inputs."""
         return OperatorState()
-
-    def evaluate(
-        self, state: OperatorState, inputs: Sequence[Iterable[OngoingTuple]]
-    ) -> None:
-        """Full evaluation: populate *state* from the children's outputs.
-
-        *inputs* holds one iterable per child (for scans: the base
-        table's raw rows).  After this call ``state.counts`` maps every
-        output tuple to its derivation count.
-        """
-        raise NonIncrementalDelta(
-            f"{type(self).__name__} has no incremental evaluation rule"
-        )
 
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
     ) -> Delta:
-        """Propagate the children's *deltas*; return this node's delta.
+        """Propagate the children's set-level *deltas* (for scans: the
+        base table's row delta); return this node's set-level delta.
 
-        The default is conservative: an operator without a delta rule
-        forces the automatic full-re-evaluation fallback.
+        The one statement of the operator's semantics — subclasses
+        implement this and nothing else.
         """
-        raise NonIncrementalDelta(
-            f"{type(self).__name__} has no incremental delta rule"
+        raise NotImplementedError
+
+    def evaluate(
+        self, state: OperatorState, inputs: Sequence[Iterable[OngoingTuple]]
+    ) -> None:
+        """Cold evaluation: the delta rule over a fresh *state*.
+
+        *inputs* holds one iterable per child — its output set (for
+        scans: the base table's raw rows) — and arrives as one
+        all-insert delta each.  Afterwards ``state.counts`` maps every
+        output tuple to its derivation count.
+        """
+        self.apply_delta(state, tuple(Delta.insert(side) for side in inputs))
+
+    def _pull_state(self) -> OperatorState:
+        """Evaluate over the children's pulled (deduplicated — the rules
+        take set-level input) outputs into a throw-away state."""
+        state = self.delta_state()
+        self.evaluate(
+            state, tuple(dict.fromkeys(child) for child in self._children())
         )
+        return state
+
+    def __iter__(self) -> Iterator[OngoingTuple]:
+        return iter(self._pull_state().counts)
 
 
 def materialize(operator: PhysicalOperator) -> OngoingRelation:
@@ -153,30 +176,32 @@ def materialize(operator: PhysicalOperator) -> OngoingRelation:
 
 
 class MappedDeltaOperator(PhysicalOperator):
-    """Incremental protocol for per-tuple map operators.
+    """Per-tuple map operators.
 
-    Scans, filters, projections, requalification, and union are all the
-    same delta shape: each input tuple maps — independently, through the
-    pure function :meth:`_map_tuple` — to at most one output tuple, and
-    derivation counts absorb collisions (distinct inputs mapping to one
-    output) and multiplicities (duplicate scan rows, a tuple present on
-    both union sides).  One counting rule serves them all; subclasses
-    override only the map.
+    Scans, filters, projections, requalification, duplicate elimination
+    and union are all the same delta shape: each input tuple maps —
+    independently, through the pure function :meth:`_map_tuple` — to at
+    most one output tuple, and derivation counts absorb collisions
+    (distinct inputs mapping to one output) and multiplicities
+    (duplicate scan rows, a tuple present on both union sides).  One
+    counting rule serves them all; subclasses override only the map.
+
+    Being pure, the map also streams: the pull iterator needs no state
+    (duplicates it lets through are removed by whoever consumes it —
+    :func:`materialize` or a stateful parent's ``_pull_state``).
     """
 
     def _map_tuple(self, item: OngoingTuple) -> Optional[OngoingTuple]:
         """The per-tuple map; ``None`` drops the tuple.  Default: identity."""
         return item
 
-    def evaluate(
-        self, state: OperatorState, inputs: Sequence[Iterable[OngoingTuple]]
-    ) -> None:
-        counts = state.counts
-        for side in inputs:
-            for item in side:
-                mapped = self._map_tuple(item)
+    def __iter__(self) -> Iterator[OngoingTuple]:
+        map_tuple = self._map_tuple
+        for child in self._children():
+            for item in child:
+                mapped = map_tuple(item)
                 if mapped is not None:
-                    counts[mapped] = counts.get(mapped, 0) + 1
+                    yield mapped
 
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
@@ -209,8 +234,6 @@ class SeqScan(MappedDeltaOperator):
         suffix = f" {self.label}" if self.label else ""
         return f"SeqScan{suffix} ({len(self.relation)} tuples)"
 
-    # Incremental protocol ---------------------------------------------
-    #
     # The scan's single "input" is the base table's raw row multiset:
     # the identity map counts duplicate rows, and the emitted delta is
     # set-level, so a delete of one duplicate does not spuriously
@@ -238,10 +261,10 @@ class IntervalScan(SeqScan):
     predicate, and the enclosing :class:`OngoingFilter` still applies the
     exact ongoing predicate to each candidate.
 
-    The incremental protocol is inherited **unchanged** from
-    :class:`SeqScan` — the delta state tracks the full table (deltas for
-    non-matching rows must still flow to reach sibling conjuncts), so
-    only cold evaluation rides the index.
+    The delta rule is inherited **unchanged** from :class:`SeqScan` —
+    the delta state tracks the full table (deltas for non-matching rows
+    must still flow to reach sibling conjuncts), so only the pull path
+    rides the index.
     """
 
     def __init__(
@@ -281,27 +304,18 @@ class FixedFilter(MappedDeltaOperator):
         self.conjuncts = tuple(conjuncts)
         self.schema = child.schema
 
-    def _passes(self, item: OngoingTuple) -> bool:
+    def _map_tuple(self, item: OngoingTuple) -> Optional[OngoingTuple]:
         values = item.values
         schema = self.schema
-        return all(c.evaluate_fixed(values, schema) for c in self.conjuncts)
-
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        for item in self.child:
-            if self._passes(item):
-                yield item
+        if all(c.evaluate_fixed(values, schema) for c in self.conjuncts):
+            return item
+        return None
 
     def _describe(self) -> str:
         return f"FixedFilter ({len(self.conjuncts)} conjuncts)"
 
     def _children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)
-
-    # Incremental protocol: the filter is a pure per-tuple map, so the
-    # delta rule filters the delta itself — inserted and deleted alike.
-
-    def _map_tuple(self, item: OngoingTuple) -> Optional[OngoingTuple]:
-        return item if self._passes(item) else None
 
 
 class OngoingFilter(MappedDeltaOperator):
@@ -316,8 +330,12 @@ class OngoingFilter(MappedDeltaOperator):
         self.conjuncts = tuple(conjuncts)
         self.schema = child.schema
 
-    def _restrict(self, item: OngoingTuple) -> Optional[OngoingTuple]:
-        """``RT ∧ θ(r)`` for one tuple; ``None`` when the RT empties out."""
+    def _map_tuple(self, item: OngoingTuple) -> Optional[OngoingTuple]:
+        """``RT ∧ θ(r)`` for one tuple; ``None`` when the RT empties out.
+
+        A pure function of the tuple, so a deleted input maps to exactly
+        the output it produced when it was inserted.
+        """
         schema = self.schema
         rt = item.rt
         values = item.values
@@ -330,25 +348,11 @@ class OngoingFilter(MappedDeltaOperator):
                 return None
         return item if rt is item.rt else item.with_rt(rt)
 
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        for item in self.child:
-            restricted = self._restrict(item)
-            if restricted is not None:
-                yield restricted
-
     def _describe(self) -> str:
         return f"OngoingFilter ({len(self.conjuncts)} conjuncts)"
 
     def _children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)
-
-    # Incremental protocol: the RT restriction is a pure function of the
-    # tuple, so a deleted input maps to exactly the output it produced
-    # when it was inserted.  Distinct inputs can collapse onto one output
-    # (same values, same restricted RT) — the derivation counts absorb
-    # that.
-
-    _map_tuple = _restrict
 
 
 class ProjectOp(MappedDeltaOperator):
@@ -364,27 +368,18 @@ class ProjectOp(MappedDeltaOperator):
         self.expressions = tuple(expressions)
         self.schema = out_schema
 
-    def _map(self, item: OngoingTuple) -> OngoingTuple:
+    def _map_tuple(self, item: OngoingTuple) -> OngoingTuple:
         in_schema = self.child.schema
         return OngoingTuple(
             tuple(e.evaluate(item.values, in_schema) for e in self.expressions),
             item.rt,
         )
 
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        for item in self.child:
-            yield self._map(item)
-
     def _describe(self) -> str:
         return f"Project ({len(self.expressions)} columns)"
 
     def _children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)
-
-    # Incremental protocol: projection can collapse distinct inputs onto
-    # one output row — derivation counts keep the output set exact.
-
-    _map_tuple = _map
 
 
 def _joined_tuple(
@@ -402,7 +397,23 @@ def _joined_tuple(
 
 
 class _JoinBase(PhysicalOperator):
-    """Shared machinery: residual predicate application after pairing."""
+    """The join rule, shared by all three algorithms.
+
+    The state caches both input sides (hash-indexed for HashJoin,
+    envelope-indexed for MergeIntervalJoin, plain ordered sets
+    otherwise) and a delta probes only the opposite cache::
+
+        Δ(L ⋈ R) = ΔL ⋈ R_old  ∪  L_new ⋈ ΔR
+
+    — the left delta runs against the cached right side *before* the
+    right delta is folded in, the right delta against the already
+    updated left side, so insert/insert cross pairs appear exactly once
+    and delete/delete pairs not at all.  Each pair then gets its RT
+    intersected and the residual predicate halves applied
+    (:meth:`_emit`).  The algorithms differ only in what a row is cached
+    under and how a side is probed (``_key`` / ``_add_side`` /
+    ``_remove_side`` / ``_matches``).
+    """
 
     def __init__(
         self,
@@ -442,28 +453,21 @@ class _JoinBase(PhysicalOperator):
                 return None
         return OngoingTuple(values, rt)
 
-    # ------------------------------------------------------------------
-    # Incremental protocol, shared by all three join algorithms.
-    #
-    # The state caches both input sides (hash-indexed for HashJoin, plain
-    # ordered sets otherwise).  A flush probes only the delta:
-    #
-    #     Δ(L ⋈ R) = ΔL ⋈ R_old  ∪  L_new ⋈ ΔR
-    #
-    # — the left delta runs against the cached right side *before* the
-    # right delta is folded in, the right delta against the already
-    # updated left side, so insert/insert cross pairs appear exactly
-    # once and delete/delete pairs not at all.
-    # ------------------------------------------------------------------
+    def _key(self, side: str, item: OngoingTuple) -> object:
+        """What *item* (a tuple of *side*) is cached under — which is also
+        what it probes the opposite cache with.  Computed once per row."""
+        return None
 
-    def _add_side(self, state: OperatorState, side: str, item: OngoingTuple) -> None:
+    def _add_side(
+        self, state: OperatorState, side: str, item: OngoingTuple, key: object
+    ) -> None:
         cache = state.extra[side]
         if item not in cache:
             state.cached_rows += 1
-        cache[item] = None
+            cache[item] = key
 
     def _remove_side(
-        self, state: OperatorState, side: str, item: OngoingTuple
+        self, state: OperatorState, side: str, item: OngoingTuple, key: object
     ) -> None:
         try:
             del state.extra[side][item]
@@ -474,43 +478,19 @@ class _JoinBase(PhysicalOperator):
         state.cached_rows -= 1
 
     def _matches(
-        self, state: OperatorState, side: str, probe: OngoingTuple
+        self, state: OperatorState, side: str, key: object
     ) -> Iterable[OngoingTuple]:
-        """Cached tuples of *side* that can pair with *probe* (superset)."""
-        return tuple(state.extra[side])
-
-    def _full_pairs(
-        self,
-        state: OperatorState,
-        left_items: Sequence[OngoingTuple],
-        right_items: Sequence[OngoingTuple],
-    ) -> Iterator[Tuple[OngoingTuple, OngoingTuple]]:
-        """Candidate pairs of the full evaluation (state already built)."""
-        for left_item in left_items:
-            for right_item in right_items:
-                yield left_item, right_item
+        """Cached tuples of *side* that can pair with a tuple of the
+        opposite input cached under *key* (a superset).  May be a live
+        view of the cache: a side is never probed while it is mutated.
+        """
+        return state.extra[side]
 
     def delta_state(self) -> OperatorState:
         state = OperatorState()
         state.extra["left"] = {}
         state.extra["right"] = {}
         return state
-
-    def evaluate(
-        self, state: OperatorState, inputs: Sequence[Iterable[OngoingTuple]]
-    ) -> None:
-        left_items, right_items = (tuple(side) for side in inputs)
-        for item in left_items:
-            self._add_side(state, "left", item)
-        for item in right_items:
-            self._add_side(state, "right", item)
-        counts = state.counts
-        for left_item, right_item in self._full_pairs(
-            state, left_items, right_items
-        ):
-            produced = self._emit(left_item, right_item)
-            if produced is not None:
-                counts[produced] = counts.get(produced, 0) + 1
 
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
@@ -519,38 +499,43 @@ class _JoinBase(PhysicalOperator):
         changes: Dict[OngoingTuple, int] = {}
         # ΔL ⋈ R_old — probe the cached right side with the left delta.
         for item in left_delta.deleted:
-            for match in self._matches(state, "right", item):
+            key = self._key("left", item)
+            for match in self._matches(state, "right", key):
                 produced = self._emit(item, match)
                 if produced is not None:
                     changes[produced] = changes.get(produced, 0) - 1
-            self._remove_side(state, "left", item)
+            self._remove_side(state, "left", item, key)
         for item in left_delta.inserted:
-            for match in self._matches(state, "right", item):
+            key = self._key("left", item)
+            for match in self._matches(state, "right", key):
                 produced = self._emit(item, match)
                 if produced is not None:
                     changes[produced] = changes.get(produced, 0) + 1
-            self._add_side(state, "left", item)
+            self._add_side(state, "left", item, key)
         # L_new ⋈ ΔR — probe the updated left side with the right delta.
         for item in right_delta.deleted:
-            for match in self._matches(state, "left", item):
+            key = self._key("right", item)
+            for match in self._matches(state, "left", key):
                 produced = self._emit(match, item)
                 if produced is not None:
                     changes[produced] = changes.get(produced, 0) - 1
-            self._remove_side(state, "right", item)
+            self._remove_side(state, "right", item, key)
         for item in right_delta.inserted:
-            for match in self._matches(state, "left", item):
+            key = self._key("right", item)
+            for match in self._matches(state, "left", key):
                 produced = self._emit(match, item)
                 if produced is not None:
                     changes[produced] = changes.get(produced, 0) + 1
-            self._add_side(state, "right", item)
+            self._add_side(state, "right", item, key)
         return commit_changes(state, changes)
 
 
 class HashJoin(_JoinBase):
     """Equi-join on fixed attributes, with residual temporal conjuncts.
 
-    Builds a hash table on the right input (one pass), probes with the left
-    (one pass).  The temporal conjuncts of the join predicate run as
+    Both sides are cached as ``key → ordered set`` hash indexes, so a
+    delta — or, cold, the whole opposite input — probes exactly its
+    matching bucket.  The temporal conjuncts of the join predicate run as
     residuals on the matching pairs, restricting each output tuple's RT —
     this is exactly how the paper's prototype leverages PostgreSQL's
     existing hash join for queries on ongoing relations.
@@ -569,25 +554,14 @@ class HashJoin(_JoinBase):
         super().__init__(left, right, out_schema, fixed_residual, ongoing_residual)
         self.left_key_positions = tuple(left_key_positions)
         self.right_key_positions = tuple(right_key_positions)
-
-    def _left_key(self, item: OngoingTuple) -> Tuple[object, ...]:
-        return tuple(item.values[p] for p in self.left_key_positions)
-
-    def _right_key(self, item: OngoingTuple) -> Tuple[object, ...]:
-        return tuple(item.values[p] for p in self.right_key_positions)
-
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        table: Dict[Tuple[object, ...], List[OngoingTuple]] = {}
-        for item in self.right:
-            table.setdefault(self._right_key(item), []).append(item)
-        for item in self.left:
-            bucket = table.get(self._left_key(item))
-            if not bucket:
-                continue
-            for match in bucket:
-                produced = self._emit(item, match)
-                if produced is not None:
-                    yield produced
+        if not self.left_key_positions or not self.right_key_positions:
+            raise QueryError(
+                "HashJoin needs an equi-key; a keyless join is a NestedLoopJoin"
+            )
+        self._key_of = {
+            "left": itemgetter(*self.left_key_positions),
+            "right": itemgetter(*self.right_key_positions),
+        }
 
     def _describe(self) -> str:
         return (
@@ -596,24 +570,24 @@ class HashJoin(_JoinBase):
             f"{len(self.fixed_residual)}+{len(self.ongoing_residual)} residual)"
         )
 
-    # Incremental protocol: both sides are cached as ``key → ordered set``
-    # hash indexes, so a delta probes exactly its matching bucket.
+    def _key(self, side: str, item: OngoingTuple) -> object:
+        return self._key_of[side](item.values)
 
-    def _side_key(self, side: str, item: OngoingTuple) -> Tuple[object, ...]:
-        return self._left_key(item) if side == "left" else self._right_key(item)
-
-    def _add_side(self, state: OperatorState, side: str, item: OngoingTuple) -> None:
-        index = state.extra[side]
-        bucket = index.setdefault(self._side_key(side, item), {})
-        if item not in bucket:
-            state.cached_rows += 1
-        bucket[item] = None
-
-    def _remove_side(
-        self, state: OperatorState, side: str, item: OngoingTuple
+    def _add_side(
+        self, state: OperatorState, side: str, item: OngoingTuple, key: object
     ) -> None:
         index = state.extra[side]
-        key = self._side_key(side, item)
+        bucket = index.get(key)
+        if bucket is None:
+            bucket = index[key] = {}
+        if item not in bucket:
+            bucket[item] = None
+            state.cached_rows += 1
+
+    def _remove_side(
+        self, state: OperatorState, side: str, item: OngoingTuple, key: object
+    ) -> None:
+        index = state.extra[side]
         bucket = index.get(key)
         if bucket is None or item not in bucket:
             raise NonIncrementalDelta(
@@ -625,41 +599,13 @@ class HashJoin(_JoinBase):
         state.cached_rows -= 1
 
     def _matches(
-        self, state: OperatorState, side: str, probe: OngoingTuple
+        self, state: OperatorState, side: str, key: object
     ) -> Iterable[OngoingTuple]:
-        # Probing the right side uses the *left* key of the probe tuple
-        # and vice versa: the probe always comes from the opposite input.
-        key = (
-            self._left_key(probe) if side == "right" else self._right_key(probe)
-        )
-        bucket = state.extra[side].get(key)
-        return tuple(bucket) if bucket else ()
-
-    def _full_pairs(
-        self,
-        state: OperatorState,
-        left_items: Sequence[OngoingTuple],
-        right_items: Sequence[OngoingTuple],
-    ) -> Iterator[Tuple[OngoingTuple, OngoingTuple]]:
-        right_index = state.extra["right"]
-        for left_item in left_items:
-            bucket = right_index.get(self._left_key(left_item))
-            if not bucket:
-                continue
-            for right_item in bucket:
-                yield left_item, right_item
+        return state.extra[side].get(key, ())
 
 
 class NestedLoopJoin(_JoinBase):
     """The general theta-join fallback — correct for any predicate."""
-
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        right_tuples = list(self.right)
-        for left_item in self.left:
-            for right_item in right_tuples:
-                produced = self._emit(left_item, right_item)
-                if produced is not None:
-                    yield produced
 
     def _describe(self) -> str:
         return (
@@ -673,8 +619,8 @@ def _envelope(value: object) -> Tuple[int, int]:
 
     Every instantiation of the interval lies inside its envelope, so
     envelope overlap is a necessary condition for the ongoing ``overlaps``
-    predicate to hold at any reference time — which makes the plane sweep
-    below a safe candidate generator.
+    predicate to hold at any reference time — which makes it a safe
+    candidate filter for :class:`MergeIntervalJoin`.
     """
     if isinstance(value, OngoingInterval):
         return (value.start.a, value.end.b)
@@ -684,17 +630,24 @@ def _envelope(value: object) -> Tuple[int, int]:
 
 
 class MergeIntervalJoin(_JoinBase):
-    """Envelope plane-sweep join for temporal ``overlaps`` predicates.
+    """Envelope join for temporal ``overlaps`` predicates.
 
-    Both inputs are sorted by envelope start; a forward scan (in the style
-    of the FS interval-join algorithm the paper cites) emits exactly the
-    pairs whose envelopes overlap.  The ongoing ``overlaps`` conjunct then
-    runs as a residual on the candidates to compute the precise RT.
+    Candidate pairs are exactly those whose envelopes overlap (in the
+    spirit of the forward-scan interval joins the paper cites); the
+    ongoing ``overlaps`` conjunct then runs as a residual on the
+    candidates to compute the precise RT.  Envelopes are computed once,
+    at ``_add_side`` time, and cached as the side-dict values; each side
+    additionally maintains an
+    :class:`~repro.engine.indexes.IntervalProbeIndex` over them (unless
+    the cost model disables indexes), so a probe costs O(log n + k)
+    instead of scanning the whole cached side.  Indexed and scanned
+    probes differ only on always-empty envelopes, which pair with
+    nothing that survives the residual.
 
-    For fixed intervals the envelope is the interval itself and the sweep
-    is exact.  For expanding intervals ``[a, now)`` the envelope extends to
-    ``+inf``, so early-starting ongoing intervals pair with many partners —
-    the effect Fig. 9 of the paper measures.
+    For fixed intervals the envelope is the interval itself and the
+    filter is exact.  For expanding intervals ``[a, now)`` the envelope
+    extends to ``+inf``, so early-starting ongoing intervals pair with
+    many partners — the effect Fig. 9 of the paper measures.
     """
 
     def __init__(
@@ -710,62 +663,6 @@ class MergeIntervalJoin(_JoinBase):
         super().__init__(left, right, out_schema, fixed_residual, ongoing_residual)
         self.left_interval_position = left_interval_position
         self.right_interval_position = right_interval_position
-
-    def _sweep(
-        self,
-        left_items: Iterable[OngoingTuple],
-        right_items: Iterable[OngoingTuple],
-    ) -> Iterator[Tuple[OngoingTuple, OngoingTuple]]:
-        """The forward-scan plane sweep: pairs with overlapping envelopes."""
-        left_pos = self.left_interval_position
-        right_pos = self.right_interval_position
-        left_sorted = sorted(
-            ((_envelope(item.values[left_pos]), item) for item in left_items),
-            key=lambda pair: pair[0][0],
-        )
-        right_sorted = sorted(
-            ((_envelope(item.values[right_pos]), item) for item in right_items),
-            key=lambda pair: pair[0][0],
-        )
-        i, j = 0, 0
-        n_left, n_right = len(left_sorted), len(right_sorted)
-        while i < n_left and j < n_right:
-            (left_env, left_item) = left_sorted[i]
-            (right_env, right_item) = right_sorted[j]
-            if left_env[0] <= right_env[0]:
-                # left_item scans forward over rights starting before its end
-                end = left_env[1]
-                k = j
-                while k < n_right and right_sorted[k][0][0] < end:
-                    yield left_item, right_sorted[k][1]
-                    k += 1
-                i += 1
-            else:
-                end = right_env[1]
-                k = i
-                while k < n_left and left_sorted[k][0][0] < end:
-                    yield left_sorted[k][1], right_item
-                    k += 1
-                j += 1
-
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        for left_item, right_item in self._sweep(self.left, self.right):
-            produced = self._emit(left_item, right_item)
-            if produced is not None:
-                yield produced
-
-    # Incremental protocol: full evaluation keeps the plane sweep; a
-    # delta probes the cached opposite side through the *same* envelope
-    # condition the sweep applies, so the maintained derivation counts
-    # are identical to a from-scratch sweep.  Envelopes are computed
-    # once, at _add_side time, and cached as the side-dict values.
-    #
-    # Each side additionally maintains an IntervalProbeIndex over its
-    # envelopes (unless the cost model disables indexes): the probe then
-    # costs O(log n + k) instead of scanning the whole cached side.  The
-    # index returns exactly the tuples satisfying the sweep's pairing
-    # condition — envelope overlap is symmetric — so indexed and scanned
-    # probes emit identical candidate sets.
 
     def _side_index(self, state: OperatorState, side: str):
         """The side's envelope index; ``None`` when indexes are disabled.
@@ -785,37 +682,47 @@ class MergeIntervalJoin(_JoinBase):
                 index.add(item, env[0], env[1])
         return index
 
-    def _add_side(self, state: OperatorState, side: str, item: OngoingTuple) -> None:
+    def _key(self, side: str, item: OngoingTuple) -> Tuple[int, int]:
         position = (
             self.left_interval_position
             if side == "left"
             else self.right_interval_position
         )
+        return _envelope(item.values[position])
+
+    def _add_side(
+        self,
+        state: OperatorState,
+        side: str,
+        item: OngoingTuple,
+        key: Tuple[int, int],
+    ) -> None:
         cache = state.extra[side]
         if item not in cache:
             # Resolve (and backfill) the index *before* the cache insert so
             # a lazily created index does not see the item twice.
             index = self._side_index(state, side)
             state.cached_rows += 1
-            env = cache[item] = _envelope(item.values[position])
+            cache[item] = key
             if index is not None:
-                index.add(item, env[0], env[1])
+                index.add(item, key[0], key[1])
 
     def _remove_side(
-        self, state: OperatorState, side: str, item: OngoingTuple
+        self,
+        state: OperatorState,
+        side: str,
+        item: OngoingTuple,
+        key: Tuple[int, int],
     ) -> None:
-        super()._remove_side(state, side, item)
+        super()._remove_side(state, side, item, key)
         registry = state.extra.get("indexes")
         if registry is not None and registry.get(side) is not None:
             registry.get(side).remove(item)
 
     def _matches(
-        self, state: OperatorState, side: str, probe: OngoingTuple
+        self, state: OperatorState, side: str, key: Tuple[int, int]
     ) -> Iterable[OngoingTuple]:
-        if side == "right":
-            probe_env = _envelope(probe.values[self.left_interval_position])
-        else:
-            probe_env = _envelope(probe.values[self.right_interval_position])
+        start, end = key
         cache = state.extra[side]
         paths = state.extra.setdefault("access_paths", {})
         if _state_cost_model(state).use_index(
@@ -824,30 +731,11 @@ class MergeIntervalJoin(_JoinBase):
             index = self._side_index(state, side)
             if index is not None:
                 paths[side] = f"index:interval({len(index)})"
-                # The pairing condition below is exactly half-open
-                # envelope overlap, which the tree answers directly.
-                return index.overlapping(probe_env[0], probe_env[1])
+                return index.overlapping(start, end)
         paths[side] = f"scan({len(cache)})"
-        matches = []
-        for item, env in cache.items():
-            if side == "right":
-                left_env, right_env = probe_env, env
-            else:
-                left_env, right_env = env, probe_env
-            # Exactly the sweep's pairing condition (see _sweep).
-            if (left_env[0] <= right_env[0] < left_env[1]) or (
-                right_env[0] < left_env[0] < right_env[1]
-            ):
-                matches.append(item)
-        return matches
-
-    def _full_pairs(
-        self,
-        state: OperatorState,
-        left_items: Sequence[OngoingTuple],
-        right_items: Sequence[OngoingTuple],
-    ) -> Iterator[Tuple[OngoingTuple, OngoingTuple]]:
-        return self._sweep(left_items, right_items)
+        return [
+            item for item, env in cache.items() if env[0] < end and start < env[1]
+        ]
 
     def _describe(self) -> str:
         return (
@@ -858,7 +746,14 @@ class MergeIntervalJoin(_JoinBase):
 
 
 class UnionOp(MappedDeltaOperator):
-    """Set union with streaming duplicate elimination."""
+    """Set union: the identity map over both input sides.
+
+    A tuple's derivation count is the number of sides containing it
+    (1 or 2), and only the 0 ↔ positive transitions surface as output
+    changes — classic multiplicity maintenance, inherited as-is.  Only
+    the state (hence :func:`materialize`) is set-level: iterating the
+    operator streams both sides, so a shared tuple comes through twice.
+    """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
         left.schema.require_compatible(right.schema, "union")
@@ -866,30 +761,23 @@ class UnionOp(MappedDeltaOperator):
         self.right = right
         self.schema = left.schema
 
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        seen = set()
-        for source in (self.left, self.right):
-            for item in source:
-                if item not in seen:
-                    seen.add(item)
-                    yield item
-
     def _children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
 
-    # Incremental protocol: classic multiplicity maintenance — a tuple's
-    # count is the number of input sides containing it (1 or 2), and only
-    # the 0 ↔ positive transitions surface as output changes.  That is
-    # exactly the mapped-operator rule with the identity map over both
-    # input sides, inherited as-is.
-
 
 class DifferenceOp(PhysicalOperator):
-    """Set difference — delegates to the reference algebra.
+    """Set difference: each left tuple keeps the reference times at which
+    no right tuple equals it on instantiated values (Theorem 2).
 
-    Difference must quantify over reference times and instantiated-value
-    equality (Theorem 2), so both inputs are materialized and the proven
-    relational implementation runs.
+    Difference is nonmonotonic: inserting into the right side can
+    *shrink* reference times of unrelated-looking left tuples.  The
+    state therefore caches both input sides plus the per-left-tuple
+    output (``out_of``).  Left deltas are handled tuple-locally.  A
+    right delta only affects left tuples whose *fixed* attributes equal
+    the changed row's (``value_equality`` conjoins a plain ``==`` per
+    fixed attribute, so any fixed mismatch is always false) — the left
+    side is indexed by its fixed-attribute projection
+    (``left_by_fixed``) and only the matching bucket recomputes.
     """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
@@ -898,35 +786,13 @@ class DifferenceOp(PhysicalOperator):
         self.right = right
         self.schema = left.schema
 
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        from repro.relational.algebra import difference as _difference
-
-        result = _difference(materialize(self.left), materialize(self.right))
-        return iter(result.tuples)
-
     def _children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
-
-    # ------------------------------------------------------------------
-    # Incremental protocol.
-    #
-    # Difference is nonmonotonic: inserting into the right side can
-    # *shrink* reference times of unrelated-looking left tuples.  The
-    # state therefore caches both input sides plus the per-left-tuple
-    # output (``out_of``).  Left deltas are handled tuple-locally.  A
-    # right delta only affects left tuples whose *fixed* attributes
-    # equal the changed row's (``value_equality`` conjoins a plain
-    # ``==`` per fixed attribute, so any fixed mismatch is always
-    # false) — the left side is indexed by its fixed-attribute
-    # projection and only the matching bucket recomputes.
-    # ------------------------------------------------------------------
 
     def _difference_tuple(
         self, item: OngoingTuple, right_items: Iterable[OngoingTuple]
     ) -> Optional[OngoingTuple]:
         """Theorem 2, one left tuple: drop the rts matched in the right."""
-        from repro.relational.algebra import match_set
-
         matched = match_set(self.schema, item.values, right_items)
         remaining = item.rt.difference(matched)
         if remaining.is_empty():
@@ -955,29 +821,6 @@ class DifferenceOp(PhysicalOperator):
         state.extra["out_of"] = {}
         state.extra["left_by_fixed"] = PartitionIndex()
         return state
-
-    def evaluate(
-        self, state: OperatorState, inputs: Sequence[Iterable[OngoingTuple]]
-    ) -> None:
-        left_items, right_items = inputs
-        right: Dict[OngoingTuple, None] = dict.fromkeys(right_items)
-        out_of: Dict[OngoingTuple, Optional[OngoingTuple]] = {}
-        # The left side's predicate-partition index: right deltas probe it
-        # by the changed row's fixed-attribute projection, touching only
-        # the bucket whose value equality could possibly hold.
-        by_fixed = PartitionIndex()
-        state.extra["right"] = right
-        state.extra["out_of"] = out_of
-        state.extra["left_by_fixed"] = by_fixed
-        counts = state.counts
-        for item in left_items:
-            out = self._difference_tuple(item, right)
-            out_of[item] = out
-            by_fixed.add(self._fixed_key(item), item)
-            if out is not None:
-                counts[out] = counts.get(out, 0) + 1
-        # Cached rows: both input sides (by_fixed shares the left tuples).
-        state.cached_rows = len(right) + len(out_of)
 
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
@@ -1054,11 +897,18 @@ class AggregateOp(PhysicalOperator):
 
     Maintains an **ordered list** of aggregate specs — one output column
     per ``(aggregate, argument, output_name)`` triple — over one shared
-    per-group member set.  The pull path materializes the child and
-    delegates to the proven relational operator
-    (:func:`repro.relational.aggregate.group_by`); the registry computes
-    are the same order-insensitive event sweeps on both paths, so the
-    delta rule below reproduces a from-scratch evaluation exactly.
+    per-group member set (``groups``: key → ordered set of child tuples,
+    a predicate-partition index on the grouping projection) plus the
+    output row each group currently produces (``out``: key → tuple).  A
+    delta is partitioned by group key and only the touched groups
+    re-aggregate — O(|group| log |group|) per touched group, independent
+    of the relation — through the order-insensitive event sweeps of the
+    :mod:`repro.relational.aggregate` registry.  A changed group emits a
+    delete of its old row and an insert of the new one; a group whose
+    last member leaves just deletes.  The scalar group (no grouping
+    columns) exists from the start and never vanishes: over zero members
+    it yields the SQL empty-aggregate row, so ``SELECT COUNT(*)`` reads
+    the constant 0 on an empty input.
     """
 
     def __init__(
@@ -1069,8 +919,6 @@ class AggregateOp(PhysicalOperator):
         specs: Sequence[Tuple[str, Optional[str], str]],
         out_schema: Schema,
     ):
-        from repro.relational.aggregate import aggregate_function
-
         self.child = child
         self.group_positions = tuple(group_positions)
         self.group_names = tuple(group_names)
@@ -1091,13 +939,6 @@ class AggregateOp(PhysicalOperator):
         """The first spec's argument (single-spec plans)."""
         return self.specs[0][1]
 
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        from repro.relational.aggregate import group_by
-
-        relation = OngoingRelation(self.child.schema, self.child)
-        result = group_by(relation, self.group_names, specs=self.specs)
-        return iter(result.tuples)
-
     def _describe(self) -> str:
         rendered = ", ".join(
             f"{name}({argument if argument is not None else '*'})"
@@ -1110,20 +951,6 @@ class AggregateOp(PhysicalOperator):
     def _children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    # ------------------------------------------------------------------
-    # Incremental protocol.
-    #
-    # The state keeps each group's member set (``groups``: key → ordered
-    # set of child tuples) plus the output row it currently produces
-    # (``out``: key → tuple).  A delta is partitioned by group key, and
-    # only the touched groups re-aggregate — O(|group| log |group|) per
-    # touched group, independent of the relation.  A changed group emits
-    # a delete of its old row and an insert of the new one; a group whose
-    # last member leaves just deletes (the scalar group — no grouping
-    # columns — instead falls back to the SQL empty-aggregate row, so
-    # ``SELECT COUNT(*)`` flips to the constant 0 instead of vanishing).
-    # ------------------------------------------------------------------
-
     def _key(self, item: OngoingTuple) -> Tuple[object, ...]:
         return tuple(item.values[p] for p in self.group_positions)
 
@@ -1135,8 +962,6 @@ class AggregateOp(PhysicalOperator):
         All specs are computed in one pass over the shared member set —
         a touched group re-aggregates every output column together.
         """
-        from repro.relational.aggregate import members_support, scalar_empty_row
-
         if members:
             values = tuple(
                 compute(self.child.schema, members, argument)
@@ -1149,29 +974,12 @@ class AggregateOp(PhysicalOperator):
 
     def delta_state(self) -> OperatorState:
         state = OperatorState()
-        # The member sets double as a predicate-partition index keyed by
-        # the grouping projection: a delta probes exactly its group.
         state.extra["groups"] = PartitionIndex()
-        state.extra["out"] = {}
-        return state
-
-    def evaluate(
-        self, state: OperatorState, inputs: Sequence[Iterable[OngoingTuple]]
-    ) -> None:
-        (items,) = inputs
-        groups: PartitionIndex = state.extra["groups"]
-        outs: Dict[Tuple[object, ...], OngoingTuple] = state.extra["out"]
-        for item in items:
-            groups.add(self._key(item), item)
-            state.cached_rows += 1
+        outs = state.extra["out"] = {}
         if not self.group_positions:
-            groups.ensure(())  # the scalar group always exists
-        counts = state.counts
-        for key, members in groups.buckets():
-            row = self._group_row(key, members)
-            if row is not None:
-                outs[key] = row
-                counts[row] = counts.get(row, 0) + 1
+            row = outs[()] = self._group_row((), {})
+            state.counts[row] = 1
+        return state
 
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
@@ -1226,28 +1034,20 @@ class DistinctOp(MappedDeltaOperator):
     operator output — but it is an explicit multiplicity barrier: the
     inherited counting rule tracks how many derivations each tuple has
     and surfaces only the 0↔positive transitions, exactly SQL DISTINCT
-    under incremental maintenance.
+    under incremental maintenance.  The barrier is the state: iterating
+    the operator streams the child as-is, and :func:`materialize` or the
+    stateful parent consuming the stream removes the repeats.
     """
 
     def __init__(self, child: PhysicalOperator):
         self.child = child
         self.schema = child.schema
 
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        seen = set()
-        for item in self.child:
-            if item not in seen:
-                seen.add(item)
-                yield item
-
     def _describe(self) -> str:
         return "Distinct δ"
 
     def _children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)
-
-    # Incremental protocol: the identity map with derivation counting is
-    # precisely DISTINCT — inherited from MappedDeltaOperator unchanged.
 
 
 class _Descending:
@@ -1296,14 +1096,19 @@ class SortLimitOp(PhysicalOperator):
     as the final tie-break so the order — and therefore the top-k *set*
     — is insensitive to input order.
 
-    The incremental state is O(k): a sorted window of the current top-k
-    rows plus a bare count of the rows beyond the boundary.  An insert
-    or delete lands in O(Δ log k) while it stays cleanly in or out of
-    the window; deleting a window row while overflow rows exist evicts
-    the boundary — the next-best row is unknown — and raises
+    The state is O(k): ``window``, a sorted list of ``(row_key, row)`` —
+    the current top-k (all rows when there is no limit) — plus
+    ``overflow``, a bare count of the rows ranking beyond it.
+    Invariant: ``overflow > 0`` implies the window is full — so a window
+    that is not full accepts every insert, and an in-window delete with
+    ``overflow == 0`` simply shrinks the result.  An insert or delete
+    lands in O(Δ log k) while it stays cleanly in or out of the window;
+    deleting a window row while overflow rows exist evicts the boundary
+    — the next-best row is unknown — and raises
     :class:`NonIncrementalDelta`, which the caller answers with the
     automatic full refresh.  Without a limit the operator is a
-    set-semantics identity that renders sorted on the pull path.
+    set-semantics identity that presents its window sorted on the pull
+    path.
     """
 
     def __init__(
@@ -1330,17 +1135,8 @@ class SortLimitOp(PhysicalOperator):
         parts.append(repr(item))
         return tuple(parts)
 
-    def _sorted_rows(
-        self, items: Iterable[OngoingTuple]
-    ) -> List[Tuple[Tuple[object, ...], OngoingTuple]]:
-        return sorted((self._row_key(item), item) for item in dict.fromkeys(items))
-
     def __iter__(self) -> Iterator[OngoingTuple]:
-        decorated = self._sorted_rows(self.child)
-        if self.limit is not None:
-            decorated = decorated[: self.limit]
-        for _, item in decorated:
-            yield item
+        return (item for _, item in self._pull_state().extra["window"])
 
     def _describe(self) -> str:
         keys = ", ".join(
@@ -1353,39 +1149,11 @@ class SortLimitOp(PhysicalOperator):
     def _children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)
 
-    # ------------------------------------------------------------------
-    # Incremental protocol.
-    #
-    # state.extra["window"]: sorted list of (row_key, row) — the current
-    # top-k (all rows when there is no limit).  state.extra["overflow"]:
-    # how many rows rank beyond the window.  Invariant: overflow > 0
-    # implies the window is full — so a window that is not full accepts
-    # every insert, and an in-window delete with overflow == 0 simply
-    # shrinks the result.
-    # ------------------------------------------------------------------
-
     def delta_state(self) -> OperatorState:
         state = OperatorState()
         state.extra["window"] = []
         state.extra["overflow"] = 0
         return state
-
-    def evaluate(
-        self, state: OperatorState, inputs: Sequence[Iterable[OngoingTuple]]
-    ) -> None:
-        (items,) = inputs
-        decorated = self._sorted_rows(items)
-        k = self.limit
-        if k is None or k >= len(decorated):
-            window, overflow = decorated, 0
-        else:
-            window, overflow = decorated[:k], len(decorated) - k
-        state.extra["window"] = window
-        state.extra["overflow"] = overflow
-        state.cached_rows = len(window)
-        counts = state.counts
-        for _, item in window:
-            counts[item] = counts.get(item, 0) + 1
 
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
@@ -1416,9 +1184,17 @@ class SortLimitOp(PhysicalOperator):
                     raise NonIncrementalDelta(
                         "delete of a tuple unknown to the top-k window"
                     )
-        for item in delta.inserted:
-            entry = (self._row_key(item), item)
-            position = bisect_left(window, entry)
+        # Inserts run best first: a row outside the best k of its own
+        # batch cannot make the window, and in ascending order each search
+        # starts behind the previous landing spot — so a batch into an
+        # empty window (a cold build) costs one sort and k appends.
+        fresh = sorted((self._row_key(item), item) for item in delta.inserted)
+        if k is not None and len(fresh) > k:
+            overflow += len(fresh) - k
+            del fresh[k:]
+        position = 0
+        for entry in fresh:
+            position = bisect_left(window, entry, position)
             if position < len(window) and window[position][0] == entry[0]:
                 raise NonIncrementalDelta(
                     "insert of a tuple already in the top-k window"
@@ -1427,6 +1203,7 @@ class SortLimitOp(PhysicalOperator):
                 overflow += 1
                 continue
             window.insert(position, entry)
+            item = entry[1]
             changes[item] = changes.get(item, 0) + 1
             if k is not None and len(window) > k:
                 _, evicted = window.pop()

@@ -79,14 +79,19 @@ def _build(entries: List[Entry]) -> Optional[_Node]:
     to_right: List[Entry] = []
     for entry in entries:
         start, end, _ = entry
+        if start >= end:
+            # An empty envelope (e.g. a row inserted and terminated at the
+            # same time) overlaps nothing, and would never leave the side
+            # lists: it straddles no center, its own midpoint included.
+            continue
         if end <= center:
             to_left.append(entry)
         elif start > center:
             to_right.append(entry)
         else:
             here.append(entry)
-    # Degenerate split guard: when every entry straddles the chosen center
-    # the recursion terminates because both side lists are empty.
+    # Termination: the median entry straddles the center (or was dropped),
+    # so each side list is strictly shorter than ``entries``.
     return _Node(center, here, _build(to_left), _build(to_right))
 
 
@@ -255,11 +260,6 @@ class PartitionIndex:
         """The live bucket for *key* (read-only; empty dict if absent)."""
         return self._buckets.get(key, {})
 
-    def ensure(self, key: Any) -> Dict[Any, None]:
-        """Materialize (and return) *key*'s bucket even while empty —
-        e.g. the scalar aggregation group, which exists with no members."""
-        return self._buckets.setdefault(key, {})
-
     def keys(self) -> Iterator[Any]:
         return iter(self._buckets)
 
@@ -310,6 +310,8 @@ class IntervalProbeIndex:
         if item in self._envelopes:
             raise KeyError(f"{item!r} already indexed")
         self._envelopes[item] = (start, end)
+        if start >= end:
+            return  # an empty envelope overlaps nothing: never probed for
         if item in self._removed:
             # Re-insert of a tombstoned base entry: the envelope derives
             # from the (immutable) item, so the base entry is valid again.
@@ -321,6 +323,8 @@ class IntervalProbeIndex:
 
     def remove(self, item: Any) -> None:
         start, end = self._envelopes.pop(item)  # KeyError: not indexed
+        if start >= end:
+            return
         if item in self._overlay_items:
             del self._overlay_items[item]
             self._overlay.remove(start, (end, item))

@@ -3,14 +3,11 @@
 Both incremental consumers of the delta engine — the single-consumer
 :class:`~repro.engine.views.MaterializedOngoingView` and the shared
 :class:`~repro.live.cache.SharedResult` behind the live subscription
-manager — used to carry their own copy of the same three-part protocol:
+manager — used to carry their own copy of the same two-part protocol:
 
 1. **pending deltas** — per-table :class:`~repro.engine.delta.DeltaBuilder`
    accumulators fed by the database's typed modification hooks;
-2. **the unsupported latch** — a plan that raises
-   :class:`~repro.engine.delta.NonIncrementalDelta` from a *full* build has
-   no delta rules at all and must never be retried incrementally;
-3. **refresh with automatic fallback** — propagate the pending deltas
+2. **refresh with automatic fallback** — propagate the pending deltas
    through the cached operator state, or fall back to a logged full
    re-evaluation when the state is cold, the deltas are full-flagged, or
    the propagation fails.
@@ -78,7 +75,7 @@ class RefreshOutcome:
 
 
 class IncrementalMaintainer:
-    """Incremental maintenance of one logical plan, with fallback and latch.
+    """Incremental maintenance of one logical plan, with automatic fallback.
 
     The maintainer owns the plan's :class:`DeltaEvaluator` (and through
     it the versioned result store), the pending per-table row deltas, and
@@ -96,7 +93,7 @@ class IncrementalMaintainer:
     served result itself), estimated in storage-layout bytes
     (:meth:`DeltaEvaluator.state_bytes`).  ``None`` means unbounded.
 
-    Thread safety: :attr:`lock` guards the pending map and the latch.  A
+    Thread safety: :attr:`lock` guards the pending map and the counters.  A
     full re-evaluation runs under the owning database's write lock, which
     also serializes it against :meth:`note_change` (modification hooks
     fire with that lock held) — so deltas subsumed by the re-read tables
@@ -137,11 +134,11 @@ class IncrementalMaintainer:
         #: through to the evaluator's per-operator spans.
         self.tracer = tracer
         self.state_budget_bytes = state_budget_bytes
-        #: Guards the pending map, the latch, and the counters.
+        #: Guards the pending map and the counters.
         self.lock = threading.RLock()
         #: Monotonic count of change events *offered* to this maintainer —
-        #: bumped even when the rows are not kept (unsupported plans,
-        #: cold state, ``incremental=False``).  The flush path compares
+        #: bumped even when the rows are not kept (cold state,
+        #: ``incremental=False``).  The flush path compares
         #: it before/after a full re-evaluation to decide whether a new
         #: modification slipped in and the dirty mark must survive.
         self.changes = 0
@@ -170,7 +167,6 @@ class IncrementalMaintainer:
         self.cost_adaptations = 0
         self._incremental = incremental
         self._evaluator: Optional[DeltaEvaluator] = None
-        self._unsupported = False
         self._evicted = False
         #: Snapshot counters, shared with every evaluator/store this
         #: maintainer creates so the numbers survive rebuilds.
@@ -178,9 +174,8 @@ class IncrementalMaintainer:
             "snapshots_taken": 0,
             "snapshots_reused": 0,
         }
-        #: The served relation on the plain path (``incremental=False``
-        #: or latched-unsupported plans); the incremental path serves
-        #: from the evaluator's store instead.
+        #: The served relation on the plain path (``incremental=False``);
+        #: the incremental path serves from the evaluator's store instead.
         self._plain_result: Optional[OngoingRelation] = None
         self._relevant: FrozenSet[str] = plan.referenced_tables()
         self._pending: Dict[str, DeltaBuilder] = {}
@@ -224,11 +219,6 @@ class IncrementalMaintainer:
         return 0 if store is None else store.version
 
     @property
-    def unsupported(self) -> bool:
-        """``True`` once the plan proved to have no delta rules at all."""
-        return self._unsupported
-
-    @property
     def warm(self) -> bool:
         """``True`` when operator state exists and deltas can be applied."""
         evaluator = self._evaluator
@@ -246,7 +236,7 @@ class IncrementalMaintainer:
 
     def node_report(self):
         """Per-operator live counters (see ``DeltaEvaluator.node_report``);
-        empty while the state is cold, evicted, or unsupported."""
+        empty while the state is cold or evicted."""
         evaluator = self._evaluator
         return [] if evaluator is None else evaluator.node_report()
 
@@ -257,7 +247,7 @@ class IncrementalMaintainer:
         estimated state bytes, cumulative ``apply_delta`` wall time and
         delta sizes, and per-node fallback counts — plus a header with
         the plan-level refresh totals and the cost model's learned
-        per-plan parameters.  A cold/evicted/unsupported plan renders the
+        per-plan parameters.  A cold or evicted plan renders the
         header and the reason instead of a tree.  ``format="json"``
         returns the same report as plain data.
         """
@@ -282,9 +272,7 @@ class IncrementalMaintainer:
                 "state_bytes": self.state_bytes(),
                 "refresh_decision": self.last_refresh_decision,
             }
-            if self._unsupported:
-                cold_reason = "plan has no delta rules (latched unsupported)"
-            elif self._evicted:
+            if self._evicted:
                 cold_reason = "operator state evicted by the memory budget"
             else:
                 cold_reason = (
@@ -326,17 +314,13 @@ class IncrementalMaintainer:
         """Accumulate one table delta for the next :meth:`refresh`.
 
         Rows are only worth holding when a later refresh can consume
-        them: not for tables the plan does not read, not once the plan
-        latched onto full evaluation, and not while the operator state is
-        cold (the next refresh is a full evaluation anyway).
+        them: not for tables the plan does not read, and not while the
+        operator state is cold (the next refresh is a full evaluation
+        anyway).
         """
         with self.lock:
             self.changes += 1
-            if (
-                self._unsupported
-                or table not in self._relevant
-                or not self.warm
-            ):
+            if table not in self._relevant or not self.warm:
                 return
             builder = self._pending.get(table)
             if builder is None:
@@ -372,8 +356,8 @@ class IncrementalMaintainer:
         changed = previous is None or result != previous
         return RefreshOutcome(None, changed)
 
-    def _ensure_evaluator(self) -> Optional[DeltaEvaluator]:
-        if self._evaluator is None and not self._unsupported:
+    def _ensure_evaluator(self) -> DeltaEvaluator:
+        if self._evaluator is None:
             self._evaluator = DeltaEvaluator(
                 self.plan,
                 self.database,
@@ -438,24 +422,6 @@ class IncrementalMaintainer:
             )
         except Exception:  # noqa: BLE001 — telemetry must never refresh-fail
             logger.exception("fallback metric recording failed")
-
-    def _latch_unsupported(self, exc: NonIncrementalDelta) -> None:
-        """The plan has no delta rules — never retry, serve plainly."""
-        logger.info(
-            "%s (plan %s) is not incrementalizable "
-            "(operator=%s, table=%s): %s; serving via full evaluation",
-            self.label,
-            self.fingerprint[:12],
-            getattr(exc, "operator", None),
-            getattr(exc, "table", None),
-            exc,
-        )
-        self._record_fallback(exc, cause="unsupported plan")
-        with self.lock:
-            self._evaluator = None
-            self._evicted = False  # the flag describes the dropped state
-            self._unsupported = True
-            self._pending = {}  # row deltas will never be consumed
 
     def _maybe_evict(self, evaluator: DeltaEvaluator) -> None:
         """Enforce the state budget after a successful refresh.
@@ -522,13 +488,7 @@ class IncrementalMaintainer:
                     self._evicted = False
                 return self._plain(previous)
             evaluator = self._ensure_evaluator()
-            if evaluator is None:
-                return self._plain(previous)
-            try:
-                result = evaluator.refresh_full()
-            except NonIncrementalDelta as exc:
-                self._latch_unsupported(exc)
-                return self._plain(previous)
+            result = evaluator.refresh_full()
             with self.lock:
                 self._evicted = False
                 self._plain_result = None  # the store serves from here on
@@ -560,14 +520,7 @@ class IncrementalMaintainer:
             incremental = self._incremental
         if not incremental:
             return self.evaluate(incremental=False)
-        if self._unsupported:
-            # Unsupported plans re-run plainly, but still under the write
-            # lock (via evaluate): a multi-table plan must not read table
-            # A before and table B after a concurrent writer.
-            return self.evaluate()
         evaluator = self._ensure_evaluator()
-        if evaluator is None:
-            return self.evaluate()
         if not evaluator.warm:
             with self.lock:
                 if self._evicted:

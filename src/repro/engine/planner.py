@@ -10,7 +10,7 @@ applies the paper's two optimizations:
    the result tuple's reference time).
 
 2. **Join algorithm selection.**  Fixed equality conjuncts become hash-join
-   keys; a temporal ``overlaps`` conjunct enables the envelope plane-sweep
+   keys; a temporal ``overlaps`` conjunct enables the envelope-overlap
    merge join; anything else falls back to a nested loop.  All residual
    conjuncts — fixed and ongoing — run on the join's candidate pairs.
 
@@ -342,18 +342,12 @@ class Planner:
 
 
 class _Requalified(MappedDeltaOperator):
-    """Transparent schema-renaming wrapper (tuples pass through unchanged).
-
-    The incremental protocol is the inherited identity map: counts and
-    deltas pass straight through.
-    """
+    """Transparent schema-renaming wrapper: the inherited identity map —
+    tuples, counts and deltas pass straight through."""
 
     def __init__(self, child: PhysicalOperator, schema: Schema):
         self.child = child
         self.schema = schema
-
-    def __iter__(self):
-        return iter(self.child)
 
     def _describe(self) -> str:
         return f"Qualify ({', '.join(self.schema.names[:4])}...)"

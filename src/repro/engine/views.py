@@ -112,9 +112,8 @@ class MaterializedOngoingView:
         the view's cached operator state, mutating the versioned result
         store in O(|Δ|).  Falls back to a full re-evaluation —
         automatically, with the reason logged — when the state is cold or
-        the deltas cannot be propagated; a plan with no delta rules at
-        all latches onto plain evaluation permanently.  Returning the
-        relation materializes a snapshot (the view is the single-consumer
+        the deltas cannot be propagated.  Returning the relation
+        materializes a snapshot (the view is the single-consumer
         primitive); callers that only need the refresh done can ignore
         the return value at no extra cost beyond that one copy per
         changed version.

@@ -10,8 +10,8 @@ reference time.
 
 Since the delta-propagation engine (:mod:`repro.engine.delta`), a shared
 result also owns the per-operator incremental state for its plan — the
-pending row deltas, the unsupported latch, and the refresh-with-fallback
-protocol all live in one :class:`~repro.engine.maintenance.IncrementalMaintainer`
+pending row deltas and the refresh-with-fallback protocol live in one
+:class:`~repro.engine.maintenance.IncrementalMaintainer`
 (shared with :class:`~repro.engine.views.MaterializedOngoingView`), which
 is also the single synchronization point the concurrent serving layer
 (:mod:`repro.serve`) guards.

@@ -51,11 +51,12 @@ def bind_value(value: object, rt: TimePoint) -> object:
 class OngoingTuple:
     """An immutable tuple with a reference time attribute ``RT``."""
 
-    __slots__ = ("_values", "_rt")
+    __slots__ = ("_values", "_rt", "_hash")
 
     def __init__(self, values: Tuple[object, ...], rt: IntervalSet = UNIVERSAL_SET):
         self._values = tuple(values)
         self._rt = rt
+        self._hash = None
 
     @property
     def values(self) -> Tuple[object, ...]:
@@ -96,7 +97,16 @@ class OngoingTuple:
         return self._values == other._values and self._rt == other._rt
 
     def __hash__(self) -> int:
-        return hash((self._values, self._rt))
+        # Memoized: the engine keys every operator state by tuple, and
+        # hashing the nested ongoing values dominates its dict traffic.
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash((self._values, self._rt))
+        return cached
+
+    def __reduce__(self):
+        # Never pickle the memo: string hashes differ between processes.
+        return (OngoingTuple, (self._values, self._rt))
 
     def __repr__(self) -> str:
         return f"OngoingTuple({self._values!r}, rt={self._rt!r})"

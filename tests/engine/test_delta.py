@@ -20,6 +20,7 @@ from repro.engine.delta import (
     OperatorState,
     commit_changes,
 )
+from repro.engine.maintenance import IncrementalMaintainer
 from repro.engine.modifications import (
     current_delete,
     current_insert,
@@ -29,6 +30,15 @@ from repro.engine.plan import scan
 from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
+
+
+def _maintainer(db):
+    """A maintainer of ``scan("R")`` fed by *db*'s modification hooks."""
+    maintainer = IncrementalMaintainer(scan("R"), db, label="delta-unit")
+    db.add_delta_listener(
+        lambda name, version, delta: maintainer.note_change(name, delta)
+    )
+    return maintainer
 
 
 def _database():
@@ -276,44 +286,44 @@ class TestEvaluatorFallback:
         assert evaluator.warm
 
     def test_failed_replan_invalidates_stale_state(self):
-        """A refresh_full that fails at *planning* time (dropped table)
+        """A full evaluation that fails at *planning* time (dropped table)
         must invalidate the old operator state — otherwise deltas after
         the table is re-created silently apply to pre-drop state."""
         db = _database()
-        evaluator = DeltaEvaluator(scan("R"), db)
-        evaluator.refresh_full()
-        rows_before = len(evaluator.result)
+        maintainer = _maintainer(db)
+        maintainer.evaluate()
+        rows_before = len(maintainer.result)
         db.drop_table("R")
         with pytest.raises(Exception):
-            evaluator.refresh_full()
-        assert not evaluator.warm
+            maintainer.evaluate()
+        assert not maintainer.warm
         recreated = db.create_table("R", Schema.of("K", ("VT", "interval")))
         recreated.insert(99, until_now(1))
-        result, delta = evaluator.refresh({})
-        assert delta is None  # cold → full path
+        outcome = maintainer.refresh()
+        assert outcome.delta is None  # cold → full path
+        result = maintainer.result
         assert [t.values[0] for t in result.tuples] == [99]
         assert len(result) != rows_before + 1  # no pre-drop leftovers
 
-    def test_refresh_helper_routes_and_falls_back(self):
+    def test_refresh_routes_and_falls_back(self):
         db = _database()
-        evaluator = DeltaEvaluator(scan("R"), db)
+        maintainer = _maintainer(db)
         # cold: full path
-        result, delta = evaluator.refresh({})
-        assert delta is None and len(result) == 3
+        outcome = maintainer.refresh()
+        assert outcome.delta is None and len(maintainer.result) == 3
         # warm + typed delta: incremental path
-        db.table("R").insert(9, until_now(2))
-        captured = {}
-        db.add_delta_listener(
-            lambda name, version, d: captured.update({name: d})
-        )
         db.table("R").insert(10, until_now(2))
-        result, delta = evaluator.refresh(captured)
-        assert delta is not None and len(delta.inserted) == 1
-        assert 10 in [t.values[0] for t in result.tuples]
+        outcome = maintainer.refresh()
+        assert outcome.delta is not None and len(outcome.delta.inserted) == 1
+        assert 10 in [t.values[0] for t in maintainer.result.tuples]
+        assert maintainer.delta_refreshes == 1
         # warm + full-flagged delta: logged fallback to full
-        result, delta = evaluator.refresh({"R": FULL_DELTA})
-        assert delta is None
-        assert 9 in [t.values[0] for t in result.tuples]  # catches up fully
+        fallbacks = maintainer.delta_fallbacks
+        db.table("R").replace_all([OngoingTuple((9, until_now(1)))])
+        outcome = maintainer.refresh()
+        assert outcome.delta is None
+        assert maintainer.delta_fallbacks == fallbacks + 1
+        assert [t.values[0] for t in maintainer.result.tuples] == [9]
 
     def test_refresh_full_after_modifications_matches_query(self):
         db = _database()

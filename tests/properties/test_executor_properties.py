@@ -1,16 +1,29 @@
-"""Property tests: the physical join algorithms are interchangeable.
+"""Property tests: the physical join algorithms are interchangeable, and
+every operator's one delta rule serves all three evaluation paths.
 
 For random ongoing relations and a predicate eligible for all three
 algorithms (fixed equality + temporal overlaps), HashJoin,
 MergeIntervalJoin, and NestedLoopJoin must produce the same ongoing
 relation — and that relation must satisfy the Theorem 2 law against
 a brute-force fixed evaluation.
+
+Per operator family, the pull path (``materialize``), a cold
+``DeltaEvaluator.refresh_full()`` and the same rows fed as random insert
+batches through ``DeltaEvaluator.apply`` must all instantiate — at every
+interval boundary — to the result of the independent ``relational/``
+oracle.
 """
 
+import random
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.baselines.fixed_algebra import overlaps_f
+from repro.core.interval import fixed_interval, until_now
+from repro.engine.database import Database
+from repro.engine.delta import Delta, DeltaEvaluator
 from repro.engine.executor import (
     HashJoin,
     MergeIntervalJoin,
@@ -18,7 +31,12 @@ from repro.engine.executor import (
     SeqScan,
     materialize,
 )
-from repro.relational.predicates import col
+from repro.engine.plan import scan
+from repro.engine.planner import plan_query
+from repro.errors import QueryError
+from repro.relational.aggregate import group_by, scalar_empty_row
+from repro.relational.algebra import difference, join, project, select, union
+from repro.relational.predicates import col, lit
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
@@ -99,3 +117,207 @@ def test_join_satisfies_theorem_two(left, right):
             if lrow[0] == rrow[0] and overlaps_f(lrow[1], rrow[1])
         )
         assert joined.instantiate(rt) == expected, rt
+
+
+# ----------------------------------------------------------------------
+# cold ≡ batched deltas ≡ oracle, per operator family
+# ----------------------------------------------------------------------
+
+_BASE = Schema.of("K", ("VT", "interval"))
+_WINDOW = lit(fixed_interval(-5, 10))
+_MAP = (col("K") >= lit(1)) & col("VT").overlaps(_WINDOW)
+_BEFORE = col("R.VT").before(col("S.VT"))
+_SPECS = [("count", None, "n"), ("avg", "K", "a")]
+
+
+def _joined(on, right="S"):
+    return scan("R").join(scan(right), on=on, left_name="R", right_name="S")
+
+
+def _join_oracle(on):
+    return lambda r, s: join(r, s, on, left_name="R", right_name="S")
+
+
+#: family → (logical plan over tables R and S, ``relational/`` oracle).
+_FAMILIES = {
+    "map-like": (
+        scan("R").where(_MAP).select_columns("K"),
+        lambda r, s: project(select(r, _MAP), ["K"]),
+    ),
+    "union": (scan("R").union(scan("S")), union),
+    "hash-join": (_joined(_EQUI & _TEMPORAL), _join_oracle(_EQUI & _TEMPORAL)),
+    "merge-join": (_joined(_TEMPORAL), _join_oracle(_TEMPORAL)),
+    "nested-loop-join": (_joined(_BEFORE), _join_oracle(_BEFORE)),
+    "self-join": (
+        _joined(_EQUI & _TEMPORAL, right="R"),
+        lambda r, s: join(r, r, _EQUI & _TEMPORAL, left_name="R", right_name="S"),
+    ),
+    "difference": (scan("R").difference(scan("S")), difference),
+    "aggregate": (
+        scan("R").group_by(("K",), specs=_SPECS),
+        lambda r, s: group_by(r, ["K"], specs=_SPECS),
+    ),
+    "scalar-aggregate": (
+        scan("R").group_by((), specs=_SPECS),
+        lambda r, s: group_by(r, [], specs=_SPECS),
+    ),
+    "aggregate-over-distinct-union": (
+        scan("R").union(scan("S")).distinct().group_by(("K",), "count"),
+        lambda r, s: group_by(union(r, s), ["K"], "count"),
+    ),
+    "order-by": (scan("R").order_by(("K", True)), lambda r, s: r),
+}
+
+
+def _database(**tables):
+    db = Database("executor-props")
+    for name, rows in tables.items():
+        db.create_table(name, _BASE).insert_tuples(rows)
+    return db
+
+
+def _three_paths(plan, rng, **tables):
+    """*plan* evaluated by pull, cold, and as random insert batches."""
+    db = _database(**tables)
+    pulled = materialize(plan_query(plan, db))
+    cold = DeltaEvaluator(plan, db).refresh_full()
+    evaluator = DeltaEvaluator(plan, _database(**{name: () for name in tables}))
+    evaluator.refresh_full()
+    batches = []
+    for name, rows in tables.items():
+        rows = list(rows)
+        while rows:
+            cut = rng.randint(1, len(rows))
+            batches.append((name, rows[:cut]))
+            rows = rows[cut:]
+    rng.shuffle(batches)
+    for name, batch in batches:
+        evaluator.apply({name: Delta.insert(batch)})
+    return pulled, cold, evaluator.result
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@given(
+    left=relations(_BASE),
+    right=relations(_BASE),
+    duplicates=st.integers(min_value=0, max_value=2),
+    rng=st.randoms(use_true_random=False),
+)
+def test_pull_cold_and_batched_deltas_match_the_oracle(
+    family, left, right, duplicates, rng
+):
+    plan, oracle = _FAMILIES[family]
+    expected = oracle(left, right)
+    # Base tables are multisets: repeat some rows under the scans.
+    results = _three_paths(
+        plan,
+        rng,
+        R=left.tuples + left.tuples[:duplicates],
+        S=right.tuples + right.tuples[:duplicates],
+    )
+    for rt in critical_points(-5, 10, *_sweep(left, right)):
+        for result in results:
+            assert result.instantiate(rt) == expected.instantiate(rt), rt
+
+
+@given(relations(_BASE), st.randoms(use_true_random=False))
+def test_top_k_paths_agree_and_respect_the_order(relation, rng):
+    plan = scan("R").order_by(("K", True), limit=2)
+    pulled, cold, batched = _three_paths(plan, rng, R=relation.tuples)
+    assert frozenset(pulled.tuples) == frozenset(cold.tuples)
+    assert frozenset(pulled.tuples) == frozenset(batched.tuples)
+    assert len(pulled) == min(2, len(relation))
+    dropped = frozenset(relation.tuples) - frozenset(pulled.tuples)
+    assert all(
+        kept.values[0] >= other.values[0]
+        for kept in pulled
+        for other in dropped
+    )
+
+
+def test_scalar_aggregate_over_an_empty_child_is_the_constant_row():
+    """Cold over zero rows: the SQL empty-aggregate row; then it tracks
+    insert → delete-all back to that row."""
+    plan = scan("R").group_by((), specs=_SPECS)
+    db = _database(R=())
+    empty_row = scalar_empty_row(["count", "avg"])
+    assert materialize(plan_query(plan, db)).tuples == (empty_row,)
+    evaluator = DeltaEvaluator(plan, db)
+    assert evaluator.refresh_full().tuples == (empty_row,)
+    rows = (
+        OngoingTuple((1, until_now(3))),
+        OngoingTuple((2, fixed_interval(0, 9))),
+    )
+    evaluator.apply({"R": Delta.insert(rows)})
+    expected = group_by(OngoingRelation(_BASE, rows), [], specs=_SPECS)
+    assert evaluator.result == expected
+    evaluator.apply({"R": Delta.delete(rows)})
+    assert evaluator.result.tuples == (empty_row,)
+
+
+def test_duplicate_base_rows_are_one_tuple_until_the_last_copy_goes():
+    row = OngoingTuple((1, until_now(3)))
+    plan = scan("R").select_columns("K")
+    db = _database(R=(row, row))
+    assert len(materialize(plan_query(plan, db))) == 1
+    evaluator = DeltaEvaluator(plan, db)
+    assert len(evaluator.refresh_full()) == 1
+    assert evaluator.apply({"R": Delta.delete((row,))}).is_empty()
+    assert len(evaluator.result) == 1
+    assert len(evaluator.apply({"R": Delta.delete((row,))}).deleted) == 1
+    assert len(evaluator.result) == 0
+
+
+def test_pull_path_deduplicates_below_an_aggregate():
+    """The streaming Union/Distinct let a shared row through twice; the
+    aggregate above must still count it once."""
+    row = OngoingTuple((1, until_now(3)))
+    db = _database(R=(row,), S=(row,))
+    for below in (
+        scan("R").union(scan("S")),
+        scan("R").union(scan("S")).distinct(),
+    ):
+        plan = below.group_by((), "count")
+        pulled = materialize(plan_query(plan, db))
+        assert pulled == DeltaEvaluator(plan, db).refresh_full()
+        assert pulled == group_by(OngoingRelation(_BASE, [row]), [], "count")
+
+
+def test_unlimited_order_by_presents_sorted_through_query():
+    db = _database(
+        R=tuple(OngoingTuple((key, until_now(key))) for key in (1, 3, 0, 2))
+    )
+    assert db.query(scan("R").order_by(("K", True))).column("K") == [3, 2, 1, 0]
+    assert db.query(scan("R").order_by("K")).column("K") == [0, 1, 2, 3]
+
+
+def test_merge_join_over_an_empty_envelope_beyond_the_rebuild_floor():
+    """A row inserted and terminated at the same time has the empty
+    envelope ``[50, 50)``; with enough rows for the side's probe index to
+    build its tree, the build used to recurse without end on it."""
+    rng = random.Random(15)
+
+    def rows(count):
+        starts = (rng.randrange(0, 100) for _ in range(count))
+        return tuple(
+            OngoingTuple((key, fixed_interval(start, start + rng.randrange(1, 9))))
+            for key, start in enumerate(starts)
+        )
+
+    left = (OngoingTuple((-1, fixed_interval(50, 50))),) + rows(100)
+    right = rows(100)
+    expected = join(
+        OngoingRelation(_BASE, left), OngoingRelation(_BASE, right),
+        _TEMPORAL, left_name="R", right_name="S",
+    )
+    plan = _joined(_TEMPORAL)
+    assert type(plan_query(plan, _database(R=left, S=right))) is MergeIntervalJoin
+    for result in _three_paths(plan, rng, R=left, S=right):
+        assert result == expected
+    assert not any(item.values[0] == -1 for item in expected)
+
+
+def test_hash_join_rejects_an_empty_key():
+    empty = OngoingRelation(_LEFT, ()), OngoingRelation(_RIGHT, ())
+    with pytest.raises(QueryError, match="equi-key"):
+        HashJoin(SeqScan(empty[0]), SeqScan(empty[1]), [], [], _OUT)
