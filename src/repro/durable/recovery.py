@@ -150,7 +150,7 @@ class Durability:
                 # replace_all, which re-triggers the same logged
                 # full-refresh fallback downstream.
                 record = WalRecord(
-                    KIND_SNAPSHOT, name, tick, at, rows=tuple(table.rows())
+                    KIND_SNAPSHOT, name, tick, at, rows=table.rows()
                 )
         else:
             record = WalRecord(
@@ -292,10 +292,9 @@ def _install_checkpoint(database: Database, loaded: LoadedCheckpoint) -> None:
     """Recreate tables at their checkpointed state (no listeners fire —
     loading is not a modification)."""
     for name, entry in loaded.tables.items():
-        table = database.create_table(name, entry.schema)
-        table._rows = list(entry.rows)
-        table._version = entry.version
-        table._snapshot = None
+        database.create_table(name, entry.schema).restore(
+            entry.rows, entry.version
+        )
 
 
 def _schema_from_spec(spec) -> Schema:

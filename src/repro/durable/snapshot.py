@@ -64,31 +64,70 @@ _TMP_PREFIX = ".tmp-"
 # ----------------------------------------------------------------------
 
 
+#: Encoded rows held at once while a heap file is written or read.
+_CHUNK_BYTES = 1 << 16
+
+
 def _write_heap(path: Path, rows) -> None:
-    parts = [struct.pack("<I", len(rows))]
-    for row in rows:
-        parts.append(pack_tagged_tuple(row))
-    body = b"".join(parts)
+    """Stream *rows* (sized, iterable) to a heap file, a chunk at a time."""
+    crc = 0
+    chunk = bytearray(struct.pack("<I", len(rows)))
     with open(path, "wb") as handle:
-        handle.write(_HEAP_MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+        handle.write(_HEAP_MAGIC)
+        for row in rows:
+            chunk += pack_tagged_tuple(row)
+            if len(chunk) >= _CHUNK_BYTES:
+                crc = zlib.crc32(chunk, crc)
+                handle.write(chunk)
+                del chunk[:]
+        crc = zlib.crc32(chunk, crc)
+        handle.write(chunk)
+        handle.write(struct.pack("<I", crc))
         handle.flush()
         os.fsync(handle.fileno())
 
 
-def _read_heap(path: Path) -> Tuple:
-    data = path.read_bytes()
-    if data[: len(_HEAP_MAGIC)] != _HEAP_MAGIC or len(data) < len(_HEAP_MAGIC) + 8:
-        raise DurabilityError(f"bad heap file {path.name}")
-    body = data[len(_HEAP_MAGIC) : -4]
-    (crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    if zlib.crc32(body) != crc:
-        raise DurabilityError(f"heap checksum mismatch in {path.name}")
-    (count,) = struct.unpack_from("<I", body, 0)
-    offset = 4
-    rows = []
-    for _ in range(count):
-        row, offset = unpack_tagged_tuple(body, offset)
-        rows.append(row)
+def _read_heap(path: Path, memo: Optional[dict] = None) -> Tuple:
+    """The rows of a heap file, read a chunk at a time.
+
+    Two passes, so that nothing is decoded from bytes the checksum does
+    not vouch for: the first sums the body, the second decodes it.
+    *memo* is :func:`~repro.engine.storage.unpack_tagged_value`'s.
+    """
+    body_bytes = path.stat().st_size - len(_HEAP_MAGIC) - 4
+    with open(path, "rb") as handle:
+        if handle.read(len(_HEAP_MAGIC)) != _HEAP_MAGIC or body_bytes < 4:
+            raise DurabilityError(f"bad heap file {path.name}")
+        crc = 0
+        remaining = body_bytes
+        while remaining:
+            chunk = handle.read(min(remaining, _CHUNK_BYTES))
+            if not chunk:
+                raise DurabilityError(f"bad heap file {path.name}")
+            crc = zlib.crc32(chunk, crc)
+            remaining -= len(chunk)
+        if struct.pack("<I", crc) != handle.read(4):
+            raise DurabilityError(f"heap checksum mismatch in {path.name}")
+        handle.seek(len(_HEAP_MAGIC))
+        (count,) = struct.unpack("<I", handle.read(4))
+        rows = []
+        buffer = b""
+        offset = 0
+        for _ in range(count):
+            while True:
+                try:
+                    row, end = unpack_tagged_tuple(buffer, offset, memo)
+                except (struct.error, UnicodeDecodeError):
+                    end = None  # the chunk ends inside this row
+                if end is not None and end <= len(buffer):
+                    break
+                more = handle.read(_CHUNK_BYTES)
+                if not more:
+                    raise DurabilityError(f"bad heap file {path.name}")
+                buffer = buffer[offset:] + more
+                offset = 0
+            rows.append(row)
+            offset = end
     return tuple(rows)
 
 
@@ -235,7 +274,7 @@ def write_checkpoint(
     tables_meta = []
     for index, (name, table) in enumerate(sorted(database.tables().items())):
         heap_name = f"{index:04d}.heap"
-        rows = table.rows()
+        rows = table.rows()  # read in place: the write lock is held
         _write_heap(tmp / heap_name, rows)
         faults.fire("checkpoint.mid_heap")
         tables_meta.append(
@@ -300,11 +339,12 @@ def _load_one(path: Path) -> LoadedCheckpoint:
             f"expected {CHECKPOINT_FORMAT}"
         )
     tables: Dict[str, LoadedTable] = {}
+    memo: dict = {}  # one per checkpoint: tables share categories and dates
     for entry in manifest["tables"]:
         schema = Schema(
             [Attribute(name, AttributeKind(kind)) for name, kind in entry["schema"]]
         )
-        rows = _read_heap(path / entry["heap"])
+        rows = _read_heap(path / entry["heap"], memo)
         if len(rows) != entry["rows"]:
             raise DurabilityError(
                 f"checkpoint {path.name}: table {entry['name']} has "

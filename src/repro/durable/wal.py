@@ -48,7 +48,7 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.durable import faults
 from repro.engine.storage import pack_tagged_tuple, unpack_tagged_tuple
@@ -111,58 +111,68 @@ def _pack_str(text: str) -> bytes:
 def _unpack_str(buffer: bytes, offset: int) -> Tuple[str, int]:
     (length,) = struct.unpack_from("<H", buffer, offset)
     offset += 2
-    return buffer[offset : offset + length].decode("utf-8"), offset + length
+    return str(buffer[offset : offset + length], "utf-8"), offset + length
 
 
-def _pack_rows(rows: Sequence) -> bytes:
-    parts = [struct.pack("<I", len(rows))]
+def _pack_rows(payload: bytearray, rows) -> None:
+    """Append *rows* to *payload* one row at a time: a bulk record is
+    encoded once, into the buffer that is written."""
+    payload += struct.pack("<I", len(rows))
     for row in rows:
-        parts.append(pack_tagged_tuple(row))
-    return b"".join(parts)
+        payload += pack_tagged_tuple(row)
 
 
-def _unpack_rows(buffer: bytes, offset: int) -> Tuple[Tuple, int]:
+def _unpack_rows(buffer: bytes, offset: int, memo: dict) -> Tuple[Tuple, int]:
     (count,) = struct.unpack_from("<I", buffer, offset)
     offset += 4
     rows = []
     for _ in range(count):
-        row, offset = unpack_tagged_tuple(buffer, offset)
+        row, offset = unpack_tagged_tuple(buffer, offset, memo)
         rows.append(row)
     return tuple(rows), offset
 
 
-def encode_record(record: WalRecord) -> bytes:
-    """Serialize a record payload (the frame is the caller's job)."""
+def _encode_into(payload: bytearray, record: WalRecord) -> None:
+    """Append *record*'s serialized payload to *payload*."""
     if record.kind not in _KINDS:
         raise DurabilityError(f"unknown WAL record kind {record.kind}")
-    parts = [
-        _HEADER.pack(record.kind, record.tick, record.at),
-        _pack_str(record.table),
-    ]
+    payload += _HEADER.pack(record.kind, record.tick, record.at)
+    payload += _pack_str(record.table)
     if record.kind == KIND_BATCH:
-        parts.append(_pack_rows(record.inserted))
-        parts.append(_pack_rows(record.deleted))
+        _pack_rows(payload, record.inserted)
+        _pack_rows(payload, record.deleted)
     elif record.kind == KIND_SNAPSHOT:
-        parts.append(_pack_rows(record.rows))
+        _pack_rows(payload, record.rows)
     elif record.kind == KIND_CREATE:
-        parts.append(struct.pack("<H", len(record.schema_spec)))
+        payload += struct.pack("<H", len(record.schema_spec))
         for name, kind_value in record.schema_spec:
-            parts.append(_pack_str(name))
-            parts.append(_pack_str(kind_value))
-    return b"".join(parts)
+            payload += _pack_str(name)
+            payload += _pack_str(kind_value)
+
+
+def encode_record(record: WalRecord) -> bytes:
+    """Serialize a record payload (the frame is the caller's job)."""
+    payload = bytearray()
+    _encode_into(payload, record)
+    return bytes(payload)
 
 
 def decode_record(payload: bytes) -> WalRecord:
-    """Decode a record payload written by :func:`encode_record`."""
+    """Decode a record payload written by :func:`encode_record`.
+
+    Equal values of the record's rows are decoded to one object (a
+    terminated row and its successor share all but the valid time).
+    """
     kind, tick, at = _HEADER.unpack_from(payload, 0)
     offset = _HEADER.size
     table, offset = _unpack_str(payload, offset)
     if kind == KIND_BATCH:
-        inserted, offset = _unpack_rows(payload, offset)
-        deleted, offset = _unpack_rows(payload, offset)
+        memo: dict = {}
+        inserted, offset = _unpack_rows(payload, offset, memo)
+        deleted, offset = _unpack_rows(payload, offset, memo)
         return WalRecord(kind, table, tick, at, inserted=inserted, deleted=deleted)
     if kind == KIND_SNAPSHOT:
-        rows, offset = _unpack_rows(payload, offset)
+        rows, offset = _unpack_rows(payload, offset, {})
         return WalRecord(kind, table, tick, at, rows=rows)
     if kind == KIND_CREATE:
         (count,) = struct.unpack_from("<H", payload, offset)
@@ -281,8 +291,12 @@ class WriteAheadLog:
 
     def append(self, record: WalRecord) -> WalPosition:
         """Frame and append one record; returns its position."""
-        payload = encode_record(record)
-        frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        # The frame is assembled once, in the buffer that is written:
+        # header space first, the payload behind it, the header last.
+        frame = bytearray(_FRAME.size)
+        _encode_into(frame, record)
+        payload = memoryview(frame)[_FRAME.size :]
+        _FRAME.pack_into(frame, 0, len(payload), zlib.crc32(payload))
         with self._lock:
             if self._closed:
                 raise DurabilityError("write-ahead log is closed")
@@ -363,16 +377,23 @@ class WriteAheadLog:
                 continue
             final = index == len(segments) - 1
             path = self._segment_path(seq)
-            data = path.read_bytes()
-            if len(data) < len(SEGMENT_MAGIC):
+            # Frames before *start* are not read at all: after a
+            # checkpoint they are the bulk of the segment.
+            base = len(SEGMENT_MAGIC)
+            if start is not None and seq == start.segment:
+                base = max(base, start.offset)
+            with open(path, "rb") as handle:
+                magic = handle.read(len(SEGMENT_MAGIC))
+                handle.seek(base)
+                data = handle.read()
+            if len(magic) < len(SEGMENT_MAGIC):
                 if final:
                     return
                 raise DurabilityError(f"WAL segment {path.name} has no header")
-            if data[: len(SEGMENT_MAGIC)] != SEGMENT_MAGIC:
+            if magic != SEGMENT_MAGIC:
                 raise DurabilityError(f"bad magic in WAL segment {path.name}")
-            offset = len(SEGMENT_MAGIC)
-            if start is not None and seq == start.segment:
-                offset = max(offset, start.offset)
+            view = memoryview(data)  # frames are checked and decoded in place
+            offset = 0
             while offset < len(data):
                 if offset + _FRAME.size > len(data):
                     if final:
@@ -382,16 +403,14 @@ class WriteAheadLog:
                     )
                 length, crc = _FRAME.unpack_from(data, offset)
                 end = offset + _FRAME.size + length
-                if end > len(data) or zlib.crc32(data[offset + _FRAME.size : end]) != crc:
+                payload = view[offset + _FRAME.size : end]
+                if end > len(data) or zlib.crc32(payload) != crc:
                     if final:
                         return
                     raise DurabilityError(
                         f"corrupt frame inside non-final WAL segment {path.name}"
                     )
-                yield (
-                    WalPosition(seq, offset),
-                    decode_record(bytes(data[offset + _FRAME.size : end])),
-                )
+                yield WalPosition(seq, base + offset), decode_record(payload)
                 offset = end
 
     def prune_segments(self, before: int) -> int:

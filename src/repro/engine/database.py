@@ -26,9 +26,16 @@ changed as a :class:`~repro.engine.delta.Delta` — inserted and deleted
 ongoing tuples, a current update being a delete+insert pair coalesced by
 :meth:`Table.batch`.  Delta listeners (:meth:`Table.add_delta_listener`,
 :meth:`Database.add_delta_listener`) receive ``(name, version, delta)``;
-write paths that cannot name the changed rows (bulk ``replace_all``
-without an explicit delta, ``drop_table``) report the full-flagged delta,
-which downstream consumers answer with a full re-evaluation.
+write paths that cannot name the changed rows (bulk ``replace_all``,
+``drop_table``) report the full-flagged delta, which downstream
+consumers answer with a full re-evaluation.
+
+**The base heap.**  A table's rows exist once, in a counted,
+insertion-ordered map ``row → multiplicity``.  Every write mutates it in
+place in O(|Δ|) under the write lock and — because the multiplicities
+are in its hand right then — also tells the delta which rows entered or
+left the *set* (``Delta.appeared`` / ``Delta.vanished``), so scans keep
+no copy of the table to find that out.
 
 **Thread safety.**  Every database owns one re-entrant write lock
 (:attr:`Database.lock`), shared by all its tables.  Each write path —
@@ -47,6 +54,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections.abc import Collection
 from contextlib import contextmanager
 from typing import (
     Callable,
@@ -60,7 +68,12 @@ from typing import (
 )
 
 from repro.core.intervalset import UNIVERSAL_SET
-from repro.engine.delta import Delta, DeltaBuilder, FULL_DELTA
+from repro.engine.delta import (
+    Delta,
+    DeltaBuilder,
+    FULL_DELTA,
+    NonIncrementalDelta,
+)
 from repro.engine.executor import materialize
 from repro.engine.plan import PlanNode
 from repro.errors import QueryError, SchemaError
@@ -114,6 +127,31 @@ ChangeListener = Callable[[str, int], None]
 DeltaListener = Callable[[str, int, Delta], None]
 
 
+class _HeapRows(Collection):
+    """A table's row multiset, read in place: every stored occurrence in
+    insertion order of its first copy.  A live view — hold the table's
+    write lock while iterating if writers may run."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: "Table"):
+        self._table = table
+
+    def __iter__(self) -> Iterator[OngoingTuple]:
+        heap = self._table._heap
+        if len(heap) == self._table._size:  # no duplicates: the keys are it
+            return iter(heap)
+        return itertools.chain.from_iterable(
+            map(itertools.repeat, heap, heap.values())
+        )
+
+    def __len__(self) -> int:
+        return self._table._size
+
+    def __contains__(self, row: object) -> bool:
+        return row in self._table._heap
+
+
 class Table:
     """A named, mutable base table of an ongoing database."""
 
@@ -146,9 +184,13 @@ class Table:
         #: write lock — read the stamp of exactly the event they are
         #: handling.
         self.last_commit: Optional[CommitStamp] = None
-        self._rows: List[OngoingTuple] = []
+        #: The base heap: row → multiplicity, in insertion order of each
+        #: row's first copy.  The only copy of the table's rows.
+        self._heap: Dict[OngoingTuple, int] = {}
+        self._size = 0
+        #: Caches of the current version, dropped by every modification.
         self._snapshot: Optional[OngoingRelation] = None
-        self._interval_indexes: Dict[str, tuple] = {}
+        self._interval_indexes: Dict[str, object] = {}
         self._version = 0
         self._listeners: List[ChangeListener] = []
         self._delta_listeners: List[DeltaListener] = []
@@ -222,8 +264,8 @@ class Table:
                 self.lock.release()
 
     def _changed(self, delta: Delta = FULL_DELTA) -> None:
-        """Record one modification: invalidate the snapshot, bump or defer."""
-        self._snapshot = None
+        """Record one modification: drop the caches, bump or defer."""
+        self._drop_caches()
         if self._pending_delta is None:
             self._pending_delta = DeltaBuilder()
         self._pending_delta.add(delta)
@@ -250,6 +292,24 @@ class Table:
     # Writes
     # ------------------------------------------------------------------
 
+    def _drop_caches(self) -> None:
+        """Forget what was derived from the previous version — and with
+        it the last references to rows that version alone held."""
+        self._snapshot = None
+        self._interval_indexes.clear()
+
+    def _add(self, rows: Collection[OngoingTuple]) -> List[OngoingTuple]:
+        """Count *rows* in; return those whose multiplicity left zero."""
+        heap = self._heap
+        appeared = []
+        for row in rows:
+            held = heap.get(row, 0)
+            heap[row] = held + 1
+            if not held:
+                appeared.append(row)
+        self._size += len(rows)
+        return appeared
+
     def insert(self, *values: object) -> None:
         """Insert one tuple with the trivial reference time."""
         if len(values) != len(self.schema):
@@ -257,10 +317,7 @@ class Table:
                 f"table {self.name!r} expects {len(self.schema)} values, "
                 f"got {len(values)}"
             )
-        row = OngoingTuple(tuple(values), UNIVERSAL_SET)
-        with self.lock:
-            self._rows.append(row)
-            self._changed(Delta.insert((row,)))
+        self.insert_tuples((OngoingTuple(tuple(values), UNIVERSAL_SET),))
 
     def insert_many(self, rows: Iterable[Sequence[object]]) -> None:
         """Bulk insert; every row gets the trivial reference time.
@@ -277,84 +334,134 @@ class Table:
                     f"got {len(row)}"
                 )
             added.append(OngoingTuple(tuple(row), UNIVERSAL_SET))
-        if added:
-            with self.lock:
-                self._rows.extend(added)
-                self._changed(Delta.insert(added))
+        self.insert_tuples(added)
 
     def insert_tuples(self, tuples: Iterable[OngoingTuple]) -> None:
         """Insert pre-built ongoing tuples (used by temporal modifications)."""
         added = tuple(tuples)
         if added:
             with self.lock:
-                self._rows.extend(added)
-                self._changed(Delta.insert(added))
+                self._changed(Delta(added, appeared=self._add(added)))
 
     def delete_where(self, keep) -> int:
         """Physically remove tuples failing *keep* (a tuple -> bool callable).
 
         Returns the number of removed tuples.  Used by the Torp-style
-        modification layer; ordinary queries never delete.
+        modification layer; ordinary queries never delete.  *keep* is
+        opaque, so finding the rows is one pass over the heap; removing
+        them is O(removed).
         """
         with self.lock:
-            kept: List[OngoingTuple] = []
-            removed: List[OngoingTuple] = []
-            for row in self._rows:
-                (kept if keep(row) else removed).append(row)
+            removed = [row for row in self.rows() if not keep(row)]
             if removed:
-                self._rows = kept
-                self._changed(Delta.delete(removed))
+                self.apply_delta(Delta.delete(removed))
             return len(removed)
 
-    def replace_all(
-        self, tuples: Iterable[OngoingTuple], *, delta: Optional[Delta] = None
-    ) -> None:
+    def _load(self, rows: Iterable[OngoingTuple]) -> None:
+        """Swap the whole heap for *rows*, counted."""
+        heap: Dict[OngoingTuple, int] = {}
+        size = 0
+        for row in rows:
+            heap[row] = heap.get(row, 0) + 1
+            size += 1
+        self._heap = heap
+        self._size = size
+
+    def replace_all(self, tuples: Iterable[OngoingTuple]) -> None:
         """Swap the table contents (bulk-load path of the dataset builders).
 
-        Callers that know the precise row changes (the Torp-style current
-        delete, for instance) pass them as *delta* so derived results can
-        refresh incrementally; without one the swap reports the
-        full-flagged delta and observers re-evaluate from scratch.
+        The swap names no rows: it reports the full-flagged delta and
+        observers re-evaluate from scratch.
         """
         with self.lock:
-            self._rows = list(tuples)
-            self._changed(delta if delta is not None else FULL_DELTA)
+            self._load(tuples)
+            self._changed(FULL_DELTA)
+
+    def restore(self, rows: Iterable[OngoingTuple], version: int) -> None:
+        """Install a checkpointed state.  Loading is not a modification:
+        no listener fires and no commit tick is claimed."""
+        with self.lock:
+            self._load(rows)
+            self._version = version
+            self._drop_caches()
 
     def apply_delta(self, delta: Delta) -> None:
-        """Apply a previously captured typed delta (the WAL replay entry).
+        """Apply a typed row delta in place, in O(|delta|).
 
-        Replaces the row multiset with the delta applied and emits the
-        *same* delta to the modification hooks, so derived results
-        (maintainers, live subscriptions) refresh incrementally — replay
-        through this method is indistinguishable from the original
-        modification.  Raises
-        :class:`~repro.engine.delta.NonIncrementalDelta` when the delta
-        is full-flagged or deletes rows this table does not hold.
+        The entry of WAL replay and of the Torp-style rewrites: the heap
+        moves by the delta's *net* effect per row (a batch that inserts
+        and deletes the same row nets to nothing) and the *same* delta
+        goes to the modification hooks, so derived results (maintainers,
+        live subscriptions) refresh incrementally — replay through this
+        method is indistinguishable from the original modification.
+        Net inserts of a new row land at the end of the heap.
+
+        Raises :class:`~repro.engine.delta.NonIncrementalDelta` — before
+        anything moved — when the delta is full-flagged (it names no
+        rows) or deletes rows this table does not hold.
         """
-        from repro.engine.delta import apply_delta_to_rows
-
+        if delta.full:
+            raise NonIncrementalDelta(
+                "full-flagged delta carries no rows to apply"
+            )
+        net: Dict[OngoingTuple, int] = {}
+        for row in delta.inserted:
+            net[row] = net.get(row, 0) + 1
+        for row in delta.deleted:
+            net[row] = net.get(row, 0) - 1
         with self.lock:
-            self._rows = apply_delta_to_rows(self._rows, delta)
-            self._changed(delta)
+            heap = self._heap
+            absent = sum(
+                max(0, -change - heap.get(row, 0))
+                for row, change in net.items()
+                if change < 0
+            )
+            if absent:
+                raise NonIncrementalDelta(
+                    f"delta deletes {absent} row(s) absent from the target state"
+                )
+            appeared = []
+            vanished = []
+            for row, change in net.items():
+                if not change:
+                    continue
+                held = heap.get(row, 0)
+                if held + change:
+                    heap[row] = held + change
+                    if not held:
+                        appeared.append(row)
+                else:
+                    del heap[row]
+                    vanished.append(row)
+                self._size += change
+            self._changed(
+                Delta(
+                    delta.inserted,
+                    delta.deleted,
+                    appeared=appeared,
+                    vanished=vanished,
+                )
+            )
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._size
 
-    def rows(self) -> Sequence[OngoingTuple]:
-        """The raw row multiset (duplicates preserved, insertion order).
+    def rows(self) -> Collection[OngoingTuple]:
+        """The raw row multiset (duplicates preserved), read in place.
 
-        The delta engine counts occurrences here — the deduplicated
-        :meth:`as_relation` view cannot tell one remaining duplicate from
-        zero.
+        A sized, iterable view of the heap — no copy is taken, so a
+        caller that iterates while writers may run holds :attr:`lock`.
+        The deduplicated :meth:`as_relation` is the immutable snapshot.
         """
-        with self.lock:
-            return tuple(self._rows)
+        return _HeapRows(self)
 
     def as_relation(self) -> OngoingRelation:
         """An immutable snapshot of the current contents (cached)."""
         with self.lock:
             if self._snapshot is None:
-                self._snapshot = OngoingRelation(self.schema, self._rows)
+                self._snapshot = OngoingRelation.from_deduplicated(
+                    self.schema, tuple(self._heap)
+                )
             return self._snapshot
 
     def interval_index(self, attribute: str):
@@ -368,14 +475,15 @@ class Table:
         from repro.engine.indexes import IntervalIndex
 
         with self.lock:
-            cached = self._interval_indexes.get(attribute)
-            if cached is not None and cached[0] == self._version:
-                return cached[1]
+            try:
+                return self._interval_indexes[attribute]
+            except KeyError:
+                pass
             try:
                 index = IntervalIndex(self.as_relation(), attribute)
             except QueryError:
                 index = None
-            self._interval_indexes[attribute] = (self._version, index)
+            self._interval_indexes[attribute] = index
             return index
 
 

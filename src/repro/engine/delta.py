@@ -63,7 +63,6 @@ __all__ = [
     "NodeStats",
     "NonIncrementalDelta",
     "commit_changes",
-    "apply_delta_to_rows",
     "DeltaEvaluator",
 ]
 
@@ -106,9 +105,18 @@ class Delta:
     than once, e.g. when a table holds duplicate rows).  ``full=True``
     means the precise rows are unknown and consumers must fall back to
     full re-evaluation; full deltas carry no rows.
+
+    A delta emitted by a :class:`~repro.engine.database.Table` also names
+    its **set-level** part: ``appeared`` are the inserted rows whose
+    multiplicity left zero, ``vanished`` the deleted rows whose
+    multiplicity reached zero.  The table decides both under its write
+    lock, commit by commit — the only moment the multiplicities a
+    modification met are known — and scans forward nothing else.  Deltas
+    between operators are set-level throughout: there both default to
+    ``inserted``/``deleted`` themselves (every row is a transition).
     """
 
-    __slots__ = ("inserted", "deleted", "full")
+    __slots__ = ("inserted", "deleted", "full", "appeared", "vanished")
 
     def __init__(
         self,
@@ -116,10 +124,18 @@ class Delta:
         deleted: Tuple[OngoingTuple, ...] = (),
         *,
         full: bool = False,
+        appeared: Optional[Iterable[OngoingTuple]] = None,
+        vanished: Optional[Iterable[OngoingTuple]] = None,
     ):
         self.inserted = tuple(inserted) if not full else ()
         self.deleted = tuple(deleted) if not full else ()
         self.full = full
+        self.appeared = (
+            self.inserted if appeared is None or full else tuple(appeared)
+        )
+        self.vanished = (
+            self.deleted if vanished is None or full else tuple(vanished)
+        )
 
     # Constructors ------------------------------------------------------
 
@@ -144,6 +160,21 @@ class Delta:
         """``True`` iff the delta changes nothing (and is not full)."""
         return not self.full and not self.inserted and not self.deleted
 
+    def transitions(self) -> Dict[OngoingTuple, int]:
+        """The net set-level change per row: ``+1`` entered the set,
+        ``-1`` left it, ``0`` did both (several commits coalesced).
+
+        A row's transitions alternate, so their sum over any run of
+        commits is the change between the set before the first and the
+        set after the last — whatever the table holds by now.
+        """
+        net: Dict[OngoingTuple, int] = {}
+        for row in self.appeared:
+            net[row] = net.get(row, 0) + 1
+        for row in self.vanished:
+            net[row] = net.get(row, 0) - 1
+        return net
+
     def __len__(self) -> int:
         return len(self.inserted) + len(self.deleted)
 
@@ -163,7 +194,10 @@ class Delta:
         if self.is_empty():
             return other
         return Delta(
-            self.inserted + other.inserted, self.deleted + other.deleted
+            self.inserted + other.inserted,
+            self.deleted + other.deleted,
+            appeared=self.appeared + other.appeared,
+            vanished=self.vanished + other.vanished,
         )
 
     def __repr__(self) -> str:
@@ -237,11 +271,13 @@ class DeltaBuilder:
     materializes one immutable :class:`Delta` at consumption time.
     """
 
-    __slots__ = ("_inserted", "_deleted", "_full")
+    __slots__ = ("_inserted", "_deleted", "_appeared", "_vanished", "_full")
 
     def __init__(self) -> None:
         self._inserted: list = []
         self._deleted: list = []
+        self._appeared: list = []
+        self._vanished: list = []
         self._full = False
 
     def add(self, delta: Delta) -> None:
@@ -250,11 +286,15 @@ class DeltaBuilder:
             return
         if delta.full:
             self._full = True
-            self._inserted.clear()
-            self._deleted.clear()
+            for rows in (
+                self._inserted, self._deleted, self._appeared, self._vanished
+            ):
+                rows.clear()
             return
         self._inserted.extend(delta.inserted)
         self._deleted.extend(delta.deleted)
+        self._appeared.extend(delta.appeared)
+        self._vanished.extend(delta.vanished)
 
     def build(self) -> Delta:
         """The coalesced delta accumulated so far."""
@@ -262,14 +302,21 @@ class DeltaBuilder:
             return FULL_DELTA
         if not self._inserted and not self._deleted:
             return EMPTY_DELTA
-        return Delta(tuple(self._inserted), tuple(self._deleted))
+        return Delta(
+            self._inserted,
+            self._deleted,
+            appeared=self._appeared,
+            vanished=self._vanished,
+        )
 
 
 class OperatorState:
     """Per-operator incremental state.
 
     ``counts`` maps each output tuple to its number of derivations (the
-    output *set* is the keys); ``extra`` holds operator-specific build
+    output *set* is the keys) — ``None`` for a scan below another
+    operator, whose output set is the base table itself and is held
+    nowhere else; ``extra`` holds operator-specific build
     state — hash indexes for joins, cached input sides for difference.
     ``cached_rows`` counts the tuples referenced by ``extra`` (maintained
     by the operators as they add/remove cached rows), so the state-budget
@@ -280,13 +327,13 @@ class OperatorState:
     __slots__ = ("counts", "extra", "cached_rows", "__weakref__")
 
     def __init__(self) -> None:
-        self.counts: Dict[OngoingTuple, int] = {}
+        self.counts: Optional[Dict[OngoingTuple, int]] = {}
         self.extra: Dict[str, object] = {}
         self.cached_rows = 0
 
-    def output(self) -> Tuple[OngoingTuple, ...]:
-        """The operator's current output set, insertion-ordered."""
-        return tuple(self.counts)
+    def row_count(self) -> int:
+        """How many output tuples this state holds (0 when it holds none)."""
+        return 0 if self.counts is None else len(self.counts)
 
 
 def commit_changes(
@@ -330,59 +377,6 @@ def commit_changes(
     if not inserted and not deleted:
         return EMPTY_DELTA
     return Delta(tuple(inserted), tuple(deleted))
-
-
-def apply_delta_to_rows(rows, delta: Delta) -> List[OngoingTuple]:
-    """Apply a typed *delta* to a base-table row multiset (WAL replay).
-
-    Deletes and inserts cancel within the delta first (a batch that
-    inserts and then deletes the same row nets to nothing), then the net
-    removals strip the first matching occurrences and the net inserts
-    append in delta order.  The resulting *multiset* is exactly the
-    post-state of the original modification; the physical order of
-    duplicate rows may differ, which no consumer observes (relations are
-    multisets — comparisons sort or count).
-
-    Raises :class:`NonIncrementalDelta` for a full-flagged delta (it
-    names no rows) or one that deletes rows absent from *rows* — replay
-    answers both with a snapshot/full-refresh path instead.
-    """
-    if delta.full:
-        raise NonIncrementalDelta(
-            "full-flagged delta carries no rows to apply"
-        )
-    if not delta.deleted:
-        # Pure-insert batch — the dominant WAL record shape.  Nothing to
-        # cancel or strip, so skip the O(|rows|) occurrence scan and keep
-        # replay proportional to the delta.
-        result = list(rows)
-        result.extend(delta.inserted)
-        return result
-    net: Dict[OngoingTuple, int] = {}
-    for row in delta.inserted:
-        net[row] = net.get(row, 0) + 1
-    for row in delta.deleted:
-        net[row] = net.get(row, 0) - 1
-    removals = {row: -count for row, count in net.items() if count < 0}
-    result: List[OngoingTuple] = []
-    for row in rows:
-        outstanding = removals.get(row)
-        if outstanding:
-            removals[row] = outstanding - 1
-        else:
-            result.append(row)
-    leftover = sum(removals.values())
-    if leftover:
-        raise NonIncrementalDelta(
-            f"delta deletes {leftover} row(s) absent from the target state"
-        )
-    inserts = {row: count for row, count in net.items() if count > 0}
-    for row in delta.inserted:
-        outstanding = inserts.get(row)
-        if outstanding:
-            inserts[row] = outstanding - 1
-            result.append(row)
-    return result
 
 
 class DeltaEvaluator:
@@ -521,6 +515,7 @@ class DeltaEvaluator:
         from repro.engine.planner import plan_query
 
         states: Dict[object, OperatorState] = {}
+        prices: Dict[OperatorState, Tuple[int, int]] = {}
         started = perf_counter()
         try:
             root = plan_query(
@@ -530,27 +525,41 @@ class DeltaEvaluator:
                 rewrite=self.rewrite,
                 cost_model=self.cost_model,
             )
-            counts = self._evaluate(root, states)
+            self._evaluate(root, root, states, prices)
         except Exception:
             self._invalidate()
             raise
         self.last_full_seconds = perf_counter() - started
         self._root = root
         self._states = states
+        self._state_prices = prices
         # A rebuilt store continues the old version sequence: the row set
         # (very likely) changed, so version-watchers must see movement.
         previous = self._store
         self._store = ResultStore(
             root.schema,
-            counts,
+            states[root].counts,
             stats=self.snapshot_stats,
             version=0 if previous is None else previous.version + 1,
         )
-        self._price_states(root)
         self.full_evaluations += 1
         return self._store.snapshot()
 
-    def _evaluate(self, node, states) -> Dict[OngoingTuple, int]:
+    def _evaluate(self, node, root, states, prices):
+        """Build *node*'s state bottom-up.
+
+        Returns the node's output set and the sampled byte price of one
+        of its rows.  A scan's output set is the table it was planned
+        over: it is handed to the parent as is and copied only at the
+        root, where the result store needs an index of its own.
+
+        Each state gets two prices: its own output rows and its *cached*
+        rows.  The cached rows of a join, difference, or aggregate are
+        the **children's** output tuples — often much wider than this
+        operator's own output (a GROUP BY's group row is narrow, its
+        cached members are full input rows) — so they are priced at the
+        mean of the children's own-row estimates, not this node's.
+        """
         from repro.engine.executor import SeqScan
 
         state = node.delta_state()
@@ -558,14 +567,27 @@ class DeltaEvaluator:
         if self.fingerprint is not None:
             state.extra["plan_fingerprint"] = self.fingerprint
         states[node] = state
+        child_prices: List[int] = []
         if isinstance(node, SeqScan):
-            inputs = (self.database.table(node.label).rows(),)
+            output = node.relation.tuples
+            state.counts = dict.fromkeys(output, 1) if node is root else None
         else:
-            inputs = tuple(
-                self._evaluate(child, states) for child in node._children()
-            )
-        node.evaluate(state, inputs)
-        return state.counts
+            inputs = []
+            for child in node._children():
+                rows, price = self._evaluate(child, root, states, prices)
+                inputs.append(rows)
+                if price:
+                    child_prices.append(price)
+            node.evaluate(state, inputs)
+            output = state.counts
+        own = self._estimate_row_bytes(output)
+        cached = (
+            sum(child_prices) // len(child_prices)
+            if child_prices
+            else (own or self.DEFAULT_ROW_BYTES)
+        )
+        prices[state] = (own or self.DEFAULT_ROW_BYTES, cached)
+        return output, own
 
     def _invalidate(self) -> None:
         """Drop the operator state; the next use must be a full refresh.
@@ -599,14 +621,14 @@ class DeltaEvaluator:
     # State-memory accounting (the budget half of bounded operator state)
     # ------------------------------------------------------------------
 
-    def _estimate_row_bytes(self, counts: Mapping[OngoingTuple, int]) -> int:
-        """Sample a count index to price one of its rows in storage-layout
+    def _estimate_row_bytes(self, rows: Iterable[OngoingTuple]) -> int:
+        """Sample an output set to price one of its rows in storage-layout
         bytes (:func:`repro.engine.storage.sizeof_tuple`); 0 = no sample."""
         from itertools import islice
 
         from repro.engine.storage import sizeof_tuple
 
-        sample = list(islice(counts, self.ROW_SAMPLE))
+        sample = list(islice(rows, self.ROW_SAMPLE))
         if not sample:
             return 0
         try:
@@ -614,35 +636,6 @@ class DeltaEvaluator:
         except Exception:  # exotic values the layout cannot pack
             return self.DEFAULT_ROW_BYTES
         return max(1, total // len(sample))
-
-    def _price_states(self, root) -> None:
-        """Sample per-state row prices for :meth:`state_bytes`.
-
-        Each state gets two prices: its own output rows (the ``counts``
-        keys) and its *cached* rows.  The cached rows of a join,
-        difference, or aggregate are the **children's** output tuples —
-        often much wider than this operator's own output (a GROUP BY's
-        group row is narrow, its cached members are full input rows) — so
-        they are priced at the mean of the children's own-row estimates,
-        not this node's.
-        """
-        prices: Dict[OperatorState, Tuple[int, int]] = {}
-
-        def visit(node) -> int:
-            state = self._states[node]
-            own = self._estimate_row_bytes(state.counts)
-            child_prices = [visit(child) for child in node._children()]
-            child_prices = [price for price in child_prices if price]
-            cached = (
-                sum(child_prices) // len(child_prices)
-                if child_prices
-                else (own or self.DEFAULT_ROW_BYTES)
-            )
-            prices[state] = (own or self.DEFAULT_ROW_BYTES, cached)
-            return own
-
-        visit(root)
-        self._state_prices = prices
 
     def state_rows(self) -> int:
         """Evictable rows held by the operator states — O(plan size).
@@ -657,8 +650,8 @@ class DeltaEvaluator:
             return 0
         total = 0
         for state in self._states.values():
-            total += len(state.counts) + state.cached_rows
-        return total - len(self._states[root].counts)
+            total += state.row_count() + state.cached_rows
+        return total - self._states[root].row_count()
 
     def state_bytes(self) -> int:
         """Evictable operator-state memory in storage-layout bytes.
@@ -678,13 +671,13 @@ class DeltaEvaluator:
         total = 0
         for state in self._states.values():
             own, cached = self._state_prices.get(state, default)
-            total += len(state.counts) * own + state.cached_rows * cached
+            total += state.row_count() * own + state.cached_rows * cached
             total += self._index_entries(state) * self.INDEX_ENTRY_BYTES
             # A top-k window's rows are priced via cached_rows above; the
             # decorated sort keys are extra evictable state on top.
             total += len(state.extra.get("window", ())) * TOPK_KEY_BYTES
         root_state = self._states[root]
-        total -= len(root_state.counts) * self._state_prices.get(
+        total -= root_state.row_count() * self._state_prices.get(
             root_state, default
         )[0]
         return total
@@ -852,10 +845,10 @@ class DeltaEvaluator:
                     "depth": depth,
                     "operator": type(node).__name__,
                     "describe": node._describe(),
-                    "state_rows": len(state.counts),
+                    "state_rows": state.row_count(),
                     "cached_rows": state.cached_rows,
                     "state_bytes": (
-                        len(state.counts) * own
+                        state.row_count() * own
                         + state.cached_rows * cached
                         + index_entries * self.INDEX_ENTRY_BYTES
                     ),

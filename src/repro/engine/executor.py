@@ -150,10 +150,9 @@ class PhysicalOperator:
     ) -> None:
         """Cold evaluation: the delta rule over a fresh *state*.
 
-        *inputs* holds one iterable per child — its output set (for
-        scans: the base table's raw rows) — and arrives as one
-        all-insert delta each.  Afterwards ``state.counts`` maps every
-        output tuple to its derivation count.
+        *inputs* holds one iterable per child — its output set — and
+        arrives as one all-insert delta each.  Afterwards ``state.counts``
+        maps every output tuple to its derivation count.
         """
         self.apply_delta(state, tuple(Delta.insert(side) for side in inputs))
 
@@ -178,13 +177,13 @@ def materialize(operator: PhysicalOperator) -> OngoingRelation:
 class MappedDeltaOperator(PhysicalOperator):
     """Per-tuple map operators.
 
-    Scans, filters, projections, requalification, duplicate elimination
-    and union are all the same delta shape: each input tuple maps —
+    Filters, projections, requalification, duplicate elimination and
+    union are all the same delta shape: each input tuple maps —
     independently, through the pure function :meth:`_map_tuple` — to at
     most one output tuple, and derivation counts absorb collisions
-    (distinct inputs mapping to one output) and multiplicities
-    (duplicate scan rows, a tuple present on both union sides).  One
-    counting rule serves them all; subclasses override only the map.
+    (distinct inputs mapping to one output) and multiplicities (a tuple
+    present on both union sides).  One counting rule serves them all;
+    subclasses override only the map.
 
     Being pure, the map also streams: the pull iterator needs no state
     (duplicates it lets through are removed by whoever consumes it —
@@ -219,8 +218,20 @@ class MappedDeltaOperator(PhysicalOperator):
         return commit_changes(state, changes)
 
 
-class SeqScan(MappedDeltaOperator):
-    """Sequential scan over a materialized ongoing relation."""
+class SeqScan(PhysicalOperator):
+    """Sequential scan over a materialized ongoing relation.
+
+    A scan has no state of its own: its output set *is* the base table.
+    Which rows entered or left that set is decided where the
+    multiplicities are — by the table, under its write lock, as each
+    modification commits (:attr:`Delta.appeared` / :attr:`Delta.vanished`)
+    — and the rule only nets those transitions over the commits the
+    pending delta coalesced.  It must not look at the table instead: by
+    the time a delta is flushed the table can be commits ahead of it.
+
+    Only a scan that is the plan root keeps an index (``state.counts``),
+    because the result store serves from one.
+    """
 
     def __init__(self, relation: OngoingRelation, *, label: str = ""):
         self.relation = relation
@@ -234,11 +245,6 @@ class SeqScan(MappedDeltaOperator):
         suffix = f" {self.label}" if self.label else ""
         return f"SeqScan{suffix} ({len(self.relation)} tuples)"
 
-    # The scan's single "input" is the base table's raw row multiset:
-    # the identity map counts duplicate rows, and the emitted delta is
-    # set-level, so a delete of one duplicate does not spuriously
-    # retract the tuple.
-
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
     ) -> Delta:
@@ -247,7 +253,14 @@ class SeqScan(MappedDeltaOperator):
             raise NonIncrementalDelta(
                 f"scan of {self.label or '?'} received a full delta"
             )
-        return super().apply_delta(state, deltas)
+        changes = delta.transitions()
+        if state.counts is not None:
+            return commit_changes(state, changes)
+        inserted = [row for row, weight in changes.items() if weight > 0]
+        deleted = [row for row, weight in changes.items() if weight < 0]
+        if not inserted and not deleted:
+            return EMPTY_DELTA
+        return Delta(inserted, deleted)
 
 
 class IntervalScan(SeqScan):
@@ -261,10 +274,10 @@ class IntervalScan(SeqScan):
     predicate, and the enclosing :class:`OngoingFilter` still applies the
     exact ongoing predicate to each candidate.
 
-    The delta rule is inherited **unchanged** from :class:`SeqScan` —
-    the delta state tracks the full table (deltas for non-matching rows
-    must still flow to reach sibling conjuncts), so only the pull path
-    rides the index.
+    The delta rule is inherited **unchanged** from :class:`SeqScan` and
+    forwards the transitions of the whole table (deltas for rows outside
+    the window must still flow to reach sibling conjuncts), so only the
+    pull path rides the index.
     """
 
     def __init__(

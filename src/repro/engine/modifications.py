@@ -95,34 +95,29 @@ def current_delete(
     """
     position = _interval_position(table, vt_attribute)
     deletion_point = fixed(at)
-    replacement: List[OngoingTuple] = []
     terminated: List[OngoingTuple] = []
     successors: List[OngoingTuple] = []
-    # Iterate the raw row multiset, not the deduplicated relation view:
-    # the emitted delta must account for every stored occurrence, or the
-    # delta engine's occurrence counts drift from the table contents.
-    for item in table.rows():
-        if not matches(item):
-            replacement.append(item)
-            continue
-        valid_time = item.values[position]
-        new_end = ongoing_min(valid_time.end, deletion_point)
-        if new_end == valid_time.end:
-            replacement.append(item)
-            continue
-        new_values = list(item.values)
-        new_values[position] = OngoingInterval(valid_time.start, new_end)
-        successor = OngoingTuple(tuple(new_values), item.rt)
-        replacement.append(successor)
-        terminated.append(item)
-        successors.append(successor)
-    if terminated:
-        # The change event names exactly the rewritten rows, so derived
-        # results (live subscriptions, materialized views) can refresh by
-        # delta instead of re-evaluating over the whole table.
-        table.replace_all(
-            replacement, delta=Delta.update(terminated, successors)
-        )
+    # Finding the rows and rewriting them is one step under the write
+    # lock.  Every stored occurrence is visited, not the deduplicated
+    # relation view: the emitted delta must account for each copy.
+    with table.lock:
+        for item in table.rows():
+            if not matches(item):
+                continue
+            valid_time = item.values[position]
+            new_end = ongoing_min(valid_time.end, deletion_point)
+            if new_end == valid_time.end:
+                continue
+            new_values = list(item.values)
+            new_values[position] = OngoingInterval(valid_time.start, new_end)
+            terminated.append(item)
+            successors.append(OngoingTuple(tuple(new_values), item.rt))
+        if terminated:
+            # The change event names exactly the rewritten rows, so the
+            # heap moves in O(rewritten) and derived results (live
+            # subscriptions, materialized views) refresh by delta instead
+            # of re-evaluating over the whole table.
+            table.apply_delta(Delta.update(terminated, successors))
     return len(terminated)
 
 

@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
-from repro.core.intervalset import IntervalSet
+from repro.core.intervalset import UNIVERSAL_SET, IntervalSet
 from repro.core.timeline import MINUS_INF, PLUS_INF, TimePoint
-from repro.core.timepoint import OngoingTimePoint
+from repro.core.timepoint import NOW, OngoingTimePoint
 from repro.errors import StorageError
 from repro.relational.relation import OngoingRelation
 from repro.relational.tuples import OngoingTuple
@@ -296,6 +296,11 @@ _TAG_POINT = 6
 _TAG_INTERVAL = 7
 _TAG_OINT = 8
 
+_TRIVIAL_RT = [(MINUS_INF, PLUS_INF)]
+
+#: Longer strings are free text, not categories: not worth a memo entry.
+_SHARED_TEXT_BYTES = 64
+
 
 def pack_tagged_value(value: object) -> bytes:
     """Serialize one value with a leading type tag (self-describing)."""
@@ -323,8 +328,30 @@ def pack_tagged_value(value: object) -> bytes:
     raise StorageError(f"cannot serialize value {value!r}")
 
 
-def unpack_tagged_value(buffer: bytes, offset: int = 0) -> tuple[object, int]:
-    """Read one value written by :func:`pack_tagged_value`."""
+def _shared_point(a: TimePoint, b: TimePoint, memo: Optional[dict]):
+    """``a+b`` as the writer most likely held it: ``now`` is the module's
+    singleton, and the loads sharing *memo* get one object per point."""
+    if a == MINUS_INF and b == PLUS_INF:
+        return NOW
+    if memo is None:
+        return OngoingTimePoint(a, b)
+    point = memo.get((a, b))
+    if point is None:
+        point = memo[a, b] = OngoingTimePoint(a, b)
+    return point
+
+
+def unpack_tagged_value(
+    buffer: bytes, offset: int = 0, memo: Optional[dict] = None
+) -> tuple[object, int]:
+    """Read one value written by :func:`pack_tagged_value`.
+
+    Decoding creates a fresh object per value where the writer held one
+    object under many rows (a categorical string, ``now``, a date).  A
+    *memo* shared by the calls of one load gives equal short strings and
+    equal time points one object again — values of small domains, so the
+    memo stays small however many rows pass through it.
+    """
     (tag,) = struct.unpack_from("<B", buffer, offset)
     offset += 1
     if tag == _TAG_NONE:
@@ -342,18 +369,24 @@ def unpack_tagged_value(buffer: bytes, offset: int = 0) -> tuple[object, int]:
     if tag == _TAG_TEXT:
         (length,) = struct.unpack_from("<I", buffer, offset)
         offset += 4
-        return buffer[offset : offset + length].decode("utf-8"), offset + length
+        value = str(buffer[offset : offset + length], "utf-8")
+        if memo is not None and length <= _SHARED_TEXT_BYTES:
+            value = memo.setdefault(value, value)
+        return value, offset + length
     if tag == _TAG_POINT:
         a, offset = _unpack_date(buffer, offset)
         b, offset = _unpack_date(buffer, offset)
-        return OngoingTimePoint(a, b), offset
+        return _shared_point(a, b, memo), offset
     if tag == _TAG_INTERVAL:
         offset += 5  # varlena + range flags
         a, offset = _unpack_date(buffer, offset)
         b, offset = _unpack_date(buffer, offset)
         c, offset = _unpack_date(buffer, offset)
         d, offset = _unpack_date(buffer, offset)
-        return OngoingInterval(OngoingTimePoint(a, b), OngoingTimePoint(c, d)), offset
+        return (
+            OngoingInterval(_shared_point(a, b, memo), _shared_point(c, d, memo)),
+            offset,
+        )
     if tag == _TAG_OINT:
         offset += 4  # varlena
         (count,) = struct.unpack_from("<B", buffer, offset)
@@ -382,13 +415,20 @@ def pack_tagged_tuple(item: OngoingTuple) -> bytes:
     return b"".join(parts)
 
 
-def unpack_tagged_tuple(buffer: bytes, offset: int = 0) -> tuple[OngoingTuple, int]:
-    """Read one tuple written by :func:`pack_tagged_tuple`."""
+def unpack_tagged_tuple(
+    buffer: bytes, offset: int = 0, memo: Optional[dict] = None
+) -> tuple[OngoingTuple, int]:
+    """Read one tuple written by :func:`pack_tagged_tuple`.
+
+    The trivial reference time of a base row decodes to the
+    :data:`~repro.core.intervalset.UNIVERSAL_SET` singleton; *memo* is
+    :func:`unpack_tagged_value`'s.
+    """
     (n_values,) = struct.unpack_from("<H", buffer, offset)
     offset += 2
     values = []
     for _ in range(n_values):
-        value, offset = unpack_tagged_value(buffer, offset)
+        value, offset = unpack_tagged_value(buffer, offset, memo)
         values.append(value)
     (n_intervals,) = struct.unpack_from("<H", buffer, offset)
     offset += 2
@@ -397,7 +437,8 @@ def unpack_tagged_tuple(buffer: bytes, offset: int = 0) -> tuple[OngoingTuple, i
         start, offset = _unpack_date(buffer, offset)
         end, offset = _unpack_date(buffer, offset)
         pairs.append((start, end))
-    return OngoingTuple(tuple(values), IntervalSet(pairs)), offset
+    rt = UNIVERSAL_SET if pairs == _TRIVIAL_RT else IntervalSet(pairs)
+    return OngoingTuple(tuple(values), rt), offset
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,21 @@ def _join_plan():
     )
 
 
+def _commit(db, evaluator, write):
+    """Run *write* against ``R`` and push the delta the table emits — the
+    table, not the scan, decides which rows entered or left the set."""
+    emitted = []
+    listener = db.add_delta_listener(
+        lambda name, version, delta: emitted.append((name, delta))
+    )
+    try:
+        write(db.table("R"))
+    finally:
+        db.remove_delta_listener(listener)
+    (delta,) = emitted
+    return evaluator.apply(dict([delta]))
+
+
 def _packed(relation: OngoingRelation) -> bytes:
     """The relation's tuples serialized in order — the byte-stability probe."""
     return b"".join(pack_tuple(item) for item in relation.tuples)
@@ -139,11 +154,15 @@ class TestSnapshotAliasingRegression:
         before = _packed(held)
         baseline = frozenset(held.tuples)
         # Structural churn with an empty root delta: add a duplicate of an
-        # existing R row (scan count 1 → 2, no set-level change), then
+        # existing R row (multiplicity 1 → 2, no set-level change), then
         # delete one copy (2 → 1).
-        duplicate = db.table("R").rows()[0]
-        assert evaluator.apply({"R": Delta.insert((duplicate,))}).is_empty()
-        assert evaluator.apply({"R": Delta.delete((duplicate,))}).is_empty()
+        duplicate = next(iter(db.table("R").rows()))
+        assert _commit(
+            db, evaluator, lambda r: r.insert_tuples((duplicate,))
+        ).is_empty()
+        assert _commit(
+            db, evaluator, lambda r: r.apply_delta(Delta.delete((duplicate,)))
+        ).is_empty()
         # And a genuine set-level change on top.
         delta = evaluator.apply(
             {"R": Delta.insert((OngoingTuple((0, fixed_interval(2, 9))),))}
@@ -164,8 +183,8 @@ class TestSnapshotAliasingRegression:
         # Duplicate-row churn propagates an empty root delta — the cached
         # snapshot must stay valid (no version bump, no new copy).
         taken_before = evaluator.snapshot_stats["snapshots_taken"]
-        duplicate = db.table("R").rows()[0]
-        delta = evaluator.apply({"R": Delta.insert((duplicate,))})
+        duplicate = next(iter(db.table("R").rows()))
+        delta = _commit(db, evaluator, lambda r: r.insert_tuples((duplicate,)))
         assert delta.is_empty()
         assert evaluator.result is first
         assert evaluator.snapshot_stats["snapshots_taken"] == taken_before
@@ -331,7 +350,7 @@ class TestStateBudget:
         plan = scan("W").group_by(("K",), "count")
         evaluator = DeltaEvaluator(plan, db)
         evaluator.refresh_full()
-        member_bytes = sizeof_tuple(table.rows()[0])
+        member_bytes = sizeof_tuple(next(iter(table.rows())))
         # The aggregate caches all 50 wide members; the estimate must be
         # in their ballpark (well above 50 narrow group rows).
         assert evaluator.state_bytes() >= 50 * member_bytes // 2

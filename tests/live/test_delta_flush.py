@@ -327,7 +327,7 @@ class TestPendingDeltaHousekeeping:
         # writes P mid-round), then P takes the full path (untyped swap).
         db.table("B").insert(503, "Spam filter", until_now(d(5, 1)))
         db.table("P").replace_all(
-            db.table("P").rows() + (OngoingTuple((11, until_now(d(3, 1)))),)
+            (*db.table("P").rows(), OngoingTuple((11, until_now(d(3, 1)))))
         )
         session.flush()
         assert {t.values[0] for t in p_sub.result.tuples} == {10, 11, 99}

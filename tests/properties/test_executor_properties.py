@@ -176,13 +176,24 @@ def _database(**tables):
     return db
 
 
+def _maintained(plan, **tables):
+    """A warm evaluator over its own database, fed every delta the tables
+    emit — the tables decide which rows entered or left the set."""
+    db = _database(**tables)
+    evaluator = DeltaEvaluator(plan, db)
+    evaluator.refresh_full()
+    db.add_delta_listener(
+        lambda name, version, delta: evaluator.apply({name: delta})
+    )
+    return db, evaluator
+
+
 def _three_paths(plan, rng, **tables):
     """*plan* evaluated by pull, cold, and as random insert batches."""
     db = _database(**tables)
     pulled = materialize(plan_query(plan, db))
     cold = DeltaEvaluator(plan, db).refresh_full()
-    evaluator = DeltaEvaluator(plan, _database(**{name: () for name in tables}))
-    evaluator.refresh_full()
+    live, evaluator = _maintained(plan, **{name: () for name in tables})
     batches = []
     for name, rows in tables.items():
         rows = list(rows)
@@ -192,7 +203,7 @@ def _three_paths(plan, rng, **tables):
             rows = rows[cut:]
     rng.shuffle(batches)
     for name, batch in batches:
-        evaluator.apply({name: Delta.insert(batch)})
+        live.table(name).insert_tuples(batch)
     return pulled, cold, evaluator.result
 
 
@@ -260,11 +271,11 @@ def test_duplicate_base_rows_are_one_tuple_until_the_last_copy_goes():
     plan = scan("R").select_columns("K")
     db = _database(R=(row, row))
     assert len(materialize(plan_query(plan, db))) == 1
-    evaluator = DeltaEvaluator(plan, db)
-    assert len(evaluator.refresh_full()) == 1
-    assert evaluator.apply({"R": Delta.delete((row,))}).is_empty()
+    live, evaluator = _maintained(plan, R=(row, row))
     assert len(evaluator.result) == 1
-    assert len(evaluator.apply({"R": Delta.delete((row,))}).deleted) == 1
+    live.table("R").apply_delta(Delta.delete((row,)))
+    assert len(evaluator.result) == 1
+    live.table("R").apply_delta(Delta.delete((row,)))
     assert len(evaluator.result) == 0
 
 

@@ -109,6 +109,12 @@ def test_eviction_recompute_on_miss_has_zero_drift(plan_key, modifications):
     session.flush()
     assert frozenset(sub.result.tuples) == frozenset(db.query(plan).tuples)
     stats = session.stats()
+    if plan_key in ("fixed-filter", "ongoing-filter", "project"):
+        # Nothing to evict: a scan's state is the table itself and the
+        # root's output is the served result.
+        assert stats["repro_store_state_evictions_total"] == 0
+        session.close()
+        return
     assert stats["repro_store_state_evictions_total"] >= 1  # the budget actually bit
     assert stats["repro_store_state_rebuilds_total"] >= 1  # and at least one miss rebuilt
     assert stats["repro_store_state_rebuilds_total"] >= stats["repro_live_full_refreshes_total"] - 1
