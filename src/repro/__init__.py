@@ -115,7 +115,6 @@ from repro.live import (
     ChangeEvent,
     DependencyIndex,
     EventBus,
-    FlushHandle,
     LiveSession,
     RefreshNotification,
     Subscription,
@@ -131,7 +130,6 @@ from repro.serve import (
     AsyncEventBus,
     DeliveryPool,
     FlushScheduler,
-    ShardedDependencyIndex,
 )
 
 __version__ = "1.10.0"
@@ -192,7 +190,6 @@ __all__ = [
     "ChangeEvent",
     "DependencyIndex",
     "EventBus",
-    "FlushHandle",
     "LiveSession",
     "RefreshNotification",
     "Subscription",
@@ -201,7 +198,6 @@ __all__ = [
     "AsyncEventBus",
     "DeliveryPool",
     "FlushScheduler",
-    "ShardedDependencyIndex",
     # telemetry
     "Registry",
     "TraceRecorder",

@@ -12,7 +12,10 @@ and a ``MANIFEST.json`` that records
   (or a pickled plan when the subscription was built from a raw plan),
   its delivery settings, and its **undelivered coalesced notification**
   captured at :class:`~repro.serve.queues.Mailbox` level so a restarted
-  session can re-enqueue it exactly once.
+  session can re-enqueue it exactly once.  Both directions of that
+  entry live here — :func:`capture_subscriptions` writes it,
+  :func:`restore_subscription` reads it back — so no other module knows
+  the manifest's keys.
 
 The directory is written under a ``.tmp-`` name and published with one
 atomic ``os.rename`` — a crash mid-checkpoint leaves only an ignored
@@ -33,6 +36,8 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.durable import faults
+from repro.engine.database import CommitStamp
+from repro.engine.delta import FULL_DELTA, Delta
 from repro.engine.storage import pack_tagged_tuple, unpack_tagged_tuple
 from repro.errors import DurabilityError
 from repro.relational.schema import Attribute, AttributeKind, Schema
@@ -169,15 +174,12 @@ def _capture_pending(session, subscription) -> Optional[Dict[str, object]]:
     """The subscription's queued-but-undelivered notification, coalesced.
 
     Only the asynchronous bus queues anything (the synchronous bus
-    delivers inline, so there is never a pending notification to lose).
-    The capture is non-destructive: the items stay queued for delivery.
+    delivers inline and always answers "nothing pending").  The capture
+    is non-destructive: the items stay queued for delivery.
     """
-    capture = getattr(session.bus, "capture_pending", None)
-    if capture is None:
-        return None
     payloads = [
         payload
-        for group in capture(f"refresh:{subscription.id}")
+        for group in session.bus.capture_pending(f"refresh:{subscription.id}")
         for payload in group
     ]
     if not payloads:
@@ -224,6 +226,104 @@ def capture_subscriptions(session) -> List[Dict[str, object]]:
             }
         )
     return entries
+
+
+def deserialize_notification(subscription, pending: Dict[str, object]):
+    """The inverse of :func:`serialize_notification`, against the freshly
+    resumed *subscription* (its just-evaluated shared result stands in
+    for the pre-crash one)."""
+    from repro.live.events import RefreshNotification
+
+    def rows(encoded) -> tuple:
+        decoded = []
+        for blob in encoded:
+            row, _ = unpack_tagged_tuple(base64.b64decode(blob))
+            decoded.append(row)
+        return tuple(decoded)
+
+    delta: Optional[Delta] = None
+    if pending.get("delta_full"):
+        delta = FULL_DELTA
+    elif pending.get("delta") is not None:
+        payload = pending["delta"]
+        delta = Delta(
+            inserted=rows(payload.get("inserted", ())),
+            deleted=rows(payload.get("deleted", ())),
+        )
+    commit = pending.get("commit")
+    stamp = (
+        CommitStamp(int(commit[0]), float(commit[1])) if commit else None
+    )
+    fixed_rows = None
+    if subscription.reference_time is not None:
+        fixed_rows = subscription.instantiate(subscription.reference_time)
+    return RefreshNotification(
+        subscription=subscription,
+        result=subscription.result,
+        rows=fixed_rows,
+        changed_tables=tuple(pending.get("changed_tables") or ()),
+        delta=delta,
+        commit=stamp,
+    )
+
+
+def restore_subscription(session, entry: Dict[str, object], on_refresh=None):
+    """Re-subscribe one :func:`capture_subscriptions` entry on *session*.
+
+    *on_refresh* supplies the callback a manifest cannot persist: one
+    callable, or a dict keyed by subscription name.  The entry goes
+    through the ordinary ``session.subscribe`` path — a statement
+    recompiles against the current catalog, a plan unpickles.  Returns
+    ``(subscription, pending)`` where *pending* is the captured
+    undelivered notification to re-enqueue (``None`` when there was none
+    or nobody listens), or ``None`` when the plan cannot be rebuilt —
+    logged and skipped, never fatal: the subscriber can re-register.
+    """
+    name = entry.get("name")
+    callback = (
+        on_refresh.get(name) if isinstance(on_refresh, dict) else on_refresh
+    )
+    statement = entry.get("statement")
+    try:
+        if statement is not None:
+            from repro.sqlish import compile_statement
+
+            plan = compile_statement(statement, session.database)
+        elif entry.get("plan_pickle"):
+            plan = pickle.loads(base64.b64decode(entry["plan_pickle"]))
+        else:
+            logger.warning(
+                "resume: subscription %r carries neither a statement nor "
+                "a plan; skipped",
+                name,
+            )
+            return None
+    except Exception:  # noqa: BLE001 — one bad entry must not abort recovery
+        logger.exception("resume: subscription %r could not be rebuilt", name)
+        return None
+    subscription = session.subscribe(
+        plan,
+        on_refresh=callback,
+        reference_time=entry.get("reference_time"),
+        name=name,
+        notify_on_no_change=bool(entry.get("notify_on_no_change", False)),
+        backpressure=entry.get("backpressure"),
+        queue_capacity=entry.get("queue_capacity"),
+        statement=statement,
+    )
+    expected = entry.get("fingerprint")
+    if expected and subscription.fingerprint != expected:
+        logger.warning(
+            "resume: subscription %r fingerprint changed (%s -> %s); "
+            "resuming against the current plan",
+            subscription.name,
+            str(expected)[:12],
+            subscription.fingerprint[:12],
+        )
+    pending = entry.get("pending")
+    if pending is None or callback is None:
+        return subscription, None
+    return subscription, deserialize_notification(subscription, pending)
 
 
 # ----------------------------------------------------------------------

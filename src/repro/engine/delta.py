@@ -225,9 +225,7 @@ class NodeStats:
     survive the replans of :meth:`DeltaEvaluator.refresh_full` — a
     rebuilt tree with the same shape keeps accumulating into the same
     series.  These counters are **always on**: two clock reads per node
-    per refresh, which the tracing-off overhead gate
-    (``benchmarks/bench_obs_overhead.py``) holds under 5% of the flush
-    path.
+    per refresh.
     """
 
     __slots__ = (

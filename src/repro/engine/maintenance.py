@@ -59,9 +59,9 @@ class RefreshOutcome:
 
     ``delta`` is the exact result-level change when the refresh
     propagated row deltas through cached operator state, and ``None``
-    when it was a full re-evaluation (incremental maintenance disabled,
-    cold or evicted state, full-flagged deltas, or a failed propagation —
-    all automatic, all logged).  ``changed`` says whether the result set
+    when it was a full re-evaluation (cold or evicted state, full-flagged
+    deltas, a failed propagation, or the cost model's choice — all
+    automatic, all logged).  ``changed`` says whether the result set
     differs from the one served before the refresh — on the delta path
     that is ``not delta.is_empty()``, on the full path an explicit
     old-vs-new comparison (O(|result|) on a path that is already
@@ -110,7 +110,6 @@ class IncrementalMaintainer:
         database,
         *,
         label: str,
-        incremental: bool = True,
         state_budget_bytes: Optional[int] = None,
         fingerprint: Optional[str] = None,
         registry=None,
@@ -137,10 +136,10 @@ class IncrementalMaintainer:
         #: Guards the pending map and the counters.
         self.lock = threading.RLock()
         #: Monotonic count of change events *offered* to this maintainer —
-        #: bumped even when the rows are not kept (cold state,
-        #: ``incremental=False``).  The flush path compares
-        #: it before/after a full re-evaluation to decide whether a new
-        #: modification slipped in and the dirty mark must survive.
+        #: bumped even when the rows are not kept (cold state).  The flush
+        #: path compares it before/after a full re-evaluation to decide
+        #: whether a new modification slipped in and the dirty mark must
+        #: survive.
         self.changes = 0
         #: Total refreshes (full evaluations and delta applications).
         self.evaluations = 0
@@ -165,18 +164,18 @@ class IncrementalMaintainer:
         #: Effective cost-model parameter changes learned from this
         #: plan's observed refresh history (the telemetry→planner loop).
         self.cost_adaptations = 0
-        self._incremental = incremental
-        self._evaluator: Optional[DeltaEvaluator] = None
+        #: The plan's one evaluator, for the maintainer's whole life: its
+        #: store serves readers through every rebuild (``refresh_full``
+        #: swaps the store in only once the new one is complete), and its
+        #: snapshot counters survive them.
+        self._evaluator = DeltaEvaluator(
+            plan,
+            database,
+            tracer=tracer,
+            cost_model=cost_model,
+            fingerprint=self.fingerprint,
+        )
         self._evicted = False
-        #: Snapshot counters, shared with every evaluator/store this
-        #: maintainer creates so the numbers survive rebuilds.
-        self._snapshot_stats: Dict[str, int] = {
-            "snapshots_taken": 0,
-            "snapshots_reused": 0,
-        }
-        #: The served relation on the plain path (``incremental=False``);
-        #: the incremental path serves from the evaluator's store instead.
-        self._plain_result: Optional[OngoingRelation] = None
         self._relevant: FrozenSet[str] = plan.referenced_tables()
         self._pending: Dict[str, DeltaBuilder] = {}
 
@@ -194,51 +193,32 @@ class IncrementalMaintainer:
         forever — later refreshes mutate the store, never the snapshot.
         ``None`` before the first successful evaluation.
         """
-        evaluator = self._evaluator
-        if evaluator is not None:
-            served = evaluator.result
-            if served is not None:
-                return served
-        return self._plain_result
+        return self._evaluator.result
 
     @property
     def snapshots_taken(self) -> int:
         """Snapshot copies actually materialized (one per read version)."""
-        return self._snapshot_stats["snapshots_taken"]
+        return self._evaluator.snapshot_stats["snapshots_taken"]
 
     @property
     def snapshots_reused(self) -> int:
         """Reads served by an already-materialized snapshot (no copy)."""
-        return self._snapshot_stats["snapshots_reused"]
-
-    @property
-    def result_version(self) -> int:
-        """The store's mutation counter (0 when no store exists yet)."""
-        evaluator = self._evaluator
-        store = None if evaluator is None else evaluator.store
-        return 0 if store is None else store.version
+        return self._evaluator.snapshot_stats["snapshots_reused"]
 
     @property
     def warm(self) -> bool:
         """``True`` when operator state exists and deltas can be applied."""
-        evaluator = self._evaluator
-        return evaluator is not None and evaluator.warm
+        return self._evaluator.warm
 
     def state_bytes(self) -> int:
         """Estimated evictable operator-state memory, in storage-layout
         bytes (0 when the state is cold or evicted)."""
-        evaluator = self._evaluator
-        return 0 if evaluator is None else evaluator.state_bytes()
-
-    def relevant(self, table: str) -> bool:
-        """Does the plan read *table*?"""
-        return table in self._relevant
+        return self._evaluator.state_bytes()
 
     def node_report(self):
         """Per-operator live counters (see ``DeltaEvaluator.node_report``);
         empty while the state is cold or evicted."""
-        evaluator = self._evaluator
-        return [] if evaluator is None else evaluator.node_report()
+        return self._evaluator.node_report()
 
     def explain_analyze(self, *, format: str = "text"):
         """The physical plan annotated with live maintenance counters.
@@ -276,8 +256,8 @@ class IncrementalMaintainer:
                 cold_reason = "operator state evicted by the memory budget"
             else:
                 cold_reason = (
-                    "no warm operator state (not yet evaluated, or "
-                    "incremental maintenance disabled)"
+                    "no warm operator state (not yet evaluated, or the "
+                    "last refresh failed)"
                 )
         model = self.cost_model if self.cost_model is not None else DEFAULT_COST_MODEL
         adaptation = model.adaptation_report(self.fingerprint)
@@ -293,10 +273,6 @@ class IncrementalMaintainer:
             totals=totals,
             cold_reason=cold_reason,
         )
-
-    def pending_empty(self) -> bool:
-        with self.lock:
-            return not self._pending
 
     def pending_snapshot(self) -> Dict[str, Delta]:
         """The accumulated-but-unapplied deltas (for introspection)."""
@@ -344,29 +320,6 @@ class IncrementalMaintainer:
     # ------------------------------------------------------------------
     # Refresh
     # ------------------------------------------------------------------
-
-    def _plain(
-        self, previous: Optional[OngoingRelation]
-    ) -> RefreshOutcome:
-        result = self.database.query(self.plan)
-        with self.lock:
-            self._plain_result = result
-            self.evaluations += 1
-            self.full_refreshes += 1
-        changed = previous is None or result != previous
-        return RefreshOutcome(None, changed)
-
-    def _ensure_evaluator(self) -> DeltaEvaluator:
-        if self._evaluator is None:
-            self._evaluator = DeltaEvaluator(
-                self.plan,
-                self.database,
-                snapshot_stats=self._snapshot_stats,
-                tracer=self.tracer,
-                cost_model=self.cost_model,
-                fingerprint=self.fingerprint,
-            )
-        return self._evaluator
 
     def _observe_costs(
         self,
@@ -448,50 +401,28 @@ class IncrementalMaintainer:
             budget,
         )
 
-    def evaluate(
-        self, *, incremental: Optional[bool] = None
-    ) -> RefreshOutcome:
-        """Full (re-)evaluation; builds delta state unless ``incremental``
-        is ``False``.
+    def evaluate(self) -> RefreshOutcome:
+        """Full (re-)evaluation; (re)builds the delta state.
 
         Runs under the database write lock: the tables are read at one
         consistent instant, and pending deltas — all subsumed by that
         read — are discarded in the same critical section, so a
         concurrent writer's rows are either inside the fresh result (its
         modification hook ran before we took the lock) or inside the
-        pending map for the next refresh, never both.
+        pending map for the next refresh, never both.  Readers stay
+        served throughout: the evaluator keeps its previous store until
+        the rebuilt one is complete.
         """
-        if incremental is None:
-            incremental = self._incremental
         with self.database.lock:
             # The previously served result, for the changed-comparison of
             # the full path; materializing it here is O(|result|) on a
-            # path that is already O(|result|).  Parking it in
-            # _plain_result keeps readers served through the windows
-            # below where the evaluator (and its store) is dropped before
-            # the plain re-query finishes — a result, once served, never
-            # transiently disappears.
+            # path that is already O(|result|).
             previous = self.result
-            if previous is not None:
-                with self.lock:
-                    self._plain_result = previous
             self.discard_pending()
-            if not incremental:
-                # The delta state (if any) is now behind this evaluation —
-                # drop it, or a later incremental refresh (the consumer's
-                # flag may be mutable) would apply deltas to a stale
-                # snapshot.  A pending eviction mark dies with the state:
-                # the next cold start is this toggle's doing, not the
-                # budget's.
-                with self.lock:
-                    self._evaluator = None
-                    self._evicted = False
-                return self._plain(previous)
-            evaluator = self._ensure_evaluator()
+            evaluator = self._evaluator
             result = evaluator.refresh_full()
             with self.lock:
                 self._evicted = False
-                self._plain_result = None  # the store serves from here on
                 self.evaluations += 1
                 self.full_refreshes += 1
             self._observe_costs(
@@ -501,26 +432,20 @@ class IncrementalMaintainer:
             changed = previous is None or result != previous
             return RefreshOutcome(None, changed)
 
-    def refresh(
-        self, *, incremental: Optional[bool] = None
-    ) -> RefreshOutcome:
+    def refresh(self) -> RefreshOutcome:
         """One maintenance step; returns the :class:`RefreshOutcome`.
 
         ``outcome.delta`` is the exact result-level change when the
         refresh propagated the pending deltas through cached operator
         state, and ``None`` when the refresh was a full re-evaluation —
-        because incremental maintenance is disabled, the state was cold
-        or evicted, the deltas were full-flagged, or the propagation
-        failed.  The fallback is automatic and logged; callers only need
-        the outcome to know which path ran and whether to notify.  The
-        delta path costs O(|Δ|) end to end — no snapshot is materialized
-        here.
+        because the state was cold or evicted, the deltas were
+        full-flagged, the propagation failed, or the cost model measured
+        a full run to be cheaper.  The fallback is automatic and logged;
+        callers only need the outcome to know which path ran and whether
+        to notify.  The delta path costs O(|Δ|) end to end — no snapshot
+        is materialized here.
         """
-        if incremental is None:
-            incremental = self._incremental
-        if not incremental:
-            return self.evaluate(incremental=False)
-        evaluator = self._ensure_evaluator()
+        evaluator = self._evaluator
         if not evaluator.warm:
             with self.lock:
                 if self._evicted:

@@ -18,10 +18,14 @@ needs, and this package is that service:
   handle (cheap :meth:`~Subscription.instantiate` at any reference time,
   per-subscription statistics);
 * :mod:`repro.live.manager` — the :class:`SubscriptionManager` /
-  :class:`LiveSession` facade: typed-delta intake from the database
-  hooks, batched coalescing flushes that *propagate* row deltas through
-  cached operator state (:mod:`repro.engine.delta`) instead of
-  re-evaluating, notification fan-out with empty-delta suppression.
+  :class:`LiveSession` facade, one pipeline: registration → typed-delta
+  intake from the database hooks → batched coalescing flushes that
+  *propagate* row deltas through cached operator state
+  (:mod:`repro.engine.delta`) instead of re-evaluating → notification
+  fan-out with empty-delta suppression;
+* :mod:`repro.live.serving` and :mod:`repro.live.metrics` — the
+  session's internal parts: the background flush loop with its debounce
+  policy, and the freshness accounting / registry scrape.
 
 Design invariant: **no clock**.  Nothing in this package reads or
 advances time; the only trigger for work is a base-table modification
@@ -46,14 +50,13 @@ Quickstart::
 from repro.live.cache import ResultCache, SharedResult
 from repro.live.dependencies import DependencyIndex, referenced_tables
 from repro.live.events import ChangeEvent, EventBus, RefreshNotification
-from repro.live.manager import FlushHandle, LiveSession, SubscriptionManager
+from repro.live.manager import LiveSession, SubscriptionManager
 from repro.live.subscription import Subscription, SubscriptionStats
 
 __all__ = [
     "ChangeEvent",
     "DependencyIndex",
     "EventBus",
-    "FlushHandle",
     "LiveSession",
     "RefreshNotification",
     "ResultCache",

@@ -8,13 +8,15 @@ half of the paper's amortization argument (Figs. 11–12): the engine
 evaluates once, and *every* subscriber instantiates cheaply at its own
 reference time.
 
-Since the delta-propagation engine (:mod:`repro.engine.delta`), a shared
-result also owns the per-operator incremental state for its plan — the
-pending row deltas and the refresh-with-fallback protocol live in one
-:class:`~repro.engine.maintenance.IncrementalMaintainer`
-(shared with :class:`~repro.engine.views.MaterializedOngoingView`), which
-is also the single synchronization point the concurrent serving layer
-(:mod:`repro.serve`) guards.
+A shared result is a thin front of its plan's
+:class:`~repro.engine.maintenance.IncrementalMaintainer` (shared with
+:class:`~repro.engine.views.MaterializedOngoingView`) — the per-operator
+incremental state, the pending row deltas and the refresh-with-fallback
+protocol all live there, and it is the single synchronization point the
+concurrent serving layer (:mod:`repro.serve`) guards.  The maintainer is
+built with the shared result, from the database the session subscribes
+against, so there is no "not yet evaluated" state to guard: a result the
+session can reach has been evaluated.
 """
 
 from __future__ import annotations
@@ -31,12 +33,20 @@ __all__ = ["SharedResult", "ResultCache"]
 
 
 class SharedResult:
-    """One materialized ongoing result shared by all equal-plan subscribers."""
+    """One materialized ongoing result shared by all equal-plan subscribers.
+
+    A thin, always-live front of the plan's
+    :class:`~repro.engine.maintenance.IncrementalMaintainer`: the session
+    creates it with the database it subscribes against and evaluates it
+    before anyone can reach it, so every counter below reads straight
+    through.
+    """
 
     def __init__(
         self,
         plan: PlanNode,
         fingerprint: str,
+        database: Database,
         *,
         state_budget_bytes: Optional[int] = None,
         registry=None,
@@ -44,37 +54,25 @@ class SharedResult:
     ):
         self.plan = plan
         self.fingerprint = fingerprint
-        #: Per-maintainer cap on evictable operator-state memory
-        #: (storage-layout bytes); ``None`` = unbounded.  Set by the
-        #: session before the first evaluation.
-        self.state_budget_bytes = state_budget_bytes
-        #: Session telemetry, threaded into the maintainer: the metrics
-        #: registry receives labeled fallback records, the (optional)
-        #: trace recorder the per-operator apply spans.
-        self.registry = registry
-        self.tracer = tracer
         #: Subscriptions currently attached to this result.
         self.subscribers: List[object] = []
-        #: The maintenance state machine; created on the first evaluation
-        #: (the database is not known before then).
-        self._maintainer: Optional[IncrementalMaintainer] = None
+        #: The maintenance state machine.  *state_budget_bytes* caps its
+        #: evictable operator-state memory (``None`` = unbounded); the
+        #: session's metrics *registry* receives labeled fallback
+        #: records, its (optional) *tracer* the per-operator apply spans.
+        self._maintainer = IncrementalMaintainer(
+            plan,
+            database,
+            label=f"plan {fingerprint[:12]}",
+            state_budget_bytes=state_budget_bytes,
+            fingerprint=fingerprint,
+            registry=registry,
+            tracer=tracer,
+        )
 
     # ------------------------------------------------------------------
     # Maintenance state (delegated to the IncrementalMaintainer)
     # ------------------------------------------------------------------
-
-    def _ensure_maintainer(self, database: Database) -> IncrementalMaintainer:
-        if self._maintainer is None:
-            self._maintainer = IncrementalMaintainer(
-                self.plan,
-                database,
-                label=f"plan {self.fingerprint[:12]}",
-                state_budget_bytes=self.state_budget_bytes,
-                fingerprint=self.fingerprint,
-                registry=self.registry,
-                tracer=self.tracer,
-            )
-        return self._maintainer
 
     @property
     def result(self) -> Optional[OngoingRelation]:
@@ -85,75 +83,63 @@ class SharedResult:
         them all, and a refresh whose subscribers never read pays no copy
         at all.
         """
-        maintainer = self._maintainer
-        return None if maintainer is None else maintainer.result
+        return self._maintainer.result
 
     @property
     def evaluations(self) -> int:
         """Times the plan was (re-)evaluated — full and incremental both."""
-        maintainer = self._maintainer
-        return 0 if maintainer is None else maintainer.evaluations
+        return self._maintainer.evaluations
 
     @property
     def delta_refreshes(self) -> int:
         """How many refreshes were incremental delta applications."""
-        maintainer = self._maintainer
-        return 0 if maintainer is None else maintainer.delta_refreshes
+        return self._maintainer.delta_refreshes
 
     @property
     def delta_fallbacks(self) -> int:
         """How many delta attempts fell back to a full re-evaluation."""
-        maintainer = self._maintainer
-        return 0 if maintainer is None else maintainer.delta_fallbacks
+        return self._maintainer.delta_fallbacks
 
     @property
     def cost_full_refreshes(self) -> int:
         """Full refreshes deliberately chosen by the cost model."""
-        maintainer = self._maintainer
-        return 0 if maintainer is None else maintainer.cost_full_refreshes
+        return self._maintainer.cost_full_refreshes
 
     @property
     def cost_adaptations(self) -> int:
         """Cost-model parameter changes driven by observed refresh costs."""
-        maintainer = self._maintainer
-        return 0 if maintainer is None else maintainer.cost_adaptations
+        return self._maintainer.cost_adaptations
 
     @property
     def snapshots_taken(self) -> int:
         """Snapshot copies materialized (at most one per read version)."""
-        maintainer = self._maintainer
-        return 0 if maintainer is None else maintainer.snapshots_taken
+        return self._maintainer.snapshots_taken
 
     @property
     def snapshots_reused(self) -> int:
         """Reads served from an already-materialized snapshot."""
-        maintainer = self._maintainer
-        return 0 if maintainer is None else maintainer.snapshots_reused
+        return self._maintainer.snapshots_reused
 
     @property
     def state_evictions(self) -> int:
         """Operator states dropped by the memory budget."""
-        maintainer = self._maintainer
-        return 0 if maintainer is None else maintainer.state_evictions
+        return self._maintainer.state_evictions
 
     @property
     def state_rebuilds(self) -> int:
         """Refreshes that rebuilt budget-evicted state (miss counter)."""
-        maintainer = self._maintainer
-        return 0 if maintainer is None else maintainer.state_rebuilds
+        return self._maintainer.state_rebuilds
 
     def state_bytes(self) -> int:
         """Estimated evictable operator-state memory (storage-layout
-        bytes); 0 while the state is cold or evicted."""
-        maintainer = self._maintainer
-        return 0 if maintainer is None else maintainer.state_bytes()
+        bytes); 0 while the state is evicted."""
+        return self._maintainer.state_bytes()
 
     def node_report(self) -> List[dict]:
         """Per-operator live counters (see
         :meth:`~repro.engine.maintenance.IncrementalMaintainer.node_report`);
-        empty before the first evaluation."""
-        maintainer = self._maintainer
-        return [] if maintainer is None else maintainer.node_report()
+        empty while the state is evicted."""
+        return self._maintainer.node_report()
 
     def explain_analyze(self, *, format: str = "text"):
         """The plan tree annotated with live per-operator counters.
@@ -161,91 +147,48 @@ class SharedResult:
         ``format="json"`` returns the same report as plain data (see
         :func:`~repro.obs.explain.explain_analyze_data`).
         """
-        maintainer = self._maintainer
-        if maintainer is None:
-            from repro.obs.explain import (
-                explain_analyze_data,
-                render_explain_analyze,
-            )
-
-            if format not in ("text", "json"):
-                raise ValueError(
-                    f"unknown explain format {format!r}; use 'text' or 'json'"
-                )
-            renderer = (
-                render_explain_analyze if format == "text" else explain_analyze_data
-            )
-            return renderer(
-                [],
-                label=f"plan {self.fingerprint[:12]}",
-                fingerprint=self.fingerprint,
-                cold_reason="not yet evaluated",
-            )
-        return maintainer.explain_analyze(format=format)
+        return self._maintainer.explain_analyze(format=format)
 
     def note_change(self, table: str, delta: Delta) -> None:
         """Accumulate one table delta for the next refresh (thread-safe)."""
-        if self._maintainer is not None:
-            self._maintainer.note_change(table, delta)
-
-    def pending_empty(self) -> bool:
-        return self._maintainer is None or self._maintainer.pending_empty()
+        self._maintainer.note_change(table, delta)
 
     def change_count(self) -> int:
         """Monotonic count of change events offered to this result."""
-        maintainer = self._maintainer
-        return 0 if maintainer is None else maintainer.changes
+        return self._maintainer.changes
 
     def pending_snapshot(self) -> Mapping[str, Delta]:
         """The accumulated-but-unapplied deltas (introspection only)."""
-        if self._maintainer is None:
-            return {}
         return self._maintainer.pending_snapshot()
 
     # ------------------------------------------------------------------
     # Refresh
     # ------------------------------------------------------------------
 
-    def evaluate(
-        self, database: Database, *, incremental: bool = True
-    ) -> RefreshOutcome:
+    def evaluate(self) -> RefreshOutcome:
         """(Re-)run the plan fully; the result is served lazily afterwards.
 
         The full run also (re)builds the plan's per-operator delta state,
-        so the *next* refresh can ride the incremental path.  Pass
-        ``incremental=False`` (a session-level choice) to skip the state
-        building entirely — the baseline then pays exactly one plain
-        evaluation, nothing more.
+        so the *next* refresh can ride the incremental path.
         """
-        return self._ensure_maintainer(database).evaluate(
-            incremental=incremental
-        )
+        return self._maintainer.evaluate()
 
-    def refresh(
-        self, database: Database, *, incremental: bool = True
-    ) -> RefreshOutcome:
+    def refresh(self) -> RefreshOutcome:
         """One flush-driven refresh; returns its :class:`RefreshOutcome`.
 
         ``outcome.delta is None`` means the refresh was a full
-        re-evaluation — because incremental maintenance is disabled, the
-        state was cold or budget-evicted, the accumulated deltas were
-        full-flagged, or the propagation fell back.  The fallback is
-        automatic and logged; ``outcome.changed`` tells the caller
-        whether to notify, with no snapshot materialized on the delta
-        path.
+        re-evaluation — because the state was budget-evicted, the
+        accumulated deltas were full-flagged, the propagation fell back,
+        or the cost model chose it.  The fallback is automatic and
+        logged; ``outcome.changed`` tells the caller whether to notify,
+        with no snapshot materialized on the delta path.
         """
-        return self._ensure_maintainer(database).refresh(
-            incremental=incremental
-        )
-
-    @property
-    def subscriber_count(self) -> int:
-        return len(self.subscribers)
+        return self._maintainer.refresh()
 
     def __repr__(self) -> str:
         return (
             f"SharedResult({self.fingerprint[:12]}…, "
-            f"subscribers={self.subscriber_count}, "
+            f"subscribers={len(self.subscribers)}, "
             f"evaluations={self.evaluations}, "
             f"delta={self.delta_refreshes})"
         )
@@ -267,6 +210,7 @@ class ResultCache:
     def get_or_create(
         self,
         plan: PlanNode,
+        database: Database,
         *,
         state_budget_bytes: Optional[int] = None,
         registry=None,
@@ -276,9 +220,10 @@ class ResultCache:
 
         Returns ``(entry, created)`` — ``created`` is ``True`` when this
         call materialized a new cache entry (the caller then registers its
-        dependencies and runs the first evaluation).  *state_budget_bytes*,
-        *registry*, and *tracer* configure a newly created entry's
-        maintainer; an existing entry keeps what it was created with.
+        dependencies and runs the first evaluation).  *database*,
+        *state_budget_bytes*, *registry*, and *tracer* configure a newly
+        created entry's maintainer; an existing entry keeps what it was
+        created with.
         """
         fingerprint = plan.fingerprint()
         entry = self._entries.get(fingerprint)
@@ -289,6 +234,7 @@ class ResultCache:
         entry = SharedResult(
             plan,
             fingerprint,
+            database,
             state_budget_bytes=state_budget_bytes,
             registry=registry,
             tracer=tracer,

@@ -9,13 +9,12 @@ Keys are opaque to the index; the live engine uses plan fingerprints
 (:meth:`~repro.engine.plan.PlanNode.fingerprint`), so all subscriptions
 sharing a materialization also share one index entry.
 
-The index itself is not synchronized: in a serial session every access
-happens on one thread (or under the database write lock, which
-serializes modification hooks), and a concurrent session swaps it for
-the lock-guarded, shard-partitioned
-:class:`repro.serve.sharding.ShardedDependencyIndex`, which reuses this
-class as its per-shard building block.  :meth:`affected` therefore
-returns an immutable snapshot, never a live view.
+The index itself is not synchronized, and a session has exactly one:
+every read (the intake's :meth:`DependencyIndex.affected` lookup, the
+``stats()`` fan-out) and every write (subscribe / unsubscribe) happens
+under the owning session's lock, whether or not the refresh work behind
+it is sharded across workers.  :meth:`affected` still returns an
+immutable snapshot, never a live view.
 """
 
 from __future__ import annotations

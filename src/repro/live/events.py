@@ -145,18 +145,31 @@ class EventBus:
     #: The topic listener delivery failures are announced on (by the bus).
     LISTENER_ERROR_TOPIC = "listener-error"
 
-    #: Topics the bus itself publishes failure reports on (kept for
-    #: introspection/compat; the recursion guard in
-    #: :meth:`_record_failure` only needs :attr:`LISTENER_ERROR_TOPIC`).
-    _ERROR_TOPICS = frozenset({ERROR_TOPIC, LISTENER_ERROR_TOPIC})
-
-    def __init__(self) -> None:
+    def __init__(
+        self, *, on_delivered: Optional[Callable[[Any], None]] = None
+    ) -> None:
         self._listeners: Dict[str, List[Callable[[Any], None]]] = {}
         self.errors: List[Tuple[str, Callable, Exception]] = []
         self.delivered = 0
+        #: Optional hook invoked with the payload once per successful
+        #: delivery, in lockstep with :attr:`delivered` — the session
+        #: observes write→deliver freshness here, on either bus.
+        self.on_delivered = on_delivered
 
-    def subscribe(self, topic: str, listener: Callable[[Any], None]) -> Callable[[], None]:
-        """Register *listener* for *topic*; returns an unsubscribe thunk."""
+    def subscribe(
+        self,
+        topic: str,
+        listener: Callable[[Any], None],
+        *,
+        capacity: Optional[int] = None,
+        policy: Optional[str] = None,
+    ) -> Callable[[], None]:
+        """Register *listener* for *topic*; returns an unsubscribe thunk.
+
+        *capacity* and *policy* size the subscriber's mailbox on the
+        asynchronous bus; inline delivery queues nothing, so they are
+        accepted and ignored here.
+        """
         self._listeners.setdefault(topic, []).append(listener)
 
         def unsubscribe() -> None:
@@ -173,6 +186,7 @@ class EventBus:
         Returns the number of successful deliveries.
         """
         ok = 0
+        hook = self.on_delivered
         for listener in tuple(self._listeners.get(topic, ())):
             try:
                 listener(payload)
@@ -180,6 +194,8 @@ class EventBus:
                 self._record_failure(topic, listener, exc)
             else:
                 ok += 1
+                if hook is not None:
+                    hook(payload)
         self.delivered += ok
         return ok
 
@@ -206,3 +222,34 @@ class EventBus:
         if topic is not None:
             return len(self._listeners.get(topic, ()))
         return sum(len(group) for group in self._listeners.values())
+
+    # ------------------------------------------------------------------
+    # The queueing half of the bus contract.  Inline delivery never holds
+    # a payload back, so each question has a constant answer here;
+    # :class:`~repro.serve.bus.AsyncEventBus` gives the real ones.
+    # ------------------------------------------------------------------
+
+    def backlog(self) -> int:
+        """Undelivered payloads — none: :meth:`publish` ran them inline."""
+        return 0
+
+    def oldest_commit_age(
+        self, topic: str, now: Optional[float] = None
+    ) -> Optional[float]:
+        """Age of the oldest payload queued for *topic* — nothing waits."""
+        return None
+
+    def capture_pending(self, topic: str) -> List[Tuple[Any, ...]]:
+        """Undelivered payloads per listener of *topic* — nothing waits."""
+        return []
+
+    def restore_pending(self, topic: str, items: Tuple[Any, ...]) -> int:
+        """Deliver recovered payloads to *topic* — inline, like any other."""
+        return sum(self.publish(topic, item) for item in items)
+
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Wait for queued deliveries — there are none to wait for."""
+        return True
+
+    def close(self, *, drain: bool = True) -> None:
+        """Stop delivery workers — the synchronous bus has none."""

@@ -1,114 +1,95 @@
 """The subscription manager: modification-driven refresh orchestration.
 
 :class:`SubscriptionManager` (aliased :class:`LiveSession`) is the facade
-of the live engine.  It owns
+of the live engine, and it is **one pipeline**:
 
-* the :class:`~repro.live.cache.ResultCache` of shared materializations,
-* the :class:`~repro.live.dependencies.DependencyIndex` mapping base
-  tables to the fingerprints they invalidate,
-* the :class:`~repro.live.events.EventBus` notifications travel on, and
-* the dirty set that batches modifications between flushes.
+1. **registration** — :meth:`~SubscriptionManager.subscribe` rewrites the
+   plan, shares one :class:`~repro.live.cache.SharedResult` per
+   fingerprint (:class:`~repro.live.cache.ResultCache`), records which
+   tables it reads (:class:`~repro.live.dependencies.DependencyIndex`)
+   and attaches the callback to the bus;
+2. **intake** — the database's modification hook marks the dependent
+   fingerprints dirty, hands each its typed row delta
+   (:class:`~repro.engine.delta.Delta`) and wakes the serve loop.
+   Intake never refreshes;
+3. **flush** — :meth:`~SubscriptionManager.flush` refreshes each dirty
+   plan **once**, however many modifications accumulated, by
+   *propagating* the coalesced deltas through the plan's cached operator
+   state (work proportional to the modification, not the database).  A
+   refresh that cannot be incremental — budget-evicted state, an untyped
+   bulk change, a delta an operator cannot absorb, or the cost model
+   measuring a full run to be cheaper — falls back to a full
+   re-evaluation automatically, logged and counted;
+4. **delivery** — every subscription whose result changed is notified on
+   the bus (one that did not change stays silent unless it opted into
+   ``notify_on_no_change``).
+
+There are two ways to run step 3, and no others: call :meth:`flush`
+yourself, or :meth:`~SubscriptionManager.serve` and let the background
+loop (:mod:`repro.live.serving`) call it after a debounce window.
 
 The control flow enforces the paper's property by construction: the only
 path that re-evaluates a plan starts at a base-table change event.  There
 is no timer, no polling loop, and no clock — advancing the reference time
 is pure instantiation work on already-materialized ongoing results.
 
-Batching: change events mark fingerprints dirty; :meth:`flush` refreshes
-each dirty plan **once**, however many modifications accumulated, then
-notifies every attached subscription.  ``auto_flush=True`` flushes after
-every event (lowest latency); ``flush_every=N`` flushes once ``N`` events
-accumulated (bounded staleness at 1/N the evaluation cost).
+The pipeline is the same whatever the constructor selects for its two
+stages that can run on other threads (:mod:`repro.serve`):
 
-Incremental refresh: change events carry typed row deltas
-(:class:`~repro.engine.delta.Delta`), accumulated per shared result in
-its :class:`~repro.engine.maintenance.IncrementalMaintainer`; a flush
-*propagates* them through the plan's cached operator state instead of
-re-evaluating — work proportional to the modification, not the database.
-Plans that cannot be maintained incrementally fall back to full
-re-evaluation automatically; the fallback is logged and counted.  A
-subscription whose result did not change in a flush is not notified
-unless it opted into ``notify_on_no_change``.
-
-Concurrent serving (:mod:`repro.serve`), all opt-in via constructor
-arguments:
-
-* ``delivery_workers=N`` replaces the synchronous bus with an
+* ``delivery_workers=N`` delivers through an
   :class:`~repro.serve.bus.AsyncEventBus`: notifications enqueue to
   per-subscriber bounded mailboxes (``backpressure`` policy: ``block`` /
-  ``drop_oldest`` / ``coalesce``) and N worker threads deliver them —
-  one slow callback no longer stalls the flush;
-* ``flush_shards=N`` shards dirty fingerprints across N FIFO refresh
-  workers (:class:`~repro.serve.scheduler.FlushScheduler`) and swaps the
-  dependency index for a
-  :class:`~repro.serve.sharding.ShardedDependencyIndex` — independent
-  shared results refresh in parallel, each result serially consistent;
-* :meth:`serve` starts the background auto-flush loop (debounced,
-  woken **only** by modification events — still no clock), and
-  :meth:`flush_async` schedules one non-blocking flush;
-* :meth:`close` stops the loop, performs a final flush, drains every
-  queue, and joins all workers.
+  ``drop_oldest`` / ``coalesce``) and N worker threads run the callbacks
+  — one slow callback no longer stalls the flush.  The default
+  synchronous :class:`~repro.live.events.EventBus` runs them inline and
+  answers the queueing questions (backlog, drain, pending capture) with
+  constants, so nothing downstream asks which bus it holds;
+* ``flush_shards=N`` routes each flush round's dirty fingerprints to N
+  FIFO refresh workers (:class:`~repro.serve.scheduler.FlushScheduler`)
+  — independent shared results refresh in parallel, each result serially
+  consistent.
 
-Thread-safety: session state (dirty sets, stats, cache, registrations)
-is guarded by one session lock; write intake runs under the database
-write lock (modification hooks fire while it is held), and the lock
-order is always ``database.lock → session lock → maintainer lock``.
-Calling :meth:`flush` from inside an ``on_refresh`` callback remains
-safe — it is detected as re-entrant and folded into the running flush.
+:meth:`~SubscriptionManager.close` stops the loop, performs a final
+flush, drains every queue, and joins all workers.  Freshness accounting
+and the metrics scrape live in :mod:`repro.live.metrics`; decoding a
+checkpointed subscription in :mod:`repro.durable.snapshot`.
+
+Thread-safety: session state (dirty sets, stats, cache, dependency
+index, registrations) is guarded by one session lock; write intake runs
+under the database write lock (modification hooks fire while it is
+held), and the lock order is always ``database.lock → session lock →
+maintainer lock``.  Calling :meth:`flush`, :meth:`stop_serving` or
+:meth:`close` from inside an ``on_refresh`` callback is safe — a nested
+flush is folded into the running one, and no loop ever waits for or
+joins the thread it is called on.
 """
 
 from __future__ import annotations
 
-import base64
 import logging
-import pickle
 import threading
-import time
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Union
 
 from repro.core.timeline import TimePoint
 from repro.engine.database import CommitStamp, Database
-from repro.engine.delta import FULL_DELTA, Delta
+from repro.engine.delta import Delta
 from repro.engine.plan import PlanNode
 from repro.engine.rewrite import push_down_selections
 from repro.errors import QueryError
-from repro.obs.registry import FRESHNESS_BUCKETS, Registry, Sample
+from repro.obs.registry import Registry
 from repro.obs.slo import FreshnessSLO
-from repro.obs.trace import TraceRecorder
+from repro.obs.trace import NULL_TRACER, TraceRecorder
 
 from repro.live.cache import ResultCache, SharedResult
 from repro.live.dependencies import DependencyIndex, referenced_tables
 from repro.live.events import ChangeEvent, EventBus, RefreshNotification
+from repro.live.metrics import SessionMetrics
+from repro.live.serving import ServeLoop
 from repro.live.subscription import Subscription
 
-__all__ = ["FlushHandle", "SubscriptionManager", "LiveSession"]
+__all__ = ["SubscriptionManager", "LiveSession"]
 
 logger = logging.getLogger("repro.live.manager")
-
-
-class FlushHandle:
-    """Waitable result of :meth:`SubscriptionManager.flush_async`."""
-
-    def __init__(self) -> None:
-        self._done = threading.Event()
-        self._refreshed = 0
-        self._error: Optional[BaseException] = None
-
-    def _finish(self, refreshed: int, error: Optional[BaseException]) -> None:
-        self._refreshed = refreshed
-        self._error = error
-        self._done.set()
-
-    def done(self) -> bool:
-        return self._done.is_set()
-
-    def wait(self, timeout: Optional[float] = None) -> int:
-        """Block until the flush finished; returns its refresh count."""
-        if not self._done.wait(timeout=timeout):
-            raise TimeoutError("flush did not complete in time")
-        if self._error is not None:
-            raise self._error
-        return self._refreshed
 
 
 class SubscriptionManager:
@@ -136,9 +117,6 @@ class SubscriptionManager:
         self,
         database: Database,
         *,
-        auto_flush: bool = False,
-        flush_every: Optional[int] = None,
-        incremental: bool = True,
         delivery_workers: int = 0,
         flush_shards: int = 0,
         queue_capacity: int = 64,
@@ -148,8 +126,6 @@ class SubscriptionManager:
         freshness_slo: Optional[FreshnessSLO] = None,
         trace: object = False,
     ):
-        if flush_every is not None and flush_every < 1:
-            raise QueryError("flush_every must be a positive event count")
         if delivery_workers < 0 or flush_shards < 0:
             raise QueryError(
                 "delivery_workers and flush_shards must be non-negative"
@@ -157,12 +133,6 @@ class SubscriptionManager:
         if state_budget_bytes is not None and state_budget_bytes < 0:
             raise QueryError("state_budget_bytes must be non-negative")
         self.database = database
-        self.auto_flush = auto_flush
-        self.flush_every = flush_every
-        #: When ``True`` (default) flushes propagate row deltas through
-        #: cached operator state; ``False`` forces full re-evaluation on
-        #: every refresh (the PR-1 behavior, kept for benchmarking).
-        self.incremental = incremental
         #: Per-maintainer cap on evictable operator-state memory
         #: (storage-layout bytes).  Exceeding it evicts the plan's delta
         #: state after the refresh — the result keeps serving from the
@@ -184,21 +154,8 @@ class SubscriptionManager:
         #: reports its error-budget burn, and the adaptive serve-loop
         #: debounce tightens toward its floor while the budget burns.
         self.freshness_slo = freshness_slo
-        #: Write→deliver latency per subscription: commit stamp of the
-        #: oldest coalesced modification to the completed ``on_refresh``
-        #: delivery.  Observed on the delivery worker (async bus) or
-        #: inline after publish (sync bus) — one observation per
-        #: delivered notification, matching
-        #: ``repro_serve_delivered_notifications_total``.
-        self._freshness = self.metrics.histogram(
-            "repro_freshness_seconds",
-            "Write-to-deliver latency per subscription",
-            ("subscription",),
-            buckets=FRESHNESS_BUCKETS,
-        )
         #: Opt-in span recording (``trace=True`` / a capacity int / a
-        #: :class:`~repro.obs.trace.TraceRecorder`).  ``None`` when off —
-        #: the hot paths then skip even the clock reads for spans.
+        #: :class:`~repro.obs.trace.TraceRecorder`).  ``None`` when off.
         if isinstance(trace, TraceRecorder):
             self.tracer: Optional[TraceRecorder] = trace
         elif trace:
@@ -206,35 +163,16 @@ class SubscriptionManager:
             self.tracer = TraceRecorder(capacity=capacity)
         else:
             self.tracer = None
+        #: Where the session's own spans go: the recorder, or the shared
+        #: disabled one whose ``span()`` is a no-op context manager — so
+        #: every traced stage below is one call site, traced or not.
+        self._spans: TraceRecorder = (
+            self.tracer if self.tracer is not None else NULL_TRACER
+        )
         #: Guards all session state below (never held while delivering).
         self._lock = threading.RLock()
-        self._async_bus = delivery_workers > 0
-        if self._async_bus:
-            from repro.serve.bus import AsyncEventBus
-
-            self.bus: EventBus = AsyncEventBus(
-                workers=delivery_workers,
-                capacity=queue_capacity,
-                policy=backpressure,
-                tracer=self.tracer,
-                on_delivered=self._on_delivered,
-            )
-        else:
-            self.bus = EventBus()
         self._cache = ResultCache()
-        if flush_shards > 0:
-            from repro.serve.scheduler import FlushScheduler
-            from repro.serve.sharding import ShardedDependencyIndex
-
-            self._dependencies = ShardedDependencyIndex(flush_shards)
-            self._scheduler: Optional["FlushScheduler"] = FlushScheduler(
-                self._refresh_one,
-                shards=flush_shards,
-                on_error=self._on_shard_failure,
-            )
-        else:
-            self._dependencies = DependencyIndex()
-            self._scheduler = None
+        self._dependencies = DependencyIndex()
         self._subscriptions: Dict[int, Subscription] = {}
         #: fingerprint → tables modified since that result's last refresh.
         self._dirty: Dict[str, Set[str]] = {}
@@ -245,7 +183,6 @@ class SubscriptionManager:
         #: popped by the refresh).  The conservative base for both the
         #: freshness histogram and the staleness gauges.
         self._dirty_commits: Dict[str, CommitStamp] = {}
-        self._events_since_flush = 0
         self._stats = {
             "repro_live_events_total": 0,
             "repro_live_flushes_total": 0,
@@ -268,34 +205,39 @@ class SubscriptionManager:
             "cost_adaptations": 0,
         }
         self._unsubscribe_bus: Dict[int, Callable[[], None]] = {}
-        self._listener = database.add_delta_listener(self._on_table_delta)
         self._closed = False
         self._flushing = False
         self._reentrant_flush_requested = False
-        # Serve-loop state (started by serve(), stopped by close()).
-        self._wakeup = threading.Event()
-        self._serving = False
-        self._serve_thread: Optional[threading.Thread] = None
-        self._serve_debounce = 0.0
-        # Adaptive debounce band (None = fixed window).  The depth at
-        # which the window saturates scales with the session: at least
-        # one full mailbox, stretched by fan-out (see _debounce_scale).
-        self._serve_debounce_min: Optional[float] = None
-        self._serve_debounce_max: Optional[float] = None
-        self._debounce_capacity = max(1, queue_capacity)
-        #: Unregister thunk for this session's stats collector — a shared
-        #: registry must stop scraping a closed session.
-        self._unregister_collector = self.metrics.register_collector(
-            self._collect_samples
-        )
-        #: A durable database (``Database.open``) exposes its WAL and
-        #: recovery counters through this session's registry too.
-        durability = getattr(database, "_durability", None)
-        self._unregister_durability: Optional[Callable[[], None]] = (
-            self.metrics.register_collector(durability.collect_samples)
-            if durability is not None
-            else None
-        )
+        #: The background flush loop (started by serve(), stopped by
+        #: stop_serving()/close()); its saturation depth is at least one
+        #: full mailbox.
+        self._serve_loop = ServeLoop(self, capacity=queue_capacity)
+        #: Freshness observer + registry collector (registers itself on
+        #: :attr:`metrics`; :meth:`close` unregisters it).
+        self._observer = SessionMetrics(self)
+        if delivery_workers > 0:
+            from repro.serve.bus import AsyncEventBus
+
+            self.bus: EventBus = AsyncEventBus(
+                workers=delivery_workers,
+                capacity=queue_capacity,
+                policy=backpressure,
+                tracer=self.tracer,
+                on_delivered=self._observer.on_delivered,
+            )
+        else:
+            self.bus = EventBus(on_delivered=self._observer.on_delivered)
+        if flush_shards > 0:
+            from repro.serve.scheduler import FlushScheduler
+
+            self._scheduler: Optional["FlushScheduler"] = FlushScheduler(
+                self._refresh_one,
+                shards=flush_shards,
+                on_error=self._on_shard_failure,
+            )
+        else:
+            self._scheduler = None
+        self._listener = database.add_delta_listener(self._intake)
 
     # ------------------------------------------------------------------
     # Registration
@@ -348,6 +290,7 @@ class SubscriptionManager:
             with self._lock:
                 shared, created = self._cache.get_or_create(
                     plan,
+                    self.database,
                     state_budget_bytes=self.state_budget_bytes,
                     registry=self.metrics,
                     tracer=self.tracer,
@@ -358,7 +301,7 @@ class SubscriptionManager:
                     )
             if created:
                 try:
-                    shared.evaluate(self.database, incremental=self.incremental)
+                    shared.evaluate()
                 except Exception:
                     # Roll the registration back: a dead entry must not be
                     # cache-hit by a later subscribe of the same plan.
@@ -387,15 +330,12 @@ class SubscriptionManager:
             if on_refresh is not None:
                 topic = f"refresh:{subscription.id}"
                 try:
-                    if self._async_bus:
-                        unsubscribe = self.bus.subscribe(
-                            topic,
-                            on_refresh,
-                            capacity=queue_capacity,
-                            policy=backpressure,
-                        )
-                    else:
-                        unsubscribe = self.bus.subscribe(topic, on_refresh)
+                    unsubscribe = self.bus.subscribe(
+                        topic,
+                        on_refresh,
+                        capacity=queue_capacity,
+                        policy=backpressure,
+                    )
                 except Exception:
                     with self._lock:
                         if created and not shared.subscribers:
@@ -451,13 +391,17 @@ class SubscriptionManager:
 
         Each entry re-subscribes through the ordinary :meth:`subscribe`
         path — statement entries recompile against the current catalog,
-        plan entries unpickle — so recovery reuses every registration
-        invariant instead of a parallel code path.  An entry whose plan
-        cannot be rebuilt is logged and skipped, never fatal.  A captured
-        undelivered notification is re-enqueued **exactly once**: into
-        the subscriber's mailbox on the asynchronous bus, or delivered
-        inline on the synchronous one.
+        plan entries unpickle
+        (:func:`~repro.durable.snapshot.restore_subscription` reads the
+        entry; the manifest format is that module's alone) — so recovery
+        reuses every registration invariant instead of a parallel code
+        path.  An entry whose plan cannot be rebuilt is logged and
+        skipped, never fatal.  A captured undelivered notification is
+        re-enqueued **exactly once**: into the subscriber's mailbox on
+        the asynchronous bus, or delivered inline on the synchronous one.
         """
+        from repro.durable.snapshot import restore_subscription
+
         self._require_open()
         durability = getattr(self.database, "_durability", None)
         if manifest is None:
@@ -470,120 +414,22 @@ class SubscriptionManager:
             durability.recovered_manifest = []
         resumed: List[Subscription] = []
         for entry in manifest:
-            name = entry.get("name")
-            callback = (
-                on_refresh.get(name)
-                if isinstance(on_refresh, dict)
-                else on_refresh
-            )
-            statement = entry.get("statement")
-            plan = None
-            try:
-                if statement is not None:
-                    from repro.sqlish import compile_statement
-
-                    plan = compile_statement(statement, self.database)
-                elif entry.get("plan_pickle"):
-                    plan = pickle.loads(
-                        base64.b64decode(entry["plan_pickle"])
-                    )
-            except Exception:  # noqa: BLE001 — one bad entry must not
-                # abort the whole recovery; the subscriber can re-register.
-                logger.exception(
-                    "resume: subscription %r could not be rebuilt", name
-                )
+            restored = restore_subscription(self, entry, on_refresh)
+            if restored is None:
                 continue
-            if plan is None:
-                logger.warning(
-                    "resume: subscription %r carries neither a statement "
-                    "nor a plan; skipped",
-                    name,
-                )
-                continue
-            subscription = self.subscribe(
-                plan,
-                on_refresh=callback,
-                reference_time=entry.get("reference_time"),
-                name=name,
-                notify_on_no_change=bool(
-                    entry.get("notify_on_no_change", False)
-                ),
-                backpressure=entry.get("backpressure"),
-                queue_capacity=entry.get("queue_capacity"),
-                statement=statement,
-            )
-            expected = entry.get("fingerprint")
-            if expected and subscription.fingerprint != expected:
-                logger.warning(
-                    "resume: subscription %r fingerprint changed "
-                    "(%s -> %s); resuming against the current plan",
-                    subscription.name,
-                    str(expected)[:12],
-                    subscription.fingerprint[:12],
-                )
+            subscription, pending = restored
             if durability is not None:
                 durability.resumed_subscriptions += 1
-            pending = entry.get("pending")
-            if pending is not None and callback is not None:
-                notification = self._rebuild_notification(
-                    subscription, pending
+            if pending is not None:
+                self.bus.restore_pending(
+                    f"refresh:{subscription.id}", (pending,)
                 )
-                topic = f"refresh:{subscription.id}"
-                restore = getattr(self.bus, "restore_pending", None)
-                if restore is not None:
-                    restore(topic, (notification,))
-                else:
-                    self.bus.publish(topic, notification)
                 with self._lock:
                     self._stats["repro_live_notifications_total"] += 1
                 if durability is not None:
                     durability.reenqueued_notifications += 1
             resumed.append(subscription)
         return resumed
-
-    def _rebuild_notification(
-        self, subscription: Subscription, pending: Dict[str, object]
-    ) -> RefreshNotification:
-        """Deserialize one captured pending notification against the
-        freshly resumed subscription (its just-evaluated shared result
-        stands in for the pre-crash one)."""
-        delta: Optional[Delta] = None
-        if pending.get("delta_full"):
-            delta = FULL_DELTA
-        elif pending.get("delta") is not None:
-            from repro.engine.storage import unpack_tagged_tuple
-
-            def rows(encoded) -> tuple:
-                decoded = []
-                for blob in encoded:
-                    row, _ = unpack_tagged_tuple(base64.b64decode(blob))
-                    decoded.append(row)
-                return tuple(decoded)
-
-            payload = pending["delta"]
-            delta = Delta(
-                inserted=rows(payload.get("inserted", ())),
-                deleted=rows(payload.get("deleted", ())),
-            )
-        commit = pending.get("commit")
-        stamp = (
-            CommitStamp(int(commit[0]), float(commit[1]))
-            if commit
-            else None
-        )
-        fixed_rows = None
-        if subscription.reference_time is not None:
-            fixed_rows = subscription.instantiate(
-                subscription.reference_time
-            )
-        return RefreshNotification(
-            subscription=subscription,
-            result=subscription._shared.result,
-            rows=fixed_rows,
-            changed_tables=tuple(pending.get("changed_tables") or ()),
-            delta=delta,
-            commit=stamp,
-        )
 
     def unsubscribe(self, subscription: Subscription) -> None:
         """Detach *subscription*; the last subscriber of a plan drops its
@@ -627,30 +473,28 @@ class SubscriptionManager:
         """Close every subscription, stop and join all serving workers.
 
         The shutdown is *clean*: the serve loop stops first, the database
-        hook is removed (no new intake), one final flush refreshes
-        whatever was owed, queued notifications drain to their
-        subscribers, and only then do workers exit.
+        hook is removed (no new intake), a session with worker threads
+        runs one final flush for whatever was owed, queued notifications
+        drain to their subscribers, and only then do workers exit.  Safe
+        to call from an ``on_refresh`` callback: neither the serve loop
+        nor a delivery worker waits for or joins the thread it runs on.
         """
         if self._closed:
             return
         self.stop_serving()
         self.database.remove_delta_listener(self._listener)
-        if self._scheduler is not None or self._async_bus:
+        if self._scheduler is not None or self.delivery_workers:
             try:
                 self.flush()  # deliver what is owed before teardown
             except QueryError:  # pragma: no cover — close() raced close()
                 pass
-            if self._async_bus:
-                self.bus.drain(timeout=10.0)
+            self.bus.drain(timeout=10.0)
         for subscription in list(self._subscriptions.values()):
             self.unsubscribe(subscription)
         if self._scheduler is not None:
             self._scheduler.close()
-        if self._async_bus:
-            self.bus.close(drain=True)
-        self._unregister_collector()
-        if self._unregister_durability is not None:
-            self._unregister_durability()
+        self.bus.close(drain=True)
+        self._observer.close()
         self._closed = True
 
     def __enter__(self) -> "SubscriptionManager":
@@ -672,75 +516,48 @@ class SubscriptionManager:
     # Modification intake
     # ------------------------------------------------------------------
 
-    def _on_table_delta(self, table: str, version: int, delta: Delta) -> None:
+    def _intake(self, table: str, version: int, delta: Delta) -> None:
         """Database modification hook: mark dependents dirty, accumulate
-        the row delta per dirty plan, maybe flush.
+        the row delta per dirty plan, wake the serve loop.
 
         Runs with the database write lock held (hooks fire inside the
         write), so intake is serialized across writer threads and a
-        snapshotting flush can never observe half-recorded events.
+        snapshotting flush can never observe half-recorded events.  It
+        never refreshes: that is :meth:`flush`'s job, on the caller's
+        thread or the serve loop's.
         """
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span("write", table=table, rows=len(delta)):
-                self._intake(table, version, delta)
-            return
-        self._intake(table, version, delta)
-
-    def _intake(self, table: str, version: int, delta: Delta) -> None:
-        # The hook runs inside the write, after Table._bump stamped the
-        # batch — database.last_commit IS this modification's stamp.
-        commit = self.database.last_commit
-        event = ChangeEvent(table, version, delta, commit=commit)
-        with self._lock:
-            self._stats["repro_live_events_total"] += 1
-        self.bus.publish("change", event)
-        affected = self._dependencies.affected(table)
-        if not affected:
-            return
-        with self._lock:
-            self._events_since_flush += 1
-            for fingerprint in affected:
-                self._dirty.setdefault(fingerprint, set()).add(table)
-                self._dirty_events[fingerprint] = (
-                    self._dirty_events.get(fingerprint, 0) + 1
-                )
-                if commit is not None:
-                    # Keep the *oldest* pending stamp: a refresh answers
-                    # for every coalesced write, so freshness must be
-                    # measured against the first one still waiting.
-                    self._dirty_commits.setdefault(fingerprint, commit)
-                shared = self._cache.get(fingerprint)
-                if shared is not None:
-                    shared.note_change(table, delta)
-                    for subscription in shared.subscribers:
-                        subscription.stats.pending_events += 1
-            serving = self._serving
-            due = self.auto_flush or (
-                self.flush_every is not None
-                and self._events_since_flush >= self.flush_every
+        with self._spans.span("write", table=table, rows=len(delta)):
+            # The hook runs inside the write, after Table._bump stamped
+            # the batch — database.last_commit IS this modification's
+            # stamp.
+            commit = self.database.last_commit
+            self.bus.publish(
+                "change", ChangeEvent(table, version, delta, commit=commit)
             )
-        if serving:
-            # The serve loop owns flushing: wake it (it debounces), never
-            # flush inline under the database write lock.
-            self._wakeup.set()
-        elif due:
-            if self._scheduler is not None:
-                # A sharded flush must not run inline either: this hook
-                # fires with the database write lock held, and a shard
-                # worker falling back to full re-evaluation needs that
-                # same lock — waiting for it here would deadlock.  A
-                # running flush absorbs the request (no thread spawned);
-                # otherwise one background flush preserves the staleness
-                # bound for the whole burst.
-                with self._lock:
-                    folding = self._flushing
-                    if folding:
-                        self._reentrant_flush_requested = True
-                if not folding:
-                    self.flush_async()
-            else:
-                self.flush()
+            with self._lock:
+                self._stats["repro_live_events_total"] += 1
+                affected = self._dependencies.affected(table)
+                for fingerprint in affected:
+                    self._dirty.setdefault(fingerprint, set()).add(table)
+                    self._dirty_events[fingerprint] = (
+                        self._dirty_events.get(fingerprint, 0) + 1
+                    )
+                    if commit is not None:
+                        # Keep the *oldest* pending stamp: a refresh
+                        # answers for every coalesced write, so freshness
+                        # must be measured against the first one still
+                        # waiting.
+                        self._dirty_commits.setdefault(fingerprint, commit)
+                    shared = self._cache.get(fingerprint)
+                    if shared is not None:
+                        shared.note_change(table, delta)
+                        for subscription in shared.subscribers:
+                            subscription.stats.pending_events += 1
+            if affected:
+                # The serve loop (if running) owns flushing: it debounces
+                # and flushes on its own thread, never inline under the
+                # database write lock.
+                self._serve_loop.wake()
 
     # ------------------------------------------------------------------
     # Refresh
@@ -751,25 +568,6 @@ class SubscriptionManager:
         """Number of shared results currently marked dirty."""
         with self._lock:
             return len(self._dirty)
-
-    @property
-    def _pending_deltas(self) -> Dict[str, Dict[str, Delta]]:
-        """Accumulated-but-unapplied row deltas per dirty plan.
-
-        Introspection only — the deltas live in each shared result's
-        :class:`~repro.engine.maintenance.IncrementalMaintainer` (the
-        serve layer's single synchronization point), not in the manager.
-        """
-        with self._lock:
-            snapshot: Dict[str, Dict[str, Delta]] = {}
-            for fingerprint in self._cache.fingerprints():
-                shared = self._cache.get(fingerprint)
-                if shared is None:
-                    continue
-                pending = dict(shared.pending_snapshot())
-                if pending:
-                    snapshot[fingerprint] = pending
-            return snapshot
 
     def flush(self) -> int:
         """Refresh every dirty shared result exactly once and notify.
@@ -797,14 +595,14 @@ class SubscriptionManager:
         table was dropped) does not abort the flush — the remaining dirty
         plans still refresh, the failing plan keeps serving its last
         materialization, and the error is published on the bus's
-        ``"error"`` topic as ``(fingerprint, exception)`` and recorded in
-        :meth:`stats` under ``"refresh_errors"``.
+        ``"error"`` topic as ``(fingerprint, exception)`` and counted in
+        :meth:`stats` under ``"repro_live_refresh_errors_total"``.
 
         Re-entrant calls (an ``on_refresh`` callback modified tables and
-        hit ``auto_flush``/``flush_every``, or called ``flush()``
-        directly — from any thread) do not run a nested flush: the
-        request is recorded and the running flush drains the new events
-        in order before returning.
+        called ``flush()`` — or another thread did while this flush was
+        running) do not run a nested flush: the request is recorded and
+        the running flush drains the new events in order before
+        returning.
         """
         self._require_open()
         with self._lock:
@@ -821,17 +619,10 @@ class SubscriptionManager:
                     dirty_events = self._dirty_events
                     self._dirty = {}
                     self._dirty_events = {}
-                    self._events_since_flush = 0
                 if dirty:
-                    tracer = self.tracer
-                    if tracer is not None and tracer.enabled:
-                        with tracer.span(
-                            "flush",
-                            plans=len(dirty),
-                            events=sum(dirty_events.values()),
-                        ):
-                            refreshed += self._run_round(dirty, dirty_events)
-                    else:
+                    tracer = self._spans
+                    events = sum(dirty_events.values()) if tracer.enabled else 0
+                    with tracer.span("flush", plans=len(dirty), events=events):
                         refreshed += self._run_round(dirty, dirty_events)
                     with self._lock:
                         self._stats["repro_live_flushes_total"] += 1
@@ -841,10 +632,7 @@ class SubscriptionManager:
                     # drain its events now) or will observe _flushing ==
                     # False and run its own flush — a request can never
                     # land in the gap and strand dirty events.
-                    if bool(self._dirty) and (
-                        self._should_reflush()
-                        or self._reentrant_flush_requested
-                    ):
+                    if self._dirty and self._reentrant_flush_requested:
                         continue
                     self._flushing = False
                     return refreshed
@@ -852,37 +640,6 @@ class SubscriptionManager:
             with self._lock:
                 self._flushing = False
             raise
-
-    def flush_async(self) -> FlushHandle:
-        """Schedule one :meth:`flush` on a background thread.
-
-        Returns a :class:`FlushHandle`; ``handle.wait()`` yields the
-        refresh count (0 when the flush folded into one already running).
-        """
-        self._require_open()
-        handle = FlushHandle()
-
-        def run() -> None:
-            try:
-                handle._finish(self.flush(), None)
-            except BaseException as exc:  # noqa: BLE001 — handed to wait()
-                handle._finish(0, exc)
-
-        thread = threading.Thread(
-            target=run, name="live-flush-async", daemon=True
-        )
-        thread.start()
-        return handle
-
-    def _should_reflush(self) -> bool:
-        """Drain events produced by refresh callbacks mid-flush when the
-        session's flush policy would have flushed them immediately."""
-        if self.auto_flush:
-            return True
-        return (
-            self.flush_every is not None
-            and self._events_since_flush >= self.flush_every
-        )
 
     def _run_round(
         self, dirty: Dict[str, Set[str]], dirty_events: Dict[str, int]
@@ -906,27 +663,6 @@ class SubscriptionManager:
                 refreshed += 1
         return refreshed
 
-    def _refresh_one(
-        self, fingerprint: str, changed_tables: FrozenSet[str], coalesced: int
-    ) -> bool:
-        """Refresh one shared result and notify its subscriptions.
-
-        The single refresh routine behind serial flushes and shard
-        workers alike; returns ``True`` when a refresh was performed.
-        """
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "refresh",
-                fingerprint=fingerprint[:12],
-                tables=sorted(changed_tables),
-                coalesced=coalesced,
-            ):
-                return self._refresh_one_impl(
-                    fingerprint, changed_tables, coalesced
-                )
-        return self._refresh_one_impl(fingerprint, changed_tables, coalesced)
-
     def _on_shard_failure(
         self, shard: int, fingerprint: str, exc: BaseException
     ) -> None:
@@ -945,136 +681,71 @@ class SubscriptionManager:
         except Exception:  # noqa: BLE001 — reporting must never re-raise
             logger.exception("shard failure announcement failed")
 
-    def _refresh_one_impl(
+    def _refresh_one(
         self, fingerprint: str, changed_tables: FrozenSet[str], coalesced: int
     ) -> bool:
-        with self._lock:
-            shared = self._cache.get(fingerprint)
-            # Claim the oldest pending stamp: writes landing *during* the
-            # refresh setdefault a fresh stamp for the next cycle.
-            commit = self._dirty_commits.pop(fingerprint, None)
-        if shared is None:  # all subscribers left while dirty
-            return False
-        epoch = shared.change_count()
-        try:
-            outcome = shared.refresh(
-                self.database, incremental=self.incremental
-            )
-        except Exception as exc:  # noqa: BLE001 — isolate per plan
-            with self._lock:
-                self._stats["repro_live_refresh_errors_total"] += 1
-            self.bus.publish("error", (fingerprint, exc))
-            return False
-        result_delta = outcome.delta
-        changed = outcome.changed
-        if result_delta is None:
-            with self._lock:
-                # The full re-evaluation read the tables under the write
-                # lock and subsumed every change event offered before it
-                # ran; its dirty mark is only kept when a *new* event
-                # arrived meanwhile (the change counter moved) — dropping
-                # that one would lose an update, re-flushing an already
-                # subsumed one would only waste a suppressed refresh.
-                if shared.change_count() == epoch:
-                    self._dirty.pop(fingerprint, None)
-                    self._dirty_events.pop(fingerprint, None)
-                self._stats["repro_live_full_refreshes_total"] += 1
-                self._stats["repro_live_evaluations_total"] += 1
-        else:
-            with self._lock:
-                self._stats["repro_live_delta_refreshes_total"] += 1
-                self._stats["repro_live_evaluations_total"] += 1
-        for subscription in list(shared.subscribers):
-            if not changed and not subscription.notify_on_no_change:
-                subscription._mark_unchanged(coalesced)
-                with self._lock:
-                    self._stats["repro_live_suppressed_notifications_total"] += 1
-                continue
-            delivered = subscription._notify(
-                changed_tables, coalesced, delta=result_delta, commit=commit
-            )
-            with self._lock:
-                self._stats["repro_live_notifications_total"] += delivered
-            if delivered and commit is not None and not self._async_bus:
-                # The sync bus ran the callbacks inline inside _notify;
-                # the async bus observes per completed delivery instead
-                # (the pool's on_delivered hook).
-                self._observe_freshness(
-                    subscription.name, commit, count=delivered
-                )
-        return True
+        """Refresh one shared result and notify its subscriptions.
 
-    # ------------------------------------------------------------------
-    # Freshness accounting
-    # ------------------------------------------------------------------
-
-    @property
-    def freshness_histogram(self):
-        """The ``repro_freshness_seconds`` histogram family — exposed so
-        operators (and the ``/health`` endpoint) can read quantiles."""
-        return self._freshness
-
-    def _on_delivered(self, payload: object) -> None:
-        """Delivery-pool hook: fires once per completed delivery, on the
-        delivery worker.  Only commit-stamped refresh notifications count
-        toward freshness — change events and error records pass through."""
-        if (
-            isinstance(payload, RefreshNotification)
-            and payload.commit is not None
-        ):
-            self._observe_freshness(payload.subscription.name, payload.commit)
-
-    def _observe_freshness(
-        self, subscription: str, commit: CommitStamp, count: int = 1
-    ) -> None:
-        seconds = max(0.0, time.monotonic() - commit.at)
-        child = self._freshness.labels(subscription=subscription)
-        for _ in range(count):
-            child.observe(seconds)
-        slo = self.freshness_slo
-        if slo is not None:
-            for _ in range(count):
-                slo.observe(seconds)
-
-    def subscription_staleness(self) -> Dict[str, float]:
-        """Age (seconds) of the oldest pending unapplied change, per
-        subscription name.
-
-        Covers both halves of the pipeline: a commit still dirty and
-        awaiting its flush, and a commit-stamped notification already
-        refreshed but still queued in the subscriber's delivery mailbox.
-        ``0.0`` means fully caught up.  Computed entirely at call time
-        (the scrape), so the write/flush hot paths pay nothing for it.
+        The single refresh routine behind serial flushes and shard
+        workers alike; returns ``True`` when a refresh was performed.
         """
-        now = time.monotonic()
-        with self._lock:
-            entries = [
-                (
-                    subscription.name,
-                    subscription.id,
-                    subscription._shared.fingerprint
-                    if subscription._shared is not None
-                    else None,
+        tracer = self._spans
+        tables = sorted(changed_tables) if tracer.enabled else ()
+        with tracer.span(
+            "refresh",
+            fingerprint=fingerprint[:12],
+            tables=tables,
+            coalesced=coalesced,
+        ):
+            with self._lock:
+                shared = self._cache.get(fingerprint)
+                # Claim the oldest pending stamp: writes landing *during*
+                # the refresh setdefault a fresh stamp for the next cycle.
+                commit = self._dirty_commits.pop(fingerprint, None)
+            if shared is None:  # all subscribers left while dirty
+                return False
+            epoch = shared.change_count()
+            try:
+                outcome = shared.refresh()
+            except Exception as exc:  # noqa: BLE001 — isolate per plan
+                with self._lock:
+                    self._stats["repro_live_refresh_errors_total"] += 1
+                self.bus.publish("error", (fingerprint, exc))
+                return False
+            result_delta = outcome.delta
+            changed = outcome.changed
+            if result_delta is None:
+                with self._lock:
+                    # The full re-evaluation read the tables under the
+                    # write lock and subsumed every change event offered
+                    # before it ran; its dirty mark is only kept when a
+                    # *new* event arrived meanwhile (the change counter
+                    # moved) — dropping that one would lose an update,
+                    # re-flushing an already subsumed one would only
+                    # waste a suppressed refresh.
+                    if shared.change_count() == epoch:
+                        self._dirty.pop(fingerprint, None)
+                        self._dirty_events.pop(fingerprint, None)
+                    self._stats["repro_live_full_refreshes_total"] += 1
+                    self._stats["repro_live_evaluations_total"] += 1
+            else:
+                with self._lock:
+                    self._stats["repro_live_delta_refreshes_total"] += 1
+                    self._stats["repro_live_evaluations_total"] += 1
+            for subscription in list(shared.subscribers):
+                if not changed and not subscription.notify_on_no_change:
+                    subscription._mark_unchanged(coalesced)
+                    with self._lock:
+                        self._stats[
+                            "repro_live_suppressed_notifications_total"
+                        ] += 1
+                    continue
+                delivered = subscription._notify(
+                    changed_tables, coalesced, delta=result_delta, commit=commit
                 )
-                for subscription in self._subscriptions.values()
-            ]
-            dirty_commits = dict(self._dirty_commits)
-        ages: Dict[str, float] = {}
-        for name, sub_id, fingerprint in entries:
-            age = 0.0
-            stamp = (
-                dirty_commits.get(fingerprint)
-                if fingerprint is not None
-                else None
-            )
-            if stamp is not None:
-                age = max(age, now - stamp.at)
-            if self._async_bus:
-                queued = self.bus.oldest_commit_age(f"refresh:{sub_id}", now)
-                if queued is not None:
-                    age = max(age, queued)
-            ages[name] = age
-        return ages
+                with self._lock:
+                    self._stats["repro_live_notifications_total"] += delivered
+            return True
 
     # ------------------------------------------------------------------
     # Background serving
@@ -1087,7 +758,7 @@ class SubscriptionManager:
         debounce_min: Optional[float] = None,
         debounce_max: Optional[float] = None,
     ) -> "SubscriptionManager":
-        """Start the background auto-flush loop; returns ``self``.
+        """Start the background flush loop; returns ``self``.
 
         The loop sleeps until a modification event wakes it (there is no
         polling of data and no clock-driven refresh — an idle database
@@ -1096,148 +767,59 @@ class SubscriptionManager:
         second call only updates the debounce configuration.
 
         **Adaptive debounce**: pass *debounce_min*/*debounce_max* to
-        scale the window with load instead of fixing it.  Before each
-        sleep the loop reads the queue depth — undelivered notifications
-        in the delivery mailboxes plus dirty plans awaiting refresh — and
-        interpolates linearly between the band edges, saturating at the
-        larger of ``queue_capacity`` and the session's fan-out
-        (subscriptions + shared plans), so one write rippling to many
-        subscribers does not count as a backlog: an idle system reacts
-        at *debounce_min* latency, a genuinely backlogged one waits up
-        to *debounce_max* so more writes coalesce into each flush round
-        and the queues get room to drain.  The fixed *debounce* is
-        ignored while a band is set.
+        scale the window with load instead of fixing it — an idle system
+        reacts at *debounce_min* latency, a genuinely backlogged one
+        waits up to *debounce_max* so more writes coalesce into each
+        flush round and the queues get room to drain
+        (:mod:`repro.live.serving` has the policy).  The fixed *debounce*
+        is ignored while a band is set.
         """
-        if debounce_min is not None or debounce_max is not None:
-            if debounce_min is None or debounce_max is None:
-                raise QueryError(
-                    "adaptive debounce needs both debounce_min and "
-                    "debounce_max"
-                )
-            if debounce_min < 0 or debounce_max < debounce_min:
-                raise QueryError(
-                    "debounce band must satisfy 0 <= debounce_min <= "
-                    "debounce_max"
-                )
-        with self._lock:
-            self._require_open()
-            self._serve_debounce = max(0.0, debounce)
-            self._serve_debounce_min = debounce_min
-            self._serve_debounce_max = debounce_max
-            if self._serve_thread is not None:
-                return self
-            self._serving = True
-            self._wakeup.clear()
-            thread = threading.Thread(
-                target=self._serve_loop, name="live-serve", daemon=True
-            )
-            self._serve_thread = thread
-        thread.start()
+        self._require_open()
+        self._serve_loop.start(debounce, debounce_min, debounce_max)
         return self
-
-    def _queue_depth(self) -> int:
-        """Load signal for the adaptive debounce: undelivered
-        notifications plus dirty plans awaiting refresh."""
-        depth = self.pending
-        if self._async_bus:
-            depth += self.bus.backlog()
-        return depth
-
-    def _debounce_scale(self) -> int:
-        """The depth at which the adaptive window saturates.
-
-        One full mailbox at minimum, stretched by fan-out: the depth
-        signal sums notifications across *all* mailboxes plus *all*
-        dirty plans, so a session with many subscribers reaches large
-        absolute depths from a single write — saturation must grow with
-        the number of queues that can legitimately hold one item each,
-        or every fanned-out flush round would sleep ``debounce_max``.
-        """
-        with self._lock:
-            fanout = len(self._subscriptions) + len(self._cache)
-        return max(self._debounce_capacity, fanout)
-
-    def _debounce_for_depth(self, depth: int) -> float:
-        """The sleep window for one observed queue *depth*.
-
-        Linear between the band edges, saturating at
-        :meth:`_debounce_scale`; returns the fixed window when no band
-        is set.  A :attr:`freshness_slo` whose error budget is burning
-        (burn > 1) shrinks the window toward the floor by the burn
-        factor — the loop trades coalescing for freshness exactly when
-        the objective says deliveries are arriving too late.
-        """
-        with self._lock:
-            low = self._serve_debounce_min
-            high = self._serve_debounce_max
-            fixed = self._serve_debounce
-        if low is None or high is None:
-            return fixed
-        if depth <= 0 or high <= low:
-            window = low
-        else:
-            scale = self._debounce_scale()
-            if depth >= scale:
-                window = high
-            else:
-                window = low + (high - low) * (depth / scale)
-        slo = self.freshness_slo
-        if slo is not None and window > low:
-            burn = slo.error_budget_burn()
-            if burn > 1.0:
-                window = low + (window - low) / burn
-        return window
 
     def current_debounce(self) -> float:
         """The window the serve loop would sleep right now (adaptive
         debounce reads the live queue depth; fixed returns the constant
         without probing the queues at all)."""
-        with self._lock:
-            if self._serve_debounce_min is None:
-                return self._serve_debounce
-        return self._debounce_for_depth(self._queue_depth())
+        return self._serve_loop.current_debounce()
 
     def stop_serving(self) -> None:
         """Stop the background flush loop (idempotent); pending events
         stay queued for the next explicit :meth:`flush` or :meth:`close`."""
-        with self._lock:
-            thread = self._serve_thread
-            self._serving = False
-            self._serve_thread = None
-        if thread is not None:
-            self._wakeup.set()  # hasten the loop's exit check
-            thread.join(timeout=10)
+        self._serve_loop.stop()
 
     @property
     def serving(self) -> bool:
         """``True`` while the background flush loop runs."""
-        return self._serve_thread is not None
+        return self._serve_loop.running
 
-    def _serve_loop(self) -> None:
-        while self._serving:
-            # No timeout: an idle database costs nothing — the only
-            # wakers are modification events and stop_serving() (which
-            # sets the event after clearing the flag).
-            self._wakeup.wait()
-            if not self._serving:
-                return
-            window = self.current_debounce()
-            if window:
-                time.sleep(window)
-            # Clear *before* flushing: an event that lands after the
-            # clear re-sets the flag and the next iteration flushes it —
-            # wakeups are never lost, at worst coalesced (which is the
-            # point of the debounce).
-            self._wakeup.clear()
-            if not self._serving:
-                # stop_serving() raced the debounce window and its wakeup
-                # was just cleared — exit now rather than blocking on an
-                # event nobody will ever set again.
-                return
-            try:
-                self.flush()
-            except QueryError:  # session closed under us
-                return
+    def _queue_depth(self) -> int:
+        """Load signal for the adaptive debounce: undelivered
+        notifications plus dirty plans awaiting refresh."""
+        return self.pending + self.bus.backlog()
+
+    def _fanout(self) -> int:
+        """How many queues can legitimately hold one item each after a
+        single write: every subscription's mailbox, every shared plan."""
+        with self._lock:
+            return len(self._subscriptions) + len(self._cache)
+
+    # ------------------------------------------------------------------
+    # Freshness accounting
+    # ------------------------------------------------------------------
+
+    @property
+    def freshness_histogram(self):
+        """The ``repro_freshness_seconds`` histogram family — exposed so
+        operators (and the ``/health`` endpoint) can read quantiles."""
+        return self._observer.freshness
+
+    def subscription_staleness(self) -> Dict[str, float]:
+        """Age (seconds) of the oldest pending unapplied change, per
+        subscription name (``0.0`` = fully caught up; computed at call
+        time, so the write/flush hot paths pay nothing for it)."""
+        return self._observer.staleness()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1287,161 +869,25 @@ class SubscriptionManager:
             return [shared.explain_analyze(format="json") for shared in matches]
         return "\n\n".join(shared.explain_analyze() for shared in matches)
 
-    #: Canonical metric ``(name, kind, help)`` — the :meth:`stats` dict
-    #: keys ARE these names (the flat pre-1.7 aliases are gone), so the
-    #: collector publishes each sample straight from the stats snapshot.
-    _CANONICAL_SAMPLES = (
-        ("repro_live_events_total", "counter",
-         "Change events observed by the session"),
-        ("repro_live_flushes_total", "counter",
-         "Flush rounds performed"),
-        ("repro_live_evaluations_total", "counter",
-         "Plan refreshes, incremental and full"),
-        ("repro_live_delta_refreshes_total", "counter",
-         "Refreshes served by incremental delta propagation"),
-        ("repro_live_full_refreshes_total", "counter",
-         "Refreshes that re-evaluated the plan in full"),
-        ("repro_live_cost_full_refreshes_total", "counter",
-         "Full refreshes deliberately chosen by the cost model"),
-        ("repro_live_cost_adaptations_total", "counter",
-         "Cost-model parameter changes driven by observed refresh costs"),
-        ("repro_live_notifications_total", "counter",
-         "Refresh notifications handed to the bus"),
-        ("repro_live_suppressed_notifications_total", "counter",
-         "No-change refreshes suppressed before delivery"),
-        ("repro_live_refresh_errors_total", "counter",
-         "Refreshes that raised and were isolated"),
-        ("repro_live_cache_hits_total", "counter",
-         "Subscriptions attached to an existing shared result"),
-        ("repro_live_cache_misses_total", "counter",
-         "Subscriptions that materialized a new shared result"),
-        ("repro_live_subscriptions", "gauge",
-         "Currently attached subscriptions"),
-        ("repro_live_shared_results", "gauge",
-         "Distinct plans currently materialized"),
-        ("repro_live_dirty_plans", "gauge",
-         "Shared results currently marked dirty"),
-        ("repro_store_snapshots_taken_total", "counter",
-         "Result-store snapshot copies materialized"),
-        ("repro_store_snapshots_reused_total", "counter",
-         "Reads served from an already-materialized snapshot"),
-        ("repro_store_state_evictions_total", "counter",
-         "Operator states evicted by the memory budget"),
-        ("repro_store_state_rebuilds_total", "counter",
-         "Refreshes that rebuilt budget-evicted operator state"),
-        ("repro_serve_queued_notifications_total", "counter",
-         "Notifications enqueued to delivery mailboxes"),
-        ("repro_serve_delivered_notifications_total", "counter",
-         "Notifications delivered to subscriber callbacks"),
-        ("repro_serve_dropped_notifications_total", "counter",
-         "Notifications dropped by the drop_oldest policy"),
-        ("repro_serve_coalesced_notifications_total", "counter",
-         "Notifications merged by the coalesce policy"),
-        ("repro_serve_delivery_backlog", "gauge",
-         "Undelivered notifications across all mailboxes"),
-    )
-
-    def _collect_samples(self) -> List[Sample]:
-        """Pull-at-snapshot collector: the session's stats under the
-        canonical names, plus per-shard flush counts and per-operator
-        plan counters (labeled by fingerprint, operator, tree path)."""
-        stats = self.stats()
-        samples: List[Sample] = [
-            Sample(name, {}, float(stats[name]), kind, help_text)
-            for name, kind, help_text in self._CANONICAL_SAMPLES
-        ]
-        for table, fanout in sorted(stats["table_fanout"].items()):
-            samples.append(
-                Sample(
-                    "repro_live_table_fanout",
-                    {"table": table},
-                    float(fanout),
-                    "gauge",
-                    "Live plans depending on each base table",
-                )
-            )
-        for name, age in sorted(self.subscription_staleness().items()):
-            samples.append(
-                Sample(
-                    "repro_subscription_staleness_seconds",
-                    {"subscription": name},
-                    age,
-                    "gauge",
-                    "Age of the oldest pending unapplied change per "
-                    "subscription",
-                )
-            )
-        for shard, count in enumerate(stats["shard_flushes"]):
-            samples.append(
-                Sample(
-                    "repro_serve_shard_flushes_total",
-                    {"shard": str(shard)},
-                    float(count),
-                    "counter",
-                    "Flush rounds executed per shard worker",
-                )
-            )
-        for shard, count in enumerate(stats["shard_failures"]):
-            samples.append(
-                Sample(
-                    "repro_shard_worker_failures_total",
-                    {"shard": str(shard)},
-                    float(count),
-                    "counter",
-                    "Refresh exceptions that escaped to a shard worker",
-                )
-            )
-        for shared in self.shared_results():
-            fingerprint = shared.fingerprint[:12]
-            for node in shared.node_report():
-                labels = {
-                    "fingerprint": fingerprint,
-                    "operator": node["operator"],
-                    "path": node["path"],
-                }
-                for name, key, kind, help_text in (
-                    ("repro_delta_applies_total", "applies", "counter",
-                     "Incremental delta applications per plan operator"),
-                    ("repro_delta_apply_seconds_total", "apply_seconds",
-                     "counter",
-                     "Cumulative wall time in apply_delta per operator"),
-                    ("repro_delta_rows_in_total", "delta_rows_in", "counter",
-                     "Delta rows fed into each operator"),
-                    ("repro_delta_rows_out_total", "delta_rows_out",
-                     "counter", "Delta rows emitted by each operator"),
-                    ("repro_operator_fallbacks_total", "fallbacks",
-                     "counter",
-                     "Non-incremental fallbacks raised at this operator"),
-                    ("repro_operator_state_rows", "state_rows", "gauge",
-                     "Rows held in the operator's derivation-count state"),
-                    ("repro_operator_state_bytes", "state_bytes", "gauge",
-                     "Estimated bytes of the operator's state"),
-                ):
-                    samples.append(
-                        Sample(
-                            name, labels, float(node[key]), kind, help_text
-                        )
-                    )
-        return samples
-
     def stats(self) -> Dict[str, object]:
         """A snapshot of the session's counters (all modification-driven).
 
         The metric keys are the **canonical names** the session also
         publishes through :attr:`metrics`
         (``repro_<layer>_<what>[_total]`` — e.g.
-        ``repro_live_events_total``, ``repro_serve_delivery_backlog``);
-        the flat pre-1.7 aliases (``events``, ``queued_notifications``,
-        …) were removed in 1.7.  Non-metric context keys keep their plain
-        names: ``table_fanout``, ``shard_flushes``, ``serving``,
-        ``delivery_workers``, ``flush_shards``.
+        ``repro_live_events_total``, ``repro_serve_delivery_backlog``;
+        :mod:`repro.live.metrics` lists them).  Non-metric context keys
+        keep their plain names: ``table_fanout``, ``shard_flushes``,
+        ``shard_failures``, ``serving``, ``delivery_workers``,
+        ``flush_shards``.
 
-        Beyond the PR-2 counters, the serving layer adds: queued /
+        Beyond the refresh counters, the serving layer adds: queued /
         dropped / coalesced notification counts and the delivery backlog
-        (zeros on the synchronous bus) plus per-shard flush counts; the
-        result-store layer adds snapshot copy/reuse and state
-        evict/rebuild counters summed over all shared results; the cost
-        model adds its deliberate full-refresh count
+        (on the synchronous bus every notification is delivered as it is
+        queued, nothing drops, coalesces or waits) plus per-shard flush
+        counts; the result-store layer adds snapshot copy/reuse and
+        state evict/rebuild counters summed over all shared results; the
+        cost model adds its deliberate full-refresh count
         (``repro_live_cost_full_refreshes_total``).
         """
         with self._lock:
@@ -1480,7 +926,7 @@ class SubscriptionManager:
         data["delivery_workers"] = self.delivery_workers
         data["flush_shards"] = self.flush_shards
         data["serving"] = self.serving
-        if self._async_bus:
+        if self.delivery_workers:
             bus_stats = self.bus.stats()
             data["repro_serve_queued_notifications_total"] = bus_stats["queued"]
             data["repro_serve_delivered_notifications_total"] = bus_stats[

@@ -232,14 +232,9 @@ class Subscription:
             delta=delta,
             commit=commit,
         )
-        tracer = getattr(self.manager, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "enqueue", subscription=self.name, topic=topic
-            ):
-                delivered = bus.publish(topic, notification)
-                delivered += bus.publish("refresh", notification)
-        else:
+        with self.manager._spans.span(
+            "enqueue", subscription=self.name, topic=topic
+        ):
             delivered = bus.publish(topic, notification)
             delivered += bus.publish("refresh", notification)
         self.stats.notifications += delivered

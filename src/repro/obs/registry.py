@@ -62,8 +62,8 @@ __all__ = [
 ]
 
 #: Default histogram bucket upper bounds, in seconds — tuned for the
-#: refresh pipeline, whose flush tail sits around 100 µs (see
-#: ``BENCH_result_store.json``).
+#: refresh pipeline, whose per-operator warm apply sits well under a
+#: millisecond (the ledger's ``delta.apply_ms.*`` rows).
 DEFAULT_BUCKETS = (
     0.0001,
     0.00025,

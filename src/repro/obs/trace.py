@@ -13,8 +13,9 @@ on its thread's track.
 
 Tracing is **opt-in** (``LiveSession(trace=True)``) and the disabled
 path is one attribute check: a recorder that is not enabled returns a
-shared no-op span and records nothing, so the counters-only default
-stays inside the <5% overhead gate of ``benchmarks/bench_obs_overhead.py``.
+shared no-op span and records nothing — call sites write
+``with tracer.span(...)`` once, traced or not (:data:`NULL_TRACER` is the
+recorder to hold when tracing is off).
 """
 
 from __future__ import annotations

@@ -14,25 +14,32 @@ machinery, layered on :mod:`repro.live`:
   and the :class:`AsyncEventBus`, a drop-in
   :class:`~repro.live.events.EventBus` whose ``publish`` enqueues —
   one slow subscriber can no longer stall a flush;
-* :mod:`repro.serve.sharding` — :func:`shard_index` (stable CRC-32
-  routing of plan fingerprints) and the :class:`ShardedDependencyIndex`
-  that routes table invalidations to owning shards;
+* :mod:`repro.serve.sharding` — :func:`shard_index`, the stable CRC-32
+  routing of plan fingerprints to flush shards;
 * :mod:`repro.serve.scheduler` — the :class:`FlushScheduler`: one FIFO
   worker per shard, so independent shared results refresh in parallel
   while each result stays serially consistent.
 
-Everything is opt-in through the
-:class:`~repro.live.manager.SubscriptionManager` constructor::
+None of this is a second pipeline.  A live session
+(:class:`~repro.live.manager.SubscriptionManager`) is always
+registration → intake → flush → delivery; its constructor only chooses
+which threads the last two stages run on::
 
     session = LiveSession(
         db,
-        delivery_workers=4,   # threaded notification fan-out
-        flush_shards=4,       # parallel refresh of independent plans
+        delivery_workers=4,   # callbacks on worker threads, not in the flush
+        flush_shards=4,       # independent plans refresh in parallel
         backpressure="coalesce",
     )
     session.serve(debounce=0.005)   # background modification-driven flushing
     ...
     session.close()                 # drains queues, joins all workers
+
+The session keeps one :class:`~repro.live.dependencies.DependencyIndex`
+and one lock whatever it is given here, and the default synchronous
+:class:`~repro.live.events.EventBus` answers every queueing question the
+asynchronous bus can be asked (backlog, drain, pending capture) with a
+constant, so no caller has to know which bus it holds.
 
 Concurrency invariants (tested in ``tests/serve/``):
 
@@ -52,7 +59,7 @@ Concurrency invariants (tested in ``tests/serve/``):
 from repro.serve.bus import AsyncEventBus, DeliveryPool
 from repro.serve.queues import BACKPRESSURE_POLICIES, Mailbox
 from repro.serve.scheduler import FlushRound, FlushScheduler
-from repro.serve.sharding import ShardedDependencyIndex, shard_index
+from repro.serve.sharding import shard_index
 
 __all__ = [
     "AsyncEventBus",
@@ -61,6 +68,5 @@ __all__ = [
     "FlushRound",
     "FlushScheduler",
     "Mailbox",
-    "ShardedDependencyIndex",
     "shard_index",
 ]

@@ -131,19 +131,26 @@ class _DeliveryWorker:
         return not self.ready and self.active == 0
 
     def stop(self, *, drain: bool, timeout: float = 10.0) -> None:
+        # A callback closing its own bus runs *on* this worker: it can
+        # neither wait for itself to go idle nor join itself.  Closing
+        # the worker is enough — the loop delivers what is still queued
+        # once the callback returns, then exits.
+        own = threading.current_thread() is self.thread
         with self.condition:
-            if drain:
-                # Bounded: one subscriber callback stuck in I/O must not
-                # hang shutdown forever — after the grace period the
-                # remaining queue is abandoned (the thread is a daemon).
-                self.condition.wait_for(self.idle, timeout=timeout)
-            if not self.idle():
+            # Bounded: one subscriber callback stuck in I/O must not
+            # hang shutdown forever — after the grace period the
+            # remaining queue is abandoned (the thread is a daemon).
+            drained = drain and (
+                own or self.condition.wait_for(self.idle, timeout=timeout)
+            )
+            if not drained:
                 for mailbox in self.ready:
                     mailbox.scheduled = False
                 self.ready.clear()
             self.open = False
             self.condition.notify_all()
-        self.thread.join(timeout=timeout)
+        if not own:
+            self.thread.join(timeout=timeout)
 
 
 class DeliveryPool:
@@ -280,6 +287,10 @@ class DeliveryPool:
             # so any wait invalidates the passes before it.
             settled = True
             for worker in self._workers:
+                if worker.thread is threading.current_thread():
+                    # A callback draining its own bus: this worker is
+                    # busy running the caller and cannot go idle.
+                    continue
                 remaining = (
                     None if deadline is None else deadline - time.monotonic()
                 )
@@ -368,7 +379,7 @@ class AsyncEventBus(EventBus):
         tracer=None,
         on_delivered: Optional[Callable[[Any], None]] = None,
     ):
-        super().__init__()
+        super().__init__(on_delivered=on_delivered)
         self.pool = pool or DeliveryPool(
             workers=workers, capacity=capacity, policy=policy, tracer=tracer
         )

@@ -1,4 +1,4 @@
-"""Sharding the dependency index: route invalidations to an owning shard.
+"""Stable routing of plan fingerprints to flush shards.
 
 The live engine keys everything on plan fingerprints
 (:meth:`~repro.engine.plan.PlanNode.fingerprint`), which makes sharding
@@ -10,23 +10,18 @@ worker thread, which yields the serving layer's ordering invariant for
 free: refreshes of one shared result are serialized, refreshes of
 independent results run in parallel.
 
-:class:`ShardedDependencyIndex` is a drop-in
-:class:`~repro.live.dependencies.DependencyIndex` that partitions keys
-across N inner indexes and answers :meth:`affected_by_shard` — "which
-keys must refresh after this table changed, *grouped by owning shard*" —
-so a table invalidation is routed straight to the workers that own the
-affected plans.
+Only the *refresh work* is sharded.  Which fingerprints a modified table
+invalidates is answered by the session's one
+:class:`~repro.live.dependencies.DependencyIndex`, read and written
+under the session lock; the scheduler routes each dirty fingerprint to
+its worker with :func:`shard_index` itself.
 """
 
 from __future__ import annotations
 
-import threading
 import zlib
-from typing import Dict, FrozenSet, Iterable, Tuple
 
-from repro.live.dependencies import DependencyIndex
-
-__all__ = ["shard_index", "ShardedDependencyIndex"]
+__all__ = ["shard_index"]
 
 
 def shard_index(key: object, shards: int) -> int:
@@ -41,101 +36,3 @@ def shard_index(key: object, shards: int) -> int:
         return 0
     text = key if isinstance(key, str) else repr(key)
     return zlib.crc32(text.encode("utf-8")) % shards
-
-
-class ShardedDependencyIndex:
-    """A ``key ↔ tables`` invalidation index partitioned into shards.
-
-    API-compatible with :class:`~repro.live.dependencies.DependencyIndex`
-    (``add`` / ``remove`` / ``affected`` / ``tables`` / ``tables_of`` /
-    ``table_fanout`` / ``in`` / ``len``), plus the sharded views the
-    flush scheduler routes on.  All operations are thread-safe: intake
-    threads (database modification hooks), the subscribe/unsubscribe
-    path, and shard workers all read it concurrently.
-    """
-
-    def __init__(self, shards: int):
-        if shards < 1:
-            raise ValueError("a sharded index needs at least one shard")
-        self._shards: Tuple[DependencyIndex, ...] = tuple(
-            DependencyIndex() for _ in range(shards)
-        )
-        self._lock = threading.RLock()
-
-    @property
-    def shard_count(self) -> int:
-        return len(self._shards)
-
-    def shard_of(self, key: object) -> int:
-        """The shard that owns *key* (stable, see :func:`shard_index`)."""
-        return shard_index(key, len(self._shards))
-
-    # ------------------------------------------------------------------
-    # DependencyIndex API
-    # ------------------------------------------------------------------
-
-    def add(self, key: object, tables: Iterable[str]) -> None:
-        with self._lock:
-            self._shards[self.shard_of(key)].add(key, tables)
-
-    def remove(self, key: object) -> None:
-        with self._lock:
-            self._shards[self.shard_of(key)].remove(key)
-
-    def affected(self, table: str) -> FrozenSet[object]:
-        """All keys whose plans read *table*, across every shard."""
-        with self._lock:
-            affected: set = set()
-            for shard in self._shards:
-                affected.update(shard.affected(table))
-            return frozenset(affected)
-
-    def tables(self) -> FrozenSet[str]:
-        with self._lock:
-            tables: set = set()
-            for shard in self._shards:
-                tables.update(shard.tables())
-            return frozenset(tables)
-
-    def tables_of(self, key: object) -> FrozenSet[str]:
-        with self._lock:
-            return self._shards[self.shard_of(key)].tables_of(key)
-
-    def __contains__(self, key: object) -> bool:
-        with self._lock:
-            return key in self._shards[self.shard_of(key)]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return sum(len(shard) for shard in self._shards)
-
-    def table_fanout(self) -> Dict[str, int]:
-        with self._lock:
-            fanout: Dict[str, int] = {}
-            for shard in self._shards:
-                for table, count in shard.table_fanout().items():
-                    fanout[table] = fanout.get(table, 0) + count
-            return fanout
-
-    # ------------------------------------------------------------------
-    # Sharded views
-    # ------------------------------------------------------------------
-
-    def affected_by_shard(self, table: str) -> Dict[int, FrozenSet[object]]:
-        """``shard → affected keys`` for *table* (empty shards omitted).
-
-        This is the routing primitive: a table invalidation goes straight
-        to the owning shards' workers, never through a global queue.
-        """
-        with self._lock:
-            routed: Dict[int, FrozenSet[object]] = {}
-            for index, shard in enumerate(self._shards):
-                keys = shard.affected(table)
-                if keys:
-                    routed[index] = keys
-            return routed
-
-    def shard_sizes(self) -> Tuple[int, ...]:
-        """Keys per shard (balance diagnostics for stats)."""
-        with self._lock:
-            return tuple(len(shard) for shard in self._shards)

@@ -241,30 +241,34 @@ class TestVersionMonotonicity:
 
 
 class TestServingContinuity:
-    def test_result_stays_served_through_incremental_toggle(self):
-        """Dropping the evaluator for a plain re-evaluation must not make
-        the result transiently None: a reader landing inside the
-        re-query window still sees the last served relation."""
+    def test_result_stays_served_through_full_rebuild(self, monkeypatch):
+        """A full re-evaluation must not make the result transiently
+        None or half-built: a reader landing anywhere inside the rebuild
+        still sees the last served relation (the evaluator swaps its
+        store in only once the new one is complete)."""
         from repro.engine.maintenance import IncrementalMaintainer
 
         db = _database()
-        maintainer = IncrementalMaintainer(_join_plan(), db, label="toggle")
+        maintainer = IncrementalMaintainer(_join_plan(), db, label="rebuild")
         maintainer.evaluate()
+        served = maintainer.result
+        db.table("R").insert(2, until_now(40))
         seen = []
-        real_query = db.query
+        real_evaluate = DeltaEvaluator._evaluate
 
-        def spying_query(plan):
-            seen.append(maintainer.result)  # a reader inside the window
-            return real_query(plan)
+        def spying_evaluate(self, *args):
+            seen.append(maintainer.result)  # a reader, before each operator
+            built = real_evaluate(self, *args)
+            seen.append(maintainer.result)  # ... and after it
+            return built
 
-        db.query = spying_query
-        try:
-            maintainer.evaluate(incremental=False)
-        finally:
-            db.query = real_query
-        assert seen and seen[0] is not None
+        monkeypatch.setattr(DeltaEvaluator, "_evaluate", spying_evaluate)
+        maintainer.evaluate()
+        monkeypatch.undo()
+        assert seen and all(result is served for result in seen)
+        assert maintainer.result != served
         assert frozenset(maintainer.result.tuples) == frozenset(
-            real_query(_join_plan()).tuples
+            db.query(_join_plan()).tuples
         )
 
 
@@ -354,25 +358,6 @@ class TestStateBudget:
         # The aggregate caches all 50 wide members; the estimate must be
         # in their ballpark (well above 50 narrow group rows).
         assert evaluator.state_bytes() >= 50 * member_bytes // 2
-
-    def test_incremental_toggle_is_not_counted_as_state_rebuild(self):
-        """Dropping the evaluator via incremental=False must clear a
-        pending eviction mark: the next cold incremental start is the
-        toggle's doing (a delta fallback), not the budget's (a rebuild)."""
-        db = _database()
-        session = LiveSession(db, state_budget_bytes=1)
-        session.subscribe(_join_plan())  # builds, then evicts
-        assert session.stats()["repro_store_state_evictions_total"] == 1
-        session.incremental = False
-        db.table("R").insert(2, until_now(40))
-        session.flush()  # plain path drops the evaluator and the mark
-        session.incremental = True
-        db.table("R").insert(3, until_now(41))
-        session.flush()  # fresh cold evaluator — a fallback, not a miss
-        (shared,) = session.shared_results()
-        assert shared.state_rebuilds == 0
-        assert shared.delta_fallbacks >= 1
-        session.close()
 
     def test_state_bytes_tracks_cached_rows(self):
         """The accounting the guard relies on: warm join state prices both

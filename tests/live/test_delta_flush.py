@@ -66,34 +66,6 @@ class TestIncrementalFlush:
         expected = db.query(_spam_plan())
         assert frozenset(sub.result.tuples) == frozenset(expected.tuples)
 
-    def test_incremental_false_forces_full_refreshes(self):
-        db = _database()
-        session = LiveSession(db, incremental=False)
-        sub = session.subscribe(_spam_plan())
-        db.table("B").insert(503, "Spam filter", until_now(d(5, 1)))
-        session.flush()
-        stats = session.stats()
-        assert stats["repro_live_delta_refreshes_total"] == 0
-        assert stats["repro_live_full_refreshes_total"] == 1
-        assert 503 in [row[0] for row in sub.instantiate(d(6, 1))]
-
-    def test_toggling_incremental_does_not_serve_stale_state(self):
-        """Flipping session.incremental off and back on must not leave
-        warm operator state behind a full-path refresh — later deltas
-        would apply to a stale snapshot and drop rows silently."""
-        db = _database()
-        session = LiveSession(db)
-        sub = session.subscribe(_spam_plan())
-        session.incremental = False
-        db.table("B").insert(503, "Spam filter", until_now(d(5, 1)))
-        session.flush()
-        session.incremental = True
-        db.table("B").insert(504, "Spam filter", until_now(d(5, 2)))
-        session.flush()
-        expected = db.query(_spam_plan())
-        assert frozenset(sub.result.tuples) == frozenset(expected.tuples)
-        assert {row[0] for row in sub.instantiate(d(6, 1))} >= {503, 504}
-
     def test_untyped_bulk_load_falls_back_to_full(self):
         db = _database()
         session = LiveSession(db)
@@ -216,10 +188,11 @@ class TestPendingDeltaHousekeeping:
         db = _database()
         session = LiveSession(db)
         sub = session.subscribe(_spam_plan())
+        (shared,) = session.shared_results()
         db.table("B").insert(503, "Spam filter", until_now(d(5, 1)))
-        assert session._pending_deltas  # accumulated while dirty
+        assert shared.pending_snapshot()  # accumulated while dirty
         sub.close()
-        assert session._pending_deltas == {}
+        assert session.shared_results() == []  # gone with its deltas
         assert session.flush() == 0
 
     def test_coalesced_deltas_apply_once(self):
@@ -261,7 +234,7 @@ class TestPendingDeltaHousekeeping:
         corrupt operator state: nested flushes are deferred and drained
         in order, and the final result matches a fresh evaluation."""
         db = _database()
-        session = LiveSession(db, auto_flush=True)
+        session = LiveSession(db)
         fired = []
 
         def write_once_more(event):
@@ -272,15 +245,16 @@ class TestPendingDeltaHousekeeping:
 
         sub = session.subscribe(_spam_plan(), on_refresh=write_once_more)
         db.table("B").insert(503, "Spam filter", until_now(d(5, 1)))
+        session.flush()
+        assert session.pending == 0  # the nested request was drained
         expected = db.query(_spam_plan())
         assert frozenset(sub.result.tuples) == frozenset(expected.tuples)
         assert {row[0] for row in sub.instantiate(d(7, 1))} >= {503, 504}
         assert session.stats()["repro_live_full_refreshes_total"] == 0
 
     def test_callback_flush_in_manual_session_is_drained(self):
-        """An explicit flush() from a refresh callback — in a session
-        with no auto_flush/flush_every — must still be honored: the
-        outer flush drains it before returning."""
+        """An explicit flush() from a refresh callback must be honored:
+        the outer flush drains it before returning."""
         db = _database()
         session = LiveSession(db)
         other_plan = scan("B").where(col("C") == lit("Crash"))

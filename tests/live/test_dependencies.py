@@ -129,7 +129,8 @@ class TestManagerUnregistration:
         db = self._database()
         session = LiveSession(db)
         sub = session.subscribe(scan("P"))
+        (shared,) = session.shared_results()
         sub.close()
         db.table("P").insert(2, until_now(mmdd(3, 3)))
         assert session.pending == 0
-        assert session._pending_deltas == {}
+        assert shared.pending_snapshot() == {}  # intake no longer reaches it

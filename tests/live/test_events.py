@@ -57,6 +57,26 @@ class TestEventBus:
         assert bus.listener_count() == 1
 
 
+    def test_inline_delivery_answers_the_queueing_questions(self):
+        """The synchronous bus keeps the asynchronous bus's contract with
+        constants, so a session never asks which bus it holds."""
+        delivered = []
+        bus = EventBus(on_delivered=delivered.append)
+        seen = []
+        bus.subscribe("t", seen.append, capacity=1, policy="block")
+        bus.subscribe("t", lambda payload: 1 / 0)
+        assert bus.publish("t", "a") == 1
+        assert delivered == ["a"]  # once per successful delivery only
+        assert bus.backlog() == 0
+        assert bus.oldest_commit_age("t") is None
+        assert bus.capture_pending("t") == []
+        assert bus.restore_pending("t", ("b", "c")) == 2  # = publish
+        assert seen == ["a", "b", "c"]
+        assert bus.drain(timeout=0) is True
+        bus.close()
+        assert bus.publish("t", "d") == 1  # nothing to stop
+
+
 class TestErrorTopicGuard:
     """A listener that raises while handling an error must not recurse
     through the error channel or starve its peers (PR 3 regression)."""

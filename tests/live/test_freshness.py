@@ -182,6 +182,20 @@ class TestFreshnessAccounting:
         finally:
             session.close()
 
+    def test_staleness_of_a_shared_name_is_its_oldest_age(self):
+        """Two subscriptions under one name report one gauge: the older
+        age must win, whichever subscription registered last."""
+        db = _database()
+        db.create_table("U", Schema.of("K", ("VT", "interval")))
+        session = LiveSession(db)
+        try:
+            session.subscribe(scan("T"), name="twin")  # goes stale below
+            session.subscribe(scan("U"), name="twin")  # stays caught up
+            current_insert(db.table("T"), (50,), at=60)
+            assert session.subscription_staleness()["twin"] > 0.0
+        finally:
+            session.close()
+
     def test_staleness_counts_queued_async_deliveries(self):
         db = _database()
         # One worker, and a listener that blocks until released: the

@@ -113,29 +113,6 @@ class TestBatchedRefresh:
         assert session.pending == 0
         assert sub.stats.pending_events == 0
 
-    def test_auto_flush_refreshes_per_event(self):
-        db = _database()
-        session = LiveSession(db, auto_flush=True)
-        sub = session.subscribe(_bug_plan())
-        db.table("B").insert(502, "More", until_now(d(8, 2)))
-        db.table("B").insert(503, "More", until_now(d(8, 3)))
-        assert sub.stats.refreshes == 2
-        assert session.stats()["repro_live_evaluations_total"] == 3
-
-    def test_flush_every_bounds_staleness(self):
-        db = _database()
-        session = LiveSession(db, flush_every=2)
-        sub = session.subscribe(_bug_plan())
-        db.table("B").insert(502, "More", until_now(d(8, 2)))
-        assert sub.stats.refreshes == 0  # below the batch threshold
-        db.table("B").insert(503, "More", until_now(d(8, 3)))
-        assert sub.stats.refreshes == 1  # threshold reached → one refresh
-        assert sub.stats.coalesced_events == 2
-
-    def test_flush_every_must_be_positive(self):
-        with pytest.raises(QueryError, match="positive"):
-            LiveSession(_database(), flush_every=0)
-
     def test_refreshed_result_reflects_the_modification(self):
         db = _database()
         session = LiveSession(db)
@@ -240,14 +217,6 @@ class TestFailureIsolation:
         assert fingerprint == doomed.fingerprint
         assert isinstance(error, QueryError)
         assert session.stats()["repro_live_refresh_errors_total"] == 1
-
-    def test_drop_table_under_auto_flush_does_not_raise(self):
-        db = _database()
-        session = LiveSession(db, auto_flush=True)
-        sub = session.subscribe(scan("P"))
-        db.drop_table("P")  # must not raise out of the modification
-        assert session.stats()["repro_live_refresh_errors_total"] == 1
-        assert sub.stats.refreshes == 0
 
     def test_notification_counter_counts_real_deliveries_only(self):
         db = _database()

@@ -78,12 +78,12 @@ class TestServeLoopCoupling:
         session = self._session(slo)
         try:
             session.serve(debounce_min=0.001, debounce_max=0.1)
-            saturated = session._debounce_scale()
-            relaxed = session._debounce_for_depth(saturated)
+            saturated = session._serve_loop.debounce_scale()
+            relaxed = session._serve_loop.debounce_for_depth(saturated)
             assert relaxed == pytest.approx(0.1)
             for _ in range(4):
                 slo.observe(1.0)  # burn = 2.0
-            tightened = session._debounce_for_depth(saturated)
+            tightened = session._serve_loop.debounce_for_depth(saturated)
             # window = low + (high - low) / burn
             assert tightened == pytest.approx(0.001 + (0.1 - 0.001) / 2.0)
             assert tightened < relaxed
@@ -97,8 +97,8 @@ class TestServeLoopCoupling:
             session.serve(debounce_min=0.001, debounce_max=0.1)
             for _ in range(4):
                 slo.observe(0.001)
-            saturated = session._debounce_scale()
-            assert session._debounce_for_depth(saturated) == pytest.approx(0.1)
+            saturated = session._serve_loop.debounce_scale()
+            assert session._serve_loop.debounce_for_depth(saturated) == pytest.approx(0.1)
         finally:
             session.close()
 

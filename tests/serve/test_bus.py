@@ -42,6 +42,38 @@ class TestDeliveryPool:
         pool.close(drain=True)
         assert seen == list(range(50))
 
+    def test_close_from_its_own_callback_neither_waits_nor_joins(self):
+        """A listener shutting its own pool down runs on the worker it
+        would have to wait for and join: drain() and close() must skip
+        that thread, return promptly, and still deliver what the worker
+        has queued once the callback returns."""
+        pool = DeliveryPool(workers=1, policy="block", capacity=16)
+        seen, outcome = [], {}
+
+        def listener(item):
+            seen.append(item)
+            if item == "first":
+                started = time.monotonic()
+                try:
+                    outcome["drained"] = pool.drain(timeout=10)
+                    pool.close(drain=True)
+                except BaseException as exc:  # noqa: BLE001 — reported below
+                    outcome["error"] = exc
+                outcome["seconds"] = time.monotonic() - started
+
+        box = pool.register(listener)
+        worker = box._worker
+        with worker.condition:  # both are queued before the callback runs
+            pool.post(box, "first")
+            pool.post(box, "second")
+        worker.thread.join(timeout=10)
+        assert not worker.thread.is_alive()
+        assert "error" not in outcome, outcome
+        assert outcome["drained"] is True
+        assert outcome["seconds"] < 2, "waited on its own worker"
+        assert seen == ["first", "second"]  # drain=True: nothing abandoned
+        assert pool.closed
+
     def test_unregister_stops_delivery(self):
         pool = DeliveryPool(workers=1)
         seen = []

@@ -82,6 +82,11 @@ class TestSchedulerFailurePath:
 
 class TestManagerIntegration:
     def test_failure_bumps_stat_and_announces(self, monkeypatch):
+        def broken(self, fingerprint, changed_tables, coalesced):
+            raise RuntimeError("machinery failure past the isolation layer")
+
+        # Before the session exists: its scheduler binds the routine once.
+        monkeypatch.setattr(SubscriptionManager, "_refresh_one", broken)
         db = _database()
         session = LiveSession(db, flush_shards=2)
         announced = []
@@ -97,11 +102,6 @@ class TestManagerIntegration:
         sub = session.subscribe_sql(
             "SELECT * FROM R", on_refresh=lambda event: None, name="s1"
         )
-
-        def broken(self, fingerprint, changed_tables, coalesced):
-            raise RuntimeError("machinery failure past the isolation layer")
-
-        monkeypatch.setattr(SubscriptionManager, "_refresh_one_impl", broken)
         db.table("R").insert(2, until_now(20))
         session.flush()
         assert delivered.wait(timeout=10)
@@ -116,16 +116,15 @@ class TestManagerIntegration:
         session.close()
 
     def test_failure_sample_rendered_with_shard_label(self, monkeypatch):
+        def broken(self, fingerprint, changed_tables, coalesced):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(SubscriptionManager, "_refresh_one", broken)
         db = _database()
         session = LiveSession(db, flush_shards=2)
         session.subscribe_sql(
             "SELECT * FROM R", on_refresh=lambda event: None, name="s1"
         )
-
-        def broken(self, fingerprint, changed_tables, coalesced):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(SubscriptionManager, "_refresh_one_impl", broken)
         db.table("R").insert(2, until_now(20))
         session.flush()
         monkeypatch.undo()

@@ -87,52 +87,30 @@ class TestShardedFlush:
 
 
 class TestReviewRegressions:
-    def test_auto_flush_with_shards_does_not_deadlock(self):
-        """auto_flush fires inside the modification hook — under the
-        database write lock.  With flush_shards the flush must run in the
-        background: a shard worker re-evaluating fully needs that same
-        lock, so an inline flush would deadlock against its own writer."""
-        db = _database()
-        session = LiveSession(db, flush_shards=2, auto_flush=True)
-        sub = session.subscribe(_plans()["filter"])
-        # replace_all is untyped (full-flagged delta): the refresh takes
-        # the full re-evaluation path that needs the write lock.
-        db.table("R").replace_all(db.table("R").rows())
-        db.table("R").insert(1, until_now(25))
-        expected = frozenset(db.query(_plans()["filter"]).tuples)
-        deadline = time.monotonic() + 10
-        while time.monotonic() < deadline:
-            if (
-                session.pending == 0
-                and frozenset(sub.result.tuples) == expected
-            ):
-                break
-            time.sleep(0.01)
-        assert session.pending == 0, "background auto-flush never completed"
-        assert frozenset(sub.result.tuples) == expected
-        session.close()
-
     def test_write_racing_a_full_refresh_keeps_its_dirty_mark(self):
         """A write that lands after a full re-evaluation re-read the
-        tables must keep the plan dirty even when the maintainer never
-        accumulates row deltas (incremental=False, unsupported plans)."""
+        tables must keep the plan dirty: the full path drops the dirty
+        mark of every event it subsumed, and only those."""
         db = _database()
-        session = LiveSession(db, incremental=False)
+        session = LiveSession(db)
         sub = session.subscribe(_plans()["filter"])
         (shared,) = session.shared_results()
         real_refresh = shared.refresh
 
-        def racing_refresh(database, **kwargs):
-            delta = real_refresh(database, **kwargs)
+        def racing_refresh():
+            outcome = real_refresh()
             # The race window: a writer slips in after the re-read but
             # before the manager decides the dirty mark's fate.
             current_insert(db.table("R"), (1,), at=90)
-            return delta
+            return outcome
 
         shared.refresh = racing_refresh
-        current_insert(db.table("R"), (1,), at=89)
+        # replace_all is untyped (full-flagged delta): the refresh takes
+        # the full re-evaluation path.
+        db.table("R").replace_all(db.table("R").rows())
         session.flush()
         shared.refresh = real_refresh
+        assert session.stats()["repro_live_full_refreshes_total"] == 1
         assert session.pending == 1, "the racing write lost its dirty mark"
         session.flush()
         assert frozenset(sub.result.tuples) == frozenset(
@@ -333,11 +311,11 @@ class TestAdaptiveDebounce:
         session = LiveSession(db, queue_capacity=16)
         session.serve(debounce_min=0.001, debounce_max=0.25)
         try:
-            assert session._debounce_for_depth(0) == 0.001
-            assert session._debounce_for_depth(16) == 0.25  # at capacity
-            assert session._debounce_for_depth(10**9) == 0.25  # beyond
+            assert session._serve_loop.debounce_for_depth(0) == 0.001
+            assert session._serve_loop.debounce_for_depth(16) == 0.25  # at capacity
+            assert session._serve_loop.debounce_for_depth(10**9) == 0.25  # beyond
             # and strictly between the extremes in the middle
-            mid = session._debounce_for_depth(8)
+            mid = session._serve_loop.debounce_for_depth(8)
             assert 0.001 < mid < 0.25
         finally:
             session.close()
@@ -353,8 +331,8 @@ class TestAdaptiveDebounce:
         session.serve(debounce_min=0.001, debounce_max=0.25)
         try:
             # 40 subscriptions + 1 shared plan → saturation well past 4.
-            assert session._debounce_for_depth(40) < 0.25
-            assert session._debounce_for_depth(41) == 0.25
+            assert session._serve_loop.debounce_for_depth(40) < 0.25
+            assert session._serve_loop.debounce_for_depth(41) == 0.25
         finally:
             for sub in subs:
                 sub.close()
@@ -365,8 +343,8 @@ class TestAdaptiveDebounce:
         session = LiveSession(db)
         session.serve(debounce=0.007)
         try:
-            assert session._debounce_for_depth(0) == 0.007
-            assert session._debounce_for_depth(10**9) == 0.007
+            assert session._serve_loop.debounce_for_depth(0) == 0.007
+            assert session._serve_loop.debounce_for_depth(10**9) == 0.007
             assert session.current_debounce() == 0.007
         finally:
             session.close()
@@ -419,28 +397,20 @@ class TestServeLoop:
         with db.table("R").lock:  # the burst is atomic for the loop
             for i in range(10):
                 db.table("R").insert(1, until_now(30 + i))
+        expected = frozenset(db.query(_plans()["filter"]).tuples)
+        # Wait on what is asserted: ``pending`` drops to 0 when a flush
+        # round *starts* (it counts plans awaiting refresh), while the
+        # shard worker may still be refreshing.
         deadline = time.monotonic() + 5
-        while session.pending and time.monotonic() < deadline:
+        while (
+            frozenset(sub.result.tuples) != expected
+            and time.monotonic() < deadline
+        ):
             time.sleep(0.01)
+        assert frozenset(sub.result.tuples) == expected
         assert session.pending == 0
-        assert frozenset(sub.result.tuples) == frozenset(
-            db.query(_plans()["filter"]).tuples
-        )
         # All ten inserts landed in at most a couple of flush rounds.
         assert session.stats()["repro_live_flushes_total"] <= 3
-        session.close()
-
-    def test_flush_async_returns_waitable_handle(self):
-        db = _database()
-        session = LiveSession(db, flush_shards=2)
-        sub = session.subscribe(_plans()["union"])
-        current_insert(db.table("R"), (7,), at=20)
-        handle = session.flush_async()
-        assert handle.wait(timeout=5) == 1
-        assert handle.done()
-        assert frozenset(sub.result.tuples) == frozenset(
-            db.query(_plans()["union"]).tuples
-        )
         session.close()
 
     def test_close_delivers_owed_notifications(self):
@@ -455,6 +425,70 @@ class TestServeLoop:
         assert session.closed
         with pytest.raises(QueryError):
             session.flush()
+
+    @pytest.mark.parametrize("delivery_workers", [0, 1])
+    def test_close_from_an_on_refresh_callback_completes(self, delivery_workers):
+        """The callback runs on the serve thread (synchronous bus) or on
+        the delivery worker: close() must neither join nor wait on the
+        thread it is called from, and must finish the shutdown."""
+        db = _database()
+        session = LiveSession(db, delivery_workers=delivery_workers)
+        outcome = {}
+        done = threading.Event()
+
+        def close_from_callback(event):
+            started = time.monotonic()
+            try:
+                session.close()
+            except BaseException as exc:  # noqa: BLE001 — reported below
+                outcome["error"] = exc
+            outcome["seconds"] = time.monotonic() - started
+            done.set()
+
+        session.subscribe(_plans()["filter"], on_refresh=close_from_callback)
+        session.serve(debounce=0.002)
+        current_insert(db.table("R"), (1,), at=20)
+        assert done.wait(timeout=30), "close() never returned"
+        assert "error" not in outcome, outcome
+        assert outcome["seconds"] < 5, "close() waited on its own thread"
+        assert session.closed
+        assert not session.serving
+        assert session.subscriptions == []
+        # The database hook is gone: a later write reaches nobody.
+        events = session.stats()["repro_live_events_total"]
+        current_insert(db.table("R"), (1,), at=21)
+        assert session.stats()["repro_live_events_total"] == events
+
+    def test_stop_serving_from_a_callback_lets_serving_restart(self):
+        """stop_serving() on the serve thread itself cannot join; the old
+        loop must still retire — even when serve() is called again
+        before it noticed — so only one loop ever flushes."""
+        db = _database()
+        session = LiveSession(db)
+        seen = []
+
+        def restart(event):
+            seen.append(threading.current_thread())
+            if len(seen) == 1:
+                session.stop_serving()
+                session.serve(debounce=0.002)
+
+        session.subscribe(_plans()["filter"], on_refresh=restart)
+        session.serve(debounce=0.002)
+        current_insert(db.table("R"), (1,), at=20)
+        deadline = time.monotonic() + 5
+        while not seen and time.monotonic() < deadline:
+            time.sleep(0.005)
+        first = seen[0]
+        first.join(timeout=5)
+        assert not first.is_alive(), "the replaced serve thread kept running"
+        assert session.serving
+        current_insert(db.table("R"), (1,), at=21)
+        deadline = time.monotonic() + 5
+        while len(seen) < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert len(seen) == 2 and seen[1] is not first
+        session.close()
 
     def test_stop_serving_keeps_events_for_explicit_flush(self):
         db = _database()

@@ -1,8 +1,6 @@
-"""Stable shard routing and the sharded dependency index."""
+"""Stable shard routing of plan fingerprints."""
 
-import pytest
-
-from repro.serve.sharding import ShardedDependencyIndex, shard_index
+from repro.serve.sharding import shard_index
 
 
 class TestShardIndex:
@@ -26,51 +24,3 @@ class TestShardIndex:
         for key in keys:
             counts[shard_index(key, 4)] += 1
         assert max(counts) <= 200
-
-
-class TestShardedDependencyIndex:
-    def test_needs_a_shard(self):
-        with pytest.raises(ValueError):
-            ShardedDependencyIndex(0)
-
-    def test_drop_in_dependency_index_api(self):
-        index = ShardedDependencyIndex(4)
-        index.add("q1", {"R", "S"})
-        index.add("q2", {"S"})
-        assert index.affected("S") == {"q1", "q2"}
-        assert index.affected("R") == {"q1"}
-        assert index.affected("T") == frozenset()
-        assert index.tables() == {"R", "S"}
-        assert index.tables_of("q1") == {"R", "S"}
-        assert "q1" in index and "q3" not in index
-        assert len(index) == 2
-        assert index.table_fanout() == {"R": 1, "S": 2}
-
-    def test_remove_clears_all_links(self):
-        index = ShardedDependencyIndex(3)
-        index.add("q1", {"R"})
-        index.remove("q1")
-        assert index.affected("R") == frozenset()
-        assert index.tables() == frozenset()
-        assert len(index) == 0
-
-    def test_re_add_replaces_dependencies(self):
-        index = ShardedDependencyIndex(3)
-        index.add("q1", {"R"})
-        index.add("q1", {"S"})
-        assert index.affected("R") == frozenset()
-        assert index.affected("S") == {"q1"}
-
-    def test_invalidations_route_to_owning_shards(self):
-        index = ShardedDependencyIndex(4)
-        keys = [f"key-{i}" for i in range(32)]
-        for key in keys:
-            index.add(key, {"R"})
-        routed = index.affected_by_shard("R")
-        # Every key appears exactly once, in its owning shard's bucket.
-        seen = [key for keys_ in routed.values() for key in keys_]
-        assert sorted(seen) == sorted(keys)
-        for shard, shard_keys in routed.items():
-            for key in shard_keys:
-                assert index.shard_of(key) == shard
-        assert sum(index.shard_sizes()) == len(keys)
