@@ -113,7 +113,6 @@ from repro.errors import (
 )
 from repro.live import (
     ChangeEvent,
-    DependencyIndex,
     EventBus,
     LiveSession,
     RefreshNotification,
@@ -188,7 +187,6 @@ __all__ = [
     "TimeDomainError",
     # live subscription engine
     "ChangeEvent",
-    "DependencyIndex",
     "EventBus",
     "LiveSession",
     "RefreshNotification",

@@ -197,13 +197,12 @@ def capture_subscriptions(session) -> List[Dict[str, object]]:
     for subscription in session.subscriptions:
         if not subscription.active:
             continue
-        shared = subscription._shared
         statement = getattr(subscription, "statement", None)
         plan_pickle = None
         if statement is None:
             try:
                 plan_pickle = base64.b64encode(
-                    pickle.dumps(shared.plan)
+                    pickle.dumps(subscription.plan)
                 ).decode("ascii")
             except Exception:  # noqa: BLE001 — an unpicklable plan is skippable
                 logger.warning(
@@ -215,7 +214,7 @@ def capture_subscriptions(session) -> List[Dict[str, object]]:
         entries.append(
             {
                 "name": subscription.name,
-                "fingerprint": shared.fingerprint,
+                "fingerprint": subscription.fingerprint,
                 "statement": statement,
                 "plan_pickle": plan_pickle,
                 "reference_time": subscription.reference_time,

@@ -419,8 +419,6 @@ class DeltaEvaluator:
         database,
         *,
         optimize: bool = True,
-        rewrite: Optional[bool] = None,
-        snapshot_stats: Optional[Dict[str, int]] = None,
         tracer=None,
         cost_model=None,
         fingerprint: Optional[str] = None,
@@ -434,10 +432,6 @@ class DeltaEvaluator:
         #: threaded into every operator state so per-probe cost decisions
         #: can consult the model's learned per-plan history.
         self.fingerprint = fingerprint
-        #: Algebraic push-down override for ablations — ``None`` couples
-        #: it to *optimize*, ``False`` plans physically without the
-        #: rewrite (see :func:`repro.engine.planner.plan_query`).
-        self.rewrite = rewrite
         #: The observed-stats :class:`~repro.engine.cost.CostModel` that
         #: operators consult for index-vs-scan probe decisions (threaded
         #: into every :class:`OperatorState` at build time) and that
@@ -450,14 +444,9 @@ class DeltaEvaluator:
         self._root = None
         self._states: Dict[object, OperatorState] = {}
         self._store: Optional[ResultStore] = None
-        #: Shared snapshot counters ({"snapshots_taken": …,
-        #: "snapshots_reused": …}); callers may pass their own dict so
-        #: the numbers survive store rebuilds and evaluator replacement.
-        self.snapshot_stats = (
-            snapshot_stats
-            if snapshot_stats is not None
-            else {"snapshots_taken": 0, "snapshots_reused": 0}
-        )
+        #: Snapshot counters, handed to every store this evaluator
+        #: builds so the numbers survive store rebuilds.
+        self.snapshot_stats = {"snapshots_taken": 0, "snapshots_reused": 0}
         #: Cumulative per-operator counters, keyed by stable tree path
         #: (see :class:`NodeStats`) — the data behind ``explain_analyze``.
         self.node_stats: Dict[str, NodeStats] = {}
@@ -520,7 +509,6 @@ class DeltaEvaluator:
                 self.plan,
                 self.database,
                 optimize=self.optimize,
-                rewrite=self.rewrite,
                 cost_model=self.cost_model,
             )
             self._evaluate(root, root, states, prices)

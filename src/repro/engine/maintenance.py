@@ -1,35 +1,55 @@
-"""One plan's incremental-refresh state machine, shared by every consumer.
+"""One plan's maintenance record: operator state, what changed, how it refreshed.
 
-Both incremental consumers of the delta engine — the single-consumer
-:class:`~repro.engine.views.MaterializedOngoingView` and the shared
-:class:`~repro.live.cache.SharedResult` behind the live subscription
-manager — used to carry their own copy of the same two-part protocol:
+The paper's Sec. IX-C says a materialized ongoing result needs a refresh
+only after an *explicit modification* and is otherwise valid at every
+reference time.  So beyond its operator state a maintained plan has one
+mutable fact — *what was modified since my last refresh* — and one set of
+counters about how it was refreshed.  :class:`IncrementalMaintainer`
+holds both, for every consumer: the single-consumer
+:class:`~repro.engine.views.MaterializedOngoingView` and the live
+session (:mod:`repro.live.manager`), which keeps one maintainer per plan
+fingerprint and nothing else about the plan.
 
-1. **pending deltas** — per-table :class:`~repro.engine.delta.DeltaBuilder`
-   accumulators fed by the database's typed modification hooks;
-2. **refresh with automatic fallback** — propagate the pending deltas
-   through the cached operator state, or fall back to a logged full
-   re-evaluation when the state is cold, the deltas are full-flagged, or
-   the propagation fails.
+**The pending record** (:attr:`IncrementalMaintainer.pending`) is one
+immutable value — the modified tables, the number of change events, the
+commit stamp of the *oldest* of them and, while the operator state is
+warm, the accumulated row deltas per table:
 
-:class:`IncrementalMaintainer` is that protocol, written once.  It is also
-the **single synchronization point** of the concurrent serving layer
-(:mod:`repro.serve`): every mutation of maintenance state happens under
-:attr:`IncrementalMaintainer.lock`, and the full-refresh path additionally
-holds the database's write lock so a re-evaluation and the discard of the
-deltas it subsumes are atomic with respect to concurrent writers — no
-torn reads, no double-applied rows.
+* :meth:`~IncrementalMaintainer.note_change` replaces it with a grown
+  one for every modification of a table the plan reads (others are
+  ignored), whether or not the state is warm;
+* :meth:`~IncrementalMaintainer.refresh` *claims* it whole
+  (:meth:`~IncrementalMaintainer.take_pending`) and propagates its rows
+  through the cached operator state, falling back to a logged full
+  re-evaluation when the state is cold, the deltas are full-flagged, the
+  propagation fails or the cost model measures a full run to be cheaper;
+* :meth:`~IncrementalMaintainer.evaluate` *drops* it whole under the
+  database write lock, which serializes it against ``note_change``
+  (modification hooks fire with that lock held): every modification is
+  either inside the re-read tables or inside the next record, never
+  both, never neither.
 
-Since the versioned result store
-(:class:`~repro.relational.relation.ResultStore`), the maintainer no
-longer *holds* a relation — :attr:`IncrementalMaintainer.result` is a
-**version-aware lazy view**: a delta refresh mutates the store in O(|Δ|)
-and the immutable snapshot consumers read is copied on demand, at most
-once per version.  The maintainer also enforces the memory half of the
-contract: with ``state_budget_bytes`` set, operator state whose estimated
-footprint exceeds the budget is **evicted** after the refresh (the store
-keeps serving) and transparently rebuilt on the next refresh that needs
-it — recompute-on-miss, counted in :attr:`state_evictions` /
+The :class:`RefreshOutcome` says what a refresh answered for — the
+tables, events and oldest stamp of the record it claimed or dropped — so
+a caller never keeps a second account of what was pending: a mark that
+leaves *with* the rows it describes cannot be dropped wrongly.
+
+Lock order, for every consumer: ``database.lock → session lock →
+maintainer lock``.  :attr:`IncrementalMaintainer.lock` guards the pending
+record and the counters; readers of :attr:`IncrementalMaintainer.result`
+and :attr:`IncrementalMaintainer.pending` need no lock at all — the
+result is a **version-aware lazy view** of the versioned store
+(:class:`~repro.relational.relation.ResultStore`: a delta refresh mutates
+it in O(|Δ|), the immutable snapshot consumers read is copied on demand,
+at most once per version) and the record is replaced by a new tuple on
+every change, never updated in place (only its row accumulators are,
+under the lock).
+
+The maintainer also enforces the memory half of the contract: with
+``state_budget_bytes`` set, operator state whose estimated footprint
+exceeds the budget is **evicted** after the refresh (the store keeps
+serving) and transparently rebuilt on the next refresh that needs it —
+recompute-on-miss, counted in :attr:`state_evictions` /
 :attr:`state_rebuilds` and logged like the delta fallbacks.
 """
 
@@ -38,7 +58,7 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, NamedTuple, Optional
 
 from repro.engine.delta import (
     Delta,
@@ -53,9 +73,30 @@ __all__ = ["IncrementalMaintainer", "RefreshOutcome"]
 logger = logging.getLogger("repro.engine.delta")
 
 
+class _Pending(NamedTuple):
+    """What was modified since the last refresh (see the module docstring).
+
+    ``rows`` is complete exactly when the operator state was warm for the
+    record's whole life — and a state only turns warm in
+    :meth:`IncrementalMaintainer.evaluate`, which drops the record — so a
+    warm refresh can always trust the rows it claims.  The builders are
+    the one mutable part: touched only under the maintainer lock, or by
+    the refresh that claimed the record.
+    """
+
+    tables: FrozenSet[str]
+    events: int
+    commit: Optional[object]
+    rows: Dict[str, DeltaBuilder]
+
+
+def _nothing_pending() -> _Pending:
+    return _Pending(frozenset(), 0, None, {})
+
+
 @dataclass(frozen=True)
 class RefreshOutcome:
-    """What one maintenance step did.
+    """What one maintenance step did, and what it answered for.
 
     ``delta`` is the exact result-level change when the refresh
     propagated row deltas through cached operator state, and ``None``
@@ -68,21 +109,29 @@ class RefreshOutcome:
     O(|result|)).  Neither field requires the caller to materialize a
     snapshot: consumers that only need to know *whether* to notify never
     pay a copy.
+
+    ``tables``, ``events`` and ``commit`` are the pending record the step
+    consumed — the modified tables, how many change events it folded
+    together, and the stamp of the oldest of them (``None`` when no
+    stamped write was pending): whatever was noted before the step and is
+    not listed here is still pending after it.
     """
 
     delta: Optional[Delta]
     changed: bool
+    tables: FrozenSet[str]
+    events: int
+    commit: Optional[object]
 
 
 class IncrementalMaintainer:
     """Incremental maintenance of one logical plan, with automatic fallback.
 
     The maintainer owns the plan's :class:`DeltaEvaluator` (and through
-    it the versioned result store), the pending per-table row deltas, and
-    the refresh counters.  All consumers drive it through three entry
-    points:
+    it the versioned result store), the pending record, and the refresh
+    counters.  All consumers drive it through three entry points:
 
-    * :meth:`note_change` — accumulate one table delta (called from the
+    * :meth:`note_change` — record one modification (called from the
       database's modification hooks, under the database write lock);
     * :meth:`evaluate` — full (re-)evaluation, (re)building delta state;
     * :meth:`refresh` — one maintenance step: propagate the pending
@@ -93,11 +142,11 @@ class IncrementalMaintainer:
     served result itself), estimated in storage-layout bytes
     (:meth:`DeltaEvaluator.state_bytes`).  ``None`` means unbounded.
 
-    Thread safety: :attr:`lock` guards the pending map and the counters.  A
+    Thread safety: :attr:`lock` guards the pending record and the counters.  A
     full re-evaluation runs under the owning database's write lock, which
     also serializes it against :meth:`note_change` (modification hooks
     fire with that lock held) — so deltas subsumed by the re-read tables
-    are discarded atomically and can never be applied twice.  Callers
+    are dropped atomically and can never be applied twice.  Callers
     must serialize :meth:`refresh`/:meth:`evaluate` per maintainer (the
     live engine pins each fingerprint to one flush shard); readers of
     :attr:`result` need no lock at all — the store serializes snapshot
@@ -133,19 +182,22 @@ class IncrementalMaintainer:
         #: through to the evaluator's per-operator spans.
         self.tracer = tracer
         self.state_budget_bytes = state_budget_bytes
-        #: Guards the pending map and the counters.
+        #: Guards the pending record and the counters.
         self.lock = threading.RLock()
-        #: Monotonic count of change events *offered* to this maintainer —
-        #: bumped even when the rows are not kept (cold state).  The flush
-        #: path compares it before/after a full re-evaluation to decide
-        #: whether a new modification slipped in and the dirty mark must
-        #: survive.
-        self.changes = 0
-        #: Total refreshes (full evaluations and delta applications).
+        #: Whoever consumes this plan's refreshes — a live session keeps
+        #: the plan's subscriptions here, under its own lock; the
+        #: maintainer itself never reads it.
+        self.subscribers: list = []
+        #: Times the plan was evaluated: every :meth:`evaluate` (the
+        #: first one included) and every delta application.
         self.evaluations = 0
         #: Refreshes that propagated deltas through cached state.
         self.delta_refreshes = 0
-        #: Refreshes that (re-)evaluated the plan from scratch.
+        #: *Refreshes* that had to re-evaluate the plan — cold or evicted
+        #: state, full-flagged deltas, a failed propagation, the cost
+        #: model's choice.  A direct :meth:`evaluate` (the evaluation
+        #: that materializes a plan) is not a refresh and counts under
+        #: :attr:`evaluations` only.
         self.full_refreshes = 0
         #: Incremental attempts that fell back to a full re-evaluation.
         self.delta_fallbacks = 0
@@ -177,7 +229,7 @@ class IncrementalMaintainer:
         )
         self._evicted = False
         self._relevant: FrozenSet[str] = plan.referenced_tables()
-        self._pending: Dict[str, DeltaBuilder] = {}
+        self._pending = _nothing_pending()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -274,48 +326,63 @@ class IncrementalMaintainer:
             cold_reason=cold_reason,
         )
 
+    @property
+    def pending(self) -> _Pending:
+        """The pending record: ``tables``, ``events`` and the oldest
+        ``commit`` stamp of the modifications no refresh has answered
+        for yet.  One consistent value, readable without the lock."""
+        return self._pending
+
+    @property
+    def dirty(self) -> bool:
+        """``True`` iff a table the plan reads was modified since the
+        last refresh — never because time passed."""
+        return self._pending.events > 0
+
     def pending_snapshot(self) -> Dict[str, Delta]:
         """The accumulated-but-unapplied deltas (for introspection)."""
         with self.lock:
             return {
                 table: builder.build()
-                for table, builder in self._pending.items()
+                for table, builder in self._pending.rows.items()
             }
 
     # ------------------------------------------------------------------
     # Delta intake
     # ------------------------------------------------------------------
 
-    def note_change(self, table: str, delta: Delta) -> None:
-        """Accumulate one table delta for the next :meth:`refresh`.
+    def note_change(self, table: str, delta: Delta, commit=None) -> None:
+        """Record one modification of *table* for the next :meth:`refresh`.
 
-        Rows are only worth holding when a later refresh can consume
-        them: not for tables the plan does not read, and not while the
-        operator state is cold (the next refresh is a full evaluation
-        anyway).
+        A table the plan does not read is ignored.  Otherwise the record
+        grows by the table, one event and — if it has none yet — the
+        *commit* stamp: a refresh answers for every write folded into
+        it, so freshness is measured against the oldest one waiting.
+        The rows are only worth holding while a later refresh can
+        consume them, i.e. while the operator state is warm (a cold
+        plan's next refresh is a full evaluation anyway).
         """
+        if table not in self._relevant:
+            return
         with self.lock:
-            self.changes += 1
-            if table not in self._relevant or not self.warm:
-                return
-            builder = self._pending.get(table)
-            if builder is None:
-                builder = self._pending[table] = DeltaBuilder()
-            builder.add(delta)
+            tables, events, oldest, rows = self._pending
+            if table not in tables:
+                tables = tables | {table}
+            if self.warm:
+                builder = rows.get(table)
+                if builder is None:
+                    builder = rows[table] = DeltaBuilder()
+                builder.add(delta)
+            self._pending = _Pending(
+                tables, events + 1, commit if oldest is None else oldest, rows
+            )
 
-    def take_pending(self) -> Dict[str, Delta]:
-        """Atomically drain the pending deltas for application."""
+    def take_pending(self) -> _Pending:
+        """Atomically claim the whole pending record, leaving none."""
         with self.lock:
-            pending = {
-                table: builder.build()
-                for table, builder in self._pending.items()
-            }
-            self._pending = {}
-            return pending
-
-    def discard_pending(self) -> None:
-        with self.lock:
-            self._pending = {}
+            claimed = self._pending
+            self._pending = _nothing_pending()
+            return claimed
 
     # ------------------------------------------------------------------
     # Refresh
@@ -405,32 +472,49 @@ class IncrementalMaintainer:
         """Full (re-)evaluation; (re)builds the delta state.
 
         Runs under the database write lock: the tables are read at one
-        consistent instant, and pending deltas — all subsumed by that
-        read — are discarded in the same critical section, so a
-        concurrent writer's rows are either inside the fresh result (its
-        modification hook ran before we took the lock) or inside the
-        pending map for the next refresh, never both.  Readers stay
-        served throughout: the evaluator keeps its previous store until
-        the rebuilt one is complete.
+        consistent instant, and the pending record — all of it subsumed
+        by that read — is dropped in the same critical section, so a
+        concurrent writer's modification is either inside the fresh
+        result (its hook ran before we took the lock, and the outcome
+        answers for it) or inside the next record, never both.  Readers
+        stay served throughout: the evaluator keeps its previous store
+        until the rebuilt one is complete.
         """
         with self.database.lock:
             # The previously served result, for the changed-comparison of
             # the full path; materializing it here is O(|result|) on a
             # path that is already O(|result|).
             previous = self.result
-            self.discard_pending()
+            dropped = self.take_pending()
             evaluator = self._evaluator
             result = evaluator.refresh_full()
             with self.lock:
                 self._evicted = False
                 self.evaluations += 1
-                self.full_refreshes += 1
             self._observe_costs(
                 evaluator, full_seconds=evaluator.last_full_seconds
             )
             self._maybe_evict(evaluator)
             changed = previous is None or result != previous
-            return RefreshOutcome(None, changed)
+            return RefreshOutcome(
+                None, changed, dropped.tables, dropped.events, dropped.commit
+            )
+
+    def _reevaluate(self, claimed: _Pending) -> RefreshOutcome:
+        """The fall-through of :meth:`refresh`: a refresh that
+        re-evaluates.  It answers for the record the refresh had already
+        *claimed* and for whatever :meth:`evaluate` dropped on top — the
+        events that arrived between the claim and the write lock."""
+        outcome = self.evaluate()
+        with self.lock:
+            self.full_refreshes += 1
+        return RefreshOutcome(
+            None,
+            outcome.changed,
+            claimed.tables | outcome.tables,
+            claimed.events + outcome.events,
+            outcome.commit if claimed.commit is None else claimed.commit,
+        )
 
     def refresh(self) -> RefreshOutcome:
         """One maintenance step; returns the :class:`RefreshOutcome`.
@@ -446,6 +530,7 @@ class IncrementalMaintainer:
         is materialized here.
         """
         evaluator = self._evaluator
+        claimed = self.take_pending()
         if not evaluator.warm:
             with self.lock:
                 if self._evicted:
@@ -455,8 +540,10 @@ class IncrementalMaintainer:
                     self.state_rebuilds += 1
                 else:
                     self.delta_fallbacks += 1
-            return self.evaluate()
-        pending = self.take_pending()
+            return self._reevaluate(claimed)
+        pending = {
+            table: builder.build() for table, builder in claimed.rows.items()
+        }
         decision = evaluator.cost_model.choose_refresh(
             pending_rows=sum(len(delta) for delta in pending.values()),
             apply_seconds=evaluator.apply_seconds_total,
@@ -469,7 +556,7 @@ class IncrementalMaintainer:
         if decision.full:
             # A deliberate cost-based choice, not a delta-rule failure:
             # the projected O(|Δ|) propagation is measured to cost more
-            # than re-evaluating.  evaluate() subsumes the drained rows
+            # than re-evaluating.  evaluate() subsumes the claimed rows
             # by re-reading the tables under the write lock.
             logger.info(
                 "%s (plan %s): cost model chose full refresh (%s)",
@@ -479,7 +566,7 @@ class IncrementalMaintainer:
             )
             with self.lock:
                 self.cost_full_refreshes += 1
-            return self.evaluate()
+            return self._reevaluate(claimed)
         apply_seconds_before = evaluator.apply_seconds_total
         apply_rows_before = evaluator.apply_source_rows_total
         try:
@@ -498,7 +585,7 @@ class IncrementalMaintainer:
             self._record_fallback(exc, cause="delta propagation failed")
             with self.lock:
                 self.delta_fallbacks += 1
-            return self.evaluate()
+            return self._reevaluate(claimed)
         with self.lock:
             self.evaluations += 1
             self.delta_refreshes += 1
@@ -511,4 +598,10 @@ class IncrementalMaintainer:
                 evaluator, per_row_seconds=applied_seconds / applied_rows
             )
         self._maybe_evict(evaluator)
-        return RefreshOutcome(delta, not delta.is_empty())
+        return RefreshOutcome(
+            delta,
+            not delta.is_empty(),
+            claimed.tables,
+            claimed.events,
+            claimed.commit,
+        )

@@ -135,8 +135,8 @@ class PlanNode:
 
         The fingerprint is the SHA-256 hex digest of :meth:`canonical`.
         Structurally equal plans — even when built independently by
-        different clients — share a fingerprint, which is what the live
-        subscription engine keys its shared-result cache on
+        different clients — share a fingerprint, which is the key the
+        live subscription engine shares one materialization per plan by
         (:mod:`repro.live`).  The digest is cached per node; plans are
         immutable, so it never goes stale.
         """

@@ -494,19 +494,15 @@ def plan_query(
     database,
     *,
     optimize: bool = True,
-    rewrite: Optional[bool] = None,
     cost_model: Optional[CostModel] = None,
 ) -> PhysicalOperator:
     """One-shot helper: plan *node* with a fresh :class:`Planner`.
 
     When *optimize* is set the Section VIII algebraic rewrites
     (selection split + push-down) run first, so selective predicates
-    sink toward the scans before physical planning.  *rewrite* overrides
-    that coupling for ablation studies: ``rewrite=False`` keeps the full
-    physical planning (merge joins, index access paths) but skips the
-    algebraic push-down, isolating the rewrite's own contribution.
+    sink toward the scans before physical planning.
     """
-    if optimize if rewrite is None else rewrite:
+    if optimize:
         from repro.engine.rewrite import push_down_selections
 
         node = push_down_selections(node, database)

@@ -7,19 +7,21 @@ explicitly still benefit: serving ``n`` instantiated results from one
 materialized ongoing result amortizes after a small ``n`` (Figs. 11–12),
 whereas Clifford's approach must re-run the query at every reference time.
 
-The view only needs refreshing after *explicit* database modifications —
-never because time passed.  Staleness is event-driven: the view registers
-with the database's typed modification hooks
-(:meth:`~repro.engine.database.Database.add_delta_listener`) and records
-the row deltas that arrive, so :meth:`is_stale` is O(1) and catches
-*every* modification path — including in-place current deletes that the
-old cardinality-polling proxy could not see.
+The view only needs refreshing after *explicit* modifications of the
+tables its plan reads — never because time passed, and never because
+some other table changed.  Staleness is event-driven: the view forwards
+the database's typed modification hooks
+(:meth:`~repro.engine.database.Database.add_delta_listener`) to its
+:class:`~repro.engine.maintenance.IncrementalMaintainer`, whose pending
+record *is* the staleness — :meth:`is_stale` is O(1) and catches every
+modification path, including in-place current deletes that keep the
+cardinality constant.
 
-Refreshes ride the delta-propagation engine through the shared
-:class:`~repro.engine.maintenance.IncrementalMaintainer` (the same state
-machine behind the live engine's shared results): :meth:`refresh` pushes
-the accumulated row deltas through the view's cached operator state,
-costing work proportional to the modifications since the last refresh.
+Refreshes ride the delta-propagation engine through that maintainer (the
+same per-plan record a live session keeps for each of its plans):
+:meth:`refresh` pushes the accumulated row deltas through the view's
+cached operator state, costing work proportional to the modifications
+since the last refresh.
 When that is impossible — cold state, a bulk load that reported no typed
 rows, a non-incrementalizable operator — the view falls back to a full
 re-evaluation automatically (logged on the ``repro.engine.delta`` logger).
@@ -69,7 +71,6 @@ class MaterializedOngoingView:
             database,
             label=f"view {name!r}",
         )
-        self._dirty = True
         # The registered listener holds only a weak reference to the view:
         # views kept the old polling design's "no cleanup needed" contract,
         # so an abandoned view must not be pinned alive by the database.
@@ -82,7 +83,7 @@ class MaterializedOngoingView:
             if view is None:
                 database.remove_delta_listener(_on_change)
             else:
-                view._note_change(table, delta)
+                view._maintainer.note_change(table, delta)
 
         self._listener = database.add_delta_listener(_on_change)
 
@@ -100,11 +101,6 @@ class MaterializedOngoingView:
         """How often the view refreshed by full re-evaluation."""
         return self._maintainer.full_refreshes
 
-    def _note_change(self, table: str, delta: Delta) -> None:
-        """Record one change event: flip the dirty flag, keep the rows."""
-        self._dirty = True
-        self._maintainer.note_change(table, delta)
-
     def refresh(self) -> OngoingRelation:
         """Bring the stored ongoing result up to date.
 
@@ -119,17 +115,17 @@ class MaterializedOngoingView:
         changed version.
         """
         self._maintainer.refresh()
-        self._dirty = False
         return self.result
 
     def is_stale(self) -> bool:
-        """``True`` iff base data changed since the last refresh.
+        """``True`` iff a table the plan reads changed since the last
+        refresh (or the view was never refreshed).
 
         Time passing by never makes an ongoing view stale — only explicit
         modifications (inserts, current deletes/updates) do, and each one
         arrives as a change event from the database's modification hooks.
         """
-        return self._maintainer.result is None or self._dirty
+        return self._maintainer.result is None or self._maintainer.dirty
 
     def close(self) -> None:
         """Detach from the database's modification hooks (idempotent)."""

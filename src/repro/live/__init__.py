@@ -8,12 +8,6 @@ needs, and this package is that service:
 
 * :mod:`repro.live.events` — :class:`ChangeEvent` / :class:`RefreshNotification`
   records and the :class:`EventBus` notifications travel on;
-* :mod:`repro.live.dependencies` — the :class:`DependencyIndex` mapping
-  base tables to the plan fingerprints they invalidate;
-* :mod:`repro.live.cache` — the :class:`ResultCache` of
-  :class:`SharedResult` materializations, keyed by
-  :meth:`~repro.engine.plan.PlanNode.fingerprint`, so structurally equal
-  plans from different clients share one evaluation;
 * :mod:`repro.live.subscription` — the client-side :class:`Subscription`
   handle (cheap :meth:`~Subscription.instantiate` at any reference time,
   per-subscription statistics);
@@ -22,7 +16,12 @@ needs, and this package is that service:
   intake from the database hooks → batched coalescing flushes that
   *propagate* row deltas through cached operator state
   (:mod:`repro.engine.delta`) instead of re-evaluating → notification
-  fan-out with empty-delta suppression;
+  fan-out with empty-delta suppression.  Per plan it holds one
+  :class:`~repro.engine.maintenance.IncrementalMaintainer`, keyed by
+  :meth:`~repro.engine.plan.PlanNode.fingerprint` — structurally equal
+  plans from different clients share one evaluation — plus the
+  ``table → fingerprints`` routing that tells a modification which
+  plans it invalidates;
 * :mod:`repro.live.serving` and :mod:`repro.live.metrics` — the
   session's internal parts: the background flush loop with its debounce
   policy, and the freshness accounting / registry scrape.
@@ -47,22 +46,16 @@ Quickstart::
     session.flush()            # one coalesced delta propagation + notification
 """
 
-from repro.live.cache import ResultCache, SharedResult
-from repro.live.dependencies import DependencyIndex, referenced_tables
 from repro.live.events import ChangeEvent, EventBus, RefreshNotification
 from repro.live.manager import LiveSession, SubscriptionManager
 from repro.live.subscription import Subscription, SubscriptionStats
 
 __all__ = [
     "ChangeEvent",
-    "DependencyIndex",
     "EventBus",
     "LiveSession",
     "RefreshNotification",
-    "ResultCache",
-    "SharedResult",
     "Subscription",
     "SubscriptionManager",
     "SubscriptionStats",
-    "referenced_tables",
 ]

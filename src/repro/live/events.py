@@ -233,6 +233,18 @@ class EventBus:
         """Undelivered payloads — none: :meth:`publish` ran them inline."""
         return 0
 
+    def stats(self) -> Dict[str, int]:
+        """The delivery counters under the asynchronous bus's keys:
+        whatever was queued was delivered on the spot, so nothing was
+        dropped or coalesced and nothing waits."""
+        return {
+            "queued": self.delivered,
+            "delivered": self.delivered,
+            "dropped": 0,
+            "coalesced": 0,
+            "backlog": 0,
+        }
+
     def oldest_commit_age(
         self, topic: str, now: Optional[float] = None
     ) -> Optional[float]:

@@ -4,14 +4,16 @@
 of the live engine, and it is **one pipeline**:
 
 1. **registration** — :meth:`~SubscriptionManager.subscribe` rewrites the
-   plan, shares one :class:`~repro.live.cache.SharedResult` per
-   fingerprint (:class:`~repro.live.cache.ResultCache`), records which
-   tables it reads (:class:`~repro.live.dependencies.DependencyIndex`)
-   and attaches the callback to the bus;
-2. **intake** — the database's modification hook marks the dependent
-   fingerprints dirty, hands each its typed row delta
-   (:class:`~repro.engine.delta.Delta`) and wakes the serve loop.
-   Intake never refreshes;
+   plan and attaches the subscription to the plan's
+   :class:`~repro.engine.maintenance.IncrementalMaintainer` — one per
+   fingerprint, created and evaluated by the first subscriber, shared by
+   every later one — routes the tables it reads to it, and attaches the
+   callback to the bus;
+2. **intake** — the database's modification hook hands each plan that
+   reads the modified table the typed row delta
+   (:class:`~repro.engine.delta.Delta`) and its commit stamp, remembers
+   where :meth:`~SubscriptionManager.flush` has to look, and wakes the
+   serve loop.  Intake never refreshes;
 3. **flush** — :meth:`~SubscriptionManager.flush` refreshes each dirty
    plan **once**, however many modifications accumulated, by
    *propagating* the coalesced deltas through the plan's cached operator
@@ -54,11 +56,19 @@ flush, drains every queue, and joins all workers.  Freshness accounting
 and the metrics scrape live in :mod:`repro.live.metrics`; decoding a
 checkpointed subscription in :mod:`repro.durable.snapshot`.
 
-Thread-safety: session state (dirty sets, stats, cache, dependency
-index, registrations) is guarded by one session lock; write intake runs
-under the database write lock (modification hooks fire while it is
-held), and the lock order is always ``database.lock → session lock →
-maintainer lock``.  Calling :meth:`flush`, :meth:`stop_serving` or
+What a session knows about a plan is that one maintainer: *what was
+modified since its last refresh* is the maintainer's pending record
+(claimed whole by the refresh that answers for it), *how it was
+refreshed* is the maintainer's counters (summed by :meth:`stats`, retired
+into the session's totals when the last subscriber leaves).  Beside it
+the session keeps only ``table → fingerprints`` routing and the set of
+fingerprints to look at.
+
+Thread-safety: session state (plans, routing, dirty set, stats,
+registrations) is guarded by one session lock; write intake runs under
+the database write lock (modification hooks fire while it is held), and
+the lock order is always ``database.lock → session lock → maintainer
+lock``.  Calling :meth:`flush`, :meth:`stop_serving` or
 :meth:`close` from inside an ``on_refresh`` callback is safe — a nested
 flush is folded into the running one, and no loop ever waits for or
 joins the thread it is called on.
@@ -68,11 +78,12 @@ from __future__ import annotations
 
 import logging
 import threading
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Union
+from typing import Callable, Collection, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.timeline import TimePoint
-from repro.engine.database import CommitStamp, Database
+from repro.engine.database import Database
 from repro.engine.delta import Delta
+from repro.engine.maintenance import IncrementalMaintainer
 from repro.engine.plan import PlanNode
 from repro.engine.rewrite import push_down_selections
 from repro.errors import QueryError
@@ -80,8 +91,6 @@ from repro.obs.registry import Registry
 from repro.obs.slo import FreshnessSLO
 from repro.obs.trace import NULL_TRACER, TraceRecorder
 
-from repro.live.cache import ResultCache, SharedResult
-from repro.live.dependencies import DependencyIndex, referenced_tables
 from repro.live.events import ChangeEvent, EventBus, RefreshNotification
 from repro.live.metrics import SessionMetrics
 from repro.live.serving import ServeLoop
@@ -90,6 +99,22 @@ from repro.live.subscription import Subscription
 __all__ = ["SubscriptionManager", "LiveSession"]
 
 logger = logging.getLogger("repro.live.manager")
+
+#: ``(stats key, maintainer attribute)``: the counters a plan keeps about
+#: its own refreshes.  ``stats()`` reports each as the live plans' sum
+#: plus what dropped plans retired — one list for both, so a refresh is
+#: counted once, where it happens.
+_PLAN_COUNTERS = (
+    ("repro_live_evaluations_total", "evaluations"),
+    ("repro_live_delta_refreshes_total", "delta_refreshes"),
+    ("repro_live_full_refreshes_total", "full_refreshes"),
+    ("repro_live_cost_full_refreshes_total", "cost_full_refreshes"),
+    ("repro_live_cost_adaptations_total", "cost_adaptations"),
+    ("repro_store_snapshots_taken_total", "snapshots_taken"),
+    ("repro_store_snapshots_reused_total", "snapshots_reused"),
+    ("repro_store_state_evictions_total", "state_evictions"),
+    ("repro_store_state_rebuilds_total", "state_rebuilds"),
+)
 
 
 class SubscriptionManager:
@@ -171,38 +196,30 @@ class SubscriptionManager:
         )
         #: Guards all session state below (never held while delivering).
         self._lock = threading.RLock()
-        self._cache = ResultCache()
-        self._dependencies = DependencyIndex()
+        #: fingerprint → the plan's one record (:meth:`_attach_plan` /
+        #: :meth:`_release_plan` are the only writers of this and the
+        #: next two).
+        self._plans: Dict[str, IncrementalMaintainer] = {}
+        #: table → fingerprints of the plans that read it.
+        self._routes: Dict[str, Set[str]] = {}
+        #: Where :meth:`flush` has to look: the fingerprints intake
+        #: touched since the last round, in first-touched order (a dict
+        #: for its order — rounds refresh deterministically).  Only a
+        #: hint: *what* is pending is the maintainer's record.
+        self._dirty: Dict[str, None] = {}
         self._subscriptions: Dict[int, Subscription] = {}
-        #: fingerprint → tables modified since that result's last refresh.
-        self._dirty: Dict[str, Set[str]] = {}
-        #: fingerprint → number of change events since last refresh.
-        self._dirty_events: Dict[str, int] = {}
-        #: fingerprint → commit stamp of the *oldest* unapplied
-        #: modification (set once per dirty cycle via ``setdefault``,
-        #: popped by the refresh).  The conservative base for both the
-        #: freshness histogram and the staleness gauges.
-        self._dirty_commits: Dict[str, CommitStamp] = {}
+        #: The session's own counters.  The :data:`_PLAN_COUNTERS` keys
+        #: hold what dropped plans retired, so totals stay monotonic.
         self._stats = {
             "repro_live_events_total": 0,
             "repro_live_flushes_total": 0,
-            "repro_live_evaluations_total": 0,
-            "repro_live_delta_refreshes_total": 0,
-            "repro_live_full_refreshes_total": 0,
             "repro_live_suppressed_notifications_total": 0,
             "repro_live_notifications_total": 0,
             "repro_live_refresh_errors_total": 0,
+            "repro_live_cache_hits_total": 0,
+            "repro_live_cache_misses_total": 0,
             "repro_shard_worker_failures_total": 0,
-        }
-        #: Store/budget counters of shared results whose last subscriber
-        #: left — folded into stats() so the totals stay monotonic.
-        self._retired_store_stats = {
-            "snapshots_taken": 0,
-            "snapshots_reused": 0,
-            "state_evictions": 0,
-            "state_rebuilds": 0,
-            "cost_full_refreshes": 0,
-            "cost_adaptations": 0,
+            **{key: 0 for key, _ in _PLAN_COUNTERS},
         }
         self._unsubscribe_bus: Dict[int, Callable[[], None]] = {}
         self._closed = False
@@ -283,71 +300,96 @@ class SubscriptionManager:
         # plan is the canonical sharing key — two subscribers whose plans
         # normalize to the same shape share one materialization.
         plan = push_down_selections(plan, self.database)
-        # The database lock spans dependency registration and the first
+        # The database lock spans plan registration and the first
         # evaluation: no modification can slip between them, so the
         # freshly built operator state is exactly as-of the registration.
         with self.database.lock:
             with self._lock:
-                shared, created = self._cache.get_or_create(
-                    plan,
-                    self.database,
-                    state_budget_bytes=self.state_budget_bytes,
-                    registry=self.metrics,
-                    tracer=self.tracer,
-                )
+                maintainer, created = self._attach_plan(plan)
+            try:
                 if created:
-                    self._dependencies.add(
-                        shared.fingerprint, referenced_tables(plan)
-                    )
-            if created:
-                try:
-                    shared.evaluate()
-                except Exception:
-                    # Roll the registration back: a dead entry must not be
-                    # cache-hit by a later subscribe of the same plan.
-                    with self._lock:
-                        self._cache.remove(shared.fingerprint)
-                        self._dependencies.remove(shared.fingerprint)
-                    raise
-                with self._lock:
-                    self._stats["repro_live_evaluations_total"] += 1
-            subscription = Subscription(
-                self,
-                shared,
-                on_refresh=on_refresh,
-                reference_time=reference_time,
-                name=name,
-                notify_on_no_change=notify_on_no_change,
-                statement=statement,
-                backpressure=backpressure,
-                queue_capacity=queue_capacity,
-            )
-            # Register the bus listener *before* attaching the
-            # subscription (and before releasing the write lock): once
-            # attached, a flush on another thread may notify immediately,
-            # and a topic with no listener yet would drop that delivery.
-            unsubscribe = None
-            if on_refresh is not None:
-                topic = f"refresh:{subscription.id}"
-                try:
+                    maintainer.evaluate()
+                subscription = Subscription(
+                    self,
+                    maintainer,
+                    on_refresh=on_refresh,
+                    reference_time=reference_time,
+                    name=name,
+                    notify_on_no_change=notify_on_no_change,
+                    statement=statement,
+                    backpressure=backpressure,
+                    queue_capacity=queue_capacity,
+                )
+                # Register the bus listener *before* attaching the
+                # subscription (and before releasing the write lock):
+                # once attached, a flush on another thread may notify
+                # immediately, and a topic with no listener yet would
+                # drop that delivery.
+                unsubscribe = None
+                if on_refresh is not None:
                     unsubscribe = self.bus.subscribe(
-                        topic,
+                        f"refresh:{subscription.id}",
                         on_refresh,
                         capacity=queue_capacity,
                         policy=backpressure,
                     )
-                except Exception:
-                    with self._lock:
-                        if created and not shared.subscribers:
-                            self._cache.remove(shared.fingerprint)
-                            self._dependencies.remove(shared.fingerprint)
-                    raise
+            except Exception:
+                # Roll the registration back: a plan that failed to
+                # evaluate, or that nobody ended up subscribed to, must
+                # not be cache-hit by a later subscribe of the same plan.
+                with self._lock:
+                    self._release_plan(maintainer)
+                raise
             with self._lock:
-                shared.subscribers.append(subscription)
+                maintainer.subscribers.append(subscription)
                 self._subscriptions[subscription.id] = subscription
                 if unsubscribe is not None:
                     self._unsubscribe_bus[subscription.id] = unsubscribe
         return subscription
+
+    def _attach_plan(self, plan: PlanNode) -> Tuple[IncrementalMaintainer, bool]:
+        """The maintainer of *plan*'s fingerprint and whether this call
+        registered it — the one place a plan enters the session (session
+        lock held; the caller evaluates a new one before anyone can
+        reach it)."""
+        fingerprint = plan.fingerprint()
+        maintainer = self._plans.get(fingerprint)
+        if maintainer is not None:
+            self._stats["repro_live_cache_hits_total"] += 1
+            return maintainer, False
+        self._stats["repro_live_cache_misses_total"] += 1
+        maintainer = self._plans[fingerprint] = IncrementalMaintainer(
+            plan,
+            self.database,
+            label=f"plan {fingerprint[:12]}",
+            state_budget_bytes=self.state_budget_bytes,
+            fingerprint=fingerprint,
+            registry=self.metrics,
+            tracer=self.tracer,
+        )
+        for table in plan.referenced_tables():
+            self._routes.setdefault(table, set()).add(fingerprint)
+        return maintainer, True
+
+    def _release_plan(self, maintainer: IncrementalMaintainer) -> None:
+        """Unregister *maintainer*'s plan unless somebody is still
+        subscribed to it — the one place a plan leaves the session
+        (session lock held).  Its routes go (so a table no live plan
+        reads drops out of the routing map), its dirty mark goes, and
+        its counters retire into the session totals so :meth:`stats`
+        never goes backward."""
+        if maintainer.subscribers:
+            return
+        fingerprint = maintainer.fingerprint
+        del self._plans[fingerprint]
+        for table in maintainer.plan.referenced_tables():
+            readers = self._routes[table]
+            readers.discard(fingerprint)
+            if not readers:
+                del self._routes[table]
+        self._dirty.pop(fingerprint, None)
+        for key, attribute in _PLAN_COUNTERS:
+            self._stats[key] += getattr(maintainer, attribute)
 
     def subscribe_sql(self, statement: str, **kwargs) -> Subscription:
         """Compile an OSQL statement and register it (see :meth:`subscribe`).
@@ -433,41 +475,22 @@ class SubscriptionManager:
 
     def unsubscribe(self, subscription: Subscription) -> None:
         """Detach *subscription*; the last subscriber of a plan drops its
-        materialization, dependency links, and dirty state."""
+        materialization, routes, and dirty state."""
         with self._lock:
             if self._subscriptions.pop(subscription.id, None) is None:
                 return
             unsubscribe_bus = self._unsubscribe_bus.pop(subscription.id, None)
         if unsubscribe_bus is not None:
             unsubscribe_bus()
-        shared = subscription._shared
-        subscription._detach()
-        if shared is None:
+        maintainer = subscription._detach()
+        if maintainer is None:
             return
         with self._lock:
             try:
-                shared.subscribers.remove(subscription)
+                maintainer.subscribers.remove(subscription)
             except ValueError:
                 pass
-            if not shared.subscribers:
-                # The last subscriber leaving must fully unregister the
-                # plan: cache entry, dependency links (so the table →
-                # fingerprint index drops tables no live plan reads
-                # anymore), and any accumulated dirty/delta state.  Its
-                # store/budget counters retire into the session totals so
-                # stats() never goes backward.
-                retired = self._retired_store_stats
-                retired["snapshots_taken"] += shared.snapshots_taken
-                retired["snapshots_reused"] += shared.snapshots_reused
-                retired["state_evictions"] += shared.state_evictions
-                retired["state_rebuilds"] += shared.state_rebuilds
-                retired["cost_full_refreshes"] += shared.cost_full_refreshes
-                retired["cost_adaptations"] += shared.cost_adaptations
-                self._cache.remove(shared.fingerprint)
-                self._dependencies.remove(shared.fingerprint)
-                self._dirty.pop(shared.fingerprint, None)
-                self._dirty_events.pop(shared.fingerprint, None)
-                self._dirty_commits.pop(shared.fingerprint, None)
+            self._release_plan(maintainer)
 
     def close(self) -> None:
         """Close every subscription, stop and join all serving workers.
@@ -483,6 +506,10 @@ class SubscriptionManager:
             return
         self.stop_serving()
         self.database.remove_delta_listener(self._listener)
+        # The one place left that asks which bus it holds: a session
+        # without worker threads has never flushed on close(), and
+        # starting to deliver owed notifications there would be a change
+        # of behaviour, not of structure.
         if self._scheduler is not None or self.delivery_workers:
             try:
                 self.flush()  # deliver what is owed before teardown
@@ -517,8 +544,8 @@ class SubscriptionManager:
     # ------------------------------------------------------------------
 
     def _intake(self, table: str, version: int, delta: Delta) -> None:
-        """Database modification hook: mark dependents dirty, accumulate
-        the row delta per dirty plan, wake the serve loop.
+        """Database modification hook: hand the row delta to every plan
+        that reads *table*, mark those plans dirty, wake the serve loop.
 
         Runs with the database write lock held (hooks fire inside the
         write), so intake is serialized across writer threads and a
@@ -536,23 +563,10 @@ class SubscriptionManager:
             )
             with self._lock:
                 self._stats["repro_live_events_total"] += 1
-                affected = self._dependencies.affected(table)
+                affected = self._routes.get(table, ())
                 for fingerprint in affected:
-                    self._dirty.setdefault(fingerprint, set()).add(table)
-                    self._dirty_events[fingerprint] = (
-                        self._dirty_events.get(fingerprint, 0) + 1
-                    )
-                    if commit is not None:
-                        # Keep the *oldest* pending stamp: a refresh
-                        # answers for every coalesced write, so freshness
-                        # must be measured against the first one still
-                        # waiting.
-                        self._dirty_commits.setdefault(fingerprint, commit)
-                    shared = self._cache.get(fingerprint)
-                    if shared is not None:
-                        shared.note_change(table, delta)
-                        for subscription in shared.subscribers:
-                            subscription.stats.pending_events += 1
+                    self._dirty[fingerprint] = None
+                    self._plans[fingerprint].note_change(table, delta, commit)
             if affected:
                 # The serve loop (if running) owns flushing: it debounces
                 # and flushes on its own thread, never inline under the
@@ -565,7 +579,7 @@ class SubscriptionManager:
 
     @property
     def pending(self) -> int:
-        """Number of shared results currently marked dirty."""
+        """Number of plans the next flush round will look at."""
         with self._lock:
             return len(self._dirty)
 
@@ -615,15 +629,10 @@ class SubscriptionManager:
             while True:
                 with self._lock:
                     self._reentrant_flush_requested = False
-                    dirty = self._dirty
-                    dirty_events = self._dirty_events
-                    self._dirty = {}
-                    self._dirty_events = {}
+                    dirty, self._dirty = self._dirty, {}
                 if dirty:
-                    tracer = self._spans
-                    events = sum(dirty_events.values()) if tracer.enabled else 0
-                    with tracer.span("flush", plans=len(dirty), events=events):
-                        refreshed += self._run_round(dirty, dirty_events)
+                    with self._spans.span("flush", plans=len(dirty)):
+                        refreshed += self._run_round(dirty)
                     with self._lock:
                         self._stats["repro_live_flushes_total"] += 1
                 with self._lock:
@@ -641,27 +650,11 @@ class SubscriptionManager:
                 self._flushing = False
             raise
 
-    def _run_round(
-        self, dirty: Dict[str, Set[str]], dirty_events: Dict[str, int]
-    ) -> int:
+    def _run_round(self, dirty: Collection[str]) -> int:
         """Refresh one snapshot of dirty fingerprints, serial or sharded."""
         if self._scheduler is not None:
-            return self._scheduler.flush(
-                {
-                    fingerprint: frozenset(tables)
-                    for fingerprint, tables in dirty.items()
-                },
-                dirty_events,
-            )
-        refreshed = 0
-        for fingerprint, changed_tables in dirty.items():
-            if self._refresh_one(
-                fingerprint,
-                frozenset(changed_tables),
-                dirty_events.get(fingerprint, 0),
-            ):
-                refreshed += 1
-        return refreshed
+            return self._scheduler.flush(dirty)
+        return sum(self._refresh_one(fingerprint) for fingerprint in dirty)
 
     def _on_shard_failure(
         self, shard: int, fingerprint: str, exc: BaseException
@@ -681,67 +674,52 @@ class SubscriptionManager:
         except Exception:  # noqa: BLE001 — reporting must never re-raise
             logger.exception("shard failure announcement failed")
 
-    def _refresh_one(
-        self, fingerprint: str, changed_tables: FrozenSet[str], coalesced: int
-    ) -> bool:
-        """Refresh one shared result and notify its subscriptions.
+    def _refresh_one(self, fingerprint: str) -> bool:
+        """Refresh one plan and notify its subscriptions.
 
         The single refresh routine behind serial flushes and shard
         workers alike; returns ``True`` when a refresh was performed.
+        The dirty set only said where to look — what the refresh answers
+        for (tables, coalesced events, oldest commit stamp) is the
+        pending record it claims, reported back on the outcome.
         """
-        tracer = self._spans
-        tables = sorted(changed_tables) if tracer.enabled else ()
-        with tracer.span(
+        with self._lock:
+            maintainer = self._plans.get(fingerprint)
+        if maintainer is None:  # every subscriber left while dirty
+            return False
+        announced = maintainer.pending  # at least this; the claim may hold more
+        if not announced.events:
+            # Nothing to answer for: the write that left this mark landed
+            # after an earlier round snapshotted the dirty set but before
+            # its refresh claimed the record — its rows went with that
+            # claim.
+            return False
+        with self._spans.span(
             "refresh",
             fingerprint=fingerprint[:12],
-            tables=tables,
-            coalesced=coalesced,
+            tables=announced.tables,
+            coalesced=announced.events,
         ):
-            with self._lock:
-                shared = self._cache.get(fingerprint)
-                # Claim the oldest pending stamp: writes landing *during*
-                # the refresh setdefault a fresh stamp for the next cycle.
-                commit = self._dirty_commits.pop(fingerprint, None)
-            if shared is None:  # all subscribers left while dirty
-                return False
-            epoch = shared.change_count()
             try:
-                outcome = shared.refresh()
+                outcome = maintainer.refresh()
             except Exception as exc:  # noqa: BLE001 — isolate per plan
                 with self._lock:
                     self._stats["repro_live_refresh_errors_total"] += 1
                 self.bus.publish("error", (fingerprint, exc))
                 return False
-            result_delta = outcome.delta
-            changed = outcome.changed
-            if result_delta is None:
-                with self._lock:
-                    # The full re-evaluation read the tables under the
-                    # write lock and subsumed every change event offered
-                    # before it ran; its dirty mark is only kept when a
-                    # *new* event arrived meanwhile (the change counter
-                    # moved) — dropping that one would lose an update,
-                    # re-flushing an already subsumed one would only
-                    # waste a suppressed refresh.
-                    if shared.change_count() == epoch:
-                        self._dirty.pop(fingerprint, None)
-                        self._dirty_events.pop(fingerprint, None)
-                    self._stats["repro_live_full_refreshes_total"] += 1
-                    self._stats["repro_live_evaluations_total"] += 1
-            else:
-                with self._lock:
-                    self._stats["repro_live_delta_refreshes_total"] += 1
-                    self._stats["repro_live_evaluations_total"] += 1
-            for subscription in list(shared.subscribers):
-                if not changed and not subscription.notify_on_no_change:
-                    subscription._mark_unchanged(coalesced)
+            for subscription in list(maintainer.subscribers):
+                if not outcome.changed and not subscription.notify_on_no_change:
+                    subscription._mark_unchanged(outcome.events)
                     with self._lock:
                         self._stats[
                             "repro_live_suppressed_notifications_total"
                         ] += 1
                     continue
                 delivered = subscription._notify(
-                    changed_tables, coalesced, delta=result_delta, commit=commit
+                    outcome.tables,
+                    outcome.events,
+                    delta=outcome.delta,
+                    commit=outcome.commit,
                 )
                 with self._lock:
                     self._stats["repro_live_notifications_total"] += delivered
@@ -803,7 +781,7 @@ class SubscriptionManager:
         """How many queues can legitimately hold one item each after a
         single write: every subscription's mailbox, every shared plan."""
         with self._lock:
-            return len(self._subscriptions) + len(self._cache)
+            return len(self._subscriptions) + len(self._plans)
 
     # ------------------------------------------------------------------
     # Freshness accounting
@@ -830,14 +808,10 @@ class SubscriptionManager:
         with self._lock:
             return list(self._subscriptions.values())
 
-    def shared_results(self) -> List[SharedResult]:
+    def shared_results(self) -> List[IncrementalMaintainer]:
+        """The maintainer of every materialized plan, by fingerprint."""
         with self._lock:
-            return [
-                entry
-                for fingerprint in sorted(self._cache.fingerprints())
-                for entry in (self._cache.get(fingerprint),)
-                if entry is not None
-            ]
+            return [self._plans[key] for key in sorted(self._plans)]
 
     def explain_analyze(
         self, fingerprint: Optional[str] = None, *, format: str = "text"
@@ -881,69 +855,42 @@ class SubscriptionManager:
         ``shard_failures``, ``serving``, ``delivery_workers``,
         ``flush_shards``.
 
-        Beyond the refresh counters, the serving layer adds: queued /
-        dropped / coalesced notification counts and the delivery backlog
-        (on the synchronous bus every notification is delivered as it is
-        queued, nothing drops, coalesces or waits) plus per-shard flush
-        counts; the result-store layer adds snapshot copy/reuse and
-        state evict/rebuild counters summed over all shared results; the
-        cost model adds its deliberate full-refresh count
-        (``repro_live_cost_full_refreshes_total``).
+        The refresh, cost-model and result-store counters
+        (``evaluations`` / ``delta_refreshes`` / ``full_refreshes``,
+        ``cost_*``, snapshot copy/reuse, state evict/rebuild) are each
+        plan's own, summed over the live plans plus what dropped plans
+        retired — ``full_refreshes`` counts *refreshes* that had to
+        re-evaluate, so the evaluation that materializes a plan is an
+        ``evaluations`` only.  The serving layer adds the bus's queued /
+        delivered / dropped / coalesced counts and its backlog (on the
+        synchronous bus everything is delivered as it is queued) plus
+        per-shard flush counts.
         """
         with self._lock:
-            retired = self._retired_store_stats
-            snapshots_taken = retired["snapshots_taken"]
-            snapshots_reused = retired["snapshots_reused"]
-            state_evictions = retired["state_evictions"]
-            state_rebuilds = retired["state_rebuilds"]
-            cost_full_refreshes = retired["cost_full_refreshes"]
-            cost_adaptations = retired["cost_adaptations"]
-            for fingerprint in self._cache.fingerprints():
-                entry = self._cache.get(fingerprint)
-                if entry is None:
-                    continue
-                snapshots_taken += entry.snapshots_taken
-                snapshots_reused += entry.snapshots_reused
-                state_evictions += entry.state_evictions
-                state_rebuilds += entry.state_rebuilds
-                cost_full_refreshes += entry.cost_full_refreshes
-                cost_adaptations += entry.cost_adaptations
             data: Dict[str, object] = {
                 **self._stats,
                 "repro_live_subscriptions": len(self._subscriptions),
-                "repro_live_shared_results": len(self._cache),
-                "repro_live_cache_hits_total": self._cache.hits,
-                "repro_live_cache_misses_total": self._cache.misses,
+                "repro_live_shared_results": len(self._plans),
                 "repro_live_dirty_plans": len(self._dirty),
-                "repro_live_cost_full_refreshes_total": cost_full_refreshes,
-                "repro_live_cost_adaptations_total": cost_adaptations,
-                "table_fanout": self._dependencies.table_fanout(),
-                "repro_store_snapshots_taken_total": snapshots_taken,
-                "repro_store_snapshots_reused_total": snapshots_reused,
-                "repro_store_state_evictions_total": state_evictions,
-                "repro_store_state_rebuilds_total": state_rebuilds,
+                "table_fanout": {
+                    table: len(readers)
+                    for table, readers in self._routes.items()
+                },
             }
+            for key, attribute in _PLAN_COUNTERS:
+                data[key] += sum(
+                    getattr(maintainer, attribute)
+                    for maintainer in self._plans.values()
+                )
         data["delivery_workers"] = self.delivery_workers
         data["flush_shards"] = self.flush_shards
         data["serving"] = self.serving
-        if self.delivery_workers:
-            bus_stats = self.bus.stats()
-            data["repro_serve_queued_notifications_total"] = bus_stats["queued"]
-            data["repro_serve_delivered_notifications_total"] = bus_stats[
-                "delivered"
-            ]
-            data["repro_serve_dropped_notifications_total"] = bus_stats["dropped"]
-            data["repro_serve_coalesced_notifications_total"] = bus_stats[
-                "coalesced"
-            ]
-            data["repro_serve_delivery_backlog"] = bus_stats["backlog"]
-        else:
-            notifications = data["repro_live_notifications_total"]
-            data["repro_serve_queued_notifications_total"] = notifications
-            data["repro_serve_delivered_notifications_total"] = notifications
-            data["repro_serve_dropped_notifications_total"] = 0
-            data["repro_serve_coalesced_notifications_total"] = 0
-            data["repro_serve_delivery_backlog"] = 0
+        bus_stats = self.bus.stats()
+        data["repro_serve_queued_notifications_total"] = bus_stats["queued"]
+        data["repro_serve_delivered_notifications_total"] = bus_stats["delivered"]
+        data["repro_serve_dropped_notifications_total"] = bus_stats["dropped"]
+        data["repro_serve_coalesced_notifications_total"] = bus_stats["coalesced"]
+        data["repro_serve_delivery_backlog"] = bus_stats["backlog"]
         data["shard_flushes"] = (
             self._scheduler.flush_counts() if self._scheduler is not None else ()
         )

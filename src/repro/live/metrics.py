@@ -68,7 +68,7 @@ CANONICAL_SAMPLES = (
     ("repro_live_shared_results", "gauge",
      "Distinct plans currently materialized"),
     ("repro_live_dirty_plans", "gauge",
-     "Shared results currently marked dirty"),
+     "Plans the next flush round will look at"),
     ("repro_store_snapshots_taken_total", "counter",
      "Result-store snapshot copies materialized"),
     ("repro_store_snapshots_reused_total", "counter",
@@ -96,10 +96,6 @@ OPERATOR_SAMPLES = (
      "Incremental delta applications per plan operator"),
     ("repro_delta_apply_seconds_total", "apply_seconds", "counter",
      "Cumulative wall time in apply_delta per operator"),
-    ("repro_delta_rows_in_total", "delta_rows_in", "counter",
-     "Delta rows fed into each operator"),
-    ("repro_delta_rows_out_total", "delta_rows_out", "counter",
-     "Delta rows emitted by each operator"),
     ("repro_operator_fallbacks_total", "fallbacks", "counter",
      "Non-incremental fallbacks raised at this operator"),
     ("repro_operator_state_rows", "state_rows", "gauge",
@@ -178,19 +174,17 @@ class SessionMetrics:
         """
         session = self._session
         now = time.monotonic()
-        with session._lock:
-            entries = [
-                (subscription.name, subscription.id, subscription.fingerprint)
-                for subscription in session._subscriptions.values()
-            ]
-            dirty_commits = dict(session._dirty_commits)
         ages: Dict[str, float] = {}
-        for name, sub_id, fingerprint in entries:
+        for subscription in session.subscriptions:
+            name = subscription.name
             age = 0.0
-            stamp = dirty_commits.get(fingerprint)
+            maintainer = subscription._maintainer
+            stamp = None if maintainer is None else maintainer.pending.commit
             if stamp is not None:
                 age = max(age, now - stamp.at)
-            queued = session.bus.oldest_commit_age(f"refresh:{sub_id}", now)
+            queued = session.bus.oldest_commit_age(
+                f"refresh:{subscription.id}", now
+            )
             if queued is not None:
                 age = max(age, queued)
             ages[name] = max(age, ages.get(name, 0.0))
@@ -210,16 +204,6 @@ class SessionMetrics:
             Sample(name, {}, float(stats[name]), kind, help_text)
             for name, kind, help_text in CANONICAL_SAMPLES
         ]
-        for table, fanout in sorted(stats["table_fanout"].items()):
-            samples.append(
-                Sample(
-                    "repro_live_table_fanout",
-                    {"table": table},
-                    float(fanout),
-                    "gauge",
-                    "Live plans depending on each base table",
-                )
-            )
         for name, age in sorted(self.staleness().items()):
             samples.append(
                 Sample(

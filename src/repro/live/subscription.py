@@ -2,8 +2,11 @@
 
 A :class:`Subscription` is one client's registration of an ongoing query.
 It does **not** own a materialization — it points at the
-:class:`~repro.live.cache.SharedResult` for its plan fingerprint, so any
-number of clients with structurally equal plans share one evaluation.
+:class:`~repro.engine.maintenance.IncrementalMaintainer` the session
+keeps for its plan fingerprint, so any number of clients with
+structurally equal plans share one evaluation (the server-side half of
+the paper's amortization argument, Figs. 11–12: evaluate once, let every
+subscriber instantiate cheaply at its own reference time).
 
 The handle exposes exactly the two cheap operations the paper promises
 stay valid as time passes: reading the ongoing result and instantiating
@@ -18,12 +21,12 @@ from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, Optional, TYPE_CHECKING
 
 from repro.core.timeline import TimePoint
+from repro.engine.maintenance import IncrementalMaintainer
 from repro.engine.plan import PlanNode
 from repro.errors import QueryError
 from repro.relational.relation import OngoingRelation
 from repro.relational.tuples import FixedTuple
 
-from repro.live.cache import SharedResult
 from repro.live.events import RefreshNotification
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
@@ -39,18 +42,25 @@ class SubscriptionStats:
     ``refreshes`` counts re-evaluations of the shared result observed by
     this subscription; ``notifications`` counts ``on_refresh`` deliveries;
     ``coalesced_events`` counts base-table change events that were folded
-    into those refreshes; ``instantiations`` counts the cheap serving
+    into those refreshes; ``pending_events`` those no refresh has
+    answered for yet (a read of the plan's pending record, ``0`` once the
+    subscription is closed); ``instantiations`` counts the cheap serving
     operation.  There is deliberately no clock anywhere in here.
     """
 
     refreshes: int = 0
     notifications: int = 0
     coalesced_events: int = 0
-    pending_events: int = 0
     instantiations: int = 0
     #: Refresh rounds whose propagated delta was empty for this
     #: subscription's result — suppressed unless ``notify_on_no_change``.
     suppressed: int = 0
+    _maintainer: Optional[IncrementalMaintainer] = field(default=None, repr=False)
+
+    @property
+    def pending_events(self) -> int:
+        maintainer = self._maintainer
+        return 0 if maintainer is None else maintainer.pending.events
 
 
 class Subscription:
@@ -61,10 +71,7 @@ class Subscription:
     flush-shard worker owning this plan's fingerprint, and ``on_refresh``
     callbacks run on the one delivery worker owning this subscriber's
     mailbox — both FIFO, so per-subscription bookkeeping and delivery
-    stay in refresh order without extra locking.  ``stats.pending_events``
-    is the exception: it is bumped on the intake path (under the session
-    lock) and reset by the shard worker, so treat it as a monitoring
-    gauge, not an exact ledger.
+    stay in refresh order without extra locking.
     """
 
     #: Process-wide id source; ``itertools.count`` hands out ids atomically,
@@ -74,7 +81,7 @@ class Subscription:
     def __init__(
         self,
         manager: "SubscriptionManager",
-        shared: SharedResult,
+        maintainer: IncrementalMaintainer,
         *,
         on_refresh: Optional[Callable[[RefreshNotification], None]] = None,
         reference_time: Optional[TimePoint] = None,
@@ -104,8 +111,8 @@ class Subscription:
         self.statement = statement
         self.backpressure = backpressure
         self.queue_capacity = queue_capacity
-        self.stats = SubscriptionStats()
-        self._shared: Optional[SharedResult] = shared
+        self.stats = SubscriptionStats(_maintainer=maintainer)
+        self._maintainer: Optional[IncrementalMaintainer] = maintainer
 
     # ------------------------------------------------------------------
     # Introspection
@@ -114,16 +121,16 @@ class Subscription:
     @property
     def active(self) -> bool:
         """``False`` once :meth:`close` ran."""
-        return self._shared is not None
+        return self._maintainer is not None
 
     @property
     def plan(self) -> PlanNode:
-        return self._require_shared().plan
+        return self._require_maintainer().plan
 
     @property
     def fingerprint(self) -> str:
-        """The plan fingerprint — the shared-result cache key."""
-        return self._require_shared().fingerprint
+        """The plan fingerprint — the key subscribers share a result by."""
+        return self._require_maintainer().fingerprint
 
     @property
     def result(self) -> OngoingRelation:
@@ -132,17 +139,17 @@ class Subscription:
         One store read per access: the snapshot is copied lazily, at most
         once per version, and shared by every subscriber of the plan.
         """
-        result = self._require_shared().result
+        result = self._require_maintainer().result
         if result is None:
             raise QueryError(
                 f"subscription {self.name!r} has no materialized result yet"
             )
         return result
 
-    def _require_shared(self) -> SharedResult:
-        if self._shared is None:
+    def _require_maintainer(self) -> IncrementalMaintainer:
+        if self._maintainer is None:
             raise QueryError(f"subscription {self.name!r} is closed")
-        return self._shared
+        return self._maintainer
 
     def explain_analyze(self, *, format: str = "text"):
         """The plan tree annotated with live per-operator counters.
@@ -154,12 +161,12 @@ class Subscription:
         ``format="json"`` returns the same report as plain data for
         external tooling.
         """
-        return self._require_shared().explain_analyze(format=format)
+        return self._require_maintainer().explain_analyze(format=format)
 
     def node_report(self):
         """Per-operator live counters as plain dicts (see
         :meth:`~repro.engine.maintenance.IncrementalMaintainer.node_report`)."""
-        return self._require_shared().node_report()
+        return self._require_maintainer().node_report()
 
     # ------------------------------------------------------------------
     # Serving
@@ -181,21 +188,23 @@ class Subscription:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Deregister from the manager; the last subscriber drops the cache
-        entry and its dependency-index links.  Idempotent."""
-        if self._shared is not None:
+        """Deregister from the manager; the last subscriber drops the
+        plan's materialization and its routes.  Idempotent."""
+        if self._maintainer is not None:
             self.manager.unsubscribe(self)
 
     # Called by the manager --------------------------------------------
 
-    def _detach(self) -> None:
-        self._shared = None
+    def _detach(self) -> Optional[IncrementalMaintainer]:
+        """Let go of the plan; returns the maintainer it pointed at."""
+        maintainer = self._maintainer
+        self._maintainer = self.stats._maintainer = None
+        return maintainer
 
     def _mark_unchanged(self, coalesced: int) -> None:
         """Record a flush that left this result unchanged (no delivery)."""
         self.stats.suppressed += 1
         self.stats.coalesced_events += coalesced
-        self.stats.pending_events = 0
 
     def _notify(
         self,
@@ -215,7 +224,6 @@ class Subscription:
         """
         self.stats.refreshes += 1
         self.stats.coalesced_events += coalesced
-        self.stats.pending_events = 0
         bus = self.manager.bus
         topic = f"refresh:{self.id}"
         if bus.listener_count(topic) == 0 and bus.listener_count("refresh") == 0:

@@ -35,11 +35,12 @@ which threads the last two stages run on::
     ...
     session.close()                 # drains queues, joins all workers
 
-The session keeps one :class:`~repro.live.dependencies.DependencyIndex`
-and one lock whatever it is given here, and the default synchronous
-:class:`~repro.live.events.EventBus` answers every queueing question the
-asynchronous bus can be asked (backlog, drain, pending capture) with a
-constant, so no caller has to know which bus it holds.
+The session keeps one :class:`~repro.engine.maintenance.IncrementalMaintainer`
+per plan, one routing map and one lock whatever it is given here — a
+flush job is just a fingerprint — and the default synchronous
+:class:`~repro.live.events.EventBus` answers every question the
+asynchronous bus can be asked (backlog, stats, drain, pending capture)
+with a constant, so no caller has to know which bus it holds.
 
 Concurrency invariants (tested in ``tests/serve/``):
 

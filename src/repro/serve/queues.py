@@ -270,19 +270,6 @@ class Mailbox:
                     oldest = age
         return oldest
 
-    def stats(self) -> dict:
-        """This mailbox's counters under the canonical metric names
-        (``repro_serve_<what>``), read atomically under the condition."""
-        with self.condition:
-            return {
-                "repro_serve_queued_notifications_total": self.queued,
-                "repro_serve_delivered_notifications_total": self.delivered,
-                "repro_serve_dropped_notifications_total": self.dropped,
-                "repro_serve_coalesced_notifications_total": self.coalesced,
-                "repro_serve_delivery_errors_total": self.errors,
-                "repro_serve_delivery_backlog": len(self._items),
-            }
-
     def __repr__(self) -> str:
         return (
             f"Mailbox(policy={self.policy!r}, capacity={self.capacity}, "

@@ -12,25 +12,24 @@ The :class:`FlushScheduler` encodes exactly that invariant:
 * a flush round submits every dirty fingerprint to its owning shard and
   waits on a :class:`FlushRound` barrier until all of them refreshed.
 
-The scheduler knows nothing about plans or deltas: it runs an opaque
-``refresh(fingerprint, tables, coalesced) -> bool`` callable supplied by
-the :class:`~repro.live.manager.SubscriptionManager`, which keeps all
-refresh semantics (error isolation, notification suppression, stats) in
-one place whether the flush is serial or sharded.
+The scheduler knows nothing about plans or deltas: a job is a
+fingerprint, and it runs an opaque ``refresh(fingerprint) -> bool``
+callable supplied by the :class:`~repro.live.manager.SubscriptionManager`
+— what the refresh answers for is the plan's own pending record, claimed
+by the refresh itself — which keeps all refresh semantics (error
+isolation, notification suppression, stats) in one place whether the
+flush is serial or sharded.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Callable, Collection, Deque, Optional, Tuple
 
 from repro.serve.sharding import shard_index
 
 __all__ = ["FlushRound", "FlushScheduler"]
-
-#: One unit of flush work: (fingerprint, changed tables, coalesced events).
-_Job = Tuple[str, FrozenSet[str], int]
 
 
 class FlushRound:
@@ -69,7 +68,7 @@ class _ShardWorker:
     def __init__(
         self,
         index: int,
-        refresh: Callable[[str, FrozenSet[str], int], bool],
+        refresh: Callable[[str], bool],
         name: str,
         on_error: Optional[Callable[[int, str, BaseException], None]] = None,
     ):
@@ -79,14 +78,14 @@ class _ShardWorker:
         self._refresh = refresh
         self._on_error = on_error
         self._condition = threading.Condition()
-        self._jobs: Deque[Tuple[_Job, FlushRound]] = deque()
+        self._jobs: Deque[Tuple[str, FlushRound]] = deque()
         self._open = True
         self.thread = threading.Thread(target=self._run, name=name, daemon=True)
         self.thread.start()
 
-    def submit(self, job: _Job, round_: FlushRound) -> None:
+    def submit(self, fingerprint: str, round_: FlushRound) -> None:
         with self._condition:
-            self._jobs.append((job, round_))
+            self._jobs.append((fingerprint, round_))
             self._condition.notify()
 
     def _run(self) -> None:
@@ -96,10 +95,10 @@ class _ShardWorker:
                     self._condition.wait()
                 if not self._open and not self._jobs:
                     return
-                (fingerprint, tables, coalesced), round_ = self._jobs.popleft()
+                fingerprint, round_ = self._jobs.popleft()
             refreshed = False
             try:
-                refreshed = self._refresh(fingerprint, tables, coalesced)
+                refreshed = self._refresh(fingerprint)
             except Exception as exc:  # noqa: BLE001 — a refresh error must
                 # never kill the shard.  The manager's refresh callable
                 # isolates expected errors itself, so reaching here means
@@ -134,7 +133,7 @@ class FlushScheduler:
 
     def __init__(
         self,
-        refresh: Callable[[str, FrozenSet[str], int], bool],
+        refresh: Callable[[str], bool],
         *,
         shards: int = 4,
         name: str = "flush-shard",
@@ -155,11 +154,7 @@ class FlushScheduler:
     def shard_of(self, fingerprint: str) -> int:
         return shard_index(fingerprint, len(self._workers))
 
-    def submit(
-        self,
-        dirty: Dict[str, FrozenSet[str]],
-        dirty_events: Optional[Dict[str, int]] = None,
-    ) -> FlushRound:
+    def submit(self, dirty: Collection[str]) -> FlushRound:
         """Enqueue one refresh job per dirty fingerprint; non-blocking.
 
         Jobs land on their owning shard's FIFO queue, so two rounds'
@@ -169,22 +164,15 @@ class FlushScheduler:
         if self._closed:
             raise RuntimeError("flush scheduler is closed")
         round_ = FlushRound(len(dirty))
-        for fingerprint, tables in dirty.items():
-            coalesced = (dirty_events or {}).get(fingerprint, 0)
-            self._workers[self.shard_of(fingerprint)].submit(
-                (fingerprint, frozenset(tables), coalesced), round_
-            )
+        for fingerprint in dirty:
+            self._workers[self.shard_of(fingerprint)].submit(fingerprint, round_)
         return round_
 
     def flush(
-        self,
-        dirty: Dict[str, FrozenSet[str]],
-        dirty_events: Optional[Dict[str, int]] = None,
-        *,
-        timeout: Optional[float] = None,
+        self, dirty: Collection[str], *, timeout: Optional[float] = None
     ) -> int:
         """Submit and wait; returns the number of performed refreshes."""
-        return self.submit(dirty, dirty_events).wait(timeout=timeout)
+        return self.submit(dirty).wait(timeout=timeout)
 
     def flush_counts(self) -> Tuple[int, ...]:
         """Jobs run per shard since startup (the stats counter)."""
@@ -193,21 +181,6 @@ class FlushScheduler:
     def failure_counts(self) -> Tuple[int, ...]:
         """Escaped refresh exceptions per shard since startup."""
         return tuple(worker.failures for worker in self._workers)
-
-    def stats(self) -> dict:
-        """Scheduler counters under the canonical metric names; the
-        per-shard counts match ``repro_serve_shard_flushes_total{shard=i}``
-        and ``repro_shard_worker_failures_total{shard=i}`` on the session
-        registry."""
-        counts = self.flush_counts()
-        failures = self.failure_counts()
-        return {
-            "repro_serve_shard_flushes_total": sum(counts),
-            "repro_serve_shard_flushes": counts,
-            "repro_shard_worker_failures_total": sum(failures),
-            "repro_serve_shard_failures": failures,
-            "repro_serve_flush_backlog": self.backlog(),
-        }
 
     def backlog(self) -> int:
         return sum(worker.backlog() for worker in self._workers)

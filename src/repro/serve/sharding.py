@@ -11,10 +11,10 @@ free: refreshes of one shared result are serialized, refreshes of
 independent results run in parallel.
 
 Only the *refresh work* is sharded.  Which fingerprints a modified table
-invalidates is answered by the session's one
-:class:`~repro.live.dependencies.DependencyIndex`, read and written
-under the session lock; the scheduler routes each dirty fingerprint to
-its worker with :func:`shard_index` itself.
+invalidates is answered by the session's one ``table → fingerprints``
+routing map, read and written under the session lock; the scheduler
+routes each dirty fingerprint to its worker with :func:`shard_index`
+itself.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.interval import until_now
-from repro.engine.cost import DEFAULT_COST_MODEL, CostModel
+from repro.engine.cost import DEFAULT_COST_MODEL, CostModel, RefreshDecision
 from repro.engine.database import Database
 from repro.engine.modifications import current_insert
 from repro.engine.plan import scan
@@ -134,7 +134,7 @@ class TestMaintainerLoop:
                 current_insert(db.table("T"), (100 + offset,), at=50 + offset)
                 session.flush()
             shared = session.shared_results()[0]
-            model = shared._maintainer.cost_model or DEFAULT_COST_MODEL
+            model = shared.cost_model or DEFAULT_COST_MODEL
             report = model.adaptation_report(fingerprint)
             assert report is not None
             assert report["observations"] >= 1
@@ -142,6 +142,29 @@ class TestMaintainerLoop:
                 "repro_live_cost_adaptations_total"
             ] == shared.cost_adaptations
             assert shared.cost_adaptations >= 1
+        finally:
+            session.close()
+
+    def test_a_cost_chosen_full_refresh_is_counted_as_both(self, monkeypatch):
+        """The cost model preferring a re-evaluation is a deliberate full
+        refresh: counted under its own name *and* as a full refresh,
+        never as a delta fallback."""
+        db, session = self._session()
+        try:
+            session.subscribe(scan("T"), name="adapt")
+            monkeypatch.setattr(
+                DEFAULT_COST_MODEL, "choose_refresh",
+                lambda **observed: RefreshDecision(True, "forced by the test"),
+            )
+            current_insert(db.table("T"), (100,), at=50)
+            session.flush()
+            stats = session.stats()
+            assert stats["repro_live_cost_full_refreshes_total"] == 1
+            assert stats["repro_live_full_refreshes_total"] == 1
+            assert stats["repro_live_delta_refreshes_total"] == 0
+            (shared,) = session.shared_results()
+            assert shared.delta_fallbacks == 0
+            assert "forced by the test" in shared.explain_analyze()
         finally:
             session.close()
 

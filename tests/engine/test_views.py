@@ -100,6 +100,14 @@ class TestStaleness:
         assert modified == 0
         assert not view.is_stale()
 
+    def test_unrelated_table_does_not_stale(self):
+        """Only the tables the plan reads can stale the view."""
+        db, view = _setup()
+        db.create_table("P", Schema.of("PID", ("VT", "interval")))
+        view.refresh()
+        db.table("P").insert(1, until_now(d(2, 2)))
+        assert not view.is_stale()
+
     def test_closed_view_stops_listening(self):
         db, view = _setup()
         view.refresh()

@@ -93,6 +93,48 @@ class TestIncrementalFlush:
         assert {row[0] for row in sub.instantiate(d(6, 1))} == {600, 601}
 
 
+class TestOneMeaningPerCounter:
+    def test_session_totals_are_the_plans_own_counters(self):
+        """Each refresh is counted once, by the plan it happened to: the
+        session's totals are the sum over its plans, survive a plan's
+        last unsubscribe, and are what the explain header shows — so
+        ``full_refreshes`` counts refreshes that re-evaluated and the
+        subscribe-time evaluation is an ``evaluations`` only."""
+        db = _database()
+        session = LiveSession(db)
+        spam = session.subscribe(_spam_plan())
+        crash = session.subscribe(scan("B").where(col("C") == lit("Crash")))
+        db.table("B").insert(503, "Spam filter", until_now(d(5, 1)))
+        session.flush()
+        db.table("B").insert(504, "Crash", until_now(d(5, 2)))
+        session.flush()
+        db.table("B").replace_all(tuple(db.table("B").rows()))
+        session.flush()
+        names = ("evaluations", "delta_refreshes", "full_refreshes")
+
+        def totals():
+            stats = session.stats()
+            return {name: stats[f"repro_live_{name}_total"] for name in names}
+
+        before = totals()
+        assert before == {
+            "evaluations": 8,  # 2 subscribes + 2 plans × (2 typed + 1 untyped)
+            "delta_refreshes": 4,
+            "full_refreshes": 2,  # the replace_all, once per plan
+        }
+        plans = session.shared_results()
+        assert before == {
+            name: sum(getattr(plan, name) for plan in plans) for name in names
+        }
+        for sub in (spam, crash):
+            header = sub.explain_analyze().splitlines()[1]
+            for name in names:
+                assert f"{name}={before[name] // 2} " in header
+        crash.close()
+        assert totals() == before
+        session.close()
+
+
 class TestChangeFilter:
     def test_irrelevant_row_update_stays_silent(self):
         """The subscription-level filter: modifying a row the plan filters

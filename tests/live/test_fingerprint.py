@@ -70,6 +70,7 @@ class TestSharedMaterialization:
         assert stats["repro_live_shared_results"] == 1
         assert stats["repro_live_evaluations_total"] == 1  # the second subscribe was free
         assert stats["repro_live_cache_hits_total"] == 1
+        assert stats["repro_live_cache_misses_total"] == 1
 
     def test_different_plans_do_not_share(self):
         db = self._database()
@@ -80,3 +81,4 @@ class TestSharedMaterialization:
         assert stats["repro_live_shared_results"] == 2
         assert stats["repro_live_evaluations_total"] == 2
         assert stats["repro_live_cache_hits_total"] == 0
+        assert stats["repro_live_cache_misses_total"] == 2

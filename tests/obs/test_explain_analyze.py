@@ -66,7 +66,9 @@ class TestSubscriptionExplainAnalyze:
         # Header: totals of the maintainer.
         assert f"fingerprint={sub.fingerprint[:12]}" in text
         assert "delta_refreshes=1" in text
-        assert "full_refreshes=1" in text  # the subscribe-time evaluation
+        # The subscribe-time evaluation is an evaluation, not a refresh.
+        assert "evaluations=2" in text
+        assert "full_refreshes=0" in text
         # One annotated line per physical operator, tree-indented.
         assert "Aggregate" in text
         assert "Join" in text

@@ -24,7 +24,7 @@ class TestSchedulerFailurePath:
         seen = []
         boom = RuntimeError("refresh machinery broke")
 
-        def refresh(fingerprint, tables, coalesced):
+        def refresh(fingerprint):
             if fingerprint == "doomed":
                 raise boom
             return True
@@ -33,22 +33,16 @@ class TestSchedulerFailurePath:
             refresh, shards=2, on_error=lambda *args: seen.append(args)
         )
         try:
-            scheduler.flush(
-                {"doomed": frozenset({"R"}), "fine": frozenset({"R"})},
-                timeout=10,
-            )
+            scheduler.flush(["doomed", "fine"], timeout=10)
             assert sum(scheduler.failure_counts()) == 1
             assert seen == [(scheduler.shard_of("doomed"), "doomed", boom)]
-            stats = scheduler.stats()
-            assert stats["repro_shard_worker_failures_total"] == 1
-            assert sum(stats["repro_serve_shard_failures"]) == 1
         finally:
             scheduler.close()
 
     def test_shard_keeps_draining_after_a_failure(self):
         calls = []
 
-        def refresh(fingerprint, tables, coalesced):
+        def refresh(fingerprint):
             calls.append(fingerprint)
             if len(calls) == 1:
                 raise RuntimeError("first job dies")
@@ -56,8 +50,8 @@ class TestSchedulerFailurePath:
 
         scheduler = FlushScheduler(refresh, shards=1)
         try:
-            scheduler.flush({"a": frozenset({"R"})}, timeout=10)
-            refreshed = scheduler.flush({"b": frozenset({"R"})}, timeout=10)
+            scheduler.flush(["a"], timeout=10)
+            refreshed = scheduler.flush(["b"], timeout=10)
             assert refreshed == 1
             assert calls == ["a", "b"]
             assert scheduler.failure_counts() == (1,)
@@ -65,7 +59,7 @@ class TestSchedulerFailurePath:
             scheduler.close()
 
     def test_broken_error_hook_does_not_kill_the_shard(self):
-        def refresh(fingerprint, tables, coalesced):
+        def refresh(fingerprint):
             raise RuntimeError("boom")
 
         def hook(shard, fingerprint, exc):
@@ -73,7 +67,7 @@ class TestSchedulerFailurePath:
 
         scheduler = FlushScheduler(refresh, shards=1, on_error=hook)
         try:
-            scheduler.flush({"a": frozenset({"R"})}, timeout=10)
+            scheduler.flush(["a"], timeout=10)
             assert scheduler.failure_counts() == (1,)
             assert not scheduler.backlog()
         finally:
@@ -82,7 +76,7 @@ class TestSchedulerFailurePath:
 
 class TestManagerIntegration:
     def test_failure_bumps_stat_and_announces(self, monkeypatch):
-        def broken(self, fingerprint, changed_tables, coalesced):
+        def broken(self, fingerprint):
             raise RuntimeError("machinery failure past the isolation layer")
 
         # Before the session exists: its scheduler binds the routine once.
@@ -116,7 +110,7 @@ class TestManagerIntegration:
         session.close()
 
     def test_failure_sample_rendered_with_shard_label(self, monkeypatch):
-        def broken(self, fingerprint, changed_tables, coalesced):
+        def broken(self, fingerprint):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(SubscriptionManager, "_refresh_one", broken)

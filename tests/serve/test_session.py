@@ -118,6 +118,44 @@ class TestReviewRegressions:
         )
         session.close()
 
+    def test_write_racing_the_claim_is_applied_once(self):
+        """A write that lands after flush() snapshotted the dirty set but
+        before the refresh claimed the plan's pending record rides that
+        claim.  The mark it leaves announces nothing: the next flush()
+        must not run a phantom round for it."""
+        db = _database()
+        session = LiveSession(db)
+        sub = session.subscribe(_plans()["filter"])
+        loud = session.subscribe(_plans()["filter"], notify_on_no_change=True)
+        (shared,) = session.shared_results()
+        real_refresh = shared.refresh
+
+        def racing_refresh():
+            current_insert(db.table("R"), (1,), at=91)  # the race window
+            return real_refresh()
+
+        shared.refresh = racing_refresh
+        current_insert(db.table("R"), (1,), at=90)
+        assert session.flush() == 1
+        shared.refresh = real_refresh
+        assert sub.stats.coalesced_events == 2  # both writes, one refresh
+        assert sub.stats.pending_events == 0
+        assert frozenset(sub.result.tuples) == frozenset(
+            db.query(_plans()["filter"]).tuples
+        )
+        before = session.stats()
+        assert session.flush() == 0
+        after = session.stats()
+        for name in (
+            "repro_live_delta_refreshes_total",
+            "repro_live_suppressed_notifications_total",
+            "repro_live_evaluations_total",
+        ):
+            assert after[name] == before[name], name
+        assert loud.stats.refreshes == 1
+        assert session.pending == 0
+        session.close()
+
     def test_stop_serving_during_debounce_returns_promptly(self):
         """stop_serving() racing the debounce window must not have its
         wakeup erased by the loop's clear() — that used to strand the

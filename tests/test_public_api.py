@@ -58,8 +58,6 @@ _MODULES = [
     "repro.sqlish.formatter",
     "repro.bench.harness",
     "repro.live.events",
-    "repro.live.dependencies",
-    "repro.live.cache",
     "repro.live.subscription",
     "repro.live.manager",
 ]
