@@ -49,7 +49,16 @@ delta-maintained result equals a from-scratch evaluation of the plan.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.relational.relation import OngoingRelation, ResultStore
 from repro.relational.tuples import OngoingTuple
@@ -206,6 +215,16 @@ class Delta:
         return f"Delta(+{len(self.inserted)}, -{len(self.deleted)})"
 
 
+def shared_source(fingerprint: str) -> str:
+    """What a maintained plan's result goes by where another plan reads
+    it: the label of the scan over its store, and the name its
+    result-level deltas arrive under beside the base tables' — the
+    fingerprint as EXPLAIN and the metrics abbreviate it.  Unique among
+    the sources of one plan, which is all a name has to be
+    (:func:`~repro.engine.maintenance.providers_of` sees to it)."""
+    return f"@{fingerprint[:12]}"
+
+
 def _delta_shape(deltas: Iterable[Delta]) -> str:
     """Compact ``"+i/-d"`` (or ``"full"``) rendering of child deltas."""
     inserted = deleted = 0
@@ -313,8 +332,10 @@ class OperatorState:
 
     ``counts`` maps each output tuple to its number of derivations (the
     output *set* is the keys) — ``None`` for a scan below another
-    operator, whose output set is the base table itself and is held
-    nowhere else; ``extra`` holds operator-specific build
+    operator, whose output set is its source (the base table, or the
+    result store of the maintained plan it reads) and is held nowhere
+    else, and for the requalifying pass-through above it, whose output
+    set is its child's; ``extra`` holds operator-specific build
     state — hash indexes for joins, cached input sides for difference.
     ``cached_rows`` counts the tuples referenced by ``extra`` (maintained
     by the operators as they add/remove cached rows), so the state-budget
@@ -444,6 +465,10 @@ class DeltaEvaluator:
         self._root = None
         self._states: Dict[object, OperatorState] = {}
         self._store: Optional[ResultStore] = None
+        #: Labels of the current tree's scans — the keys :meth:`apply`
+        #: reads deltas under: base tables, and ``@<fingerprint>`` for a
+        #: maintained plan whose store the tree scans.  Empty while cold.
+        self.sources: FrozenSet[str] = frozenset()
         #: Snapshot counters, handed to every store this evaluator
         #: builds so the numbers survive store rebuilds.
         self.snapshot_stats = {"snapshots_taken": 0, "snapshots_reused": 0}
@@ -490,8 +515,16 @@ class DeltaEvaluator:
         store = self._store
         return None if store is None else store.snapshot()
 
-    def refresh_full(self) -> OngoingRelation:
+    def refresh_full(
+        self, shared: Optional[Mapping[str, ResultStore]] = None
+    ) -> OngoingRelation:
         """Re-plan, fully evaluate, and (re)build all operator state.
+
+        *shared* maps plan fingerprints to the result stores of
+        maintained plans the caller vouches are current as of this
+        evaluation: a sub-tree with such a fingerprint is read from the
+        store instead of being built again (see
+        :class:`~repro.engine.planner.Planner`).
 
         Any failure — including a planning failure, e.g. a dropped base
         table — invalidates the old state: keeping it warm would let a
@@ -499,6 +532,7 @@ class DeltaEvaluator:
         the table is re-created).  The previous store survives for
         serving until a rebuild succeeds.
         """
+        from repro.engine.executor import SeqScan
         from repro.engine.planner import plan_query
 
         states: Dict[object, OperatorState] = {}
@@ -510,6 +544,7 @@ class DeltaEvaluator:
                 self.database,
                 optimize=self.optimize,
                 cost_model=self.cost_model,
+                shared=shared,
             )
             self._evaluate(root, root, states, prices)
         except Exception:
@@ -519,6 +554,9 @@ class DeltaEvaluator:
         self._root = root
         self._states = states
         self._state_prices = prices
+        self.sources = frozenset(
+            node.label for node in states if isinstance(node, SeqScan)
+        )
         # A rebuilt store continues the old version sequence: the row set
         # (very likely) changed, so version-watchers must see movement.
         previous = self._store
@@ -565,7 +603,8 @@ class DeltaEvaluator:
                 if price:
                     child_prices.append(price)
             node.evaluate(state, inputs)
-            output = state.counts
+            # A pass-through keeps no counts: its output set is its input's.
+            output = state.counts if state.counts is not None else inputs[0]
         own = self._estimate_row_bytes(output)
         cached = (
             sum(child_prices) // len(child_prices)
@@ -589,6 +628,7 @@ class DeltaEvaluator:
         self._root = None
         self._states = {}
         self._state_prices = {}
+        self.sources = frozenset()
 
     def evict_state(self) -> None:
         """Release the operator state (join sides, derivation counts) but
@@ -869,6 +909,7 @@ class DeltaEvaluator:
         from repro.engine.executor import (
             AggregateOp,
             DifferenceOp,
+            HashJoin,
             MergeIntervalJoin,
             SortLimitOp,
         )
@@ -901,6 +942,24 @@ class DeltaEvaluator:
                                 f"{index.envelope(item)}, cache says {env}"
                             )
                             break
+            elif isinstance(node, HashJoin):
+                held = 0
+                for side in ("left", "right"):
+                    for key, bucket in state.extra[side].items():
+                        if type(bucket) is not dict:
+                            held += 1
+                            continue
+                        held += len(bucket)
+                        if len(bucket) < 2:
+                            problems.append(
+                                f"{path} HashJoin: {side} key {key!r} keeps "
+                                f"a bucket of {len(bucket)} row(s)"
+                            )
+                if held != state.cached_rows:
+                    problems.append(
+                        f"{path} HashJoin: buckets hold {held} rows, "
+                        f"state caches {state.cached_rows}"
+                    )
             elif isinstance(node, DifferenceOp):
                 by_fixed = state.extra.get("left_by_fixed")
                 out_of = state.extra.get("out_of")

@@ -219,31 +219,40 @@ class MappedDeltaOperator(PhysicalOperator):
 
 
 class SeqScan(PhysicalOperator):
-    """Sequential scan over a materialized ongoing relation.
+    """Sequential scan over a source of ongoing tuples.
 
-    A scan has no state of its own: its output set *is* the base table.
-    Which rows entered or left that set is decided where the
-    multiplicities are — by the table, under its write lock, as each
-    modification commits (:attr:`Delta.appeared` / :attr:`Delta.vanished`)
-    — and the rule only nets those transitions over the commits the
-    pending delta coalesced.  It must not look at the table instead: by
-    the time a delta is flushed the table can be commits ahead of it.
+    The source is a base table's snapshot or — for a plan that contains
+    another maintained plan of its session — that plan's
+    :class:`~repro.relational.relation.ResultStore` (label
+    ``@<fingerprint>``): a maintained result is as good an input as a
+    table.  Either way a scan has no state of its own: its output set
+    *is* the source.  Which rows entered or left that set is decided
+    where the multiplicities are — by the table, under its write lock,
+    as each modification commits (:attr:`Delta.appeared` /
+    :attr:`Delta.vanished`); by the provider's root operator, whose
+    delta is set-level at face value — and the rule only nets those
+    transitions over the commits the pending delta coalesced.  It must
+    not look at the source instead: by the time a delta is flushed the
+    source can be commits ahead of it.
 
     Only a scan that is the plan root keeps an index (``state.counts``),
-    because the result store serves from one.
+    because the result store serves from one.  *live* is the sized owner
+    of the rows when that is not *relation* itself (the table behind a
+    snapshot), so EXPLAIN shows the current row count, not the planned.
     """
 
-    def __init__(self, relation: OngoingRelation, *, label: str = ""):
+    def __init__(self, relation, *, label: str = "", live=None):
         self.relation = relation
         self.schema = relation.schema
         self.label = label
+        self.live = live if live is not None else relation
 
     def __iter__(self) -> Iterator[OngoingTuple]:
         return iter(self.relation.tuples)
 
     def _describe(self) -> str:
         suffix = f" {self.label}" if self.label else ""
-        return f"SeqScan{suffix} ({len(self.relation)} tuples)"
+        return f"SeqScan{suffix} ({len(self.live)} tuples)"
 
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
@@ -426,6 +435,14 @@ class _JoinBase(PhysicalOperator):
     (:meth:`_emit`).  The algorithms differ only in what a row is cached
     under and how a side is probed (``_key`` / ``_add_side`` /
     ``_remove_side`` / ``_matches``).
+
+    A cache *references* its input's tuples, it never copies them: over
+    a base table they are the heap's rows, over another maintained
+    plan's result (a :class:`SeqScan` of its store) they are that plan's
+    output — join state costs its index entries and its own output.
+    One-sided conjuncts never reach a join: the rewriter turns them into
+    selections below it (:mod:`repro.engine.rewrite`), so a side caches
+    only rows that can match.
     """
 
     def __init__(
@@ -546,12 +563,18 @@ class _JoinBase(PhysicalOperator):
 class HashJoin(_JoinBase):
     """Equi-join on fixed attributes, with residual temporal conjuncts.
 
-    Both sides are cached as ``key → ordered set`` hash indexes, so a
-    delta — or, cold, the whole opposite input — probes exactly its
-    matching bucket.  The temporal conjuncts of the join predicate run as
-    residuals on the matching pairs, restricting each output tuple's RT —
-    this is exactly how the paper's prototype leverages PostgreSQL's
-    existing hash join for queries on ongoing relations.
+    Both sides are cached as hash indexes, so a delta — or, cold, the
+    whole opposite input — probes exactly its matching bucket.  **A
+    bucket of one row is the row**: a key maps to the bare
+    :class:`~repro.relational.tuples.OngoingTuple` until a second
+    distinct row arrives under it, then to an ordered set (a ``dict``
+    keyed by row, in arrival order), and back to the bare row when
+    deletes leave one — a side over unique keys costs one index entry
+    per row, not one ``dict`` per row.  The temporal conjuncts of the
+    join predicate run as residuals on the matching pairs, restricting
+    each output tuple's RT — this is exactly how the paper's prototype
+    leverages PostgreSQL's existing hash join for queries on ongoing
+    relations.
     """
 
     def __init__(
@@ -592,29 +615,41 @@ class HashJoin(_JoinBase):
         index = state.extra[side]
         bucket = index.get(key)
         if bucket is None:
-            bucket = index[key] = {}
-        if item not in bucket:
+            index[key] = item
+        elif type(bucket) is dict:
+            if item in bucket:
+                return
             bucket[item] = None
-            state.cached_rows += 1
+        elif bucket == item:
+            return
+        else:
+            index[key] = {bucket: None, item: None}
+        state.cached_rows += 1
 
     def _remove_side(
         self, state: OperatorState, side: str, item: OngoingTuple, key: object
     ) -> None:
         index = state.extra[side]
         bucket = index.get(key)
-        if bucket is None or item not in bucket:
+        if type(bucket) is dict and item in bucket:
+            del bucket[item]
+            if len(bucket) == 1:
+                (index[key],) = bucket
+        elif bucket is not None and bucket == item:
+            del index[key]
+        else:
             raise NonIncrementalDelta(
                 f"delete of a tuple unknown to the join's {side} side"
             )
-        del bucket[item]
-        if not bucket:
-            del index[key]
         state.cached_rows -= 1
 
     def _matches(
         self, state: OperatorState, side: str, key: object
     ) -> Iterable[OngoingTuple]:
-        return state.extra[side].get(key, ())
+        bucket = state.extra[side].get(key)
+        if bucket is None:
+            return ()
+        return bucket if type(bucket) is dict else (bucket,)
 
 
 class NestedLoopJoin(_JoinBase):

@@ -34,6 +34,33 @@ tables, events and oldest stamp of the record it claimed or dropped — so
 a caller never keeps a second account of what was pending: a mark that
 leaves *with* the rows it describes cannot be dropped wrongly.
 
+**A maintained plan is a table to the plans that contain it.**  A
+maintainer created with *providers* — maintainers of proper sub-trees of
+its plan (:func:`providers_of`) — plans each such sub-tree as a stateless
+scan over the provider's result store instead of building its state a
+second time, and every refresh of a provider hands its result-level
+delta (``None`` from a re-evaluation: full-flagged) to its *consumers*
+under the name :func:`~repro.engine.delta.shared_source` gives it,
+exactly as a table's delta arrives under the table's name.  Two
+invariants make that sound:
+
+* **one cut** — a consumer and the plans it reads answer for the same
+  commits.  Their owner sets the pending records of all of them aside in
+  one critical section of the lock that serializes ``note_change``
+  (:func:`claim_round`), refreshes providers before consumers, and the
+  provider's delta goes to the consumer's *claimed* record — so no
+  result is ever ``provider(t₁) ⋈ table(t₂)``;
+* **clean or private** — a cold build (:meth:`evaluate`, which holds the
+  database write lock, so nothing can be noted meanwhile) reads a
+  provider's store only while the provider is
+  :attr:`~IncrementalMaintainer.clean` — nothing pending, nothing
+  claimed, no refresh in flight or failed — and otherwise plans that
+  sub-tree over the base tables, as a plan without providers does.
+
+The tables a plan is *routed* by stay those of its whole logical plan,
+shared or not, so the events, stamps and tables its outcomes report do
+not depend on what it shares.
+
 Lock order, for every consumer: ``database.lock → session lock →
 maintainer lock``.  :attr:`IncrementalMaintainer.lock` guards the pending
 record and the counters; readers of :attr:`IncrementalMaintainer.result`
@@ -58,15 +85,28 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, NamedTuple, Optional
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.engine.delta import (
+    FULL_DELTA,
     Delta,
     DeltaBuilder,
     DeltaEvaluator,
     NonIncrementalDelta,
+    shared_source,
 )
-from repro.relational.relation import OngoingRelation
+from repro.engine.plan import PlanNode, Scan
+from repro.relational.relation import OngoingRelation, ResultStore
 
 __all__ = ["IncrementalMaintainer", "RefreshOutcome"]
 
@@ -76,8 +116,11 @@ logger = logging.getLogger("repro.engine.delta")
 class _Pending(NamedTuple):
     """What was modified since the last refresh (see the module docstring).
 
-    ``rows`` is complete exactly when the operator state was warm for the
-    record's whole life — and a state only turns warm in
+    ``rows`` holds one builder per *source* the operator tree scans — a
+    base table, or a provider's store under its
+    :func:`~repro.engine.delta.shared_source` name — and is complete
+    exactly when the operator state was warm for the record's whole life
+    — and a state only turns warm in
     :meth:`IncrementalMaintainer.evaluate`, which drops the record — so a
     warm refresh can always trust the rows it claims.  The builders are
     the one mutable part: touched only under the maintainer lock, or by
@@ -92,6 +135,25 @@ class _Pending(NamedTuple):
 
 def _nothing_pending() -> _Pending:
     return _Pending(frozenset(), 0, None, {})
+
+
+def _fold(older: _Pending, newer: _Pending) -> _Pending:
+    """One record answering for both, *older* first."""
+    if not older.events and not older.rows:
+        return newer
+    rows = older.rows
+    for source, builder in newer.rows.items():
+        held = rows.get(source)
+        if held is None:
+            rows[source] = builder
+        else:
+            held.add(builder.build())
+    return _Pending(
+        older.tables | newer.tables,
+        older.events + newer.events,
+        newer.commit if older.commit is None else older.commit,
+        rows,
+    )
 
 
 @dataclass(frozen=True)
@@ -137,6 +199,11 @@ class IncrementalMaintainer:
     * :meth:`refresh` — one maintenance step: propagate the pending
       deltas, or fall back to a full re-evaluation automatically.
 
+    *providers* are maintainers of proper sub-trees of *plan* kept by
+    the same owner (:func:`providers_of`): this plan scans their result
+    stores instead of building those sub-trees, and is handed their
+    deltas (see the module docstring for the two invariants).
+
     ``state_budget_bytes`` bounds the evictable operator-state memory
     (join-side hash state, derivation counts — everything except the
     served result itself), estimated in storage-layout bytes
@@ -164,6 +231,7 @@ class IncrementalMaintainer:
         registry=None,
         tracer=None,
         cost_model=None,
+        providers: Sequence["IncrementalMaintainer"] = (),
     ):
         self.plan = plan
         self.database = database
@@ -230,6 +298,22 @@ class IncrementalMaintainer:
         self._evicted = False
         self._relevant: FrozenSet[str] = plan.referenced_tables()
         self._pending = _nothing_pending()
+        #: The record :meth:`claim` set aside for the next refresh.
+        self._claimed = _nothing_pending()
+        #: ``True`` while the store does not answer for a record already
+        #: taken: never evaluated, a refresh in flight, or one that failed.
+        self._behind = True
+        #: The maintained plans this one reads instead of building their
+        #: sub-trees again (fixed for its life; each cold build uses the
+        #: ones that are :attr:`clean`), and the plans that read this one
+        #: — both written only under the owner's lock, by the constructor
+        #: and :meth:`unlink`.
+        self.providers: Tuple["IncrementalMaintainer", ...] = tuple(providers)
+        self.consumers: List["IncrementalMaintainer"] = []
+        #: Providers refresh before consumers: the longest chain below.
+        self.depth = 1 + max((p.depth for p in self.providers), default=-1)
+        for provider in self.providers:
+            provider.consumers.append(self)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -261,6 +345,30 @@ class IncrementalMaintainer:
     def warm(self) -> bool:
         """``True`` when operator state exists and deltas can be applied."""
         return self._evaluator.warm
+
+    @property
+    def store(self) -> Optional[ResultStore]:
+        """The versioned result store consumers scan (``None`` before
+        the first evaluation; replaced by every re-evaluation)."""
+        return self._evaluator.store
+
+    @property
+    def clean(self) -> bool:
+        """``True`` when the store answers for every modification noted
+        so far: nothing pending, nothing claimed, and the last refresh
+        completed.  Only then may another plan's cold build read it."""
+        with self.lock:
+            return not (
+                self._behind or self._claimed.events or self._pending.events
+            )
+
+    def unlink(self) -> Tuple["IncrementalMaintainer", ...]:
+        """Stop reading other plans: detach from every provider and
+        return them, for the owner to release those nobody else holds."""
+        providers, self.providers = self.providers, ()
+        for provider in providers:
+            provider.consumers.remove(self)
+        return providers
 
     def state_bytes(self) -> int:
         """Estimated evictable operator-state memory, in storage-layout
@@ -334,10 +442,17 @@ class IncrementalMaintainer:
         return self._pending
 
     @property
+    def owed(self) -> _Pending:
+        """The record the next :meth:`refresh` answers for: the claimed
+        one if a cut was taken, else the pending one."""
+        claimed = self._claimed
+        return claimed if claimed.events else self._pending
+
+    @property
     def dirty(self) -> bool:
         """``True`` iff a table the plan reads was modified since the
         last refresh — never because time passed."""
-        return self._pending.events > 0
+        return self._claimed.events > 0 or self._pending.events > 0
 
     def pending_snapshot(self) -> Dict[str, Delta]:
         """The accumulated-but-unapplied deltas (for introspection)."""
@@ -360,7 +475,9 @@ class IncrementalMaintainer:
         it, so freshness is measured against the oldest one waiting.
         The rows are only worth holding while a later refresh can
         consume them, i.e. while the operator state is warm (a cold
-        plan's next refresh is a full evaluation anyway).
+        plan's next refresh is a full evaluation anyway) and scans the
+        table itself — what it reads through a provider arrives as that
+        provider's delta (:meth:`_derive`).
         """
         if table not in self._relevant:
             return
@@ -368,21 +485,61 @@ class IncrementalMaintainer:
             tables, events, oldest, rows = self._pending
             if table not in tables:
                 tables = tables | {table}
-            if self.warm:
-                builder = rows.get(table)
-                if builder is None:
-                    builder = rows[table] = DeltaBuilder()
-                builder.add(delta)
+            if table in self._evaluator.sources:
+                self._add_rows(rows, table, delta)
             self._pending = _Pending(
                 tables, events + 1, commit if oldest is None else oldest, rows
             )
 
-    def take_pending(self) -> _Pending:
-        """Atomically claim the whole pending record, leaving none."""
+    @staticmethod
+    def _add_rows(
+        rows: Dict[str, DeltaBuilder], source: str, delta: Delta
+    ) -> None:
+        builder = rows.get(source)
+        if builder is None:
+            builder = rows[source] = DeltaBuilder()
+        builder.add(delta)
+
+    def _derive(self, source: str, delta: Optional[Delta]) -> None:
+        """A provider refreshed: take its result-level *delta* (``None``
+        = it re-evaluated or failed, so this plan must rebuild) into the
+        record cut together with the provider's — the claimed one — or,
+        when no cut was taken, the pending one.  Ignored unless the
+        current operator tree scans the provider's store."""
         with self.lock:
-            claimed = self._pending
-            self._pending = _nothing_pending()
-            return claimed
+            if source in self._evaluator.sources:
+                self._add_rows(
+                    self.owed.rows,
+                    source,
+                    FULL_DELTA if delta is None else delta,
+                )
+
+    def _hand_down(self, delta: Optional[Delta]) -> None:
+        if self.consumers:
+            source = shared_source(self.fingerprint)
+            for consumer in tuple(self.consumers):
+                consumer._derive(source, delta)
+
+    def claim(self) -> None:
+        """Set everything owed aside as the record the next
+        :meth:`refresh` answers for — alone, whatever is noted until
+        then.  The owner calls this for a consumer and the plans it
+        reads in one critical section (:func:`claim_round`)."""
+        with self.lock:
+            self._claimed = self.take_pending()
+
+    def take_pending(self, *, cut: bool = False) -> _Pending:
+        """Atomically claim what is owed, leaving none of it: the record
+        :meth:`claim` set aside folded with the pending one — or, with
+        *cut*, the claimed record alone when there is one."""
+        with self.lock:
+            taken, self._claimed = self._claimed, _nothing_pending()
+            if not (cut and taken.events):
+                taken = _fold(taken, self._pending)
+                self._pending = _nothing_pending()
+            if taken.events:
+                self._behind = True
+            return taken
 
     # ------------------------------------------------------------------
     # Refresh
@@ -472,13 +629,19 @@ class IncrementalMaintainer:
         """Full (re-)evaluation; (re)builds the delta state.
 
         Runs under the database write lock: the tables are read at one
-        consistent instant, and the pending record — all of it subsumed
+        consistent instant, and everything owed — all of it subsumed
         by that read — is dropped in the same critical section, so a
         concurrent writer's modification is either inside the fresh
         result (its hook ran before we took the lock, and the outcome
         answers for it) or inside the next record, never both.  Readers
         stay served throughout: the evaluator keeps its previous store
         until the rebuilt one is complete.
+
+        A provider's store stands in for its sub-tree only if the
+        provider is :attr:`clean` right now — with the write lock held
+        nothing can be noted, so it stays clean while it is read — and
+        the rebuilt store is a new object: consumers are told to rebuild
+        (also when the evaluation fails — the old store then lags).
         """
         with self.database.lock:
             # The previously served result, for the changed-comparison of
@@ -487,9 +650,18 @@ class IncrementalMaintainer:
             previous = self.result
             dropped = self.take_pending()
             evaluator = self._evaluator
-            result = evaluator.refresh_full()
+            shared = {
+                provider.fingerprint: provider.store
+                for provider in self.providers
+                if provider.clean
+            }
+            try:
+                result = evaluator.refresh_full(shared)
+            finally:
+                self._hand_down(None)
             with self.lock:
                 self._evicted = False
+                self._behind = False
                 self.evaluations += 1
             self._observe_costs(
                 evaluator, full_seconds=evaluator.last_full_seconds
@@ -528,9 +700,21 @@ class IncrementalMaintainer:
         callers only need the outcome to know which path ran and whether
         to notify.  The delta path costs O(|Δ|) end to end — no snapshot
         is materialized here.
+
+        Consumers hear of every outcome *before* this plan counts as
+        :attr:`clean` again: the exact delta, or — after a
+        re-evaluation, or when the refresh raises and the store lags
+        from here on — that they must rebuild.
         """
+        claimed = self.take_pending(cut=True)
+        try:
+            return self._propagate(claimed)
+        except BaseException:
+            self._hand_down(None)
+            raise
+
+    def _propagate(self, claimed: _Pending) -> RefreshOutcome:
         evaluator = self._evaluator
-        claimed = self.take_pending()
         if not evaluator.warm:
             with self.lock:
                 if self._evicted:
@@ -586,7 +770,9 @@ class IncrementalMaintainer:
             with self.lock:
                 self.delta_fallbacks += 1
             return self._reevaluate(claimed)
+        self._hand_down(delta)
         with self.lock:
+            self._behind = False
             self.evaluations += 1
             self.delta_refreshes += 1
         applied_rows = evaluator.apply_source_rows_total - apply_rows_before
@@ -605,3 +791,44 @@ class IncrementalMaintainer:
             claimed.events,
             claimed.commit,
         )
+
+
+def providers_of(
+    plan: PlanNode, plans: Mapping[str, IncrementalMaintainer]
+) -> List[IncrementalMaintainer]:
+    """The maintainers in *plans* (by fingerprint) of the largest proper
+    sub-trees of *plan* — what a new maintainer of *plan* can read
+    instead of building, at most one per
+    :func:`~repro.engine.delta.shared_source` name.  A bare scan is never
+    one: it holds no state to share."""
+    found: Dict[str, IncrementalMaintainer] = {}
+    stack = list(plan.children())
+    while stack:
+        node = stack.pop()
+        maintainer = (
+            None if isinstance(node, Scan) else plans.get(node.fingerprint())
+        )
+        if maintainer is None:
+            stack.extend(node.children())
+        else:
+            found.setdefault(shared_source(maintainer.fingerprint), maintainer)
+    return list(found.values())
+
+
+def claim_round(dirty: Iterable[IncrementalMaintainer]) -> List[List[str]]:
+    """Take the cut of one flush round and order it.
+
+    The caller holds the lock that serializes ``note_change`` for all of
+    *dirty*.  Every plan that reads, or is read by, another one has its
+    record claimed here — so a consumer and its providers answer for the
+    same commits however long the round takes; a plan on its own keeps
+    claiming inside its refresh, as late as it can.  Returns the
+    fingerprints in waves: each plan after every plan it reads, first
+    noted first within a wave.
+    """
+    waves: Dict[int, List[str]] = {}
+    for maintainer in dirty:
+        if maintainer.providers or maintainer.consumers:
+            maintainer.claim()
+        waves.setdefault(maintainer.depth, []).append(maintainer.fingerprint)
+    return [waves[depth] for depth in sorted(waves)]

@@ -22,11 +22,12 @@ it buys.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.interval import OngoingInterval
 from repro.engine import plan as logical
 from repro.engine.cost import CostModel, DEFAULT_COST_MODEL
+from repro.engine.delta import Delta, OperatorState, shared_source
 from repro.engine.executor import (
     AggregateOp,
     DifferenceOp,
@@ -42,7 +43,6 @@ from repro.engine.executor import (
     SeqScan,
     SortLimitOp,
     UnionOp,
-    MappedDeltaOperator,
 )
 from repro.errors import QueryError, SchemaError
 from repro.relational.algebra import infer_kind  # shared column-kind logic
@@ -76,6 +76,13 @@ class Planner:
         planned as an :class:`~repro.engine.executor.IntervalScan` only
         when the table is big enough (``use_index``).  A model with
         ``index_threshold=None`` disables index access paths entirely.
+    shared:
+        Plan fingerprint → the :class:`~repro.relational.relation.ResultStore`
+        of a maintained plan with that fingerprint.  A sub-tree found
+        there is not planned again: it becomes a stateless
+        :class:`~repro.engine.executor.SeqScan` over the store, labelled
+        ``@<fingerprint>`` (top-down, so the largest sub-tree wins).
+        The caller vouches that each store is current.
     """
 
     def __init__(
@@ -83,9 +90,11 @@ class Planner:
         *,
         optimize: bool = True,
         cost_model: Optional[CostModel] = None,
+        shared: Optional[Mapping[str, object]] = None,
     ):
         self.optimize = optimize
         self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
+        self.shared = shared or {}
 
     # ------------------------------------------------------------------
     # Entry point
@@ -93,8 +102,14 @@ class Planner:
 
     def plan(self, node: logical.PlanNode, database) -> PhysicalOperator:
         """Build the physical operator tree for *node* against *database*."""
+        if self.shared:
+            fingerprint = node.fingerprint()
+            store = self.shared.get(fingerprint)
+            if store is not None:
+                return SeqScan(store, label=shared_source(fingerprint))
         if isinstance(node, logical.Scan):
-            return SeqScan(database.relation(node.table), label=node.table)
+            table = database.table(node.table)
+            return SeqScan(table.as_relation(), label=node.table, live=table)
         if isinstance(node, logical.Select):
             return self._plan_select(node, database)
         if isinstance(node, logical.Project):
@@ -341,19 +356,38 @@ class Planner:
         return NestedLoopJoin(left, right, out_schema, fixed_residual, ongoing_residual)
 
 
-class _Requalified(MappedDeltaOperator):
-    """Transparent schema-renaming wrapper: the inherited identity map —
-    tuples, counts and deltas pass straight through."""
+class _Requalified(PhysicalOperator):
+    """Transparent schema-renaming wrapper: the identity, holding nothing.
+
+    Like a scan below another operator it keeps no derivation counts —
+    its output set *is* its child's, and the child's set-level delta is
+    its own.  Only ever a join input, never a plan root (the result
+    store serves from the root's counts).
+    """
 
     def __init__(self, child: PhysicalOperator, schema: Schema):
         self.child = child
         self.schema = schema
+
+    def __iter__(self):
+        return iter(self.child)
 
     def _describe(self) -> str:
         return f"Qualify ({', '.join(self.schema.names[:4])}...)"
 
     def _children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.child,)
+
+    def delta_state(self) -> OperatorState:
+        state = OperatorState()
+        state.counts = None
+        return state
+
+    def apply_delta(
+        self, state: OperatorState, deltas: Sequence[Delta]
+    ) -> Delta:
+        (delta,) = deltas
+        return delta
 
 
 def _column_side(
@@ -495,15 +529,19 @@ def plan_query(
     *,
     optimize: bool = True,
     cost_model: Optional[CostModel] = None,
+    shared: Optional[Mapping[str, object]] = None,
 ) -> PhysicalOperator:
     """One-shot helper: plan *node* with a fresh :class:`Planner`.
 
     When *optimize* is set the Section VIII algebraic rewrites
     (selection split + push-down) run first, so selective predicates
-    sink toward the scans before physical planning.
+    sink toward the scans before physical planning.  *shared* — see
+    :class:`Planner` — is matched against the rewritten tree.
     """
     if optimize:
         from repro.engine.rewrite import push_down_selections
 
         node = push_down_selections(node, database)
-    return Planner(optimize=optimize, cost_model=cost_model).plan(node, database)
+    return Planner(
+        optimize=optimize, cost_model=cost_model, shared=shared
+    ).plan(node, database)

@@ -11,7 +11,9 @@ transformations:
 * **selection cascade/split** — a conjunctive selection splits into its
   conjuncts (so each can move independently);
 * **selection push-down** — a selection conjunct sinks below a join into
-  the input whose attributes it references, below unions into both
+  the input whose attributes it references — whether it stood in a
+  selection above the join or inside the join's own predicate (the OSQL
+  compiler places ``S.Severity = 'major'`` there) — below unions into both
   branches, into the left input of a difference, through projections when
   the projected columns cover it, through a grouped aggregation when
   the conjunct has constant truth per group (it references only grouping
@@ -54,6 +56,7 @@ from repro.relational.predicates import (
     Not,
     Or,
     Predicate,
+    TRUE_PREDICATE,
     TruePredicate,
     _is_ongoing_value,
 )
@@ -81,7 +84,8 @@ def split_selections(plan: PlanNode) -> PlanNode:
 def push_down_selections(plan: PlanNode, database=None) -> PlanNode:
     """Sink selection conjuncts as close to the scans as possible.
 
-    Conjuncts referencing only one join input move into that input;
+    Conjuncts referencing only one join input move into that input — out
+    of a selection above the join and out of the join predicate alike;
     conjuncts over a union apply to both branches; conjuncts over a
     difference restrict its left input; conjuncts over a projection sink
     through when the projection only renames/keeps the referenced columns;
@@ -201,6 +205,11 @@ def _strip_qualifier(name: str, prefix: Optional[str]) -> str:
     return name
 
 
+def _unqualified(predicate: Predicate, prefix: Optional[str]) -> Predicate:
+    """*predicate* as the join input named *prefix* spells it."""
+    return _rewrite_columns(predicate, prefix) if prefix else predicate
+
+
 def _rewrite_columns(predicate: Predicate, prefix: str) -> Predicate:
     """Structurally copy *predicate* with the qualifier stripped."""
     from repro.relational.predicates import (
@@ -285,6 +294,8 @@ def _fixed_operand(expression: Expression) -> bool:
 
 def _push(plan: PlanNode, database=None) -> PlanNode:
     plan = _rewrite_children(plan, lambda node: _push(node, database))
+    if isinstance(plan, Join):
+        return _sink_join_conjuncts(plan, database)
     if not isinstance(plan, Select):
         return plan
     child = plan.child
@@ -325,44 +336,60 @@ def _push(plan: PlanNode, database=None) -> PlanNode:
             )
         return plan
     if isinstance(child, Join):
-        references = predicate.references()
-        left_columns = _qualify_side(child.left, child.left_name, database)
-        right_columns = _qualify_side(child.right, child.right_name, database)
-        if left_columns and references <= left_columns:
-            sunk = (
-                _rewrite_columns(predicate, child.left_name)
-                if child.left_name
-                else predicate
-            )
-            return Join(
-                _push(Select(child.left, sunk), database),
-                child.right,
-                child.predicate,
-                left_name=child.left_name,
-                right_name=child.right_name,
-            )
-        if right_columns and references <= right_columns:
-            sunk = (
-                _rewrite_columns(predicate, child.right_name)
-                if child.right_name
-                else predicate
-            )
-            return Join(
+        # Offer the conjunct to the join: it sinks into the side that
+        # covers it, or stays in the join predicate so the planner can
+        # still use it for algorithm selection.
+        return _sink_join_conjuncts(
+            Join(
                 child.left,
-                _push(Select(child.right, sunk), database),
-                child.predicate,
+                child.right,
+                And((child.predicate, predicate))
+                if not isinstance(child.predicate, TruePredicate)
+                else predicate,
                 left_name=child.left_name,
                 right_name=child.right_name,
-            )
-        # Cannot sink below either side: merge into the join predicate so
-        # the planner can still use it for algorithm selection.
-        return Join(
-            child.left,
-            child.right,
-            And((child.predicate, predicate))
-            if not isinstance(child.predicate, TruePredicate)
-            else predicate,
-            left_name=child.left_name,
-            right_name=child.right_name,
+            ),
+            database,
         )
     return plan
+
+
+def _sink_join_conjuncts(join: Join, database=None) -> PlanNode:
+    """One-sided conjuncts of a join predicate are selections on that
+    side: ``L ⋈_{θ ∧ θ_R} R ≡ L ⋈_θ σ_{θ_R}(R)``.
+
+    Holds for ongoing conjuncts too — the join intersects the reference
+    times of both inputs and of every conjunct, and intersection commutes
+    (Theorem 2) — so the side's cached state holds only the rows that can
+    ever match.  Conjuncts covered by neither side stay, in order; a
+    join no conjunct leaves is returned as it is.
+    """
+    left, right = join.left, join.right
+    left_columns = _qualify_side(left, join.left_name, database)
+    right_columns = _qualify_side(right, join.right_name, database)
+    kept: List[Predicate] = []
+    for conjunct in join.predicate.conjuncts():
+        references = conjunct.references()
+        if isinstance(conjunct, TruePredicate):
+            kept.append(conjunct)
+        elif left_columns and references <= left_columns:
+            left = Select(left, _unqualified(conjunct, join.left_name))
+        elif right_columns and references <= right_columns:
+            right = Select(right, _unqualified(conjunct, join.right_name))
+        else:
+            kept.append(conjunct)
+    if left is join.left and right is join.right:
+        return join
+    if left is not join.left:
+        left = _push(left, database)
+    if right is not join.right:
+        right = _push(right, database)
+    return Join(
+        left,
+        right,
+        TRUE_PREDICATE
+        if not kept
+        else kept[0] if len(kept) == 1 else And(tuple(kept)),
+        left_name=join.left_name,
+        right_name=join.right_name,
+    )

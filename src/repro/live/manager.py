@@ -64,6 +64,23 @@ into the session's totals when the last subscriber leaves).  Beside it
 the session keeps only ``table → fingerprints`` routing and the set of
 fingerprints to look at.
 
+**Join state exists once.**  A plan that contains a plan the session
+already maintains (``J2 = J1 ⋈ B`` after ``J1``) does not build that
+sub-tree again: its maintainer is created with the other one as a
+*provider* and scans its result store (``SeqScan @<fingerprint>`` in
+``explain_analyze()``), and each refresh of the provider hands its
+result-level delta on as if it were a table's.  The bookkeeping is the
+maintainers' (:mod:`repro.engine.maintenance`); the session does three
+things for it: :meth:`_attach_plan` looks the providers up,
+:meth:`_release_plan` keeps a plan while a subscriber *or a consumer*
+holds it, and :meth:`flush` takes **one cut** per round — in the
+critical section that snapshots the dirty set, which intake's
+``note_change`` calls share, it claims the pending record of every plan
+that reads or is read by another, and then refreshes providers before
+consumers (as sequential waves when sharded).  Routing stays by the
+tables of the whole logical plan, so what a notification reports does
+not depend on what its plan shares.
+
 Thread-safety: session state (plans, routing, dirty set, stats,
 registrations) is guarded by one session lock; write intake runs under
 the database write lock (modification hooks fire while it is held), and
@@ -78,12 +95,16 @@ from __future__ import annotations
 
 import logging
 import threading
-from typing import Callable, Collection, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.timeline import TimePoint
 from repro.engine.database import Database
 from repro.engine.delta import Delta
-from repro.engine.maintenance import IncrementalMaintainer
+from repro.engine.maintenance import (
+    IncrementalMaintainer,
+    claim_round,
+    providers_of,
+)
 from repro.engine.plan import PlanNode
 from repro.engine.rewrite import push_down_selections
 from repro.errors import QueryError
@@ -366,6 +387,7 @@ class SubscriptionManager:
             fingerprint=fingerprint,
             registry=self.metrics,
             tracer=self.tracer,
+            providers=providers_of(plan, self._plans),
         )
         for table in plan.referenced_tables():
             self._routes.setdefault(table, set()).add(fingerprint)
@@ -373,12 +395,13 @@ class SubscriptionManager:
 
     def _release_plan(self, maintainer: IncrementalMaintainer) -> None:
         """Unregister *maintainer*'s plan unless somebody is still
-        subscribed to it — the one place a plan leaves the session
-        (session lock held).  Its routes go (so a table no live plan
-        reads drops out of the routing map), its dirty mark goes, and
-        its counters retire into the session totals so :meth:`stats`
-        never goes backward."""
-        if maintainer.subscribers:
+        subscribed to it or another plan still reads it — the one place
+        a plan leaves the session (session lock held).  Its routes go
+        (so a table no live plan reads drops out of the routing map),
+        its dirty mark goes, its counters retire into the session totals
+        so :meth:`stats` never goes backward, and the plans it read are
+        released in turn."""
+        if maintainer.subscribers or maintainer.consumers:
             return
         fingerprint = maintainer.fingerprint
         del self._plans[fingerprint]
@@ -390,6 +413,8 @@ class SubscriptionManager:
         self._dirty.pop(fingerprint, None)
         for key, attribute in _PLAN_COUNTERS:
             self._stats[key] += getattr(maintainer, attribute)
+        for provider in maintainer.unlink():
+            self._release_plan(provider)
 
     def subscribe_sql(self, statement: str, **kwargs) -> Subscription:
         """Compile an OSQL statement and register it (see :meth:`subscribe`).
@@ -628,11 +653,14 @@ class SubscriptionManager:
         try:
             while True:
                 with self._lock:
+                    # One critical section with intake: the round's dirty
+                    # set and the cut of every plan that shares state.
                     self._reentrant_flush_requested = False
                     dirty, self._dirty = self._dirty, {}
+                    waves = claim_round(self._plans[key] for key in dirty)
                 if dirty:
                     with self._spans.span("flush", plans=len(dirty)):
-                        refreshed += self._run_round(dirty)
+                        refreshed += self._run_round(waves)
                     with self._lock:
                         self._stats["repro_live_flushes_total"] += 1
                 with self._lock:
@@ -650,11 +678,16 @@ class SubscriptionManager:
                 self._flushing = False
             raise
 
-    def _run_round(self, dirty: Collection[str]) -> int:
-        """Refresh one snapshot of dirty fingerprints, serial or sharded."""
+    def _run_round(self, waves: List[List[str]]) -> int:
+        """Refresh one snapshot of dirty fingerprints, serial or sharded
+        — wave by wave, so a plan refreshes after the plans it reads."""
         if self._scheduler is not None:
-            return self._scheduler.flush(dirty)
-        return sum(self._refresh_one(fingerprint) for fingerprint in dirty)
+            return sum(self._scheduler.flush(wave) for wave in waves)
+        return sum(
+            self._refresh_one(fingerprint)
+            for wave in waves
+            for fingerprint in wave
+        )
 
     def _on_shard_failure(
         self, shard: int, fingerprint: str, exc: BaseException
@@ -687,7 +720,7 @@ class SubscriptionManager:
             maintainer = self._plans.get(fingerprint)
         if maintainer is None:  # every subscriber left while dirty
             return False
-        announced = maintainer.pending  # at least this; the claim may hold more
+        announced = maintainer.owed  # at least this; a late claim may hold more
         if not announced.events:
             # Nothing to answer for: the write that left this mark landed
             # after an earlier round snapshotted the dirty set but before

@@ -179,7 +179,7 @@ class SessionMetrics:
             name = subscription.name
             age = 0.0
             maintainer = subscription._maintainer
-            stamp = None if maintainer is None else maintainer.pending.commit
+            stamp = None if maintainer is None else maintainer.owed.commit
             if stamp is not None:
                 age = max(age, now - stamp.at)
             queued = session.bus.oldest_commit_age(

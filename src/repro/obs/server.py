@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
@@ -53,8 +52,14 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes one request against the owning :class:`ObsServer`."""
+class _Handler:
+    """Routes one request against the owning :class:`ObsServer`.
+
+    The methods only: :meth:`ObsServer.start` mixes them over
+    ``http.server.BaseHTTPRequestHandler``, which is imported there —
+    the HTTP stack (``email``, ``socketserver``, ``html``, ``mimetypes``)
+    loads when a server starts, not with ``import repro``.
+    """
 
     # Set per server class in ObsServer.start().
     obs: "ObsServer"
@@ -112,7 +117,7 @@ class ObsServer:
         self.session = session
         self._host = host
         self._port = port
-        self._server: Optional[ThreadingHTTPServer] = None
+        self._server: Optional[Any] = None  # a ThreadingHTTPServer
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------
@@ -123,7 +128,11 @@ class ObsServer:
         """Bind and start serving on a background thread; idempotent."""
         if self._server is not None:
             return self
-        handler = type("_BoundHandler", (_Handler,), {"obs": self})
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        handler = type(
+            "_BoundHandler", (_Handler, BaseHTTPRequestHandler), {"obs": self}
+        )
         server = ThreadingHTTPServer((self._host, self._port), handler)
         server.daemon_threads = True
         self._server = server

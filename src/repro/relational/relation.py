@@ -248,6 +248,13 @@ class ResultStore:
         """Row count of the live result — O(1), no materialization."""
         return len(self._rows)
 
+    @property
+    def tuples(self) -> Tuple[OngoingTuple, ...]:
+        """The live rows, copied under the lock — what a scan planned
+        over this store reads (uncounted: not a consumer's snapshot)."""
+        with self.lock:
+            return tuple(self._rows)
+
     def bump(self) -> None:
         """Record that the result set changed (writer holds :attr:`lock`)."""
         self._version += 1
@@ -284,10 +291,7 @@ class ResultStore:
         ``materialize()`` is what every refresh used to pay before the
         store made snapshots lazy.  Not counted in the snapshot stats.
         """
-        with self.lock:
-            return OngoingRelation.from_deduplicated(
-                self.schema, tuple(self._rows)
-            )
+        return OngoingRelation.from_deduplicated(self.schema, self.tuples)
 
     def __repr__(self) -> str:
         return (

@@ -15,7 +15,7 @@ from repro.engine.plan import (
     scan,
 )
 from repro.engine.rewrite import push_down_selections, split_selections
-from repro.relational.predicates import col, lit
+from repro.relational.predicates import TRUE_PREDICATE, col, lit
 from repro.relational.schema import Schema
 
 
@@ -145,6 +145,75 @@ class TestPushDown:
         assert rewritten.left.predicate.references() == {"BID"}
         assert isinstance(rewritten.right, Scan)
         assert db.query(rewritten) == db.query(plan)
+
+    def test_one_sided_conjuncts_leave_the_join_predicate(self, db):
+        # Where the OSQL compiler places them: inside Join.predicate.
+        # One fixed conjunct per side and an ongoing one; the two-sided
+        # conjuncts stay, in order.
+        window = lit(fixed_interval(d(8, 1), d(9, 1)))
+        plan = Join(
+            Scan("B"),
+            Scan("P"),
+            (col("B.C") == col("P.C"))
+            & (col("P.PID") == lit(201))
+            & col("B.VT").overlaps(col("P.VT"))
+            & (col("B.BID") >= lit(500))
+            & col("P.VT").overlaps(window),
+            left_name="B",
+            right_name="P",
+        )
+        rewritten = push_down_selections(plan, db)
+        assert isinstance(rewritten, Join)
+        assert repr(rewritten.predicate) == repr(
+            (col("B.C") == col("P.C")) & col("B.VT").overlaps(col("P.VT"))
+        )
+        assert isinstance(rewritten.left, Select)
+        assert rewritten.left.predicate.references() == {"BID"}
+        assert isinstance(rewritten.left.child, Scan)
+        sunk = rewritten.right
+        assert isinstance(sunk, Select) and isinstance(sunk.child, Select)
+        assert sunk.predicate.references() == {"VT"}
+        assert sunk.child.predicate.references() == {"PID"}
+        assert db.query(rewritten) == db.query(plan, optimize=False)
+        # Rewriting is idempotent — a plan and its sub-trees keep the
+        # fingerprints they are shared by.
+        again = push_down_selections(rewritten, db)
+        assert again.fingerprint() == rewritten.fingerprint()
+        # Without the catalog scans stay opaque and nothing moves.
+        assert push_down_selections(plan).fingerprint() == plan.fingerprint()
+
+    def test_a_join_of_one_sided_conjuncts_only_keeps_a_true_predicate(self, db):
+        plan = Join(
+            Scan("B"),
+            Scan("P"),
+            col("P.PID") == lit(201),
+            left_name="B",
+            right_name="P",
+        )
+        rewritten = push_down_selections(plan, db)
+        assert repr(rewritten.predicate) == repr(TRUE_PREDICATE)
+        assert isinstance(rewritten.right, Select)
+        assert db.query(rewritten) == db.query(plan, optimize=False)
+
+    def test_osql_and_fluent_joins_meet_at_one_sub_tree(self, db):
+        from repro.sqlish import compile_statement
+
+        inner = push_down_selections(
+            compile_statement(
+                "SELECT * FROM B, P WHERE B.C = P.C AND P.PID = 201", db
+            ),
+            db,
+        )
+        outer = push_down_selections(
+            compile_statement(
+                "SELECT B.BID, B2.BID FROM B, P, B AS B2 "
+                "WHERE B.C = P.C AND P.PID = 201 AND B.C = B2.C",
+                db,
+            ),
+            db,
+        )
+        assert outer.child.left.fingerprint() == inner.fingerprint()
+        assert isinstance(inner.right, Select)  # σ(P) below the join
 
     def test_difference_right_side_never_restricted(self, db):
         # Regression for the unsound direction: a right tuple failing θ

@@ -73,6 +73,8 @@ class TestSubscriptionExplainAnalyze:
         assert "Aggregate" in text
         assert "Join" in text
         assert "SeqScan R" in text and "SeqScan S" in text
+        # The live row count — 4 rows at plan time, one inserted since.
+        assert "SeqScan R (5 tuples)" in text
         for fragment in (
             "rows=", "bytes=", "applies=", "time=", "Δin=", "Δout=",
             "fallbacks=",

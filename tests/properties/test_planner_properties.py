@@ -57,6 +57,19 @@ def _plans():
             right_name="S",
         )
         .where(col("R.K") == lit(1)),
+        # One-sided conjuncts inside a join predicate (where the OSQL
+        # compiler places them), one fixed and one ongoing: pushdown
+        # turns both into selections below the join, so the hash join
+        # caches only the S rows that can ever match.
+        "pushdown-join-predicate": scan("R").join(
+            scan("S"),
+            on=(col("R.K") == col("S.K"))
+            & col("R.VT").overlaps(col("S.VT"))
+            & (col("S.K") <= lit(2))
+            & col("S.VT").overlaps(window),
+            left_name="R",
+            right_name="S",
+        ),
         # Difference: the fixed-prefix partition index on the left cache.
         "difference": scan("R").difference(scan("S")),
         # Selection above a difference: the Difference pushdown rewrite.

@@ -2,6 +2,10 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +100,30 @@ def test_public_classes_have_documented_public_methods():
             if name.startswith("_"):
                 continue
             assert member.__doc__, f"{cls.__name__}.{name} lacks a docstring"
+
+
+def test_importing_the_package_loads_no_http_stack():
+    """``ObsServer.start()`` imports ``http.server``; ``import repro``
+    must not (it pulls ``email``, ``socketserver``, ``html`` and
+    ``mimetypes`` into every process that never serves a scrape)."""
+    import repro
+
+    source = str(Path(repro.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [source, env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import repro, sys; print(sorted(set(sys.modules) & "
+            "{'http.server', 'socketserver', 'email', 'mimetypes'}))",
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
