@@ -84,20 +84,42 @@ def main() -> None:
     )
     print(f"\n3 modifications arrived; dirty plans: {session.pending}")
 
-    # ...and one flush refreshes the shared result once and pushes fresh
-    # rows to every subscriber at its own reference time.
+    # One client keeps its bound rows current instead of re-reading them:
+    # one bind now, then O(|delta|) per push (the fold counts — two
+    # ongoing tuples may bind to the same fixed tuple at one rt).
+    watcher = subscriptions[0]
+    dashboard = watcher.bound_rows()
+
+    # ...and one flush refreshes the shared result once and hands every
+    # subscriber the change and the snapshot.  Nothing is bound for a
+    # client until it reads: the flush costs the same for 40 clients
+    # whether or not any of them ever asks for rows.
     started = time.perf_counter()
     refreshed = session.flush()
     flush_seconds = time.perf_counter() - started
     print(
         f"flush: {refreshed} re-evaluation for {N_CLIENTS} clients "
-        f"({len(pushes)} pushes) in {flush_seconds * 1e3:.1f} ms"
+        f"({len(pushes)} pushes, none bound yet) in {flush_seconds * 1e3:.1f} ms"
     )
     example = pushes[0]
+    inserted, deleted = example.changes_at()  # binds the delta only
     print(
-        f"first push: {len(example.rows)} rows at "
-        f"rt={fmt_point(example.subscription.reference_time)}, "
+        f"first push: +{len(inserted)}/-{len(deleted)} rows changed at "
+        f"rt={fmt_point(example.reference_time)}, "
         f"coalesced tables={example.changed_tables}"
+    )
+    appeared, vanished = dashboard.apply(example)
+    print(
+        f"its dashboard folded the change (+{len(appeared)}/-{len(vanished)}) "
+        f"and holds {len(dashboard.rows)} rows; reading the whole result, "
+        f"example.rows, binds it once on that read: {len(example.rows)} rows, "
+        f"{'equal' if example.rows == dashboard.rows else 'DIFFERENT'}"
+    )
+    print(
+        f"O(|result|) binds so far: {watcher.stats.instantiations} for "
+        f"{watcher.name} (serve, dashboard, rows), "
+        f"{subscriptions[1].stats.instantiations} for {subscriptions[1].name} "
+        f"(serve only)"
     )
 
     final = session.stats()

@@ -56,15 +56,28 @@ def main() -> None:
         with push_lock:
             pushes.append(event)
 
+    # Client 0 keeps the rows of its dashboard current instead of
+    # re-reading them: its callback folds each push's ``changes_at`` into
+    # a ``BoundRows`` — O(|delta|) per push, also for a push that merged
+    # several refreshes.  A subscriber's callbacks run in order on one
+    # delivery worker, so the fold needs no lock of its own.
+    folded = []
+
+    def fold_into_dashboard(event):
+        folded.append(dashboard.apply(event))
+        on_refresh(event)
+
     subscriptions = [
         session.subscribe(
             workload.plan(),
-            on_refresh=on_refresh,
+            on_refresh=on_refresh if client else fold_into_dashboard,
             reference_time=mozilla_module.HISTORY_END - 10 * client,
             name=f"client-{client}",
         )
         for client in range(N_CLIENTS)
     ]
+    # Bound once, here, before the first push can be on its way.
+    dashboard = subscriptions[0].bound_rows()
     stats = session.stats()
     print(
         f"{N_CLIENTS} clients share {stats['repro_live_shared_results']} materialization "
@@ -126,6 +139,15 @@ def main() -> None:
     assert all(
         frozenset(subscription.result.tuples) == frozenset(expected.tuples)
         for subscription in subscriptions
+    )
+    watcher = subscriptions[0]
+    assert dashboard.rows == expected.instantiate(watcher.reference_time)
+    print(
+        f"{watcher.name} folded {len(folded)} pushes "
+        f"(+{sum(len(appeared) for appeared, _ in folded)}"
+        f"/-{sum(len(vanished) for _, vanished in folded)} rows) into the "
+        f"{len(dashboard.rows)} rows it shows, binding the whole result "
+        f"{watcher.stats.instantiations} time(s) — when it subscribed"
     )
     print(
         "every dashboard client converged on the exact ongoing result — "

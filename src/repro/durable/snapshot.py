@@ -230,7 +230,8 @@ def capture_subscriptions(session) -> List[Dict[str, object]]:
 def deserialize_notification(subscription, pending: Dict[str, object]):
     """The inverse of :func:`serialize_notification`, against the freshly
     resumed *subscription* (its just-evaluated shared result stands in
-    for the pre-crash one)."""
+    for the pre-crash one).  Binds nothing, like any other notification:
+    the subscriber that reads ``rows`` pays for them."""
     from repro.live.events import RefreshNotification
 
     def rows(encoded) -> tuple:
@@ -253,13 +254,10 @@ def deserialize_notification(subscription, pending: Dict[str, object]):
     stamp = (
         CommitStamp(int(commit[0]), float(commit[1])) if commit else None
     )
-    fixed_rows = None
-    if subscription.reference_time is not None:
-        fixed_rows = subscription.instantiate(subscription.reference_time)
     return RefreshNotification(
         subscription=subscription,
         result=subscription.result,
-        rows=fixed_rows,
+        reference_time=subscription.reference_time,
         changed_tables=tuple(pending.get("changed_tables") or ()),
         delta=delta,
         commit=stamp,

@@ -53,7 +53,6 @@ which callers answer with an automatic full re-evaluation.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -1124,15 +1123,17 @@ def _eventual_key(value: object) -> object:
     ``(growth, offset)`` pair ``(k, b)``; an ongoing rational supplies
     the same pair shape via :meth:`OngoingRational.eventual_key`; fixed
     numbers embed as ``(0, value)`` so mixed columns stay comparable.
+    Integer pairs stay plain ints — they order against a rational's
+    fractions natively, and a top-k over a fixed key compares ints.
     Non-numeric fixed values (strings, …) compare natively.
     """
     if isinstance(value, OngoingInt):
         final = value.segments[-1]
-        return (Fraction(final[3]), Fraction(final[2]))
+        return (final[3], final[2])
     if isinstance(value, OngoingRational):
         return value.eventual_key()
     if isinstance(value, int) and not isinstance(value, bool):
-        return (Fraction(0), Fraction(value))
+        return (0, value)
     return value
 
 

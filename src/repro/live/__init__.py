@@ -7,10 +7,15 @@ That is precisely the contract a continuous-query/subscription service
 needs, and this package is that service:
 
 * :mod:`repro.live.events` — :class:`ChangeEvent` / :class:`RefreshNotification`
-  records and the :class:`EventBus` notifications travel on;
+  records and the :class:`EventBus` notifications travel on.  A
+  notification hands over the change and the pinned snapshot; it is
+  bound to a reference time when it is read — ``rows`` (the whole
+  result, once, on first access) or ``changes_at(rt)`` (a
+  :class:`BoundChanges`, O(|Δ|));
 * :mod:`repro.live.subscription` — the client-side :class:`Subscription`
   handle (cheap :meth:`~Subscription.instantiate` at any reference time,
-  per-subscription statistics);
+  per-subscription statistics) and :class:`BoundRows`, the counted fold
+  a consumer keeps to hold a bound row set current from ``changes_at``;
 * :mod:`repro.live.manager` — the :class:`SubscriptionManager` /
   :class:`LiveSession` facade, one pipeline: registration → typed-delta
   intake from the database hooks → batched coalescing flushes that
@@ -44,13 +49,27 @@ Quickstart::
     sub.instantiate(rt)        # any rt, never re-evaluates
     ...                        # current_delete / insert on base tables
     session.flush()            # one coalesced delta propagation + notification
+
+A consumer that wants bound rows reads ``event.rows`` (O(|result|), on
+the read) or keeps them current in O(|Δ|)::
+
+    bound = sub.bound_rows(rt)                 # one bind, here
+    def on_refresh(event):
+        appeared, vanished = bound.apply(event)    # folds event.changes_at(rt)
 """
 
-from repro.live.events import ChangeEvent, EventBus, RefreshNotification
+from repro.live.events import (
+    BoundChanges,
+    ChangeEvent,
+    EventBus,
+    RefreshNotification,
+)
 from repro.live.manager import LiveSession, SubscriptionManager
-from repro.live.subscription import Subscription, SubscriptionStats
+from repro.live.subscription import BoundRows, Subscription, SubscriptionStats
 
 __all__ = [
+    "BoundChanges",
+    "BoundRows",
     "ChangeEvent",
     "EventBus",
     "LiveSession",

@@ -8,7 +8,9 @@ that stream a shape:
 * :class:`ChangeEvent` — an immutable ``(table, version)`` record emitted
   by the :class:`~repro.engine.database.Database` modification hooks;
 * :class:`RefreshNotification` — what subscribers receive after their
-  shared result was re-evaluated;
+  shared result was refreshed: the change and the pinned snapshot, bound
+  to a reference time only when (and by whoever) reads it —
+  :class:`BoundChanges` is the O(|Δ|) read;
 * :class:`EventBus` — a tiny topic-based publish/subscribe fan-out with
   error isolation (a failing listener never starves its peers).
 """
@@ -16,11 +18,22 @@ that stream a shape:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
+from repro.core.timeline import TimePoint
 from repro.engine.delta import Delta
+from repro.relational.tuples import FixedTuple
 
-__all__ = ["ChangeEvent", "RefreshNotification", "EventBus"]
+__all__ = ["ChangeEvent", "BoundChanges", "RefreshNotification", "EventBus"]
 
 
 @dataclass(frozen=True)
@@ -46,13 +59,35 @@ class ChangeEvent:
     commit: Optional[Any] = field(default=None, compare=False)
 
 
+class BoundChanges(NamedTuple):
+    """A result-level delta bound at one reference time.
+
+    **Bags**, not sets: two ongoing tuples of one result may bind to the
+    same fixed tuple at one reference time, so a consumer folding these
+    into a row set has to count — a fixed tuple is in the bound result
+    while its count is positive (:class:`~repro.live.subscription.BoundRows`
+    is that fold).
+    """
+
+    inserted: Tuple[FixedTuple, ...]
+    deleted: Tuple[FixedTuple, ...]
+
+
 @dataclass(frozen=True)
 class RefreshNotification:
-    """Delivered to a subscription after its result was re-evaluated.
+    """Delivered to a subscription after its result was refreshed.
 
-    ``rows`` is the result instantiated at the subscription's chosen
-    reference time, or ``None`` when the subscription did not pick one —
-    subscribers can always instantiate later, at any reference time, via
+    A notification carries the change and the snapshot, not a bound
+    copy: ``result`` is the immutable ongoing result of this refresh and
+    ``reference_time`` the subscription's reference time *when the
+    refresh was notified* (``None`` when it had not picked one).
+    Binding happens when somebody reads, for the reader that asks:
+
+    * :attr:`rows` — the whole result at ``reference_time``,
+      O(|result|), bound on the first read and kept;
+    * :meth:`changes_at` — only what this refresh changed, O(|Δ|).
+
+    Subscribers can always instantiate later, at any reference time, via
     ``subscription.instantiate(rt)``; the ongoing result stays valid as
     time passes.
 
@@ -64,7 +99,7 @@ class RefreshNotification:
 
     subscription: Any
     result: Any
-    rows: Optional[FrozenSet] = None
+    reference_time: Optional[TimePoint] = None
     #: Tables whose modifications were coalesced into this refresh.
     changed_tables: Tuple[str, ...] = ()
     delta: Optional[Delta] = field(default=None, compare=False)
@@ -72,18 +107,59 @@ class RefreshNotification:
     #: modification batch this refresh carries — the conservative base
     #: for write→deliver freshness (``repro_freshness_seconds``).
     commit: Optional[Any] = field(default=None, compare=False)
+    _rows: Optional[FrozenSet[FixedTuple]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def rows(self) -> Optional[FrozenSet[FixedTuple]]:
+        """``result`` instantiated at ``reference_time`` (``None``
+        without one), bound by the first reader and memoised — a
+        notification nobody reads never pays it.  Two first readers
+        racing bind twice, to equal sets.  Each bind is one of the
+        subscription's ``stats.instantiations``.
+        """
+        rows = self._rows
+        if rows is None and self.reference_time is not None:
+            rows = self.result.instantiate(self.reference_time)
+            object.__setattr__(self, "_rows", rows)
+            self.subscription.stats.instantiations += 1
+        return rows
+
+    def changes_at(self, rt: Optional[TimePoint] = None) -> Optional[BoundChanges]:
+        """What this refresh changed, bound at *rt* — O(|Δ|).
+
+        *rt* defaults to the notification's ``reference_time``.  ``None``
+        when the precise change is unknown (``delta`` is ``None`` or
+        full-flagged): re-read :attr:`rows` (or ``result``) instead.  On
+        a coalesced notification this is the merged delta, in which one
+        tuple may both enter and leave.
+        """
+        delta = self.delta
+        if delta is None or delta.full:
+            return None
+        if rt is None:
+            rt = self.reference_time
+            if rt is None:
+                raise ValueError(
+                    "changes_at() needs a reference time: the subscription "
+                    "had none when this refresh was notified"
+                )
+        return BoundChanges(_bind(delta.inserted, rt), _bind(delta.deleted, rt))
 
     def coalesce_with(self, newer: "RefreshNotification") -> "RefreshNotification":
         """Merge a *newer* refresh of the same subscription into this one.
 
         Used by the serving layer's ``coalesce`` backpressure policy: a
         slow subscriber whose queue fills receives one notification that
-        carries the latest result/rows and the **merged result-level
-        delta** — applying it to the state the subscriber last saw yields
-        exactly the latest result, so no information is lost by skipping
-        the intermediate delivery.  A missing delta on either side means
-        the precise change is unknown; the merged delta is then ``None``
-        (subscribers fall back to reading ``result``).
+        carries the latest result and reference time and the **merged
+        result-level delta** — applying it to the state the subscriber
+        last saw yields exactly the latest result, so no information is
+        lost by skipping the intermediate delivery.  A missing delta on
+        either side means the precise change is unknown; the merged delta
+        is then ``None`` (subscribers fall back to reading ``result``).
+        Nothing is bound here: merging costs the same whether or not a
+        reader will ever ask for rows.
         """
         if newer.subscription is not self.subscription:
             raise ValueError(
@@ -106,13 +182,19 @@ class RefreshNotification:
         return RefreshNotification(
             subscription=newer.subscription,
             result=newer.result,
-            rows=newer.rows,
+            reference_time=newer.reference_time,
             changed_tables=tuple(
                 sorted({*self.changed_tables, *newer.changed_tables})
             ),
             delta=merged_delta,
             commit=older_commit,
         )
+
+
+def _bind(items, rt: TimePoint) -> Tuple[FixedTuple, ...]:
+    """The ongoing tuples of one side of a delta that exist at *rt*, bound."""
+    bound = (item.instantiate(rt) for item in items)
+    return tuple(row for row in bound if row is not None)
 
 
 class EventBus:

@@ -12,13 +12,28 @@ The handle exposes exactly the two cheap operations the paper promises
 stay valid as time passes: reading the ongoing result and instantiating
 it at an arbitrary reference time.  Neither touches the database or
 triggers re-evaluation.
+
+A refresh binds nothing on the subscriber's behalf: it hands over the
+change and the pinned snapshot (:class:`~repro.live.events.RefreshNotification`)
+and whoever reads pays for what it reads.  A consumer that wants a
+*bound* row set kept current asks for a :class:`BoundRows` — one
+O(|result|) bind when it is created, O(|Δ|) per notification after.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Optional, TYPE_CHECKING
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    FrozenSet,
+    Optional,
+    Tuple,
+    TYPE_CHECKING,
+)
 
 from repro.core.timeline import TimePoint
 from repro.engine.maintenance import IncrementalMaintainer
@@ -32,7 +47,7 @@ from repro.live.events import RefreshNotification
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
     from repro.live.manager import SubscriptionManager
 
-__all__ = ["Subscription", "SubscriptionStats"]
+__all__ = ["Subscription", "SubscriptionStats", "BoundRows"]
 
 
 @dataclass
@@ -44,8 +59,11 @@ class SubscriptionStats:
     ``coalesced_events`` counts base-table change events that were folded
     into those refreshes; ``pending_events`` those no refresh has
     answered for yet (a read of the plan's pending record, ``0`` once the
-    subscription is closed); ``instantiations`` counts the cheap serving
-    operation.  There is deliberately no clock anywhere in here.
+    subscription is closed); ``instantiations`` counts every O(|result|)
+    bind made for this subscriber — :meth:`Subscription.instantiate`, the
+    first read of a notification's ``rows``, building (or rebuilding) a
+    :class:`BoundRows`; a consumer of ``changes_at`` alone stays at 0.
+    There is deliberately no clock anywhere in here.
     """
 
     refreshes: int = 0
@@ -95,9 +113,11 @@ class Subscription:
         self.name = name or f"subscription-{self.id}"
         self.manager = manager
         self.on_refresh = on_refresh
-        #: The reference time instantiated rows are delivered at; ``None``
-        #: delivers the ongoing result only.  Caller-chosen and mutable —
-        #: changing it never requires a re-evaluation.
+        #: The reference time a notification's ``rows`` and
+        #: ``changes_at()`` bind at; ``None`` delivers the ongoing result
+        #: only.  Caller-chosen and mutable — changing it never requires
+        #: a re-evaluation; a notification keeps the one in force when
+        #: its refresh was notified.
         self.reference_time = reference_time
         #: Subscription-level change filter: by default a flush whose
         #: propagated delta leaves this result unchanged (an irrelevant
@@ -183,6 +203,12 @@ class Subscription:
         self.stats.instantiations += 1
         return self.result.instantiate(rt)
 
+    def bound_rows(self, rt: Optional[TimePoint] = None) -> "BoundRows":
+        """The result bound at *rt* (default: :attr:`reference_time`) as
+        a row set the caller keeps current by folding notifications into
+        it — see :class:`BoundRows`.  The session keeps no reference."""
+        return BoundRows(self, self.reference_time if rt is None else rt)
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -228,14 +254,10 @@ class Subscription:
         topic = f"refresh:{self.id}"
         if bus.listener_count(topic) == 0 and bus.listener_count("refresh") == 0:
             return 0
-        result = self.result  # one snapshot read serves the notification
-        rows = None
-        if self.reference_time is not None:
-            rows = result.instantiate(self.reference_time)
         notification = RefreshNotification(
             subscription=self,
-            result=result,
-            rows=rows,
+            result=self.result,  # pins the version a later ``rows`` binds
+            reference_time=self.reference_time,
             changed_tables=tuple(sorted(changed_tables)),
             delta=delta,
             commit=commit,
@@ -251,3 +273,83 @@ class Subscription:
     def __repr__(self) -> str:
         state = "active" if self.active else "closed"
         return f"Subscription({self.name!r}, {state}, stats={self.stats})"
+
+
+class BoundRows:
+    """A subscriber's result bound at one reference time, kept current
+    by the consumer that wanted it: O(|result|) once, O(|Δ|) per refresh.
+
+    Obtained from :meth:`Subscription.bound_rows`; the consumer calls
+    :meth:`apply` with every notification it receives, in order, and
+    reads :attr:`rows`.  The fold counts: two ongoing tuples of one
+    result may bind to the same fixed tuple at :attr:`rt`, and that
+    tuple stays in :attr:`rows` until both are gone.
+
+    Create it where no notification of the subscription is still on its
+    way (right after ``subscribe``, or from within the callback), and
+    under a mailbox that may drop (``drop_oldest``) do not fold at all:
+    a lost or repeated delta is detected only when it drives a count
+    below zero.
+    """
+
+    __slots__ = ("rt", "_stats", "_counts")
+
+    def __init__(self, subscription: Subscription, rt: Optional[TimePoint]):
+        if rt is None:
+            raise QueryError(
+                f"subscription {subscription.name!r} has no reference time "
+                "to bind rows at; pass one"
+            )
+        self.rt = rt
+        self._stats = subscription.stats
+        self._counts: Dict[FixedTuple, int] = {}
+        self._rebuild(subscription.result)
+
+    def _rebuild(self, result: OngoingRelation) -> None:
+        self._stats.instantiations += 1
+        counts = self._counts
+        counts.clear()  # in place: a ``rows`` view somebody holds stays live
+        for item in result.tuples:
+            row = item.instantiate(self.rt)
+            if row is not None:
+                counts[row] = counts.get(row, 0) + 1
+
+    @property
+    def rows(self) -> AbstractSet[FixedTuple]:
+        """The bound result — the fixed tuples with a positive count —
+        as a live set view (O(1)); ``frozenset(bound.rows)`` keeps one."""
+        return self._counts.keys()
+
+    def apply(
+        self, notification: RefreshNotification
+    ) -> Tuple[FrozenSet[FixedTuple], FrozenSet[FixedTuple]]:
+        """Fold one notification in; returns the fixed tuples that
+        ``(appeared, vanished)`` at :attr:`rt` — a ``0 ↔ positive`` move
+        of a count, the same rule operator state commits by.  Rebuilds
+        from ``notification.result`` when the notification does not know
+        its precise change.
+        """
+        changes = notification.changes_at(self.rt)
+        if changes is None:
+            before = frozenset(self._counts)
+            self._rebuild(notification.result)
+            return frozenset(self.rows - before), before - self.rows
+        net = Counter(changes.inserted)
+        net.subtract(changes.deleted)
+        counts = self._counts
+        moved = {
+            row: counts.get(row, 0) + change for row, change in net.items() if change
+        }
+        if min(moved.values(), default=0) < 0:
+            raise QueryError(
+                "a delta removes rows this bound set never held: a "
+                "notification was lost, repeated or folded out of order"
+            )
+        appeared = frozenset(row for row in moved if row not in counts)
+        vanished = frozenset(row for row, count in moved.items() if not count)
+        for row, count in moved.items():
+            if count:
+                counts[row] = count
+            else:
+                del counts[row]
+        return appeared, vanished

@@ -9,6 +9,9 @@ window forces the logged full-refresh fallback.
 
 import pytest
 
+from repro.core.integer import OngoingInt
+from repro.core.rational import OngoingRational
+from repro.core.timeline import MINUS_INF, PLUS_INF
 from repro.engine.database import Database
 from repro.engine.plan import Aggregate, Distinct, SortLimit, scan
 from repro.errors import QueryError
@@ -108,6 +111,38 @@ class TestSortLimitPlanning:
         second = db.query(plan)
         assert first == second
         assert len(first) == 2
+
+
+class TestEventualOrderOfMixedKeys:
+    def test_ints_ongoing_ints_and_rationals_order_in_one_column(self):
+        """Fixed ints embed as plain ``(0, value)``, ongoing ints as their
+        final ``(slope, intercept)`` and ongoing rationals as fractions:
+        one ORDER BY ranks all three, warm as well as cold."""
+        constant = OngoingInt.constant
+        growing = OngoingInt([(MINUS_INF, 0, 0, 0), (0, PLUS_INF, 0, 1)])
+        values = {
+            "int": 3,
+            "ongoing-int": constant(4),
+            "rational": OngoingRational(constant(7), constant(2)),  # 7/2
+            "tie": OngoingRational(constant(6), constant(2)),  # 3, like "int"
+            "grows": growing,  # rt for rt >= 0: beyond every constant
+        }
+        db = Database("mixed-keys")
+        table = db.create_table("M", Schema.of("V", "Name"))
+        for name in ("grows", "rational", "int", "tie"):
+            table.insert(values[name], name)
+        plan = scan("M").order_by("V", ("Name", True))
+        session = LiveSession(db)
+        sub = session.subscribe(plan)
+        table.insert(values["ongoing-int"], "ongoing-int")
+        session.flush()
+        ranked = ["tie", "int", "rational", "ongoing-int", "grows"]
+        cold = db.query(plan)
+        assert [row.values[1] for row in cold.tuples] == ranked
+        assert sub.result == cold
+        assert _full_refreshes(session) == 0
+        top = db.query(scan("M").order_by(("V", True), limit=2))
+        assert {row.values[1] for row in top} == {"grows", "ongoing-int"}
 
 
 class TestTopKBoundaryChurn:

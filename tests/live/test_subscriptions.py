@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.interval import fixed_interval, until_now
 from repro.core.timeline import mmdd
+from repro.durable.snapshot import capture_subscriptions, serialize_notification
 from repro.engine.database import Database
 from repro.engine.modifications import current_delete, current_update
 from repro.engine.plan import scan
@@ -156,6 +157,105 @@ class TestNotifications:
         db.table("B").insert(503, "More", until_now(d(8, 3)))
         session.flush()
         assert received[-1].rows == sub.result.instantiate(d(8, 15))
+
+    def test_a_notification_keeps_the_reference_time_it_was_notified_at(self):
+        db = _database()
+        session = LiveSession(db)
+        received = []
+        sub = session.subscribe(
+            _bug_plan(), on_refresh=received.append, reference_time=d(8, 10)
+        )
+        current_delete(db.table("B"), lambda r: r.values[0] == 500, at=d(8, 12))
+        session.flush()
+        sub.reference_time = d(8, 20)  # after the refresh, before the read
+        (event,) = received
+        assert event.reference_time == d(8, 10)
+        assert event.rows == event.result.instantiate(d(8, 10))
+        assert event.rows != event.result.instantiate(d(8, 20))
+
+    def test_changes_at_binds_only_the_delta(self):
+        db = _database()
+        session = LiveSession(db)
+        received = []
+        sub = session.subscribe(
+            _bug_plan(), on_refresh=received.append, reference_time=d(8, 15)
+        )
+        before = sub.instantiate(d(8, 15))
+        current_delete(db.table("B"), lambda r: r.values[0] == 500, at=d(8, 10))
+        session.flush()
+        (event,) = received
+        inserted, deleted = event.changes_at()  # at the notification's rt
+        assert set(deleted) == before - event.rows
+        assert set(inserted) == event.rows - before
+        assert event.changes_at(d(8, 15)) == event.changes_at()
+        # Before the terminated row's end the change is invisible: the
+        # old and the new tuple bind to the same fixed tuple there.
+        early = event.changes_at(d(8, 5))
+        assert early.inserted == early.deleted != ()
+        assert not sub.bound_rows(d(8, 5)).apply(event)[0]
+
+    def test_changes_at_without_any_reference_time_is_an_error(self):
+        db = _database()
+        session = LiveSession(db)
+        received = []
+        session.subscribe(_bug_plan(), on_refresh=received.append)
+        db.table("B").insert(502, "More", until_now(d(8, 2)))
+        session.flush()
+        with pytest.raises(ValueError, match="reference time"):
+            received[0].changes_at()
+        assert received[0].changes_at(d(8, 15)).inserted
+
+    def test_instantiations_count_every_bind_and_nothing_else(self):
+        db = _database()
+        session = LiveSession(db)
+        received = []
+        sub = session.subscribe(
+            _bug_plan(), on_refresh=received.append, reference_time=d(8, 15)
+        )
+        for bid in (502, 503, 504):
+            db.table("B").insert(bid, "More", until_now(d(8, 2)))
+            session.flush()
+        for event in received:  # a delta-only consumer
+            assert len(event.changes_at().inserted) == 1
+        assert sub.stats.instantiations == 0
+        for _ in range(3):  # however often: one bind per notification read
+            assert len(received[0].rows) < len(received[-1].rows)
+        assert sub.stats.instantiations == 2
+        bound = sub.bound_rows()
+        assert sub.stats.instantiations == 3
+        db.table("B").insert(505, "More", until_now(d(8, 2)))
+        session.flush()
+        bound.apply(received[-1])
+        assert bound.rows == received[-1].rows
+        assert sub.stats.instantiations == 4  # the rows read, not the fold
+
+    def test_resume_binds_nothing(self):
+        db = _database()
+        session = LiveSession(db)
+        received = []
+        session.subscribe(
+            _bug_plan(),
+            on_refresh=received.append,
+            reference_time=d(8, 15),
+            name="dash",
+        )
+        db.table("B").insert(502, "More", until_now(d(8, 2)))
+        session.flush()
+        (manifest,) = capture_subscriptions(session)
+        manifest["pending"] = serialize_notification(received.pop())
+        session.close()
+        (resumed,) = LiveSession(db).resume([manifest], on_refresh=received.append)
+        (event,) = received  # re-enqueued, delivered inline
+        assert resumed.stats.instantiations == 0
+        assert event.rows == resumed.result.instantiate(d(8, 15))
+        assert resumed.stats.instantiations == 1
+
+    def test_bound_rows_needs_a_reference_time(self):
+        session = LiveSession(_database())
+        sub = session.subscribe(_bug_plan())
+        with pytest.raises(QueryError, match="reference time"):
+            sub.bound_rows()
+        assert sub.bound_rows(d(8, 15)).rows == sub.result.instantiate(d(8, 15))
 
     def test_failing_callback_does_not_break_the_flush(self):
         db = _database()

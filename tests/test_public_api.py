@@ -92,6 +92,25 @@ def test_version_is_exposed():
     assert repro.__version__ == "1.10.0"
 
 
+def test_bound_delivery_names_are_public_in_the_live_package_only():
+    """A refresh binds on read: the bound delta and the consumer-side
+    fold are part of ``repro.live``; the top level stays as it was."""
+    import repro
+    import repro.live
+
+    for name in ("BoundChanges", "BoundRows"):
+        assert name in repro.live.__all__
+        assert name not in repro.__all__ and not hasattr(repro, name)
+    notification = repro.live.RefreshNotification
+    assert isinstance(notification.rows, property)
+    assert "rows" not in inspect.signature(notification).parameters
+    for member in (notification.rows, notification.changes_at):
+        assert member.__doc__
+    bound_rows = repro.live.BoundRows
+    for member in (bound_rows, bound_rows.rows, bound_rows.apply):
+        assert member.__doc__
+
+
 def test_public_classes_have_documented_public_methods():
     from repro import IntervalSet, OngoingBoolean, OngoingInterval, OngoingTimePoint
 
