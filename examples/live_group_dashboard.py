@@ -5,7 +5,8 @@ so a ``SELECT region, COUNT(*) ... GROUP BY region`` dashboard subscribes
 like any other ongoing query: the grouped counts are *ongoing integers* —
 functions of the reference time — so the panel stays correct as time
 passes without a single re-evaluation, and a write refreshes the result
-by re-aggregating **only the touched group's member set**.
+by folding **its own events into the touched group's accumulators** —
+whatever the group's size.
 
 Run with::
 
@@ -64,7 +65,7 @@ def main() -> None:
         f"one insert: flushed in {flush_ms:.2f} ms — "
         f"delta_refreshes={stats['repro_live_delta_refreshes_total']}, "
         f"full_refreshes={stats['repro_live_full_refreshes_total']} "
-        f"(only the 'apac' group re-aggregated)"
+        f"(only the 'apac' group's accumulators moved)"
     )
     print(f"  push carried result delta: {pushes[-1].delta}")
     print(f"  apac now: {dict(sub.instantiate(HISTORY + 2))['apac']} sessions")

@@ -578,11 +578,12 @@ class DeltaEvaluator:
         root, where the result store needs an index of its own.
 
         Each state gets two prices: its own output rows and its *cached*
-        rows.  The cached rows of a join, difference, or aggregate are
-        the **children's** output tuples — often much wider than this
-        operator's own output (a GROUP BY's group row is narrow, its
-        cached members are full input rows) — so they are priced at the
-        mean of the children's own-row estimates, not this node's.
+        rows.  The cached rows of a join or a difference are the
+        **children's** output tuples, so they are priced at the mean of
+        the children's own-row estimates, not this node's.  (An
+        aggregate caches no rows: its ``cached_rows`` count accumulator
+        entries — a boundary and two integers, or a ``(value, rt)`` pair
+        — which the same price over-estimates.)
         """
         from repro.engine.executor import SeqScan
 
@@ -982,12 +983,25 @@ class DeltaEvaluator:
                                 )
                                 break
             elif isinstance(node, AggregateOp):
-                groups = state.extra.get("groups")
-                if groups is not None and len(groups) != state.cached_rows:
+                groups = state.extra["accumulators"]
+                outs = state.extra["out"]
+                held = sum(group.entries() for group in groups.values())
+                if held != state.cached_rows:
                     problems.append(
-                        f"{path} AggregateOp: group index holds "
-                        f"{len(groups)} members, state caches "
-                        f"{state.cached_rows}"
+                        f"{path} AggregateOp: accumulators hold {held} "
+                        f"entries, state caches {state.cached_rows}"
+                    )
+                for key, group in groups.items():
+                    if outs.get(key) != group.row(key):
+                        problems.append(
+                            f"{path} AggregateOp: output row of group "
+                            f"{key!r} is not what its accumulators walk to"
+                        )
+                        break
+                if any(key not in groups for key in outs if key != ()):
+                    problems.append(
+                        f"{path} AggregateOp: an output row outlived its "
+                        f"group's accumulators"
                     )
             elif isinstance(node, SortLimitOp):
                 window = state.extra.get("window")

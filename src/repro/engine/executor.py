@@ -43,11 +43,13 @@ The delta rules: filters and projections map deltas tuple-by-tuple;
 joins probe only the delta side against their cached build state
 (``Δ(L⋈R) = ΔL⋈R_old ∪ L_new⋈ΔR``); union and duplicate elimination are
 derivation counting; difference recomputes only the left tuples whose
-fixed attributes a right change touches; aggregation re-aggregates only
+fixed attributes a right change touches; aggregation folds each changed
+row's own events into its group's invertible accumulators and walks only
 the touched groups; ordered limits maintain a top-k window in
-O(Δ log k).  A delta a rule cannot absorb (an unknown row, an evicted
-top-k boundary) raises :class:`~repro.engine.delta.NonIncrementalDelta`,
-which callers answer with an automatic full re-evaluation.
+O(Δ log k).  A delta a rule cannot absorb (an unknown row, an overdrawn
+group, an evicted top-k boundary) raises
+:class:`~repro.engine.delta.NonIncrementalDelta`, which callers answer
+with an automatic full re-evaluation.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
 from repro.core.intervalset import IntervalSet
 from repro.core.rational import OngoingRational
+from repro.engine.accumulators import GroupAccumulators
 from repro.engine.cost import DEFAULT_COST_MODEL
 from repro.engine.delta import (
     Delta,
@@ -74,11 +77,7 @@ from repro.engine.indexes import (
     SecondaryIndexRegistry,
 )
 from repro.errors import QueryError
-from repro.relational.aggregate import (
-    aggregate_function,
-    members_support,
-    scalar_empty_row,
-)
+from repro.relational.aggregate import scalar_empty_row, validate_aggregate
 from repro.relational.algebra import match_set
 from repro.relational.predicates import Expression, Predicate
 from repro.relational.relation import OngoingRelation
@@ -943,19 +942,33 @@ class AggregateOp(PhysicalOperator):
     """γ — grouped RT-aware aggregation over the child's output set.
 
     Maintains an **ordered list** of aggregate specs — one output column
-    per ``(aggregate, argument, output_name)`` triple — over one shared
-    per-group member set (``groups``: key → ordered set of child tuples,
-    a predicate-partition index on the grouping projection) plus the
-    output row each group currently produces (``out``: key → tuple).  A
-    delta is partitioned by group key and only the touched groups
-    re-aggregate — O(|group| log |group|) per touched group, independent
-    of the relation — through the order-insensitive event sweeps of the
-    :mod:`repro.relational.aggregate` registry.  A changed group emits a
-    delete of its old row and an insert of the new one; a group whose
-    last member leaves just deletes.  The scalar group (no grouping
-    columns) exists from the start and never vanishes: over zero members
-    it yields the SQL empty-aggregate row, so ``SELECT COUNT(*)`` reads
-    the constant 0 on an empty input.
+    per ``(aggregate, argument, output_name)`` triple.  A group is its
+    accumulators (:mod:`repro.engine.accumulators`), not its members:
+    a member count, one counted coverage map over the members' RT
+    intervals (the group's RT, ``COUNT(*)`` and AVG's denominator at
+    once) and one event map per ``SUM_DURATION`` / ``AVG`` spec — sums
+    of piecewise-linear functions of rt, hence invertible.  The rule:
+    fold each deleted row with -1 and each inserted row with +1 into its
+    group (O(segments of the row)), then walk the touched groups' maps
+    into their output rows (``out``: key → tuple) — O(|Δ| + pieces of
+    the group's value), whatever the group's size.  ``MIN`` / ``MAX``
+    cannot be retracted from; for those specs only, the group keeps a
+    counted ``(value, rt)`` multiset and re-runs the extremum sweep over
+    it when touched — O(|group|) still, in state and in time.
+
+    A changed group emits a delete of its old row and an insert of the
+    new one; a group whose last member leaves just deletes.  The scalar
+    group (no grouping columns) never vanishes: over zero members it
+    yields the SQL empty-aggregate row, so ``SELECT COUNT(*)`` reads the
+    constant 0 on an empty input.
+
+    The operator does not know its members, so it cannot tell an unknown
+    row from a known one — and need not: every child either validates
+    derivation counts atomically (:func:`commit_changes`) or is a
+    stateless scan forwarding the table's own ``0 ↔ positive``
+    transitions.  What it does check costs O(1): a member count or a
+    multiset count below zero, a coverage level below zero, an emptied
+    group whose maps do not cancel — each a :class:`NonIncrementalDelta`.
     """
 
     def __init__(
@@ -971,20 +984,12 @@ class AggregateOp(PhysicalOperator):
         self.group_names = tuple(group_names)
         self.specs = tuple(specs)
         self.schema = out_schema
-        self._computes = tuple(
-            (aggregate_function(name), argument)
+        for name, argument, _ in self.specs:
+            validate_aggregate(child.schema, name, argument)
+        self._spec_plans = tuple(
+            (name, None if name == "count" else child.schema.index_of(argument))
             for name, argument, _ in self.specs
         )
-
-    @property
-    def aggregate(self) -> str:
-        """The first spec's aggregate name (single-spec plans)."""
-        return self.specs[0][0]
-
-    @property
-    def argument(self) -> Optional[str]:
-        """The first spec's argument (single-spec plans)."""
-        return self.specs[0][1]
 
     def _describe(self) -> str:
         rendered = ", ".join(
@@ -1001,30 +1006,20 @@ class AggregateOp(PhysicalOperator):
     def _key(self, item: OngoingTuple) -> Tuple[object, ...]:
         return tuple(item.values[p] for p in self.group_positions)
 
-    def _group_row(
-        self, key: Tuple[object, ...], members: Dict[OngoingTuple, None]
-    ) -> Optional[OngoingTuple]:
-        """The output row of one group — ``None`` when the group is gone.
-
-        All specs are computed in one pass over the shared member set —
-        a touched group re-aggregates every output column together.
-        """
-        if members:
-            values = tuple(
-                compute(self.child.schema, members, argument)
-                for compute, argument in self._computes
-            )
-            return OngoingTuple(key + values, members_support(members))
-        if not self.group_positions:
-            return scalar_empty_row([name for name, _, _ in self.specs])
-        return None
+    def _memberless_row(self) -> Optional[OngoingTuple]:
+        """What a group without members yields: the scalar group its SQL
+        empty-aggregate row, every other group nothing."""
+        if self.group_positions:
+            return None
+        return scalar_empty_row([name for name, _, _ in self.specs])
 
     def delta_state(self) -> OperatorState:
         state = OperatorState()
-        state.extra["groups"] = PartitionIndex()
+        state.extra["accumulators"] = {}
         outs = state.extra["out"] = {}
-        if not self.group_positions:
-            row = outs[()] = self._group_row((), {})
+        row = self._memberless_row()
+        if row is not None:
+            outs[()] = row
             state.counts[row] = 1
         return state
 
@@ -1032,36 +1027,45 @@ class AggregateOp(PhysicalOperator):
         self, state: OperatorState, deltas: Sequence[Delta]
     ) -> Delta:
         (delta,) = deltas
-        groups: PartitionIndex = state.extra["groups"]
+        groups: Dict[Tuple[object, ...], GroupAccumulators] = state.extra[
+            "accumulators"
+        ]
         outs: Dict[Tuple[object, ...], OngoingTuple] = state.extra["out"]
-        touched: Dict[Tuple[object, ...], None] = {}
+        #: key → entries the group held before this delta touched it.
+        touched: Dict[Tuple[object, ...], int] = {}
         for item in delta.deleted:
             key = self._key(item)
-            if item not in groups.bucket(key):
+            group = groups.get(key)
+            if group is None or not group.members:
                 raise NonIncrementalDelta(
-                    "delete of a tuple unknown to the aggregate's group"
+                    "delete from an aggregate group that holds no member"
                 )
-            groups.remove(key, item)  # drops the bucket when emptied
-            state.cached_rows -= 1
-            touched[key] = None
+            if key not in touched:
+                touched[key] = group.entries()
+            group.fold(item, -1)
         for item in delta.inserted:
             key = self._key(item)
-            if item in groups.bucket(key):
-                raise NonIncrementalDelta(
-                    "insert of a tuple already aggregated in its group"
-                )
-            groups.add(key, item)
-            state.cached_rows += 1
-            touched[key] = None
-        if touched:
-            state.extra.setdefault("access_paths", {})["groups"] = (
-                f"index:partition({len(groups)})"
-            )
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = GroupAccumulators(self._spec_plans)
+            if key not in touched:
+                touched[key] = group.entries()
+            group.fold(item, +1)
         changes: Dict[OngoingTuple, int] = {}
-        for key in touched:
-            members = groups.bucket(key)
+        for key, entries_before in touched.items():
+            group = groups[key]
+            entries = group.entries()
+            state.cached_rows += entries - entries_before
             old = outs.get(key)
-            new = self._group_row(key, members)
+            if group.members:
+                new = group.row(key)
+            elif entries:
+                raise NonIncrementalDelta(
+                    "an emptied aggregate group's accumulators do not cancel"
+                )
+            else:
+                del groups[key]
+                new = self._memberless_row()
             if new == old:
                 continue  # e.g. a delete+insert pair that kept the value
             if old is not None:

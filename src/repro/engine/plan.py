@@ -17,11 +17,21 @@ Plans can also be built fluently::
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional, Sequence, Tuple
 
 from repro.relational.predicates import Predicate
 from repro.errors import QueryError
+
+# One SHA-256 per plan does not need OpenSSL (``hashlib`` loads libcrypto:
+# ~3.4 MB resident and ~40 ms in every process) — take the interpreter's
+# built-in digest the way the standard library's ``random`` does.
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython <= 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "PlanNode",
@@ -142,7 +152,7 @@ class PlanNode:
         """
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
-            digest = hashlib.sha256(self.canonical().encode("utf-8"))
+            digest = _sha256(self.canonical().encode("utf-8"))
             cached = self.__dict__["_fingerprint"] = digest.hexdigest()
         return cached
 

@@ -7,7 +7,8 @@ operator, keyed by its stable tree path — and prints the plan the way
 ``EXPLAIN`` does, with a live-counter annotation per node:
 
 * ``rows`` — tuples currently in the operator's derivation-count state
-  (its output set) plus its cached build rows;
+  (its output set) plus its cached build rows (for an aggregate: the
+  accumulator entries it holds — it caches no rows);
 * ``bytes`` — the operator's estimated state memory, priced with the
   storage layout's sampled row widths;
 * ``applies`` / ``time`` — cumulative ``apply_delta`` invocations and

@@ -25,13 +25,17 @@ the planner and compiler validate against (:func:`validate_aggregate`,
 
 All aggregates run as **single event sweeps** over the members' interval
 boundaries — O(B log B) in the total number of boundaries B, never
-O(boundaries × members) — and are insensitive to member order, which is
-what lets the delta engine (:mod:`repro.engine.delta`) re-aggregate one
-group from its maintained member set and land on a result byte-identical
-to a from-scratch :func:`group_by`.  The group-level helpers it shares
-with the physical :class:`~repro.engine.executor.AggregateOp` live here
-too: :func:`aggregate_function`, :func:`members_support`,
-:func:`scalar_empty_row`, and :func:`validate_aggregate`.
+O(boundaries × members) — and are insensitive to member order.  This
+module is the **oracle**: the delta engine does not call its per-group
+computes.  The physical :class:`~repro.engine.executor.AggregateOp`
+keeps invertible accumulators of its own per group
+(:mod:`repro.engine.accumulators` — a member adds and retracts exactly
+its own boundary events) and must land on rows equal, and hashing equal,
+to a from-scratch :func:`group_by`; the property suites hold the two
+against each other.  What the engine still shares is named in
+``tests/engine/test_oracle_independence.py``: the extremum sweep (MIN /
+MAX are not invertible), :func:`scalar_empty_row` and
+:func:`validate_aggregate`.
 
 Scalar aggregates (an empty ``group_columns`` list) follow SQL semantics:
 over an *empty* relation they still produce one row — the constant-0
@@ -68,7 +72,6 @@ __all__ = [
     "group_by",
     "known_aggregates",
     "validate_aggregate",
-    "aggregate_function",
     "members_support",
     "scalar_empty_row",
     "empty_group_value",
@@ -200,7 +203,7 @@ def _numeric_members(
 
 
 # ----------------------------------------------------------------------
-# The aggregate registry (shared with the physical AggregateOp)
+# The aggregate registry
 # ----------------------------------------------------------------------
 
 #: One group's aggregate: ``compute(schema, members, attr)`` returning an
@@ -275,8 +278,8 @@ def _avg_value(
     The numerator (Σ value over present members) and the denominator
     (member count) are each one order-insensitive event sweep over the
     members' RT boundaries; the quotient stays symbolic and reduces
-    lazily, so a delta re-aggregation of the maintained member set lands
-    on a value equal (and hashing equal) to a from-scratch computation.
+    lazily, so the delta engine's accumulated pair compares equal (and
+    hashes equal) to this from-scratch computation.
     """
     position = schema.index_of(attr)
     contributions: List[OngoingInt] = []
@@ -409,27 +412,12 @@ def validate_aggregate(
         raise PredicateError(f"{attr!r} must be a fixed numeric attribute")
 
 
-def aggregate_function(aggregate: str) -> GroupCompute:
-    """The compute behind *aggregate* (validate separately, once).
-
-    All computes are insensitive to member order — the delta engine feeds
-    them a maintained member set whose insertion order differs from a
-    fresh evaluation's.
-    """
-    try:
-        return _AGGREGATES[aggregate].compute
-    except KeyError:
-        raise PredicateError(
-            f"unknown aggregate {aggregate!r}; known: {sorted(_AGGREGATES)}"
-        ) from None
-
-
 def members_support(members: Iterable[OngoingTuple]) -> IntervalSet:
     """The union of the members' reference times — the group's RT.
 
     One sort+merge over all boundaries (the :class:`IntervalSet`
     constructor normalizes); pairwise ``union`` would be O(members²)
-    with disjoint reference times — this runs on the per-flush path.
+    with disjoint reference times.
     """
     return IntervalSet(
         pair for member in members for pair in member.rt

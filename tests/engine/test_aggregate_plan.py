@@ -205,19 +205,47 @@ class TestDeltaRule:
         db.table("E").insert(5, "a", 9, until_now(6))
         maintained.step()
 
-    def test_delete_unknown_to_the_group_raises(self):
-        """An inconsistent delta forces the logged full-refresh fallback."""
+    def test_delete_that_breaks_conservation_raises(self):
+        """The operator keeps accumulators, not members, so it cannot name
+        an unknown row — but a delete that overdraws what a group holds
+        (its member count, its coverage, a MIN / MAX multiset) forces the
+        logged full-refresh fallback."""
         from repro.core.intervalset import IntervalSet
         from repro.engine.planner import plan_query
         from repro.relational.tuples import OngoingTuple
 
-        db = _database()
-        operator = plan_query(scan("E").group_by(("G",), "count"), db)
-        state = operator.delta_state()
-        operator.evaluate(state, (tuple(db.relation("E").tuples),))
-        ghost = OngoingTuple(("zz", "a", 0, None), IntervalSet([(0, 1)]))
-        with pytest.raises(NonIncrementalDelta, match="unknown"):
-            operator.apply_delta(state, (Delta.delete([ghost]),))
+        def warm(aggregate, argument=None):
+            db = _database()
+            operator = plan_query(
+                scan("E").group_by(("G",), aggregate, argument), db
+            )
+            state = operator.delta_state()
+            operator.evaluate(state, (tuple(db.relation("E").tuples),))
+            return operator, state
+
+        def ghost(group, rt=IntervalSet([(0, 1)])):
+            return OngoingTuple((99, group, 0, until_now(1)), rt)
+
+        operator, state = warm("count")
+        with pytest.raises(NonIncrementalDelta, match="holds no member"):
+            operator.apply_delta(state, (Delta.delete([ghost("zz")]),))
+        operator, state = warm("count")
+        with pytest.raises(NonIncrementalDelta, match="holds no member"):
+            operator.apply_delta(state, (Delta.delete([ghost("b")] * 2),))
+        # Group "b" covers [0, 1) once (its one member's trivial RT):
+        # retracting a ghost's [0, 1) twice drives it to -1 there.
+        operator, state = warm("count")
+        elsewhere = [ghost("b", IntervalSet([(at, at + 1)])) for at in (5, 7)]
+        operator.apply_delta(state, (Delta.insert(elsewhere),))
+        with pytest.raises(NonIncrementalDelta, match="coverage"):
+            operator.apply_delta(state, (Delta.delete([ghost("b")] * 2),))
+        # The last member leaves, but what was retracted is not what it added.
+        operator, state = warm("count")
+        with pytest.raises(NonIncrementalDelta, match="do not cancel"):
+            operator.apply_delta(state, (Delta.delete([ghost("b")]),))
+        operator, state = warm("max", "N")
+        with pytest.raises(NonIncrementalDelta, match="multiset"):
+            operator.apply_delta(state, (Delta.delete([ghost("a")]),))
 
 
 class TestLiveFallback:

@@ -4,7 +4,11 @@ The property suites compare the engine against the reference operators
 of :mod:`repro.relational.algebra` / :mod:`repro.relational.aggregate`.
 That comparison only means something while the engine does not *call*
 them: this test walks every import in ``src/repro/engine/`` and allows
-only the per-tuple kernels below.
+only the kernels below, each by name.  Since the aggregate keeps
+invertible accumulators of its own (:mod:`repro.engine.accumulators`),
+``group_by`` and its per-group computes — COUNT, SUM_DURATION, AVG, the
+union of a group's member RTs — are not among them: the aggregate
+property suites compare two independent implementations.
 """
 
 import ast
@@ -22,8 +26,7 @@ _ORACLE_MODULES = (
 #: Kernel name → why the engine and the oracle share it.
 _SHARED_KERNELS = {
     "match_set": "Theorem 2's matched rts of ONE left tuple, not the operator",
-    "aggregate_function": "the per-group computes (COUNT, AVG, ...) of the registry",
-    "members_support": "the union of one group's member RTs",
+    "_extremum_sweep": "MIN / MAX are not invertible: one sweep over a (rt, value) iterable",
     "scalar_empty_row": "the constant row of a scalar aggregate over zero members",
     "validate_aggregate": "plan-time type check of an aggregate's argument",
     "infer_kind": "column-kind inference for computed projections",

@@ -337,27 +337,27 @@ class TestStateBudget:
         )
         session.close()
 
-    def test_state_bytes_prices_cached_inputs_at_input_width(self):
-        """A GROUP BY's output rows are narrow (key + aggregate) while its
-        cached group members are full input rows — the budget estimate
-        must reflect the *input* width, or wide tables under narrow
-        aggregates would never evict."""
+    def test_state_bytes_of_an_aggregate_ignores_its_input(self):
+        """A group is its accumulators, not its members: what an
+        invertible GROUP BY holds — and what the budget is charged for —
+        is a few map entries per group, however many and however wide
+        the input rows are."""
         from repro.engine.storage import sizeof_tuple
 
-        db = Database("store-width")
-        table = db.create_table(
-            "W", Schema.of("K", "PAYLOAD", ("VT", "interval"))
-        )
-        payload = "x" * 500
-        for i in range(50):
-            table.insert(i % 3, payload, until_now(i))
-        plan = scan("W").group_by(("K",), "count")
-        evaluator = DeltaEvaluator(plan, db)
-        evaluator.refresh_full()
-        member_bytes = sizeof_tuple(next(iter(table.rows())))
-        # The aggregate caches all 50 wide members; the estimate must be
-        # in their ballpark (well above 50 narrow group rows).
-        assert evaluator.state_bytes() >= 50 * member_bytes // 2
+        def state_bytes(rows):
+            db = Database("store-width")
+            table = db.create_table(
+                "W", Schema.of("K", "PAYLOAD", ("VT", "interval"))
+            )
+            for i in range(rows):
+                table.insert(i % 3, "x" * 500, until_now(i % 7))
+            evaluator = DeltaEvaluator(scan("W").group_by(("K",), "count"), db)
+            evaluator.refresh_full()
+            return evaluator.state_bytes(), sizeof_tuple(next(iter(table.rows())))
+
+        small, member_bytes = state_bytes(50)
+        assert 0 < small < 10 * member_bytes
+        assert state_bytes(500)[0] == small
 
     def test_state_bytes_tracks_cached_rows(self):
         """The accounting the guard relies on: warm join state prices both

@@ -36,6 +36,16 @@ class TestFingerprint:
         assert plan.fingerprint() == plan.fingerprint()
         assert {plan.fingerprint(): "entry"}  # usable as a dict key
 
+    def test_fingerprint_is_the_sha256_of_the_canonical_encoding(self):
+        """Pinned by value: whichever module supplies the digest
+        (``_sha2``, ``_sha256`` or ``hashlib``), fingerprints — the keys
+        of shared materializations and of checkpointed plans — are
+        byte-identical."""
+        assert Scan("B").canonical() == "Scan('B')"
+        assert Scan("B").fingerprint() == (
+            "557f05a86b51822f9fc53458de37c7ff89f4591ccda2c15a3f097b7875a846e0"
+        )
+
     def test_shape_matters_not_just_content(self):
         join_ab = Scan("A").join(Scan("B"), on=col("A.K") == col("B.K"))
         join_ba = Scan("B").join(Scan("A"), on=col("A.K") == col("B.K"))

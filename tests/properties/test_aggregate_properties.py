@@ -1,57 +1,170 @@
 """Property tests: delta-maintained aggregates are *exact*.
 
 The aggregate extension of the delta-engine contract
-(``tests/properties/test_delta_properties.py``): for any GROUP BY plan
-and any sequence of typed modifications, re-aggregating only the touched
-groups from maintained member sets produces — step for step — a result
-byte-identical to a from-scratch :func:`repro.relational.aggregate.group_by`
-evaluation.  The modification sequences (the PR-2 generator shapes, with
-an extra fixed numeric column for MIN/MAX and a plain row deletion so
-groups can *empty*, not just terminate) deliberately drive
+(``tests/properties/test_delta_properties.py``).  A group is its
+accumulators (:mod:`repro.engine.accumulators`): every changed row adds
+or retracts its own boundary events and the touched groups' maps are
+walked into their output rows.  For any GROUP BY plan and any sequence
+of typed modifications that must produce — step for step — rows **equal
+and hash-equal** to a from-scratch
+:func:`repro.relational.aggregate.group_by` on the tables, the
+independent oracle (``tests/engine/test_oracle_independence.py``), at
+every critical point of every ongoing value in play.
+
+The plans cover what the ledger's pool cannot reach: several specs in
+one GROUP BY (``count + avg``), HAVING over an ongoing count, ``avg``
+and ``sum_duration`` over an ongoing filter and over a join — members
+whose RT is not universal — the scalar forms, and base rows whose RT has
+several intervals.  The modification sequences (the PR-2 generator
+shapes, with an extra fixed numeric column for MIN/MAX and plain row
+deletions so groups can *empty*, not just terminate) drive
 group-appears and group-empties transitions: keys enter with their first
-member and leave with their last, and the scalar plan must flip between
-real counts and the constant-0 empty row.
+member, leave with their last and come back under the same key, a batch
+deletes and re-inserts an equal row, and the scalar plan must flip
+between real counts and the constant-0 empty row.
 
 Because every modification is typed, the incremental path must never fall
 back to full re-evaluation — asserted, so the test cannot silently pass
-by re-running everything.
+by re-running everything — and ``check_index_integrity()`` (each output
+row ≡ the row its group's accumulators walk to) stays clean.
+
+**Mutation-checked.**  Each of these mutants of
+``repro/engine/accumulators.py`` fails this file:
+
+* *wrong sign at an interval's end boundary when retracting*
+  (``add_segment`` always subtracting ``abs(intercept)`` at the end
+  event, right for +1 and wrong for -1) — the first delete leaves a
+  group's count off by two beyond the member's RT;
+* *not pruning a zero event* (``add_event`` keeping ``[0, 0]``) — an
+  emptied group's maps do not cancel, which is a
+  ``NonIncrementalDelta``: ``full_refreshes`` leaves 0;
+* *starting the walk at the first event instead of -inf* (``walk`` with
+  ``cursor = min(events)``) — a group whose first member does not reach
+  back to ``-inf`` yields segments that do not cover T.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
+from repro.core.integer import OngoingInt
 from repro.core.interval import fixed_interval, until_now
+from repro.core.intervalset import IntervalSet
+from repro.core.rational import OngoingRational
 from repro.engine.database import Database
+from repro.engine.delta import Delta
+from repro.engine.executor import materialize
 from repro.engine.modifications import (
     current_delete,
     current_insert,
     current_update,
 )
 from repro.engine.plan import scan
+from repro.engine.planner import plan_query
 from repro.live import LiveSession
+from repro.relational.aggregate import group_by
+from repro.relational.algebra import join, select
 from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
+from repro.relational.tuples import OngoingTuple
+
+from tests.conftest import critical_points
+
+_WINDOW = lit(fixed_interval(10, 20))
+_IN_WINDOW = col("VT").overlaps(_WINDOW)
+_ON = (col("R.K") == col("S.K")) & col("R.VT").overlaps(col("S.VT"))
+_COUNT_AVG = [("count", None, "n"), ("avg", "N", "mean")]
+_OVER_JOIN = [("avg", "R.N", "mean"), ("sum_duration", "R.VT", "load")]
+_MANY = col("n") > lit(1)
+
+
+def _joined():
+    return scan("R").join(scan("S"), on=_ON, left_name="R", right_name="S")
+
+
+def _join_oracle(r, s):
+    return join(r, s, _ON, left_name="R", right_name="S")
+
+
+#: plan key → (logical plan over R and S, ``relational/`` oracle).
+_PLANS = {
+    "scalar-count": (
+        scan("R").group_by((), "count"),
+        lambda r, s: group_by(r, [], "count"),
+    ),
+    "group-count": (
+        scan("R").group_by(("K",), "count", output_name="n"),
+        lambda r, s: group_by(r, ["K"], "count", output_name="n"),
+    ),
+    "group-sum-duration": (
+        scan("R").group_by(("K",), "sum_duration", "VT"),
+        lambda r, s: group_by(r, ["K"], "sum_duration", "VT"),
+    ),
+    "group-min": (
+        scan("R").group_by(("K",), "min", "N"),
+        lambda r, s: group_by(r, ["K"], "min", "N"),
+    ),
+    "group-max": (
+        scan("R").group_by(("K",), "max", "N"),
+        lambda r, s: group_by(r, ["K"], "max", "N"),
+    ),
+    # Aggregation over an ongoing filter: a current update can move
+    # rows across the window, so whole groups appear and empty at the
+    # aggregate even though their base rows remain.
+    "filtered-group-count": (
+        scan("R").where(_IN_WINDOW).group_by(("K",), "count"),
+        lambda r, s: group_by(select(r, _IN_WINDOW), ["K"], "count"),
+    ),
+    "scalar-filtered-count": (
+        scan("R").where(_IN_WINDOW).group_by((), "count"),
+        lambda r, s: group_by(select(r, _IN_WINDOW), [], "count"),
+    ),
+    # The ledger's G1 and G2 shapes: several specs over one coverage
+    # map, and a selection over the ongoing count.
+    "group-count-avg": (
+        scan("R").group_by(("K",), specs=_COUNT_AVG),
+        lambda r, s: group_by(r, ["K"], specs=_COUNT_AVG),
+    ),
+    "having-count": (
+        scan("R").group_by(("K",), "count", output_name="n").where(_MANY),
+        lambda r, s: select(
+            group_by(r, ["K"], "count", output_name="n"), _MANY
+        ),
+    ),
+    # Members whose RT is not universal: below a filter and below a join.
+    "filtered-group-avg": (
+        scan("R").where(_IN_WINDOW).group_by(("K",), "avg", "N"),
+        lambda r, s: group_by(select(r, _IN_WINDOW), ["K"], "avg", "N"),
+    ),
+    "filtered-group-sum-duration": (
+        scan("R").where(_IN_WINDOW).group_by(("K",), "sum_duration", "VT"),
+        lambda r, s: group_by(
+            select(r, _IN_WINDOW), ["K"], "sum_duration", "VT"
+        ),
+    ),
+    "joined-group-avg-sum-duration": (
+        _joined().group_by(("R.K",), specs=_OVER_JOIN),
+        lambda r, s: group_by(_join_oracle(r, s), ["R.K"], specs=_OVER_JOIN),
+    ),
+    "scalar-count-avg": (
+        scan("R").group_by((), specs=_COUNT_AVG),
+        lambda r, s: group_by(r, [], specs=_COUNT_AVG),
+    ),
+    "scalar-filtered-sum-duration": (
+        scan("R").where(_IN_WINDOW).group_by((), "sum_duration", "VT"),
+        lambda r, s: group_by(select(r, _IN_WINDOW), [], "sum_duration", "VT"),
+    ),
+    "scalar-joined-avg-sum-duration": (
+        _joined().group_by((), specs=_OVER_JOIN),
+        lambda r, s: group_by(_join_oracle(r, s), [], specs=_OVER_JOIN),
+    ),
+}
 
 
 def _plans():
     """One representative plan per aggregate delta shape."""
-    window = lit(fixed_interval(10, 20))
-    return {
-        "scalar-count": scan("R").group_by((), "count"),
-        "group-count": scan("R").group_by(("K",), "count", output_name="n"),
-        "group-sum-duration": scan("R").group_by(("K",), "sum_duration", "VT"),
-        "group-min": scan("R").group_by(("K",), "min", "N"),
-        "group-max": scan("R").group_by(("K",), "max", "N"),
-        # Aggregation over an ongoing filter: a current update can move
-        # rows across the window, so whole groups appear and empty at the
-        # aggregate even though their base rows remain.
-        "filtered-group-count": scan("R")
-        .where(col("VT").overlaps(window))
-        .group_by(("K",), "count"),
-        "scalar-filtered-count": scan("R")
-        .where(col("VT").overlaps(window))
-        .group_by((), "count"),
-    }
+    return {key: plan for key, (plan, _) in _PLANS.items()}
 
 
 PLAN_KEYS = sorted(_plans())
@@ -70,18 +183,45 @@ def _intervals():
     )
 
 
-_MODIFICATIONS = st.lists(
-    st.one_of(
-        st.tuples(st.just("insert"), _KEYS, _NUMS, _intervals()),
-        st.tuples(st.just("current_insert"), _KEYS, _NUMS, _TIMES),
-        st.tuples(st.just("current_delete"), _KEYS, _TIMES),
-        st.tuples(st.just("current_update"), _KEYS, _KEYS, _NUMS, _TIMES),
-        # A plain deletion removes the rows outright — the only way a
-        # group's member set truly empties under Torp-style updates.
-        st.tuples(st.just("delete_rows"), _KEYS),
+def _reference_times():
+    """A non-universal RT of one to three intervals."""
+    return st.lists(_TIMES, min_size=2, max_size=6, unique=True).map(
+        lambda cuts: IntervalSet(
+            pair for pair in zip(sorted(cuts)[::2], sorted(cuts)[1::2])
+        )
+    )
+
+
+_INSERTS = (
+    st.tuples(st.just("insert"), _KEYS, _NUMS, _intervals()),
+    st.tuples(st.just("current_insert"), _KEYS, _NUMS, _TIMES),
+    # A base row that is itself a query result: several RT intervals.
+    st.tuples(
+        st.just("insert_rt"), _KEYS, _NUMS, _intervals(), _reference_times()
     ),
-    min_size=1,
-    max_size=6,
+)
+_DELETES = (
+    st.tuples(st.just("current_delete"), _KEYS, _TIMES),
+    # A plain deletion removes the rows outright — the only way a
+    # group's member set truly empties under Torp-style updates.
+    st.tuples(st.just("delete_rows"), _KEYS),
+    st.tuples(st.just("delete_nth"), st.integers(min_value=0, max_value=9)),
+)
+_REWRITES = (
+    st.tuples(st.just("current_update"), _KEYS, _KEYS, _NUMS, _TIMES),
+    # One batch deletes a row and inserts an equal one.
+    st.tuples(st.just("reinsert_nth"), st.integers(min_value=0, max_value=9)),
+    # One batch empties a group and founds it again under the same key.
+    st.tuples(st.just("recreate"), _KEYS, _NUMS, _intervals()),
+)
+
+_MODIFICATIONS = st.lists(
+    st.one_of(*_INSERTS, *_DELETES, *_REWRITES), min_size=1, max_size=6
+)
+_DELETE_HEAVY = st.lists(
+    st.one_of(*_DELETES, *_DELETES, *_REWRITES, *_INSERTS),
+    min_size=3,
+    max_size=10,
 )
 
 
@@ -92,6 +232,11 @@ def _fresh_database() -> Database:
     table.insert(1, -1, until_now(3))
     table.insert(1, 4, fixed_interval(8, 18))
     table.insert(2, 0, until_now(12))
+    other = db.create_table("S", Schema.of("K", ("VT", "interval")))
+    other.insert(0, until_now(9))
+    other.insert(1, fixed_interval(2, 11))
+    other.insert(1, until_now(15))
+    other.insert(3, fixed_interval(0, 40))
     return db
 
 
@@ -100,6 +245,10 @@ def _apply(db: Database, modification) -> None:
     table = db.table("R")
     if kind == "insert":
         table.insert(modification[1], modification[2], modification[3])
+    elif kind == "insert_rt":
+        table.insert_tuples(
+            [OngoingTuple(modification[1:4], modification[4])]
+        )
     elif kind == "current_insert":
         current_insert(
             table, (modification[1], modification[2]), at=modification[3]
@@ -115,9 +264,63 @@ def _apply(db: Database, modification) -> None:
             (modification[2], modification[3]),
             at=modification[4],
         )
-    else:  # delete_rows: drop the key's rows entirely (group empties)
+    elif kind == "delete_rows":  # drop the key's rows (the group empties)
         key = modification[1]
         table.delete_where(lambda r: r.values[0] != key)
+    elif kind == "recreate":
+        key = modification[1]
+        with table.batch():
+            table.delete_where(lambda r: r.values[0] != key)
+            table.insert(key, modification[2], modification[3])
+    elif len(table):  # delete_nth / reinsert_nth: one present row
+        rows = tuple(table.rows())
+        row = rows[modification[1] % len(rows)]
+        with table.batch():
+            table.apply_delta(Delta.delete([row]))
+            if kind == "reinsert_nth":
+                table.insert_tuples([row])
+
+
+def _hashed(relation):
+    """``row → hash(row)``: equal only if rows are equal *and* hash-equal."""
+    return {row: hash(row) for row in relation.tuples}
+
+
+def _sweep(db: Database, *results):
+    """Every critical point of every ongoing value in play: the tables'
+    intervals and reference times, the window, and each boundary of each
+    result row's RT and ongoing numbers."""
+    values = [10, 20]
+    for name in ("R", "S"):
+        for row in db.table(name).rows():
+            values.append(row.values[-1])
+            values.append(row.rt)
+    for result in results:
+        for row in result.tuples:
+            values.append(row.rt)
+            for value in row.values:
+                if isinstance(value, OngoingRational):
+                    value = value.numerator  # aligned with the denominator's
+                if isinstance(value, OngoingInt):
+                    values.extend(start for start, _, _, _ in value.segments)
+    return critical_points(*values)
+
+
+def _assert_matches_the_oracle(db, plan_key, result, context=""):
+    _, oracle = _PLANS[plan_key]
+    expected = oracle(db.relation("R"), db.relation("S"))
+    assert result.schema.names == expected.schema.names
+    assert _hashed(result) == _hashed(expected), (plan_key, context)
+    for rt in _sweep(db, result, expected):
+        assert result.instantiate(rt) == expected.instantiate(rt), (
+            plan_key, context, rt,
+        )
+
+
+def _assert_incremental_and_clean(session):
+    assert session.stats()["repro_live_full_refreshes_total"] == 0
+    for maintainer in session.shared_results():
+        assert maintainer._evaluator.check_index_integrity() == []
 
 
 @given(st.sampled_from(PLAN_KEYS), _MODIFICATIONS)
@@ -160,3 +363,75 @@ def test_aggregate_instantiations_agree_at_all_reference_times(
     for rt in range(-2, 35):
         assert sub.instantiate(rt) == expected.instantiate(rt)
     assert session.stats()["repro_live_full_refreshes_total"] == 0
+
+
+@given(st.sampled_from(PLAN_KEYS), st.one_of(_MODIFICATIONS, _DELETE_HEAVY))
+@settings(max_examples=400, deadline=None)
+def test_accumulated_rows_are_the_oracles_rows_after_every_flush(
+    plan_key, modifications
+):
+    """The contract: after every flush the maintained result is
+    ``relational.aggregate.group_by`` on the tables — rows equal and
+    hash-equal, at every critical point — incrementally, with each
+    output row still the row its group's accumulators walk to.  The
+    cold evaluation and the pull iterator are the same rule and land on
+    the same rows."""
+    plan, _ = _PLANS[plan_key]
+    db = _fresh_database()
+    session = LiveSession(db)
+    sub = session.subscribe(plan)
+    _assert_matches_the_oracle(db, plan_key, sub.result, "cold")
+    for step, modification in enumerate(modifications):
+        _apply(db, modification)
+        session.flush()
+        _assert_matches_the_oracle(
+            db, plan_key, sub.result, (step, modification)
+        )
+        _assert_incremental_and_clean(session)
+    _assert_matches_the_oracle(db, plan_key, db.query(plan), "re-evaluated")
+    _assert_matches_the_oracle(
+        db, plan_key, materialize(plan_query(plan, db)), "pulled"
+    )
+
+
+@pytest.mark.parametrize("plan_key", PLAN_KEYS)
+def test_a_group_empties_and_returns_under_the_same_key(plan_key):
+    """Delete-heavy by construction: every group loses its members one
+    flush at a time until the table is empty (the scalar plans fall back
+    to the constant row), every key is then founded again, a row is
+    deleted and re-inserted in one batch, and a group is emptied and
+    re-created inside one batch."""
+    plan, _ = _PLANS[plan_key]
+    db = _fresh_database()
+    table = db.table("R")
+    table.insert_tuples(
+        [OngoingTuple((2, 3, until_now(1)), IntervalSet([(4, 9), (14, 25)]))]
+    )
+    session = LiveSession(db)
+    sub = session.subscribe(plan)
+    founders = tuple(table.rows())
+    stream = [("delete_nth", 0)] * len(founders)
+    stream += [("insert_rt", *row.values, row.rt) for row in reversed(founders)]
+    stream += [("reinsert_nth", 1), ("recreate", 1, 5, until_now(11))]
+    stream += [("delete_rows", key) for key in (1, 0, 2)]
+    for step, modification in enumerate(stream):
+        _apply(db, modification)
+        session.flush()
+        _assert_matches_the_oracle(
+            db, plan_key, sub.result, (step, modification)
+        )
+        _assert_incremental_and_clean(session)
+    assert len(table) == 0
+
+
+def test_a_delete_and_insert_of_an_equal_row_in_one_delta_is_silent():
+    """Below a scan the pair nets out at the table; fed to the operator
+    directly it folds -1 then +1 into the same events and emits nothing."""
+    db = _fresh_database()
+    operator = plan_query(scan("R").group_by(("K",), specs=_COUNT_AVG), db)
+    state = operator.delta_state()
+    rows = tuple(db.relation("R").tuples)
+    operator.evaluate(state, (rows,))
+    before = dict(state.counts)
+    delta = operator.apply_delta(state, (Delta(rows[:2], rows[:2]),))
+    assert delta.is_empty() and state.counts == before

@@ -124,7 +124,9 @@ def test_public_classes_have_documented_public_methods():
 def test_importing_the_package_loads_no_http_stack():
     """``ObsServer.start()`` imports ``http.server``; ``import repro``
     must not (it pulls ``email``, ``socketserver``, ``html`` and
-    ``mimetypes`` into every process that never serves a scrape)."""
+    ``mimetypes`` into every process that never serves a scrape).  Nor
+    does it load OpenSSL (``_hashlib``: 3.4 MB resident) for the one
+    SHA-256 a plan fingerprint is."""
     import repro
 
     source = str(Path(repro.__file__).parents[1])
@@ -137,7 +139,8 @@ def test_importing_the_package_loads_no_http_stack():
             sys.executable,
             "-c",
             "import repro, sys; print(sorted(set(sys.modules) & "
-            "{'http.server', 'socketserver', 'email', 'mimetypes'}))",
+            "{'http.server', 'socketserver', 'email', 'mimetypes', "
+            "'_hashlib'}))",
         ],
         env=env,
         capture_output=True,
