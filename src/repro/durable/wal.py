@@ -15,13 +15,44 @@ Layout
 Segments are files ``wal-<seq:08d>.log`` inside the log directory, each
 starting with an 8-byte magic.  A record is framed as::
 
-    <I payload_length> <I crc32(payload)> payload
+    <I stored_length | 0x80000000 if deflated> <I crc32(stored bytes)>
+    <B kind> <Q tick> <d at>  body
 
-with the payload starting ``<B kind> <Q tick> <d at>`` followed by a
-kind-specific body.  Frames are written with a *single* unbuffered
-``write()`` — a crash can tear only the very last frame, never interleave
-two, and everything written before a ``kill -9`` has already reached the
-OS page cache (``fsync`` only matters for power loss, not process death).
+The 17-byte stamp ``kind, tick, at`` is always stored as it is; the rest
+of :func:`encode_record`'s payload — the table name and the
+kind-specific body — follows either raw or, with the top bit of the
+length set, raw-deflated (``wbits=-15``, level 1: the frame already has
+a checksum, a zlib header and trailer would be six wasted bytes).  The
+CRC covers the bytes *as stored*, so a frame is vouched for before
+anything is inflated.  Compression is framing only: ``encode_record`` /
+``decode_record`` and the positions handed out by :meth:`append` know
+nothing of it, and each frame inflates on its own (replay may start at
+any frame a checkpoint names).
+
+One rule decides, with two constants and no option: a record is
+deflated iff ``_DEFLATE_MIN <= len(payload) < _DEFLATE_MAX`` and the
+result is smaller.  Below 48 bytes (a ``DROP``, an empty batch) deflate
+cannot win back its own block header.  The 64 KiB ceiling keeps bulk
+``register`` / ``replace_all`` records — encoded on the caller's thread
+and superseded by the next checkpoint — stored as they were, and it is
+the bound the reader inflates under: no frame can make it allocate
+more.  A temporal modification rewrites one end point of a row and logs
+the row's before- and after-image, so a typical commit deflates to a
+little over half its size.  The stamp stays outside the deflated body
+so that no wall-clock byte reaches the compressor: a record's stored
+size is a function of its rows alone.
+
+Frames are written with a *single* unbuffered ``write()`` — a crash can
+tear only the very last frame, never interleave two, and everything
+written before a ``kill -9`` has already reached the OS page cache
+(``fsync`` only matters for power loss, not process death).
+
+Segments written before frames could deflate carry the magic
+``RWAL\x01``; such a segment is a current one that never sets the flag,
+so the one reader below reads both.  The writer never appends behind the
+old magic (a reader of that version would take a flagged length for a
+frame running past the file and truncate it as a torn tail): a log whose
+final segment is old rotates to a fresh segment when it is opened.
 
 Fsync policy
 ------------
@@ -38,7 +69,10 @@ Torn tails
 On open, the *final* segment is scanned and truncated at the first
 incomplete or CRC-failing frame (the torn remains of an interrupted
 append).  A bad frame in any non-final segment has no such excuse and
-raises :class:`~repro.errors.DurabilityError`.
+raises :class:`~repro.errors.DurabilityError`.  So does, in *any*
+segment, a frame whose CRC holds but whose body does not inflate to a
+whole record within the bound: the bytes are what was written, so they
+were never a torn write, and they are not truncated away.
 """
 
 from __future__ import annotations
@@ -66,9 +100,18 @@ __all__ = [
     "decode_record",
 ]
 
-SEGMENT_MAGIC = b"RWAL\x01\x00\x00\n"
-_FRAME = struct.Struct("<II")  # payload length, crc32(payload)
+SEGMENT_MAGIC = b"RWAL\x02\x00\x00\n"
+#: Segments of this magic hold raw frames only; read, never appended to.
+_RAW_SEGMENT_MAGIC = b"RWAL\x01\x00\x00\n"
+_FRAME = struct.Struct("<II")  # stored length | _DEFLATED, crc32(stored bytes)
 _HEADER = struct.Struct("<BQd")  # kind, commit tick, commit wall offset
+_DEFLATED = 0x80000000  # top bit of a frame's length: the body is deflated
+#: Below this a payload is a stamp and a name: deflate's own block header
+#: costs more than it can save.
+_DEFLATE_MIN = 48
+#: Bulk records stay raw (deflating megabytes on the caller's thread buys
+#: nothing the next checkpoint keeps), so no frame inflates past this.
+_DEFLATE_MAX = 1 << 16
 
 #: A typed delta committed against one table.
 KIND_BATCH = 1
@@ -188,6 +231,59 @@ def decode_record(payload: bytes) -> WalRecord:
     raise DurabilityError(f"unknown WAL record kind {kind}")
 
 
+def _frame_record(record: WalRecord) -> bytearray:
+    """*record* as the one buffer that is written: header space first, the
+    payload behind it (deflated behind its stamp if the rule says so), the
+    header last."""
+    frame = bytearray(_FRAME.size)
+    _encode_into(frame, record)
+    flag = 0
+    if _DEFLATE_MIN <= len(frame) - _FRAME.size < _DEFLATE_MAX:
+        body_at = _FRAME.size + _HEADER.size
+        deflater = zlib.compressobj(1, zlib.DEFLATED, -15)
+        body = deflater.compress(frame[body_at:]) + deflater.flush()
+        if len(body) < len(frame) - body_at:
+            frame[body_at:] = body
+            flag = _DEFLATED
+    stored = memoryview(frame)[_FRAME.size :]
+    _FRAME.pack_into(frame, 0, len(stored) | flag, zlib.crc32(stored))
+    return frame
+
+
+def _intact_frames(data: bytes, offset: int) -> Iterator[Tuple[int, int, bool]]:
+    """``(start, end, deflated)`` of each frame of *data* from *offset* on,
+    up to the first whose stored bytes are not all there or fail their CRC
+    (nothing of a frame is looked at, let alone inflated, before that)."""
+    view = memoryview(data)
+    while offset + _FRAME.size <= len(data):
+        length, crc = _FRAME.unpack_from(data, offset)
+        end = offset + _FRAME.size + (length & ~_DEFLATED)
+        if end > len(data) or zlib.crc32(view[offset + _FRAME.size : end]) != crc:
+            return
+        yield offset, end, bool(length & _DEFLATED)
+        offset = end
+
+
+def _inflate(stored: memoryview, where: str) -> bytes:
+    """The payload of a deflated frame: its stamp, then its inflated body.
+
+    The CRC has vouched for *stored*, so bytes that do not inflate to one
+    whole stream within the bound were written that way: corruption (or a
+    hostile file), never a torn write.
+    """
+    inflater = zlib.decompressobj(-15)
+    try:
+        body = inflater.decompress(stored[_HEADER.size :], _DEFLATE_MAX)
+    except zlib.error as exc:
+        raise DurabilityError(f"frame of {where} does not inflate: {exc}") from exc
+    if not inflater.eof or inflater.unused_data:
+        raise DurabilityError(
+            f"frame of {where} does not inflate to one record under "
+            f"{_DEFLATE_MAX} bytes"
+        )
+    return bytes(stored[: _HEADER.size]) + body
+
+
 class WriteAheadLog:
     """Append/scan interface over the segment files of one database."""
 
@@ -227,8 +323,10 @@ class WriteAheadLog:
             self._open_segment(1, create=True)
         else:
             self._current_seq = self._segments[-1]
-            self._recover_tail()
-            self._open_segment(self._current_seq, create=False)
+            if self._recover_tail():
+                self._open_segment(self._current_seq, create=False)
+            else:  # raw-only magic: read it, never append behind it
+                self._start_segment()
 
     # -- segment bookkeeping -------------------------------------------
 
@@ -255,48 +353,39 @@ class WriteAheadLog:
             size = len(SEGMENT_MAGIC)
         self._current_size = size
 
-    def _recover_tail(self) -> None:
-        """Truncate the final segment at its last intact frame."""
+    def _start_segment(self) -> None:
+        self._current_seq += 1
+        self._segments.append(self._current_seq)
+        self._open_segment(self._current_seq, create=True)
+
+    def _recover_tail(self) -> bool:
+        """Truncate the final segment at its last intact frame; whether it
+        may be appended to (it carries the current magic, or none yet)."""
         path = self._segment_path(self._current_seq)
         data = path.read_bytes()
+        magic = data[: len(SEGMENT_MAGIC)]
         if len(data) < len(SEGMENT_MAGIC):
             # Crash between creating the segment and writing its magic.
             valid_end = 0
-        elif data[: len(SEGMENT_MAGIC)] != SEGMENT_MAGIC:
+        elif magic not in (SEGMENT_MAGIC, _RAW_SEGMENT_MAGIC):
             raise DurabilityError(f"bad magic in WAL segment {path.name}")
         else:
-            valid_end = self._scan_frames(data, len(SEGMENT_MAGIC))
+            valid_end = len(SEGMENT_MAGIC)
+            for _start, valid_end, _deflated in _intact_frames(data, valid_end):
+                pass
         if valid_end < len(data):
             self.truncated_bytes += len(data) - valid_end
             with open(path, "r+b") as handle:
                 handle.truncate(valid_end)
                 handle.flush()
                 os.fsync(handle.fileno())
-
-    @staticmethod
-    def _scan_frames(data: bytes, offset: int) -> int:
-        """Offset just past the last intact frame in *data*."""
-        while True:
-            if offset + _FRAME.size > len(data):
-                return offset
-            length, crc = _FRAME.unpack_from(data, offset)
-            end = offset + _FRAME.size + length
-            if end > len(data):
-                return offset
-            if zlib.crc32(data[offset + _FRAME.size : end]) != crc:
-                return offset
-            offset = end
+        return magic != _RAW_SEGMENT_MAGIC
 
     # -- write path ----------------------------------------------------
 
     def append(self, record: WalRecord) -> WalPosition:
         """Frame and append one record; returns its position."""
-        # The frame is assembled once, in the buffer that is written:
-        # header space first, the payload behind it, the header last.
-        frame = bytearray(_FRAME.size)
-        _encode_into(frame, record)
-        payload = memoryview(frame)[_FRAME.size :]
-        _FRAME.pack_into(frame, 0, len(payload), zlib.crc32(payload))
+        frame = _frame_record(record)  # encoded and deflated outside the lock
         with self._lock:
             if self._closed:
                 raise DurabilityError("write-ahead log is closed")
@@ -335,9 +424,7 @@ class WriteAheadLog:
         if self.fsync_policy != "off":
             self._sync_locked()
         self._file.close()
-        self._current_seq += 1
-        self._segments.append(self._current_seq)
-        self._open_segment(self._current_seq, create=True)
+        self._start_segment()
         self._appends_since_sync = 0
 
     def close(self) -> None:
@@ -390,28 +477,19 @@ class WriteAheadLog:
                 if final:
                     return
                 raise DurabilityError(f"WAL segment {path.name} has no header")
-            if magic != SEGMENT_MAGIC:
+            if magic not in (SEGMENT_MAGIC, _RAW_SEGMENT_MAGIC):
                 raise DurabilityError(f"bad magic in WAL segment {path.name}")
             view = memoryview(data)  # frames are checked and decoded in place
-            offset = 0
-            while offset < len(data):
-                if offset + _FRAME.size > len(data):
-                    if final:
-                        return
-                    raise DurabilityError(
-                        f"torn frame inside non-final WAL segment {path.name}"
-                    )
-                length, crc = _FRAME.unpack_from(data, offset)
-                end = offset + _FRAME.size + length
-                payload = view[offset + _FRAME.size : end]
-                if end > len(data) or zlib.crc32(payload) != crc:
-                    if final:
-                        return
-                    raise DurabilityError(
-                        f"corrupt frame inside non-final WAL segment {path.name}"
-                    )
+            intact_end = 0
+            for offset, intact_end, deflated in _intact_frames(data, 0):
+                payload = view[offset + _FRAME.size : intact_end]
+                if deflated:
+                    payload = _inflate(payload, path.name)
                 yield WalPosition(seq, base + offset), decode_record(payload)
-                offset = end
+            if intact_end < len(data) and not final:
+                raise DurabilityError(
+                    f"torn or corrupt frame inside non-final WAL segment {path.name}"
+                )
 
     def prune_segments(self, before: int) -> int:
         """Delete whole segments with seq < *before* (checkpoint GC)."""

@@ -16,10 +16,13 @@ from typing import Iterable, List
 import hypothesis
 from hypothesis import strategies as st
 
+from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
-from repro.core.intervalset import IntervalSet
+from repro.core.intervalset import UNIVERSAL_SET, IntervalSet
+from repro.core.rational import OngoingRational
 from repro.core.timeline import MINUS_INF, PLUS_INF
 from repro.core.timepoint import OngoingTimePoint
+from repro.relational.tuples import OngoingTuple
 
 hypothesis.settings.register_profile(
     "repro", max_examples=60, deadline=None, derandomize=True
@@ -85,6 +88,59 @@ def interval_sets(draw) -> IntervalSet:
     if draw(st.booleans()):
         extras.append((draw(finite_points), PLUS_INF))
     return IntervalSet(raw + extras)
+
+
+@st.composite
+def ongoing_integers(draw) -> OngoingInt:
+    """Arbitrary piecewise-affine ongoing integers (one to four segments)."""
+    cuts = sorted(draw(st.lists(finite_points, max_size=3, unique=True)))
+    forms = draw(
+        st.lists(
+            st.tuples(st.integers(-(2**40), 2**40), st.integers(-5, 5)),
+            min_size=len(cuts) + 1,
+            max_size=len(cuts) + 1,
+        )
+    )
+    bounds = zip([MINUS_INF, *cuts], [*cuts, PLUS_INF])
+    return OngoingInt([(start, end, *form) for (start, end), form in zip(bounds, forms)])
+
+
+class Label(str):
+    """A ``str`` subclass: stored as text, read back as plain ``str``."""
+
+
+class Code(int):
+    """An ``int`` subclass: stored as an integer, read back as plain ``int``."""
+
+
+def storable_values(texts=st.text(max_size=24)):
+    """Every kind of value the tagged (WAL / checkpoint) codec stores."""
+    integers = st.one_of(
+        st.integers(min_value=-(2**63), max_value=2**63 - 1),
+        st.sampled_from([-(2**31) - 1, -(2**31), 2**31 - 1, 2**31]),
+    )
+    return st.one_of(
+        st.none(),
+        st.booleans(),
+        integers,
+        integers.map(Code),
+        texts,
+        texts.map(Label),
+        ongoing_points(),
+        ongoing_intervals(),
+        ongoing_integers(),
+        st.builds(OngoingRational, ongoing_integers(), ongoing_integers()),
+    )
+
+
+def storable_rows(texts=st.text(max_size=24)):
+    """Rows of :func:`storable_values` under the trivial RT (the singleton
+    every base row carries) or an arbitrary, possibly multi-interval one."""
+    return st.builds(
+        OngoingTuple,
+        st.lists(storable_values(texts), max_size=6).map(tuple),
+        st.one_of(st.just(UNIVERSAL_SET), interval_sets()),
+    )
 
 
 # ----------------------------------------------------------------------

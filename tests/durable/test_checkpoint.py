@@ -1,9 +1,15 @@
 """Unit tests for atomic checkpoints (heaps, manifest, capture, crashes)."""
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.interval import until_now
-from repro.durable import faults
+from repro.durable import faults, snapshot
 from repro.durable.snapshot import (
     _read_heap,
     _write_heap,
@@ -21,6 +27,8 @@ from repro.errors import DurabilityError
 from repro.live.events import RefreshNotification
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
+
+from tests.conftest import storable_rows
 
 
 @pytest.fixture(autouse=True)
@@ -48,6 +56,24 @@ class TestHeapFiles:
         path = tmp_path / "0000.heap"
         _write_heap(path, rows)
         assert _read_heap(path) == rows
+
+    @given(st.lists(storable_rows(), min_size=1, max_size=6).map(tuple))
+    @settings(max_examples=100)
+    def test_a_chunk_may_end_anywhere_inside_a_row(self, rows):
+        """With 7-byte chunks a boundary falls inside a tag, a text length,
+        a text body, an interval and an RT count: each must take the
+        ``struct.error`` → read-more path of ``_read_heap``.  Mutant: the
+        decoder indexing the tag byte (``buffer[offset]``) — an
+        ``IndexError`` at the end of a chunk, which nothing catches."""
+        with tempfile.TemporaryDirectory() as root, mock.patch.object(
+            snapshot, "_CHUNK_BYTES", 7
+        ):
+            path = Path(root) / "0000.heap"
+            _write_heap(path, rows)
+            for memo in (None, {}):
+                loaded = _read_heap(path, memo)
+                assert loaded == rows
+                assert [row.rt for row in loaded] == [row.rt for row in rows]
 
     def test_corruption_detected(self, tmp_path):
         rows = (OngoingTuple((1, until_now(2))),)
@@ -240,6 +266,69 @@ class TestSubscriptionCapture:
         finally:
             plug.set()
             session.close()
+
+    def test_a_checkpoint_survives_a_queued_avg_notification(self, tmp_path):
+        """A queued notification of an AVG plan carries ``OngoingRational``
+        values; the tagged codec must know them or ``checkpoint()`` raises
+        (at the parent: ``StorageError: cannot serialize value
+        OngoingRational(...)`` out of ``serialize_notification``)."""
+        import threading
+
+        from repro.serve.queues import coalesce_payloads
+
+        db = Database.open(tmp_path, fsync="off")
+        table = db.create_table("B", Schema.of("ID", "Product", ("VT", "interval")))
+        for key in range(6):
+            table.insert(key, "core" if key % 2 else "ui", until_now(10 + key))
+        plug = threading.Event()
+        first_delivery = threading.Event()
+
+        def stuck(event):
+            first_delivery.set()
+            plug.wait(timeout=30)
+
+        session = db.live_session(delivery_workers=1)
+        sub = session.subscribe_sql(
+            "SELECT Product, COUNT(*) AS n, AVG(ID) AS mean_id "
+            "FROM B GROUP BY Product",
+            on_refresh=stuck,
+            name="G1",
+        )
+        try:
+            for key in (100, 101, 102):  # the first sticks, two stay queued
+                table.insert(key, "core", until_now(50))
+                session.flush()
+                assert first_delivery.wait(timeout=10)
+            queued = [
+                payload
+                for group in session.bus.capture_pending(f"refresh:{sub.id}")
+                for payload in group
+            ]
+            assert len(queued) == 2
+            captured = coalesce_payloads(*queued).delta
+            assert captured.inserted and captured.deleted
+            db.checkpoint()
+        finally:
+            plug.set()
+            db.close()
+
+        received = []
+        reopened = Database.open(
+            tmp_path, session={}, on_refresh={"G1": received.append}
+        )
+        try:
+            assert reopened._durability.reenqueued_notifications == 1
+            assert len(received) == 1
+            delta = received[0].delta
+            assert delta.inserted == captured.inserted
+            assert delta.deleted == captured.deleted
+            assert [hash(row) for row in (*delta.inserted, *delta.deleted)] == [
+                hash(row) for row in (*captured.inserted, *captured.deleted)
+            ]
+            assert reopened._live_session.resume() == []
+            assert len(received) == 1
+        finally:
+            reopened.close()
 
     def test_serialize_notification_shapes(self):
         delta = Delta(

@@ -7,13 +7,19 @@ bit-identically, including the int32 edge values that the sentinel-coded
 date layout cannot represent.
 """
 
+import struct
+
 import pytest
+from hypothesis import given, settings
 
 from repro.core.interval import OngoingInterval, fixed_interval, until_now
-from repro.core.intervalset import IntervalSet
+from repro.core.intervalset import UNIVERSAL_SET, IntervalSet
 from repro.core.timeline import MINUS_INF, PLUS_INF
 from repro.core.timepoint import OngoingTimePoint
+from repro.engine import storage
 from repro.engine.storage import (
+    RT_HEADER_BYTES,
+    pack_rt,
     pack_tagged_tuple,
     pack_tagged_value,
     unpack_tagged_tuple,
@@ -21,6 +27,8 @@ from repro.engine.storage import (
 )
 from repro.errors import StorageError
 from repro.relational.tuples import OngoingTuple
+
+from tests.conftest import storable_rows
 
 
 def _roundtrip_value(value):
@@ -116,3 +124,93 @@ class TestTupleRoundTrip:
         item = OngoingTuple(())
         decoded, _ = unpack_tagged_tuple(pack_tagged_tuple(item))
         assert decoded == item
+
+
+# ----------------------------------------------------------------------
+# The tuple codec handles the common kinds in line: it must write the
+# bytes the value codec defines, and read them back the same way.
+# ----------------------------------------------------------------------
+
+
+def _by_definition(row: OngoingTuple) -> bytes:
+    """A tuple's bytes as the layout defines them: the value count, every
+    value through ``pack_tagged_value``, the counted RT."""
+    values = b"".join(pack_tagged_value(value) for value in row.values)
+    intervals = pack_rt(row.rt)[RT_HEADER_BYTES:]  # 8 B each, ±inf as sentinels
+    return (
+        struct.pack("<H", len(row.values))
+        + values
+        + struct.pack("<H", len(row.rt.intervals))
+        + intervals
+    )
+
+
+class TestInlinePathMatchesTheDefinition:
+    @given(storable_rows())
+    @settings(max_examples=300)
+    def test_same_bytes_and_round_trip(self, row):
+        """``pack_tagged_tuple`` equals the composition it abbreviates, for
+        every value kind — ``bool`` / ``None`` / 64-bit ints / ongoing
+        integers and rationals / subclasses take the general path, text,
+        32-bit ints (edges included), intervals and points the in-line
+        one — and reads back equal with and without a memo."""
+        buffer = pack_tagged_tuple(row)
+        assert buffer == _by_definition(row)
+        for memo in (None, {}):
+            decoded, offset = unpack_tagged_tuple(b"\x00" + buffer, 1, memo)
+            assert offset == 1 + len(buffer)
+            assert decoded == row and decoded.rt == row.rt
+            assert hash(decoded) == hash(row)
+            for value, original in zip(decoded.values, row.values):
+                # Subclasses are stored as, and read back as, the base kind.
+                assert type(value) in type(original).__mro__
+        if row.rt is UNIVERSAL_SET:
+            assert decoded.rt is UNIVERSAL_SET
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            OngoingTuple((OngoingTimePoint(2**31, 2**40),)),
+            OngoingTuple((1, "text", fixed_interval(0, 2**31))),
+            OngoingTuple((until_now(-(2**31) - 1),)),
+            OngoingTuple((1,), IntervalSet([(0, 2**35)])),
+        ],
+    )
+    def test_an_end_point_beyond_four_bytes_is_refused(self, row):
+        """The in-line path keeps ``_pack_date``'s range check: a time point
+        that does not fit a 4-byte date is a ``StorageError``, not a
+        ``struct.error`` (and never a silently wrapped date)."""
+        with pytest.raises(StorageError, match="4-byte date"):
+            pack_tagged_tuple(row)
+
+    def test_the_common_row_never_reaches_the_value_codec(self, monkeypatch):
+        """An ``(int, str, str, str, str, interval)`` row — MozillaBugs' B —
+        is packed without one ``pack_tagged_value`` call (six at the
+        parent); a kind the in-line path does not know still gets there."""
+        calls = []
+        general = storage.pack_tagged_value
+
+        def counted(value):
+            calls.append(value)
+            return general(value)
+
+        monkeypatch.setattr(storage, "pack_tagged_value", counted)
+        pack_tagged_tuple(OngoingTuple((7, "core", "dom", "linux", "lorem", until_now(3))))
+        assert calls == []
+        pack_tagged_tuple(OngoingTuple((True, 2**40, None, "text")))
+        assert calls == [True, 2**40, None]
+
+    @given(storable_rows())
+    @settings(max_examples=100)
+    def test_a_buffer_ending_inside_a_row_is_a_struct_error(self, row):
+        """Cut anywhere, a row either raises ``struct.error`` /
+        ``UnicodeDecodeError`` or reports an end past the buffer — the two
+        signals a chunked reader (``snapshot._read_heap``) reads more on;
+        never an ``IndexError``, never a row that claims to fit."""
+        buffer = pack_tagged_tuple(row)
+        for cut in range(len(buffer)):
+            try:
+                _, end = unpack_tagged_tuple(buffer[:cut], 0, {})
+            except (struct.error, UnicodeDecodeError):
+                continue
+            assert end > cut
