@@ -1,4 +1,4 @@
-"""The live dashboard, concurrently: writers, shards, delivery workers.
+"""The live dashboard, concurrently: writers, serve loop, delivery workers.
 
 ``live_dashboard.py`` shows the single-threaded live engine; this variant
 turns on the serving layer (:mod:`repro.serve`) and drives it the way a
@@ -9,8 +9,7 @@ deployment would:
   change event);
 * the session runs **4 delivery workers** (threaded fan-out with
   ``coalesce`` backpressure — a slow dashboard client receives fewer,
-  merged notifications instead of stalling everyone) and **2 flush
-  shards** (independent shared results refresh in parallel);
+  merged notifications instead of stalling everyone);
 * :meth:`~repro.live.SubscriptionManager.serve` flushes in the
   background, debounced, woken only by modifications — the dashboards
   never poll and the engine never recomputes because time passed.
@@ -45,7 +44,6 @@ def main() -> None:
     session = LiveSession(
         db,
         delivery_workers=4,
-        flush_shards=2,
         backpressure="coalesce",
         queue_capacity=8,
     )
@@ -82,8 +80,7 @@ def main() -> None:
     print(
         f"{N_CLIENTS} clients share {stats['repro_live_shared_results']} materialization "
         f"({stats['repro_live_cache_hits_total']} cache hits); serving with "
-        f"{stats['delivery_workers']} delivery workers / "
-        f"{stats['flush_shards']} flush shards"
+        f"{stats['delivery_workers']} delivery workers"
     )
 
     session.serve(debounce=0.005)
@@ -128,7 +125,7 @@ def main() -> None:
     print(
         f"flushes: {final['repro_live_flushes_total']} (debounce-coalesced from "
         f"{final['repro_live_events_total']} events), refreshes by delta: "
-        f"{final['repro_live_delta_refreshes_total']}, per-shard {final['shard_flushes']}"
+        f"{final['repro_live_delta_refreshes_total']}"
     )
     print(
         f"pushes: {n_pushes} delivered / {final['repro_serve_queued_notifications_total']} "

@@ -37,9 +37,9 @@ The subpackages:
 * :mod:`repro.live` — the push-based subscription engine: clients register
   ongoing queries once and are notified on explicit modifications only —
   never because time passed;
-* :mod:`repro.serve` — the concurrent serving layer: threaded notification
-  fan-out with per-subscriber backpressure, sharded parallel flushes, and
-  a background serve loop, all opt-in on :class:`LiveSession`;
+* :mod:`repro.serve` — the concurrent delivery layer: threaded
+  notification fan-out with per-subscriber backpressure, opt-in on
+  :class:`LiveSession` (whose background serve loop feeds it);
 * :mod:`repro.obs` — the operations plane: the metrics registry
   (Prometheus/JSON rendering under ``repro_<layer>_<what>_total`` names),
   the opt-in refresh-pipeline trace recorder (Chrome trace-event JSON),
@@ -125,11 +125,7 @@ from repro.obs import (
     Registry,
     TraceRecorder,
 )
-from repro.serve import (
-    AsyncEventBus,
-    DeliveryPool,
-    FlushScheduler,
-)
+from repro.serve import AsyncEventBus, DeliveryPool
 
 __version__ = "1.10.0"
 
@@ -195,7 +191,6 @@ __all__ = [
     # concurrent serving layer
     "AsyncEventBus",
     "DeliveryPool",
-    "FlushScheduler",
     # telemetry
     "Registry",
     "TraceRecorder",

@@ -757,8 +757,8 @@ class Database:
         """The database's lazily created live session (see :mod:`repro.live`).
 
         The first call creates the session; *session_kwargs* configure it
-        then — e.g. ``delivery_workers=4, flush_shards=4`` to turn on the
-        concurrent serving layer (:mod:`repro.serve`) — and are rejected
+        then — e.g. ``delivery_workers=4`` to turn on the concurrent
+        delivery layer (:mod:`repro.serve`) — and are rejected
         afterwards (one database, one long-lived session).  A closed
         session is replaced on the next call.
         """

@@ -338,9 +338,9 @@ class OperatorState:
     set is its child's; ``extra`` holds operator-specific build
     state — hash indexes for joins, cached input sides for difference.
     ``cached_rows`` counts the tuples referenced by ``extra`` (maintained
-    by the operators as they add/remove cached rows), so the state-budget
-    accounting of :meth:`DeltaEvaluator.state_rows` stays O(1) per state
-    instead of walking hash buckets on every refresh.
+    by the operators as they add/remove cached rows), so the accounting
+    of :meth:`DeltaEvaluator.state_rows` stays O(1) per state instead of
+    walking hash buckets on every scrape.
     """
 
     __slots__ = ("counts", "extra", "cached_rows", "__weakref__")
@@ -429,9 +429,9 @@ class DeltaEvaluator:
     #: How many output rows to sample for the per-row byte estimate.
     ROW_SAMPLE = 16
 
-    #: Budget price of one secondary-index entry (an envelope pair plus
-    #: list/bucket slots) — indexes are evictable state like the caches
-    #: they accelerate, so they count against ``state_budget_bytes``.
+    #: Price of one secondary-index entry (an envelope pair plus
+    #: list/bucket slots) — indexes are operator state like the caches
+    #: they accelerate, so they are priced into :meth:`state_bytes`.
     INDEX_ENTRY_BYTES = 24
 
     def __init__(
@@ -623,29 +623,16 @@ class DeltaEvaluator:
         propagation), so even after a mid-propagation failure it holds
         the last consistent result and consumers keep serving it.  The
         price map goes too — its keys are the dropped states, and keeping
-        them would pin every evicted counts dict and join-side cache in
-        RAM, defeating the budget.
+        them would pin every dropped counts dict and join-side cache in
+        RAM.
         """
         self._root = None
         self._states = {}
         self._state_prices = {}
         self.sources = frozenset()
 
-    def evict_state(self) -> None:
-        """Release the operator state (join sides, derivation counts) but
-        keep serving the maintained result.
-
-        The memory half of the state budget
-        (:class:`~repro.engine.maintenance.IncrementalMaintainer`): a cold
-        plan whose state was evicted re-builds it on the next refresh —
-        recompute-on-miss — while reads of :attr:`result` stay valid and
-        free in between.  Same mechanics as :meth:`_invalidate`, different
-        trigger.
-        """
-        self._invalidate()
-
     # ------------------------------------------------------------------
-    # State-memory accounting (the budget half of bounded operator state)
+    # State-memory accounting
     # ------------------------------------------------------------------
 
     def _estimate_row_bytes(self, rows: Iterable[OngoingTuple]) -> int:
@@ -665,12 +652,11 @@ class DeltaEvaluator:
         return max(1, total // len(sample))
 
     def state_rows(self) -> int:
-        """Evictable rows held by the operator states — O(plan size).
+        """Rows held by the operator states — O(plan size).
 
         Counts every derivation-count key and every ``extra``-cached row
         across the tree, *minus* the root output itself (the served
-        result stays resident through the store even after an eviction,
-        so it is not evictable memory).
+        result is the store's, not operator state).
         """
         root = self._root
         if root is None:
@@ -681,13 +667,13 @@ class DeltaEvaluator:
         return total - self._states[root].row_count()
 
     def state_bytes(self) -> int:
-        """Evictable operator-state memory in storage-layout bytes.
+        """Operator-state memory in storage-layout bytes.
 
         Per-state row counts × per-state sampled prices — an estimate,
         priced with the same byte-accurate serialization the storage
         layer uses (:mod:`repro.engine.storage`) and with input-side
         caches priced at the *children's* row width, cheap enough
-        (O(plan size)) to check on every refresh.
+        (O(plan size)) to read on every scrape.
         """
         root = self._root
         if root is None:
@@ -701,7 +687,7 @@ class DeltaEvaluator:
             total += state.row_count() * own + state.cached_rows * cached
             total += self._index_entries(state) * self.INDEX_ENTRY_BYTES
             # A top-k window's rows are priced via cached_rows above; the
-            # decorated sort keys are extra evictable state on top.
+            # decorated sort keys are extra state on top.
             total += len(state.extra.get("window", ())) * TOPK_KEY_BYTES
         root_state = self._states[root]
         total -= root_state.row_count() * self._state_prices.get(
@@ -851,7 +837,7 @@ class DeltaEvaluator:
         operator description) with the *cumulative* per-path counters
         (:attr:`node_stats`) — the raw data behind ``explain_analyze()``
         and the per-operator registry metrics.  Empty when the state is
-        cold or evicted; the cumulative counters survive and reappear on
+        cold; the cumulative counters survive and reappear on
         the next warm report.
         """
         root = self._root

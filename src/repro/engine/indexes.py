@@ -22,8 +22,8 @@ Two families live here:
   :class:`IntervalProbeIndex`) — incrementally maintained indexes over an
   operator's cached delta state, so a probe against a big build side costs
   ``O(log n + k)`` instead of a scan.  They live inside
-  ``OperatorState.extra`` — priced into the ``state_budget_bytes``
-  accounting and evicted/rebuilt together with the state they index.
+  ``OperatorState.extra`` — priced into ``state_bytes()`` and
+  dropped/rebuilt together with the state they index.
 """
 
 from __future__ import annotations
@@ -393,8 +393,8 @@ class SecondaryIndexRegistry:
     """Named secondary indexes over one operator's cached delta state.
 
     Lives in ``OperatorState.extra["indexes"]``: created when the state is
-    built, maintained in ``apply_delta``, priced into the state-budget
-    accounting, and dropped/rebuilt together with the state on eviction.
+    built, maintained in ``apply_delta``, priced into ``state_bytes()``,
+    and dropped/rebuilt together with the state.
     """
 
     __slots__ = ("_indexes",)

@@ -71,13 +71,6 @@ it in O(|Δ|), the immutable snapshot consumers read is copied on demand,
 at most once per version) and the record is replaced by a new tuple on
 every change, never updated in place (only its row accumulators are,
 under the lock).
-
-The maintainer also enforces the memory half of the contract: with
-``state_budget_bytes`` set, operator state whose estimated footprint
-exceeds the budget is **evicted** after the refresh (the store keeps
-serving) and transparently rebuilt on the next refresh that needs it —
-recompute-on-miss, counted in :attr:`state_evictions` /
-:attr:`state_rebuilds` and logged like the delta fallbacks.
 """
 
 from __future__ import annotations
@@ -162,7 +155,7 @@ class RefreshOutcome:
 
     ``delta`` is the exact result-level change when the refresh
     propagated row deltas through cached operator state, and ``None``
-    when it was a full re-evaluation (cold or evicted state, full-flagged
+    when it was a full re-evaluation (cold state, full-flagged
     deltas, a failed propagation, or the cost model's choice — all
     automatic, all logged).  ``changed`` says whether the result set
     differs from the one served before the refresh — on the delta path
@@ -204,18 +197,13 @@ class IncrementalMaintainer:
     stores instead of building those sub-trees, and is handed their
     deltas (see the module docstring for the two invariants).
 
-    ``state_budget_bytes`` bounds the evictable operator-state memory
-    (join-side hash state, derivation counts — everything except the
-    served result itself), estimated in storage-layout bytes
-    (:meth:`DeltaEvaluator.state_bytes`).  ``None`` means unbounded.
-
     Thread safety: :attr:`lock` guards the pending record and the counters.  A
     full re-evaluation runs under the owning database's write lock, which
     also serializes it against :meth:`note_change` (modification hooks
     fire with that lock held) — so deltas subsumed by the re-read tables
     are dropped atomically and can never be applied twice.  Callers
-    must serialize :meth:`refresh`/:meth:`evaluate` per maintainer (the
-    live engine pins each fingerprint to one flush shard); readers of
+    must serialize :meth:`refresh`/:meth:`evaluate` per maintainer (a
+    live session refreshes on one thread at a time); readers of
     :attr:`result` need no lock at all — the store serializes snapshot
     copies internally and hands out immutable relations.
     """
@@ -226,7 +214,6 @@ class IncrementalMaintainer:
         database,
         *,
         label: str,
-        state_budget_bytes: Optional[int] = None,
         fingerprint: Optional[str] = None,
         registry=None,
         tracer=None,
@@ -249,7 +236,6 @@ class IncrementalMaintainer:
         #: Optional :class:`~repro.obs.trace.TraceRecorder`, threaded
         #: through to the evaluator's per-operator spans.
         self.tracer = tracer
-        self.state_budget_bytes = state_budget_bytes
         #: Guards the pending record and the counters.
         self.lock = threading.RLock()
         #: Whoever consumes this plan's refreshes — a live session keeps
@@ -261,7 +247,7 @@ class IncrementalMaintainer:
         self.evaluations = 0
         #: Refreshes that propagated deltas through cached state.
         self.delta_refreshes = 0
-        #: *Refreshes* that had to re-evaluate the plan — cold or evicted
+        #: *Refreshes* that had to re-evaluate the plan — cold
         #: state, full-flagged deltas, a failed propagation, the cost
         #: model's choice.  A direct :meth:`evaluate` (the evaluation
         #: that materializes a plan) is not a refresh and counts under
@@ -269,11 +255,6 @@ class IncrementalMaintainer:
         self.full_refreshes = 0
         #: Incremental attempts that fell back to a full re-evaluation.
         self.delta_fallbacks = 0
-        #: Operator states dropped because they exceeded the budget.
-        self.state_evictions = 0
-        #: Refreshes that had to rebuild state evicted by the budget
-        #: (the recompute-on-miss counter).
-        self.state_rebuilds = 0
         #: Full refreshes *chosen by the cost model* (projected delta cost
         #: exceeded the observed full cost) — deliberate decisions, not
         #: :attr:`delta_fallbacks`.
@@ -295,7 +276,6 @@ class IncrementalMaintainer:
             cost_model=cost_model,
             fingerprint=self.fingerprint,
         )
-        self._evicted = False
         self._relevant: FrozenSet[str] = plan.referenced_tables()
         self._pending = _nothing_pending()
         #: The record :meth:`claim` set aside for the next refresh.
@@ -371,13 +351,13 @@ class IncrementalMaintainer:
         return providers
 
     def state_bytes(self) -> int:
-        """Estimated evictable operator-state memory, in storage-layout
-        bytes (0 when the state is cold or evicted)."""
+        """Estimated operator-state memory, in storage-layout bytes (0
+        while the state is cold)."""
         return self._evaluator.state_bytes()
 
     def node_report(self):
         """Per-operator live counters (see ``DeltaEvaluator.node_report``);
-        empty while the state is cold or evicted."""
+        empty while the state is cold."""
         return self._evaluator.node_report()
 
     def explain_analyze(self, *, format: str = "text"):
@@ -387,8 +367,8 @@ class IncrementalMaintainer:
         estimated state bytes, cumulative ``apply_delta`` wall time and
         delta sizes, and per-node fallback counts — plus a header with
         the plan-level refresh totals and the cost model's learned
-        per-plan parameters.  A cold or evicted plan renders the
-        header and the reason instead of a tree.  ``format="json"``
+        per-plan parameters.  A cold plan renders the header and the
+        reason instead of a tree.  ``format="json"``
         returns the same report as plain data.
         """
         from repro.engine.cost import DEFAULT_COST_MODEL
@@ -407,18 +387,9 @@ class IncrementalMaintainer:
                 "delta_fallbacks": self.delta_fallbacks,
                 "cost_full_refreshes": self.cost_full_refreshes,
                 "cost_adaptations": self.cost_adaptations,
-                "state_evictions": self.state_evictions,
-                "state_rebuilds": self.state_rebuilds,
                 "state_bytes": self.state_bytes(),
                 "refresh_decision": self.last_refresh_decision,
             }
-            if self._evicted:
-                cold_reason = "operator state evicted by the memory budget"
-            else:
-                cold_reason = (
-                    "no warm operator state (not yet evaluated, or the "
-                    "last refresh failed)"
-                )
         model = self.cost_model if self.cost_model is not None else DEFAULT_COST_MODEL
         adaptation = model.adaptation_report(self.fingerprint)
         if adaptation:
@@ -431,7 +402,7 @@ class IncrementalMaintainer:
             label=self.label,
             fingerprint=self.fingerprint,
             totals=totals,
-            cold_reason=cold_reason,
+            cold_reason="not yet evaluated, or the last refresh failed",
         )
 
     @property
@@ -600,31 +571,6 @@ class IncrementalMaintainer:
         except Exception:  # noqa: BLE001 — telemetry must never refresh-fail
             logger.exception("fallback metric recording failed")
 
-    def _maybe_evict(self, evaluator: DeltaEvaluator) -> None:
-        """Enforce the state budget after a successful refresh.
-
-        Eviction drops the operator state only — the versioned store (and
-        any snapshot already handed out) keeps serving.  The next refresh
-        that needs the state rebuilds it: recompute-on-miss.
-        """
-        budget = self.state_budget_bytes
-        if budget is None or not evaluator.warm:
-            return
-        used = evaluator.state_bytes()
-        if used <= budget:
-            return
-        evaluator.evict_state()
-        with self.lock:
-            self.state_evictions += 1
-            self._evicted = True
-        logger.info(
-            "%s operator state (~%d B) exceeded the %d B budget; evicted "
-            "— the result stays served, the next refresh rebuilds on miss",
-            self.label,
-            used,
-            budget,
-        )
-
     def evaluate(self) -> RefreshOutcome:
         """Full (re-)evaluation; (re)builds the delta state.
 
@@ -660,13 +606,11 @@ class IncrementalMaintainer:
             finally:
                 self._hand_down(None)
             with self.lock:
-                self._evicted = False
                 self._behind = False
                 self.evaluations += 1
             self._observe_costs(
                 evaluator, full_seconds=evaluator.last_full_seconds
             )
-            self._maybe_evict(evaluator)
             changed = previous is None or result != previous
             return RefreshOutcome(
                 None, changed, dropped.tables, dropped.events, dropped.commit
@@ -694,7 +638,7 @@ class IncrementalMaintainer:
         ``outcome.delta`` is the exact result-level change when the
         refresh propagated the pending deltas through cached operator
         state, and ``None`` when the refresh was a full re-evaluation —
-        because the state was cold or evicted, the deltas were
+        because the state was cold, the deltas were
         full-flagged, the propagation failed, or the cost model measured
         a full run to be cheaper.  The fallback is automatic and logged;
         callers only need the outcome to know which path ran and whether
@@ -717,13 +661,7 @@ class IncrementalMaintainer:
         evaluator = self._evaluator
         if not evaluator.warm:
             with self.lock:
-                if self._evicted:
-                    # The budget evicted the state; this is the miss that
-                    # pays the rebuild — not a delta-rule failure.
-                    self._evicted = False
-                    self.state_rebuilds += 1
-                else:
-                    self.delta_fallbacks += 1
+                self.delta_fallbacks += 1
             return self._reevaluate(claimed)
         pending = {
             table: builder.build() for table, builder in claimed.rows.items()
@@ -783,7 +721,6 @@ class IncrementalMaintainer:
             self._observe_costs(
                 evaluator, per_row_seconds=applied_seconds / applied_rows
             )
-        self._maybe_evict(evaluator)
         return RefreshOutcome(
             delta,
             not delta.is_empty(),
@@ -815,7 +752,7 @@ def providers_of(
     return list(found.values())
 
 
-def claim_round(dirty: Iterable[IncrementalMaintainer]) -> List[List[str]]:
+def claim_round(dirty: Iterable[IncrementalMaintainer]) -> List[str]:
     """Take the cut of one flush round and order it.
 
     The caller holds the lock that serializes ``note_change`` for all of
@@ -823,12 +760,13 @@ def claim_round(dirty: Iterable[IncrementalMaintainer]) -> List[List[str]]:
     record claimed here — so a consumer and its providers answer for the
     same commits however long the round takes; a plan on its own keeps
     claiming inside its refresh, as late as it can.  Returns the
-    fingerprints in waves: each plan after every plan it reads, first
-    noted first within a wave.
+    fingerprints in refresh order: each plan after every plan it reads,
+    first noted first at equal depth.
     """
-    waves: Dict[int, List[str]] = {}
+    dirty = list(dirty)
     for maintainer in dirty:
         if maintainer.providers or maintainer.consumers:
             maintainer.claim()
-        waves.setdefault(maintainer.depth, []).append(maintainer.fingerprint)
-    return [waves[depth] for depth in sorted(waves)]
+    # A stable sort: first noted stays first at equal depth.
+    dirty.sort(key=lambda maintainer: maintainer.depth)
+    return [maintainer.fingerprint for maintainer in dirty]

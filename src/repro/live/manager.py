@@ -18,8 +18,8 @@ of the live engine, and it is **one pipeline**:
    plan **once**, however many modifications accumulated, by
    *propagating* the coalesced deltas through the plan's cached operator
    state (work proportional to the modification, not the database).  A
-   refresh that cannot be incremental — budget-evicted state, an untyped
-   bulk change, a delta an operator cannot absorb, or the cost model
+   refresh that cannot be incremental — cold state, an untyped bulk
+   change, a delta an operator cannot absorb, or the cost model
    measuring a full run to be cheaper — falls back to a full
    re-evaluation automatically, logged and counted;
 4. **delivery** — every subscription whose result changed is notified on
@@ -35,21 +35,19 @@ path that re-evaluates a plan starts at a base-table change event.  There
 is no timer, no polling loop, and no clock — advancing the reference time
 is pure instantiation work on already-materialized ongoing results.
 
-The pipeline is the same whatever the constructor selects for its two
-stages that can run on other threads (:mod:`repro.serve`):
-
-* ``delivery_workers=N`` delivers through an
-  :class:`~repro.serve.bus.AsyncEventBus`: notifications enqueue to
-  per-subscriber bounded mailboxes (``backpressure`` policy: ``block`` /
-  ``drop_oldest`` / ``coalesce``) and N worker threads run the callbacks
-  — one slow callback no longer stalls the flush.  The default
-  synchronous :class:`~repro.live.events.EventBus` runs them inline and
-  answers the queueing questions (backlog, drain, pending capture) with
-  constants, so nothing downstream asks which bus it holds;
-* ``flush_shards=N`` routes each flush round's dirty fingerprints to N
-  FIFO refresh workers (:class:`~repro.serve.scheduler.FlushScheduler`)
-  — independent shared results refresh in parallel, each result serially
-  consistent.
+**One thread refreshes.**  Steps 1–3 run on whichever thread calls them
+— a flush round is a plain loop over the dirty plans on the caller's
+thread or the serve loop's — and the pipeline is the same whatever the
+constructor selects for the one stage that can run on other threads
+(:mod:`repro.serve`): ``delivery_workers=N`` delivers through an
+:class:`~repro.serve.bus.AsyncEventBus` — notifications enqueue to
+per-subscriber bounded mailboxes (``backpressure`` policy: ``block`` /
+``drop_oldest`` / ``coalesce``) and N worker threads run the callbacks,
+so one slow callback no longer stalls the flush.  The default
+synchronous :class:`~repro.live.events.EventBus` runs them inline and
+answers the queueing questions (backlog, drain, pending capture) with
+constants, so nothing downstream asks which bus it holds.  The threads a
+session can own are therefore the serve loop and the delivery workers.
 
 :meth:`~SubscriptionManager.close` stops the loop, performs a final
 flush, drains every queue, and joins all workers.  Freshness accounting
@@ -77,9 +75,8 @@ holds it, and :meth:`flush` takes **one cut** per round — in the
 critical section that snapshots the dirty set, which intake's
 ``note_change`` calls share, it claims the pending record of every plan
 that reads or is read by another, and then refreshes providers before
-consumers (as sequential waves when sharded).  Routing stays by the
-tables of the whole logical plan, so what a notification reports does
-not depend on what its plan shares.
+consumers.  Routing stays by the tables of the whole logical plan, so
+what a notification reports does not depend on what its plan shares.
 
 Thread-safety: session state (plans, routing, dirty set, stats,
 registrations) is guarded by one session lock; write intake runs under
@@ -133,8 +130,6 @@ _PLAN_COUNTERS = (
     ("repro_live_cost_adaptations_total", "cost_adaptations"),
     ("repro_store_snapshots_taken_total", "snapshots_taken"),
     ("repro_store_snapshots_reused_total", "snapshots_reused"),
-    ("repro_store_state_evictions_total", "state_evictions"),
-    ("repro_store_state_rebuilds_total", "state_rebuilds"),
 )
 
 
@@ -155,7 +150,7 @@ class SubscriptionManager:
 
     For high-traffic serving, turn on the concurrent layer::
 
-        session = LiveSession(db, delivery_workers=4, flush_shards=4)
+        session = LiveSession(db, delivery_workers=4)
         session.serve()               # background modification-driven flush
     """
 
@@ -167,27 +162,23 @@ class SubscriptionManager:
         flush_shards: int = 0,
         queue_capacity: int = 64,
         backpressure: str = "coalesce",
-        state_budget_bytes: Optional[int] = None,
         registry: Optional["Registry"] = None,
         freshness_slo: Optional[FreshnessSLO] = None,
         trace: object = False,
     ):
-        if delivery_workers < 0 or flush_shards < 0:
+        if delivery_workers < 0:
+            raise QueryError("delivery_workers must be non-negative")
+        if flush_shards != 0:
+            # Not an option: PR 23 deleted sharded flushing (one thread
+            # refreshes).  The keyword survives only because the ledger's
+            # lifecycle still passes ``flush_shards=0``; ROADMAP 3b's
+            # ``pool_v2`` drops that key, and this guard with it.
             raise QueryError(
-                "delivery_workers and flush_shards must be non-negative"
+                "flush_shards was removed in PR 23 (one thread refreshes); "
+                "the keyword only accepts 0"
             )
-        if state_budget_bytes is not None and state_budget_bytes < 0:
-            raise QueryError("state_budget_bytes must be non-negative")
         self.database = database
-        #: Per-maintainer cap on evictable operator-state memory
-        #: (storage-layout bytes).  Exceeding it evicts the plan's delta
-        #: state after the refresh — the result keeps serving from the
-        #: versioned store, and the next refresh rebuilds on miss
-        #: (``state_evictions``/``state_rebuilds`` in :meth:`stats`).
-        #: ``None`` = unbounded.
-        self.state_budget_bytes = state_budget_bytes
         self.delivery_workers = delivery_workers
-        self.flush_shards = flush_shards
         #: The session's metrics registry.  Counters are on by default:
         #: native hot-path families plus a pull-at-snapshot collector
         #: that maps the session/serve/store stats onto the canonical
@@ -239,7 +230,6 @@ class SubscriptionManager:
             "repro_live_refresh_errors_total": 0,
             "repro_live_cache_hits_total": 0,
             "repro_live_cache_misses_total": 0,
-            "repro_shard_worker_failures_total": 0,
             **{key: 0 for key, _ in _PLAN_COUNTERS},
         }
         self._unsubscribe_bus: Dict[int, Callable[[], None]] = {}
@@ -265,16 +255,6 @@ class SubscriptionManager:
             )
         else:
             self.bus = EventBus(on_delivered=self._observer.on_delivered)
-        if flush_shards > 0:
-            from repro.serve.scheduler import FlushScheduler
-
-            self._scheduler: Optional["FlushScheduler"] = FlushScheduler(
-                self._refresh_one,
-                shards=flush_shards,
-                on_error=self._on_shard_failure,
-            )
-        else:
-            self._scheduler = None
         self._listener = database.add_delta_listener(self._intake)
 
     # ------------------------------------------------------------------
@@ -383,7 +363,6 @@ class SubscriptionManager:
             plan,
             self.database,
             label=f"plan {fingerprint[:12]}",
-            state_budget_bytes=self.state_budget_bytes,
             fingerprint=fingerprint,
             registry=self.metrics,
             tracer=self.tracer,
@@ -521,30 +500,23 @@ class SubscriptionManager:
         """Close every subscription, stop and join all serving workers.
 
         The shutdown is *clean*: the serve loop stops first, the database
-        hook is removed (no new intake), a session with worker threads
-        runs one final flush for whatever was owed, queued notifications
-        drain to their subscribers, and only then do workers exit.  Safe
-        to call from an ``on_refresh`` callback: neither the serve loop
-        nor a delivery worker waits for or joins the thread it runs on.
+        hook is removed (no new intake), one final flush answers for
+        whatever was owed — on either bus — queued notifications drain
+        to their subscribers, and only then do workers exit.  Safe to
+        call from an ``on_refresh`` callback: neither the serve loop nor
+        a delivery worker waits for or joins the thread it runs on.
         """
         if self._closed:
             return
         self.stop_serving()
         self.database.remove_delta_listener(self._listener)
-        # The one place left that asks which bus it holds: a session
-        # without worker threads has never flushed on close(), and
-        # starting to deliver owed notifications there would be a change
-        # of behaviour, not of structure.
-        if self._scheduler is not None or self.delivery_workers:
-            try:
-                self.flush()  # deliver what is owed before teardown
-            except QueryError:  # pragma: no cover — close() raced close()
-                pass
-            self.bus.drain(timeout=10.0)
+        try:
+            self.flush()  # deliver what is owed before teardown
+        except QueryError:  # pragma: no cover — close() raced close()
+            pass
+        self.bus.drain(timeout=10.0)
         for subscription in list(self._subscriptions.values()):
             self.unsubscribe(subscription)
-        if self._scheduler is not None:
-            self._scheduler.close()
         self.bus.close(drain=True)
         self._observer.close()
         self._closed = True
@@ -619,11 +591,6 @@ class SubscriptionManager:
         ``repro.engine.delta`` logger) when the plan or the delta is not
         incrementalizable.  Returns the number of refreshes performed.
 
-        With ``flush_shards`` enabled the dirty plans are routed to their
-        owning shard workers and refresh **in parallel** — each
-        fingerprint still refreshes exactly once per round, in order,
-        because its shard queue is FIFO and pinned to one worker.
-
         Subscriptions whose result did not change are not notified
         (unless they set ``notify_on_no_change``); on the incremental
         path that is decided by the propagated delta being empty, on the
@@ -636,6 +603,11 @@ class SubscriptionManager:
         materialization, and the error is published on the bus's
         ``"error"`` topic as ``(fingerprint, exception)`` and counted in
         :meth:`stats` under ``"repro_live_refresh_errors_total"``.
+        Whatever else escapes one plan's refresh — the refresh
+        *machinery* failing, not the plan — is counted under the same
+        key, announced on the bus's listener-error topic as
+        ``("flush", fingerprint[:12], exception)``, and leaves the plan
+        marked for the next round; the round's other plans still refresh.
 
         Re-entrant calls (an ``on_refresh`` callback modified tables and
         called ``flush()`` — or another thread did while this flush was
@@ -657,10 +629,14 @@ class SubscriptionManager:
                     # set and the cut of every plan that shares state.
                     self._reentrant_flush_requested = False
                     dirty, self._dirty = self._dirty, {}
-                    waves = claim_round(self._plans[key] for key in dirty)
+                    ordered = claim_round(self._plans[key] for key in dirty)
                 if dirty:
                     with self._spans.span("flush", plans=len(dirty)):
-                        refreshed += self._run_round(waves)
+                        for fingerprint in ordered:
+                            try:
+                                refreshed += self._refresh_one(fingerprint)
+                            except Exception as exc:  # noqa: BLE001 — isolate per plan
+                                self._refresh_escaped(fingerprint, exc)
                     with self._lock:
                         self._stats["repro_live_flushes_total"] += 1
                 with self._lock:
@@ -678,43 +654,33 @@ class SubscriptionManager:
                 self._flushing = False
             raise
 
-    def _run_round(self, waves: List[List[str]]) -> int:
-        """Refresh one snapshot of dirty fingerprints, serial or sharded
-        — wave by wave, so a plan refreshes after the plans it reads."""
-        if self._scheduler is not None:
-            return sum(self._scheduler.flush(wave) for wave in waves)
-        return sum(
-            self._refresh_one(fingerprint)
-            for wave in waves
-            for fingerprint in wave
-        )
-
-    def _on_shard_failure(
-        self, shard: int, fingerprint: str, exc: BaseException
-    ) -> None:
-        """Shard-worker escape hatch: :meth:`_refresh_one` isolates
+    def _refresh_escaped(self, fingerprint: str, exc: BaseException) -> None:
+        """The refresher's escape hatch: :meth:`_refresh_one` isolates
         expected refresh errors itself, so an exception reaching the
-        shard worker means the refresh *machinery* failed.  Count it and
-        announce it on the listener-error topic — a silently dying shard
-        would otherwise surface only as growing staleness."""
+        round loop (or the serve loop, which passes no fingerprint) means
+        the refresh *machinery* failed.  Count it, keep the plan marked
+        while its record is still owed, and announce it on the
+        listener-error topic — a refresher failing silently would
+        otherwise surface only as growing staleness."""
         with self._lock:
-            self._stats["repro_shard_worker_failures_total"] += 1
+            self._stats["repro_live_refresh_errors_total"] += 1
+            maintainer = self._plans.get(fingerprint)
+            if maintainer is not None and maintainer.dirty:
+                self._dirty[fingerprint] = None
         try:
             self.bus.publish(
-                EventBus.LISTENER_ERROR_TOPIC,
-                ("flush-shard", f"shard-{shard}:{fingerprint[:12]}", exc),
+                EventBus.LISTENER_ERROR_TOPIC, ("flush", fingerprint[:12], exc)
             )
         except Exception:  # noqa: BLE001 — reporting must never re-raise
-            logger.exception("shard failure announcement failed")
+            logger.exception("refresh failure announcement failed")
 
     def _refresh_one(self, fingerprint: str) -> bool:
         """Refresh one plan and notify its subscriptions.
 
-        The single refresh routine behind serial flushes and shard
-        workers alike; returns ``True`` when a refresh was performed.
-        The dirty set only said where to look — what the refresh answers
-        for (tables, coalesced events, oldest commit stamp) is the
-        pending record it claims, reported back on the outcome.
+        Returns ``True`` when a refresh was performed.  The dirty set
+        only said where to look — what the refresh answers for (tables,
+        coalesced events, oldest commit stamp) is the pending record it
+        claims, reported back on the outcome.
         """
         with self._lock:
             maintainer = self._plans.get(fingerprint)
@@ -884,20 +850,18 @@ class SubscriptionManager:
         (``repro_<layer>_<what>[_total]`` — e.g.
         ``repro_live_events_total``, ``repro_serve_delivery_backlog``;
         :mod:`repro.live.metrics` lists them).  Non-metric context keys
-        keep their plain names: ``table_fanout``, ``shard_flushes``,
-        ``shard_failures``, ``serving``, ``delivery_workers``,
-        ``flush_shards``.
+        keep their plain names: ``table_fanout``, ``serving``,
+        ``delivery_workers``.
 
         The refresh, cost-model and result-store counters
         (``evaluations`` / ``delta_refreshes`` / ``full_refreshes``,
-        ``cost_*``, snapshot copy/reuse, state evict/rebuild) are each
-        plan's own, summed over the live plans plus what dropped plans
-        retired — ``full_refreshes`` counts *refreshes* that had to
-        re-evaluate, so the evaluation that materializes a plan is an
-        ``evaluations`` only.  The serving layer adds the bus's queued /
+        ``cost_*``, snapshot copy/reuse) are each plan's own, summed
+        over the live plans plus what dropped plans retired —
+        ``full_refreshes`` counts *refreshes* that had to re-evaluate,
+        so the evaluation that materializes a plan is an ``evaluations``
+        only.  The serving layer adds the bus's queued /
         delivered / dropped / coalesced counts and its backlog (on the
-        synchronous bus everything is delivered as it is queued) plus
-        per-shard flush counts.
+        synchronous bus everything is delivered as it is queued).
         """
         with self._lock:
             data: Dict[str, object] = {
@@ -916,7 +880,6 @@ class SubscriptionManager:
                     for maintainer in self._plans.values()
                 )
         data["delivery_workers"] = self.delivery_workers
-        data["flush_shards"] = self.flush_shards
         data["serving"] = self.serving
         bus_stats = self.bus.stats()
         data["repro_serve_queued_notifications_total"] = bus_stats["queued"]
@@ -924,14 +887,6 @@ class SubscriptionManager:
         data["repro_serve_dropped_notifications_total"] = bus_stats["dropped"]
         data["repro_serve_coalesced_notifications_total"] = bus_stats["coalesced"]
         data["repro_serve_delivery_backlog"] = bus_stats["backlog"]
-        data["shard_flushes"] = (
-            self._scheduler.flush_counts() if self._scheduler is not None else ()
-        )
-        data["shard_failures"] = (
-            self._scheduler.failure_counts()
-            if self._scheduler is not None
-            else ()
-        )
         return data
 
 

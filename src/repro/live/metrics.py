@@ -12,8 +12,8 @@
   entirely at scrape time so the write and flush paths pay nothing; and
 * the pull-at-snapshot collector that publishes the session's
   :meth:`~repro.live.manager.SubscriptionManager.stats` under the
-  canonical ``repro_<layer>_<what>[_total]`` names, plus per-shard flush
-  counts and per-operator plan counters.
+  canonical ``repro_<layer>_<what>[_total]`` names, plus per-operator
+  plan counters.
 
 This module is the only place that lists the metric names
 (:data:`CANONICAL_SAMPLES`, :data:`OPERATOR_SAMPLES`); the ``stats()``
@@ -58,7 +58,7 @@ CANONICAL_SAMPLES = (
     ("repro_live_suppressed_notifications_total", "counter",
      "No-change refreshes suppressed before delivery"),
     ("repro_live_refresh_errors_total", "counter",
-     "Refreshes that raised and were isolated"),
+     "Refreshes that raised, or whose machinery failed, and were isolated"),
     ("repro_live_cache_hits_total", "counter",
      "Subscriptions attached to an existing shared result"),
     ("repro_live_cache_misses_total", "counter",
@@ -73,10 +73,6 @@ CANONICAL_SAMPLES = (
      "Result-store snapshot copies materialized"),
     ("repro_store_snapshots_reused_total", "counter",
      "Reads served from an already-materialized snapshot"),
-    ("repro_store_state_evictions_total", "counter",
-     "Operator states evicted by the memory budget"),
-    ("repro_store_state_rebuilds_total", "counter",
-     "Refreshes that rebuilt budget-evicted operator state"),
     ("repro_serve_queued_notifications_total", "counter",
      "Notifications enqueued to delivery mailboxes"),
     ("repro_serve_delivered_notifications_total", "counter",
@@ -196,8 +192,8 @@ class SessionMetrics:
 
     def collect(self) -> List[Sample]:
         """Pull-at-snapshot collector: the session's stats under the
-        canonical names, plus per-shard flush counts and per-operator
-        plan counters (labeled by fingerprint, operator, tree path)."""
+        canonical names, plus per-operator plan counters (labeled by
+        fingerprint, operator, tree path)."""
         session = self._session
         stats = session.stats()
         samples: List[Sample] = [
@@ -213,26 +209,6 @@ class SessionMetrics:
                     "gauge",
                     "Age of the oldest pending unapplied change per "
                     "subscription",
-                )
-            )
-        for shard, count in enumerate(stats["shard_flushes"]):
-            samples.append(
-                Sample(
-                    "repro_serve_shard_flushes_total",
-                    {"shard": str(shard)},
-                    float(count),
-                    "counter",
-                    "Flush rounds executed per shard worker",
-                )
-            )
-        for shard, count in enumerate(stats["shard_failures"]):
-            samples.append(
-                Sample(
-                    "repro_shard_worker_failures_total",
-                    {"shard": str(shard)},
-                    float(count),
-                    "counter",
-                    "Refresh exceptions that escaped to a shard worker",
                 )
             )
         for shared in session.shared_results():

@@ -194,5 +194,7 @@ class ServeLoop:
                 return
             try:
                 self._session.flush()
-            except QueryError:  # session closed under us
-                return
+            except Exception as exc:  # noqa: BLE001 — the loop must keep serving
+                if self._session.closed:  # closed under us
+                    return
+                self._session._refresh_escaped("", exc)

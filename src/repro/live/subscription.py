@@ -86,10 +86,10 @@ class Subscription:
 
     Thread-delivery semantics (when the session runs the concurrent
     serving layer, :mod:`repro.serve`): :meth:`_notify` runs on the one
-    flush-shard worker owning this plan's fingerprint, and ``on_refresh``
-    callbacks run on the one delivery worker owning this subscriber's
-    mailbox — both FIFO, so per-subscription bookkeeping and delivery
-    stay in refresh order without extra locking.
+    thread running the flush round, and ``on_refresh`` callbacks run on
+    the one delivery worker owning this subscriber's mailbox — both
+    FIFO, so per-subscription bookkeeping and delivery stay in refresh
+    order without extra locking.
     """
 
     #: Process-wide id source; ``itertools.count`` hands out ids atomically,

@@ -119,8 +119,6 @@ def render_explain_analyze(
             "delta_fallbacks",
             "cost_full_refreshes",
             "cost_adaptations",
-            "state_evictions",
-            "state_rebuilds",
         ):
             if key in totals:
                 parts.append(f"{key}={totals[key]}")

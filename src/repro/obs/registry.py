@@ -1,9 +1,9 @@
 """The metrics registry: one surface over every counter in the engine.
 
 Before this module, each layer kept its own ad-hoc stats — the live
-session's ``stats()`` dict, per-mailbox delivery counters, per-shard
-flush counts, result-store snapshot stats, operator-state eviction
-counters — with no single place to read them and no stable naming.  The
+session's ``stats()`` dict, per-mailbox delivery counters,
+result-store snapshot stats — with no single place to read them and no
+stable naming.  The
 :class:`Registry` absorbs them all behind three calls:
 
 * :meth:`Registry.snapshot` — every metric as plain data;

@@ -75,8 +75,9 @@ class TraceRecorder:
     Events live in a ring buffer (``capacity`` newest spans), each
     stamped with the recording thread's id so the Chrome trace viewer
     reconstructs the cross-thread pipeline: writer threads show the
-    ``write`` intake spans, shard workers the ``refresh``/``apply``
-    spans, delivery workers the ``deliver`` spans.
+    ``write`` intake spans, the flushing thread (the serve loop's, or
+    the caller's) the ``refresh``/``apply`` spans, delivery workers the
+    ``deliver`` spans.
     """
 
     def __init__(self, capacity: int = 4096, *, enabled: bool = True):

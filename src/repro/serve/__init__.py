@@ -2,9 +2,9 @@
 
 The paper's validity property makes ongoing results *servable at scale*:
 once materialized, a result refreshes only on explicit modifications, so
-the expensive part of serving millions of subscribers is fan-out and
-refresh scheduling — not recomputation.  This package is that serving
-machinery, layered on :mod:`repro.live`:
+the expensive part of serving millions of subscribers is fan-out — not
+recomputation.  This package is that delivery machinery, layered on
+:mod:`repro.live`:
 
 * :mod:`repro.serve.queues` — per-subscriber bounded
   :class:`Mailbox` queues with ``block`` / ``drop_oldest`` / ``coalesce``
@@ -13,22 +13,17 @@ machinery, layered on :mod:`repro.live`:
 * :mod:`repro.serve.bus` — the :class:`DeliveryPool` of worker threads
   and the :class:`AsyncEventBus`, a drop-in
   :class:`~repro.live.events.EventBus` whose ``publish`` enqueues —
-  one slow subscriber can no longer stall a flush;
-* :mod:`repro.serve.sharding` — :func:`shard_index`, the stable CRC-32
-  routing of plan fingerprints to flush shards;
-* :mod:`repro.serve.scheduler` — the :class:`FlushScheduler`: one FIFO
-  worker per shard, so independent shared results refresh in parallel
-  while each result stays serially consistent.
+  one slow subscriber can no longer stall a flush.
 
 None of this is a second pipeline.  A live session
 (:class:`~repro.live.manager.SubscriptionManager`) is always
-registration → intake → flush → delivery; its constructor only chooses
-which threads the last two stages run on::
+registration → intake → flush → delivery; one thread refreshes (the
+caller's, or the serve loop's), and the constructor only chooses which
+threads the last stage runs on::
 
     session = LiveSession(
         db,
         delivery_workers=4,   # callbacks on worker threads, not in the flush
-        flush_shards=4,       # independent plans refresh in parallel
         backpressure="coalesce",
     )
     session.serve(debounce=0.005)   # background modification-driven flushing
@@ -36,8 +31,8 @@ which threads the last two stages run on::
     session.close()                 # drains queues, joins all workers
 
 The session keeps one :class:`~repro.engine.maintenance.IncrementalMaintainer`
-per plan, one routing map and one lock whatever it is given here — a
-flush job is just a fingerprint — and the default synchronous
+per plan, one routing map and one lock whatever it is given here, and
+the default synchronous
 :class:`~repro.live.events.EventBus` answers every question the
 asynchronous bus can be asked (backlog, stats, drain, pending capture)
 with a constant, so no caller has to know which bus it holds.
@@ -45,9 +40,9 @@ with a constant, so no caller has to know which bus it holds.
 Concurrency invariants (tested in ``tests/serve/``):
 
 * **exactly-once, in-order per subscription** — a subscription's
-  notifications are produced by the one shard worker owning its
-  fingerprint and delivered by the one delivery worker owning its
-  mailbox, both FIFO;
+  notifications are produced by the one thread that runs the flush
+  round and delivered by the one delivery worker owning its mailbox,
+  both FIFO;
 * **no torn reads** — results are immutable relations swapped
   atomically; full re-evaluations hold the database write lock
   (:attr:`~repro.engine.database.Database.lock`), so concurrently
@@ -59,15 +54,10 @@ Concurrency invariants (tested in ``tests/serve/``):
 
 from repro.serve.bus import AsyncEventBus, DeliveryPool
 from repro.serve.queues import BACKPRESSURE_POLICIES, Mailbox
-from repro.serve.scheduler import FlushRound, FlushScheduler
-from repro.serve.sharding import shard_index
 
 __all__ = [
     "AsyncEventBus",
     "BACKPRESSURE_POLICIES",
     "DeliveryPool",
-    "FlushRound",
-    "FlushScheduler",
     "Mailbox",
-    "shard_index",
 ]

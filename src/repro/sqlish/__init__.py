@@ -30,7 +30,7 @@ def subscribe(source: str, session, **kwargs):
     *session* is a :class:`repro.live.SubscriptionManager` — or a
     :class:`~repro.engine.database.Database`, whose lazily created live
     session is then used (``db.live_session(...)`` configures it, e.g.
-    with ``delivery_workers``/``flush_shards`` for concurrent serving).
+    with ``delivery_workers`` for concurrent delivery).
     Compiles *source* against the session's database and hands the plan
     to :meth:`repro.live.SubscriptionManager.subscribe`; keyword
     arguments (``on_refresh``, ``reference_time``, ``name``,

@@ -73,6 +73,11 @@ class TestProviders:
         assert outer.providers == (inner,) and inner.consumers == [outer]
         assert base.consumers == []
         assert (inner.depth, outer.depth) == (0, 1)
+        # One list: a plan after every plan it reads, first noted first
+        # at equal depth.
+        assert claim_round([outer, base, inner]) == [
+            base.fingerprint, inner.fingerprint, outer.fingerprint
+        ]
         again = providers_of(outer.plan, plans)
         assert again == [inner]  # never the plan itself
         assert outer.unlink() == (inner,)
@@ -104,8 +109,8 @@ class TestCuts:
         db.table("A").insert(1, until_now(9))
         first = db.last_commit
         assert not inner.clean
-        waves = claim_round([outer, inner])  # dirty order is not wave order
-        assert waves == [[inner.fingerprint], [outer.fingerprint]]
+        ordered = claim_round([outer, inner])  # dirty order is not refresh order
+        assert ordered == [inner.fingerprint, outer.fingerprint]
         assert outer.owed is not outer.pending and outer.owed.events == 1
         db.table("B").insert(1, until_now(10))  # after the cut
         db.table("A").insert(2, until_now(11))
@@ -147,7 +152,7 @@ class TestCuts:
         alone = _maintained(db, scan("B").where(col("K") == lit(1)), plans)
         _feed(db, plans)
         db.table("B").insert(1, until_now(9))
-        assert claim_round([alone]) == [[alone.fingerprint]]
+        assert claim_round([alone]) == [alone.fingerprint]
         assert alone.owed is alone.pending and alone.pending.events == 1
         db.table("B").insert(1, until_now(10))
         assert alone.refresh().events == 2

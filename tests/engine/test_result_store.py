@@ -1,4 +1,4 @@
-"""The versioned copy-on-read result store and the operator-state budget.
+"""The versioned copy-on-read result store and operator-state pricing.
 
 Tentpole contracts of the O(|Δ|) refresh tail:
 
@@ -8,20 +8,13 @@ Tentpole contracts of the O(|Δ|) refresh tail:
 * a snapshot, once handed out, is frozen: later mutations of the store
   (including structural churn that leaves the output set unchanged) can
   never reach it — byte-for-byte;
-* with ``state_budget_bytes`` set, operator state above the budget is
-  evicted after the refresh while the result keeps serving, and the next
-  refresh transparently rebuilds it (recompute-on-miss), with the
-  eviction/rebuild counters advancing and zero correctness drift;
-* the sizeof-based memory guard: after every flush the maintained state
-  respects the configured budget.
+* ``state_bytes()`` prices what the operators hold — cached rows and
+  accumulators, not the served result and not an aggregate's input.
 """
-
-import pytest
 
 from repro.core.interval import fixed_interval, until_now
 from repro.engine.database import Database
 from repro.engine.delta import Delta, DeltaEvaluator
-from repro.engine.modifications import current_delete, current_update
 from repro.engine.plan import scan
 from repro.engine.storage import pack_tuple
 from repro.live import LiveSession
@@ -273,73 +266,11 @@ class TestServingContinuity:
 
 
 class TestStateBudget:
-    def test_eviction_keeps_serving_and_rebuilds_on_miss(self):
-        db = _database()
-        session = LiveSession(db, state_budget_bytes=1)  # everything evicts
-        sub = session.subscribe(_join_plan())
-        stats = session.stats()
-        assert stats["repro_store_state_evictions_total"] == 1  # evicted right after build
-        served_before = frozenset(sub.result.tuples)
-        assert served_before  # eviction never takes the result away
-        db.table("R").insert(2, until_now(40))
-        session.flush()
-        stats = session.stats()
-        assert stats["repro_store_state_rebuilds_total"] == 1  # the miss paid a rebuild
-        assert stats["repro_store_state_evictions_total"] == 2  # ...and evicted again
-        (shared,) = session.shared_results()
-        assert shared.delta_fallbacks == 0  # a miss is not a failure
-        assert frozenset(sub.result.tuples) == frozenset(
-            db.query(_join_plan()).tuples
-        )
-        session.close()
-
-    def test_generous_budget_never_evicts(self):
-        db = _database()
-        session = LiveSession(db, state_budget_bytes=64 * 1024 * 1024)
-        session.subscribe(_join_plan())
-        db.table("R").insert(2, until_now(40))
-        session.flush()
-        stats = session.stats()
-        assert stats["repro_store_state_evictions_total"] == 0
-        assert stats["repro_store_state_rebuilds_total"] == 0
-        assert stats["repro_live_delta_refreshes_total"] == 1  # the delta path stayed warm
-        session.close()
-
-    def test_negative_budget_rejected(self):
-        from repro.errors import QueryError
-
-        with pytest.raises(QueryError, match="state_budget_bytes"):
-            LiveSession(_database(), state_budget_bytes=-1)
-
-    def test_memory_guard_budget_respected_after_every_flush(self):
-        """The sizeof-based memory guard: whatever the workload does, the
-        estimated evictable state never exceeds the configured budget
-        once the flush (and its eviction pass) completed."""
-        budget = 2_048
-        db = _database()
-        session = LiveSession(db, state_budget_bytes=budget)
-        sub = session.subscribe(_join_plan())
-        (shared,) = session.shared_results()
-        assert shared.state_bytes() <= budget
-        for i in range(12):
-            if i % 3 == 2:
-                current_delete(
-                    db.table("R"), lambda r: r.values[0] == i % 4, at=50 + i
-                )
-            else:
-                db.table("R").insert(i % 4, until_now(50 + i))
-            session.flush()
-            assert shared.state_bytes() <= budget, (
-                f"state grew past the budget after flush {i}"
-            )
-        assert frozenset(sub.result.tuples) == frozenset(
-            db.query(_join_plan()).tuples
-        )
-        session.close()
+    """What ``state_bytes()`` prices, and that counters retire."""
 
     def test_state_bytes_of_an_aggregate_ignores_its_input(self):
         """A group is its accumulators, not its members: what an
-        invertible GROUP BY holds — and what the budget is charged for —
+        invertible GROUP BY holds — and what ``state_bytes()`` prices —
         is a few map entries per group, however many and however wide
         the input rows are."""
         from repro.engine.storage import sizeof_tuple
@@ -360,8 +291,8 @@ class TestStateBudget:
         assert state_bytes(500)[0] == small
 
     def test_state_bytes_tracks_cached_rows(self):
-        """The accounting the guard relies on: warm join state prices both
-        cached sides plus interior counts, and evicting zeroes it."""
+        """Warm join state prices both cached sides plus interior
+        counts; the served result is not part of it."""
         db = _database()
         evaluator = DeltaEvaluator(_join_plan(), db)
         evaluator.refresh_full()
@@ -369,46 +300,24 @@ class TestStateBudget:
             db.table("S")
         )
         assert evaluator.state_bytes() > 0
-        evaluator.evict_state()
-        assert evaluator.state_rows() == 0
-        assert evaluator.state_bytes() == 0
-        assert evaluator.result is not None  # still serving
-
-    def test_eviction_releases_the_state_objects(self):
-        """Eviction must actually free the memory: no internal map may
-        keep the dropped OperatorStates (and their caches) reachable."""
-        import gc
-        import weakref
-
-        db = _database()
-        evaluator = DeltaEvaluator(_join_plan(), db)
-        evaluator.refresh_full()
-        refs = [weakref.ref(state) for state in evaluator._states.values()]
-        evaluator.evict_state()
-        gc.collect()
-        assert all(ref() is None for ref in refs), (
-            "evicted operator state is still pinned in RAM"
-        )
-        assert evaluator.result is not None  # the store alone survives
 
     def test_session_counters_survive_unsubscribe(self):
-        """The new stats are monotonic: a departing last subscriber
+        """The stats are monotonic: a departing last subscriber
         retires its counters into the session totals instead of
         vanishing with the cache entry."""
         db = _database()
-        session = LiveSession(db, state_budget_bytes=1)
+        session = LiveSession(db)
         sub = session.subscribe(_join_plan())
         sub.result  # force at least one snapshot
         before = session.stats()
         assert before["repro_store_snapshots_taken_total"] >= 1
-        assert before["repro_store_state_evictions_total"] >= 1
+        assert before["repro_live_evaluations_total"] >= 1
         sub.close()  # last subscriber → cache entry dropped
         after = session.stats()
         for key in (
             "repro_store_snapshots_taken_total",
             "repro_store_snapshots_reused_total",
-            "repro_store_state_evictions_total",
-            "repro_store_state_rebuilds_total",
+            "repro_live_evaluations_total",
         ):
             assert after[key] >= before[key], f"{key} went backward"
         session.close()

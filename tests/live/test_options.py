@@ -1,10 +1,12 @@
-"""A ratchet on the session's option count and on its modules' size.
+"""A ratchet on the session's option count, its series and its modules' size.
 
 Every independent constructor switch doubles the configurations the
 suites and the ledger have to cover.  The next knob is a reviewed
 decision: it has to edit this list.  Likewise a session stays a few
-small parts (ROADMAP 4): no module of the live or serving layer grows
-past :data:`MAX_CODE_LINES` without a reviewed edit here.
+small parts (ROADMAP 5): no module of the live or serving layer grows
+past :data:`MAX_CODE_LINES` without a reviewed edit here, and the
+session's metric families are exactly the ones its one table lists
+(ROADMAP 4c, first half).
 """
 
 import ast
@@ -13,15 +15,23 @@ import io
 import tokenize
 from pathlib import Path
 
-import repro
-from repro.live import LiveSession
+import pytest
 
+import repro
+from repro.core.interval import until_now
+from repro.engine.database import Database
+from repro.errors import QueryError
+from repro.live import LiveSession
+from repro.live.metrics import CANONICAL_SAMPLES
+from repro.relational.schema import Schema
+
+#: The constructor's keyword names.  ``flush_shards`` is not an option:
+#: it accepts ``0`` only (see the guard test below).
 SESSION_OPTIONS = [
     "delivery_workers",
     "flush_shards",
     "queue_capacity",
     "backpressure",
-    "state_budget_bytes",
     "registry",
     "freshness_slo",
     "trace",
@@ -40,6 +50,46 @@ def test_session_options_are_exactly_these():
             parameters[name].kind is inspect.Parameter.KEYWORD_ONLY
             for name in options
         )
+
+
+def _database():
+    db = Database("options")
+    db.create_table("R", Schema.of("K", ("VT", "interval")))
+    return db
+
+
+def test_flush_shards_accepts_zero_and_nothing_else():
+    """The keyword the ledger's lifecycle still passes selects nothing:
+    ``0`` is accepted, stored nowhere and reported nowhere."""
+    db = _database()
+    for shards in (1, 2, -1):
+        with pytest.raises(QueryError, match="flush_shards"):
+            LiveSession(db, flush_shards=shards)
+    session = LiveSession(db, flush_shards=0)
+    assert not hasattr(session, "flush_shards")
+    assert "flush_shards" not in session.stats()
+    session.close()
+
+
+def test_the_session_families_a_scrape_exposes_are_the_canonical_table():
+    """Every ``repro_live_*`` / ``repro_store_*`` / ``repro_serve_*``
+    series is a row of ``live/metrics.CANONICAL_SAMPLES`` and the other
+    way round: a deleted series cannot drift back, a new one is a
+    reviewed edit of that table."""
+    session = LiveSession(_database(), delivery_workers=1)
+    session.subscribe_sql("SELECT * FROM R", on_refresh=lambda event: None)
+    session.database.table("R").insert(1, until_now(5))
+    session.flush()
+    session.bus.drain(timeout=5)
+    exposed = {
+        name
+        for name in session.metrics.snapshot()
+        if name.startswith(("repro_live_", "repro_store_", "repro_serve_"))
+    }
+    session.close()
+    canonical = {name for name, _, _ in CANONICAL_SAMPLES}
+    assert exposed == canonical
+    assert len(canonical) == len(CANONICAL_SAMPLES) == 22
 
 
 MAX_CODE_LINES = 500

@@ -182,10 +182,10 @@ class TestRenderer:
             label="plan abc",
             fingerprint="abcdef012345",
             totals={"evaluations": 4, "state_bytes": 0},
-            cold_reason="operator state evicted by the memory budget",
+            cold_reason="the last refresh failed",
         )
         assert "no warm operator state" in text
-        assert "evicted by the memory budget" in text
+        assert "the last refresh failed" in text
         assert "evaluations=4" in text
 
     def test_shared_registry_can_serve_two_sessions(self):

@@ -1,21 +1,13 @@
-"""Property tests: lazy copy-on-read snapshots are exact.
+"""Property test: lazy copy-on-read snapshots are exact.
 
-Two contracts of the versioned result store
+The contract of the versioned result store
 (:class:`~repro.relational.relation.ResultStore`), proven over the same
 random plans and modification sequences that pin the delta engine
-(``test_delta_properties.py``, reused verbatim):
-
-1. **Snapshot equivalence** — after any modification step, the lazily
-   materialized, version-cached snapshot is *byte-identical* to the
-   eager ``from_deduplicated`` rebuild every refresh used to pay (same
-   tuples, same order, same serialized bytes), and snapshots held from
-   earlier versions never change retroactively.
-
-2. **Eviction exactness** — with a deliberately tiny
-   ``state_budget_bytes``, every refresh recomputes on miss; the served
-   results must not drift from a from-scratch evaluation by a single
-   byte, while the eviction and rebuild counters actually advance (so
-   the test cannot pass by never evicting).
+(``test_delta_properties.py``, reused verbatim): after any modification
+step, the lazily materialized, version-cached snapshot is
+*byte-identical* to the eager ``from_deduplicated`` rebuild every refresh
+used to pay (same tuples, same order, same serialized bytes), and
+snapshots held from earlier versions never change retroactively.
 """
 
 import sys
@@ -26,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.engine.delta import DeltaEvaluator
 from repro.engine.storage import pack_tuple
-from repro.live import LiveSession
 
 # Reuse the delta-exactness generators: one representative plan per delta
 # rule, and typed modification sequences (inserts, current deletes/updates,
@@ -80,42 +71,3 @@ def test_lazy_snapshot_equals_eager_rebuild(plan_key, modifications):
     for snapshot, bytes_then in held:
         assert _packed(snapshot) == bytes_then
     assert evaluator.full_evaluations == 1  # never fell back
-
-
-@given(st.sampled_from(PLAN_KEYS), _MODIFICATIONS)
-@settings(max_examples=40)
-def test_eviction_recompute_on_miss_has_zero_drift(plan_key, modifications):
-    """A 1-byte budget forces evict-after-every-refresh; the served result
-    must still equal a from-scratch evaluation at every step, and the
-    miss counters must actually advance."""
-    plan = _plans()[plan_key]
-    db = _fresh_database()
-    session = LiveSession(db, state_budget_bytes=1)
-    sub = session.subscribe(plan)
-    from repro.core.interval import until_now
-
-    for step, modification in enumerate(modifications):
-        _apply(db, modification)
-        session.flush()
-        expected = db.query(plan)
-        assert frozenset(sub.result.tuples) == frozenset(expected.tuples), (
-            f"{plan_key}: evicted session drifted at step {step} "
-            f"after {modification!r}"
-        )
-    # One guaranteed-relevant modification (every plan reads R), so the
-    # miss counter must advance even when the random sequence only
-    # touched tables this plan ignores.
-    db.table("R").insert(1, until_now(29))
-    session.flush()
-    assert frozenset(sub.result.tuples) == frozenset(db.query(plan).tuples)
-    stats = session.stats()
-    if plan_key in ("fixed-filter", "ongoing-filter", "project"):
-        # Nothing to evict: a scan's state is the table itself and the
-        # root's output is the served result.
-        assert stats["repro_store_state_evictions_total"] == 0
-        session.close()
-        return
-    assert stats["repro_store_state_evictions_total"] >= 1  # the budget actually bit
-    assert stats["repro_store_state_rebuilds_total"] >= 1  # and at least one miss rebuilt
-    assert stats["repro_store_state_rebuilds_total"] >= stats["repro_live_full_refreshes_total"] - 1
-    session.close()

@@ -3,7 +3,7 @@
 Property: for any plan with a delta rule and any random modification
 sequence (the generators of ``tests/properties/test_delta_properties.py``,
 reused verbatim), running the sequence against a *concurrent* session —
-sharded flush workers, threaded delivery, background serve loop — yields
+writers racing the background serve loop, threaded delivery — yields
 byte-identical final results to running it against the plain serial
 session.  The stress test then drives ≥8 writer threads against ≥32
 subscribers and checks every result against a from-scratch evaluation.
@@ -57,7 +57,6 @@ def test_concurrent_serve_equals_serial_flush(plan_key, modifications):
     concurrent = LiveSession(
         concurrent_db,
         delivery_workers=2,
-        flush_shards=2,
         backpressure="block",
     )
     concurrent_sub = concurrent.subscribe(plan)
@@ -92,7 +91,7 @@ def test_concurrent_instantiations_agree_at_all_reference_times(modifications):
     """Exactness through the bind operator under concurrent serving."""
     plan = _plans()["hash-join"]
     db = _fresh_database()
-    session = LiveSession(db, delivery_workers=2, flush_shards=2)
+    session = LiveSession(db, delivery_workers=2)
     sub = session.subscribe(plan)
     session.serve(debounce=0.0)
     for modification in modifications:
@@ -142,7 +141,6 @@ class TestStress:
         session = LiveSession(
             db,
             delivery_workers=4,
-            flush_shards=4,
             backpressure="block",
             queue_capacity=256,
         )
@@ -193,7 +191,6 @@ class TestStress:
         assert stats["repro_serve_dropped_notifications_total"] == 0  # block policy: lossless
         assert stats["repro_serve_delivery_backlog"] == 0
         assert stats["repro_serve_delivered_notifications_total"] == stats["repro_serve_queued_notifications_total"]
-        assert sum(stats["shard_flushes"]) >= stats["repro_live_flushes_total"]
         # Every subscriber converged on the exact from-scratch result.
         for index, subscription in enumerate(subscriptions):
             expected = db.query(plans[index % len(plans)])
@@ -210,7 +207,7 @@ class TestStress:
 
     def test_writers_against_subscribe_unsubscribe_churn(self):
         db = self._database()
-        session = LiveSession(db, delivery_workers=2, flush_shards=2)
+        session = LiveSession(db, delivery_workers=2)
         session.serve(debounce=0.001)
         stop = threading.Event()
 

@@ -1,4 +1,4 @@
-"""The serving session: sharded flushes, async delivery, serve loop, stats."""
+"""The serving session: async delivery, serve loop, stats."""
 
 import threading
 import time
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.interval import until_now
 from repro.engine.database import Database
-from repro.engine.modifications import current_delete, current_insert
+from repro.engine.modifications import current_insert
 from repro.engine.plan import scan
 from repro.errors import QueryError
 from repro.live import LiveSession
@@ -32,58 +32,7 @@ def _plans():
             scan("S"), on=col("R.K") == col("S.K"), left_name="R", right_name="S"
         ),
         "union": scan("R").union(scan("S")),
-        "project": scan("S").select_columns("K"),
     }
-
-
-class TestShardedFlush:
-    def test_results_match_serial_session(self):
-        db_a, db_b = _database(), _database()
-        serial = LiveSession(db_a)
-        sharded = LiveSession(db_b, flush_shards=4)
-        subs_a = {k: serial.subscribe(p) for k, p in _plans().items()}
-        subs_b = {k: sharded.subscribe(p) for k, p in _plans().items()}
-        for db in (db_a, db_b):
-            current_insert(db.table("R"), (1,), at=20)
-            current_delete(
-                db.table("S"), lambda row: row.values[0] == 2, at=21
-            )
-        assert serial.flush() == sharded.flush()
-        for key in _plans():
-            assert frozenset(subs_a[key].result.tuples) == frozenset(
-                subs_b[key].result.tuples
-            )
-        sharded.close()
-        serial.close()
-
-    def test_per_shard_flush_counts_sum_to_refreshes(self):
-        db = _database()
-        session = LiveSession(db, flush_shards=3)
-        for plan in _plans().values():
-            session.subscribe(plan)
-        current_insert(db.table("R"), (1,), at=20)
-        current_insert(db.table("S"), (2,), at=20)
-        refreshed = session.flush()
-        stats = session.stats()
-        assert refreshed == len(_plans())
-        assert sum(stats["shard_flushes"]) == refreshed
-        assert len(stats["shard_flushes"]) == 3
-        assert stats["flush_shards"] == 3
-        session.close()
-
-    def test_refresh_errors_stay_isolated_per_shard(self):
-        db = _database()
-        session = LiveSession(db, flush_shards=2)
-        doomed = session.subscribe(scan("R").where(col("K") > lit(0)))
-        survivor = session.subscribe(_plans()["union"])
-        errors = []
-        session.bus.subscribe("error", errors.append)
-        db.table("R").insert(None, until_now(5))  # poisons the filter
-        assert session.flush() >= 1
-        assert survivor.stats.refreshes == 1
-        assert session.stats()["repro_live_refresh_errors_total"] == 1
-        assert errors and errors[0][0] == doomed.fingerprint
-        session.close()
 
 
 class TestReviewRegressions:
@@ -161,7 +110,7 @@ class TestReviewRegressions:
         wakeup erased by the loop's clear() — that used to strand the
         loop on an event nobody would ever set again."""
         db = _database()
-        session = LiveSession(db, flush_shards=1)
+        session = LiveSession(db)
         session.serve(debounce=0.2)
         session.subscribe(_plans()["filter"])
         db.table("R").insert(1, until_now(30))  # loop enters its debounce
@@ -321,23 +270,6 @@ class TestResultStoreStats:
         stats = session.stats()
         assert stats["repro_store_snapshots_taken_total"] == baseline + 1
         assert stats["repro_store_snapshots_reused_total"] == reused_baseline + 1
-        assert stats["repro_store_state_evictions_total"] == 0
-        assert stats["repro_store_state_rebuilds_total"] == 0
-        session.close()
-
-    def test_eviction_counters_flow_through_session_stats(self):
-        db = _database()
-        session = LiveSession(db, state_budget_bytes=1)
-        sub = session.subscribe(_plans()["join"])
-        assert session.stats()["repro_store_state_evictions_total"] == 1
-        current_insert(db.table("R"), (2,), at=40)
-        session.flush()
-        stats = session.stats()
-        assert stats["repro_store_state_evictions_total"] == 2
-        assert stats["repro_store_state_rebuilds_total"] == 1
-        assert frozenset(sub.result.tuples) == frozenset(
-            db.query(_plans()["join"]).tuples
-        )
         session.close()
 
 
@@ -414,7 +346,7 @@ class TestAdaptiveDebounce:
 class TestServeLoop:
     def test_serve_flushes_without_explicit_flush(self):
         db = _database()
-        session = LiveSession(db, delivery_workers=2, flush_shards=2)
+        session = LiveSession(db, delivery_workers=2)
         arrived = threading.Event()
         session.subscribe(
             _plans()["filter"], on_refresh=lambda event: arrived.set()
@@ -429,7 +361,7 @@ class TestServeLoop:
 
     def test_serve_debounce_coalesces_bursts(self):
         db = _database()
-        session = LiveSession(db, flush_shards=2)
+        session = LiveSession(db)
         session.serve(debounce=0.05)
         sub = session.subscribe(_plans()["filter"])
         with db.table("R").lock:  # the burst is atomic for the loop
@@ -438,7 +370,7 @@ class TestServeLoop:
         expected = frozenset(db.query(_plans()["filter"]).tuples)
         # Wait on what is asserted: ``pending`` drops to 0 when a flush
         # round *starts* (it counts plans awaiting refresh), while the
-        # shard worker may still be refreshing.
+        # serve thread may still be refreshing.
         deadline = time.monotonic() + 5
         while (
             frozenset(sub.result.tuples) != expected
@@ -463,6 +395,16 @@ class TestServeLoop:
         assert session.closed
         with pytest.raises(QueryError):
             session.flush()
+
+    def test_close_delivers_owed_notifications_on_the_synchronous_bus(self):
+        """Nobody flushed the write, so close() does — inline."""
+        db = _database()
+        session = LiveSession(db)
+        received = []
+        session.subscribe(_plans()["filter"], on_refresh=received.append)
+        current_insert(db.table("R"), (1,), at=20)
+        session.close()
+        assert len(received) == 1 and received[0].changed_tables == ("R",)
 
     @pytest.mark.parametrize("delivery_workers", [0, 1])
     def test_close_from_an_on_refresh_callback_completes(self, delivery_workers):
@@ -530,7 +472,7 @@ class TestServeLoop:
 
     def test_stop_serving_keeps_events_for_explicit_flush(self):
         db = _database()
-        session = LiveSession(db, flush_shards=2)
+        session = LiveSession(db)
         sub = session.subscribe(_plans()["filter"])
         session.serve(debounce=0.002)
         session.stop_serving()

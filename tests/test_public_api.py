@@ -111,6 +111,20 @@ def test_bound_delivery_names_are_public_in_the_live_package_only():
         assert member.__doc__
 
 
+def test_the_serve_package_exports_delivery_names_only():
+    """One thread refreshes: the bus, the pool, the mailbox and the
+    policy names — no scheduler, no sharding."""
+    import repro
+    import repro.serve
+
+    assert sorted(repro.serve.__all__) == [
+        "AsyncEventBus", "BACKPRESSURE_POLICIES", "DeliveryPool", "Mailbox",
+    ]
+    for name in ("FlushScheduler", "FlushRound", "shard_index"):
+        assert name not in repro.__all__ and not hasattr(repro, name)
+        assert not hasattr(repro.serve, name)
+
+
 def test_public_classes_have_documented_public_methods():
     from repro import IntervalSet, OngoingBoolean, OngoingInterval, OngoingTimePoint
 
