@@ -1,4 +1,4 @@
-"""The operations plane, end to end: SLO, /metrics endpoint, adaptation.
+"""The operations plane, end to end: SLO, /metrics endpoint, EXPLAIN.
 
 ``live_dashboard_serve.py`` shows the serving layer under load; this
 variant runs the same kind of deployment with the PR 8 operations plane
@@ -12,9 +12,8 @@ wired in:
   an ephemeral port — the script scrapes its own ``/metrics``,
   ``/health``, ``/subscriptions``, and ``/explain`` endpoints exactly
   the way Prometheus or an operator would;
-* refresh timings feed the per-plan cost history, and the learned
-  parameters show up in ``/explain`` and
-  ``repro_cost_adaptations_total``.
+* ``/explain`` shows each plan's operator counters and the numbers
+  behind its last delta-vs-full refresh decision.
 
 Run with::
 
@@ -127,9 +126,7 @@ def main() -> None:
 
         metrics = _get(obs.url + "/metrics")
         for line in metrics.splitlines():
-            if line.startswith(
-                ("repro_freshness_seconds_count", "repro_cost_adaptations")
-            ):
+            if line.startswith("repro_freshness_seconds_count"):
                 print(f"/metrics         → {line}")
 
         explain = _get(obs.url + f"/explain/{open_orders.fingerprint[:12]}")

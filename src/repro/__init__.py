@@ -37,9 +37,9 @@ The subpackages:
 * :mod:`repro.live` — the push-based subscription engine: clients register
   ongoing queries once and are notified on explicit modifications only —
   never because time passed;
-* :mod:`repro.serve` — the concurrent delivery layer: threaded
-  notification fan-out with per-subscriber backpressure, opt-in on
-  :class:`LiveSession` (whose background serve loop feeds it);
+* :mod:`repro.serve` — the delivery layer: the one :class:`EventBus`,
+  with threaded notification fan-out and per-subscriber backpressure
+  opt-in on :class:`LiveSession` (``delivery_workers``);
 * :mod:`repro.obs` — the operations plane: the metrics registry
   (Prometheus/JSON rendering under ``repro_<layer>_<what>_total`` names),
   the opt-in refresh-pipeline trace recorder (Chrome trace-event JSON),
@@ -125,7 +125,6 @@ from repro.obs import (
     Registry,
     TraceRecorder,
 )
-from repro.serve import AsyncEventBus, DeliveryPool
 
 __version__ = "1.10.0"
 
@@ -188,9 +187,6 @@ __all__ = [
     "RefreshNotification",
     "Subscription",
     "SubscriptionManager",
-    # concurrent serving layer
-    "AsyncEventBus",
-    "DeliveryPool",
     # telemetry
     "Registry",
     "TraceRecorder",

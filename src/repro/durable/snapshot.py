@@ -173,9 +173,10 @@ def serialize_notification(notification) -> Dict[str, object]:
 def _capture_pending(session, subscription) -> Optional[Dict[str, object]]:
     """The subscription's queued-but-undelivered notification, coalesced.
 
-    Only the asynchronous bus queues anything (the synchronous bus
-    delivers inline and always answers "nothing pending").  The capture
-    is non-destructive: the items stay queued for delivery.
+    Only a bus with delivery workers queues anything (without them a
+    notification is delivered before ``publish`` returns, so nothing is
+    ever pending).  The capture is non-destructive: the items stay
+    queued for delivery.
     """
     payloads = [
         payload

@@ -11,8 +11,9 @@
 * :mod:`repro.engine.indexes` — envelope interval index plus the
   secondary-index registry over delta-probe caches (Section X future
   work);
-* :mod:`repro.engine.cost` — the observed-stats cost model (index-vs-scan
-  probes, delta-vs-full refreshes);
+* :mod:`repro.engine.cost` — the cost model: three constants over the
+  numbers an evaluator has observed of itself (index-vs-scan probes,
+  delta-vs-full refreshes);
 * :mod:`repro.engine.modifications` — Torp-style current insert / delete /
   update semantics;
 * :mod:`repro.engine.delta` — typed row deltas and the incremental

@@ -1,7 +1,7 @@
 """The observed-stats cost model for delta planning.
 
 Classical cost models estimate from static catalog statistics; a live
-system can do better.  PR 6's telemetry already accumulates, per physical
+system can do better.  Every evaluator accumulates, per physical
 operator, the cumulative ``apply_delta`` wall time, delta rows in/out,
 and state rows/bytes (:class:`~repro.engine.delta.NodeStats`,
 ``node_report()``).  This module turns those *observed* numbers into the
@@ -25,17 +25,19 @@ two decisions the delta path has to make:
   fallback with a cost threshold.  Below ``full_refresh_floor_rows``
   pending rows the delta path always runs (tiny deltas are the reason the
   engine exists; projections from sub-microsecond samples are noise).
+
+The model is its three constants and keeps nothing it is shown: every
+number a decision uses is passed in by the evaluator that measured it,
+so nothing observed on one database can steer another, and which path a
+refresh takes is a function of the data and that evaluator's own history.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional
 
 __all__ = [
     "CostModel",
-    "PlanCostHistory",
     "RefreshDecision",
     "DEFAULT_COST_MODEL",
     "TOPK_KEY_BYTES",
@@ -48,31 +50,6 @@ __all__ = [
 #: :meth:`~repro.engine.delta.DeltaEvaluator.state_bytes` like every
 #: other acceleration structure.
 TOPK_KEY_BYTES = 40
-
-
-class PlanCostHistory:
-    """EWMA-smoothed observed costs of one plan fingerprint.
-
-    Fed by :meth:`CostModel.observe_refresh` after every maintained
-    refresh: ``per_row_seconds`` tracks the measured delta-apply cost per
-    source row, ``full_seconds`` the measured full re-evaluation time.
-    EWMAs rather than lifetime averages, so the model follows the plan's
-    *current* behaviour — state growth, workload drift — instead of its
-    cold-start past.
-    """
-
-    __slots__ = (
-        "per_row_seconds",
-        "full_seconds",
-        "delta_observations",
-        "full_observations",
-    )
-
-    def __init__(self) -> None:
-        self.per_row_seconds: Optional[float] = None
-        self.full_seconds: Optional[float] = None
-        self.delta_observations = 0
-        self.full_observations = 0
 
 
 class RefreshDecision:
@@ -102,39 +79,9 @@ class CostModel:
         delta path, regardless of projections.
     full_refresh_ratio:
         Safety factor: a full refresh is chosen only when the projected
-        delta cost exceeds ``ratio ×`` the observed full-evaluation cost.
-    adaptive:
-        Learn per-fingerprint effective parameters from observed refresh
-        history (see :meth:`observe_refresh`) instead of applying the
-        static defaults to every plan.  Calls that pass no fingerprint
-        always see the static behaviour, so ablations and cold planning
-        are unaffected.
-
-    **Telemetry-fed adaptation.**  The static constants encode two
-    priors: ``index_threshold`` assumes a per-row probe cost near
-    :data:`REFERENCE_PER_ROW_SECONDS`, and ``full_refresh_ratio`` pads
-    the full-cost comparison because a single full-refresh sample is
-    noisy.  Once a plan has history, both priors give way to evidence —
-    the threshold scales inversely with the plan's *measured* per-row
-    cost (expensive rows → index earlier), and the safety pad decays
-    toward 1 as full-refresh observations accumulate.  Every change of
-    an effective parameter is an *adaptation*, reported by
-    :meth:`observe_refresh` so the maintainer can count it
-    (``repro_cost_adaptations_total``) and shown by ``EXPLAIN ANALYZE``.
+        delta cost exceeds ``ratio ×`` the observed full-evaluation cost
+        (a single full-refresh sample is noisy).
     """
-
-    #: The per-row delta-apply cost the static ``index_threshold=32``
-    #: prior was tuned for (µs-scale rows on the reference workbench).
-    REFERENCE_PER_ROW_SECONDS = 2e-6
-
-    #: Effective index thresholds stay within ``base / 4 .. base * 4``.
-    ADAPT_CLAMP = 4.0
-
-    #: EWMA smoothing factor for observed costs (0 < alpha ≤ 1).
-    EWMA_ALPHA = 0.2
-
-    #: Per-fingerprint histories kept before evicting the oldest plan.
-    MAX_HISTORY = 1024
 
     def __init__(
         self,
@@ -142,169 +89,15 @@ class CostModel:
         index_threshold: Optional[int] = 32,
         full_refresh_floor_rows: int = 256,
         full_refresh_ratio: float = 2.0,
-        adaptive: bool = True,
     ):
         self.index_threshold = index_threshold
         self.full_refresh_floor_rows = full_refresh_floor_rows
         self.full_refresh_ratio = full_refresh_ratio
-        self.adaptive = adaptive
-        self._history_lock = threading.Lock()
-        self._history: "OrderedDict[str, PlanCostHistory]" = OrderedDict()
 
-    # ------------------------------------------------------------------
-    # Observed history (telemetry → planner loop)
-    # ------------------------------------------------------------------
-
-    def _history_for(self, fingerprint: str) -> PlanCostHistory:
-        """Get-or-create under the lock; bounds the table LRU-by-insert."""
-        history = self._history.get(fingerprint)
-        if history is None:
-            history = self._history[fingerprint] = PlanCostHistory()
-            while len(self._history) > self.MAX_HISTORY:
-                self._history.popitem(last=False)
-        return history
-
-    def observe_refresh(
-        self,
-        fingerprint: str,
-        *,
-        per_row_seconds: Optional[float] = None,
-        full_seconds: Optional[float] = None,
-    ) -> Tuple[str, ...]:
-        """Feed one maintained refresh's measured costs into the history.
-
-        Returns the names of effective parameters whose value changed
-        (``"index_threshold"`` / ``"full_refresh_ratio"``) so the caller
-        can count adaptations; empty when the model is non-adaptive or
-        nothing moved.
-        """
-        if not self.adaptive or not fingerprint:
-            return ()
-        alpha = self.EWMA_ALPHA
-        with self._history_lock:
-            history = self._history_for(fingerprint)
-            before = self._effective_locked(history)
-            if per_row_seconds is not None and per_row_seconds > 0.0:
-                if history.per_row_seconds is None:
-                    history.per_row_seconds = per_row_seconds
-                else:
-                    history.per_row_seconds += alpha * (
-                        per_row_seconds - history.per_row_seconds
-                    )
-                history.delta_observations += 1
-            if full_seconds is not None and full_seconds > 0.0:
-                if history.full_seconds is None:
-                    history.full_seconds = full_seconds
-                else:
-                    history.full_seconds += alpha * (
-                        full_seconds - history.full_seconds
-                    )
-                history.full_observations += 1
-            after = self._effective_locked(history)
-        return tuple(
-            name
-            for name, (old, new) in zip(
-                ("index_threshold", "full_refresh_ratio"),
-                zip(before, after),
-            )
-            if old != new
-        )
-
-    def _effective_locked(
-        self, history: Optional[PlanCostHistory]
-    ) -> Tuple[Optional[int], float]:
-        """(effective index threshold, effective full-refresh ratio)."""
+    def use_index(self, cached_rows: int) -> bool:
+        """Probe via the secondary index iff the side is big enough."""
         threshold = self.index_threshold
-        ratio = self.full_refresh_ratio
-        if history is None or not self.adaptive:
-            return threshold, ratio
-        if (
-            threshold is not None
-            and history.per_row_seconds is not None
-            and history.per_row_seconds > 0.0
-        ):
-            scale = self.REFERENCE_PER_ROW_SECONDS / history.per_row_seconds
-            scale = min(self.ADAPT_CLAMP, max(1.0 / self.ADAPT_CLAMP, scale))
-            threshold = max(1, round(threshold * scale))
-        if ratio > 1.0 and history.full_observations > 0:
-            # The safety pad exists because one full-refresh sample is
-            # noisy; decay it toward 1 as the EWMA gains evidence.
-            pad = (ratio - 1.0) / (1.0 + history.full_observations / 4.0)
-            ratio = round(1.0 + pad, 4)
-        return threshold, ratio
-
-    def effective_index_threshold(
-        self, fingerprint: Optional[str] = None
-    ) -> Optional[int]:
-        """The learned threshold for *fingerprint* (static without one)."""
-        with self._history_lock:
-            history = (
-                self._history.get(fingerprint) if fingerprint else None
-            )
-            return self._effective_locked(history)[0]
-
-    def effective_full_refresh_ratio(
-        self, fingerprint: Optional[str] = None
-    ) -> float:
-        """The learned safety ratio for *fingerprint* (static without one)."""
-        with self._history_lock:
-            history = (
-                self._history.get(fingerprint) if fingerprint else None
-            )
-            return self._effective_locked(history)[1]
-
-    def adaptation_report(
-        self, fingerprint: Optional[str]
-    ) -> Optional[Dict[str, Any]]:
-        """The plan's learned parameters as plain data (``None`` if none).
-
-        Surfaced in ``EXPLAIN ANALYZE`` headers and ``/explain`` JSON so
-        a learned decision is never invisible.
-        """
-        if not self.adaptive or not fingerprint:
-            return None
-        with self._history_lock:
-            history = self._history.get(fingerprint)
-            if history is None:
-                return None
-            threshold, ratio = self._effective_locked(history)
-            report: Dict[str, Any] = {
-                "index_threshold": threshold,
-                "full_refresh_ratio": ratio,
-            }
-            if history.per_row_seconds is not None:
-                report["ewma_per_row_us"] = round(
-                    history.per_row_seconds * 1e6, 3
-                )
-            if history.full_seconds is not None:
-                report["ewma_full_ms"] = round(history.full_seconds * 1e3, 3)
-            report["observations"] = (
-                history.delta_observations + history.full_observations
-            )
-            return report
-
-    # ------------------------------------------------------------------
-    # Access path: index vs. scan per probe
-    # ------------------------------------------------------------------
-
-    def use_index(
-        self, cached_rows: int, fingerprint: Optional[str] = None
-    ) -> bool:
-        """Probe via the secondary index iff the side is big enough.
-
-        With a *fingerprint* and history, the learned effective threshold
-        replaces the static one.
-        """
-        threshold = self.index_threshold
-        if threshold is None:
-            return False
-        if fingerprint is not None and self.adaptive:
-            threshold = self.effective_index_threshold(fingerprint)
-        return cached_rows >= threshold
-
-    # ------------------------------------------------------------------
-    # Refresh strategy: delta vs. full per flush
-    # ------------------------------------------------------------------
+        return threshold is not None and cached_rows >= threshold
 
     def choose_refresh(
         self,
@@ -313,17 +106,13 @@ class CostModel:
         apply_seconds: float,
         apply_rows: int,
         full_seconds: Optional[float],
-        fingerprint: Optional[str] = None,
     ) -> RefreshDecision:
         """Project both strategies from observed stats and pick one.
 
         *apply_seconds* / *apply_rows* are the evaluator's cumulative
         delta-application wall time and source delta rows (the measured
         per-row delta cost); *full_seconds* is its last observed full
-        evaluation, ``None`` when never measured.  With a *fingerprint*
-        and accumulated history, the EWMA-smoothed per-plan costs and the
-        learned safety ratio replace the cumulative averages and the
-        static pad.
+        evaluation, ``None`` when never measured.
         """
         if pending_rows < self.full_refresh_floor_rows:
             return RefreshDecision(
@@ -331,45 +120,26 @@ class CostModel:
                 f"delta: pending={pending_rows} rows below "
                 f"floor={self.full_refresh_floor_rows}",
             )
-        ratio = self.full_refresh_ratio
-        adapted = ""
-        if fingerprint is not None and self.adaptive:
-            with self._history_lock:
-                history = self._history.get(fingerprint)
-                if history is not None:
-                    ratio = self._effective_locked(history)[1]
-                    if history.per_row_seconds is not None:
-                        apply_seconds = history.per_row_seconds
-                        apply_rows = 1
-                    if history.full_seconds is not None:
-                        full_seconds = history.full_seconds
-                    adapted = " [adapted]"
         if full_seconds is None or apply_rows <= 0 or apply_seconds <= 0.0:
             return RefreshDecision(
                 False,
                 f"delta: pending={pending_rows} rows, no observed "
                 f"full/delta costs to compare yet",
             )
+        ratio = self.full_refresh_ratio
         per_row = apply_seconds / apply_rows
         projected = pending_rows * per_row
-        threshold = full_seconds * ratio
-        if projected > threshold:
-            return RefreshDecision(
-                True,
-                f"full: pending={pending_rows} rows × observed "
-                f"{per_row * 1e6:.2f}µs/row = {projected * 1e3:.2f}ms "
-                f"> {ratio:g}× observed full "
-                f"{full_seconds * 1e3:.2f}ms{adapted}",
-            )
+        full = projected > full_seconds * ratio
         return RefreshDecision(
-            False,
-            f"delta: pending={pending_rows} rows × observed "
-            f"{per_row * 1e6:.2f}µs/row = {projected * 1e3:.2f}ms "
-            f"<= {ratio:g}× observed full "
-            f"{full_seconds * 1e3:.2f}ms{adapted}",
+            full,
+            f"{'full' if full else 'delta'}: pending={pending_rows} rows × "
+            f"observed {per_row * 1e6:.2f}µs/row = {projected * 1e3:.2f}ms "
+            f"{'>' if full else '<='} {ratio:g}× observed full "
+            f"{full_seconds * 1e3:.2f}ms",
         )
 
 
 #: Shared default instance (operators fall back to it when their state
-#: carries no model — e.g. states built outside a DeltaEvaluator).
+#: carries no model — e.g. states built outside a DeltaEvaluator).  Safe
+#: to share: a model holds its three parameters and nothing else.
 DEFAULT_COST_MODEL = CostModel()

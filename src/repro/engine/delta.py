@@ -442,17 +442,12 @@ class DeltaEvaluator:
         optimize: bool = True,
         tracer=None,
         cost_model=None,
-        fingerprint: Optional[str] = None,
     ):
         from repro.engine.cost import DEFAULT_COST_MODEL
 
         self.plan = plan
         self.database = database
         self.optimize = optimize
-        #: The plan fingerprint, when the owner (a maintainer) knows it —
-        #: threaded into every operator state so per-probe cost decisions
-        #: can consult the model's learned per-plan history.
-        self.fingerprint = fingerprint
         #: The observed-stats :class:`~repro.engine.cost.CostModel` that
         #: operators consult for index-vs-scan probe decisions (threaded
         #: into every :class:`OperatorState` at build time) and that
@@ -589,8 +584,6 @@ class DeltaEvaluator:
 
         state = node.delta_state()
         state.extra["cost_model"] = self.cost_model
-        if self.fingerprint is not None:
-            state.extra["plan_fingerprint"] = self.fingerprint
         states[node] = state
         child_prices: List[int] = []
         if isinstance(node, SeqScan):

@@ -771,9 +771,7 @@ class MergeIntervalJoin(_JoinBase):
         start, end = key
         cache = state.extra[side]
         paths = state.extra.setdefault("access_paths", {})
-        if _state_cost_model(state).use_index(
-            len(cache), state.extra.get("plan_fingerprint")
-        ):
+        if _state_cost_model(state).use_index(len(cache)):
             index = self._side_index(state, side)
             if index is not None:
                 paths[side] = f"index:interval({len(index)})"

@@ -262,9 +262,6 @@ class IncrementalMaintainer:
         #: The reason string of the last delta-vs-full decision, for
         #: ``explain_analyze()``; ``None`` until a decision is made.
         self.last_refresh_decision: Optional[str] = None
-        #: Effective cost-model parameter changes learned from this
-        #: plan's observed refresh history (the telemetry→planner loop).
-        self.cost_adaptations = 0
         #: The plan's one evaluator, for the maintainer's whole life: its
         #: store serves readers through every rebuild (``refresh_full``
         #: swaps the store in only once the new one is complete), and its
@@ -274,7 +271,6 @@ class IncrementalMaintainer:
             database,
             tracer=tracer,
             cost_model=cost_model,
-            fingerprint=self.fingerprint,
         )
         self._relevant: FrozenSet[str] = plan.referenced_tables()
         self._pending = _nothing_pending()
@@ -366,12 +362,11 @@ class IncrementalMaintainer:
         Renders the current operator tree with per-node state rows,
         estimated state bytes, cumulative ``apply_delta`` wall time and
         delta sizes, and per-node fallback counts — plus a header with
-        the plan-level refresh totals and the cost model's learned
-        per-plan parameters.  A cold plan renders the header and the
+        the plan-level refresh totals and the cost model's last
+        delta-vs-full decision.  A cold plan renders the header and the
         reason instead of a tree.  ``format="json"``
         returns the same report as plain data.
         """
-        from repro.engine.cost import DEFAULT_COST_MODEL
         from repro.obs.explain import (
             explain_analyze_data,
             render_explain_analyze,
@@ -386,14 +381,9 @@ class IncrementalMaintainer:
                 "delta_refreshes": self.delta_refreshes,
                 "delta_fallbacks": self.delta_fallbacks,
                 "cost_full_refreshes": self.cost_full_refreshes,
-                "cost_adaptations": self.cost_adaptations,
                 "state_bytes": self.state_bytes(),
                 "refresh_decision": self.last_refresh_decision,
             }
-        model = self.cost_model if self.cost_model is not None else DEFAULT_COST_MODEL
-        adaptation = model.adaptation_report(self.fingerprint)
-        if adaptation:
-            totals["cost_adaptation"] = adaptation
         renderer = (
             explain_analyze_data if format == "json" else render_explain_analyze
         )
@@ -516,43 +506,6 @@ class IncrementalMaintainer:
     # Refresh
     # ------------------------------------------------------------------
 
-    def _observe_costs(
-        self,
-        evaluator: DeltaEvaluator,
-        *,
-        per_row_seconds: Optional[float] = None,
-        full_seconds: Optional[float] = None,
-    ) -> None:
-        """Feed one refresh's measured costs into the cost model's
-        per-plan history and count any resulting parameter adaptations."""
-        try:
-            changed = evaluator.cost_model.observe_refresh(
-                self.fingerprint,
-                per_row_seconds=per_row_seconds,
-                full_seconds=full_seconds,
-            )
-        except Exception:  # noqa: BLE001 — telemetry must never refresh-fail
-            logger.exception("cost observation failed")
-            return
-        if not changed:
-            return
-        with self.lock:
-            self.cost_adaptations += len(changed)
-        registry = self.registry
-        if registry is None:
-            return
-        try:
-            counter = registry.counter(
-                "repro_cost_adaptations_total",
-                "Effective cost-model parameters changed by observed "
-                "refresh history",
-                ("fingerprint", "parameter"),
-            )
-            for parameter in changed:
-                counter.labels(self.fingerprint, parameter).inc()
-        except Exception:  # noqa: BLE001 — telemetry must never refresh-fail
-            logger.exception("cost adaptation metric recording failed")
-
     def _record_fallback(
         self, exc: NonIncrementalDelta, *, cause: str
     ) -> None:
@@ -608,9 +561,6 @@ class IncrementalMaintainer:
             with self.lock:
                 self._behind = False
                 self.evaluations += 1
-            self._observe_costs(
-                evaluator, full_seconds=evaluator.last_full_seconds
-            )
             changed = previous is None or result != previous
             return RefreshOutcome(
                 None, changed, dropped.tables, dropped.events, dropped.commit
@@ -671,7 +621,6 @@ class IncrementalMaintainer:
             apply_seconds=evaluator.apply_seconds_total,
             apply_rows=evaluator.apply_source_rows_total,
             full_seconds=evaluator.last_full_seconds,
-            fingerprint=self.fingerprint,
         )
         with self.lock:
             self.last_refresh_decision = decision.reason
@@ -689,8 +638,6 @@ class IncrementalMaintainer:
             with self.lock:
                 self.cost_full_refreshes += 1
             return self._reevaluate(claimed)
-        apply_seconds_before = evaluator.apply_seconds_total
-        apply_rows_before = evaluator.apply_source_rows_total
         try:
             delta = evaluator.apply(pending)
         except NonIncrementalDelta as exc:
@@ -713,14 +660,6 @@ class IncrementalMaintainer:
             self._behind = False
             self.evaluations += 1
             self.delta_refreshes += 1
-        applied_rows = evaluator.apply_source_rows_total - apply_rows_before
-        applied_seconds = (
-            evaluator.apply_seconds_total - apply_seconds_before
-        )
-        if applied_rows > 0 and applied_seconds > 0.0:
-            self._observe_costs(
-                evaluator, per_row_seconds=applied_seconds / applied_rows
-            )
         return RefreshOutcome(
             delta,
             not delta.is_empty(),

@@ -7,8 +7,8 @@ That is precisely the contract a continuous-query/subscription service
 needs, and this package is that service:
 
 * :mod:`repro.live.events` — :class:`ChangeEvent` / :class:`RefreshNotification`
-  records and the :class:`EventBus` notifications travel on.  A
-  notification hands over the change and the pinned snapshot; it is
+  records; they travel on the :class:`EventBus` (:mod:`repro.serve.bus`,
+  re-exported here).  A notification hands over the change and the pinned snapshot; it is
   bound to a reference time when it is read — ``rows`` (the whole
   result, once, on first access) or ``changes_at(rt)`` (a
   :class:`BoundChanges`, O(|Δ|));
@@ -58,12 +58,9 @@ the read) or keeps them current in O(|Δ|)::
         appeared, vanished = bound.apply(event)    # folds event.changes_at(rt)
 """
 
-from repro.live.events import (
-    BoundChanges,
-    ChangeEvent,
-    EventBus,
-    RefreshNotification,
-)
+from repro.serve.bus import EventBus
+
+from repro.live.events import BoundChanges, ChangeEvent, RefreshNotification
 from repro.live.manager import LiveSession, SubscriptionManager
 from repro.live.subscription import BoundRows, Subscription, SubscriptionStats
 

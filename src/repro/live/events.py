@@ -1,4 +1,4 @@
-"""Change events and the notification bus of the live engine.
+"""Change events and refresh notifications: the live engine's records.
 
 The paper's invariant — ongoing results never go stale because time passes,
 only because of explicit modifications — means the *only* signal the live
@@ -10,30 +10,21 @@ that stream a shape:
 * :class:`RefreshNotification` — what subscribers receive after their
   shared result was refreshed: the change and the pinned snapshot, bound
   to a reference time only when (and by whoever) reads it —
-  :class:`BoundChanges` is the O(|Δ|) read;
-* :class:`EventBus` — a tiny topic-based publish/subscribe fan-out with
-  error isolation (a failing listener never starves its peers).
+  :class:`BoundChanges` is the O(|Δ|) read.
+
+They travel on the :class:`~repro.serve.bus.EventBus`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    NamedTuple,
-    Optional,
-    Tuple,
-)
+from typing import Any, FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.core.timeline import TimePoint
 from repro.engine.delta import Delta
 from repro.relational.tuples import FixedTuple
 
-__all__ = ["ChangeEvent", "BoundChanges", "RefreshNotification", "EventBus"]
+__all__ = ["ChangeEvent", "BoundChanges", "RefreshNotification"]
 
 
 @dataclass(frozen=True)
@@ -195,155 +186,3 @@ def _bind(items, rt: TimePoint) -> Tuple[FixedTuple, ...]:
     """The ongoing tuples of one side of a delta that exist at *rt*, bound."""
     bound = (item.instantiate(rt) for item in items)
     return tuple(row for row in bound if row is not None)
-
-
-class EventBus:
-    """Topic-based synchronous fan-out with listener error isolation.
-
-    Listener exceptions are swallowed per delivery and recorded on
-    :attr:`errors` (a bounded list of ``(topic, listener, exception)``
-    triples) so one misbehaving subscriber cannot prevent the remaining
-    subscribers from hearing about a refresh.  Each failure is also
-    announced on the :attr:`LISTENER_ERROR_TOPIC` topic as
-    ``(topic, listener, exception)`` so operators can watch subscriber
-    health without polling :attr:`errors`.
-
-    Failures raised *while delivering on the listener-error topic itself*
-    are recorded but never re-announced: without that guard, a
-    listener-error listener that raises would re-enter the error publish
-    and recurse until the stack blows — starving every other subscriber
-    of the original delivery.  Failures on every *other* topic —
-    including the :attr:`ERROR_TOPIC` refresh-failure channel — are
-    announced with their originating topic carried through, so operators
-    can tell a failing error-listener from a failing refresh-listener.
-    """
-
-    #: How many delivery errors to keep for inspection.
-    MAX_ERRORS = 100
-
-    #: The topic refresh/flush failures are published on (by the manager).
-    ERROR_TOPIC = "error"
-
-    #: The topic listener delivery failures are announced on (by the bus).
-    LISTENER_ERROR_TOPIC = "listener-error"
-
-    def __init__(
-        self, *, on_delivered: Optional[Callable[[Any], None]] = None
-    ) -> None:
-        self._listeners: Dict[str, List[Callable[[Any], None]]] = {}
-        self.errors: List[Tuple[str, Callable, Exception]] = []
-        self.delivered = 0
-        #: Optional hook invoked with the payload once per successful
-        #: delivery, in lockstep with :attr:`delivered` — the session
-        #: observes write→deliver freshness here, on either bus.
-        self.on_delivered = on_delivered
-
-    def subscribe(
-        self,
-        topic: str,
-        listener: Callable[[Any], None],
-        *,
-        capacity: Optional[int] = None,
-        policy: Optional[str] = None,
-    ) -> Callable[[], None]:
-        """Register *listener* for *topic*; returns an unsubscribe thunk.
-
-        *capacity* and *policy* size the subscriber's mailbox on the
-        asynchronous bus; inline delivery queues nothing, so they are
-        accepted and ignored here.
-        """
-        self._listeners.setdefault(topic, []).append(listener)
-
-        def unsubscribe() -> None:
-            try:
-                self._listeners.get(topic, []).remove(listener)
-            except ValueError:
-                pass
-
-        return unsubscribe
-
-    def publish(self, topic: str, payload: Any) -> int:
-        """Deliver *payload* to every listener of *topic*.
-
-        Returns the number of successful deliveries.
-        """
-        ok = 0
-        hook = self.on_delivered
-        for listener in tuple(self._listeners.get(topic, ())):
-            try:
-                listener(payload)
-            except Exception as exc:  # noqa: BLE001 — isolation is the point
-                self._record_failure(topic, listener, exc)
-            else:
-                ok += 1
-                if hook is not None:
-                    hook(payload)
-        self.delivered += ok
-        return ok
-
-    def _record_failure(
-        self, topic: str, listener: Callable, exc: Exception
-    ) -> None:
-        """Record one delivery failure; announce it unless that would
-        recurse through the error channel.
-
-        Only failures raised *on the listener-error topic itself* are
-        suppressed — announcing those would re-enter this publish and
-        recurse.  A failing listener on any other topic (the refresh
-        topics, but also the ``"error"`` refresh-failure channel) is
-        announced with its originating *topic* carried in the payload;
-        the old guard suppressed ``"error"``-topic failures entirely,
-        silently dropping the topic along with the announcement.
-        """
-        if len(self.errors) < self.MAX_ERRORS:
-            self.errors.append((topic, listener, exc))
-        if topic != self.LISTENER_ERROR_TOPIC:
-            self.publish(self.LISTENER_ERROR_TOPIC, (topic, listener, exc))
-
-    def listener_count(self, topic: Optional[str] = None) -> int:
-        if topic is not None:
-            return len(self._listeners.get(topic, ()))
-        return sum(len(group) for group in self._listeners.values())
-
-    # ------------------------------------------------------------------
-    # The queueing half of the bus contract.  Inline delivery never holds
-    # a payload back, so each question has a constant answer here;
-    # :class:`~repro.serve.bus.AsyncEventBus` gives the real ones.
-    # ------------------------------------------------------------------
-
-    def backlog(self) -> int:
-        """Undelivered payloads — none: :meth:`publish` ran them inline."""
-        return 0
-
-    def stats(self) -> Dict[str, int]:
-        """The delivery counters under the asynchronous bus's keys:
-        whatever was queued was delivered on the spot, so nothing was
-        dropped or coalesced and nothing waits."""
-        return {
-            "queued": self.delivered,
-            "delivered": self.delivered,
-            "dropped": 0,
-            "coalesced": 0,
-            "backlog": 0,
-        }
-
-    def oldest_commit_age(
-        self, topic: str, now: Optional[float] = None
-    ) -> Optional[float]:
-        """Age of the oldest payload queued for *topic* — nothing waits."""
-        return None
-
-    def capture_pending(self, topic: str) -> List[Tuple[Any, ...]]:
-        """Undelivered payloads per listener of *topic* — nothing waits."""
-        return []
-
-    def restore_pending(self, topic: str, items: Tuple[Any, ...]) -> int:
-        """Deliver recovered payloads to *topic* — inline, like any other."""
-        return sum(self.publish(topic, item) for item in items)
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait for queued deliveries — there are none to wait for."""
-        return True
-
-    def close(self, *, drain: bool = True) -> None:
-        """Stop delivery workers — the synchronous bus has none."""

@@ -37,17 +37,15 @@ is pure instantiation work on already-materialized ongoing results.
 
 **One thread refreshes.**  Steps 1–3 run on whichever thread calls them
 — a flush round is a plain loop over the dirty plans on the caller's
-thread or the serve loop's — and the pipeline is the same whatever the
-constructor selects for the one stage that can run on other threads
-(:mod:`repro.serve`): ``delivery_workers=N`` delivers through an
-:class:`~repro.serve.bus.AsyncEventBus` — notifications enqueue to
-per-subscriber bounded mailboxes (``backpressure`` policy: ``block`` /
-``drop_oldest`` / ``coalesce``) and N worker threads run the callbacks,
-so one slow callback no longer stalls the flush.  The default
-synchronous :class:`~repro.live.events.EventBus` runs them inline and
-answers the queueing questions (backlog, drain, pending capture) with
-constants, so nothing downstream asks which bus it holds.  The threads a
-session can own are therefore the serve loop and the delivery workers.
+thread or the serve loop's — and step 4 goes through the session's one
+:class:`~repro.serve.bus.EventBus`, where ``delivery_workers`` says which
+thread calls back: ``0`` (the default) runs each callback inside the
+flush that notified it; ``N`` enqueues notifications to per-subscriber
+bounded mailboxes (``backpressure`` policy: ``block`` / ``drop_oldest``
+/ ``coalesce``) and N worker threads run the callbacks, so one slow
+callback no longer stalls the flush.  The mailbox options are checked —
+and persisted by a checkpoint — either way.  The threads a session can
+own are therefore the serve loop and the delivery workers.
 
 :meth:`~SubscriptionManager.close` stops the loop, performs a final
 flush, drains every queue, and joins all workers.  Freshness accounting
@@ -108,8 +106,10 @@ from repro.errors import QueryError
 from repro.obs.registry import Registry
 from repro.obs.slo import FreshnessSLO
 from repro.obs.trace import NULL_TRACER, TraceRecorder
+from repro.serve.bus import EventBus
+from repro.serve.queues import check_queue_options
 
-from repro.live.events import ChangeEvent, EventBus, RefreshNotification
+from repro.live.events import ChangeEvent, RefreshNotification
 from repro.live.metrics import SessionMetrics
 from repro.live.serving import ServeLoop
 from repro.live.subscription import Subscription
@@ -127,7 +127,6 @@ _PLAN_COUNTERS = (
     ("repro_live_delta_refreshes_total", "delta_refreshes"),
     ("repro_live_full_refreshes_total", "full_refreshes"),
     ("repro_live_cost_full_refreshes_total", "cost_full_refreshes"),
-    ("repro_live_cost_adaptations_total", "cost_adaptations"),
     ("repro_store_snapshots_taken_total", "snapshots_taken"),
     ("repro_store_snapshots_reused_total", "snapshots_reused"),
 )
@@ -166,8 +165,6 @@ class SubscriptionManager:
         freshness_slo: Optional[FreshnessSLO] = None,
         trace: object = False,
     ):
-        if delivery_workers < 0:
-            raise QueryError("delivery_workers must be non-negative")
         if flush_shards != 0:
             # Not an option: PR 23 deleted sharded flushing (one thread
             # refreshes).  The keyword survives only because the ledger's
@@ -206,6 +203,15 @@ class SubscriptionManager:
         self._spans: TraceRecorder = (
             self.tracer if self.tracer is not None else NULL_TRACER
         )
+        #: Where notifications travel.  Built before the session registers
+        #: anywhere: options no mailbox accepts fail here, with nothing
+        #: to undo.
+        self.bus = EventBus(
+            workers=delivery_workers,
+            capacity=queue_capacity,
+            policy=backpressure,
+            tracer=self.tracer,
+        )
         #: Guards all session state below (never held while delivering).
         self._lock = threading.RLock()
         #: fingerprint → the plan's one record (:meth:`_attach_plan` /
@@ -243,18 +249,7 @@ class SubscriptionManager:
         #: Freshness observer + registry collector (registers itself on
         #: :attr:`metrics`; :meth:`close` unregisters it).
         self._observer = SessionMetrics(self)
-        if delivery_workers > 0:
-            from repro.serve.bus import AsyncEventBus
-
-            self.bus: EventBus = AsyncEventBus(
-                workers=delivery_workers,
-                capacity=queue_capacity,
-                policy=backpressure,
-                tracer=self.tracer,
-                on_delivered=self._observer.on_delivered,
-            )
-        else:
-            self.bus = EventBus(on_delivered=self._observer.on_delivered)
+        self.bus.on_delivered = self._observer.on_delivered
         self._listener = database.add_delta_listener(self._intake)
 
     # ------------------------------------------------------------------
@@ -285,10 +280,11 @@ class SubscriptionManager:
         on the returned handle) selects the fixed rows delivered with
         each notification.
 
-        With ``delivery_workers`` enabled, *backpressure* and
-        *queue_capacity* override the session-wide mailbox policy for
-        this subscriber only (a must-not-miss audit consumer can
-        ``block`` while dashboards ``coalesce``).
+        *backpressure* and *queue_capacity* override the session-wide
+        mailbox policy for this subscriber only (a must-not-miss audit
+        consumer can ``block`` while dashboards ``coalesce``).  Checked
+        here whatever ``delivery_workers`` is — a checkpoint persists
+        them for a session that may have workers.
 
         *statement* records the OSQL source this plan came from
         (:meth:`subscribe_sql` fills it in) so a durable checkpoint can
@@ -296,6 +292,13 @@ class SubscriptionManager:
         subscriptions are checkpointed as a pickled plan instead.
         """
         self._require_open()
+        # Checked here and not left to the bus: a subscription without a
+        # callback never reaches it, yet a checkpoint persists its options
+        # for a resume that may supply one.
+        check_queue_options(
+            self.bus.capacity if queue_capacity is None else queue_capacity,
+            self.bus.policy if backpressure is None else backpressure,
+        )
         # Rewrite before fingerprinting: pushed-down selections shrink the
         # cached operator state, and the fingerprint of the *rewritten*
         # plan is the canonical sharing key — two subscribers whose plans
@@ -443,8 +446,8 @@ class SubscriptionManager:
         reuses every registration invariant instead of a parallel code
         path.  An entry whose plan cannot be rebuilt is logged and
         skipped, never fatal.  A captured undelivered notification is
-        re-enqueued **exactly once**: into the subscriber's mailbox on
-        the asynchronous bus, or delivered inline on the synchronous one.
+        handed to the bus **exactly once**: into the subscriber's mailbox
+        with delivery workers, to the callback right here without.
         """
         from repro.durable.snapshot import restore_subscription
 
@@ -501,8 +504,8 @@ class SubscriptionManager:
 
         The shutdown is *clean*: the serve loop stops first, the database
         hook is removed (no new intake), one final flush answers for
-        whatever was owed — on either bus — queued notifications drain
-        to their subscribers, and only then do workers exit.  Safe to
+        whatever was owed, queued notifications drain to their
+        subscribers, and only then do workers exit.  Safe to
         call from an ``on_refresh`` callback: neither the serve loop nor
         a delivery worker waits for or joins the thread it runs on.
         """
@@ -859,9 +862,10 @@ class SubscriptionManager:
         over the live plans plus what dropped plans retired —
         ``full_refreshes`` counts *refreshes* that had to re-evaluate,
         so the evaluation that materializes a plan is an ``evaluations``
-        only.  The serving layer adds the bus's queued /
-        delivered / dropped / coalesced counts and its backlog (on the
-        synchronous bus everything is delivered as it is queued).
+        only.  The bus adds its queued / delivered / dropped /
+        coalesced counts and its backlog (without delivery workers
+        everything is delivered as it is queued); ``delivered`` counts
+        callbacks that returned.
         """
         with self._lock:
             data: Dict[str, object] = {

@@ -5,9 +5,9 @@
 
 * the ``repro_freshness_seconds`` histogram — write→deliver latency per
   subscription, observed once per delivered notification through the
-  bus's ``on_delivered`` hook (on the delivery worker of the asynchronous
-  bus, inline on the synchronous one) and fed to the session's
-  :class:`~repro.obs.slo.FreshnessSLO`;
+  bus's ``on_delivered`` hook (on whichever thread ran the callback: a
+  delivery worker's, or the flush's own without workers) and fed to the
+  session's :class:`~repro.obs.slo.FreshnessSLO`;
 * the staleness gauges (:meth:`SessionMetrics.staleness`), computed
   entirely at scrape time so the write and flush paths pay nothing; and
 * the pull-at-snapshot collector that publishes the session's
@@ -51,8 +51,6 @@ CANONICAL_SAMPLES = (
      "Refreshes that re-evaluated the plan in full"),
     ("repro_live_cost_full_refreshes_total", "counter",
      "Full refreshes deliberately chosen by the cost model"),
-    ("repro_live_cost_adaptations_total", "counter",
-     "Cost-model parameter changes driven by observed refresh costs"),
     ("repro_live_notifications_total", "counter",
      "Refresh notifications handed to the bus"),
     ("repro_live_suppressed_notifications_total", "counter",
@@ -142,7 +140,7 @@ class SessionMetrics:
     # ------------------------------------------------------------------
 
     def on_delivered(self, payload: object) -> None:
-        """Bus hook: fires once per completed delivery.  Only
+        """Bus hook: fires once per callback that returned.  Only
         commit-stamped refresh notifications count toward freshness —
         change events and error records pass through."""
         if (

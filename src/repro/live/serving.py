@@ -51,7 +51,7 @@ class ServeLoop:
         self._session = session
         #: The depth at which the adaptive window saturates is at least
         #: one full mailbox (see :meth:`debounce_scale`).
-        self._capacity = max(1, capacity)
+        self._capacity = capacity
         self._band: Tuple[float, float] = (0.0, 0.0)
         self._wakeup = threading.Event()
         #: Guards start/stop; the loop itself only compares
@@ -100,7 +100,7 @@ class ServeLoop:
         """Stop the loop (idempotent) and wait for its thread to exit.
 
         A refresh callback may call this on the serve thread itself
-        (``on_refresh`` runs inline under the synchronous bus): a thread
+        (``on_refresh`` runs inside the flush without delivery workers): a thread
         cannot join itself, and need not — the loop sees it was replaced
         as soon as the flush that ran the callback returns.
         """

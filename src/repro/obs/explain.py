@@ -118,7 +118,6 @@ def render_explain_analyze(
             "delta_refreshes",
             "delta_fallbacks",
             "cost_full_refreshes",
-            "cost_adaptations",
         ):
             if key in totals:
                 parts.append(f"{key}={totals[key]}")
@@ -128,10 +127,6 @@ def render_explain_analyze(
             lines.append("  " + "  ".join(parts))
         if totals.get("refresh_decision"):
             lines.append(f"  decision={totals['refresh_decision']}")
-        adaptation = totals.get("cost_adaptation")
-        if adaptation:
-            parts = [f"{key}={value}" for key, value in adaptation.items()]
-            lines.append("  cost=" + "  ".join(parts))
     if not report:
         lines.append(
             "  (no warm operator state"

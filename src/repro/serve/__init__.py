@@ -10,10 +10,9 @@ recomputation.  This package is that delivery machinery, layered on
   :class:`Mailbox` queues with ``block`` / ``drop_oldest`` / ``coalesce``
   backpressure policies (coalescing merges the notifications'
   result-level deltas, so skipped deliveries lose no information);
-* :mod:`repro.serve.bus` — the :class:`DeliveryPool` of worker threads
-  and the :class:`AsyncEventBus`, a drop-in
-  :class:`~repro.live.events.EventBus` whose ``publish`` enqueues —
-  one slow subscriber can no longer stall a flush.
+* :mod:`repro.serve.bus` — the :class:`EventBus`, the one bus: its
+  ``publish`` calls the listeners itself, or — given delivery workers —
+  enqueues, so one slow subscriber can no longer stall a flush.
 
 None of this is a second pipeline.  A live session
 (:class:`~repro.live.manager.SubscriptionManager`) is always
@@ -31,11 +30,10 @@ threads the last stage runs on::
     session.close()                 # drains queues, joins all workers
 
 The session keeps one :class:`~repro.engine.maintenance.IncrementalMaintainer`
-per plan, one routing map and one lock whatever it is given here, and
-the default synchronous
-:class:`~repro.live.events.EventBus` answers every question the
-asynchronous bus can be asked (backlog, stats, drain, pending capture)
-with a constant, so no caller has to know which bus it holds.
+per plan, one routing map, one lock and one bus whatever it is given
+here; without workers the bus queues nothing, so its queueing questions
+(backlog, drain, pending capture) have empty answers rather than a
+second implementation.
 
 Concurrency invariants (tested in ``tests/serve/``):
 
@@ -52,12 +50,7 @@ Concurrency invariants (tested in ``tests/serve/``):
   caused by modifications; nothing refreshes because time passed.
 """
 
-from repro.serve.bus import AsyncEventBus, DeliveryPool
+from repro.serve.bus import EventBus
 from repro.serve.queues import BACKPRESSURE_POLICIES, Mailbox
 
-__all__ = [
-    "AsyncEventBus",
-    "BACKPRESSURE_POLICIES",
-    "DeliveryPool",
-    "Mailbox",
-]
+__all__ = ["BACKPRESSURE_POLICIES", "EventBus", "Mailbox"]

@@ -1,80 +1,86 @@
-"""Threaded notification fan-out: the delivery pool and the async bus.
+"""The notification bus: topic fan-out on the publisher's thread or on workers.
 
-The synchronous :class:`~repro.live.events.EventBus` runs every listener
-inline, so one slow subscriber callback stalls the whole flush.  The
-serving layer replaces the *delivery* half with worker threads while
-keeping the bus contract intact:
+:class:`EventBus` is the one bus of the live engine.  Every listener
+gets a :class:`~repro.serve.queues.Mailbox`; ``workers`` says which
+thread calls it back:
 
-* :class:`DeliveryPool` — N worker threads servicing per-subscriber
-  bounded :class:`~repro.serve.queues.Mailbox` queues.  A mailbox is
-  pinned to exactly one worker, which yields **in-order, exactly-once
-  delivery per subscription** (modulo the subscriber's own ``coalesce``
-  policy) with zero global coordination; workers round-robin across
-  their mailboxes so no subscriber starves another.
-* :class:`AsyncEventBus` — a drop-in :class:`EventBus` whose ``publish``
-  *enqueues* instead of calling listeners.  Error isolation carries
-  over: a raising listener is recorded on :attr:`EventBus.errors` and
-  announced on the ``listener-error`` topic (with the same recursion
-  guard as the sync bus), and its mailbox keeps draining.
+* ``workers=0`` — :meth:`EventBus.publish` calls the listeners itself,
+  in subscription order, before it returns.  Nothing is ever queued; the
+  mailbox only keeps the listener's counters.
+* ``workers=N`` — ``publish`` *enqueues* under each mailbox's
+  backpressure policy and N delivery threads call the listeners, so one
+  slow subscriber callback no longer stalls a flush.  A mailbox is pinned
+  to exactly one worker, which yields **in-order, exactly-once delivery
+  per subscription** (modulo the subscriber's own ``coalesce`` policy)
+  with zero global coordination; workers round-robin across their
+  mailboxes so no subscriber starves another.
 
-Publishing returns the number of *accepted* payloads; call
-:meth:`AsyncEventBus.drain` to wait until every queue is empty and every
-in-flight callback returned — the flush/benchmark barrier.
+Either way one method runs a listener (:meth:`EventBus._deliver`), so
+isolation, failure announcement and accounting are the same on both
+paths: a raising listener is recorded on :attr:`EventBus.errors`,
+counted in ``delivery_errors`` and announced on the ``listener-error``
+topic, and its peers — and its own later payloads — are still delivered;
+``delivered`` and the ``on_delivered`` hook count callbacks that
+*returned*.
+
+``publish`` returns the listeners that returned (``workers=0``) or the
+payloads accepted (``workers=N``); call :meth:`EventBus.drain` to wait
+until every queue is empty and every in-flight callback returned — the
+flush/benchmark barrier.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import threading
 import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.durable import faults
-from repro.live.events import EventBus
+from repro.obs.trace import NULL_TRACER
 
-from repro.serve.queues import Mailbox, REJECTED
+from repro.serve.queues import Mailbox, REJECTED, check_queue_options
 
-__all__ = ["DeliveryPool", "AsyncEventBus"]
+__all__ = ["EventBus"]
+
+logger = logging.getLogger("repro.serve.bus")
+
+#: The per-listener counters :meth:`EventBus.stats` sums (a mailbox's
+#: are retired into the bus's totals when its listener unsubscribes).
+_COUNTERS = ("queued", "delivered", "dropped", "coalesced", "errors")
 
 
 class _DeliveryWorker:
-    """One delivery thread plus the mailboxes pinned to it."""
+    """One delivery thread plus the ready queue of the mailboxes pinned
+    to it."""
 
-    def __init__(self, name: str, tracer=None, on_delivered=None):
+    def __init__(self, name: str, deliver: Callable[[Mailbox, Any], Any]):
         self.condition = threading.Condition()
         #: Mailboxes with queued items, FIFO for round-robin fairness.
         self.ready: Deque[Mailbox] = deque()
-        self.mailboxes: List[Mailbox] = []
         self.open = True
         self.active = 0  # callbacks currently running
-        self.delivered = 0
-        #: Optional span recorder — "deliver" spans per callback run.
-        self.tracer = tracer
-        #: Optional per-delivery hook, invoked with the payload exactly
-        #: once per completed delivery attempt (in lockstep with the
-        #: ``delivered`` counter, so freshness accounting built on it
-        #: matches the delivered ground truth).
-        self.on_delivered = on_delivered
-        self.thread = threading.Thread(target=self._run, name=name, daemon=True)
-
-    def start(self) -> None:
+        self.thread = threading.Thread(
+            target=self._run, args=(deliver,), name=name, daemon=True
+        )
         self.thread.start()
 
     def schedule(self, mailbox: Mailbox) -> None:
-        """Mark *mailbox* ready (condition held by the caller via put)."""
+        """Mark *mailbox* ready if it holds something and is not already."""
         with self.condition:
             if not mailbox.scheduled and len(mailbox):
                 mailbox.scheduled = True
                 self.ready.append(mailbox)
                 self.condition.notify_all()
 
-    def _run(self) -> None:
+    def _run(self, deliver: Callable[[Mailbox, Any], Any]) -> None:
         while True:
             with self.condition:
                 while self.open and not self.ready:
                     self.condition.wait()
-                if not self.open and not self.ready:
+                if not self.ready:
                     return
                 mailbox = self.ready.popleft()
                 item = mailbox._pop()
@@ -84,47 +90,11 @@ class _DeliveryWorker:
                     mailbox.scheduled = False
                 self.active += 1
             try:
-                self._deliver(mailbox, item)
+                deliver(mailbox, item)
             finally:
-                hook = self.on_delivered
-                if hook is not None:
-                    try:
-                        hook(item)
-                    except Exception:  # noqa: BLE001 — never kill the worker
-                        pass
                 with self.condition:
                     self.active -= 1
-                    self.delivered += 1
-                    mailbox.delivered += 1
                     self.condition.notify_all()
-
-    def _deliver(self, mailbox: Mailbox, item: Any) -> None:
-        tracer = self.tracer
-        if tracer is not None and tracer.enabled:
-            with tracer.span(
-                "deliver", listener=getattr(mailbox.listener, "__name__", "?")
-            ):
-                self._deliver_impl(mailbox, item)
-            return
-        self._deliver_impl(mailbox, item)
-
-    def _deliver_impl(self, mailbox: Mailbox, item: Any) -> None:
-        try:
-            mailbox.listener(item)
-            # Crashpoint: the listener ran but the delivery is not yet
-            # acknowledged.  action="exit" models a crash in the ack
-            # window (the durability tests' lost-notification probe);
-            # action="raise" is isolated like any listener error.
-            faults.fire("delivery.pre_ack")
-        except Exception as exc:  # noqa: BLE001 — isolation is the point
-            with self.condition:
-                mailbox.errors += 1
-            on_error = getattr(mailbox, "_on_error", None)
-            if on_error is not None:
-                try:
-                    on_error(mailbox, item, exc)
-                except Exception:  # noqa: BLE001 — never kill the worker
-                    pass
 
     def idle(self) -> bool:
         """No ready mailboxes and no callback in flight (condition held)."""
@@ -153,119 +123,314 @@ class _DeliveryWorker:
             self.thread.join(timeout=timeout)
 
 
-class DeliveryPool:
-    """N delivery workers fanning payloads out to pinned mailboxes."""
+class EventBus:
+    """Topic-based fan-out with listener error isolation.
 
-    #: How long a ``block``-policy post may wait before degrading to
-    #: ``drop_oldest`` (liveness bound: a dead subscriber must not wedge
-    #: the flush pipeline forever; the degrade is counted as dropped).
-    BLOCK_TIMEOUT = 30.0
+    *workers* delivery threads call the listeners (``0``: the publishing
+    thread does); *capacity* and *policy* are the default mailbox size
+    and backpressure policy (``block`` / ``drop_oldest`` / ``coalesce``),
+    overridable per subscriber; *block_timeout* bounds how long a
+    ``block``-policy publish may wait before degrading to
+    ``drop_oldest`` (liveness: a dead subscriber must not wedge the flush
+    pipeline forever; the degrade is counted as dropped).  *tracer*
+    records a ``deliver`` span per callback; *on_delivered* is invoked
+    with the payload once per callback that returned, in lockstep with
+    the ``delivered`` counter — the session observes write→deliver
+    freshness there.
+
+    Listener exceptions are swallowed per delivery and recorded on
+    :attr:`errors` (a bounded list of ``(topic, listener, exception)``
+    triples) so one misbehaving subscriber cannot prevent the remaining
+    subscribers from hearing about a refresh.  Each failure is also
+    announced on the :attr:`LISTENER_ERROR_TOPIC` topic as
+    ``(topic, listener, exception)`` so operators can watch subscriber
+    health without polling :attr:`errors`.
+
+    Failures raised *while delivering on the listener-error topic itself*
+    are recorded but never re-announced: without that guard, a
+    listener-error listener that raises would re-enter the error publish
+    and recurse until the stack blows — starving every other subscriber
+    of the original delivery.  Failures on every *other* topic —
+    including the :attr:`ERROR_TOPIC` refresh-failure channel — are
+    announced with their originating topic carried through, so operators
+    can tell a failing error-listener from a failing refresh-listener.
+    """
+
+    #: How many delivery errors to keep for inspection.
+    MAX_ERRORS = 100
+
+    #: The topic refresh/flush failures are published on (by the manager).
+    ERROR_TOPIC = "error"
+
+    #: The topic listener delivery failures are announced on (by the bus).
+    LISTENER_ERROR_TOPIC = "listener-error"
 
     def __init__(
         self,
         *,
-        workers: int = 4,
+        workers: int = 0,
         capacity: int = 64,
         policy: str = "coalesce",
-        name: str = "delivery",
-        block_timeout: float = BLOCK_TIMEOUT,
+        block_timeout: float = 30.0,
         tracer=None,
         on_delivered: Optional[Callable[[Any], None]] = None,
-    ):
-        if workers < 1:
-            raise ValueError("a delivery pool needs at least one worker")
+    ) -> None:
+        if workers < 0:
+            raise ValueError("a bus cannot have a negative number of workers")
+        check_queue_options(capacity, policy)
         self.capacity = capacity
         self.policy = policy
         self.block_timeout = block_timeout
+        self.on_delivered = on_delivered
+        self.errors: List[Tuple[str, Callable, Exception]] = []
+        self._spans = tracer if tracer is not None else NULL_TRACER
+        #: Guards the topic map, :attr:`errors` and the retired totals;
+        #: never held while a listener runs.  Taken before a mailbox's
+        #: condition, never after.
+        self._lock = threading.Lock()
+        self._mailboxes: Dict[str, List[Mailbox]] = {}
+        self._retired = dict.fromkeys(_COUNTERS, 0)
+        self._closed = False
         self._workers = [
-            _DeliveryWorker(f"{name}-{index}", tracer=tracer, on_delivered=on_delivered)
+            _DeliveryWorker(f"delivery-{index}", self._deliver)
             for index in range(workers)
         ]
-        self._next_worker = itertools.count()
-        self._closed = False
-        for worker in self._workers:
-            worker.start()
-        self._worker_idents = {
-            worker.thread.ident for worker in self._workers
-        }
-
-    def set_on_delivered(self, hook: Optional[Callable[[Any], None]]) -> None:
-        """Install (or clear) the per-delivery payload hook on all workers.
-
-        The hook fires exactly once per completed delivery attempt, in
-        lockstep with the ``delivered`` counter; exceptions it raises are
-        swallowed so it can never stall a worker.
-        """
-        for worker in self._workers:
-            worker.on_delivered = hook
+        self._worker_idents = {worker.thread.ident for worker in self._workers}
+        self._next_worker = itertools.cycle(self._workers or (None,))
+        #: What the mailboxes of a bus without workers synchronize on.
+        self._inline = threading.Condition()
 
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
 
-    def register(
+    def subscribe(
         self,
+        topic: str,
         listener: Callable[[Any], None],
         *,
         capacity: Optional[int] = None,
         policy: Optional[str] = None,
-        on_error: Optional[Callable[[Mailbox, Any, Exception], None]] = None,
-    ) -> Mailbox:
-        """Create a bounded mailbox for *listener*, pinned to one worker."""
-        if self._closed:
-            raise RuntimeError("delivery pool is closed")
-        worker = self._workers[next(self._next_worker) % len(self._workers)]
-        mailbox = Mailbox(
-            listener,
-            condition=worker.condition,
-            capacity=capacity if capacity is not None else self.capacity,
-            policy=policy if policy is not None else self.policy,
-        )
-        mailbox._on_error = on_error  # type: ignore[attr-defined]
-        mailbox._worker = worker  # type: ignore[attr-defined]
-        with worker.condition:
-            worker.mailboxes.append(mailbox)
-        return mailbox
+    ) -> Callable[[], None]:
+        """Register *listener* for *topic*; returns an unsubscribe thunk.
 
-    def unregister(self, mailbox: Mailbox) -> None:
-        worker = mailbox._worker  # type: ignore[attr-defined]
-        with worker.condition:
-            mailbox._close()
-            if mailbox.scheduled:
-                try:
-                    worker.ready.remove(mailbox)
-                except ValueError:
-                    pass
-                mailbox.scheduled = False
-            try:
-                worker.mailboxes.remove(mailbox)
-            except ValueError:
-                pass
-
-    # ------------------------------------------------------------------
-    # Posting
-    # ------------------------------------------------------------------
-
-    def post(
-        self, mailbox: Mailbox, payload: Any, *, timeout: Optional[float] = None
-    ) -> str:
-        """Admit *payload* and wake the owning worker; returns the outcome.
-
-        ``block``-policy waits are always bounded: *timeout* defaults to
-        :attr:`block_timeout`, and a post issued **from a delivery worker
-        thread** (a callback publishing, an error announcement) never
-        waits at all — a worker blocking on a mailbox only it can drain
-        would deadlock itself and starve every subscriber pinned to it.
+        *capacity* / *policy* override the bus defaults for this
+        subscriber's mailbox — a dashboard can coalesce while an audit
+        log blocks.  They are checked whatever ``workers`` is.
         """
-        if timeout is None:
-            timeout = (
-                0.0
-                if threading.get_ident() in self._worker_idents
-                else self.block_timeout
+        if self._closed:
+            raise RuntimeError("the bus is closed")
+        with self._lock:
+            worker = next(self._next_worker)
+            mailbox = Mailbox(
+                listener,
+                condition=self._inline if worker is None else worker.condition,
+                capacity=capacity if capacity is not None else self.capacity,
+                policy=policy if policy is not None else self.policy,
             )
-        outcome = mailbox.put(payload, timeout=timeout)
-        mailbox._worker.schedule(mailbox)  # type: ignore[attr-defined]
-        return outcome
+            mailbox.topic = topic
+            mailbox._worker = worker
+            self._mailboxes.setdefault(topic, []).append(mailbox)
+
+        def unsubscribe() -> None:
+            with self._lock:
+                try:
+                    self._mailboxes.get(topic, []).remove(mailbox)
+                except ValueError:
+                    return
+                with mailbox.condition:
+                    mailbox._close()
+                    if mailbox.scheduled:
+                        worker.ready.remove(mailbox)
+                        mailbox.scheduled = False
+                    for name in _COUNTERS:
+                        self._retired[name] += getattr(mailbox, name)
+
+        return unsubscribe
+
+    def listener_count(self, topic: Optional[str] = None) -> int:
+        with self._lock:
+            if topic is not None:
+                return len(self._mailboxes.get(topic, ()))
+            return sum(len(group) for group in self._mailboxes.values())
+
+    def _group(self, topic: str) -> Tuple[Mailbox, ...]:
+        with self._lock:
+            return tuple(self._mailboxes.get(topic, ()))
+
+    # ------------------------------------------------------------------
+    # Publishing and delivery
+    # ------------------------------------------------------------------
+
+    def publish(self, topic: str, payload: Any) -> int:
+        """Hand *payload* to every listener of *topic*.
+
+        Without workers the listeners run now and the return value counts
+        those that returned.  With workers the payload is enqueued and
+        the return value counts the mailboxes that accepted it (queued or
+        coalesced — a coalesced payload's information still reaches the
+        subscriber, merged into the notification already waiting); a
+        closed bus accepts nothing.  ``block``-policy waits are always
+        bounded by ``block_timeout``, and a publish issued **from a
+        delivery worker thread** (a callback publishing, an error
+        announcement) never waits at all — a worker blocking on a mailbox
+        only it can drain would deadlock itself and starve every
+        subscriber pinned to it.
+        """
+        if self._closed:
+            return 0
+        group = self._group(topic)
+        if not self._workers:
+            accepted = 0
+            for mailbox in group:
+                with mailbox.condition:
+                    if mailbox.closed:  # unsubscribed since the snapshot
+                        continue
+                    mailbox.queued += 1
+                accepted += self._deliver(mailbox, payload)
+            return accepted
+        timeout = (
+            0.0
+            if threading.get_ident() in self._worker_idents
+            else self.block_timeout
+        )
+        accepted = 0
+        for mailbox in group:
+            if mailbox.put(payload, timeout=timeout) != REJECTED:
+                accepted += 1
+            mailbox._worker.schedule(mailbox)
+        return accepted
+
+    def _deliver(self, mailbox: Mailbox, payload: Any) -> bool:
+        """Call one listener with one payload; ``True`` when it returned.
+
+        The only place a listener runs — on the publishing thread or on
+        the mailbox's worker."""
+        listener = mailbox.listener
+        with self._spans.span(
+            "deliver", listener=getattr(listener, "__name__", "?")
+        ):
+            try:
+                listener(payload)
+                # Crashpoint: the listener ran but the delivery is not yet
+                # acknowledged.  action="exit" models a crash in the ack
+                # window (the durability tests' lost-notification probe);
+                # action="raise" is isolated like any listener error.
+                faults.fire("delivery.pre_ack")
+            except Exception as exc:  # noqa: BLE001 — isolation is the point
+                self._tally(mailbox, "errors")
+                self._record_failure(mailbox.topic, listener, exc)
+                return False
+        self._tally(mailbox, "delivered")
+        hook = self.on_delivered
+        if hook is not None:
+            try:
+                hook(payload)
+            except Exception:  # noqa: BLE001 — accounting never stops delivery
+                logger.exception("on_delivered hook failed")
+        return True
+
+    def _tally(self, mailbox: Mailbox, counter: str) -> None:
+        """Count one delivery outcome on *mailbox* — or straight into the
+        retired totals when its listener unsubscribed while (or from
+        within) the callback, so the totals never lose a delivery."""
+        with mailbox.condition:
+            if not mailbox.closed:
+                setattr(mailbox, counter, getattr(mailbox, counter) + 1)
+                return
+        with self._lock:
+            self._retired[counter] += 1
+
+    def _record_failure(
+        self, topic: str, listener: Callable, exc: Exception
+    ) -> None:
+        """Record one delivery failure; announce it unless that would
+        recurse through the error channel.
+
+        Only failures raised *on the listener-error topic itself* are
+        suppressed — announcing those would re-enter this publish and
+        recurse.  A failing listener on any other topic (the refresh
+        topics, but also the ``"error"`` refresh-failure channel) is
+        announced with its originating *topic* carried in the payload.
+        """
+        with self._lock:
+            if len(self.errors) < self.MAX_ERRORS:
+                self.errors.append((topic, listener, exc))
+        if topic != self.LISTENER_ERROR_TOPIC:
+            self.publish(self.LISTENER_ERROR_TOPIC, (topic, listener, exc))
+
+    # ------------------------------------------------------------------
+    # The queues, asked from outside
+    # ------------------------------------------------------------------
+
+    def backlog(self) -> int:
+        """Undelivered payloads across all mailboxes — the load signal
+        the adaptive serve-loop debounce reads (cheaper than
+        :meth:`stats`, which also walks the counters)."""
+        with self._lock:
+            return sum(
+                len(mailbox)
+                for group in self._mailboxes.values()
+                for mailbox in group
+            )
+
+    def stats(self) -> Dict[str, int]:
+        """The delivery counters, monotonic over the bus's life, plus the
+        current ``backlog`` and ``listeners``."""
+        with self._lock:
+            totals = dict(self._retired)
+            backlog = listeners = 0
+            for group in self._mailboxes.values():
+                for mailbox in group:
+                    with mailbox.condition:
+                        for name in _COUNTERS:
+                            totals[name] += getattr(mailbox, name)
+                        backlog += len(mailbox._items)
+                listeners += len(group)
+        totals["delivery_errors"] = totals.pop("errors")
+        return {
+            "workers": len(self._workers),
+            **totals,
+            "backlog": backlog,
+            "listeners": listeners,
+        }
+
+    def oldest_commit_age(
+        self, topic: str, now: Optional[float] = None
+    ) -> Optional[float]:
+        """Age of the oldest commit-stamped payload still queued for
+        *topic*'s listeners, or ``None`` when nothing stamped waits.
+
+        Snapshot-time introspection for the staleness gauges — walks the
+        topic's mailboxes only when asked, so delivery pays nothing.
+        """
+        ages = [mailbox.oldest_commit_age(now) for mailbox in self._group(topic)]
+        return max((age for age in ages if age is not None), default=None)
+
+    def capture_pending(self, topic: str) -> List[Tuple[Any, ...]]:
+        """Undelivered payloads per listener of *topic*, oldest first.
+
+        The checkpoint capture path (non-destructive — items stay queued
+        for delivery): one tuple per subscribed listener, in
+        subscription order.
+        """
+        return [mailbox.capture() for mailbox in self._group(topic)]
+
+    def restore_pending(self, topic: str, items: Tuple[Any, ...]) -> int:
+        """Hand recovered payloads to every listener of *topic*.
+
+        The recovery path: with workers the payloads are appended behind
+        anything already queued (bypassing backpressure) and the owning
+        workers woken; without, they are published like any other.
+        Returns the number of accepted payload deliveries.
+        """
+        if not self._workers:
+            return sum(self.publish(topic, item) for item in items)
+        accepted = 0
+        for mailbox in self._group(topic):
+            accepted += mailbox.restore(items)
+            mailbox._worker.schedule(mailbox)
+        return accepted
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -275,14 +440,14 @@ class DeliveryPool:
         """Block until every queue is empty and no callback is in flight.
 
         Returns ``False`` when *timeout* elapsed first.  New payloads
-        posted while draining extend the wait — drain is a barrier for
+        published while draining extend the wait — drain is a barrier for
         "everything accepted so far", meant to be called once producers
         paused (end of a flush round, shutdown, benchmark edges).
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             # One pass must observe every worker idle without waiting:
-            # a delivery on worker B may post to a mailbox on already
+            # a delivery on worker B may publish to a mailbox on already
             # checked worker A (error announcements, chained publishes),
             # so any wait invalidates the passes before it.
             settled = True
@@ -292,10 +457,10 @@ class DeliveryPool:
                     # busy running the caller and cannot go idle.
                     continue
                 remaining = (
-                    None if deadline is None else deadline - time.monotonic()
+                    None
+                    if deadline is None
+                    else max(0.0, deadline - time.monotonic())
                 )
-                if remaining is not None and remaining <= 0:
-                    remaining = 0
                 with worker.condition:
                     if worker.idle():
                         continue
@@ -307,212 +472,12 @@ class DeliveryPool:
             if settled:
                 return True
 
-    def backlog(self) -> int:
-        """Undelivered payloads across all mailboxes — the load signal
-        the adaptive serve-loop debounce reads (cheaper than
-        :meth:`stats`, which also walks the counter fields)."""
-        total = 0
-        for worker in self._workers:
-            with worker.condition:
-                for mailbox in worker.mailboxes:
-                    total += len(mailbox._items)
-        return total
-
     def close(self, *, drain: bool = True) -> None:
-        """Stop all workers; by default deliver everything queued first."""
-        if self._closed:
+        """Stop the delivery workers; by default deliver everything
+        queued first.  A bus without workers has nothing to stop and
+        keeps delivering."""
+        if self._closed or not self._workers:
             return
         self._closed = True
         for worker in self._workers:
             worker.stop(drain=drain)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def worker_count(self) -> int:
-        return len(self._workers)
-
-    def stats(self) -> Dict[str, int]:
-        queued = delivered = dropped = coalesced = errors = backlog = 0
-        for worker in self._workers:
-            with worker.condition:
-                delivered_w = worker.delivered
-                for mailbox in worker.mailboxes:
-                    queued += mailbox.queued
-                    dropped += mailbox.dropped
-                    coalesced += mailbox.coalesced
-                    errors += mailbox.errors
-                    backlog += len(mailbox._items)
-            delivered += delivered_w
-        return {
-            "workers": len(self._workers),
-            "queued": queued,
-            "delivered": delivered,
-            "dropped": dropped,
-            "coalesced": coalesced,
-            "delivery_errors": errors,
-            "backlog": backlog,
-        }
-
-
-class AsyncEventBus(EventBus):
-    """An :class:`EventBus` whose deliveries ride a :class:`DeliveryPool`.
-
-    ``publish`` enqueues to every topic listener's mailbox and returns
-    the number of payloads *accepted* (queued or coalesced — a coalesced
-    payload's information still reaches the subscriber, merged into the
-    notification already waiting).  ``delivered`` counts callbacks that
-    actually completed, as in the sync bus; the two differ only by the
-    in-flight backlog and any dropped deliveries, both visible in
-    :meth:`stats`.
-    """
-
-    def __init__(
-        self,
-        *,
-        workers: int = 4,
-        capacity: int = 64,
-        policy: str = "coalesce",
-        pool: Optional[DeliveryPool] = None,
-        tracer=None,
-        on_delivered: Optional[Callable[[Any], None]] = None,
-    ):
-        super().__init__(on_delivered=on_delivered)
-        self.pool = pool or DeliveryPool(
-            workers=workers, capacity=capacity, policy=policy, tracer=tracer
-        )
-        if on_delivered is not None:
-            self.pool.set_on_delivered(on_delivered)
-        self._mailboxes: Dict[str, List[Tuple[Callable, Mailbox]]] = {}
-        self._lock = threading.RLock()
-
-    # ------------------------------------------------------------------
-    # EventBus API
-    # ------------------------------------------------------------------
-
-    def subscribe(
-        self,
-        topic: str,
-        listener: Callable[[Any], None],
-        *,
-        capacity: Optional[int] = None,
-        policy: Optional[str] = None,
-    ) -> Callable[[], None]:
-        """Register *listener* with its own bounded delivery queue.
-
-        *capacity*/*policy* override the pool defaults per subscriber —
-        a dashboard can coalesce while an audit log blocks.
-        """
-
-        def record_error(mailbox: Mailbox, item: Any, exc: Exception) -> None:
-            with self._lock:
-                self._record_failure(topic, listener, exc)
-
-        mailbox = self.pool.register(
-            listener,
-            capacity=capacity,
-            policy=policy,
-            on_error=record_error,
-        )
-        with self._lock:
-            self._mailboxes.setdefault(topic, []).append((listener, mailbox))
-
-        def unsubscribe() -> None:
-            with self._lock:
-                group = self._mailboxes.get(topic, [])
-                for index, (candidate, box) in enumerate(group):
-                    if candidate is listener and box is mailbox:
-                        del group[index]
-                        break
-                else:
-                    return
-            self.pool.unregister(mailbox)
-
-        return unsubscribe
-
-    def publish(self, topic: str, payload: Any) -> int:
-        """Enqueue *payload* for every listener of *topic*.
-
-        Returns the number of accepted deliveries (queued or coalesced).
-        """
-        with self._lock:
-            group = tuple(self._mailboxes.get(topic, ()))
-        accepted = 0
-        for _, mailbox in group:
-            if self.pool.post(mailbox, payload) != REJECTED:
-                accepted += 1
-        return accepted
-
-    def listener_count(self, topic: Optional[str] = None) -> int:
-        with self._lock:
-            if topic is not None:
-                return len(self._mailboxes.get(topic, ()))
-            return sum(len(group) for group in self._mailboxes.values())
-
-    # ------------------------------------------------------------------
-    # Serving extras
-    # ------------------------------------------------------------------
-
-    def backlog(self) -> int:
-        """Undelivered notifications across all subscriber mailboxes."""
-        return self.pool.backlog()
-
-    def oldest_commit_age(
-        self, topic: str, now: Optional[float] = None
-    ) -> Optional[float]:
-        """Age of the oldest commit-stamped payload still queued for
-        *topic*'s listeners, or ``None`` when nothing stamped waits.
-
-        Snapshot-time introspection for the staleness gauges — walks the
-        topic's mailboxes only when asked, so delivery pays nothing.
-        """
-        with self._lock:
-            group = tuple(self._mailboxes.get(topic, ()))
-        oldest: Optional[float] = None
-        for _, mailbox in group:
-            age = mailbox.oldest_commit_age(now)
-            if age is not None and (oldest is None or age > oldest):
-                oldest = age
-        return oldest
-
-    def capture_pending(self, topic: str) -> List[Tuple[Any, ...]]:
-        """Undelivered payloads per listener of *topic*, oldest first.
-
-        The checkpoint capture path (non-destructive — items stay queued
-        for delivery): one tuple per subscribed listener, in
-        subscription order.
-        """
-        with self._lock:
-            group = tuple(self._mailboxes.get(topic, ()))
-        return [mailbox.capture() for _, mailbox in group]
-
-    def restore_pending(self, topic: str, items: Tuple[Any, ...]) -> int:
-        """Re-enqueue captured payloads for every listener of *topic*.
-
-        The recovery path: appends behind anything already queued
-        (bypassing backpressure) and wakes the owning workers.  Returns
-        the number of accepted payload deliveries.
-        """
-        with self._lock:
-            group = tuple(self._mailboxes.get(topic, ()))
-        accepted = 0
-        for _, mailbox in group:
-            restored = mailbox.restore(items)
-            if restored:
-                accepted += restored
-                mailbox._worker.schedule(mailbox)  # type: ignore[attr-defined]
-        return accepted
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Wait for every queued notification to finish delivering."""
-        return self.pool.drain(timeout=timeout)
-
-    def close(self, *, drain: bool = True) -> None:
-        self.pool.close(drain=drain)
-
-    def stats(self) -> Dict[str, int]:
-        data = self.pool.stats()
-        data["topics"] = self.listener_count()
-        return data

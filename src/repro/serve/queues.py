@@ -19,7 +19,11 @@ A mailbox is pinned to exactly one delivery worker
 (:mod:`repro.serve.bus`), which is what makes delivery **in-order per
 subscription** without any global ordering machinery; the worker's
 condition variable doubles as the mailbox lock, so producers, consumers,
-and the backpressure wait all synchronize on one primitive.
+and the backpressure wait all synchronize on one primitive.  A bus
+without workers hands each payload straight to the listener and keeps
+the mailbox for its counters only — the options are checked all the same
+(:func:`check_queue_options`): they are persisted with a subscription,
+and a later session may well have workers.
 """
 
 from __future__ import annotations
@@ -41,6 +45,18 @@ QUEUED = "queued"
 COALESCED = "coalesced"
 DROPPED_OLDEST = "dropped_oldest"
 REJECTED = "rejected"
+
+
+def check_queue_options(capacity: int, policy: str) -> None:
+    """Reject a mailbox size or backpressure policy no mailbox accepts —
+    the one check, whichever thread will end up delivering."""
+    if policy not in BACKPRESSURE_POLICIES:
+        raise ValueError(
+            f"unknown backpressure policy {policy!r}; "
+            f"choose one of {BACKPRESSURE_POLICIES}"
+        )
+    if capacity < 1:
+        raise ValueError("mailbox capacity must be at least 1")
 
 
 def coalesce_payloads(older: Any, newer: Any) -> Optional[Any]:
@@ -83,9 +99,9 @@ class Mailbox:
         "errors",
         "_items",
         "_coalesce",
-        # Set by the DeliveryPool at registration time.
+        # Set by the bus at subscription time.
+        "topic",
         "_worker",
-        "_on_error",
     )
 
     def __init__(
@@ -97,13 +113,7 @@ class Mailbox:
         policy: str = "coalesce",
         coalesce: Callable[[Any, Any], Optional[Any]] = coalesce_payloads,
     ):
-        if policy not in BACKPRESSURE_POLICIES:
-            raise ValueError(
-                f"unknown backpressure policy {policy!r}; "
-                f"choose one of {BACKPRESSURE_POLICIES}"
-            )
-        if capacity < 1:
-            raise ValueError("mailbox capacity must be at least 1")
+        check_queue_options(capacity, policy)
         self.listener = listener
         self.capacity = capacity
         self.policy = policy
@@ -119,8 +129,8 @@ class Mailbox:
         self.errors = 0
         self._items: Deque[Any] = deque()
         self._coalesce = coalesce
+        self.topic: Optional[str] = None
         self._worker = None
-        self._on_error: Optional[Callable[..., None]] = None
 
     # ------------------------------------------------------------------
     # Producer side
@@ -213,8 +223,8 @@ class Mailbox:
         ``capacity``; the next ordinary :meth:`put` re-applies the
         policy.  Counted in ``queued``.  Returns how many were accepted
         (0 on a closed mailbox).  The caller must schedule the owning
-        worker afterwards (:meth:`DeliveryPool.post` does this for
-        ordinary traffic).
+        worker afterwards (:meth:`~repro.serve.bus.EventBus.publish`
+        does this for ordinary traffic).
         """
         accepted = tuple(items)
         if not accepted:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Iterable, List
 
 import hypothesis
+import pytest
 from hypothesis import strategies as st
 
 from repro.core.integer import OngoingInt
@@ -23,6 +24,10 @@ from repro.core.rational import OngoingRational
 from repro.core.timeline import MINUS_INF, PLUS_INF
 from repro.core.timepoint import OngoingTimePoint
 from repro.relational.tuples import OngoingTuple
+
+# The bus contract is stated once and collected through subclasses in two
+# test modules; its asserts are rewritten like any test's.
+pytest.register_assert_rewrite("tests.serve.bus_contract")
 
 hypothesis.settings.register_profile(
     "repro", max_examples=60, deadline=None, derandomize=True

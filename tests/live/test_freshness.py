@@ -145,6 +145,34 @@ class TestFreshnessAccounting:
         finally:
             session.close()
 
+    @pytest.mark.parametrize("delivery_workers", [0, 2])
+    def test_a_raising_callback_is_not_a_fresh_delivery(self, delivery_workers):
+        """A poisoned callback got nothing delivered: it adds nothing to
+        ``repro_freshness_seconds_count`` or the SLO, on either delivery
+        path.  Kills: hook fired in ``finally``."""
+        db = _database()
+        slo = FreshnessSLO(10.0)
+        session = LiveSession(
+            db, delivery_workers=delivery_workers, freshness_slo=slo
+        )
+        try:
+            session.subscribe(scan("T"), on_refresh=lambda e: 1 / 0, name="poisoned")
+            session.subscribe(scan("T"), on_refresh=lambda e: None, name="healthy")
+            current_insert(db.table("T"), (50,), at=60)
+            session.flush()
+            assert session.bus.drain(timeout=10)
+            counts = {
+                name: session.freshness_histogram.labels(name).snapshot()["count"]
+                for name in ("poisoned", "healthy")
+            }
+            assert counts == {"poisoned": 0, "healthy": 1}
+            assert slo.snapshot()["observed_total"] == 1
+            stats = session.stats()
+            assert stats["repro_serve_queued_notifications_total"] == 2
+            assert stats["repro_serve_delivered_notifications_total"] == 1
+        finally:
+            session.close()
+
     def test_suppressed_refreshes_observe_nothing(self):
         db = _database()
         session = LiveSession(db)

@@ -1,139 +1,26 @@
-"""Delivery pool and async bus: fan-out, ordering, isolation, drain."""
+"""The bus with delivery workers: the contract's ``workers=2`` rows, and
+what only a worker thread can get wrong (the ``workers=0`` rows are in
+``tests/live/test_events.py``)."""
 
 import threading
 import time
 
 import pytest
 
-from repro.serve.bus import AsyncEventBus, DeliveryPool
+from repro.serve.bus import EventBus
+from tests.serve.bus_contract import (
+    STATS_KEYS,
+    BusContract,
+    BusRows,
+    ErrorTopicGuardContract,
+)
 
 
-@pytest.fixture
-def bus():
-    bus = AsyncEventBus(workers=3, capacity=128, policy="block")
-    yield bus
-    bus.close(drain=False)
-
-
-class TestDeliveryPool:
-    def test_worker_count_validated(self):
-        with pytest.raises(ValueError):
-            DeliveryPool(workers=0)
-
-    def test_post_delivers_via_worker_thread(self):
-        pool = DeliveryPool(workers=2)
-        seen = []
-        main = threading.get_ident()
-        box = pool.register(
-            lambda item: seen.append((item, threading.get_ident()))
-        )
-        pool.post(box, "payload")
-        assert pool.drain(timeout=5)
-        assert [item for item, _ in seen] == ["payload"]
-        assert all(ident != main for _, ident in seen)
-        pool.close()
-
-    def test_close_drains_queued_items(self):
-        pool = DeliveryPool(workers=1, policy="block", capacity=256)
-        seen = []
-        box = pool.register(lambda item: (time.sleep(0.001), seen.append(item)))
-        for i in range(50):
-            pool.post(box, i)
-        pool.close(drain=True)
-        assert seen == list(range(50))
-
-    def test_close_from_its_own_callback_neither_waits_nor_joins(self):
-        """A listener shutting its own pool down runs on the worker it
-        would have to wait for and join: drain() and close() must skip
-        that thread, return promptly, and still deliver what the worker
-        has queued once the callback returns."""
-        pool = DeliveryPool(workers=1, policy="block", capacity=16)
-        seen, outcome = [], {}
-
-        def listener(item):
-            seen.append(item)
-            if item == "first":
-                started = time.monotonic()
-                try:
-                    outcome["drained"] = pool.drain(timeout=10)
-                    pool.close(drain=True)
-                except BaseException as exc:  # noqa: BLE001 — reported below
-                    outcome["error"] = exc
-                outcome["seconds"] = time.monotonic() - started
-
-        box = pool.register(listener)
-        worker = box._worker
-        with worker.condition:  # both are queued before the callback runs
-            pool.post(box, "first")
-            pool.post(box, "second")
-        worker.thread.join(timeout=10)
-        assert not worker.thread.is_alive()
-        assert "error" not in outcome, outcome
-        assert outcome["drained"] is True
-        assert outcome["seconds"] < 2, "waited on its own worker"
-        assert seen == ["first", "second"]  # drain=True: nothing abandoned
-        assert pool.closed
-
-    def test_unregister_stops_delivery(self):
-        pool = DeliveryPool(workers=1)
-        seen = []
-        box = pool.register(seen.append)
-        pool.unregister(box)
-        assert pool.post(box, "late") == "rejected"
-        pool.drain(timeout=5)
-        assert seen == []
-        pool.close()
-
-    def test_stats_shape(self):
-        pool = DeliveryPool(workers=2)
-        box = pool.register(lambda item: None)
-        pool.post(box, 1)
-        pool.drain(timeout=5)
-        stats = pool.stats()
-        assert stats["workers"] == 2
-        assert stats["queued"] == 1
-        assert stats["delivered"] == 1
-        assert stats["backlog"] == 0
-        pool.close()
-
-
-class TestAsyncEventBus:
-    def test_fan_out_reaches_every_listener(self, bus):
-        seen_a, seen_b = [], []
-        bus.subscribe("t", seen_a.append)
-        bus.subscribe("t", seen_b.append)
-        assert bus.publish("t", 1) == 2
-        assert bus.drain(timeout=5)
-        assert seen_a == [1] and seen_b == [1]
-
-    def test_in_order_exactly_once_per_listener(self, bus):
-        seen = []
-        bus.subscribe("t", seen.append)
-        for i in range(200):
-            bus.publish("t", i)
-        assert bus.drain(timeout=10)
-        assert seen == list(range(200))
-
-    def test_topics_are_independent(self, bus):
-        seen = []
-        bus.subscribe("a", seen.append)
-        bus.publish("b", 1)
-        bus.drain(timeout=5)
-        assert seen == []
-        assert bus.listener_count("a") == 1
-        assert bus.listener_count() == 1
-
-    def test_unsubscribe_thunk(self, bus):
-        seen = []
-        cancel = bus.subscribe("t", seen.append)
-        cancel()
-        cancel()  # idempotent
-        assert bus.publish("t", 1) == 0
-        bus.drain(timeout=5)
-        assert seen == []
+class TestAsyncEventBus(BusContract):
+    workers = 2
 
     def test_slow_listener_does_not_stall_fast_peers(self):
-        bus = AsyncEventBus(workers=2, policy="block", capacity=16)
+        bus = self.bus(capacity=16)
         fast_done = threading.Event()
         release_slow = threading.Event()
 
@@ -147,41 +34,12 @@ class TestAsyncEventBus:
         assert fast_done.wait(timeout=5)
         release_slow.set()
         assert bus.drain(timeout=5)
-        bus.close()
-
-    def test_error_isolation_and_recording(self, bus):
-        seen = []
-
-        def explode(_):
-            raise RuntimeError("boom")
-
-        bus.subscribe("t", explode)
-        bus.subscribe("t", seen.append)
-        bus.publish("t", "payload")
-        assert bus.drain(timeout=5)
-        assert seen == ["payload"]
-        ((topic, listener, error),) = bus.errors
-        assert topic == "t" and listener is explode
-        assert isinstance(error, RuntimeError)
-
-    def test_listener_failures_announced_on_listener_error_topic(self, bus):
-        failures = []
-        bus.subscribe(AsyncEventBus.LISTENER_ERROR_TOPIC, failures.append)
-
-        def explode(_):
-            raise RuntimeError("boom")
-
-        bus.subscribe("t", explode)
-        bus.publish("t", "payload")
-        assert bus.drain(timeout=5)
-        ((topic, listener, error),) = failures
-        assert topic == "t" and listener is explode
 
     def test_publish_from_worker_thread_never_deadlocks_itself(self):
         """A callback that publishes into a full block-policy mailbox
         pinned to its own worker must degrade, not wait for space only
         that worker could ever free."""
-        bus = AsyncEventBus(workers=1, capacity=1, policy="block")
+        bus = EventBus(workers=1, capacity=1, policy="block")
         seen = []
         bus.subscribe("fanin", seen.append)
 
@@ -196,8 +54,24 @@ class TestAsyncEventBus:
         assert bus.stats()["dropped"] == 1
         bus.close()
 
+    def test_a_blocked_publisher_waits_no_longer_than_block_timeout(self):
+        bus = EventBus(workers=1, capacity=1, policy="block", block_timeout=0.05)
+        release = threading.Event()
+        seen = []
+        bus.subscribe("t", lambda item: (release.wait(timeout=10), seen.append(item)))
+        bus.publish("t", "running")
+        time.sleep(0.05)  # let the worker pick "running" up
+        bus.publish("t", "evicted")
+        started = time.monotonic()
+        assert bus.publish("t", "kept") == 1  # full: waits, then degrades
+        assert 0.04 <= time.monotonic() - started < 2
+        release.set()
+        assert bus.drain(timeout=5)
+        assert seen == ["running", "kept"] and bus.stats()["dropped"] == 1
+        bus.close()
+
     def test_coalesce_policy_keeps_latest_information(self):
-        bus = AsyncEventBus(workers=1, capacity=1, policy="coalesce")
+        bus = EventBus(workers=1, capacity=1, policy="coalesce")
         release = threading.Event()
         seen = []
 
@@ -217,3 +91,96 @@ class TestAsyncEventBus:
         assert seen[-1] == "fourth"  # the latest payload always arrives
         assert len(seen) < 4  # the backlog really was bounded
         bus.close()
+
+
+class TestErrorTopicGuard(ErrorTopicGuardContract):
+    workers = 2
+
+
+class TestDeliveryPool(BusRows):
+    """The pool of delivery threads inside a bus with workers."""
+
+    workers = 1
+
+    def _jammed(self, listener):
+        """A one-worker bus whose worker sits in a callback until the
+        returned event is set — whatever is published meanwhile queues."""
+        bus, gate = self.bus(capacity=256), threading.Event()
+        bus.subscribe("gate", lambda _: gate.wait(timeout=10))
+        cancel = bus.subscribe("t", listener)
+        bus.publish("gate", None)
+        return bus, gate, cancel
+
+    def test_worker_count_validated(self):
+        with pytest.raises(ValueError):
+            EventBus(workers=-1)
+
+    def test_post_delivers_via_worker_thread(self):
+        bus = self.bus()
+        seen = []
+        bus.subscribe("t", lambda item: seen.append((item, threading.get_ident())))
+        bus.publish("t", "payload")
+        assert bus.drain(timeout=5)
+        assert [item for item, _ in seen] == ["payload"]
+        assert all(ident != threading.get_ident() for _, ident in seen)
+
+    def test_close_drains_queued_items(self):
+        seen = []
+        bus, gate, _ = self._jammed(lambda item: (time.sleep(0.001), seen.append(item)))
+        for i in range(50):
+            bus.publish("t", i)
+        gate.set()
+        bus.close(drain=True)
+        assert seen == list(range(50))
+
+    def test_close_from_its_own_callback_neither_waits_nor_joins(self):
+        """A listener shutting its own bus down runs on the worker it
+        would have to wait for and join: drain() and close() must skip
+        that thread, return promptly, and still deliver what the worker
+        has queued once the callback returns."""
+        seen, outcome = [], {}
+
+        def listener(item):
+            seen.append(item)
+            if item == "first":
+                started = time.monotonic()
+                try:
+                    outcome["drained"] = bus.drain(timeout=10)
+                    bus.close(drain=True)
+                except BaseException as exc:  # noqa: BLE001 — reported below
+                    outcome["error"] = exc
+                outcome["seconds"] = time.monotonic() - started
+
+        bus, gate, _ = self._jammed(listener)
+        bus.publish("t", "first")
+        bus.publish("t", "second")
+        gate.set()  # both are queued before the callback runs
+        (worker,) = bus._workers
+        worker.thread.join(timeout=10)
+        assert not worker.thread.is_alive()
+        assert "error" not in outcome, outcome
+        assert outcome["drained"] is True
+        assert outcome["seconds"] < 2, "waited on its own worker"
+        assert seen == ["first", "second"]  # drain=True: nothing abandoned
+        assert bus.publish("t", "third") == 0  # closed
+
+    def test_unregister_stops_delivery(self):
+        seen = []
+        bus, gate, cancel = self._jammed(seen.append)
+        bus.publish("t", "queued")
+        cancel()  # what it still held is discarded, and counted
+        assert bus.publish("t", "late") == 0
+        gate.set()
+        assert bus.drain(timeout=5)
+        assert seen == []
+        assert bus.stats()["dropped"] == 1
+
+    def test_stats_shape(self):
+        bus = self.bus()
+        bus.subscribe("t", lambda item: None)
+        bus.publish("t", 1)
+        assert bus.drain(timeout=5)
+        stats = bus.stats()
+        assert set(stats) == STATS_KEYS
+        assert (stats["workers"], stats["queued"], stats["delivered"]) == (1, 1, 1)
+        assert stats["backlog"] == 0

@@ -11,7 +11,7 @@ from repro.core.interval import until_now
 from repro.engine.database import Database
 from repro.engine.plan import scan
 from repro.live import LiveSession
-from repro.live.events import EventBus
+from repro.live import EventBus
 from repro.relational.schema import Schema
 
 _TABLES = ("A", "B", "C")

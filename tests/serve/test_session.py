@@ -11,6 +11,7 @@ from repro.engine.modifications import current_insert
 from repro.engine.plan import scan
 from repro.errors import QueryError
 from repro.live import LiveSession
+from repro.obs.registry import Registry
 from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
 
@@ -247,6 +248,82 @@ class TestAsyncDelivery:
         assert len(audit) == 4
         assert session.stats()["repro_serve_coalesced_notifications_total"] == 0
         session.close()
+
+
+class TestMailboxOptionsAreCheckedWhoeverDelivers:
+    """A session without workers used to accept — and a checkpoint to
+    persist — options no mailbox takes; the database then could not be
+    opened with workers.  Kills: ``capacity`` / ``policy`` unchecked when
+    ``workers == 0``."""
+
+    @pytest.mark.parametrize("delivery_workers", [0, 1])
+    @pytest.mark.parametrize(
+        "options", [{"backpressure": "nonsense"}, {"queue_capacity": 0}]
+    )
+    def test_a_rejected_constructor_leaves_nothing_behind(
+        self, delivery_workers, options
+    ):
+        db, registry, threads = _database(), Registry(), threading.active_count()
+        with pytest.raises(ValueError):
+            LiveSession(
+                db, delivery_workers=delivery_workers, registry=registry, **options
+            )
+        assert registry.snapshot() == {}  # no collector, no family
+        assert db._delta_listeners == []
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("delivery_workers", [0, 1])
+    def test_a_rejected_subscribe_leaves_nothing_behind(self, delivery_workers):
+        session = LiveSession(_database(), delivery_workers=delivery_workers)
+        for options in ({"backpressure": "nonsense"}, {"queue_capacity": -3}):
+            with pytest.raises(ValueError):
+                session.subscribe_sql(
+                    "SELECT * FROM R", on_refresh=print, name="audit", **options
+                )
+        assert session.subscriptions == [] and session.shared_results() == []
+        assert session.bus.listener_count() == 0
+        session.close()
+
+    def test_a_checkpoint_of_a_session_without_workers_reopens_with_them(
+        self, tmp_path
+    ):
+        db = Database.open(tmp_path, fsync="off")
+        db.create_table("R", Schema.of("K", ("VT", "interval")))
+        session = db.live_session()
+        for name, options in (
+            ("audit", {"backpressure": "block", "queue_capacity": 2}),
+            ("board", {}),
+        ):
+            session.subscribe_sql(
+                "SELECT * FROM R", on_refresh=print, name=name, **options
+            )
+        with pytest.raises(ValueError):  # once accepted, persisted, and
+            session.subscribe_sql(  # fatal to the reopen below
+                "SELECT * FROM R", backpressure="nonsense", name="poison"
+            )
+        db.table("R").insert(1, until_now(5))
+        session.flush()
+        db.checkpoint()
+        db.close()
+        received = []
+        reopened = Database.open(
+            tmp_path,
+            fsync="off",
+            session={"delivery_workers": 1},
+            on_refresh=received.append,
+        )
+        try:
+            session = reopened.live_session()
+            resumed = {sub.name: sub for sub in session.subscriptions}
+            assert sorted(resumed) == ["audit", "board"]
+            assert resumed["audit"].backpressure == "block"
+            assert resumed["audit"].queue_capacity == 2
+            reopened.table("R").insert(2, until_now(6))
+            session.flush()
+            assert session.bus.drain(timeout=5)
+            assert len(received) == 2
+        finally:
+            reopened.close()
 
 
 class TestResultStoreStats:

@@ -112,17 +112,22 @@ def test_bound_delivery_names_are_public_in_the_live_package_only():
 
 
 def test_the_serve_package_exports_delivery_names_only():
-    """One thread refreshes: the bus, the pool, the mailbox and the
-    policy names — no scheduler, no sharding."""
+    """One thread refreshes and one bus delivers: the bus, the mailbox
+    and the policy names — no scheduler, no sharding, no second bus, no
+    pool, no learned cost history."""
     import repro
+    import repro.engine
+    import repro.live
     import repro.serve
 
-    assert sorted(repro.serve.__all__) == [
-        "AsyncEventBus", "BACKPRESSURE_POLICIES", "DeliveryPool", "Mailbox",
-    ]
-    for name in ("FlushScheduler", "FlushRound", "shard_index"):
-        assert name not in repro.__all__ and not hasattr(repro, name)
-        assert not hasattr(repro.serve, name)
+    assert repro.serve.__all__ == ["BACKPRESSURE_POLICIES", "EventBus", "Mailbox"]
+    assert repro.EventBus is repro.live.EventBus is repro.serve.EventBus
+    for name in (
+        "FlushScheduler", "FlushRound", "shard_index",
+        "AsyncEventBus", "DeliveryPool", "PlanCostHistory",
+    ):
+        for package in (repro, repro.live, repro.serve, repro.engine):
+            assert name not in package.__all__ and not hasattr(package, name)
 
 
 def test_public_classes_have_documented_public_methods():
