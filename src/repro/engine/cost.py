@@ -46,7 +46,7 @@ __all__ = [
 #: Price of one maintained top-k window entry *beyond* the row itself
 #: (which is already priced via ``cached_rows``): the decorated sort key
 #: — a (growth, offset) Fraction pair per sort column plus the tie-break
-#: string slot and the sorted-list cell.  Priced into
+#: object and the sorted-list cell.  Priced into
 #: :meth:`~repro.engine.delta.DeltaEvaluator.state_bytes` like every
 #: other acceleration structure.
 TOPK_KEY_BYTES = 40

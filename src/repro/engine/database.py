@@ -16,19 +16,15 @@ physical operators.
 let derived layers (materialized views, the live subscription engine in
 :mod:`repro.live`) exploit this, every table carries a monotonically
 increasing ``version`` that is bumped exactly once per modification, and
-the database fans ``(table, version)`` change events out to registered
-listeners.  Compound modifications (e.g. a current update = delete +
-insert) wrap themselves in :meth:`Table.batch` so observers see a single
-coalesced event.
-
-**Typed deltas.**  Change events additionally carry the *rows* that
-changed as a :class:`~repro.engine.delta.Delta` — inserted and deleted
-ongoing tuples, a current update being a delete+insert pair coalesced by
-:meth:`Table.batch`.  Delta listeners (:meth:`Table.add_delta_listener`,
-:meth:`Database.add_delta_listener`) receive ``(name, version, delta)``;
-write paths that cannot name the changed rows (bulk ``replace_all``,
-``drop_table``) report the full-flagged delta, which downstream
-consumers answer with a full re-evaluation.
+the database fans ``(table, version, delta)`` change events out to
+registered delta listeners (:meth:`Table.add_delta_listener`,
+:meth:`Database.add_delta_listener`).  The
+:class:`~repro.engine.delta.Delta` names the rows that changed —
+inserted and deleted ongoing tuples; write paths that cannot name them
+(bulk ``replace_all``, ``drop_table``) report the full-flagged delta,
+which downstream consumers answer with a full re-evaluation.  Compound
+modifications (e.g. a current update = delete + insert) wrap themselves
+in :meth:`Table.batch` so observers see a single coalesced event.
 
 **The base heap.**  A table's rows exist once, in a counted,
 insertion-ordered map ``row → multiplicity``.  Every write mutates it in
@@ -65,6 +61,7 @@ from typing import (
     NamedTuple,
     Optional,
     Sequence,
+    Tuple,
 )
 
 from repro.core.intervalset import UNIVERSAL_SET
@@ -85,7 +82,6 @@ __all__ = [
     "CommitStamp",
     "Table",
     "Database",
-    "ChangeListener",
     "DeltaListener",
 ]
 
@@ -116,14 +112,11 @@ def _standalone_commit_source() -> Callable[[], CommitStamp]:
     ticks = itertools.count(1)
     return lambda: CommitStamp(next(ticks), time.monotonic())
 
-#: A modification-hook callback: called as ``listener(table_name, version)``
-#: after a table's contents changed.  Advancing the reference time never
-#: triggers a call — only explicit modifications do.
-ChangeListener = Callable[[str, int], None]
 
-#: A typed modification hook: ``listener(table_name, version, delta)`` with
-#: the coalesced row-level :class:`~repro.engine.delta.Delta` of the
-#: modification (full-flagged when the rows are unknown).
+#: A modification hook: ``listener(table_name, version, delta)`` with the
+#: coalesced row-level :class:`~repro.engine.delta.Delta` of the
+#: modification (full-flagged when the rows are unknown).  Advancing the
+#: reference time never triggers a call — only explicit modifications do.
 DeltaListener = Callable[[str, int, Delta], None]
 
 
@@ -188,11 +181,12 @@ class Table:
         #: row's first copy.  The only copy of the table's rows.
         self._heap: Dict[OngoingTuple, int] = {}
         self._size = 0
-        #: Caches of the current version, dropped by every modification.
+        #: Caches of the current version, dropped by every modification:
+        #: the snapshot, and the access paths built over it keyed by
+        #: ``(kind, column)``.
         self._snapshot: Optional[OngoingRelation] = None
-        self._interval_indexes: Dict[str, object] = {}
+        self._indexes: Dict[Tuple[str, str], object] = {}
         self._version = 0
-        self._listeners: List[ChangeListener] = []
         self._delta_listeners: List[DeltaListener] = []
         self._batch_depth = 0
         self._batch_dirty = False
@@ -212,18 +206,6 @@ class Table:
         nothing) do not bump the version.
         """
         return self._version
-
-    def add_change_listener(self, listener: ChangeListener) -> ChangeListener:
-        """Register *listener*; it is called as ``listener(name, version)``."""
-        self._listeners.append(listener)
-        return listener
-
-    def remove_change_listener(self, listener: ChangeListener) -> None:
-        """Deregister a listener previously added (no error if absent)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
 
     def add_delta_listener(self, listener: DeltaListener) -> DeltaListener:
         """Register a typed hook: ``listener(name, version, delta)``."""
@@ -283,8 +265,6 @@ class Table:
             else FULL_DELTA
         )
         self._pending_delta = None
-        for listener in tuple(self._listeners):
-            listener(self.name, self._version)
         for listener in tuple(self._delta_listeners):
             listener(self.name, self._version, delta)
 
@@ -296,7 +276,7 @@ class Table:
         """Forget what was derived from the previous version — and with
         it the last references to rows that version alone held."""
         self._snapshot = None
-        self._interval_indexes.clear()
+        self._indexes.clear()
 
     def _add(self, rows: Collection[OngoingTuple]) -> List[OngoingTuple]:
         """Count *rows* in; return those whose multiplicity left zero."""
@@ -474,17 +454,39 @@ class Table:
         """
         from repro.engine.indexes import IntervalIndex
 
-        with self.lock:
+        def build(relation):
             try:
-                return self._interval_indexes[attribute]
-            except KeyError:
-                pass
-            try:
-                index = IntervalIndex(self.as_relation(), attribute)
+                return IntervalIndex(relation, attribute)
             except QueryError:
-                index = None
-            self._interval_indexes[attribute] = index
-            return index
+                return None
+
+        return self._cached_index("interval", attribute, build)
+
+    def partition_index(self, column: str):
+        """*column*'s rows grouped by value — ``value → [rows]``, each
+        bucket in snapshot order (:func:`~repro.engine.indexes.equality_buckets`).
+
+        What an equality selection over a scan probes.  Cached per table
+        version and dropped by the next write, like :meth:`interval_index`.
+        Returns ``None`` when the column cannot carry buckets (an ongoing
+        kind, or an ongoing value in it).
+        """
+        from repro.engine.indexes import equality_buckets
+
+        return self._cached_index(
+            "partition",
+            column,
+            lambda relation: equality_buckets(relation, column),
+        )
+
+    def _cached_index(self, kind: str, column: str, build):
+        with self.lock:
+            key = (kind, column)
+            try:
+                return self._indexes[key]
+            except KeyError:
+                index = self._indexes[key] = build(self.as_relation())
+                return index
 
 
 class Database:
@@ -499,7 +501,6 @@ class Database:
         #: read all base tables at one consistent instant.
         self.lock = threading.RLock()
         self._tables: Dict[str, Table] = {}
-        self._listeners: List[ChangeListener] = []
         self._delta_listeners: List[DeltaListener] = []
         self._commit_ticks = itertools.count(1)
         #: The stamp of the most recent commit in *any* table of this
@@ -567,31 +568,15 @@ class Database:
     # Modification hooks
     # ------------------------------------------------------------------
 
-    def add_change_listener(self, listener: ChangeListener) -> ChangeListener:
-        """Register a catalog-wide modification hook.
-
-        *listener* is called as ``listener(table_name, version)`` after any
-        table of this database is modified.  Returns *listener* so the call
-        can be used inline (``handle = db.add_change_listener(cb)``).
-        """
-        self._listeners.append(listener)
-        return listener
-
-    def remove_change_listener(self, listener: ChangeListener) -> None:
-        """Deregister a catalog-wide listener (no error if absent)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
     def add_delta_listener(self, listener: DeltaListener) -> DeltaListener:
-        """Register a catalog-wide typed modification hook.
+        """Register a catalog-wide modification hook.
 
         *listener* is called as ``listener(table_name, version, delta)``
         after any table of this database is modified; *delta* names the
         changed rows (or is full-flagged when they are unknown).  The
         live engine and materialized views subscribe here so refreshes
-        cost work proportional to the modification.
+        cost work proportional to the modification.  Returns *listener*
+        so the call can be used inline.
         """
         self._delta_listeners.append(listener)
         return listener
@@ -611,10 +596,6 @@ class Database:
         """Snapshot of every table's modification counter."""
         return {name: table.version for name, table in self._tables.items()}
 
-    def _table_changed(self, name: str, version: int) -> None:
-        for listener in tuple(self._listeners):
-            listener(name, version)
-
     def _table_delta(self, name: str, version: int, delta: Delta) -> None:
         for listener in tuple(self._delta_listeners):
             listener(name, version, delta)
@@ -631,7 +612,6 @@ class Database:
             table = Table(
                 name, schema, lock=self.lock, commit_source=self._next_commit
             )
-            table.add_change_listener(self._table_changed)
             table.add_delta_listener(self._table_delta)
             self._tables[name] = table
             # DDL does not flow through the delta listeners (there are no
@@ -652,7 +632,6 @@ class Database:
             if name not in self._tables:
                 raise QueryError(f"no table named {name!r}")
             table = self._tables.pop(name)
-            table.remove_change_listener(self._table_changed)
             table.remove_delta_listener(self._table_delta)
             # Dropping is a modification of the catalog: results derived
             # from the table can no longer be refreshed, so observers must
@@ -661,7 +640,6 @@ class Database:
             # re-evaluation path (where they will surface the
             # missing-table error).
             self._next_commit()
-            self._table_changed(name, table.version + 1)
             self._table_delta(name, table.version + 1, FULL_DELTA)
 
     def table(self, name: str) -> Table:

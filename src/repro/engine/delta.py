@@ -569,8 +569,13 @@ class DeltaEvaluator:
 
         Returns the node's output set and the sampled byte price of one
         of its rows.  A scan's output set is the table it was planned
-        over: it is handed to the parent as is and copied only at the
-        root, where the result store needs an index of its own.
+        over, copied only at the root, where the result store needs an
+        index of its own.  Below its parent a scan hands over what its
+        access path admits (:meth:`~repro.engine.executor.SeqScan.candidates`:
+        an equality bucket, an interval-index window, or the whole
+        source) — a superset of the rows the parent's selection keeps,
+        which still judges every candidate, so the parent's state is the
+        one a whole-table read would build.
 
         Each state gets two prices: its own output rows and its *cached*
         rows.  The cached rows of a join or a difference are the
@@ -587,8 +592,12 @@ class DeltaEvaluator:
         states[node] = state
         child_prices: List[int] = []
         if isinstance(node, SeqScan):
-            output = node.relation.tuples
-            state.counts = dict.fromkeys(output, 1) if node is root else None
+            if node is root:
+                output = node.relation.tuples
+                state.counts = dict.fromkeys(output, 1)
+            else:
+                output = node.candidates()
+                state.counts = None
         else:
             inputs = []
             for child in node._children():

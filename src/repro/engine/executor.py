@@ -79,7 +79,7 @@ from repro.engine.indexes import (
 from repro.errors import QueryError
 from repro.relational.aggregate import scalar_empty_row, validate_aggregate
 from repro.relational.algebra import match_set
-from repro.relational.predicates import Expression, Predicate
+from repro.relational.predicates import Column, Expression, Predicate
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
@@ -237,19 +237,41 @@ class SeqScan(PhysicalOperator):
     because the result store serves from one.  *live* is the sized owner
     of the rows when that is not *relation* itself (the table behind a
     snapshot), so EXPLAIN shows the current row count, not the planned.
+
+    **The access path.**  What a cold read of the scan — the pull
+    iterator, and the cold build of a maintained plan — hands its parent
+    is :meth:`candidates`: the whole source, or, when the planner found a
+    ``column = constant`` conjunct in the selection right above a
+    base-table scan, *probe* ``(column, constant, rows)`` — the rows of
+    that constant's bucket of :meth:`~repro.engine.database.Table.partition_index`
+    at planning time.  The selection still evaluates every candidate;
+    the bucket only spares it the rows that cannot pass.  The delta rule
+    reads no access path: it forwards the whole table's transitions.
     """
 
-    def __init__(self, relation, *, label: str = "", live=None):
+    def __init__(self, relation, *, label: str = "", live=None, probe=None):
         self.relation = relation
         self.schema = relation.schema
         self.label = label
         self.live = live if live is not None else relation
+        self.probe = probe
+
+    def candidates(self) -> Sequence[OngoingTuple]:
+        """The rows a cold read hands the parent (a superset of what the
+        parent's selection keeps, or the whole source)."""
+        return self.relation.tuples if self.probe is None else self.probe[2]
 
     def __iter__(self) -> Iterator[OngoingTuple]:
-        return iter(self.relation.tuples)
+        return iter(self.candidates())
 
     def _describe(self) -> str:
         suffix = f" {self.label}" if self.label else ""
+        if self.probe is not None:
+            column, value, rows = self.probe
+            return (
+                f"SeqScan{suffix} ({column} = {value!r}: "
+                f"{len(rows)} of {len(self.relation)} tuples)"
+            )
         return f"SeqScan{suffix} ({len(self.live)} tuples)"
 
     def apply_delta(
@@ -273,8 +295,10 @@ class SeqScan(PhysicalOperator):
 class IntervalScan(SeqScan):
     """Index-assisted cold scan below a temporal selection.
 
-    The pull iterator reads only the tuples whose interval **envelope**
-    overlaps the selection's probe window, served by the table's cached
+    A cold read — the pull iterator, and the cold build behind every
+    subscribe, resume and fallback refresh — hands the parent only the
+    tuples whose interval **envelope** overlaps the selection's probe
+    window, served by the table's cached
     :class:`~repro.engine.indexes.IntervalIndex` in ``O(log n + k)``
     instead of ``O(n)``.  Candidate filtering is lossless: envelope
     overlap is a necessary condition for every overlap-family temporal
@@ -282,9 +306,8 @@ class IntervalScan(SeqScan):
     exact ongoing predicate to each candidate.
 
     The delta rule is inherited **unchanged** from :class:`SeqScan` and
-    forwards the transitions of the whole table (deltas for rows outside
-    the window must still flow to reach sibling conjuncts), so only the
-    pull path rides the index.
+    forwards the transitions of the whole table (a row updated *into*
+    the window must reach the filter), so a warm apply reads no index.
     """
 
     def __init__(
@@ -299,8 +322,8 @@ class IntervalScan(SeqScan):
         self.index = index
         self.window = window
 
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        return iter(self.index.overlapping(self.window[0], self.window[1]))
+    def candidates(self) -> Sequence[OngoingTuple]:
+        return self.index.overlapping(self.window[0], self.window[1])
 
     def _describe(self) -> str:
         suffix = f" {self.label}" if self.label else ""
@@ -376,7 +399,13 @@ class OngoingFilter(MappedDeltaOperator):
 
 
 class ProjectOp(MappedDeltaOperator):
-    """Projection / computed columns; reference times pass through."""
+    """Projection / computed columns; reference times pass through.
+
+    A projection of two or more plain columns picks its values with one
+    :func:`operator.itemgetter` call per row instead of evaluating an
+    expression per column (over one column ``itemgetter`` returns the
+    bare value, not a tuple).
+    """
 
     def __init__(
         self,
@@ -387,8 +416,17 @@ class ProjectOp(MappedDeltaOperator):
         self.child = child
         self.expressions = tuple(expressions)
         self.schema = out_schema
+        self._pick = None
+        if len(self.expressions) > 1 and all(
+            isinstance(e, Column) for e in self.expressions
+        ):
+            self._pick = itemgetter(
+                *(child.schema.index_of(e.name) for e in self.expressions)
+            )
 
     def _map_tuple(self, item: OngoingTuple) -> OngoingTuple:
+        if self._pick is not None:
+            return OngoingTuple(self._pick(item.values), item.rt)
         in_schema = self.child.schema
         return OngoingTuple(
             tuple(e.evaluate(item.values, in_schema) for e in self.expressions),
@@ -1117,6 +1155,36 @@ class _Descending:
         return f"desc({self.key!r})"
 
 
+class _TieBreak:
+    """The last part of a row's sort key: the row, ordered by its
+    ``repr``.  Reprs are value-faithful (ongoing rationals render their
+    canonical reduced form), so equal rows encode equally and distinct
+    rows differently — the full key is unique per row.
+
+    The repr is rendered only for a tie: a tuple comparison asks ``==``
+    of each part before ``<`` of the first unequal one, so this part is
+    compared only when every sort column ties, and ``==`` is the rows'
+    own equality.
+    """
+
+    __slots__ = ("row", "_text")
+
+    def __init__(self, row: OngoingTuple):
+        self.row = row
+        self._text: Optional[str] = None
+
+    def _repr(self) -> str:
+        if self._text is None:
+            self._text = repr(self.row)
+        return self._text
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _TieBreak) and self.row == other.row
+
+    def __lt__(self, other: "_TieBreak") -> bool:
+        return self._repr() < other._repr()
+
+
 def _eventual_key(value: object) -> object:
     """A sortable key for *value* under the eventual order.
 
@@ -1144,8 +1212,9 @@ class SortLimitOp(PhysicalOperator):
 
     Rows are ordered by the **eventual order** of their sort-key values
     (see :func:`_eventual_key`), with a deterministic whole-row encoding
-    as the final tie-break so the order — and therefore the top-k *set*
-    — is insensitive to input order.
+    as the final tie-break (:class:`_TieBreak`, rendered for ties only)
+    so the order — and therefore the top-k *set* — is insensitive to
+    input order.
 
     The state is O(k): ``window``, a sorted list of ``(row_key, row)`` —
     the current top-k (all rows when there is no limit) — plus
@@ -1180,10 +1249,7 @@ class SortLimitOp(PhysicalOperator):
         for position, descending in self.key_positions:
             key = _eventual_key(item.values[position])
             parts.append(_Descending(key) if descending else key)
-        # The tie-break: reprs are value-faithful (ongoing rationals render
-        # their canonical reduced form), so equal rows encode equally and
-        # distinct rows differently — the full key is unique per row.
-        parts.append(repr(item))
+        parts.append(_TieBreak(item))
         return tuple(parts)
 
     def __iter__(self) -> Iterator[OngoingTuple]:

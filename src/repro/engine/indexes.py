@@ -2,20 +2,33 @@
 
 Two families live here:
 
-* :class:`IntervalIndex` — Section X future work, implemented.  The
-  paper's outlook asks for "index access methods for ongoing time points
-  (based on the approaches for indexing fixed time intervals)".  The
-  natural construction indexes the fixed **envelope** ``[a, d)`` of each
-  ongoing interval ``[a+b, c+d)``: every instantiation of the interval
-  lies inside its envelope, so envelope retrieval is a lossless candidate
-  filter for any temporal predicate — the exact reference times are then
-  computed by the ongoing predicate on the (usually few) candidates.
-  It is a classical centered interval tree: ``O(n log n)`` build,
-  ``O(log n + k)`` stabbing/range queries.  For expanding intervals
-  ``[a, now)`` the envelope is right-open (``d = +inf``), which the tree
-  handles like any other interval (the domain limits are ordinary
-  values).  Since PR 7 the planner builds it for cold evaluation of
-  temporal selections over scans (:class:`~repro.engine.executor.IntervalScan`).
+* The **access paths of a cold scan**, built over a table snapshot and
+  cached per table version (:meth:`~repro.engine.database.Table.interval_index`,
+  :meth:`~repro.engine.database.Table.partition_index`) until the
+  table's next write.  Both hand a scan's parent a *superset* of the
+  rows its selection keeps — the selection still judges every
+  candidate — so reading through them is lossless; the cold build behind
+  every subscribe, resume and fallback refresh and the pull path behind
+  ``Database.query`` read them alike.
+
+  - :class:`IntervalIndex` — Section X future work, implemented.  The
+    paper's outlook asks for "index access methods for ongoing time
+    points (based on the approaches for indexing fixed time intervals)".
+    The natural construction indexes the fixed **envelope** ``[a, d)``
+    of each ongoing interval ``[a+b, c+d)``: every instantiation of the
+    interval lies inside its envelope, so envelope retrieval is a
+    lossless candidate filter for any temporal predicate — the exact
+    reference times are then computed by the ongoing predicate on the
+    (usually few) candidates.  It is a classical centered interval tree
+    built from one sort by envelope start: ``O(n log n)`` build,
+    ``O(log n + k)`` stabbing/range queries.  For expanding intervals
+    ``[a, now)`` the envelope is right-open (``d = +inf``), which the
+    tree handles like any other interval (the domain limits are ordinary
+    values).  The planner reads it for temporal selections over scans
+    (:class:`~repro.engine.executor.IntervalScan`).
+  - :func:`equality_buckets` — a fixed column's rows grouped by value,
+    which an equality selection over a scan probes
+    (a :class:`~repro.engine.executor.SeqScan` access path).
 
 * The **secondary-index registry** (:class:`SecondaryIndexRegistry` with
   :class:`OrderedIndex`, :class:`PartitionIndex`, and
@@ -29,11 +42,15 @@ Two families live here:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from statistics import median_low
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import islice
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
+from repro.core.rational import OngoingRational
 from repro.core.timeline import TimePoint
+from repro.core.timepoint import OngoingTimePoint
 from repro.errors import QueryError
 from repro.relational.relation import OngoingRelation
 from repro.relational.tuples import OngoingTuple
@@ -44,9 +61,13 @@ __all__ = [
     "OrderedIndex",
     "PartitionIndex",
     "SecondaryIndexRegistry",
+    "equality_buckets",
 ]
 
 Entry = Tuple[int, int, OngoingTuple]  # (envelope start, envelope end, tuple)
+
+_START = itemgetter(0)
+_END = itemgetter(1)
 
 
 class _Node:
@@ -57,42 +78,46 @@ class _Node:
     def __init__(
         self,
         center: TimePoint,
-        overlapping: List[Entry],
+        by_start: List[Entry],
         left: Optional["_Node"],
         right: Optional["_Node"],
     ):
         self.center = center
-        self.by_start = sorted(overlapping, key=lambda e: e[0])
-        self.by_end = sorted(overlapping, key=lambda e: e[1], reverse=True)
+        self.by_start = by_start
+        self.by_end = sorted(by_start, key=_END, reverse=True)
         self.left = left
         self.right = right
 
 
+def _tree(entries: Iterable[Entry]) -> Optional[_Node]:
+    """The centered tree over *entries*, from one sort by envelope start.
+
+    An empty envelope (e.g. a row inserted and terminated at the same
+    time) overlaps nothing and is left out.
+    """
+    return _build(sorted((e for e in entries if e[0] < e[1]), key=_START))
+
+
 def _build(entries: List[Entry]) -> Optional[_Node]:
+    """Build over non-empty envelopes sorted by start.
+
+    The center is the midpoint of the middle entry.  The entries right
+    of it are the suffix starting after it (one bisection); the prefix
+    splits into those ending at or before it and those straddling it.
+    Every part keeps start order, so the straddling entries are the
+    node's ``by_start`` as they come and no level sorts again.
+    Termination: a non-empty envelope ``[s, e)`` holds its own midpoint
+    ``s + (e-s)//2`` (``s <=`` it ``< e``), so the middle entry straddles
+    the center and each side list is strictly shorter than ``entries``.
+    """
     if not entries:
         return None
-    center = median_low(
-        entry[0] + (entry[1] - entry[0]) // 2 for entry in entries
-    )
-    here: List[Entry] = []
-    to_left: List[Entry] = []
-    to_right: List[Entry] = []
-    for entry in entries:
-        start, end, _ = entry
-        if start >= end:
-            # An empty envelope (e.g. a row inserted and terminated at the
-            # same time) overlaps nothing, and would never leave the side
-            # lists: it straddles no center, its own midpoint included.
-            continue
-        if end <= center:
-            to_left.append(entry)
-        elif start > center:
-            to_right.append(entry)
-        else:
-            here.append(entry)
-    # Termination: the median entry straddles the center (or was dropped),
-    # so each side list is strictly shorter than ``entries``.
-    return _Node(center, here, _build(to_left), _build(to_right))
+    start, end, _ = entries[len(entries) // 2]
+    center = start + (end - start) // 2
+    cut = bisect_right(entries, center, key=_START)
+    here = [entry for entry in islice(entries, cut) if entry[1] > center]
+    to_left = [entry for entry in islice(entries, cut) if entry[1] <= center]
+    return _Node(center, here, _build(to_left), _build(entries[cut:]))
 
 
 class IntervalIndex:
@@ -116,7 +141,7 @@ class IntervalIndex:
             entries.append((value.start.a, value.end.b, item))
         self.attribute = attribute
         self.size = len(entries)
-        self._root = _build(entries)
+        self._root = _tree(entries)
 
     # ------------------------------------------------------------------
     # Queries
@@ -132,43 +157,45 @@ class IntervalIndex:
         if start >= end:
             return []
         result: List[OngoingTuple] = []
-        self._collect(self._root, start, end, result)
+        _collect_entries(self._root, start, end, result)
         return result
 
     def stabbing(self, point: TimePoint) -> List[OngoingTuple]:
         """Tuples whose envelope contains *point*."""
         return self.overlapping(point, point + 1)
 
-    def _collect(
-        self,
-        node: Optional[_Node],
-        start: TimePoint,
-        end: TimePoint,
-        result: List[OngoingTuple],
-    ) -> None:
-        if node is None:
-            return
-        if end <= node.center:
-            # Query lies left of center: among the straddling entries only
-            # those starting before the query end can overlap.
-            for entry_start, _, item in node.by_start:
-                if entry_start >= end:
-                    break
-                result.append(item)
-            self._collect(node.left, start, end, result)
-        elif start > node.center:
-            # Query lies right of center: need entries ending after start.
-            for _, entry_end, item in node.by_end:
-                if entry_end <= start:
-                    break
-                result.append(item)
-            self._collect(node.right, start, end, result)
+
+def equality_buckets(
+    relation: OngoingRelation, attribute: str
+) -> Optional[Dict[object, List[OngoingTuple]]]:
+    """*relation*'s rows grouped by their value of a fixed *attribute*.
+
+    A bucket keeps the relation's order.  Looking a constant up finds
+    exactly the rows whose value ``==`` it: a ``dict`` matches by hash and
+    equality, and equal values hash alike (``True`` and ``1`` share a
+    bucket, as they compare equal).  Returns ``None`` when the attribute
+    is ongoing or holds an ongoing value — an ongoing comparison, not
+    ``==``, decides equality for those.
+    """
+    schema = relation.schema
+    if schema.attribute(attribute).kind.is_ongoing:
+        return None
+    position = schema.index_of(attribute)
+    buckets: Dict[object, List[OngoingTuple]] = {}
+    for item in relation:
+        value = item.values[position]
+        if isinstance(value, ONGOING_VALUES):
+            return None
+        bucket = buckets.get(value)
+        if bucket is None:
+            buckets[value] = [item]
         else:
-            # Query spans the center: every straddling entry overlaps.
-            for entry in node.by_start:
-                result.append(entry[2])
-            self._collect(node.left, start, end, result)
-            self._collect(node.right, start, end, result)
+            bucket.append(item)
+    return buckets
+
+
+#: Values whose equality an ongoing comparison decides, not ``==``.
+ONGOING_VALUES = (OngoingTimePoint, OngoingInt, OngoingRational)
 
 
 # ----------------------------------------------------------------------
@@ -353,11 +380,9 @@ class IntervalProbeIndex:
         pending = len(self._overlay) + len(self._removed)
         if pending <= max(self.REBUILD_FLOOR, len(self._envelopes) // 4):
             return
-        self._root = _build(
-            [
-                (start, end, item)
-                for item, (start, end) in self._envelopes.items()
-            ]
+        self._root = _tree(
+            (start, end, item)
+            for item, (start, end) in self._envelopes.items()
         )
         self._overlay = OrderedIndex()
         self._overlay_items.clear()
@@ -367,22 +392,27 @@ class IntervalProbeIndex:
 def _collect_entries(
     node: Optional[_Node], start: int, end: int, result: List[Any]
 ) -> None:
-    """`IntervalIndex._collect` over a raw root (shared tree walker)."""
+    """Append the items of *node*'s tree whose envelope overlaps the
+    non-empty ``[start, end)`` (the tree walk of both interval indexes)."""
     if node is None:
         return
     if end <= node.center:
+        # Query lies left of center: among the straddling entries only
+        # those starting before the query end can overlap.
         for entry_start, _, item in node.by_start:
             if entry_start >= end:
                 break
             result.append(item)
         _collect_entries(node.left, start, end, result)
     elif start > node.center:
+        # Query lies right of center: need entries ending after start.
         for _, entry_end, item in node.by_end:
             if entry_end <= start:
                 break
             result.append(item)
         _collect_entries(node.right, start, end, result)
     else:
+        # Query spans the center: every straddling entry overlaps.
         for entry in node.by_start:
             result.append(entry[2])
         _collect_entries(node.left, start, end, result)

@@ -44,6 +44,7 @@ from repro.engine.executor import (
     SortLimitOp,
     UnionOp,
 )
+from repro.engine.indexes import ONGOING_VALUES
 from repro.errors import QueryError, SchemaError
 from repro.relational.algebra import infer_kind  # shared column-kind logic
 from repro.relational.predicates import (
@@ -152,17 +153,38 @@ class Planner:
     def _plan_select(
         self, node: logical.Select, database
     ) -> PhysicalOperator:
+        """The predicate split, and the access path of the scan below.
+
+        A selection directly over a base-table scan (not over a
+        ``@fingerprint`` store, which has no indexes) may read the scan
+        through an access path — an interval-index window for a temporal
+        conjunct (:meth:`_plan_interval_scan`), else an equality bucket
+        for a ``column = constant`` fixed conjunct
+        (:meth:`_plan_bucket_probe`) — when the cost model judges the
+        table big enough.  Either is a superset of what the selection
+        keeps, and the selection's filters above still evaluate every
+        candidate — which is why a probe is planned only here, directly
+        under the selection that owns its conjunct.
+        """
         child = self.plan(node.child, database)
         fixed_parts, ongoing_parts = self._split_conjuncts(node.predicate, child.schema)
         if (
             self.optimize
-            and ongoing_parts
             and isinstance(node.child, logical.Scan)
             and type(child) is SeqScan
+            and child.label == node.child.table
+            and self.cost_model.use_index(len(child.relation))
         ):
-            indexed = self._plan_interval_scan(node.child, child, ongoing_parts, database)
-            if indexed is not None:
-                child = indexed
+            table = database.table(node.child.table)
+            # The indexes are built over the table's current snapshot: a
+            # write since the scan took its own leaves the plain scan.
+            with table.lock:
+                if table.as_relation() is child.relation:
+                    child = (
+                        self._plan_interval_scan(table, child, ongoing_parts)
+                        or self._plan_bucket_probe(table, child, fixed_parts)
+                        or child
+                    )
         result: PhysicalOperator = child
         if fixed_parts:
             result = FixedFilter(result, fixed_parts)
@@ -170,34 +192,58 @@ class Planner:
             result = OngoingFilter(result, ongoing_parts)
         return result
 
+    @staticmethod
     def _plan_interval_scan(
-        self,
-        scan: logical.Scan,
-        child: SeqScan,
-        ongoing_parts: Sequence[Predicate],
-        database,
+        table, child: SeqScan, ongoing_parts: Sequence[Predicate]
     ) -> Optional[IntervalScan]:
         """Swap a scan under a temporal selection for an index probe.
 
-        Eligible when the cost model judges the table big enough and some
-        ongoing conjunct compares an interval column of the scan against a
-        constant interval with an overlap-family Allen relation — then
-        envelope overlap with the constant's envelope is a necessary
-        condition for the conjunct, so reading only the index candidates
-        is lossless (the conjunct itself still runs in the enclosing
-        :class:`OngoingFilter`).
+        Eligible when some ongoing conjunct compares an interval column
+        of the scan against a constant interval with an overlap-family
+        Allen relation — then envelope overlap with the constant's
+        envelope is a necessary condition for the conjunct, so reading
+        only the index candidates is lossless (the conjunct itself still
+        runs in the enclosing :class:`OngoingFilter`).  Read by a cold
+        build and by the pull path alike; a warm apply reads no index.
         """
-        if not self.cost_model.use_index(len(child.relation)):
-            return None
         for conjunct in ongoing_parts:
             probe = _as_index_probe(conjunct, child.schema)
             if probe is None:
                 continue
             attribute, window = probe
-            index = database.table(scan.table).interval_index(attribute)
+            index = table.interval_index(attribute)
             if index is None:
                 continue
-            return IntervalScan(child.relation, index, window, label=scan.table)
+            return IntervalScan(child.relation, index, window, label=table.name)
+        return None
+
+    @staticmethod
+    def _plan_bucket_probe(
+        table, child: SeqScan, fixed_parts: Sequence[Predicate]
+    ) -> Optional[SeqScan]:
+        """Give a scan under ``column = constant`` the constant's bucket.
+
+        The bucket of :meth:`~repro.engine.database.Table.partition_index`
+        holds exactly the rows whose value ``==`` the constant, which is
+        what the fixed comparison tests — so it is a lossless candidate
+        set (the conjunct itself still runs in the enclosing
+        :class:`FixedFilter`).  A constant whose equality an ongoing
+        comparison decides, or that cannot be hashed, is not probed.
+        """
+        for conjunct in fixed_parts:
+            probe = _as_equality_probe(conjunct)
+            if probe is None:
+                continue
+            column, value = probe
+            buckets = table.partition_index(column)
+            if buckets is None:
+                continue
+            return SeqScan(
+                child.relation,
+                label=child.label,
+                live=child.live,
+                probe=(column, value, buckets.get(value, ())),
+            )
         return None
 
     # ------------------------------------------------------------------
@@ -520,6 +566,30 @@ def _as_index_probe(
             if conjunct.name == "contains" and column_on == "right":
                 continue
         return column.name, (value.start.a, value.end.b)
+    return None
+
+
+def _as_equality_probe(
+    conjunct: Predicate,
+) -> Optional[Tuple[str, object]]:
+    """Recognize ``column = constant`` (either orientation) with a
+    constant a bucket lookup can find; return the column name and it."""
+    if not isinstance(conjunct, Comparison) or conjunct.op != "=":
+        return None
+    for column, literal in (
+        (conjunct.left, conjunct.right),
+        (conjunct.right, conjunct.left),
+    ):
+        if not isinstance(column, Column) or not isinstance(literal, Literal):
+            continue
+        value = literal.value
+        if isinstance(value, ONGOING_VALUES):
+            return None
+        try:
+            hash(value)
+        except TypeError:
+            return None
+        return column.name, value
     return None
 
 

@@ -34,10 +34,8 @@ class ChangeEvent:
     ``version`` is the table's monotonic modification counter *after* the
     change; coalesced modifications (a :meth:`~repro.engine.database.Table.batch`
     block, a current update) produce exactly one event.  ``delta`` names
-    the changed rows when the write path could type them (``None`` for
-    events observed through the untyped change-listener channel); the
-    delta is carried for consumers and does not participate in event
-    identity.
+    the changed rows (``None`` for an event built by hand); it is carried
+    for consumers and does not participate in event identity.
     """
 
     table: str

@@ -144,8 +144,8 @@ class TestChangeEventContract:
         table = _table()
         table.insert((500, until_now(d(1, 25))), at=d(1, 26))
         events = []
-        table.table.add_change_listener(
-            lambda name, version: events.append(version)
+        table.table.add_delta_listener(
+            lambda name, version, delta: events.append(version)
         )
         affected = table.update(
             lambda row: row.values[0] == 500,

@@ -8,8 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.interval import OngoingInterval, fixed_interval, until_now
-from repro.core.timeline import mmdd
+from repro.core.timeline import MINUS_INF, PLUS_INF, mmdd
 from repro.core.timepoint import NOW, fixed
+from repro.engine.cost import CostModel
+from repro.engine.database import Database
+from repro.engine.delta import Delta, DeltaEvaluator
 from repro.engine.indexes import (
     IntervalIndex,
     IntervalProbeIndex,
@@ -17,9 +20,14 @@ from repro.engine.indexes import (
     PartitionIndex,
     SecondaryIndexRegistry,
 )
+from repro.engine.plan import scan
+from repro.engine.planner import plan_query
 from repro.errors import QueryError
+from repro.relational.algebra import select
+from repro.relational.predicates import col, lit
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Schema
+from repro.relational.tuples import OngoingTuple
 
 _SCHEMA = Schema.of("ID", ("VT", "interval"))
 
@@ -124,6 +132,148 @@ class TestAgainstBruteForce:
         got = {t.values[0] for t in index.overlapping(qs, qs + width)}
         want = {t.values[0] for t in _brute_force(relation, qs, qs + width)}
         assert got == want
+
+
+#: Envelopes that reach ``+inf`` (``[a, now)``) and ``-inf`` (``[now, b)``),
+#: empty ones (``[a, a)``) and plain fixed ones.
+_ANY_INTERVAL = st.one_of(
+    st.integers(0, 60).map(until_now),
+    st.integers(0, 60).map(lambda end: OngoingInterval(NOW, fixed(end))),
+    st.tuples(st.integers(0, 60), st.integers(0, 60)).map(
+        lambda pair: fixed_interval(min(pair), max(pair))
+    ),
+)
+_WINDOWS = st.lists(
+    st.one_of(
+        st.tuples(st.integers(-5, 65), st.integers(1, 30)).map(
+            lambda pair: (pair[0], pair[0] + pair[1])
+        ),
+        st.just((MINUS_INF, PLUS_INF)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _envelope(interval):
+    return interval.start.a, interval.end.b
+
+
+class TestOneSortTree:
+    """Both trees are built from one sort by envelope start; each returns
+    exactly the brute-force envelope-overlap filter, every hit once."""
+
+    @given(
+        intervals=st.lists(_ANY_INTERVAL, max_size=60),
+        duplicated=st.integers(0, 10),
+        windows=_WINDOWS,
+    )
+    def test_interval_index_is_the_brute_force_filter(
+        self, intervals, duplicated, windows
+    ):
+        relation = _relation(intervals + intervals[:duplicated])  # equal envelopes
+        index = IntervalIndex(relation, "VT")
+        for start, end in windows:
+            got = [item.values[0] for item in index.overlapping(start, end)]
+            want = [item.values[0] for item in _brute_force(relation, start, end)]
+            assert sorted(got) == sorted(want), (start, end)
+
+    @given(
+        intervals=st.lists(_ANY_INTERVAL, min_size=20, max_size=80),
+        removed=st.sets(st.integers(0, 79)),
+        windows=_WINDOWS,
+    )
+    def test_probe_index_rebuild_is_the_brute_force_filter(
+        self, intervals, removed, windows
+    ):
+        # Twenty adds outgrow the overlay (REBUILD_FLOOR): the base tree
+        # is rebuilt, and removals leave tombstones or rebuild again.
+        index = IntervalProbeIndex()
+        live = {}
+        for item, interval in enumerate(intervals):
+            live[item] = _envelope(interval)
+            index.add(item, *live[item])
+        for item in removed & set(live):
+            index.remove(item)
+            del live[item]
+        for start, end in windows:
+            want = [
+                item
+                for item, (low, high) in live.items()
+                if low < high and low < end and start < high
+            ]
+            assert sorted(index.overlapping(start, end)) == want, (start, end)
+
+    def test_nested_envelopes_terminate(self):
+        """Envelopes halving from the whole domain down, all starting at
+        0: each level's middle entry straddles its own midpoint, so the
+        build ends, with every hit found once."""
+        intervals = [fixed_interval(0, 2**60 >> depth) for depth in range(60)]
+        intervals += [fixed_interval(7, 8)] * 3 + [until_now(0)] * 3
+        index = IntervalIndex(_relation(intervals), "VT")
+        assert len(index.overlapping(0, 1)) == len(intervals) - 3
+        assert len(index.overlapping(MINUS_INF, PLUS_INF)) == len(intervals)
+
+
+class TestPerVersionCaches:
+    """Every write drops the interval index and the equality buckets of
+    the version it replaced, and a cold build after it sees the write."""
+
+    _SCHEMA = Schema.of("ID", "P", ("VT", "interval"))
+    _ROWS = (
+        OngoingTuple((0, "x", fixed_interval(0, 10))),
+        OngoingTuple((1, "y", fixed_interval(2, 8))),
+        OngoingTuple((2, "x", until_now(5))),
+    )
+    _WRITES = {
+        "insert_tuples": lambda table: table.insert_tuples(
+            (OngoingTuple((3, "x", fixed_interval(1, 4))),)
+        ),
+        "apply_delta": lambda table: table.apply_delta(  # updated into "x"
+            Delta.update(
+                (OngoingTuple((1, "y", fixed_interval(2, 8))),),
+                (OngoingTuple((1, "x", fixed_interval(2, 8))),),
+            )
+        ),
+        "delete_where": lambda table: table.delete_where(
+            lambda row: row.values[0] != 0
+        ),
+        "replace_all": lambda table: table.replace_all(
+            (OngoingTuple((5, "x", fixed_interval(3, 6))),)
+        ),
+        "restore": lambda table: table.restore(
+            (OngoingTuple((6, "x", fixed_interval(0, 3))),), table.version + 1
+        ),
+    }
+    _SELECTIONS = (
+        col("P") == lit("x"),
+        col("VT").overlaps(lit(fixed_interval(1, 6))),
+    )
+
+    @staticmethod
+    def _cold(db, predicate):
+        plan = scan("E").where(predicate)
+        model = CostModel(index_threshold=0)  # every table is big enough
+        text = plan_query(plan, db, cost_model=model).explain()
+        assert "IntervalScan" in text or "P = 'x':" in text  # an access path
+        return DeltaEvaluator(plan, db, cost_model=model).refresh_full()
+
+    @pytest.mark.parametrize("write", sorted(_WRITES))
+    def test_a_write_drops_both_caches(self, write):
+        db = Database("caches")
+        table = db.create_table("E", self._SCHEMA)
+        table.insert_tuples(self._ROWS)
+        before = [self._cold(db, predicate) for predicate in self._SELECTIONS]
+        interval, buckets = table.interval_index("VT"), table.partition_index("P")
+        assert table.interval_index("VT") is interval
+        assert table.partition_index("P") is buckets
+        self._WRITES[write](table)
+        assert table.interval_index("VT") is not interval
+        assert table.partition_index("P") is not buckets
+        for predicate, old in zip(self._SELECTIONS, before):
+            cold = self._cold(db, predicate)
+            assert cold == select(table.as_relation(), predicate)
+            assert cold != old  # the write moved this selection
 
 
 class TestOrderedIndex:

@@ -181,13 +181,17 @@ class TestVersionBumps:
         table = _table()
         current_insert(table, (500, "v1"), at=d(1, 25))
         events = []
-        table.add_change_listener(lambda name, version: events.append(version))
+        table.add_delta_listener(
+            lambda name, version, delta: events.append((version, delta))
+        )
         terminated = current_update(
             table, lambda row: row.values[0] == 500, (500, "v2"), at=d(6, 1)
         )
         assert terminated == 1
         assert table.version == 2
-        assert events == [2]
+        [(version, delta)] = events
+        assert version == 2
+        assert (len(delta.deleted), len(delta.inserted)) == (1, 2)
 
     def test_delete_where_bumps_only_when_rows_removed(self):
         table = _table()

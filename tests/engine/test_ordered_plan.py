@@ -13,11 +13,14 @@ from repro.core.integer import OngoingInt
 from repro.core.rational import OngoingRational
 from repro.core.timeline import MINUS_INF, PLUS_INF
 from repro.engine.database import Database
+from repro.engine.delta import DeltaEvaluator
 from repro.engine.plan import Aggregate, Distinct, SortLimit, scan
+from repro.engine.planner import plan_query
 from repro.errors import QueryError
 from repro.live import LiveSession
 from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
+from repro.relational.tuples import OngoingTuple
 
 
 def _database() -> Database:
@@ -143,6 +146,73 @@ class TestEventualOrderOfMixedKeys:
         assert _full_refreshes(session) == 0
         top = db.query(scan("M").order_by(("V", True), limit=2))
         assert {row.values[1] for row in top} == {"grows", "ongoing-int"}
+
+
+class TestTieBreak:
+    """Rows tied on every sort key are ordered by their ``repr`` — which
+    is rendered for those rows only."""
+
+    #: (K, N): K = 10, 9 and 2 all average 5/2; N = 1 is held twice.
+    ROWS = [(10, 2), (10, 3), (9, 1), (9, 4), (2, 0), (2, 5), (1, 1), (3, 7)]
+    #: The groups by AVG(N) DESC: 10 before 2 before 9 is ``repr`` order.
+    BY_AVERAGE = [3, 10, 2, 9, 1]
+    BY_N = [(2, 0), (1, 1), (9, 1), (10, 2), (10, 3), (9, 4), (2, 5), (3, 7)]
+
+    def _database(self) -> Database:
+        db = Database("tie-break")
+        table = db.create_table("R", Schema.of("K", "N"))
+        for row in self.ROWS:
+            table.insert(*row)
+        return db
+
+    @staticmethod
+    def _by_average(limit=None):
+        return (
+            scan("R")
+            .group_by(("K",), specs=[("avg", "N", "a")])
+            .order_by(("a", True), limit=limit)
+        )
+
+    def test_tied_rows_keep_the_repr_order(self):
+        db = self._database()
+        ranked = list(plan_query(self._by_average(), db))
+        assert [row.values[0] for row in ranked] == self.BY_AVERAGE
+        assert all(isinstance(row.values[1], OngoingRational) for row in ranked)
+        assert repr(ranked[1].values[1]) == repr(ranked[3].values[1])  # a tie
+        assert [
+            row.values for row in plan_query(scan("R").order_by("N"), db)
+        ] == self.BY_N
+        top = db.query(self._by_average(limit=2))
+        assert {row.values[0] for row in top} == {3, 10}
+
+    def test_a_warm_window_keeps_the_order(self):
+        db = self._database()
+        session = LiveSession(db)
+        sub = session.subscribe(self._by_average(limit=3))
+        db.table("R").delete_where(lambda row: row.values != (10, 3))
+        db.table("R").insert(10, 3)  # the group leaves and comes back
+        session.flush()
+        assert sub.result == db.query(self._by_average(limit=3))
+        assert {row.values[0] for row in sub.result} == {3, 10, 2}
+
+    def test_repr_is_rendered_for_ties_only(self, monkeypatch):
+        db = self._database()
+        rendered = []
+        render = OngoingTuple.__repr__
+
+        def spy(row):
+            rendered.append(row.values[0])
+            return render(row)
+
+        monkeypatch.setattr(OngoingTuple, "__repr__", spy)
+        DeltaEvaluator(self._by_average(), db).refresh_full()
+        assert set(rendered) == {10, 9, 2}  # the three groups at 5/2
+        rendered.clear()
+        DeltaEvaluator(scan("R").order_by("N"), db).refresh_full()
+        assert sorted(rendered) == [1, 9]  # the two rows at N = 1
+        rendered.clear()
+        DeltaEvaluator(scan("R").order_by("N", "K"), db).refresh_full()
+        assert rendered == []  # no two rows tie on (N, K)
 
 
 class TestTopKBoundaryChurn:

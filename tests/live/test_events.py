@@ -66,6 +66,8 @@ class TestErrorTopicGuard(ErrorTopicGuardContract):
 
 
 class TestDatabaseChangeEvents:
+    """The catalog-wide delta channel: one event per modification."""
+
     def _database(self):
         db = Database("events")
         db.create_table("B", Schema.of("BID", "C", ("VT", "interval")))
@@ -74,7 +76,11 @@ class TestDatabaseChangeEvents:
     def test_events_carry_table_and_monotonic_version(self):
         db = self._database()
         events = []
-        db.add_change_listener(lambda table, version: events.append(ChangeEvent(table, version)))
+        db.add_delta_listener(
+            lambda table, version, delta: events.append(
+                ChangeEvent(table, version, delta)
+            )
+        )
         table = db.table("B")
         table.insert(500, "X", until_now(d(1, 25)))
         current_insert(db.table("B"), (501, "Y"), at=d(2, 1))
@@ -84,34 +90,42 @@ class TestDatabaseChangeEvents:
             ChangeEvent("B", 2),
             ChangeEvent("B", 3),
         ]
+        assert [len(event.delta.inserted) for event in events] == [1, 1, 1]
+        assert [len(event.delta.deleted) for event in events] == [0, 0, 1]
         assert db.table_version("B") == 3
         assert db.table_versions() == {"B": 3}
 
     def test_removed_listener_hears_nothing(self):
         db = self._database()
         events = []
-        listener = db.add_change_listener(lambda table, version: events.append(table))
-        db.remove_change_listener(listener)
+        listener = db.add_delta_listener(
+            lambda table, version, delta: events.append(table)
+        )
+        db.remove_delta_listener(listener)
         db.table("B").insert(500, "X", until_now(d(1, 25)))
         assert events == []
 
     def test_batch_coalesces_to_one_event(self):
         db = self._database()
         events = []
-        db.add_change_listener(lambda table, version: events.append((table, version)))
+        db.add_delta_listener(
+            lambda table, version, delta: events.append(
+                (table, version, len(delta.inserted))
+            )
+        )
         table = db.table("B")
         with table.batch():
             table.insert(500, "X", until_now(d(1, 25)))
             table.insert(501, "Y", until_now(d(1, 26)))
             with table.batch():  # nested batches coalesce into the outermost
                 table.insert(502, "Z", until_now(d(1, 27)))
-        assert events == [("B", 1)]
+        assert events == [("B", 1, 3)]
         assert len(table) == 3
 
     def test_empty_batch_emits_nothing(self):
         db = self._database()
         events = []
-        db.add_change_listener(lambda table, version: events.append(table))
+        db.add_delta_listener(lambda table, version, delta: events.append(table))
         with db.table("B").batch():
             pass
         assert events == []
@@ -120,6 +134,10 @@ class TestDatabaseChangeEvents:
     def test_drop_table_notifies_once(self):
         db = self._database()
         events = []
-        db.add_change_listener(lambda table, version: events.append((table, version)))
+        db.add_delta_listener(
+            lambda table, version, delta: events.append(
+                (table, version, delta.full)
+            )
+        )
         db.drop_table("B")
-        assert events == [("B", 1)]
+        assert events == [("B", 1, True)]
