@@ -12,8 +12,8 @@ wired in:
   an ephemeral port — the script scrapes its own ``/metrics``,
   ``/health``, ``/subscriptions``, and ``/explain`` endpoints exactly
   the way Prometheus or an operator would;
-* ``/explain`` shows each plan's operator counters and the numbers
-  behind its last delta-vs-full refresh decision.
+* ``/explain`` shows each plan's refresh totals and per-operator
+  counters, including the access path each probe took.
 
 Run with::
 

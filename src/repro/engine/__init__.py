@@ -9,11 +9,8 @@
 * :mod:`repro.engine.views` — materialized ongoing views (Section IX-C);
 * :mod:`repro.engine.storage` — the byte-accurate tuple layout of Table V;
 * :mod:`repro.engine.indexes` — envelope interval index plus the
-  secondary-index registry over delta-probe caches (Section X future
-  work);
-* :mod:`repro.engine.cost` — the cost model: three constants over the
-  numbers an evaluator has observed of itself (index-vs-scan probes,
-  delta-vs-full refreshes);
+  indexes over delta-probe caches (Section X future work), and the one
+  index-vs-scan cut, ``INDEX_THRESHOLD``;
 * :mod:`repro.engine.modifications` — Torp-style current insert / delete /
   update semantics;
 * :mod:`repro.engine.delta` — typed row deltas and the incremental
@@ -39,7 +36,6 @@ from repro.engine.plan import (
     Union,
     scan,
 )
-from repro.engine.cost import CostModel, DEFAULT_COST_MODEL, RefreshDecision
 from repro.engine.planner import Planner, plan_query
 from repro.engine.executor import (
     AggregateOp,
@@ -71,7 +67,6 @@ from repro.engine.indexes import (
     IntervalProbeIndex,
     OrderedIndex,
     PartitionIndex,
-    SecondaryIndexRegistry,
 )
 from repro.engine.modifications import current_delete, current_insert, current_update
 from repro.engine.bitemporal import BitemporalTable
@@ -94,9 +89,6 @@ __all__ = [
     "Select",
     "Union",
     "scan",
-    "CostModel",
-    "DEFAULT_COST_MODEL",
-    "RefreshDecision",
     "Planner",
     "plan_query",
     "AggregateOp",
@@ -124,7 +116,6 @@ __all__ = [
     "IntervalProbeIndex",
     "OrderedIndex",
     "PartitionIndex",
-    "SecondaryIndexRegistry",
     "current_delete",
     "current_insert",
     "current_update",

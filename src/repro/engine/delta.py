@@ -434,6 +434,12 @@ class DeltaEvaluator:
     #: they accelerate, so they are priced into :meth:`state_bytes`.
     INDEX_ENTRY_BYTES = 24
 
+    #: Price of one maintained top-k window entry *beyond* the row itself
+    #: (already priced via ``cached_rows``): the decorated sort key — a
+    #: (growth, offset) Fraction pair per sort column plus the tie-break
+    #: object and the sorted-list cell.
+    TOPK_KEY_BYTES = 40
+
     def __init__(
         self,
         plan,
@@ -441,18 +447,10 @@ class DeltaEvaluator:
         *,
         optimize: bool = True,
         tracer=None,
-        cost_model=None,
     ):
-        from repro.engine.cost import DEFAULT_COST_MODEL
-
         self.plan = plan
         self.database = database
         self.optimize = optimize
-        #: The observed-stats :class:`~repro.engine.cost.CostModel` that
-        #: operators consult for index-vs-scan probe decisions (threaded
-        #: into every :class:`OperatorState` at build time) and that
-        #: maintainers consult for delta-vs-full flush decisions.
-        self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         #: Optional :class:`~repro.obs.trace.TraceRecorder`; when enabled
         #: every ``apply_delta`` and store commit records a span.  The
         #: disabled/absent path costs one attribute check.
@@ -476,13 +474,6 @@ class DeltaEvaluator:
         #: Counters for introspection, stats, and the benchmarks.
         self.full_evaluations = 0
         self.delta_applications = 0
-        #: Observed costs feeding :meth:`CostModel.choose_refresh`: the
-        #: last full evaluation's wall time, and the cumulative delta
-        #: wall time / source delta rows (their ratio is the measured
-        #: per-row delta cost).
-        self.last_full_seconds: Optional[float] = None
-        self.apply_seconds_total = 0.0
-        self.apply_source_rows_total = 0
 
     # ------------------------------------------------------------------
     # Full evaluation (state building)
@@ -532,20 +523,14 @@ class DeltaEvaluator:
 
         states: Dict[object, OperatorState] = {}
         prices: Dict[OperatorState, Tuple[int, int]] = {}
-        started = perf_counter()
         try:
             root = plan_query(
-                self.plan,
-                self.database,
-                optimize=self.optimize,
-                cost_model=self.cost_model,
-                shared=shared,
+                self.plan, self.database, optimize=self.optimize, shared=shared
             )
             self._evaluate(root, root, states, prices)
         except Exception:
             self._invalidate()
             raise
-        self.last_full_seconds = perf_counter() - started
         self._root = root
         self._states = states
         self._state_prices = prices
@@ -588,7 +573,6 @@ class DeltaEvaluator:
         from repro.engine.executor import SeqScan
 
         state = node.delta_state()
-        state.extra["cost_model"] = self.cost_model
         states[node] = state
         child_prices: List[int] = []
         if isinstance(node, SeqScan):
@@ -680,8 +664,6 @@ class DeltaEvaluator:
         root = self._root
         if root is None:
             return 0
-        from repro.engine.cost import TOPK_KEY_BYTES
-
         default = (self.DEFAULT_ROW_BYTES, self.DEFAULT_ROW_BYTES)
         total = 0
         for state in self._states.values():
@@ -690,7 +672,7 @@ class DeltaEvaluator:
             total += self._index_entries(state) * self.INDEX_ENTRY_BYTES
             # A top-k window's rows are priced via cached_rows above; the
             # decorated sort keys are extra state on top.
-            total += len(state.extra.get("window", ())) * TOPK_KEY_BYTES
+            total += len(state.extra.get("window", ())) * self.TOPK_KEY_BYTES
         root_state = self._states[root]
         total -= root_state.row_count() * self._state_prices.get(
             root_state, default
@@ -699,9 +681,9 @@ class DeltaEvaluator:
 
     @staticmethod
     def _index_entries(state: OperatorState) -> int:
-        """Entries held by the state's secondary-index registry (0 if none)."""
-        registry = state.extra.get("indexes")
-        return 0 if registry is None else registry.entry_count()
+        """Entries held by the state's secondary indexes (0 if none)."""
+        indexes = state.extra.get("indexes", {})
+        return sum(len(index) for index in indexes.values())
 
     # ------------------------------------------------------------------
     # Delta propagation
@@ -735,7 +717,6 @@ class DeltaEvaluator:
             if not delta.is_empty():
                 relevant[name] = delta
         store = self._store
-        apply_started = perf_counter()
         try:
             # The store lock spans the propagation (whose final, atomic
             # step mutates the root index) and the version bump, so a
@@ -764,10 +745,6 @@ class DeltaEvaluator:
             self._invalidate()
             raise
         self.delta_applications += 1
-        self.apply_seconds_total += perf_counter() - apply_started
-        self.apply_source_rows_total += sum(
-            len(delta) for delta in relevant.values()
-        )
         return root_delta
 
     def _node_stats(self, path: str, node) -> NodeStats:
@@ -911,12 +888,9 @@ class DeltaEvaluator:
         def visit(node, path: str) -> None:
             state = self._states[node]
             if isinstance(node, MergeIntervalJoin):
-                registry = state.extra.get("indexes")
                 for side in ("left", "right"):
-                    cache = state.extra.get(side) or {}
-                    index = None if registry is None else registry.get(side)
-                    if index is None:
-                        continue
+                    cache = state.extra[side]
+                    index = state.extra["indexes"][side]
                     if len(index) != len(cache):
                         problems.append(
                             f"{path} {type(node).__name__}: {side} index "

@@ -17,8 +17,8 @@ The operators realize the implementation strategy of Section VIII:
   joins the paper cites [37]), and :class:`NestedLoopJoin` as the general
   fallback.
 
-All three joins produce identical relations; the planner picks by cost and
-the test suite checks the equivalence.
+All three joins produce identical relations; the planner picks by the
+join predicate's shape and the test suite checks the equivalence.
 
 **One rendering per operator.**  An operator *is* three things:
 ``_children()`` (its inputs), ``delta_state()`` (its state over empty
@@ -62,8 +62,8 @@ from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
 from repro.core.intervalset import IntervalSet
 from repro.core.rational import OngoingRational
+from repro.engine import indexes
 from repro.engine.accumulators import GroupAccumulators
-from repro.engine.cost import DEFAULT_COST_MODEL
 from repro.engine.delta import (
     Delta,
     EMPTY_DELTA,
@@ -71,11 +71,7 @@ from repro.engine.delta import (
     OperatorState,
     commit_changes,
 )
-from repro.engine.indexes import (
-    IntervalIndex,
-    PartitionIndex,
-    SecondaryIndexRegistry,
-)
+from repro.engine.indexes import IntervalIndex, IntervalProbeIndex, PartitionIndex
 from repro.errors import QueryError
 from repro.relational.aggregate import scalar_empty_row, validate_aggregate
 from repro.relational.algebra import match_set
@@ -102,12 +98,6 @@ __all__ = [
     "SortLimitOp",
     "materialize",
 ]
-
-
-def _state_cost_model(state: OperatorState):
-    """The cost model threaded into this state by its DeltaEvaluator
-    (falls back to the shared default for standalone states)."""
-    return state.extra.get("cost_model") or DEFAULT_COST_MODEL
 
 
 class PhysicalOperator:
@@ -722,11 +712,12 @@ class MergeIntervalJoin(_JoinBase):
     candidates to compute the precise RT.  Envelopes are computed once,
     at ``_add_side`` time, and cached as the side-dict values; each side
     additionally maintains an
-    :class:`~repro.engine.indexes.IntervalProbeIndex` over them (unless
-    the cost model disables indexes), so a probe costs O(log n + k)
-    instead of scanning the whole cached side.  Indexed and scanned
-    probes differ only on always-empty envelopes, which pair with
-    nothing that survives the residual.
+    :class:`~repro.engine.indexes.IntervalProbeIndex` over them
+    (``state.extra["indexes"][side]``), so a probe of a side holding at
+    least :data:`~repro.engine.indexes.INDEX_THRESHOLD` rows costs
+    O(log n + k) instead of a scan of the whole cached side.  Indexed
+    and scanned probes differ only on always-empty envelopes, which pair
+    with nothing that survives the residual.
 
     For fixed intervals the envelope is the interval itself and the
     filter is exact.  For expanding intervals ``[a, now)`` the envelope
@@ -748,23 +739,13 @@ class MergeIntervalJoin(_JoinBase):
         self.left_interval_position = left_interval_position
         self.right_interval_position = right_interval_position
 
-    def _side_index(self, state: OperatorState, side: str):
-        """The side's envelope index; ``None`` when indexes are disabled.
-
-        Created lazily (backfilled from the cached side) so a state built
-        under one cost model keeps working when probed under another.
-        """
-        if _state_cost_model(state).index_threshold is None:
-            return None
-        registry = state.extra.get("indexes")
-        if registry is None:
-            registry = state.extra["indexes"] = SecondaryIndexRegistry()
-        index = registry.get(side)
-        if index is None:
-            index = registry.interval(side)
-            for item, env in state.extra[side].items():
-                index.add(item, env[0], env[1])
-        return index
+    def delta_state(self) -> OperatorState:
+        state = super().delta_state()
+        state.extra["indexes"] = {
+            "left": IntervalProbeIndex(),
+            "right": IntervalProbeIndex(),
+        }
+        return state
 
     def _key(self, side: str, item: OngoingTuple) -> Tuple[int, int]:
         position = (
@@ -783,13 +764,9 @@ class MergeIntervalJoin(_JoinBase):
     ) -> None:
         cache = state.extra[side]
         if item not in cache:
-            # Resolve (and backfill) the index *before* the cache insert so
-            # a lazily created index does not see the item twice.
-            index = self._side_index(state, side)
             state.cached_rows += 1
             cache[item] = key
-            if index is not None:
-                index.add(item, key[0], key[1])
+            state.extra["indexes"][side].add(item, key[0], key[1])
 
     def _remove_side(
         self,
@@ -799,9 +776,7 @@ class MergeIntervalJoin(_JoinBase):
         key: Tuple[int, int],
     ) -> None:
         super()._remove_side(state, side, item, key)
-        registry = state.extra.get("indexes")
-        if registry is not None and registry.get(side) is not None:
-            registry.get(side).remove(item)
+        state.extra["indexes"][side].remove(item)
 
     def _matches(
         self, state: OperatorState, side: str, key: Tuple[int, int]
@@ -809,11 +784,10 @@ class MergeIntervalJoin(_JoinBase):
         start, end = key
         cache = state.extra[side]
         paths = state.extra.setdefault("access_paths", {})
-        if _state_cost_model(state).use_index(len(cache)):
-            index = self._side_index(state, side)
-            if index is not None:
-                paths[side] = f"index:interval({len(index)})"
-                return index.overlapping(start, end)
+        if len(cache) >= indexes.INDEX_THRESHOLD:
+            index = state.extra["indexes"][side]
+            paths[side] = f"index:interval({len(index)})"
+            return index.overlapping(start, end)
         paths[side] = f"scan({len(cache)})"
         return [
             item for item, env in cache.items() if env[0] < end and start < env[1]

@@ -1,5 +1,12 @@
 """Secondary indexes for cold scans and delta probes.
 
+One constant decides when an index is read instead of a scan:
+:data:`INDEX_THRESHOLD` rows.  The planner reads a table of at least
+that many rows through an access path, and a
+:class:`~repro.engine.executor.MergeIntervalJoin` probes a cached side of
+at least that many rows through its interval index.  Both read it at
+call time, so a test can move the cut.
+
 Two families live here:
 
 * The **access paths of a cold scan**, built over a table snapshot and
@@ -30,10 +37,10 @@ Two families live here:
     which an equality selection over a scan probes
     (a :class:`~repro.engine.executor.SeqScan` access path).
 
-* The **secondary-index registry** (:class:`SecondaryIndexRegistry` with
-  :class:`OrderedIndex`, :class:`PartitionIndex`, and
-  :class:`IntervalProbeIndex`) — incrementally maintained indexes over an
-  operator's cached delta state, so a probe against a big build side costs
+* **Incrementally maintained indexes** over an operator's cached delta
+  state: :class:`IntervalProbeIndex` (a merge join's two sides, with an
+  :class:`OrderedIndex` overlay) and :class:`PartitionIndex` (a
+  difference's left side), so a probe against a big build side costs
   ``O(log n + k)`` instead of a scan.  They live inside
   ``OperatorState.extra`` — priced into ``state_bytes()`` and
   dropped/rebuilt together with the state they index.
@@ -56,13 +63,20 @@ from repro.relational.relation import OngoingRelation
 from repro.relational.tuples import OngoingTuple
 
 __all__ = [
+    "INDEX_THRESHOLD",
     "IntervalIndex",
     "IntervalProbeIndex",
     "OrderedIndex",
     "PartitionIndex",
-    "SecondaryIndexRegistry",
     "equality_buckets",
 ]
+
+#: Rows from which an index is read instead of a scan: below it a probe
+#: is a linear scan (no tree walk, no post-filter), from it on the
+#: ``O(log n + k)`` index.  EXPLAIN shows which side of it a plan fell
+#: on (``IntervalScan`` / ``SeqScan … (col = v: n of N tuples)``, and
+#: ``access=`` per probed join side).
+INDEX_THRESHOLD = 32
 
 Entry = Tuple[int, int, OngoingTuple]  # (envelope start, envelope end, tuple)
 
@@ -417,52 +431,3 @@ def _collect_entries(
             result.append(entry[2])
         _collect_entries(node.left, start, end, result)
         _collect_entries(node.right, start, end, result)
-
-
-class SecondaryIndexRegistry:
-    """Named secondary indexes over one operator's cached delta state.
-
-    Lives in ``OperatorState.extra["indexes"]``: created when the state is
-    built, maintained in ``apply_delta``, priced into ``state_bytes()``,
-    and dropped/rebuilt together with the state.
-    """
-
-    __slots__ = ("_indexes",)
-
-    _KINDS = {
-        "ordered": OrderedIndex,
-        "partition": PartitionIndex,
-        "interval": IntervalProbeIndex,
-    }
-
-    def __init__(self) -> None:
-        self._indexes: Dict[str, Any] = {}
-
-    def ordered(self, name: str) -> OrderedIndex:
-        return self._get_or_create(name, "ordered")
-
-    def partition(self, name: str) -> PartitionIndex:
-        return self._get_or_create(name, "partition")
-
-    def interval(self, name: str) -> IntervalProbeIndex:
-        return self._get_or_create(name, "interval")
-
-    def _get_or_create(self, name: str, kind: str):
-        index = self._indexes.get(name)
-        if index is None:
-            index = self._KINDS[kind]()
-            self._indexes[name] = index
-        return index
-
-    def get(self, name: str):
-        return self._indexes.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._indexes
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._indexes)
-
-    def entry_count(self) -> int:
-        """Total entries across all indexes (the priced size)."""
-        return sum(len(index) for index in self._indexes.values())

@@ -21,8 +21,9 @@ warm, the accumulated row deltas per table:
 * :meth:`~IncrementalMaintainer.refresh` *claims* it whole
   (:meth:`~IncrementalMaintainer.take_pending`) and propagates its rows
   through the cached operator state, falling back to a logged full
-  re-evaluation when the state is cold, the deltas are full-flagged, the
-  propagation fails or the cost model measures a full run to be cheaper;
+  re-evaluation only when the state is cold or an operator's rule
+  refuses the delta (:class:`~repro.engine.delta.NonIncrementalDelta`,
+  a full-flagged delta included) — however large the batch;
 * :meth:`~IncrementalMaintainer.evaluate` *drops* it whole under the
   database write lock, which serializes it against ``note_change``
   (modification hooks fire with that lock held): every modification is
@@ -155,15 +156,14 @@ class RefreshOutcome:
 
     ``delta`` is the exact result-level change when the refresh
     propagated row deltas through cached operator state, and ``None``
-    when it was a full re-evaluation (cold state, full-flagged
-    deltas, a failed propagation, or the cost model's choice — all
-    automatic, all logged).  ``changed`` says whether the result set
-    differs from the one served before the refresh — on the delta path
-    that is ``not delta.is_empty()``, on the full path an explicit
-    old-vs-new comparison (O(|result|) on a path that is already
-    O(|result|)).  Neither field requires the caller to materialize a
-    snapshot: consumers that only need to know *whether* to notify never
-    pay a copy.
+    when it was a full re-evaluation (cold state, full-flagged deltas or
+    a failed propagation — automatic and logged).  ``changed`` says
+    whether the result set differs from the one served before the
+    refresh — on the delta path that is ``not delta.is_empty()``, on the
+    full path an explicit old-vs-new comparison (O(|result|) on a path
+    that is already O(|result|)).  Neither field requires the caller to
+    materialize a snapshot: consumers that only need to know *whether* to
+    notify never pay a copy.
 
     ``tables``, ``events`` and ``commit`` are the pending record the step
     consumed — the modified tables, how many change events it folded
@@ -217,16 +217,11 @@ class IncrementalMaintainer:
         fingerprint: Optional[str] = None,
         registry=None,
         tracer=None,
-        cost_model=None,
         providers: Sequence["IncrementalMaintainer"] = (),
     ):
         self.plan = plan
         self.database = database
         self.label = label
-        #: Optional :class:`~repro.engine.cost.CostModel` override,
-        #: threaded into the evaluator (``None`` = the shared default):
-        #: gates index-vs-scan probes and the delta-vs-full flush choice.
-        self.cost_model = cost_model
         #: The plan fingerprint, for fallback metric labels; defaults to
         #: the label so standalone maintainers still carry identity.
         self.fingerprint = fingerprint or label
@@ -248,30 +243,17 @@ class IncrementalMaintainer:
         #: Refreshes that propagated deltas through cached state.
         self.delta_refreshes = 0
         #: *Refreshes* that had to re-evaluate the plan — cold
-        #: state, full-flagged deltas, a failed propagation, the cost
-        #: model's choice.  A direct :meth:`evaluate` (the evaluation
-        #: that materializes a plan) is not a refresh and counts under
-        #: :attr:`evaluations` only.
+        #: state, full-flagged deltas, a failed propagation.  A direct
+        #: :meth:`evaluate` (the evaluation that materializes a plan) is
+        #: not a refresh and counts under :attr:`evaluations` only.
         self.full_refreshes = 0
         #: Incremental attempts that fell back to a full re-evaluation.
         self.delta_fallbacks = 0
-        #: Full refreshes *chosen by the cost model* (projected delta cost
-        #: exceeded the observed full cost) — deliberate decisions, not
-        #: :attr:`delta_fallbacks`.
-        self.cost_full_refreshes = 0
-        #: The reason string of the last delta-vs-full decision, for
-        #: ``explain_analyze()``; ``None`` until a decision is made.
-        self.last_refresh_decision: Optional[str] = None
         #: The plan's one evaluator, for the maintainer's whole life: its
         #: store serves readers through every rebuild (``refresh_full``
         #: swaps the store in only once the new one is complete), and its
         #: snapshot counters survive them.
-        self._evaluator = DeltaEvaluator(
-            plan,
-            database,
-            tracer=tracer,
-            cost_model=cost_model,
-        )
+        self._evaluator = DeltaEvaluator(plan, database, tracer=tracer)
         self._relevant: FrozenSet[str] = plan.referenced_tables()
         self._pending = _nothing_pending()
         #: The record :meth:`claim` set aside for the next refresh.
@@ -362,10 +344,9 @@ class IncrementalMaintainer:
         Renders the current operator tree with per-node state rows,
         estimated state bytes, cumulative ``apply_delta`` wall time and
         delta sizes, and per-node fallback counts — plus a header with
-        the plan-level refresh totals and the cost model's last
-        delta-vs-full decision.  A cold plan renders the header and the
-        reason instead of a tree.  ``format="json"``
-        returns the same report as plain data.
+        the plan-level refresh totals.  A cold plan renders the header
+        and the reason instead of a tree.  ``format="json"`` returns the
+        same report as plain data.
         """
         from repro.obs.explain import (
             explain_analyze_data,
@@ -380,9 +361,7 @@ class IncrementalMaintainer:
                 "full_refreshes": self.full_refreshes,
                 "delta_refreshes": self.delta_refreshes,
                 "delta_fallbacks": self.delta_fallbacks,
-                "cost_full_refreshes": self.cost_full_refreshes,
                 "state_bytes": self.state_bytes(),
-                "refresh_decision": self.last_refresh_decision,
             }
         renderer = (
             explain_analyze_data if format == "json" else render_explain_analyze
@@ -588,12 +567,13 @@ class IncrementalMaintainer:
         ``outcome.delta`` is the exact result-level change when the
         refresh propagated the pending deltas through cached operator
         state, and ``None`` when the refresh was a full re-evaluation —
-        because the state was cold, the deltas were
-        full-flagged, the propagation failed, or the cost model measured
-        a full run to be cheaper.  The fallback is automatic and logged;
-        callers only need the outcome to know which path ran and whether
-        to notify.  The delta path costs O(|Δ|) end to end — no snapshot
-        is materialized here.
+        because the state was cold, or an operator's rule refused the
+        delta (:class:`~repro.engine.delta.NonIncrementalDelta`, raised
+        for full-flagged deltas too).  A warm plan always tries the delta
+        first, however many rows are pending.  The fallback is automatic
+        and logged; callers only need the outcome to know which path ran
+        and whether to notify.  The delta path costs O(|Δ|) end to end —
+        no snapshot is materialized here.
 
         Consumers hear of every outcome *before* this plan counts as
         :attr:`clean` again: the exact delta, or — after a
@@ -616,28 +596,6 @@ class IncrementalMaintainer:
         pending = {
             table: builder.build() for table, builder in claimed.rows.items()
         }
-        decision = evaluator.cost_model.choose_refresh(
-            pending_rows=sum(len(delta) for delta in pending.values()),
-            apply_seconds=evaluator.apply_seconds_total,
-            apply_rows=evaluator.apply_source_rows_total,
-            full_seconds=evaluator.last_full_seconds,
-        )
-        with self.lock:
-            self.last_refresh_decision = decision.reason
-        if decision.full:
-            # A deliberate cost-based choice, not a delta-rule failure:
-            # the projected O(|Δ|) propagation is measured to cost more
-            # than re-evaluating.  evaluate() subsumes the claimed rows
-            # by re-reading the tables under the write lock.
-            logger.info(
-                "%s (plan %s): cost model chose full refresh (%s)",
-                self.label,
-                self.fingerprint[:12],
-                decision.reason,
-            )
-            with self.lock:
-                self.cost_full_refreshes += 1
-            return self._reevaluate(claimed)
         try:
             delta = evaluator.apply(pending)
         except NonIncrementalDelta as exc:

@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.interval import OngoingInterval
+from repro.engine import indexes
 from repro.engine import plan as logical
-from repro.engine.cost import CostModel, DEFAULT_COST_MODEL
 from repro.engine.delta import Delta, OperatorState, shared_source
 from repro.engine.executor import (
     AggregateOp,
@@ -70,13 +70,10 @@ class Planner:
         When ``True`` (default) the Section VIII predicate split and join
         algorithm selection are applied.  When ``False`` every predicate is
         evaluated on the generic ongoing path and all joins are nested
-        loops — the unoptimized reference strategy.
-    cost_model:
-        The observed-stats :class:`~repro.engine.cost.CostModel` that
-        gates index access: a temporal selection directly over a scan is
-        planned as an :class:`~repro.engine.executor.IntervalScan` only
-        when the table is big enough (``use_index``).  A model with
-        ``index_threshold=None`` disables index access paths entirely.
+        loops — the unoptimized reference strategy, which reads no
+        access path.  Optimized, a selection directly over a scan of at
+        least :data:`~repro.engine.indexes.INDEX_THRESHOLD` rows reads
+        it through an access path (:meth:`_plan_select`).
     shared:
         Plan fingerprint → the :class:`~repro.relational.relation.ResultStore`
         of a maintained plan with that fingerprint.  A sub-tree found
@@ -90,11 +87,9 @@ class Planner:
         self,
         *,
         optimize: bool = True,
-        cost_model: Optional[CostModel] = None,
         shared: Optional[Mapping[str, object]] = None,
     ):
         self.optimize = optimize
-        self.cost_model = cost_model if cost_model is not None else DEFAULT_COST_MODEL
         self.shared = shared or {}
 
     # ------------------------------------------------------------------
@@ -160,11 +155,12 @@ class Planner:
         through an access path — an interval-index window for a temporal
         conjunct (:meth:`_plan_interval_scan`), else an equality bucket
         for a ``column = constant`` fixed conjunct
-        (:meth:`_plan_bucket_probe`) — when the cost model judges the
-        table big enough.  Either is a superset of what the selection
-        keeps, and the selection's filters above still evaluate every
-        candidate — which is why a probe is planned only here, directly
-        under the selection that owns its conjunct.
+        (:meth:`_plan_bucket_probe`) — when the table holds at least
+        :data:`~repro.engine.indexes.INDEX_THRESHOLD` rows (read at call
+        time, so a test can move the cut).  Either is a superset of what
+        the selection keeps, and the selection's filters above still
+        evaluate every candidate — which is why a probe is planned only
+        here, directly under the selection that owns its conjunct.
         """
         child = self.plan(node.child, database)
         fixed_parts, ongoing_parts = self._split_conjuncts(node.predicate, child.schema)
@@ -173,7 +169,7 @@ class Planner:
             and isinstance(node.child, logical.Scan)
             and type(child) is SeqScan
             and child.label == node.child.table
-            and self.cost_model.use_index(len(child.relation))
+            and len(child.relation) >= indexes.INDEX_THRESHOLD
         ):
             table = database.table(node.child.table)
             # The indexes are built over the table's current snapshot: a
@@ -598,7 +594,6 @@ def plan_query(
     database,
     *,
     optimize: bool = True,
-    cost_model: Optional[CostModel] = None,
     shared: Optional[Mapping[str, object]] = None,
 ) -> PhysicalOperator:
     """One-shot helper: plan *node* with a fresh :class:`Planner`.
@@ -612,6 +607,4 @@ def plan_query(
         from repro.engine.rewrite import push_down_selections
 
         node = push_down_selections(node, database)
-    return Planner(
-        optimize=optimize, cost_model=cost_model, shared=shared
-    ).plan(node, database)
+    return Planner(optimize=optimize, shared=shared).plan(node, database)

@@ -19,8 +19,7 @@ of the live engine, and it is **one pipeline**:
    *propagating* the coalesced deltas through the plan's cached operator
    state (work proportional to the modification, not the database).  A
    refresh that cannot be incremental — cold state, an untyped bulk
-   change, a delta an operator cannot absorb, or the cost model
-   measuring a full run to be cheaper — falls back to a full
+   change, or a delta an operator cannot absorb — falls back to a full
    re-evaluation automatically, logged and counted;
 4. **delivery** — every subscription whose result changed is notified on
    the bus (one that did not change stays silent unless it opted into
@@ -126,7 +125,6 @@ _PLAN_COUNTERS = (
     ("repro_live_evaluations_total", "evaluations"),
     ("repro_live_delta_refreshes_total", "delta_refreshes"),
     ("repro_live_full_refreshes_total", "full_refreshes"),
-    ("repro_live_cost_full_refreshes_total", "cost_full_refreshes"),
     ("repro_store_snapshots_taken_total", "snapshots_taken"),
     ("repro_store_snapshots_reused_total", "snapshots_reused"),
 )

@@ -49,8 +49,6 @@ CANONICAL_SAMPLES = (
      "Refreshes served by incremental delta propagation"),
     ("repro_live_full_refreshes_total", "counter",
      "Refreshes that re-evaluated the plan in full"),
-    ("repro_live_cost_full_refreshes_total", "counter",
-     "Full refreshes deliberately chosen by the cost model"),
     ("repro_live_notifications_total", "counter",
      "Refresh notifications handed to the bus"),
     ("repro_live_suppressed_notifications_total", "counter",

@@ -15,14 +15,11 @@ operator, keyed by its stable tree path — and prints the plan the way
   wall time since the state was built;
 * ``Δin`` / ``Δout`` — cumulative delta rows consumed and emitted;
 * ``fallbacks`` — ``NonIncrementalDelta`` raises charged to this node;
-* ``idx`` — entries held by the node's secondary-index registry (priced
-  into ``bytes``);
+* ``idx`` — entries held by the node's secondary indexes (priced into
+  ``bytes``);
 * ``access`` — the access path each probe side last took
-  (``index:interval(n)`` / ``index:partition(n)`` / ``scan(n)``), the
-  cost model's observed index-vs-scan decision.
-
-The header additionally carries the plan's last delta-vs-full flush
-decision (``decision=…``) with the observed numbers that made it.
+  (``index:interval(n)`` / ``index:partition(n)`` / ``scan(n)``): which
+  side of :data:`~repro.engine.indexes.INDEX_THRESHOLD` it fell on.
 
 This is the reproduction-side answer to the cost breakdown of the
 paper's extended version (arXiv:2001.05722, per-operator scan/compute
@@ -117,7 +114,6 @@ def render_explain_analyze(
             "full_refreshes",
             "delta_refreshes",
             "delta_fallbacks",
-            "cost_full_refreshes",
         ):
             if key in totals:
                 parts.append(f"{key}={totals[key]}")
@@ -125,8 +121,6 @@ def render_explain_analyze(
             parts.append(f"state={format_bytes(totals['state_bytes'])}")
         if parts:
             lines.append("  " + "  ".join(parts))
-        if totals.get("refresh_decision"):
-            lines.append(f"  decision={totals['refresh_decision']}")
     if not report:
         lines.append(
             "  (no warm operator state"

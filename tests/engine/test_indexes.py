@@ -1,7 +1,8 @@
 """Unit tests for the envelope interval index (Section X future work)
-and the incrementally maintained secondary indexes (PR 7)."""
+and the incrementally maintained secondary indexes."""
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given
@@ -10,15 +11,15 @@ from hypothesis import strategies as st
 from repro.core.interval import OngoingInterval, fixed_interval, until_now
 from repro.core.timeline import MINUS_INF, PLUS_INF, mmdd
 from repro.core.timepoint import NOW, fixed
-from repro.engine.cost import CostModel
+from repro.engine import indexes
 from repro.engine.database import Database
 from repro.engine.delta import Delta, DeltaEvaluator
+from repro.engine.executor import MergeIntervalJoin, SeqScan
 from repro.engine.indexes import (
     IntervalIndex,
     IntervalProbeIndex,
     OrderedIndex,
     PartitionIndex,
-    SecondaryIndexRegistry,
 )
 from repro.engine.plan import scan
 from repro.engine.planner import plan_query
@@ -253,10 +254,10 @@ class TestPerVersionCaches:
     @staticmethod
     def _cold(db, predicate):
         plan = scan("E").where(predicate)
-        model = CostModel(index_threshold=0)  # every table is big enough
-        text = plan_query(plan, db, cost_model=model).explain()
-        assert "IntervalScan" in text or "P = 'x':" in text  # an access path
-        return DeltaEvaluator(plan, db, cost_model=model).refresh_full()
+        with patch.object(indexes, "INDEX_THRESHOLD", 0):  # every table is big enough
+            text = plan_query(plan, db).explain()
+            assert "IntervalScan" in text or "P = 'x':" in text  # an access path
+            return DeltaEvaluator(plan, db).refresh_full()
 
     @pytest.mark.parametrize("write", sorted(_WRITES))
     def test_a_write_drops_both_caches(self, write):
@@ -371,15 +372,23 @@ class TestIntervalProbeIndex:
         assert index.overlapping(3, 3) == []
 
 
-class TestSecondaryIndexRegistry:
-    def test_get_or_create_and_entry_count(self):
-        registry = SecondaryIndexRegistry()
-        assert registry.get("left") is None
-        interval = registry.interval("left")
-        assert registry.interval("left") is interval
-        interval.add("a", 0, 5)
-        registry.partition("groups").add("k", "x")
-        registry.ordered("ends").add(3, "y")
-        assert registry.entry_count() == 3
-        assert "left" in registry
-        assert sorted(registry) == ["ends", "groups", "left"]
+class TestMergeJoinSideIndexes:
+    def test_both_sides_are_indexed_from_the_empty_state(self):
+        """A merge join's state holds one interval index per side from
+        the start, each mirroring its side's cache, and the evaluator
+        counts their entries."""
+        side = SeqScan(OngoingRelation(_SCHEMA, ()))
+        join = MergeIntervalJoin(
+            side, side, 1, 1, _SCHEMA.qualify("L").concat(_SCHEMA.qualify("R"))
+        )
+        state = join.delta_state()
+        assert sorted(state.extra["indexes"]) == ["left", "right"]
+        assert DeltaEvaluator._index_entries(state) == 0
+        rows = [OngoingTuple((key, fixed_interval(key, key + 5))) for key in range(3)]
+        for row in rows:
+            join._add_side(state, "left", row, join._key("left", row))
+        join._add_side(state, "right", rows[0], join._key("right", rows[0]))
+        assert DeltaEvaluator._index_entries(state) == 4
+        join._remove_side(state, "left", rows[1], join._key("left", rows[1]))
+        assert len(state.extra["indexes"]["left"]) == len(state.extra["left"]) == 2
+        assert DeltaEvaluator._index_entries(state) == 3

@@ -20,6 +20,7 @@ from repro.engine.executor import (
     SeqScan,
     materialize,
 )
+from repro.engine.indexes import INDEX_THRESHOLD
 from repro.engine.plan import Difference, Join, Project, Scan, Select, Union, scan
 from repro.engine.planner import Planner
 from repro.errors import QueryError, SchemaError
@@ -222,13 +223,31 @@ class TestIntervalScan:
         )
         assert "IntervalScan" not in db.explain(plan)
 
-    def test_cost_model_none_threshold_disables_index(self):
-        from repro.engine.cost import CostModel
-
-        db = self._big_database()
+    def test_index_threshold_is_the_planner_cut(self):
         plan = scan("E").where(col("VT").overlaps(lit(fixed_interval(50, 60))))
-        planner = Planner(cost_model=CostModel(index_threshold=None))
-        assert "IntervalScan" not in planner.plan(plan, db).explain()
+        below = self._big_database(INDEX_THRESHOLD - 1).explain(plan)
+        assert "IntervalScan" not in below and "SeqScan E" in below
+        at = self._big_database(INDEX_THRESHOLD).explain(plan)
+        assert "IntervalScan E" in at and "SeqScan" not in at
+
+    def test_index_threshold_is_the_merge_join_probe_cut(self):
+        """A merge join probes a cached side through its interval index
+        from ``INDEX_THRESHOLD`` rows on, and scans it below."""
+        plan = scan("E").join(
+            scan("F"),
+            on=col("E.VT").overlaps(col("F.VT")),
+            left_name="E",
+            right_name="F",
+        )
+        for rows, access in (
+            (INDEX_THRESHOLD - 1, f"access=left=scan({INDEX_THRESHOLD - 1})"),
+            (INDEX_THRESHOLD, f"access=left=index:interval({INDEX_THRESHOLD})"),
+        ):
+            db = self._big_database(rows)
+            db.create_table("F", Schema.of("ID", ("VT", "interval"))).insert(
+                0, fixed_interval(50, 60)
+            )
+            assert access in db.explain_analyze(plan)
 
     def test_disjoint_allen_relations_never_indexed(self):
         db = self._big_database()

@@ -19,7 +19,6 @@ import pytest
 
 import repro
 from repro.core.interval import until_now
-from repro.engine.cost import CostModel
 from repro.engine.database import Database
 from repro.errors import QueryError
 from repro.live import LiveSession
@@ -38,15 +37,12 @@ SESSION_OPTIONS = [
     "trace",
 ]
 SERVE_OPTIONS = ["debounce", "debounce_min", "debounce_max"]
-#: A cost model is its three constants: nothing to switch learning on.
-COST_OPTIONS = ["index_threshold", "full_refresh_floor_rows", "full_refresh_ratio"]
 
 
 def test_session_options_are_exactly_these():
     for function, positional, options in (
         (LiveSession.__init__, ["self", "database"], SESSION_OPTIONS),
         (LiveSession.serve, ["self"], SERVE_OPTIONS),
-        (CostModel.__init__, ["self"], COST_OPTIONS),
     ):
         parameters = inspect.signature(function).parameters
         assert list(parameters) == positional + options
@@ -94,8 +90,11 @@ def test_the_session_families_a_scrape_exposes_are_the_canonical_table():
     session.close()
     canonical = {name for name, _, _ in CANONICAL_SAMPLES}
     assert exposed == canonical
-    assert len(canonical) == len(CANONICAL_SAMPLES) == 21
+    assert len(canonical) == len(CANONICAL_SAMPLES) == 20
     assert not {name for name in scraped if "cost_adaptations" in name}
+    # Nor a count of full refreshes a cost model chose: a refresh is a
+    # delta unless an operator's rule refuses it.
+    assert not {name for name in scraped if "_cost_" in name}
 
 
 MAX_CODE_LINES = 500

@@ -16,8 +16,9 @@ equal, so share a bucket); the interval column mixes expanding
 ``[a, now)``, shrinking ``[now, b)`` and fixed intervals, and a row
 inserted and terminated at one instant leaves the empty envelope
 ``[at, at)``.  Sort keys take two values, so ``ORDER BY … LIMIT k``
-ties.  A batch may update a row *into* the probed bucket.  The cost
-model indexes every table, however small.
+ties.  A batch may update a row *into* the probed bucket.  Each test
+patches ``INDEX_THRESHOLD`` to 0, so every table is read through its
+access path, however small.
 
 Each invariant, and the mutant it was seen to kill:
 
@@ -34,13 +35,15 @@ Each invariant, and the mutant it was seen to kill:
   dropped on write (the stale bucket misses the row updated into it).
 """
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.interval import OngoingInterval, fixed_interval, until_now
 from repro.core.timepoint import NOW, fixed
-from repro.engine.cost import CostModel
+from repro.engine import indexes
 from repro.engine.database import Database
 from repro.engine.delta import (
     Delta,
@@ -61,7 +64,6 @@ from repro.relational.tuples import OngoingTuple
 from tests.conftest import critical_points
 
 _SCHEMA = Schema.of("K", "G", ("VT", "interval"))
-_INDEX_EVERYTHING = CostModel(index_threshold=0)
 _EQUALS = (0, 1, 2, True, False)
 _TIMES = st.integers(min_value=0, max_value=12)
 _WINDOW = fixed_interval(3, 7)
@@ -162,8 +164,8 @@ def _points(*relations):
 
 def _assert_agree(db, plan, oracle, maintained=None):
     expected = oracle(db.table("R").as_relation())
-    cold = DeltaEvaluator(plan, db, cost_model=_INDEX_EVERYTHING).refresh_full()
-    pulled = materialize(plan_query(plan, db, cost_model=_INDEX_EVERYTHING))
+    cold = DeltaEvaluator(plan, db).refresh_full()
+    pulled = materialize(plan_query(plan, db))
     compared = [cold, pulled] + ([maintained] if maintained is not None else [])
     for rt in _points(expected, *compared):
         want = expected.instantiate(rt)
@@ -183,23 +185,24 @@ def test_cold_pull_maintained_and_oracle_agree(plan_key, initial, value, batches
     db = Database("access-paths")
     table = db.create_table("R", _SCHEMA)
     table.insert_tuples(initial)
-    _assert_agree(db, plan, oracle)  # builds the caches a write must drop
-    evaluator = DeltaEvaluator(plan, db, cost_model=_INDEX_EVERYTHING)
-    evaluator.refresh_full()
-    pending = [DeltaBuilder()]  # what the table committed since the last apply
-    table.add_delta_listener(
-        lambda name, version, delta: pending[0].add(delta)
-    )
-    for batch in batches:
-        with table.batch():
-            for modification in batch:
-                _modify(table, modification, value)
-        taken, pending[0] = pending[0].build(), DeltaBuilder()
-        try:
-            evaluator.apply({"R": taken})
-        except NonIncrementalDelta:  # the fallback: an evicted top-k boundary
-            evaluator.refresh_full()
-        _assert_agree(db, plan, oracle, evaluator.result)
+    with patch.object(indexes, "INDEX_THRESHOLD", 0):
+        _assert_agree(db, plan, oracle)  # builds the caches a write must drop
+        evaluator = DeltaEvaluator(plan, db)
+        evaluator.refresh_full()
+        pending = [DeltaBuilder()]  # what the table committed since the last apply
+        table.add_delta_listener(
+            lambda name, version, delta: pending[0].add(delta)
+        )
+        for batch in batches:
+            with table.batch():
+                for modification in batch:
+                    _modify(table, modification, value)
+            taken, pending[0] = pending[0].build(), DeltaBuilder()
+            try:
+                evaluator.apply({"R": taken})
+            except NonIncrementalDelta:  # the fallback: an evicted top-k boundary
+                evaluator.refresh_full()
+            _assert_agree(db, plan, oracle, evaluator.result)
 
 
 @pytest.mark.parametrize(
@@ -220,4 +223,5 @@ def test_the_plans_read_through_their_access_path(plan_key, access_path):
         for at, key in enumerate((1, True, 2, 1, False))
     )
     plan, _ = _plans(1)[plan_key]
-    assert access_path in plan_query(plan, db, cost_model=_INDEX_EVERYTHING).explain()
+    with patch.object(indexes, "INDEX_THRESHOLD", 0):
+        assert access_path in plan_query(plan, db).explain()

@@ -1,13 +1,13 @@
 """Property tests: planning choices never change results.
 
-The contract of the cost-based planning layer: predicate pushdown, the
-interval-scan access path, and every secondary index (the merge-join
-interval registry, the difference and aggregate partition indexes) are
+The contract of the planning layer: predicate pushdown, the
+interval-scan access path, and every secondary index (the merge join's
+interval indexes, the difference's partition index) are
 pure *performance* artifacts — for any plan and any typed modification
-sequence, a fully tuned evaluator (rewrites on, indexes forced on with
-``index_threshold=1``) maintains a result byte-identical, step for step,
-to a baseline evaluator with rewrites off and indexes disabled
-(``index_threshold=None``).
+sequence, a fully tuned evaluator (rewrites on, indexes forced on by
+patching ``INDEX_THRESHOLD`` to 1) maintains a result byte-identical,
+step for step, to a baseline evaluator with rewrites off (which reads
+no access path and plans no merge join).
 
 Three invariants ride along:
 
@@ -20,11 +20,13 @@ Three invariants ride along:
   uninstantiated rows.
 """
 
+from unittest.mock import patch
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.interval import fixed_interval, until_now
-from repro.engine.cost import CostModel
+from repro.engine import indexes
 from repro.engine.database import Database
 from repro.engine.delta import DeltaEvaluator
 from repro.engine.modifications import (
@@ -171,32 +173,29 @@ def test_tuned_and_baseline_evaluators_agree_step_for_step(
     maintained results after every flush, clean indexes throughout."""
     plan = _plans()[plan_key]
     db = _fresh_database()
-    tuned = DeltaEvaluator(
-        plan, db, cost_model=CostModel(index_threshold=1)
-    )
-    baseline = DeltaEvaluator(
-        plan, db, optimize=False, cost_model=CostModel(index_threshold=None)
-    )
-    tuned.refresh_full()
-    baseline.refresh_full()
-    captured = {}
-    _capture_deltas(db, captured)
-    for step, modification in enumerate(modifications):
-        captured.clear()
-        _apply(db, modification)
-        tuned.apply(dict(captured))
-        baseline.apply(dict(captured))
-        got = tuned.result
-        want = baseline.result
-        assert got.schema == want.schema
-        assert frozenset(got.tuples) == frozenset(want.tuples), (
-            f"{plan_key}: tuned plan diverged at step {step} "
-            f"after {modification!r}"
-        )
-        problems = tuned.check_index_integrity()
-        assert problems == [], (
-            f"{plan_key}: index drifted at step {step}: {problems}"
-        )
+    with patch.object(indexes, "INDEX_THRESHOLD", 1):
+        tuned = DeltaEvaluator(plan, db)
+        baseline = DeltaEvaluator(plan, db, optimize=False)
+        tuned.refresh_full()
+        baseline.refresh_full()
+        captured = {}
+        _capture_deltas(db, captured)
+        for step, modification in enumerate(modifications):
+            captured.clear()
+            _apply(db, modification)
+            tuned.apply(dict(captured))
+            baseline.apply(dict(captured))
+            got = tuned.result
+            want = baseline.result
+            assert got.schema == want.schema
+            assert frozenset(got.tuples) == frozenset(want.tuples), (
+                f"{plan_key}: tuned plan diverged at step {step} "
+                f"after {modification!r}"
+            )
+            problems = tuned.check_index_integrity()
+            assert problems == [], (
+                f"{plan_key}: index drifted at step {step}: {problems}"
+            )
     # Typed modifications only — both sides must have stayed incremental.
     assert tuned.full_evaluations == 1
     assert baseline.full_evaluations == 1
@@ -212,13 +211,14 @@ def test_tuned_plan_instantiates_like_a_fresh_query(plan_key, modifications):
     (unoptimized, unindexed) evaluation."""
     plan = _plans()[plan_key]
     db = _fresh_database()
-    tuned = DeltaEvaluator(plan, db, cost_model=CostModel(index_threshold=1))
-    tuned.refresh_full()
-    captured = {}
-    _capture_deltas(db, captured)
-    for modification in modifications:
-        _apply(db, modification)
-    tuned.apply(dict(captured))
+    with patch.object(indexes, "INDEX_THRESHOLD", 1):
+        tuned = DeltaEvaluator(plan, db)
+        tuned.refresh_full()
+        captured = {}
+        _capture_deltas(db, captured)
+        for modification in modifications:
+            _apply(db, modification)
+        tuned.apply(dict(captured))
     expected = db.query(plan, optimize=False)
     for rt in range(-2, 35):
         assert tuned.result.instantiate(rt) == expected.instantiate(rt)

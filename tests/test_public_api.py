@@ -1,6 +1,7 @@
 """API hygiene: the public surface is importable, exported, and documented."""
 
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -114,7 +115,7 @@ def test_bound_delivery_names_are_public_in_the_live_package_only():
 def test_the_serve_package_exports_delivery_names_only():
     """One thread refreshes and one bus delivers: the bus, the mailbox
     and the policy names — no scheduler, no sharding, no second bus, no
-    pool, no learned cost history."""
+    pool, no cost model, no index registry."""
     import repro
     import repro.engine
     import repro.live
@@ -125,9 +126,12 @@ def test_the_serve_package_exports_delivery_names_only():
     for name in (
         "FlushScheduler", "FlushRound", "shard_index",
         "AsyncEventBus", "DeliveryPool", "PlanCostHistory",
+        "CostModel", "RefreshDecision", "DEFAULT_COST_MODEL",
+        "SecondaryIndexRegistry",
     ):
         for package in (repro, repro.live, repro.serve, repro.engine):
             assert name not in package.__all__ and not hasattr(package, name)
+    assert importlib.util.find_spec("repro.engine.cost") is None
 
 
 def test_public_classes_have_documented_public_methods():
