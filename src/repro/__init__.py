@@ -112,7 +112,6 @@ from repro.errors import (
     TimeDomainError,
 )
 from repro.live import (
-    ChangeEvent,
     EventBus,
     LiveSession,
     RefreshNotification,
@@ -181,7 +180,6 @@ __all__ = [
     "StorageError",
     "TimeDomainError",
     # live subscription engine
-    "ChangeEvent",
     "EventBus",
     "LiveSession",
     "RefreshNotification",

@@ -9,8 +9,8 @@
 * :mod:`repro.engine.views` — materialized ongoing views (Section IX-C);
 * :mod:`repro.engine.storage` — the byte-accurate tuple layout of Table V;
 * :mod:`repro.engine.indexes` — envelope interval index plus the
-  indexes over delta-probe caches (Section X future work), and the one
-  index-vs-scan cut, ``INDEX_THRESHOLD``;
+  maintained one a merge join keeps each side in (Section X future
+  work), and the one index-vs-scan cut, ``INDEX_THRESHOLD``;
 * :mod:`repro.engine.modifications` — Torp-style current insert / delete /
   update semantics;
 * :mod:`repro.engine.delta` — typed row deltas and the incremental
@@ -66,7 +66,6 @@ from repro.engine.indexes import (
     IntervalIndex,
     IntervalProbeIndex,
     OrderedIndex,
-    PartitionIndex,
 )
 from repro.engine.modifications import current_delete, current_insert, current_update
 from repro.engine.bitemporal import BitemporalTable
@@ -115,7 +114,6 @@ __all__ = [
     "IntervalIndex",
     "IntervalProbeIndex",
     "OrderedIndex",
-    "PartitionIndex",
     "current_delete",
     "current_insert",
     "current_update",

@@ -53,6 +53,7 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -336,7 +337,9 @@ class OperatorState:
     result store of the maintained plan it reads) and is held nowhere
     else, and for the requalifying pass-through above it, whose output
     set is its child's; ``extra`` holds operator-specific build
-    state — hash indexes for joins, cached input sides for difference.
+    state — hash buckets or interval indexes for joins, cached input
+    sides for difference — which the operator itself checks
+    (``check_state``) and describes (``access_paths``).
     ``cached_rows`` counts the tuples referenced by ``extra`` (maintained
     by the operators as they add/remove cached rows), so the accounting
     of :meth:`DeltaEvaluator.state_rows` stays O(1) per state instead of
@@ -428,11 +431,6 @@ class DeltaEvaluator:
 
     #: How many output rows to sample for the per-row byte estimate.
     ROW_SAMPLE = 16
-
-    #: Price of one secondary-index entry (an envelope pair plus
-    #: list/bucket slots) — indexes are operator state like the caches
-    #: they accelerate, so they are priced into :meth:`state_bytes`.
-    INDEX_ENTRY_BYTES = 24
 
     #: Price of one maintained top-k window entry *beyond* the row itself
     #: (already priced via ``cached_rows``): the decorated sort key — a
@@ -669,7 +667,6 @@ class DeltaEvaluator:
         for state in self._states.values():
             own, cached = self._state_prices.get(state, default)
             total += state.row_count() * own + state.cached_rows * cached
-            total += self._index_entries(state) * self.INDEX_ENTRY_BYTES
             # A top-k window's rows are priced via cached_rows above; the
             # decorated sort keys are extra state on top.
             total += len(state.extra.get("window", ())) * self.TOPK_KEY_BYTES
@@ -678,12 +675,6 @@ class DeltaEvaluator:
             root_state, default
         )[0]
         return total
-
-    @staticmethod
-    def _index_entries(state: OperatorState) -> int:
-        """Entries held by the state's secondary indexes (0 if none)."""
-        indexes = state.extra.get("indexes", {})
-        return sum(len(index) for index in indexes.values())
 
     # ------------------------------------------------------------------
     # Delta propagation
@@ -809,28 +800,34 @@ class DeltaEvaluator:
     # Introspection (explain_analyze / registry collectors)
     # ------------------------------------------------------------------
 
+    def _preorder(self) -> Iterator[Tuple[object, str, int]]:
+        """``(node, path, depth)`` of every operator of the warm tree,
+        pre-order; nothing when cold."""
+        pending = [] if self._root is None else [(self._root, "0", 0)]
+        while pending:
+            node, path, depth = pending.pop()
+            yield node, path, depth
+            children = node._children()
+            for index in range(len(children) - 1, -1, -1):
+                pending.append((children[index], f"{path}.{index}", depth + 1))
+
     def node_report(self) -> List[Dict[str, object]]:
         """One dict per physical operator, pre-order with tree depth.
 
         Joins the *current* tree (state rows, estimated state bytes,
-        operator description) with the *cumulative* per-path counters
+        operator description, the access path each probe of the node
+        takes now) with the *cumulative* per-path counters
         (:attr:`node_stats`) — the raw data behind ``explain_analyze()``
         and the per-operator registry metrics.  Empty when the state is
         cold; the cumulative counters survive and reappear on
         the next warm report.
         """
-        root = self._root
-        if root is None:
-            return []
         default = (self.DEFAULT_ROW_BYTES, self.DEFAULT_ROW_BYTES)
         report: List[Dict[str, object]] = []
-
-        def visit(node, path: str, depth: int) -> None:
+        for node, path, depth in self._preorder():
             state = self._states[node]
             own, cached = self._state_prices.get(state, default)
             stats = self.node_stats.get(path)
-            index_entries = self._index_entries(state)
-            access_paths = state.extra.get("access_paths") or {}
             report.append(
                 {
                     "path": path,
@@ -840,12 +837,9 @@ class DeltaEvaluator:
                     "state_rows": state.row_count(),
                     "cached_rows": state.cached_rows,
                     "state_bytes": (
-                        state.row_count() * own
-                        + state.cached_rows * cached
-                        + index_entries * self.INDEX_ENTRY_BYTES
+                        state.row_count() * own + state.cached_rows * cached
                     ),
-                    "index_entries": index_entries,
-                    "access_paths": dict(access_paths),
+                    "access_paths": node.access_paths(state),
                     "applies": 0 if stats is None else stats.applies,
                     "apply_seconds": (
                         0.0 if stats is None else stats.apply_seconds
@@ -859,147 +853,22 @@ class DeltaEvaluator:
                     "fallbacks": 0 if stats is None else stats.fallbacks,
                 }
             )
-            for index, child in enumerate(node._children()):
-                visit(child, f"{path}.{index}", depth + 1)
-
-        visit(root, "0", 0)
         return report
 
     def check_index_integrity(self) -> List[str]:
-        """Cross-check every secondary index against its primary state.
+        """Ask every operator of the warm tree to check its own state
+        (:meth:`~repro.engine.executor.PhysicalOperator.check_state`).
 
-        Returns a list of human-readable inconsistencies (empty = all
-        indexes exactly mirror the caches they accelerate).  Used by the
-        property suite after every flush; cold state trivially passes.
+        Returns the problems found, each prefixed with the node's tree
+        path and operator name (empty = every state agrees with itself).
+        Used by the property suites after every flush; cold state
+        trivially passes.
         """
-        from repro.engine.executor import (
-            AggregateOp,
-            DifferenceOp,
-            HashJoin,
-            MergeIntervalJoin,
-            SortLimitOp,
-        )
-
-        problems: List[str] = []
-        root = self._root
-        if root is None:
-            return problems
-
-        def visit(node, path: str) -> None:
-            state = self._states[node]
-            if isinstance(node, MergeIntervalJoin):
-                for side in ("left", "right"):
-                    cache = state.extra[side]
-                    index = state.extra["indexes"][side]
-                    if len(index) != len(cache):
-                        problems.append(
-                            f"{path} {type(node).__name__}: {side} index "
-                            f"holds {len(index)} entries, cache {len(cache)}"
-                        )
-                        continue
-                    for item, env in cache.items():
-                        if index.envelope(item) != env:
-                            problems.append(
-                                f"{path} {type(node).__name__}: {side} "
-                                f"index entry for {item!r} is "
-                                f"{index.envelope(item)}, cache says {env}"
-                            )
-                            break
-            elif isinstance(node, HashJoin):
-                held = 0
-                for side in ("left", "right"):
-                    for key, bucket in state.extra[side].items():
-                        if type(bucket) is not dict:
-                            held += 1
-                            continue
-                        held += len(bucket)
-                        if len(bucket) < 2:
-                            problems.append(
-                                f"{path} HashJoin: {side} key {key!r} keeps "
-                                f"a bucket of {len(bucket)} row(s)"
-                            )
-                if held != state.cached_rows:
-                    problems.append(
-                        f"{path} HashJoin: buckets hold {held} rows, "
-                        f"state caches {state.cached_rows}"
-                    )
-            elif isinstance(node, DifferenceOp):
-                by_fixed = state.extra.get("left_by_fixed")
-                out_of = state.extra.get("out_of")
-                if by_fixed is not None and out_of is not None:
-                    if len(by_fixed) != len(out_of):
-                        problems.append(
-                            f"{path} DifferenceOp: left partition index "
-                            f"holds {len(by_fixed)} entries, left cache "
-                            f"{len(out_of)}"
-                        )
-                    else:
-                        for item in out_of:
-                            if item not in by_fixed.bucket(
-                                node._fixed_key(item)
-                            ):
-                                problems.append(
-                                    f"{path} DifferenceOp: left tuple "
-                                    f"{item!r} missing from its partition "
-                                    f"bucket"
-                                )
-                                break
-            elif isinstance(node, AggregateOp):
-                groups = state.extra["accumulators"]
-                outs = state.extra["out"]
-                held = sum(group.entries() for group in groups.values())
-                if held != state.cached_rows:
-                    problems.append(
-                        f"{path} AggregateOp: accumulators hold {held} "
-                        f"entries, state caches {state.cached_rows}"
-                    )
-                for key, group in groups.items():
-                    if outs.get(key) != group.row(key):
-                        problems.append(
-                            f"{path} AggregateOp: output row of group "
-                            f"{key!r} is not what its accumulators walk to"
-                        )
-                        break
-                if any(key not in groups for key in outs if key != ()):
-                    problems.append(
-                        f"{path} AggregateOp: an output row outlived its "
-                        f"group's accumulators"
-                    )
-            elif isinstance(node, SortLimitOp):
-                window = state.extra.get("window")
-                if window is not None:
-                    if len(window) != len(state.counts):
-                        problems.append(
-                            f"{path} SortLimitOp: window holds "
-                            f"{len(window)} rows, counts hold "
-                            f"{len(state.counts)}"
-                        )
-                    elif any(
-                        item not in state.counts for _, item in window
-                    ):
-                        problems.append(
-                            f"{path} SortLimitOp: window row missing "
-                            f"from the derivation counts"
-                        )
-                    elif any(
-                        window[i][0] > window[i + 1][0]
-                        for i in range(len(window) - 1)
-                    ):
-                        problems.append(
-                            f"{path} SortLimitOp: window keys out of order"
-                        )
-                    limit = node.limit
-                    overflow = state.extra.get("overflow", 0)
-                    if overflow and (limit is None or len(window) != limit):
-                        problems.append(
-                            f"{path} SortLimitOp: overflow={overflow} with "
-                            f"a non-full window ({len(window)}/{limit})"
-                        )
-            for index, child in enumerate(node._children()):
-                visit(child, f"{path}.{index}")
-
-        visit(root, "0")
-        return problems
+        return [
+            f"{path} {type(node).__name__}: {problem}"
+            for node, path, _ in self._preorder()
+            for problem in node.check_state(self._states[node])
+        ]
 
     # ------------------------------------------------------------------
 

@@ -25,7 +25,10 @@ join predicate's shape and the test suite checks the equivalence.
 inputs) and ``apply_delta(state, deltas)`` — the operator's Theorem 2
 equivalence, stated once, as the rule that maps set-level changes of the
 children to the set-level change of the output while advancing *state*
-(see :mod:`repro.engine.delta`).  Everything else is derived from it:
+(see :mod:`repro.engine.delta`).  Beside the rule, a stateful operator
+says how to check its state (``check_state``) and how its probes read
+it (``access_paths``), so the evaluator switches on no operator class.
+Everything else is derived from the rule:
 
 * ``evaluate(state, inputs)`` — cold evaluation — is ``apply_delta`` of
   one all-insert delta per input over a fresh state.  The per-operator
@@ -71,7 +74,7 @@ from repro.engine.delta import (
     OperatorState,
     commit_changes,
 )
-from repro.engine.indexes import IntervalIndex, IntervalProbeIndex, PartitionIndex
+from repro.engine.indexes import IntervalIndex, IntervalProbeIndex
 from repro.errors import QueryError
 from repro.relational.aggregate import scalar_empty_row, validate_aggregate
 from repro.relational.algebra import match_set
@@ -132,6 +135,18 @@ class PhysicalOperator:
         implement this and nothing else.
         """
         raise NotImplementedError
+
+    def check_state(self, state: OperatorState) -> List[str]:
+        """What in *state* disagrees with itself — one message per
+        problem, empty when consistent.  An operator whose state keeps
+        one fact in two places checks that they agree."""
+        return []
+
+    def access_paths(self, state: OperatorState) -> Dict[str, str]:
+        """How a probe of each part of *state* reads it now (EXPLAIN's
+        ``access=``), by part name; empty for an operator that probes
+        nothing."""
+        return {}
 
     def evaluate(
         self, state: OperatorState, inputs: Sequence[Iterable[OngoingTuple]]
@@ -447,9 +462,10 @@ def _joined_tuple(
 class _JoinBase(PhysicalOperator):
     """The join rule, shared by all three algorithms.
 
-    The state caches both input sides (hash-indexed for HashJoin,
-    envelope-indexed for MergeIntervalJoin, plain ordered sets
-    otherwise) and a delta probes only the opposite cache::
+    The state caches both input sides, each row once (in hash buckets
+    for HashJoin, in one :class:`~repro.engine.indexes.IntervalProbeIndex`
+    per side for MergeIntervalJoin, as plain ordered sets otherwise), and
+    a delta probes only the opposite cache::
 
         Δ(L ⋈ R) = ΔL ⋈ R_old  ∪  L_new ⋈ ΔR
 
@@ -547,6 +563,12 @@ class _JoinBase(PhysicalOperator):
         state.extra["left"] = {}
         state.extra["right"] = {}
         return state
+
+    def check_state(self, state: OperatorState) -> List[str]:
+        held = len(state.extra["left"]) + len(state.extra["right"])
+        if held == state.cached_rows:
+            return []
+        return [f"sides hold {held} rows, state caches {state.cached_rows}"]
 
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
@@ -677,6 +699,26 @@ class HashJoin(_JoinBase):
             return ()
         return bucket if type(bucket) is dict else (bucket,)
 
+    def check_state(self, state: OperatorState) -> List[str]:
+        problems: List[str] = []
+        held = 0
+        for side in ("left", "right"):
+            for key, bucket in state.extra[side].items():
+                if type(bucket) is not dict:
+                    held += 1
+                    continue
+                held += len(bucket)
+                if len(bucket) < 2:
+                    problems.append(
+                        f"{side} key {key!r} keeps a bucket of "
+                        f"{len(bucket)} row(s)"
+                    )
+        if held != state.cached_rows:
+            problems.append(
+                f"buckets hold {held} rows, state caches {state.cached_rows}"
+            )
+        return problems
+
 
 class NestedLoopJoin(_JoinBase):
     """The general theta-join fallback — correct for any predicate."""
@@ -703,21 +745,27 @@ def _envelope(value: object) -> Tuple[int, int]:
     raise TypeError(f"cannot compute an interval envelope for {value!r}")
 
 
+def _walks_tree(index: IntervalProbeIndex) -> bool:
+    """Whether a probe of a merge-join side walks its interval tree
+    rather than scanning its envelopes — the one test both the probe and
+    EXPLAIN read (the cut at call time, so a test can move it)."""
+    return len(index) >= indexes.INDEX_THRESHOLD
+
+
 class MergeIntervalJoin(_JoinBase):
     """Envelope join for temporal ``overlaps`` predicates.
 
     Candidate pairs are exactly those whose envelopes overlap (in the
     spirit of the forward-scan interval joins the paper cites); the
     ongoing ``overlaps`` conjunct then runs as a residual on the
-    candidates to compute the precise RT.  Envelopes are computed once,
-    at ``_add_side`` time, and cached as the side-dict values; each side
-    additionally maintains an
-    :class:`~repro.engine.indexes.IntervalProbeIndex` over them
-    (``state.extra["indexes"][side]``), so a probe of a side holding at
-    least :data:`~repro.engine.indexes.INDEX_THRESHOLD` rows costs
-    O(log n + k) instead of a scan of the whole cached side.  Indexed
-    and scanned probes differ only on always-empty envelopes, which pair
-    with nothing that survives the residual.
+    candidates to compute the precise RT.  Each side *is* an
+    :class:`~repro.engine.indexes.IntervalProbeIndex`: a row's envelope
+    is computed once, as it enters, and held there with the row.  A
+    probe of a side holding at least
+    :data:`~repro.engine.indexes.INDEX_THRESHOLD` rows walks its tree in
+    O(log n + k); below the cut it scans the side's envelopes.  Both
+    return the same rows, and :meth:`access_paths` reports which one a
+    probe of each side takes now.
 
     For fixed intervals the envelope is the interval itself and the
     filter is exact.  For expanding intervals ``[a, now)`` the envelope
@@ -740,11 +788,9 @@ class MergeIntervalJoin(_JoinBase):
         self.right_interval_position = right_interval_position
 
     def delta_state(self) -> OperatorState:
-        state = super().delta_state()
-        state.extra["indexes"] = {
-            "left": IntervalProbeIndex(),
-            "right": IntervalProbeIndex(),
-        }
+        state = OperatorState()
+        state.extra["left"] = IntervalProbeIndex()
+        state.extra["right"] = IntervalProbeIndex()
         return state
 
     def _key(self, side: str, item: OngoingTuple) -> Tuple[int, int]:
@@ -762,11 +808,10 @@ class MergeIntervalJoin(_JoinBase):
         item: OngoingTuple,
         key: Tuple[int, int],
     ) -> None:
-        cache = state.extra[side]
-        if item not in cache:
+        index = state.extra[side]
+        if item not in index:
+            index.add(item, *key)
             state.cached_rows += 1
-            cache[item] = key
-            state.extra["indexes"][side].add(item, key[0], key[1])
 
     def _remove_side(
         self,
@@ -775,23 +820,29 @@ class MergeIntervalJoin(_JoinBase):
         item: OngoingTuple,
         key: Tuple[int, int],
     ) -> None:
-        super()._remove_side(state, side, item, key)
-        state.extra["indexes"][side].remove(item)
+        try:
+            state.extra[side].remove(item)
+        except KeyError:
+            raise NonIncrementalDelta(
+                f"delete of a tuple unknown to the join's {side} side"
+            ) from None
+        state.cached_rows -= 1
 
     def _matches(
         self, state: OperatorState, side: str, key: Tuple[int, int]
     ) -> Iterable[OngoingTuple]:
-        start, end = key
-        cache = state.extra[side]
-        paths = state.extra.setdefault("access_paths", {})
-        if len(cache) >= indexes.INDEX_THRESHOLD:
-            index = state.extra["indexes"][side]
-            paths[side] = f"index:interval({len(index)})"
-            return index.overlapping(start, end)
-        paths[side] = f"scan({len(cache)})"
-        return [
-            item for item, env in cache.items() if env[0] < end and start < env[1]
-        ]
+        index = state.extra[side]
+        if _walks_tree(index):
+            return index.overlapping(*key)
+        return index.scan(*key)
+
+    def access_paths(self, state: OperatorState) -> Dict[str, str]:
+        paths = {}
+        for side in ("left", "right"):
+            index = state.extra[side]
+            kind = "index:interval" if _walks_tree(index) else "scan"
+            paths[side] = f"{kind}({len(index)})"
+        return paths
 
     def _describe(self) -> str:
         return (
@@ -827,13 +878,14 @@ class DifferenceOp(PhysicalOperator):
 
     Difference is nonmonotonic: inserting into the right side can
     *shrink* reference times of unrelated-looking left tuples.  The
-    state therefore caches both input sides plus the per-left-tuple
-    output (``out_of``).  Left deltas are handled tuple-locally.  A
-    right delta only affects left tuples whose *fixed* attributes equal
-    the changed row's (``value_equality`` conjoins a plain ``==`` per
-    fixed attribute, so any fixed mismatch is always false) — the left
-    side is indexed by its fixed-attribute projection
-    (``left_by_fixed``) and only the matching bucket recomputes.
+    state therefore caches both input sides, each row once: ``right``,
+    the right rows, and ``left``, ``fixed key → {left row: its output or
+    None}``.  Left deltas are handled tuple-locally.  A right delta only
+    affects left tuples whose *fixed* attributes equal the changed row's
+    (``value_equality`` conjoins a plain ``==`` per fixed attribute, so
+    any fixed mismatch is always false) — which is why the left side is
+    keyed by its fixed-attribute projection: only the matching bucket
+    recomputes.
     """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
@@ -841,6 +893,11 @@ class DifferenceOp(PhysicalOperator):
         self.left = left
         self.right = right
         self.schema = left.schema
+        self._fixed_positions = tuple(
+            position
+            for position, attribute in enumerate(self.schema)
+            if not attribute.kind.is_ongoing
+        )
 
     def _children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
@@ -857,53 +914,52 @@ class DifferenceOp(PhysicalOperator):
 
     def _fixed_key(self, item: OngoingTuple) -> Tuple[object, ...]:
         """The tuple's fixed-attribute projection (the affectedness key)."""
-        return tuple(
-            item.values[position] for position in self._fixed_positions()
-        )
-
-    def _fixed_positions(self) -> Tuple[int, ...]:
-        cached = getattr(self, "_fixed_positions_cache", None)
-        if cached is None:
-            cached = self._fixed_positions_cache = tuple(
-                position
-                for position, attribute in enumerate(self.schema)
-                if not attribute.kind.is_ongoing
-            )
-        return cached
+        return tuple(item.values[position] for position in self._fixed_positions)
 
     def delta_state(self) -> OperatorState:
         state = OperatorState()
+        state.extra["left"] = {}
         state.extra["right"] = {}
-        state.extra["out_of"] = {}
-        state.extra["left_by_fixed"] = PartitionIndex()
         return state
+
+    def check_state(self, state: OperatorState) -> List[str]:
+        held = len(state.extra["right"]) + sum(
+            len(bucket) for bucket in state.extra["left"].values()
+        )
+        if held == state.cached_rows:
+            return []
+        return [f"sides hold {held} rows, state caches {state.cached_rows}"]
+
+    def access_paths(self, state: OperatorState) -> Dict[str, str]:
+        left_rows = state.cached_rows - len(state.extra["right"])
+        return {"left": f"index:partition({left_rows})"}
 
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
     ) -> Delta:
         left_delta, right_delta = deltas
+        left: Dict[
+            Tuple[object, ...], Dict[OngoingTuple, Optional[OngoingTuple]]
+        ] = state.extra["left"]
         right: Dict[OngoingTuple, None] = state.extra["right"]
-        out_of: Dict[OngoingTuple, Optional[OngoingTuple]] = state.extra["out_of"]
-        by_fixed: PartitionIndex = state.extra["left_by_fixed"]
         changes: Dict[OngoingTuple, int] = {}
         # Left deletions: retract exactly the output the tuple produced.
         for item in left_delta.deleted:
-            if item not in out_of:
+            key = self._fixed_key(item)
+            bucket = left.get(key)
+            if bucket is None or item not in bucket:
                 raise NonIncrementalDelta(
                     "delete of a tuple unknown to the difference's left side"
                 )
-            out = out_of.pop(item)
+            out = bucket.pop(item)
+            if not bucket:
+                del left[key]
             state.cached_rows -= 1
-            try:
-                by_fixed.remove(self._fixed_key(item), item)
-            except KeyError:
-                pass
             if out is not None:
                 changes[out] = changes.get(out, 0) - 1
         # Right changes: fold into the cached side, then recompute the
-        # match set of the possibly-affected left tuples — only those
-        # whose fixed attributes equal a changed right row's (served by
-        # the partition index).
+        # match set of the possibly-affected left tuples — only those in
+        # the bucket of a changed right row's fixed attributes.
         if not right_delta.is_empty():
             for item in right_delta.deleted:
                 if item not in right:
@@ -917,32 +973,31 @@ class DifferenceOp(PhysicalOperator):
                 if item not in right:
                     state.cached_rows += 1
                 right[item] = None
-            affected: Dict[OngoingTuple, None] = {}
-            for row in right_delta.inserted + right_delta.deleted:
-                affected.update(by_fixed.bucket(self._fixed_key(row)))
-            state.extra.setdefault("access_paths", {})["left"] = (
-                f"index:partition({len(by_fixed)})"
+            touched = dict.fromkeys(
+                self._fixed_key(row)
+                for row in right_delta.inserted + right_delta.deleted
             )
-            for item in affected:
-                old_out = out_of[item]
-                new_out = self._difference_tuple(item, right)
-                if new_out == old_out:
-                    continue
-                if old_out is not None:
-                    changes[old_out] = changes.get(old_out, 0) - 1
-                if new_out is not None:
-                    changes[new_out] = changes.get(new_out, 0) + 1
-                out_of[item] = new_out
+            for key in touched:
+                bucket = left.get(key, {})
+                for item, old_out in bucket.items():
+                    new_out = self._difference_tuple(item, right)
+                    if new_out == old_out:
+                        continue
+                    if old_out is not None:
+                        changes[old_out] = changes.get(old_out, 0) - 1
+                    if new_out is not None:
+                        changes[new_out] = changes.get(new_out, 0) + 1
+                    bucket[item] = new_out  # a value, not a key: safe mid-walk
         # Left insertions run against the already-updated right side.
         for item in left_delta.inserted:
-            if item in out_of:
+            bucket = left.setdefault(self._fixed_key(item), {})
+            if item in bucket:
                 raise NonIncrementalDelta(
                     "insert of a tuple already on the difference's left side"
                 )
             out = self._difference_tuple(item, right)
-            out_of[item] = out
+            bucket[item] = out
             state.cached_rows += 1
-            by_fixed.add(self._fixed_key(item), item)
             if out is not None:
                 changes[out] = changes.get(out, 0) + 1
         return commit_changes(state, changes)
@@ -1032,6 +1087,29 @@ class AggregateOp(PhysicalOperator):
             outs[()] = row
             state.counts[row] = 1
         return state
+
+    def check_state(self, state: OperatorState) -> List[str]:
+        problems: List[str] = []
+        groups = state.extra["accumulators"]
+        outs = state.extra["out"]
+        held = sum(group.entries() for group in groups.values())
+        if held != state.cached_rows:
+            problems.append(
+                f"accumulators hold {held} entries, state caches "
+                f"{state.cached_rows}"
+            )
+        for key, group in groups.items():
+            if outs.get(key) != group.row(key):
+                problems.append(
+                    f"output row of group {key!r} is not what its "
+                    f"accumulators walk to"
+                )
+                break
+        if any(key not in groups for key in outs if key != ()):
+            problems.append(
+                "an output row outlived its group's accumulators"
+            )
+        return problems
 
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
@@ -1246,6 +1324,33 @@ class SortLimitOp(PhysicalOperator):
         state.extra["overflow"] = 0
         return state
 
+    def check_state(self, state: OperatorState) -> List[str]:
+        problems: List[str] = []
+        window = state.extra["window"]
+        if len(window) != len(state.counts):
+            problems.append(
+                f"window holds {len(window)} rows, counts hold "
+                f"{len(state.counts)}"
+            )
+        elif any(item not in state.counts for _, item in window):
+            problems.append("window row missing from the derivation counts")
+        elif any(
+            window[i][0] > window[i + 1][0] for i in range(len(window) - 1)
+        ):
+            problems.append("window keys out of order")
+        overflow = state.extra["overflow"]
+        if overflow and (self.limit is None or len(window) != self.limit):
+            problems.append(
+                f"overflow={overflow} with a non-full window "
+                f"({len(window)}/{self.limit})"
+            )
+        return problems
+
+    def access_paths(self, state: OperatorState) -> Dict[str, str]:
+        window = state.extra["window"]
+        overflow = state.extra["overflow"]
+        return {"window": f"topk:window({len(window)})+overflow({overflow})"}
+
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
     ) -> Delta:
@@ -1302,7 +1407,4 @@ class SortLimitOp(PhysicalOperator):
                 changes[evicted] = changes.get(evicted, 0) - 1
         state.extra["overflow"] = overflow
         state.cached_rows = len(window)
-        state.extra.setdefault("access_paths", {})["window"] = (
-            f"topk:window({len(window)})+overflow({overflow})"
-        )
         return commit_changes(state, changes)

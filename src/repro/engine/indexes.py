@@ -37,13 +37,14 @@ Two families live here:
     which an equality selection over a scan probes
     (a :class:`~repro.engine.executor.SeqScan` access path).
 
-* **Incrementally maintained indexes** over an operator's cached delta
-  state: :class:`IntervalProbeIndex` (a merge join's two sides, with an
-  :class:`OrderedIndex` overlay) and :class:`PartitionIndex` (a
-  difference's left side), so a probe against a big build side costs
-  ``O(log n + k)`` instead of a scan.  They live inside
-  ``OperatorState.extra`` — priced into ``state_bytes()`` and
-  dropped/rebuilt together with the state they index.
+* The **incrementally maintained index** a merge join keeps each cached
+  side in: :class:`IntervalProbeIndex` (with an :class:`OrderedIndex`
+  overlay) *is* the side — its row → envelope map is the cache, so a
+  row is held once — and a probe of a side of at least
+  :data:`INDEX_THRESHOLD` rows walks its tree in ``O(log n + k)``
+  instead of scanning the envelopes.  It lives inside
+  ``OperatorState.extra`` and is dropped/rebuilt with the rest of the
+  operator's state.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ __all__ = [
     "IntervalIndex",
     "IntervalProbeIndex",
     "OrderedIndex",
-    "PartitionIndex",
     "equality_buckets",
 ]
 
@@ -263,56 +263,6 @@ class OrderedIndex:
         return iter(self._items)
 
 
-class PartitionIndex:
-    """A predicate-partition index: fixed key -> bucket of items.
-
-    The generalization of the hash-join build side: any operator whose
-    probes are keyed by a fixed expression keeps one bucket per key and
-    touches only the probed bucket.  Buckets preserve insertion order
-    (``dict`` semantics), matching the unindexed scan order.
-    """
-
-    __slots__ = ("_buckets", "_entries")
-
-    def __init__(self) -> None:
-        self._buckets: Dict[Any, Dict[Any, None]] = {}
-        self._entries = 0
-
-    def __len__(self) -> int:
-        """Total entries across buckets (the priced size)."""
-        return self._entries
-
-    def add(self, key: Any, item: Any) -> None:
-        bucket = self._buckets.setdefault(key, {})
-        if item not in bucket:
-            bucket[item] = None
-            self._entries += 1
-
-    def remove(self, key: Any, item: Any) -> None:
-        bucket = self._buckets.get(key)
-        if bucket is None or item not in bucket:
-            raise KeyError(f"({key!r}, {item!r}) not in index")
-        del bucket[item]
-        self._entries -= 1
-        if not bucket:
-            del self._buckets[key]
-
-    def bucket(self, key: Any) -> Dict[Any, None]:
-        """The live bucket for *key* (read-only; empty dict if absent)."""
-        return self._buckets.get(key, {})
-
-    def keys(self) -> Iterator[Any]:
-        return iter(self._buckets)
-
-    def buckets(self) -> Iterator[Tuple[Any, Dict[Any, None]]]:
-        """All ``(key, bucket)`` pairs (insertion order)."""
-        return iter(self._buckets.items())
-
-    def items(self) -> Iterator[Any]:
-        for bucket in self._buckets.values():
-            yield from bucket
-
-
 class IntervalProbeIndex:
     """An incrementally maintained envelope interval tree for delta probes.
 
@@ -323,7 +273,8 @@ class IntervalProbeIndex:
     (``O(log n + k)``), post-filter tombstones, and scan the overlay via
     bisect; when overlay + tombstones outgrow a quarter of the base the
     whole structure rebuilds in ``O(n log n)`` — amortized ``O(log n)``
-    per mutation.
+    per mutation.  Below :data:`INDEX_THRESHOLD` entries a probe is
+    :meth:`scan`, a pass over the envelopes; above, :meth:`overlapping`.
     """
 
     REBUILD_FLOOR = 16
@@ -341,11 +292,8 @@ class IntervalProbeIndex:
     def __len__(self) -> int:
         return len(self._envelopes)
 
-    def items(self) -> Iterator[Any]:
-        return iter(self._envelopes)
-
-    def envelope(self, item: Any) -> Tuple[int, int]:
-        return self._envelopes[item]
+    def __contains__(self, item: Any) -> bool:
+        return item in self._envelopes
 
     def add(self, item: Any, start: int, end: int) -> None:
         if item in self._envelopes:
@@ -389,6 +337,17 @@ class IntervalProbeIndex:
             if entry_end > start:
                 result.append(item)
         return result
+
+    def scan(self, start: int, end: int) -> List[Any]:
+        """The rows of :meth:`overlapping`, by one pass over the envelopes
+        in insertion order — the probe below :data:`INDEX_THRESHOLD`."""
+        if start >= end:
+            return []
+        return [
+            item
+            for item, (low, high) in self._envelopes.items()
+            if low < end and start < high and low < high
+        ]
 
     def _maybe_rebuild(self) -> None:
         pending = len(self._overlay) + len(self._removed)

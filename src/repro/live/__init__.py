@@ -6,9 +6,9 @@ reference time passes and only goes stale on *explicit* modifications.
 That is precisely the contract a continuous-query/subscription service
 needs, and this package is that service:
 
-* :mod:`repro.live.events` — :class:`ChangeEvent` / :class:`RefreshNotification`
-  records; they travel on the :class:`EventBus` (:mod:`repro.serve.bus`,
-  re-exported here).  A notification hands over the change and the pinned snapshot; it is
+* :mod:`repro.live.events` — the :class:`RefreshNotification` record; it
+  travels on the :class:`EventBus` (:mod:`repro.serve.bus`, re-exported
+  here).  A notification hands over the change and the pinned snapshot; it is
   bound to a reference time when it is read — ``rows`` (the whole
   result, once, on first access) or ``changes_at(rt)`` (a
   :class:`BoundChanges`, O(|Δ|));
@@ -60,14 +60,13 @@ the read) or keeps them current in O(|Δ|)::
 
 from repro.serve.bus import EventBus
 
-from repro.live.events import BoundChanges, ChangeEvent, RefreshNotification
+from repro.live.events import BoundChanges, RefreshNotification
 from repro.live.manager import LiveSession, SubscriptionManager
 from repro.live.subscription import BoundRows, Subscription, SubscriptionStats
 
 __all__ = [
     "BoundChanges",
     "BoundRows",
-    "ChangeEvent",
     "EventBus",
     "LiveSession",
     "RefreshNotification",

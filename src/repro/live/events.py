@@ -1,18 +1,17 @@
-"""Change events and refresh notifications: the live engine's records.
+"""Refresh notifications: the live engine's records.
 
 The paper's invariant — ongoing results never go stale because time passes,
 only because of explicit modifications — means the *only* signal the live
-engine needs is the stream of base-table modifications.  This module gives
-that stream a shape:
+engine needs is the stream of base-table modifications, which it takes
+from the :class:`~repro.engine.database.Database` delta hooks as plain
+``(table, version, delta)`` calls.  What it hands on has a shape:
 
-* :class:`ChangeEvent` — an immutable ``(table, version)`` record emitted
-  by the :class:`~repro.engine.database.Database` modification hooks;
 * :class:`RefreshNotification` — what subscribers receive after their
   shared result was refreshed: the change and the pinned snapshot, bound
   to a reference time only when (and by whoever) reads it —
   :class:`BoundChanges` is the O(|Δ|) read.
 
-They travel on the :class:`~repro.serve.bus.EventBus`.
+Notifications travel on the :class:`~repro.serve.bus.EventBus`.
 """
 
 from __future__ import annotations
@@ -24,28 +23,7 @@ from repro.core.timeline import TimePoint
 from repro.engine.delta import Delta
 from repro.relational.tuples import FixedTuple
 
-__all__ = ["ChangeEvent", "BoundChanges", "RefreshNotification"]
-
-
-@dataclass(frozen=True)
-class ChangeEvent:
-    """One explicit modification of a base table.
-
-    ``version`` is the table's monotonic modification counter *after* the
-    change; coalesced modifications (a :meth:`~repro.engine.database.Table.batch`
-    block, a current update) produce exactly one event.  ``delta`` names
-    the changed rows (``None`` for an event built by hand); it is carried
-    for consumers and does not participate in event identity.
-    """
-
-    table: str
-    version: int
-    delta: Optional[Delta] = field(default=None, compare=False)
-    #: The :class:`~repro.engine.database.CommitStamp` of the
-    #: modification batch (``None`` for events synthesized outside a
-    #: stamped write path).  Carried for freshness accounting; excluded
-    #: from identity like the delta.
-    commit: Optional[Any] = field(default=None, compare=False)
+__all__ = ["BoundChanges", "RefreshNotification"]
 
 
 class BoundChanges(NamedTuple):

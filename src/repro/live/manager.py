@@ -108,7 +108,7 @@ from repro.obs.trace import NULL_TRACER, TraceRecorder
 from repro.serve.bus import EventBus
 from repro.serve.queues import check_queue_options
 
-from repro.live.events import ChangeEvent, RefreshNotification
+from repro.live.events import RefreshNotification
 from repro.live.metrics import SessionMetrics
 from repro.live.serving import ServeLoop
 from repro.live.subscription import Subscription
@@ -556,9 +556,6 @@ class SubscriptionManager:
             # the batch — database.last_commit IS this modification's
             # stamp.
             commit = self.database.last_commit
-            self.bus.publish(
-                "change", ChangeEvent(table, version, delta, commit=commit)
-            )
             with self._lock:
                 self._stats["repro_live_events_total"] += 1
                 affected = self._routes.get(table, ())

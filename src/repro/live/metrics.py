@@ -140,7 +140,7 @@ class SessionMetrics:
     def on_delivered(self, payload: object) -> None:
         """Bus hook: fires once per callback that returned.  Only
         commit-stamped refresh notifications count toward freshness —
-        change events and error records pass through."""
+        error records and other payloads pass through."""
         if (
             not isinstance(payload, RefreshNotification)
             or payload.commit is None

@@ -15,11 +15,12 @@ operator, keyed by its stable tree path — and prints the plan the way
   wall time since the state was built;
 * ``Δin`` / ``Δout`` — cumulative delta rows consumed and emitted;
 * ``fallbacks`` — ``NonIncrementalDelta`` raises charged to this node;
-* ``idx`` — entries held by the node's secondary indexes (priced into
-  ``bytes``);
-* ``access`` — the access path each probe side last took
-  (``index:interval(n)`` / ``index:partition(n)`` / ``scan(n)``): which
-  side of :data:`~repro.engine.indexes.INDEX_THRESHOLD` it fell on.
+* ``access`` — the path a probe of each part of the node's state takes
+  now, as the operator reports it: ``index:interval(n)`` or ``scan(n)``
+  per merge-join side (which side of
+  :data:`~repro.engine.indexes.INDEX_THRESHOLD` it is on),
+  ``index:partition(n)`` for a difference's left side,
+  ``topk:window(k)+overflow(m)`` for a top-k.
 
 This is the reproduction-side answer to the cost breakdown of the
 paper's extended version (arXiv:2001.05722, per-operator scan/compute
@@ -75,8 +76,6 @@ def _node_line(entry: Dict[str, Any]) -> str:
         + f"  Δout={entry['delta_rows_out']}"
         + f"  fallbacks={entry['fallbacks']}"
     )
-    if entry.get("index_entries"):
-        annotation += f"  idx={entry['index_entries']}"
     access_paths = entry.get("access_paths")
     if access_paths:
         rendered = ",".join(

@@ -64,8 +64,8 @@ def coalesce_payloads(older: Any, newer: Any) -> Optional[Any]:
 
     Returns the merged payload, or ``None`` when the two cannot merge
     (different subscriptions, or payloads that are not refresh
-    notifications at all — change events on the ``"change"`` topic, error
-    records).  Callers treat ``None`` as "fall back to drop_oldest".
+    notifications at all — error records, or anything else published on
+    a plain topic).  Callers treat ``None`` as "fall back to drop_oldest".
     """
     merge = getattr(older, "coalesce_with", None)
     if merge is None:

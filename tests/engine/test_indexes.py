@@ -13,14 +13,9 @@ from repro.core.timeline import MINUS_INF, PLUS_INF, mmdd
 from repro.core.timepoint import NOW, fixed
 from repro.engine import indexes
 from repro.engine.database import Database
-from repro.engine.delta import Delta, DeltaEvaluator
+from repro.engine.delta import Delta, DeltaEvaluator, NonIncrementalDelta
 from repro.engine.executor import MergeIntervalJoin, SeqScan
-from repro.engine.indexes import (
-    IntervalIndex,
-    IntervalProbeIndex,
-    OrderedIndex,
-    PartitionIndex,
-)
+from repro.engine.indexes import IntervalIndex, IntervalProbeIndex, OrderedIndex
 from repro.engine.plan import scan
 from repro.engine.planner import plan_query
 from repro.errors import QueryError
@@ -204,6 +199,7 @@ class TestOneSortTree:
                 if low < high and low < end and start < high
             ]
             assert sorted(index.overlapping(start, end)) == want, (start, end)
+            assert index.scan(start, end) == want, (start, end)
 
     def test_nested_envelopes_terminate(self):
         """Envelopes halving from the whole domain down, all starting at
@@ -296,32 +292,6 @@ class TestOrderedIndex:
             index.remove(3, "c")
 
 
-class TestPartitionIndex:
-    def test_buckets_track_membership(self):
-        index = PartitionIndex()
-        index.add("k", 1)
-        index.add("k", 2)
-        index.add("other", 3)
-        assert set(index.bucket("k")) == {1, 2}
-        assert len(index) == 3
-        index.remove("k", 1)
-        index.remove("k", 2)
-        assert index.bucket("k") == {}  # emptied bucket is dropped
-        assert "k" not in set(index.keys())
-        assert len(index) == 1
-
-    def test_duplicate_add_is_idempotent(self):
-        index = PartitionIndex()
-        index.add("k", 1)
-        index.add("k", 1)
-        assert len(index) == 1
-
-    def test_remove_unknown_raises(self):
-        index = PartitionIndex()
-        with pytest.raises(KeyError):
-            index.remove("k", 1)
-
-
 class TestIntervalProbeIndex:
     def test_matches_brute_force_under_mutation(self):
         rng = random.Random(11)
@@ -374,21 +344,21 @@ class TestIntervalProbeIndex:
 
 class TestMergeJoinSideIndexes:
     def test_both_sides_are_indexed_from_the_empty_state(self):
-        """A merge join's state holds one interval index per side from
-        the start, each mirroring its side's cache, and the evaluator
-        counts their entries."""
+        """A merge join's side *is* one interval index, from the empty
+        state on: the state keeps no second map of the same rows, and a
+        delete of a row the side never held is refused."""
         side = SeqScan(OngoingRelation(_SCHEMA, ()))
         join = MergeIntervalJoin(
             side, side, 1, 1, _SCHEMA.qualify("L").concat(_SCHEMA.qualify("R"))
         )
         state = join.delta_state()
-        assert sorted(state.extra["indexes"]) == ["left", "right"]
-        assert DeltaEvaluator._index_entries(state) == 0
+        assert sorted(state.extra) == ["left", "right"]
+        for name in ("left", "right"):
+            assert type(state.extra[name]) is IntervalProbeIndex
         rows = [OngoingTuple((key, fixed_interval(key, key + 5))) for key in range(3)]
-        for row in rows:
-            join._add_side(state, "left", row, join._key("left", row))
-        join._add_side(state, "right", rows[0], join._key("right", rows[0]))
-        assert DeltaEvaluator._index_entries(state) == 4
-        join._remove_side(state, "left", rows[1], join._key("left", rows[1]))
-        assert len(state.extra["indexes"]["left"]) == len(state.extra["left"]) == 2
-        assert DeltaEvaluator._index_entries(state) == 3
+        join.apply_delta(state, (Delta.insert(rows), Delta.insert(rows[:1])))
+        join.apply_delta(state, (Delta.delete(rows[1:2]), Delta()))
+        assert len(state.extra["left"]) == 2 and rows[1] not in state.extra["left"]
+        assert state.cached_rows == 3
+        with pytest.raises(NonIncrementalDelta, match="unknown to the join's right"):
+            join.apply_delta(state, (Delta(), Delta.delete(rows[1:2])))

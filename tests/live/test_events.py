@@ -1,4 +1,4 @@
-"""Change events, and the event bus without workers: the contract's
+"""Database delta listeners, and the event bus without workers: the contract's
 ``workers=0`` rows (the ``workers=2`` rows are in
 ``tests/serve/test_bus.py``)."""
 
@@ -6,7 +6,7 @@ from repro.core.interval import until_now
 from repro.core.timeline import mmdd
 from repro.engine.database import Database
 from repro.engine.modifications import current_delete, current_insert
-from repro.live import ChangeEvent, EventBus
+from repro.live import EventBus
 from repro.relational.schema import Schema
 from tests.serve.bus_contract import (
     BusContract,
@@ -77,21 +77,19 @@ class TestDatabaseChangeEvents:
         db = self._database()
         events = []
         db.add_delta_listener(
-            lambda table, version, delta: events.append(
-                ChangeEvent(table, version, delta)
-            )
+            lambda table, version, delta: events.append((table, version, delta))
         )
         table = db.table("B")
         table.insert(500, "X", until_now(d(1, 25)))
         current_insert(db.table("B"), (501, "Y"), at=d(2, 1))
         current_delete(db.table("B"), lambda row: row.values[0] == 500, at=d(3, 1))
-        assert events == [
-            ChangeEvent("B", 1),
-            ChangeEvent("B", 2),
-            ChangeEvent("B", 3),
+        assert [(table, version) for table, version, _ in events] == [
+            ("B", 1),
+            ("B", 2),
+            ("B", 3),
         ]
-        assert [len(event.delta.inserted) for event in events] == [1, 1, 1]
-        assert [len(event.delta.deleted) for event in events] == [0, 0, 1]
+        assert [len(delta.inserted) for _, _, delta in events] == [1, 1, 1]
+        assert [len(delta.deleted) for _, _, delta in events] == [0, 0, 1]
         assert db.table_version("B") == 3
         assert db.table_versions() == {"B": 3}
 

@@ -9,7 +9,7 @@ from repro.engine.database import CommitStamp, Database, Table
 from repro.engine.modifications import current_insert
 from repro.engine.plan import scan
 from repro.live import LiveSession
-from repro.live.events import ChangeEvent, RefreshNotification
+from repro.live.events import RefreshNotification
 from repro.obs.slo import FreshnessSLO
 from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
@@ -70,18 +70,6 @@ class TestCommitStamps:
 
 
 class TestEventPlumbing:
-    def test_change_events_carry_the_stamp(self):
-        db = _database()
-        session = LiveSession(db)
-        try:
-            events = []
-            session.bus.subscribe("change", events.append)
-            db.table("T").insert(2, until_now(6))
-            (event,) = events
-            assert event.commit == db.table("T").last_commit
-        finally:
-            session.close()
-
     def test_coalescing_keeps_the_oldest_stamp(self):
         older = CommitStamp(1, 100.0)
         newer = CommitStamp(5, 200.0)
@@ -98,10 +86,6 @@ class TestEventPlumbing:
         unstamped = RefreshNotification(subscription=sub, result=None)
         assert unstamped.coalesce_with(first).commit == newer
         assert first.coalesce_with(unstamped).commit == newer
-
-    def test_unstamped_change_event_defaults_to_none(self):
-        event = ChangeEvent("T", 1)
-        assert event.commit is None
 
 
 class TestFreshnessAccounting:

@@ -1,8 +1,9 @@
 """Property tests: planning choices never change results.
 
 The contract of the planning layer: predicate pushdown, the
-interval-scan access path, and every secondary index (the merge join's
-interval indexes, the difference's partition index) are
+interval-scan access path, and every indexed operator state (the merge
+join's sides, each an interval index; the difference's left rows, keyed
+by their fixed attributes) are
 pure *performance* artifacts — for any plan and any typed modification
 sequence, a fully tuned evaluator (rewrites on, indexes forced on by
 patching ``INDEX_THRESHOLD`` to 1) maintains a result byte-identical,
@@ -14,8 +15,8 @@ Three invariants ride along:
 * neither side ever falls back to full re-evaluation on these typed
   sequences (a fallback would mean the equivalence proves nothing);
 * :meth:`~repro.engine.delta.DeltaEvaluator.check_index_integrity`
-  returns no problems after every flush — each index stays an exact
-  mirror of the operator cache it accelerates;
+  returns no problems after every flush — every operator's state agrees
+  with itself, by the operator's own check;
 * the equivalence holds at every reference time, not just on the
   uninstantiated rows.
 """

@@ -127,7 +127,7 @@ def test_the_serve_package_exports_delivery_names_only():
         "FlushScheduler", "FlushRound", "shard_index",
         "AsyncEventBus", "DeliveryPool", "PlanCostHistory",
         "CostModel", "RefreshDecision", "DEFAULT_COST_MODEL",
-        "SecondaryIndexRegistry",
+        "SecondaryIndexRegistry", "PartitionIndex", "ChangeEvent",
     ):
         for package in (repro, repro.live, repro.serve, repro.engine):
             assert name not in package.__all__ and not hasattr(package, name)
