@@ -244,42 +244,26 @@ class Durability:
         }
 
     def collect_samples(self):
-        """Pull-time metrics (registered as a registry collector)."""
+        """Pull-time metrics (registered as a registry collector): the
+        four counters something reads.  The WAL's lag and segments are
+        ``/health``'s ``wal`` block, a resume's counts are
+        ``last_recovery``'s report."""
         from repro.obs.registry import Sample
 
         wal = self.wal.stats()
         counter = lambda name, value, help: Sample(  # noqa: E731
             name, {}, float(value), "counter", help
         )
-        gauge = lambda name, value, help: Sample(  # noqa: E731
-            name, {}, float(value), "gauge", help
-        )
         return [
             counter("repro_wal_appends_total", wal["appends"],
                     "Records appended to the write-ahead log"),
             counter("repro_wal_fsyncs_total", wal["fsyncs"],
                     "fsync() calls issued by the write-ahead log"),
-            counter("repro_wal_bytes_total", wal["bytes_written"],
-                    "Bytes appended to the write-ahead log"),
-            counter("repro_wal_truncated_bytes_total", wal["truncated_bytes"],
-                    "Torn-tail bytes truncated on recovery"),
-            gauge("repro_wal_segments", wal["segments"],
-                  "Live write-ahead-log segment files"),
-            gauge("repro_wal_lag_records", wal["lag_records"],
-                  "Appended records not yet covered by an fsync"),
-            gauge("repro_wal_lag_bytes", wal["lag_bytes"],
-                  "Appended bytes not yet covered by an fsync"),
             counter("repro_checkpoints_total", self.checkpoints,
                     "Checkpoints written by this process"),
             counter("repro_recovery_replayed_records_total",
                     self.replayed_records,
                     "WAL records replayed during recovery"),
-            counter("repro_recovery_resumed_subscriptions_total",
-                    self.resumed_subscriptions,
-                    "Subscriptions re-attached by LiveSession.resume()"),
-            counter("repro_recovery_reenqueued_notifications_total",
-                    self.reenqueued_notifications,
-                    "Pending notifications re-enqueued exactly once on resume"),
         ]
 
 

@@ -309,7 +309,7 @@ class WriteAheadLog:
         self._lock = threading.RLock()
         self._file = None
         self._closed = False
-        # Counters (exposed through Durability.collect_samples).
+        # Counters (read through stats(); the scrape exposes two).
         self.appends = 0
         self.fsyncs = 0
         self.bytes_written = 0

@@ -50,7 +50,6 @@ from repro.engine.executor import (
     ProjectOp,
     SeqScan,
     UnionOp,
-    materialize,
 )
 from repro.engine.views import MaterializedOngoingView
 from repro.engine.storage import (
@@ -102,7 +101,6 @@ __all__ = [
     "ProjectOp",
     "SeqScan",
     "UnionOp",
-    "materialize",
     "MaterializedOngoingView",
     "StorageReport",
     "pack_rt",

@@ -71,7 +71,6 @@ from repro.engine.delta import (
     FULL_DELTA,
     NonIncrementalDelta,
 )
-from repro.engine.executor import materialize
 from repro.engine.plan import PlanNode
 from repro.errors import QueryError, SchemaError
 from repro.relational.relation import OngoingRelation
@@ -662,14 +661,18 @@ class Database:
     # ------------------------------------------------------------------
 
     def query(self, plan: PlanNode, *, optimize: bool = True) -> OngoingRelation:
-        """Plan, execute, and materialize a logical plan.
+        """Evaluate a logical plan once: the cold build a subscription,
+        a resume and a fallback refresh start from
+        (:meth:`~repro.engine.delta.DeltaEvaluator.refresh_full`), with
+        the operator state dropped afterwards.
 
         With *optimize* (default) the algebraic rewrites (selection
-        split + push-down) run before physical planning.
+        split + push-down) run before physical planning.  No lock is
+        taken beyond the table snapshots the scans take at planning.
         """
-        from repro.engine.planner import plan_query
+        from repro.engine.delta import DeltaEvaluator
 
-        return materialize(plan_query(plan, self, optimize=optimize))
+        return DeltaEvaluator(plan, self, optimize=optimize).refresh_full()
 
     def explain(self, plan: PlanNode, *, optimize: bool = True) -> str:
         """The physical plan chosen for *plan* (one operator per line)."""

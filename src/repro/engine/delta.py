@@ -548,7 +548,9 @@ class DeltaEvaluator:
         return self._store.snapshot()
 
     def _evaluate(self, node, root, states, prices):
-        """Build *node*'s state bottom-up.
+        """Build *node*'s state bottom-up — the one cold recursion over a
+        physical tree: a one-shot ``Database.query``, a subscribe, a
+        resume and a fallback refresh all evaluate through it.
 
         Returns the node's output set and the sampled byte price of one
         of its rows.  A scan's output set is the table it was planned

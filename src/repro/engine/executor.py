@@ -1,9 +1,9 @@
 """Physical operators of the ongoing-relation engine.
 
-Every operator exposes its output ``schema`` and is iterable, yielding
-:class:`~repro.relational.tuples.OngoingTuple` streams; :func:`materialize`
-drains an operator into an
-:class:`~repro.relational.relation.OngoingRelation`.
+Every operator exposes its output ``schema`` and its rule; it is not
+iterable.  What a tree evaluates to is read by building it —
+:meth:`~repro.engine.delta.DeltaEvaluator.refresh_full`, behind
+``Database.query`` and every subscribe, resume and fallback alike.
 
 The operators realize the implementation strategy of Section VIII:
 
@@ -28,19 +28,12 @@ children to the set-level change of the output while advancing *state*
 (see :mod:`repro.engine.delta`).  Beside the rule, a stateful operator
 says how to check its state (``check_state``) and how its probes read
 it (``access_paths``), so the evaluator switches on no operator class.
-Everything else is derived from the rule:
-
-* ``evaluate(state, inputs)`` — cold evaluation — is ``apply_delta`` of
-  one all-insert delta per input over a fresh state.  The per-operator
-  equivalences hold at *all* reference times, which is what makes this
-  sound for every operator, the non-monotonic difference included;
-* ``__iter__`` — the pull path behind :func:`materialize` — runs
-  ``evaluate`` on a throw-away state and yields its output.  Map-like
-  operators (:class:`MappedDeltaOperator`) instead stream their per-tuple
-  map over the children with no state at all, so scan → filter → project
-  chains allocate nothing and keep riding the interval index; only the
-  scan sources and :class:`SortLimitOp` (which presents its window in
-  order) define an ``__iter__`` of their own.
+Cold evaluation is derived from the rule: ``evaluate(state, inputs)`` is
+``apply_delta`` of one all-insert delta per input over a fresh state.
+The per-operator equivalences hold at *all* reference times, which is
+what makes this sound for every operator, the non-monotonic difference
+included.  There is no second cold path: the one recursion over a tree
+is :meth:`~repro.engine.delta.DeltaEvaluator._evaluate`.
 
 The delta rules: filters and projections map deltas tuple-by-tuple;
 joins probe only the delta side against their cached build state
@@ -59,7 +52,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
@@ -99,12 +92,12 @@ __all__ = [
     "AggregateOp",
     "DistinctOp",
     "SortLimitOp",
-    "materialize",
 ]
 
 
 class PhysicalOperator:
-    """Base class: an iterable of ongoing tuples with a known schema."""
+    """Base class: a node of a physical plan with a known output schema
+    and one rule (:meth:`apply_delta`) for what it outputs."""
 
     schema: Schema
 
@@ -159,23 +152,6 @@ class PhysicalOperator:
         """
         self.apply_delta(state, tuple(Delta.insert(side) for side in inputs))
 
-    def _pull_state(self) -> OperatorState:
-        """Evaluate over the children's pulled (deduplicated — the rules
-        take set-level input) outputs into a throw-away state."""
-        state = self.delta_state()
-        self.evaluate(
-            state, tuple(dict.fromkeys(child) for child in self._children())
-        )
-        return state
-
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        return iter(self._pull_state().counts)
-
-
-def materialize(operator: PhysicalOperator) -> OngoingRelation:
-    """Drain a physical operator into an ongoing relation."""
-    return OngoingRelation(operator.schema, operator)
-
 
 class MappedDeltaOperator(PhysicalOperator):
     """Per-tuple map operators.
@@ -187,23 +163,11 @@ class MappedDeltaOperator(PhysicalOperator):
     (distinct inputs mapping to one output) and multiplicities (a tuple
     present on both union sides).  One counting rule serves them all;
     subclasses override only the map.
-
-    Being pure, the map also streams: the pull iterator needs no state
-    (duplicates it lets through are removed by whoever consumes it —
-    :func:`materialize` or a stateful parent's ``_pull_state``).
     """
 
     def _map_tuple(self, item: OngoingTuple) -> Optional[OngoingTuple]:
         """The per-tuple map; ``None`` drops the tuple.  Default: identity."""
         return item
-
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        map_tuple = self._map_tuple
-        for child in self._children():
-            for item in child:
-                mapped = map_tuple(item)
-                if mapped is not None:
-                    yield mapped
 
     def apply_delta(
         self, state: OperatorState, deltas: Sequence[Delta]
@@ -243,8 +207,8 @@ class SeqScan(PhysicalOperator):
     of the rows when that is not *relation* itself (the table behind a
     snapshot), so EXPLAIN shows the current row count, not the planned.
 
-    **The access path.**  What a cold read of the scan — the pull
-    iterator, and the cold build of a maintained plan — hands its parent
+    **The access path.**  What the cold build of a plan — a query, a
+    subscribe, a resume or a fallback refresh — hands the scan's parent
     is :meth:`candidates`: the whole source, or, when the planner found a
     ``column = constant`` conjunct in the selection right above a
     base-table scan, *probe* ``(column, constant, rows)`` — the rows of
@@ -265,9 +229,6 @@ class SeqScan(PhysicalOperator):
         """The rows a cold read hands the parent (a superset of what the
         parent's selection keeps, or the whole source)."""
         return self.relation.tuples if self.probe is None else self.probe[2]
-
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        return iter(self.candidates())
 
     def _describe(self) -> str:
         suffix = f" {self.label}" if self.label else ""
@@ -300,10 +261,10 @@ class SeqScan(PhysicalOperator):
 class IntervalScan(SeqScan):
     """Index-assisted cold scan below a temporal selection.
 
-    A cold read — the pull iterator, and the cold build behind every
-    subscribe, resume and fallback refresh — hands the parent only the
-    tuples whose interval **envelope** overlaps the selection's probe
-    window, served by the table's cached
+    The cold build — behind every query, subscribe, resume and fallback
+    refresh — hands the parent only the tuples whose interval
+    **envelope** overlaps the selection's probe window, served by the
+    table's cached
     :class:`~repro.engine.indexes.IntervalIndex` in ``O(log n + k)``
     instead of ``O(n)``.  Candidate filtering is lossless: envelope
     overlap is a necessary condition for every overlap-family temporal
@@ -857,9 +818,7 @@ class UnionOp(MappedDeltaOperator):
 
     A tuple's derivation count is the number of sides containing it
     (1 or 2), and only the 0 ↔ positive transitions surface as output
-    changes — classic multiplicity maintenance, inherited as-is.  Only
-    the state (hence :func:`materialize`) is set-level: iterating the
-    operator streams both sides, so a shared tuple comes through twice.
+    changes — classic multiplicity maintenance, inherited as-is.
     """
 
     def __init__(self, left: PhysicalOperator, right: PhysicalOperator):
@@ -1173,9 +1132,7 @@ class DistinctOp(MappedDeltaOperator):
     operator output — but it is an explicit multiplicity barrier: the
     inherited counting rule tracks how many derivations each tuple has
     and surfaces only the 0↔positive transitions, exactly SQL DISTINCT
-    under incremental maintenance.  The barrier is the state: iterating
-    the operator streams the child as-is, and :func:`materialize` or the
-    stateful parent consuming the stream removes the repeats.
+    under incremental maintenance.
     """
 
     def __init__(self, child: PhysicalOperator):
@@ -1279,8 +1236,12 @@ class SortLimitOp(PhysicalOperator):
     — the next-best row is unknown — and raises
     :class:`NonIncrementalDelta`, which the caller answers with the
     automatic full refresh.  Without a limit the operator is a
-    set-semantics identity that presents its window sorted on the pull
-    path.
+    set-semantics identity.
+
+    A cold batch lands in window order: its inserts run best first and
+    each one is counted as it lands, so over an empty window the
+    derivation counts — and, at the root, the result store and every
+    snapshot of it — hold the rows sorted.
     """
 
     def __init__(
@@ -1303,9 +1264,6 @@ class SortLimitOp(PhysicalOperator):
             parts.append(_Descending(key) if descending else key)
         parts.append(_TieBreak(item))
         return tuple(parts)
-
-    def __iter__(self) -> Iterator[OngoingTuple]:
-        return (item for _, item in self._pull_state().extra["window"])
 
     def _describe(self) -> str:
         keys = ", ".join(

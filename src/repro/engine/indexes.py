@@ -14,9 +14,9 @@ Two families live here:
   :meth:`~repro.engine.database.Table.partition_index`) until the
   table's next write.  Both hand a scan's parent a *superset* of the
   rows its selection keeps — the selection still judges every
-  candidate — so reading through them is lossless; the cold build behind
-  every subscribe, resume and fallback refresh and the pull path behind
-  ``Database.query`` read them alike.
+  candidate — so reading through them is lossless.  The one cold build
+  reads them, behind ``Database.query`` and every subscribe, resume and
+  fallback refresh.
 
   - :class:`IntervalIndex` — Section X future work, implemented.  The
     paper's outlook asks for "index access methods for ongoing time

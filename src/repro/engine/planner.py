@@ -199,8 +199,8 @@ class Planner:
         Allen relation — then envelope overlap with the constant's
         envelope is a necessary condition for the conjunct, so reading
         only the index candidates is lossless (the conjunct itself still
-        runs in the enclosing :class:`OngoingFilter`).  Read by a cold
-        build and by the pull path alike; a warm apply reads no index.
+        runs in the enclosing :class:`OngoingFilter`).  Read by the cold
+        build only; a warm apply reads no index.
         """
         for conjunct in ongoing_parts:
             probe = _as_index_probe(conjunct, child.schema)
@@ -410,9 +410,6 @@ class _Requalified(PhysicalOperator):
     def __init__(self, child: PhysicalOperator, schema: Schema):
         self.child = child
         self.schema = schema
-
-    def __iter__(self):
-        return iter(self.child)
 
     def _describe(self) -> str:
         return f"Qualify ({', '.join(self.schema.names[:4])}...)"

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 import threading
 import urllib.request
 
@@ -299,8 +300,17 @@ class TestObservability:
         _seed(db)
         session = db.live_session()
         rendered = session.metrics.render_prometheus()
-        assert "repro_wal_appends_total" in rendered
-        assert "repro_checkpoints_total" in rendered
+        durable = set(
+            re.findall(
+                r"^(repro_(?:wal|checkpoints|recovery)_\w+)", rendered, re.M
+            )
+        )
+        assert durable == {
+            "repro_wal_appends_total",
+            "repro_wal_fsyncs_total",
+            "repro_checkpoints_total",
+            "repro_recovery_replayed_records_total",
+        }
         db.close()
 
     def test_health_endpoint_reports_wal(self, tmp_path):

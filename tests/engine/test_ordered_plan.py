@@ -15,7 +15,6 @@ from repro.core.timeline import MINUS_INF, PLUS_INF
 from repro.engine.database import Database
 from repro.engine.delta import DeltaEvaluator
 from repro.engine.plan import Aggregate, Distinct, SortLimit, scan
-from repro.engine.planner import plan_query
 from repro.errors import QueryError
 from repro.live import LiveSession
 from repro.relational.predicates import col, lit
@@ -175,12 +174,12 @@ class TestTieBreak:
 
     def test_tied_rows_keep_the_repr_order(self):
         db = self._database()
-        ranked = list(plan_query(self._by_average(), db))
+        ranked = db.query(self._by_average()).tuples
         assert [row.values[0] for row in ranked] == self.BY_AVERAGE
         assert all(isinstance(row.values[1], OngoingRational) for row in ranked)
         assert repr(ranked[1].values[1]) == repr(ranked[3].values[1])  # a tie
         assert [
-            row.values for row in plan_query(scan("R").order_by("N"), db)
+            row.values for row in db.query(scan("R").order_by("N")).tuples
         ] == self.BY_N
         top = db.query(self._by_average(limit=2))
         assert {row.values[0] for row in top} == {3, 10}

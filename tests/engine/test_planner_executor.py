@@ -8,6 +8,8 @@ The key invariants:
   ongoing conjuncts -> OngoingFilter / residuals).
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.core.interval import fixed_interval, until_now
@@ -17,11 +19,21 @@ from repro.engine.executor import (
     HashJoin,
     MergeIntervalJoin,
     NestedLoopJoin,
-    SeqScan,
-    materialize,
 )
+from repro.engine import indexes
 from repro.engine.indexes import INDEX_THRESHOLD
-from repro.engine.plan import Difference, Join, Project, Scan, Select, Union, scan
+from repro.engine.plan import (
+    Aggregate,
+    Difference,
+    Distinct,
+    Join,
+    Project,
+    Scan,
+    Select,
+    SortLimit,
+    Union,
+    scan,
+)
 from repro.engine.planner import Planner
 from repro.errors import QueryError, SchemaError
 from repro.relational.predicates import col, lit
@@ -175,8 +187,66 @@ class TestOtherOperators:
 
     def test_materialize_roundtrip(self):
         db = _database()
-        relation = db.relation("B")
-        assert materialize(SeqScan(relation)) == relation
+        assert db.query(scan("B")) == db.relation("B")
+
+    def test_no_physical_operator_is_iterable(self):
+        """A planned tree is read by building it (``Database.query``),
+        never by iterating one of its operators."""
+        db = _database()
+        window = lit(fixed_interval(d(8, 1), d(9, 1)))
+        plans = [
+            scan("B").where(
+                (col("C") == lit("Spam filter")) & col("VT").overlaps(window)
+            ),
+            scan("B").select_columns("BID"),
+            scan("B").join(
+                scan("P"), on=col("B.C") == col("P.C"), left_name="B", right_name="P"
+            ),
+            scan("B").join(
+                scan("P"),
+                on=col("B.VT").overlaps(col("P.VT")),
+                left_name="B",
+                right_name="P",
+            ),
+            scan("B").join(
+                scan("P"),
+                on=col("B.VT").before(col("P.VT")),
+                left_name="B",
+                right_name="P",
+            ),
+            Union(Scan("B"), Scan("B")),
+            Difference(Scan("B"), Scan("B")),
+            Aggregate(Scan("B"), ("C",), "count"),
+            Distinct(Scan("B")),
+            SortLimit(Scan("B"), (("BID", False),), 2),
+        ]
+        seen = {}
+        with mock.patch.object(indexes, "INDEX_THRESHOLD", 0):
+            for plan in plans:
+                pending = [Planner().plan(plan, db)]
+                while pending:
+                    node = pending.pop()
+                    seen[type(node).__name__] = node
+                    pending.extend(node._children())
+        assert set(seen) == {
+            "SeqScan",
+            "IntervalScan",
+            "FixedFilter",
+            "OngoingFilter",
+            "ProjectOp",
+            "HashJoin",
+            "MergeIntervalJoin",
+            "NestedLoopJoin",
+            "UnionOp",
+            "DifferenceOp",
+            "AggregateOp",
+            "DistinctOp",
+            "SortLimitOp",
+            "_Requalified",
+        }
+        for name, node in seen.items():
+            with pytest.raises(TypeError):
+                iter(node)
 
     def test_explain_is_indented_tree(self):
         db = _database()

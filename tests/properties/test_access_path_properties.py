@@ -1,14 +1,14 @@
 """Property tests: a cold read through an access path loses no row.
 
-The cold build of a maintained plan — what every subscribe, resume and
-fallback refresh runs — and the pull path behind ``Database.query`` read
-a scan under a selection through its access path: the constant's bucket
-of ``Table.partition_index`` under ``column = constant``, the
+The cold build of a plan — what ``Database.query`` and every subscribe,
+resume and fallback refresh run — reads a scan under a selection
+through its access path: the constant's bucket of
+``Table.partition_index`` under ``column = constant``, the
 ``IntervalIndex`` window under a temporal conjunct.  Either must be a
 superset of what the selection keeps.  So at every critical reference
-time four evaluations agree: the cold build, the pull path, the
-``relational/`` oracle on the table contents and — after each random
-batch of modifications — the delta-maintained result.
+time three evaluations agree: the cold build, the ``relational/``
+oracle on the table contents and — after each random batch of
+modifications — the delta-maintained result.
 
 The tables are built to stress the access paths: the equality column
 mixes ``True`` / ``1`` and ``False`` / ``0`` (values that compare and hash
@@ -22,7 +22,7 @@ access path, however small.
 
 Each invariant, and the mutant it was seen to kill:
 
-* cold build ≡ pull path ≡ oracle on the generated table — an interval
+* cold build ≡ oracle on the generated table — an interval
   window handed up without the ``OngoingFilter`` above it (and, for a
   plan that is the bare selection, the ``FixedFilter`` dropped above a
   bucket: the scan is then the root, which serves the whole table);
@@ -51,7 +51,6 @@ from repro.engine.delta import (
     DeltaEvaluator,
     NonIncrementalDelta,
 )
-from repro.engine.executor import materialize
 from repro.engine.modifications import current_delete, current_insert
 from repro.engine.plan import scan
 from repro.engine.planner import plan_query
@@ -164,12 +163,10 @@ def _points(*relations):
 
 def _assert_agree(db, plan, oracle, maintained=None):
     expected = oracle(db.table("R").as_relation())
-    cold = DeltaEvaluator(plan, db).refresh_full()
-    pulled = materialize(plan_query(plan, db))
-    compared = [cold, pulled] + ([maintained] if maintained is not None else [])
+    compared = [db.query(plan)] + ([maintained] if maintained is not None else [])
     for rt in _points(expected, *compared):
         want = expected.instantiate(rt)
-        for name, result in zip(("cold", "pull", "maintained"), compared):
+        for name, result in zip(("cold", "maintained"), compared):
             assert result.instantiate(rt) == want, (name, rt)
 
 

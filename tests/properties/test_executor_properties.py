@@ -1,5 +1,5 @@
 """Property tests: the physical join algorithms are interchangeable, and
-every operator's one delta rule serves all three evaluation paths.
+every operator's one delta rule serves both evaluation paths.
 
 For random ongoing relations and a predicate eligible for all three
 algorithms (fixed equality + temporal overlaps), HashJoin,
@@ -7,11 +7,11 @@ MergeIntervalJoin, and NestedLoopJoin must produce the same ongoing
 relation — and that relation must satisfy the Theorem 2 law against
 a brute-force fixed evaluation.
 
-Per operator family, the pull path (``materialize``), a cold
-``DeltaEvaluator.refresh_full()`` and the same rows fed as random insert
-batches through ``DeltaEvaluator.apply`` must all instantiate — at every
-interval boundary — to the result of the independent ``relational/``
-oracle.
+Per operator family, the cold build ``Database.query`` runs (the one a
+subscription starts from) and the same rows fed as random insert
+batches through ``DeltaEvaluator.apply`` must both instantiate — at
+every interval boundary — to the result of the independent
+``relational/`` oracle.
 """
 
 import random
@@ -29,7 +29,6 @@ from repro.engine.executor import (
     MergeIntervalJoin,
     NestedLoopJoin,
     SeqScan,
-    materialize,
 )
 from repro.engine.plan import scan
 from repro.engine.planner import plan_query
@@ -82,6 +81,13 @@ def _sweep(*relations_):
     return critical_points(*values)
 
 
+def _evaluated(join_op, left, right):
+    """A hand-built join's cold evaluation over *left* and *right*."""
+    state = join_op.delta_state()
+    join_op.evaluate(state, (left.tuples, right.tuples))
+    return OngoingRelation(join_op.schema, state.counts)
+
+
 @given(relations(_LEFT), relations(_RIGHT))
 def test_all_three_join_algorithms_agree(left, right):
     hash_join = HashJoin(
@@ -96,18 +102,20 @@ def test_all_three_join_algorithms_agree(left, right):
         SeqScan(left), SeqScan(right), _OUT,
         fixed_residual=(_EQUI,), ongoing_residual=(_TEMPORAL,),
     )
-    first = materialize(hash_join)
-    assert first == materialize(merge_join)
-    assert first == materialize(nested)
+    first = _evaluated(hash_join, left, right)
+    assert first == _evaluated(merge_join, left, right)
+    assert first == _evaluated(nested, left, right)
 
 
 @given(relations(_LEFT), relations(_RIGHT))
 def test_join_satisfies_theorem_two(left, right):
-    joined = materialize(
+    joined = _evaluated(
         HashJoin(
             SeqScan(left), SeqScan(right), [0], [0], _OUT,
             fixed_residual=(), ongoing_residual=(_TEMPORAL,),
-        )
+        ),
+        left,
+        right,
     )
     for rt in _sweep(left, right):
         expected = frozenset(
@@ -188,11 +196,9 @@ def _maintained(plan, **tables):
     return db, evaluator
 
 
-def _three_paths(plan, rng, **tables):
-    """*plan* evaluated by pull, cold, and as random insert batches."""
-    db = _database(**tables)
-    pulled = materialize(plan_query(plan, db))
-    cold = DeltaEvaluator(plan, db).refresh_full()
+def _cold_and_batched(plan, rng, **tables):
+    """*plan* evaluated cold, and as random insert batches."""
+    cold = _database(**tables).query(plan)
     live, evaluator = _maintained(plan, **{name: () for name in tables})
     batches = []
     for name, rows in tables.items():
@@ -204,7 +210,7 @@ def _three_paths(plan, rng, **tables):
     rng.shuffle(batches)
     for name, batch in batches:
         live.table(name).insert_tuples(batch)
-    return pulled, cold, evaluator.result
+    return cold, evaluator.result
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
@@ -220,7 +226,7 @@ def test_pull_cold_and_batched_deltas_match_the_oracle(
     plan, oracle = _FAMILIES[family]
     expected = oracle(left, right)
     # Base tables are multisets: repeat some rows under the scans.
-    results = _three_paths(
+    results = _cold_and_batched(
         plan,
         rng,
         R=left.tuples + left.tuples[:duplicates],
@@ -234,14 +240,13 @@ def test_pull_cold_and_batched_deltas_match_the_oracle(
 @given(relations(_BASE), st.randoms(use_true_random=False))
 def test_top_k_paths_agree_and_respect_the_order(relation, rng):
     plan = scan("R").order_by(("K", True), limit=2)
-    pulled, cold, batched = _three_paths(plan, rng, R=relation.tuples)
-    assert frozenset(pulled.tuples) == frozenset(cold.tuples)
-    assert frozenset(pulled.tuples) == frozenset(batched.tuples)
-    assert len(pulled) == min(2, len(relation))
-    dropped = frozenset(relation.tuples) - frozenset(pulled.tuples)
+    cold, batched = _cold_and_batched(plan, rng, R=relation.tuples)
+    assert frozenset(cold.tuples) == frozenset(batched.tuples)
+    assert len(cold) == min(2, len(relation))
+    dropped = frozenset(relation.tuples) - frozenset(cold.tuples)
     assert all(
         kept.values[0] >= other.values[0]
-        for kept in pulled
+        for kept in cold
         for other in dropped
     )
 
@@ -252,7 +257,7 @@ def test_scalar_aggregate_over_an_empty_child_is_the_constant_row():
     plan = scan("R").group_by((), specs=_SPECS)
     db = _database(R=())
     empty_row = scalar_empty_row(["count", "avg"])
-    assert materialize(plan_query(plan, db)).tuples == (empty_row,)
+    assert db.query(plan).tuples == (empty_row,)
     evaluator = DeltaEvaluator(plan, db)
     assert evaluator.refresh_full().tuples == (empty_row,)
     rows = (
@@ -270,28 +275,13 @@ def test_duplicate_base_rows_are_one_tuple_until_the_last_copy_goes():
     row = OngoingTuple((1, until_now(3)))
     plan = scan("R").select_columns("K")
     db = _database(R=(row, row))
-    assert len(materialize(plan_query(plan, db))) == 1
+    assert len(db.query(plan)) == 1
     live, evaluator = _maintained(plan, R=(row, row))
     assert len(evaluator.result) == 1
     live.table("R").apply_delta(Delta.delete((row,)))
     assert len(evaluator.result) == 1
     live.table("R").apply_delta(Delta.delete((row,)))
     assert len(evaluator.result) == 0
-
-
-def test_pull_path_deduplicates_below_an_aggregate():
-    """The streaming Union/Distinct let a shared row through twice; the
-    aggregate above must still count it once."""
-    row = OngoingTuple((1, until_now(3)))
-    db = _database(R=(row,), S=(row,))
-    for below in (
-        scan("R").union(scan("S")),
-        scan("R").union(scan("S")).distinct(),
-    ):
-        plan = below.group_by((), "count")
-        pulled = materialize(plan_query(plan, db))
-        assert pulled == DeltaEvaluator(plan, db).refresh_full()
-        assert pulled == group_by(OngoingRelation(_BASE, [row]), [], "count")
 
 
 def test_unlimited_order_by_presents_sorted_through_query():
@@ -323,7 +313,7 @@ def test_merge_join_over_an_empty_envelope_beyond_the_rebuild_floor():
     )
     plan = _joined(_TEMPORAL)
     assert type(plan_query(plan, _database(R=left, S=right))) is MergeIntervalJoin
-    for result in _three_paths(plan, rng, R=left, S=right):
+    for result in _cold_and_batched(plan, rng, R=left, S=right):
         assert result == expected
     assert not any(item.values[0] == -1 for item in expected)
 

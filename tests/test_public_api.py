@@ -128,6 +128,7 @@ def test_the_serve_package_exports_delivery_names_only():
         "AsyncEventBus", "DeliveryPool", "PlanCostHistory",
         "CostModel", "RefreshDecision", "DEFAULT_COST_MODEL",
         "SecondaryIndexRegistry", "PartitionIndex", "ChangeEvent",
+        "materialize",
     ):
         for package in (repro, repro.live, repro.serve, repro.engine):
             assert name not in package.__all__ and not hasattr(package, name)
