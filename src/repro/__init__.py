@@ -41,7 +41,7 @@ The subpackages:
   with threaded notification fan-out and per-subscriber backpressure
   opt-in on :class:`LiveSession` (``delivery_workers``);
 * :mod:`repro.obs` — the operations plane: the metrics registry
-  (Prometheus/JSON rendering under ``repro_<layer>_<what>_total`` names),
+  (Prometheus rendering under ``repro_<layer>_<what>_total`` names),
   the opt-in refresh-pipeline trace recorder (Chrome trace-event JSON),
   the ``explain_analyze()`` plan renderer, freshness SLOs with
   error-budget burn (:class:`FreshnessSLO`), and the live HTTP scrape

@@ -704,13 +704,9 @@ class Database:
         live subscription.
         """
         from repro.engine.delta import DeltaEvaluator
-        from repro.obs.explain import (
-            explain_analyze_data,
-            render_explain_analyze,
-        )
+        from repro.obs.explain import explain_renderer
 
-        if format not in ("text", "json"):
-            raise ValueError(f"format must be 'text' or 'json', got {format!r}")
+        renderer = explain_renderer(format)
         if isinstance(plan_or_sql, str):
             from repro.sqlish import compile_statement
 
@@ -727,9 +723,6 @@ class Database:
         evaluator = DeltaEvaluator(plan, self, optimize=optimize)
         with self.lock:
             evaluator.refresh_full()
-        renderer = (
-            explain_analyze_data if format == "json" else render_explain_analyze
-        )
         return renderer(
             evaluator.node_report(), label=label, fingerprint=fingerprint
         )

@@ -215,19 +215,15 @@ class IncrementalMaintainer:
         *,
         label: str,
         fingerprint: Optional[str] = None,
-        registry=None,
         tracer=None,
         providers: Sequence["IncrementalMaintainer"] = (),
     ):
         self.plan = plan
         self.database = database
         self.label = label
-        #: The plan fingerprint, for fallback metric labels; defaults to
-        #: the label so standalone maintainers still carry identity.
+        #: The plan fingerprint, named by the fallback log line; defaults
+        #: to the label so standalone maintainers still carry identity.
         self.fingerprint = fingerprint or label
-        #: Optional :class:`~repro.obs.registry.Registry` receiving the
-        #: structured fallback records (``repro_delta_fallbacks_total``).
-        self.registry = registry
         #: Optional :class:`~repro.obs.trace.TraceRecorder`, threaded
         #: through to the evaluator's per-operator spans.
         self.tracer = tracer
@@ -348,13 +344,9 @@ class IncrementalMaintainer:
         and the reason instead of a tree.  ``format="json"`` returns the
         same report as plain data.
         """
-        from repro.obs.explain import (
-            explain_analyze_data,
-            render_explain_analyze,
-        )
+        from repro.obs.explain import explain_renderer
 
-        if format not in ("text", "json"):
-            raise ValueError(f"format must be 'text' or 'json', got {format!r}")
+        renderer = explain_renderer(format)
         with self.lock:
             totals = {
                 "evaluations": self.evaluations,
@@ -363,9 +355,6 @@ class IncrementalMaintainer:
                 "delta_fallbacks": self.delta_fallbacks,
                 "state_bytes": self.state_bytes(),
             }
-        renderer = (
-            explain_analyze_data if format == "json" else render_explain_analyze
-        )
         return renderer(
             self.node_report(),
             label=self.label,
@@ -485,24 +474,6 @@ class IncrementalMaintainer:
     # Refresh
     # ------------------------------------------------------------------
 
-    def _record_fallback(
-        self, exc: NonIncrementalDelta, *, cause: str
-    ) -> None:
-        """Push one fallback into the registry, with full plan identity."""
-        registry = self.registry
-        if registry is None:
-            return
-        try:
-            registry.record_fallback(
-                fingerprint=self.fingerprint,
-                operator=getattr(exc, "operator", None) or "(plan)",
-                table=getattr(exc, "table", None) or "(unknown)",
-                cause=f"{cause}: {exc}",
-                delta_shape=getattr(exc, "delta_shape", None) or "",
-            )
-        except Exception:  # noqa: BLE001 — telemetry must never refresh-fail
-            logger.exception("fallback metric recording failed")
-
     def evaluate(self) -> RefreshOutcome:
         """Full (re-)evaluation; (re)builds the delta state.
 
@@ -609,7 +580,6 @@ class IncrementalMaintainer:
                 getattr(exc, "delta_shape", None),
                 exc,
             )
-            self._record_fallback(exc, cause="delta propagation failed")
             with self.lock:
                 self.delta_fallbacks += 1
             return self._reevaluate(claimed)

@@ -102,6 +102,7 @@ from repro.engine.maintenance import (
 from repro.engine.plan import PlanNode
 from repro.engine.rewrite import push_down_selections
 from repro.errors import QueryError
+from repro.obs.explain import explain_renderer
 from repro.obs.registry import Registry
 from repro.obs.slo import FreshnessSLO
 from repro.obs.trace import NULL_TRACER, TraceRecorder
@@ -175,7 +176,7 @@ class SubscriptionManager:
         self.database = database
         self.delivery_workers = delivery_workers
         #: The session's metrics registry.  Counters are on by default:
-        #: native hot-path families plus a pull-at-snapshot collector
+        #: the freshness histogram plus a pull-at-snapshot collector
         #: that maps the session/serve/store stats onto the canonical
         #: ``repro_<layer>_<what>_total`` names.  Pass a shared
         #: :class:`~repro.obs.registry.Registry` to aggregate several
@@ -233,7 +234,6 @@ class SubscriptionManager:
             "repro_live_notifications_total": 0,
             "repro_live_refresh_errors_total": 0,
             "repro_live_cache_hits_total": 0,
-            "repro_live_cache_misses_total": 0,
             **{key: 0 for key, _ in _PLAN_COUNTERS},
         }
         self._unsubscribe_bus: Dict[int, Callable[[], None]] = {}
@@ -359,13 +359,11 @@ class SubscriptionManager:
         if maintainer is not None:
             self._stats["repro_live_cache_hits_total"] += 1
             return maintainer, False
-        self._stats["repro_live_cache_misses_total"] += 1
         maintainer = self._plans[fingerprint] = IncrementalMaintainer(
             plan,
             self.database,
             label=f"plan {fingerprint[:12]}",
             fingerprint=fingerprint,
-            registry=self.metrics,
             tracer=self.tracer,
             providers=providers_of(plan, self._plans),
         )
@@ -820,12 +818,11 @@ class SubscriptionManager:
         ``None`` reports every materialized plan.  ``format="text"``
         joins the per-plan renderings with blank lines;
         ``format="json"`` returns a list of report dicts (see
-        :func:`~repro.obs.explain.explain_analyze_data`).
+        :func:`~repro.obs.explain.explain_analyze_data`).  A bad
+        *format* raises :class:`ValueError`, a prefix nothing matches
+        :class:`~repro.errors.QueryError`.
         """
-        if format not in ("text", "json"):
-            raise QueryError(
-                f"unknown explain format {format!r}; use 'text' or 'json'"
-            )
+        explain_renderer(format)
         matches = [
             shared
             for shared in self.shared_results()
@@ -846,28 +843,27 @@ class SubscriptionManager:
         The metric keys are the **canonical names** the session also
         publishes through :attr:`metrics`
         (``repro_<layer>_<what>[_total]`` — e.g.
-        ``repro_live_events_total``, ``repro_serve_delivery_backlog``;
-        :mod:`repro.live.metrics` lists them).  Non-metric context keys
-        keep their plain names: ``table_fanout``, ``serving``,
-        ``delivery_workers``.
+        ``repro_live_events_total``; :mod:`repro.live.metrics` lists
+        them).  Non-metric context keys keep their plain names:
+        ``table_fanout``, ``serving``, ``delivery_workers``.
 
-        The refresh, cost-model and result-store counters
-        (``evaluations`` / ``delta_refreshes`` / ``full_refreshes``,
-        ``cost_*``, snapshot copy/reuse) are each plan's own, summed
-        over the live plans plus what dropped plans retired —
-        ``full_refreshes`` counts *refreshes* that had to re-evaluate,
-        so the evaluation that materializes a plan is an ``evaluations``
-        only.  The bus adds its queued / delivered / dropped /
-        coalesced counts and its backlog (without delivery workers
+        The refresh and result-store counters (``evaluations`` /
+        ``delta_refreshes`` / ``full_refreshes``, snapshot copy/reuse)
+        are each plan's own, summed over the live plans plus what
+        dropped plans retired — ``full_refreshes`` counts *refreshes*
+        that had to re-evaluate, so the evaluation that materializes a
+        plan is an ``evaluations`` only.  The bus adds its queued /
+        delivered / dropped / coalesced counts (without delivery workers
         everything is delivered as it is queued); ``delivered`` counts
-        callbacks that returned.
+        callbacks that returned.  The bus's backlog and the dirty plans
+        are :meth:`~repro.serve.bus.EventBus.backlog` and
+        :attr:`pending`.
         """
         with self._lock:
             data: Dict[str, object] = {
                 **self._stats,
                 "repro_live_subscriptions": len(self._subscriptions),
                 "repro_live_shared_results": len(self._plans),
-                "repro_live_dirty_plans": len(self._dirty),
                 "table_fanout": {
                     table: len(readers)
                     for table, readers in self._routes.items()
@@ -885,7 +881,6 @@ class SubscriptionManager:
         data["repro_serve_delivered_notifications_total"] = bus_stats["delivered"]
         data["repro_serve_dropped_notifications_total"] = bus_stats["dropped"]
         data["repro_serve_coalesced_notifications_total"] = bus_stats["coalesced"]
-        data["repro_serve_delivery_backlog"] = bus_stats["backlog"]
         return data
 
 

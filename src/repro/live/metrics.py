@@ -18,7 +18,9 @@
 This module is the only place that lists the metric names
 (:data:`CANONICAL_SAMPLES`, :data:`OPERATOR_SAMPLES`); the ``stats()``
 keys *are* those names, so the collector reads each sample straight from
-the stats snapshot.
+the stats snapshot.  A row stays only while README's "Observability"
+table names what reads it (``tests/obs/test_metric_table.py`` holds the
+scrape, that table and the tests it cites together).
 """
 
 from __future__ import annotations
@@ -57,14 +59,10 @@ CANONICAL_SAMPLES = (
      "Refreshes that raised, or whose machinery failed, and were isolated"),
     ("repro_live_cache_hits_total", "counter",
      "Subscriptions attached to an existing shared result"),
-    ("repro_live_cache_misses_total", "counter",
-     "Subscriptions that materialized a new shared result"),
     ("repro_live_subscriptions", "gauge",
      "Currently attached subscriptions"),
     ("repro_live_shared_results", "gauge",
      "Distinct plans currently materialized"),
-    ("repro_live_dirty_plans", "gauge",
-     "Plans the next flush round will look at"),
     ("repro_store_snapshots_taken_total", "counter",
      "Result-store snapshot copies materialized"),
     ("repro_store_snapshots_reused_total", "counter",
@@ -77,8 +75,6 @@ CANONICAL_SAMPLES = (
      "Notifications dropped by the drop_oldest policy"),
     ("repro_serve_coalesced_notifications_total", "counter",
      "Notifications merged by the coalesce policy"),
-    ("repro_serve_delivery_backlog", "gauge",
-     "Undelivered notifications across all mailboxes"),
 )
 
 #: Per-operator series ``(name, node_report key, kind, help)``, labeled by

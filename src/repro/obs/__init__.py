@@ -2,12 +2,12 @@
 
 Five pillars, all zero-dependency:
 
-* :mod:`repro.obs.registry` — the lock-cheap metrics registry
-  (counters, gauges, fixed-bucket histograms; labeled by plan
-  fingerprint, table, operator kind) with pull-at-snapshot collectors
-  absorbing the engine's pre-existing stats dicts, rendered as
-  Prometheus text or JSON under the canonical
-  ``repro_<layer>_<what>_total`` naming scheme;
+* :mod:`repro.obs.registry` — the metrics registry: pull-at-snapshot
+  collectors that read the counters their owners already keep (labeled
+  by plan fingerprint, operator kind, tree path), plus the one native
+  family, the ``repro_freshness_seconds`` histogram, rendered as
+  Prometheus text under the canonical ``repro_<layer>_<what>_total``
+  naming scheme;
 * :mod:`repro.obs.trace` — the opt-in refresh-pipeline span recorder
   (``LiveSession(trace=True)``), ring-buffered per session and dumpable
   as Chrome trace-event JSON for Perfetto;
@@ -22,12 +22,14 @@ Five pillars, all zero-dependency:
   loop's adaptive debounce and the ``/health`` endpoint;
 * :mod:`repro.obs.server` — the live HTTP scrape surface
   (:class:`~repro.obs.server.ObsServer`): ``/metrics`` (Prometheus
-  text), ``/metrics.json``, SLO-aware ``/health``, ``/subscriptions``,
-  and ``/explain/<fingerprint>`` over a running session, stdlib
+  text), SLO-aware ``/health``, ``/subscriptions`` and
+  ``/explain/<fingerprint>`` over a running session, stdlib
   ``http.server`` only.
 
 :mod:`repro.obs.promtext` is the in-repo Prometheus text-format
-validator CI uses to smoke-check ``render_prometheus()`` output.
+validator the tests run over ``render_prometheus()`` output.  README's
+"Observability" table lists every family a scrape exposes and what
+reads it.
 
 The package sits below the engine: nothing in here imports
 :mod:`repro.engine`, :mod:`repro.live`, or :mod:`repro.serve` (the
@@ -43,10 +45,7 @@ from repro.obs.explain import (
 )
 from repro.obs.promtext import validate_prometheus_text
 from repro.obs.registry import (
-    DEFAULT_BUCKETS,
     FRESHNESS_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     Registry,
     Sample,
@@ -56,12 +55,9 @@ from repro.obs.slo import FreshnessSLO
 from repro.obs.trace import NULL_TRACER, TraceRecorder
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "Registry",
     "Sample",
-    "DEFAULT_BUCKETS",
     "FRESHNESS_BUCKETS",
     "FreshnessSLO",
     "ObsServer",

@@ -30,11 +30,12 @@ the live system rather than in an offline experiment.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
     "render_explain_analyze",
     "explain_analyze_data",
+    "explain_renderer",
     "format_bytes",
     "format_seconds",
 ]
@@ -154,3 +155,15 @@ def explain_analyze_data(
         "cold_reason": cold_reason,
         "nodes": [dict(entry) for entry in report],
     }
+
+
+def explain_renderer(format: str) -> Callable[..., Any]:
+    """The renderer of *format*: :func:`render_explain_analyze` for
+    ``"text"``, :func:`explain_analyze_data` for ``"json"``.  The one
+    check every ``explain_analyze(format=...)`` makes; anything else
+    raises :class:`ValueError`."""
+    if format == "text":
+        return render_explain_analyze
+    if format == "json":
+        return explain_analyze_data
+    raise ValueError(f"format must be 'text' or 'json', got {format!r}")

@@ -6,11 +6,10 @@ background thread, turning the session's pull-at-snapshot telemetry into
 a scrape surface:
 
 * ``GET /metrics`` — the Prometheus text exposition (format 0.0.4) of
-  the session's registry: hot-path counters/histograms plus the
-  collector samples (canonical session stats, per-operator plan
-  counters, per-subscription staleness gauges).
-* ``GET /metrics.json`` — the same snapshot as JSON, for tooling that
-  does not speak the exposition format.
+  the session's registry: the freshness histogram plus the collector
+  samples (canonical session stats, per-operator plan counters,
+  per-subscription staleness gauges, and a durable database's WAL and
+  recovery counters) — README's "Observability" table lists them.
 * ``GET /health`` — ``200`` while the freshness objective holds, ``503``
   once its error budget burns (see :class:`~repro.obs.slo.FreshnessSLO`);
   the body always carries the burn detail, the staleness per
@@ -19,7 +18,10 @@ a scrape surface:
   delivery counters and current staleness.
 * ``GET /explain/<fingerprint>`` — EXPLAIN ANALYZE for the plans whose
   fingerprint starts with the given prefix (``?format=json`` for the
-  data form); ``GET /explain`` reports every materialized plan.
+  data form); ``GET /explain`` reports every materialized plan.  A bad
+  format is ``400``, a prefix nothing matches ``404``.
+
+A handler that raises anything else answers ``500`` with the error.
 
 Every request handler only *reads* session state through the same
 introspection methods tests use (``stats()``, ``subscription_staleness()``,
@@ -35,6 +37,8 @@ import math
 import threading
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
+
+from repro.errors import QueryError
 
 __all__ = ["ObsServer", "PROMETHEUS_CONTENT_TYPE"]
 
@@ -185,8 +189,6 @@ class ObsServer:
     ) -> Tuple[int, str, str]:
         if path == "/metrics":
             return 200, PROMETHEUS_CONTENT_TYPE, self._render_metrics()
-        if path == "/metrics.json":
-            return 200, "application/json", self.session.metrics.render_json()
         if path == "/health":
             return self._health()
         if path == "/subscriptions":
@@ -207,7 +209,6 @@ class ObsServer:
                     "error": f"unknown path {path!r}",
                     "endpoints": [
                         "/metrics",
-                        "/metrics.json",
                         "/health",
                         "/subscriptions",
                         "/explain/<fingerprint>",
@@ -295,17 +296,11 @@ class ObsServer:
     def _explain(
         self, prefix: Optional[str], format: str
     ) -> Tuple[int, str, str]:
-        if format not in ("text", "json"):
-            return (
-                400,
-                "application/json",
-                json.dumps(
-                    {"error": f"unknown format {format!r}; use text or json"}
-                ),
-            )
         try:
             report = self.session.explain_analyze(prefix, format=format)
-        except Exception as exc:  # noqa: BLE001 — no-match is a 404
+        except ValueError as exc:  # a bad format
+            return 400, "application/json", json.dumps({"error": str(exc)})
+        except QueryError as exc:  # no plan matches the prefix
             return 404, "application/json", json.dumps({"error": str(exc)})
         if format == "json":
             return 200, "application/json", json.dumps(report, indent=2)

@@ -11,6 +11,7 @@ not sampled.
 
 from __future__ import annotations
 
+import logging
 from typing import Iterable, List
 
 import hypothesis
@@ -46,6 +47,25 @@ def pytest_configure(config):
         "timeout(seconds): per-test timeout, enforced by pytest-timeout "
         "when installed (registered as a no-op fallback otherwise)",
     )
+
+
+@pytest.fixture
+def fallback_log(caplog):
+    """The fallback log lines of this test, as messages.
+
+    A refresh that falls back to a full re-evaluation logs one INFO line
+    on ``repro.engine.delta`` naming the plan fingerprint, the operator,
+    the table, the delta shape and the cause — the record of a fallback;
+    EXPLAIN's ``delta_fallbacks=`` and ``repro_live_full_refreshes_total``
+    count them."""
+    caplog.set_level(logging.INFO, logger="repro.engine.delta")
+    return lambda: [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "repro.engine.delta"
+        and "fell back" in record.getMessage()
+    ]
+
 
 # ----------------------------------------------------------------------
 # Strategies

@@ -90,7 +90,7 @@ def test_the_session_families_a_scrape_exposes_are_the_canonical_table():
     session.close()
     canonical = {name for name, _, _ in CANONICAL_SAMPLES}
     assert exposed == canonical
-    assert len(canonical) == len(CANONICAL_SAMPLES) == 20
+    assert len(canonical) == len(CANONICAL_SAMPLES) == 17
     assert not {name for name in scraped if "cost_adaptations" in name}
     # Nor a count of full refreshes a cost model chose: a refresh is a
     # delta unless an operator's rule refuses it.

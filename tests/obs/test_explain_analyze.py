@@ -137,7 +137,9 @@ class TestDatabaseExplainAnalyze:
 
 
 class TestFallbackTelemetry:
-    def test_fallback_records_carry_fingerprint_operator_table(self):
+    def test_fallback_records_carry_fingerprint_operator_table(
+        self, fallback_log
+    ):
         db = _database()
         session = LiveSession(db)
         sub = session.subscribe(scan("R"))
@@ -145,33 +147,49 @@ class TestFallbackTelemetry:
         # the logged fallback path.
         db.table("R").replace_all(db.table("R").rows())
         session.flush()
-        records = session.metrics.fallbacks()
-        assert records, "full-flagged delta must record a fallback"
-        record = records[-1]
-        assert record.fingerprint == sub.fingerprint
-        assert record.table == "R"
-        assert record.delta_shape == "full"
-        assert record.operator  # never empty — "(plan)" when unattributed
+        (record,) = fallback_log()
+        assert f"plan {sub.fingerprint[:12]}" in record
+        assert "table=R" in record
+        assert "delta=full" in record
+        assert "delta_fallbacks=1" in sub.explain_analyze()
+        assert session.stats()["repro_live_full_refreshes_total"] == 1
         text = session.metrics.render_prometheus()
-        assert "repro_delta_fallbacks_total" in text
-        assert f'fingerprint="{sub.fingerprint}"' in text
-        assert 'table="R"' in text
+        assert "repro_live_full_refreshes_total 1" in text
         validate_prometheus_text(text)
         session.close()
 
-    def test_stats_agree_with_fallback_counter(self):
+    def test_stats_agree_with_fallback_counter(self, fallback_log):
         db = _database()
         session = LiveSession(db)
-        session.subscribe(scan("R"))
+        sub = session.subscribe(scan("R"))
         for _ in range(3):
             db.table("R").replace_all(db.table("R").rows())
             session.flush()
         snapshot = session.metrics.snapshot()
-        total = sum(
-            sample["value"]
-            for sample in snapshot["repro_delta_fallbacks_total"]["samples"]
-        )
-        assert total == len(session.metrics.fallbacks()) == 3
+        (sample,) = snapshot["repro_live_full_refreshes_total"]["samples"]
+        assert sample["value"] == len(fallback_log()) == 3
+        assert "delta_fallbacks=3" in sub.explain_analyze()
+        session.close()
+
+
+class TestOneFormatCheck:
+    """Every ``explain_analyze`` takes ``format="text"`` or ``"json"`` and
+    raises :class:`ValueError` for anything else — the one check of
+    :func:`repro.obs.explain.explain_renderer`."""
+
+    def test_every_entry_point_rejects_an_unknown_format(self):
+        db = _database()
+        session = LiveSession(db)
+        sub = session.subscribe(scan("R"))
+        (maintainer,) = session.shared_results()
+        for explain in (
+            lambda: db.explain_analyze(scan("R"), format="xml"),
+            lambda: maintainer.explain_analyze(format="xml"),
+            lambda: session.explain_analyze(format="xml"),
+            lambda: sub.explain_analyze(format="xml"),
+        ):
+            with pytest.raises(ValueError, match="xml"):
+                explain()
         session.close()
 
 

@@ -26,17 +26,21 @@ def _total(snapshot, name):
 
 class TestRegistryPrimitives:
     N_THREADS = 8
-    INCS_PER_THREAD = 10_000
+    OBSERVES_PER_THREAD = 10_000
 
     def test_counter_increments_are_not_lost(self):
+        """The counters a histogram child keeps — ``count`` and its
+        buckets — lose no increment when 8 threads observe at once."""
         registry = Registry()
-        counter = registry.counter("repro_contended_total")
+        histogram = registry.histogram(
+            "repro_contended_seconds", buckets=(1.0,)
+        )
         barrier = threading.Barrier(self.N_THREADS)
 
         def hammer():
             barrier.wait()
-            for _ in range(self.INCS_PER_THREAD):
-                counter.inc()
+            for _ in range(self.OBSERVES_PER_THREAD):
+                histogram.observe(0.5)
 
         threads = [
             threading.Thread(target=hammer) for _ in range(self.N_THREADS)
@@ -46,29 +50,50 @@ class TestRegistryPrimitives:
         for thread in threads:
             thread.join(timeout=60)
             assert not thread.is_alive()
-        assert counter.value == self.N_THREADS * self.INCS_PER_THREAD
+        total = self.N_THREADS * self.OBSERVES_PER_THREAD
+        (sample,) = registry.snapshot()["repro_contended_seconds"]["samples"]
+        assert sample["value"]["count"] == total
+        assert sample["value"]["buckets"] == {"1": total, "+Inf": total}
 
     def test_labeled_children_are_exact_under_contention(self):
+        """8 threads × 10 000 observations across two label values: per
+        child and per family, count, sum and ``+Inf`` bucket are exact."""
         registry = Registry()
-        counter = registry.counter("repro_labeled_total", "", ("table",))
+        histogram = registry.histogram(
+            "repro_contended_seconds", "", ("subscription",), buckets=(1.0,)
+        )
         barrier = threading.Barrier(self.N_THREADS)
 
         def hammer(label):
             barrier.wait()
-            for _ in range(self.INCS_PER_THREAD):
-                counter.labels(label).inc()
+            child = histogram.labels(label)
+            for index in range(self.OBSERVES_PER_THREAD):
+                # Binary-exact values, half of them past the last bound.
+                child.observe(0.5 if index % 2 else 100.0)
 
         threads = [
-            threading.Thread(target=hammer, args=(f"t{index % 2}",))
+            threading.Thread(target=hammer, args=(f"s{index % 2}",))
             for index in range(self.N_THREADS)
         ]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
-        assert counter.labels("t0").value == 4 * self.INCS_PER_THREAD
-        assert counter.labels("t1").value == 4 * self.INCS_PER_THREAD
-        assert counter.value == self.N_THREADS * self.INCS_PER_THREAD
+            assert not thread.is_alive()
+        per_child = self.N_THREADS // 2 * self.OBSERVES_PER_THREAD
+        expected_sum = per_child // 2 * (0.5 + 100.0)
+        family = registry.snapshot()["repro_contended_seconds"]
+        children = [sample["value"] for sample in family["samples"]]
+        assert len(children) == 2
+        for child in children:
+            assert child["count"] == per_child
+            assert child["sum"] == expected_sum
+            assert child["buckets"] == {"1": per_child // 2, "+Inf": per_child}
+        assert sum(child["count"] for child in children) == 2 * per_child
+        assert sum(child["buckets"]["+Inf"] for child in children) == (
+            2 * per_child
+        )
+        assert sum(child["sum"] for child in children) == 2 * expected_sum
 
 
 class TestChurnGroundTruth:
@@ -165,7 +190,7 @@ class TestChurnGroundTruth:
         assert _total(
             snapshot, "repro_serve_delivered_notifications_total"
         ) == _total(snapshot, "repro_serve_queued_notifications_total")
-        assert _total(snapshot, "repro_serve_delivery_backlog") == 0
+        assert session.bus.backlog() == 0
         assert _total(snapshot, "repro_live_subscriptions") == (
             self.N_SUBSCRIBERS
         )

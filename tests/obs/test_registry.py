@@ -1,76 +1,68 @@
-"""The metrics registry: families, labels, collectors, rendering."""
+"""The metrics registry: the histogram family, collectors, rendering."""
 
-import json
 import math
 
 import pytest
 
+from repro.core.interval import until_now
+from repro.core.timeline import mmdd
+from repro.engine.database import Database
+from repro.engine.plan import scan
+from repro.live import LiveSession
 from repro.obs.promtext import validate_prometheus_text
-from repro.obs.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    Registry,
-    Sample,
-)
+from repro.obs.registry import Histogram, Registry, Sample
+from repro.relational.schema import Schema
+
+_BUCKETS = (0.01, 0.1, 1.0)
 
 
 class TestFamilies:
-    def test_counter_increments(self):
-        registry = Registry()
-        counter = registry.counter("repro_test_total", "help text")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == pytest.approx(3.5)
-
-    def test_gauge_moves_both_ways(self):
-        registry = Registry()
-        gauge = registry.gauge("repro_depth")
-        gauge.set(10)
-        gauge.dec(3)
-        gauge.inc()
-        assert gauge.value == pytest.approx(8)
-
     def test_labeled_children_are_independent(self):
         registry = Registry()
-        counter = registry.counter(
-            "repro_labeled_total", "", labelnames=("table",)
+        histogram = registry.histogram(
+            "repro_labeled_seconds", "", ("table",), buckets=_BUCKETS
         )
-        counter.labels("R").inc()
-        counter.labels("S").inc(4)
-        counter.labels(table="R").inc()
-        assert counter.labels("R").value == 2
-        assert counter.labels("S").value == 4
-        assert counter.value == 6
+        histogram.labels("R").observe(0.5)
+        histogram.labels("S").observe(0.05)
+        histogram.labels(table="R").observe(0.5)
+        assert histogram.labels("R").snapshot()["count"] == 2
+        assert histogram.labels("S").snapshot()["count"] == 1
+        assert len(histogram.samples()) == 2
 
     def test_unlabeled_use_of_labeled_family_raises(self):
         registry = Registry()
-        counter = registry.counter("repro_x_total", "", labelnames=("t",))
+        histogram = registry.histogram(
+            "repro_x_seconds", "", ("t",), buckets=_BUCKETS
+        )
         with pytest.raises(ValueError):
-            counter.inc()
+            histogram.observe(0.5)
         with pytest.raises(ValueError):
-            counter.labels("a", "b")
+            histogram.labels("a", "b")
 
     def test_get_or_create_is_idempotent(self):
         registry = Registry()
-        first = registry.counter("repro_same_total", "h", ("a",))
-        second = registry.counter("repro_same_total", "h", ("a",))
+        family = ("repro_same_seconds", "h", ("a",))
+        first = registry.histogram(*family, buckets=_BUCKETS)
+        second = registry.histogram(*family, buckets=_BUCKETS)
         assert first is second
+        assert isinstance(first, Histogram)
 
     def test_get_or_create_rejects_kind_and_label_mismatch(self):
+        # One kind of family is left; what can still mismatch is its
+        # layout — the labels and the buckets.
         registry = Registry()
-        registry.counter("repro_kind_total", "", ("a",))
+        name = "repro_kind_seconds"
+        registry.histogram(name, "", ("a",), buckets=_BUCKETS)
         with pytest.raises(ValueError):
-            registry.gauge("repro_kind_total", "", ("a",))
+            registry.histogram(name, "", ("a",), buckets=(1.0,))
         with pytest.raises(ValueError):
-            registry.counter("repro_kind_total", "", ("b",))
+            registry.histogram(name, "", ("b",), buckets=_BUCKETS)
 
     def test_invalid_metric_name_rejected(self):
         registry = Registry()
         for bad in ("", "9leading", "has space", "has-dash"):
             with pytest.raises(ValueError):
-                registry.counter(bad)
+                registry.histogram(bad, buckets=_BUCKETS)
 
     def test_histogram_buckets_partition_observations(self):
         registry = Registry()
@@ -88,9 +80,6 @@ class TestFamilies:
         registry = Registry()
         with pytest.raises(ValueError):
             registry.histogram("repro_empty_seconds", buckets=())
-
-    def test_default_buckets_are_sorted(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
 
 
 class TestCollectors:
@@ -123,70 +112,34 @@ class TestCollectors:
             raise RuntimeError("scrape me not")
 
         registry.register_collector(boom)
-        registry.counter("repro_alive_total").inc()
+        registry.register_collector(
+            lambda: [Sample("repro_alive_total", {}, 1.0)]
+        )
         snap = registry.snapshot()
         assert snap["repro_alive_total"]["samples"][0]["value"] == 1.0
 
 
 class TestFallbackLog:
-    def test_record_fallback_logs_and_counts(self):
+    def test_record_fallback_logs_and_counts(self, fallback_log):
+        # A fallback is logged once on repro.engine.delta and counted in
+        # the registry the session exports to.
         registry = Registry()
-        registry.record_fallback(
-            fingerprint="abc123",
-            operator="NestedLoopJoin",
-            table="R",
-            cause="delta propagation failed: full-flagged",
-            delta_shape="full",
-        )
-        (record,) = registry.fallbacks()
-        assert record.fingerprint == "abc123"
-        assert record.operator == "NestedLoopJoin"
-        assert record.table == "R"
-        assert record.delta_shape == "full"
+        db = Database("fallback")
+        table = db.create_table("R", Schema.of("K", ("VT", "interval")))
+        table.insert(1, until_now(mmdd(1, 1)))
+        session = LiveSession(db, registry=registry)
+        sub = session.subscribe(scan("R"))
+        # replace_all without a row delta is a full-flagged delta.
+        table.replace_all(table.rows())
+        session.flush()
+        (record,) = fallback_log()
+        assert f"plan {sub.fingerprint[:12]}" in record
+        assert "table=R" in record
+        assert "delta=full" in record
         snap = registry.snapshot()
-        (sample,) = snap[Registry.FALLBACK_METRIC]["samples"]
-        assert sample["labels"] == {
-            "fingerprint": "abc123",
-            "operator": "NestedLoopJoin",
-            "table": "R",
-        }
+        (sample,) = snap["repro_live_full_refreshes_total"]["samples"]
         assert sample["value"] == 1.0
-
-    def test_fallback_log_is_bounded(self):
-        registry = Registry()
-        for index in range(Registry.MAX_FALLBACKS + 10):
-            registry.record_fallback(
-                fingerprint=f"fp{index}", operator="Op", table="T",
-                cause="c",
-            )
-        records = registry.fallbacks()
-        assert len(records) == Registry.MAX_FALLBACKS
-        assert records[0].fingerprint == "fp10"  # oldest were evicted
-
-    def test_overflow_is_counted_not_silent(self):
-        # 300 records into a 256-slot log: 256 kept, 44 drops counted.
-        registry = Registry()
-        assert Registry.MAX_FALLBACKS == 256
-        for index in range(300):
-            registry.record_fallback(
-                fingerprint=f"fp{index}", operator="Op", table="T",
-                cause="c",
-            )
-        assert len(registry.fallbacks()) == 256
-        assert registry.fallbacks_dropped == 44
-        snap = registry.snapshot()
-        (sample,) = snap[Registry.FALLBACK_DROPPED_METRIC]["samples"]
-        assert sample["value"] == 44.0
-
-    def test_no_overflow_means_no_drop_series(self):
-        # The drop counter materializes lazily: a registry that never
-        # overflowed keeps rendering exactly what it did before.
-        registry = Registry()
-        registry.record_fallback(
-            fingerprint="fp", operator="Op", table="T", cause="c"
-        )
-        assert registry.fallbacks_dropped == 0
-        assert Registry.FALLBACK_DROPPED_METRIC not in registry.snapshot()
+        session.close()
 
 
 class TestHistogramQuantile:
@@ -231,9 +184,7 @@ class TestHistogramQuantile:
         hist.labels("a").observe(0.5)
         hist.labels("b").observe(1.5)
         hist.labels("b").observe(1.5)
-        # Per-child p100 stays within each child's own bucket...
-        assert hist.labels("a").quantile(1.0) <= 1.0
-        # ...while the family-level estimate sees all four observations.
+        # The family-level estimate sees all four observations.
         assert hist.quantile(1.0) == pytest.approx(2.0)
         assert hist.quantile(0.25) == pytest.approx(0.5)
 
@@ -243,25 +194,29 @@ class TestHistogramQuantile:
         with pytest.raises(ValueError):
             hist.quantile(1.5)
         with pytest.raises(ValueError):
-            hist.labels().quantile(-0.1)
+            hist.quantile(-0.1)
 
 
 class TestRendering:
     def _populated(self):
         registry = Registry()
-        registry.counter(
-            "repro_live_events_total", "Change events", ("table",)
-        ).labels('we"ird\ntable\\').inc(3)
-        registry.gauge("repro_live_dirty_plans", "Dirty plans").set(2)
         registry.histogram(
             "repro_flush_seconds", "Flush latency", buckets=(0.1, 1.0)
         ).observe(0.05)
         registry.register_collector(
             lambda: [
                 Sample(
+                    "repro_live_events_total",
+                    {"table": 'we"ird\ntable\\'},
+                    3.0,
+                    "counter",
+                    "Change events",
+                ),
+                Sample("repro_live_subscriptions", {}, 2.0, "gauge", "Subs"),
+                Sample(
                     "repro_store_snapshots_taken_total", {}, 5.0,
                     "counter", "Snapshots",
-                )
+                ),
             ]
         )
         return registry
@@ -277,20 +232,14 @@ class TestRendering:
         text = self._populated().render_prometheus()
         assert 'table="we\\"ird\\ntable\\\\"' in text
 
-    def test_render_json_round_trips(self):
-        registry = self._populated()
-        data = json.loads(registry.render_json())
-        assert data == registry.snapshot()
-        assert data["repro_live_events_total"]["kind"] == "counter"
-        histogram = data["repro_flush_seconds"]["samples"][0]["value"]
-        assert histogram["count"] == 1
-
     def test_empty_registry_renders_empty_string(self):
         assert Registry().render_prometheus() == ""
 
     def test_infinite_values_render(self):
         registry = Registry()
-        registry.gauge("repro_inf").set(math.inf)
+        registry.register_collector(
+            lambda: [Sample("repro_inf", {}, math.inf, "gauge")]
+        )
         text = registry.render_prometheus()
         assert "repro_inf +Inf" in text
         validate_prometheus_text(text)

@@ -62,14 +62,6 @@ class TestEndpoints:
         assert "repro_subscription_staleness_seconds" in body
         assert "repro_live_events_total" in body
 
-    def test_metrics_json_round_trips(self, session):
-        with ObsServer(session) as obs:
-            status, content_type, body = _get(obs.url + "/metrics.json")
-        assert status == 200
-        assert content_type == "application/json"
-        snapshot = json.loads(body)
-        assert "repro_live_events_total" in snapshot
-
     def test_health_without_slo_is_ok(self, session):
         with ObsServer(session) as obs:
             status, _, body = _get(obs.url + "/health")
@@ -133,6 +125,16 @@ class TestEndpoints:
         with ObsServer(session) as obs:
             status, _, _ = _get(obs.url + "/explain?format=xml")
         assert status == 400
+
+    def test_explain_that_breaks_is_500_not_404(self, session, monkeypatch):
+        def broken(prefix, *, format):
+            raise RuntimeError("operator state is corrupt")
+
+        monkeypatch.setattr(session, "explain_analyze", broken)
+        with ObsServer(session) as obs:
+            status, _, body = _get(obs.url + "/explain")
+        assert status == 500
+        assert "corrupt" in json.loads(body)["error"]
 
     def test_unknown_path_is_404_with_directory(self, session):
         with ObsServer(session) as obs:

@@ -115,10 +115,12 @@ def test_bound_delivery_names_are_public_in_the_live_package_only():
 def test_the_serve_package_exports_delivery_names_only():
     """One thread refreshes and one bus delivers: the bus, the mailbox
     and the policy names — no scheduler, no sharding, no second bus, no
-    pool, no cost model, no index registry."""
+    pool, no cost model, no index registry — and no metric family but
+    the freshness histogram."""
     import repro
     import repro.engine
     import repro.live
+    import repro.obs
     import repro.serve
 
     assert repro.serve.__all__ == ["BACKPRESSURE_POLICIES", "EventBus", "Mailbox"]
@@ -128,9 +130,11 @@ def test_the_serve_package_exports_delivery_names_only():
         "AsyncEventBus", "DeliveryPool", "PlanCostHistory",
         "CostModel", "RefreshDecision", "DEFAULT_COST_MODEL",
         "SecondaryIndexRegistry", "PartitionIndex", "ChangeEvent",
-        "materialize",
+        "materialize", "Counter", "Gauge", "DEFAULT_BUCKETS",
     ):
-        for package in (repro, repro.live, repro.serve, repro.engine):
+        for package in (
+            repro, repro.live, repro.serve, repro.engine, repro.obs
+        ):
             assert name not in package.__all__ and not hasattr(package, name)
     assert importlib.util.find_spec("repro.engine.cost") is None
 
