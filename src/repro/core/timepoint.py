@@ -18,6 +18,17 @@ The four kinds of time points of Fig. 3 are all special cases:
 previously proposed domains ``T ∪ {now}`` (Clifford) and ``Tf`` (Torp),
 which is what Table I of the paper summarizes and what
 ``repro.bench.experiments.table01_domains`` verifies mechanically.
+
+Points are interned: a table holds one object per value, so
+``OngoingTimePoint(a, b)`` — and with it ``fixed`` / ``growing`` /
+``limited``, the interval constructors and every WAL and heap decode —
+returns the object it returned before for equal ``int`` components.  A
+relation of thousands of rows holds a few thousand distinct points (the
+paper stores each inline as two 4-byte dates; an object costs 48 B plus
+its ints).  Equality and hashing stay by value: identity saves memory
+and time, it never decides a result.  The table holds at most
+:data:`INTERN_LIMIT` points and is emptied when full, except for
+:data:`NOW`.
 """
 
 from __future__ import annotations
@@ -35,6 +46,23 @@ from repro.core.timeline import (
 
 __all__ = ["OngoingTimePoint", "NOW", "fixed", "growing", "limited"]
 
+#: Most points the intern table holds; a miss on a full table empties it.
+#: Day-granular data stays far below: a ``cold_paper`` set-up (seed 1)
+#: creates 6 478 distinct points at 5k bugs, 7 291 at 20k and 7 302 at
+#: 80k — the 7 300 days of ``datasets.mozilla.HISTORY_DAYS`` as fixed
+#: points, plus a few hundred others.
+INTERN_LIMIT = 1 << 16
+
+# (a, b) -> the one point of that value.  Only exact-int components of
+# the exact class get in, so a hit never lets a bool or a subclass by.
+_INTERNED: dict = {}
+
+#: ``interned((a, b))``: the point of value ``a+b`` if the table holds
+#: one, else ``None``.  Only for callers whose components are exact ints
+#: by construction — the storage decoder, where skipping the
+#: constructor's call and checks halves the cost of a decoded point.
+interned = _INTERNED.get
+
 
 class OngoingTimePoint:
     """An element ``a+b`` of the ongoing time domain Ω (immutable).
@@ -49,15 +77,38 @@ class OngoingTimePoint:
 
     __slots__ = ("_a", "_b")
 
-    def __init__(self, a: TimePoint, b: TimePoint):
-        check_time_point(a, what="ongoing point component a")
-        check_time_point(b, what="ongoing point component b")
-        if a > b:
-            raise TimeDomainError(
-                f"ongoing time point requires a <= b, got a={a}, b={b}"
-            )
+    def __new__(cls, *components: TimePoint) -> "OngoingTimePoint":
+        """The point ``a+b``: the interned object for exact-``int``
+        components of this exact class, a new checked one otherwise.
+
+        The argument-less form exists only for ``copyreg.__newobj__``,
+        which loads a pickle written before points were interned: it
+        returns a blank object, never interned, whose slots
+        :meth:`__setstate__` then fills.  Nothing else calls it."""
+        if len(components) == 2 and cls is OngoingTimePoint:
+            a, b = components
+            if type(a) is int and type(b) is int:
+                point = _INTERNED.get(components)
+                if point is not None:
+                    return point
+                return _intern(components, _make(cls, a, b))
+        if not components:
+            return object.__new__(cls)
+        return _make(cls, *components)
+
+    def __reduce__(self):
+        return (type(self), (self._a, self._b))
+
+    def __setstate__(self, state) -> None:
+        # The older pickle form: (None, {"_a": a, "_b": b}).  Checked as a
+        # constructed point is; it becomes the interned object of its
+        # value if that value has none yet.
+        a, b = state[1]["_a"], state[1]["_b"]
+        _check(a, b)
         self._a = a
         self._b = b
+        if type(self) is OngoingTimePoint and type(a) is int and type(b) is int:
+            _intern((a, b), self)
 
     # ------------------------------------------------------------------
     # Components and classification (Fig. 3)
@@ -128,6 +179,8 @@ class OngoingTimePoint:
         return (self._a, self._b)
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, OngoingTimePoint):
             return NotImplemented
         return self._a == other._a and self._b == other._b
@@ -167,6 +220,40 @@ def growing(point: TimePoint) -> OngoingTimePoint:
 def limited(point: TimePoint) -> OngoingTimePoint:
     """The limited time point ``+b = -inf+b`` (possibly earlier, not later than b)."""
     return OngoingTimePoint(MINUS_INF, point)
+
+
+def _check(a: object, b: object) -> None:
+    """Definition 1: two time points with ``a <= b``."""
+    check_time_point(a, what="ongoing point component a")
+    check_time_point(b, what="ongoing point component b")
+    if a > b:
+        raise TimeDomainError(
+            f"ongoing time point requires a <= b, got a={a}, b={b}"
+        )
+
+
+def _make(cls: type, a: TimePoint, b: TimePoint) -> OngoingTimePoint:
+    """A new, checked point of class *cls*; interning it is the caller's."""
+    _check(a, b)
+    point = object.__new__(cls)
+    point._a = a
+    point._b = b
+    return point
+
+
+def _intern(key: Tuple[int, int], point: OngoingTimePoint) -> OngoingTimePoint:
+    """Make *point* the object of its value, unless another thread got
+    there first: the object that is in the table is returned.  A full
+    table is emptied first, keeping ``NOW`` as the ``now`` entry.
+
+    No lock: every step is one dict operation, so a race between threads
+    costs at most one duplicate object — each holds the value asked for,
+    and a ``now`` that slipped in between the emptying and the re-entry
+    of ``NOW`` is overwritten by it."""
+    if len(_INTERNED) >= INTERN_LIMIT:
+        _INTERNED.clear()
+        _INTERNED[MINUS_INF, PLUS_INF] = NOW
+    return _INTERNED.setdefault(key, point)
 
 
 #: The current time point ``now = -inf+inf`` — instantiates to rt at every rt.

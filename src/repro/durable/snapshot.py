@@ -437,7 +437,7 @@ def _load_one(path: Path) -> LoadedCheckpoint:
             f"expected {CHECKPOINT_FORMAT}"
         )
     tables: Dict[str, LoadedTable] = {}
-    memo: dict = {}  # one per checkpoint: tables share categories and dates
+    memo: dict = {}  # one per checkpoint: tables share categories
     for entry in manifest["tables"]:
         schema = Schema(
             [Attribute(name, AttributeKind(kind)) for name, kind in entry["schema"]]

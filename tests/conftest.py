@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 from typing import Iterable, List
+from unittest import mock
 
 import hypothesis
 import pytest
@@ -23,6 +24,7 @@ from repro.core.interval import OngoingInterval
 from repro.core.intervalset import UNIVERSAL_SET, IntervalSet
 from repro.core.rational import OngoingRational
 from repro.core.timeline import MINUS_INF, PLUS_INF
+from repro.core import timepoint
 from repro.core.timepoint import OngoingTimePoint
 from repro.relational.tuples import OngoingTuple
 
@@ -65,6 +67,17 @@ def fallback_log(caplog):
         if record.name == "repro.engine.delta"
         and "fell back" in record.getMessage()
     ]
+
+
+def empty_intern_table() -> None:
+    """Empty :class:`OngoingTimePoint`'s intern table the way a full one is
+    emptied: one miss while ``INTERN_LIMIT`` is 1.  Afterwards the table
+    holds ``NOW`` and the one fresh point."""
+    fresh = PLUS_INF - 1
+    while (fresh, fresh) in timepoint._INTERNED:
+        fresh -= 1
+    with mock.patch.object(timepoint, "INTERN_LIMIT", 1):
+        OngoingTimePoint(fresh, fresh)
 
 
 # ----------------------------------------------------------------------

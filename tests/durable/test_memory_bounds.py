@@ -10,25 +10,32 @@ the O(|Δ|) tests of ``Table.apply_delta``.
 
 Also here, because it is the same question asked of decoding: a
 reopened database shares what the one that wrote it shared (the trivial
-reference time, ``now``, categories, dates) and is not larger.
+reference time, ``now``, categories, dates) and is not larger.  And
+time points are shared everywhere: the live database and the reopened
+one each hold one object per point value.
 """
 
 import gc
+import shutil
 import tracemalloc
 from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
 
-from repro.core.interval import until_now
+from repro.core.interval import OngoingInterval, until_now
 from repro.core.intervalset import UNIVERSAL_SET
+from repro.core.timepoint import OngoingTimePoint
 from repro.datasets import generate_mozilla
 from repro.durable.snapshot import load_latest_checkpoint, write_checkpoint
 from repro.durable.wal import KIND_BATCH, WalPosition, WalRecord, WriteAheadLog
 from repro.engine.database import Database, Table
 from repro.engine.delta import Delta
+from repro.engine.modifications import current_update
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
+
+from tests.conftest import empty_intern_table
 
 _WIDE = Schema.of("K", "KIND", "TEXT", ("VT", "interval"))
 _KINDS = ("defect", "enhancement", "task")
@@ -146,3 +153,40 @@ def test_a_reopened_database_shares_what_the_writer_shared(tmp_path):
         assert all(row.rt is UNIVERSAL_SET for row in table.rows())
     reopened.close()
     assert reopened_bytes <= 1.1 * original_bytes
+
+
+def _points(db):
+    """Every time point held by the rows of *db*'s tables."""
+    points = []
+    for table in db.tables().values():
+        for row in table.rows():
+            for value in row.values:
+                if isinstance(value, OngoingTimePoint):
+                    points.append(value)
+                elif isinstance(value, OngoingInterval):
+                    points += (value.start, value.end)
+    return points
+
+
+def test_every_time_point_value_is_one_object(tmp_path):
+    empty_intern_table()  # room for the whole set-up: no emptying mid-way
+    dataset = generate_mozilla(1000)
+    db = Database.open(tmp_path / "db", fsync="off")
+    db.register("B", dataset.bug_info)
+    db.register("A", dataset.bug_assignment)
+    db.register("S", dataset.bug_severity)
+    severity = db.table("S")
+    for key, at in ((3, 4000), (5, 4001), (3, 4002)):
+        matches = lambda row, key=key: row.values[0] == key  # noqa: E731
+        assert current_update(severity, matches, (key, "major"), at=at)
+    db.checkpoint()
+    shutil.copytree(tmp_path / "db", tmp_path / "copy")
+    reopened = Database.open(tmp_path / "copy", fsync="off")
+    try:
+        for database in (db, reopened):
+            points = _points(database)
+            assert len(points) > 2 * len(set(points))
+            assert len({id(point) for point in points}) == len(set(points))
+    finally:
+        reopened.close()
+        db.close()

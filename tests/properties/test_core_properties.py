@@ -9,10 +9,15 @@ assertions sweep the complete set of critical reference times rather than a
 random sample — within each drawn example the check is exhaustive.
 """
 
+import copy
+import pickle
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.boolean import OngoingBoolean
+from repro.core.interval import OngoingInterval, fixed_interval, until_now
 from repro.core.operations import (
     equal,
     greater_equal,
@@ -24,7 +29,16 @@ from repro.core.operations import (
     ongoing_min,
 )
 
-from tests.conftest import critical_points, interval_sets, ongoing_points
+from repro.core.timeline import MINUS_INF, PLUS_INF
+from repro.core.timepoint import NOW, OngoingTimePoint, fixed, growing, limited
+from repro.errors import TimeDomainError
+
+from tests.conftest import (
+    critical_points,
+    empty_intern_table,
+    interval_sets,
+    ongoing_points,
+)
 
 
 class TestComparisonLaws:
@@ -186,3 +200,89 @@ class TestIntervalSetInvariants:
     @given(interval_sets(), interval_sets())
     def test_overlaps_iff_nonempty_intersection(self, s1, s2):
         assert s1.overlaps(s2) == (not (s1 & s2).is_empty())
+
+
+class _Tick(int):
+    """A well-behaved int subclass: a valid component, never interned."""
+
+
+class _Backwards(int):
+    """An int subclass equal and hash-equal to its int, ordered backwards:
+    every point of it fails Definition 1's ``a <= b``."""
+
+    __hash__ = int.__hash__
+
+    def __gt__(self, other):
+        return True
+
+
+class _Point(OngoingTimePoint):
+    __slots__ = ()
+
+
+class TestInternedPoints:
+    """One object per value of Ω; identity is memory, never semantics."""
+
+    @given(ongoing_points())
+    def test_an_equal_valid_point_is_the_same_object(self, point):
+        a, b = point.components()
+        assert OngoingTimePoint(a, b) is point
+        assert fixed(a) is OngoingTimePoint(a, a)
+        assert growing(a) is OngoingTimePoint(a, PLUS_INF)
+        assert limited(b) is OngoingTimePoint(MINUS_INF, b)
+        assert fixed_interval(a, b).start is fixed(a)
+        assert until_now(b).end is NOW
+
+    @given(ongoing_points())
+    def test_invalid_components_raise_while_an_equal_point_is_cached(self, point):
+        a, b = point.components()
+        assert OngoingTimePoint(a, b) is point
+        cached = {(0, 1): OngoingTimePoint(0, 1), (1, 1): OngoingTimePoint(1, 1)}
+        for bad in ((True, True), (False, True), (0, True), (True, 1)):
+            assert bad in cached  # a bool tuple is an equal key
+            with pytest.raises(TimeDomainError):
+                OngoingTimePoint(*bad)
+        with pytest.raises(TimeDomainError):
+            fixed(True)
+        with pytest.raises(TimeDomainError, match="a <= b"):
+            OngoingTimePoint(_Backwards(a), _Backwards(b))
+        with pytest.raises(TimeDomainError):
+            OngoingTimePoint(a, PLUS_INF + 1)
+        if a < b:
+            with pytest.raises(TimeDomainError, match="a <= b"):
+                OngoingTimePoint(b, a)
+        assert OngoingTimePoint(a, b) is point
+        assert all(OngoingTimePoint(*key) is cached[key] for key in cached)
+
+    @given(ongoing_points())
+    def test_subclasses_and_int_subclasses_are_not_interned(self, point):
+        a, b = point.components()
+        derived = _Point(a, b)
+        assert type(derived) is _Point and derived is not _Point(a, b)
+        assert derived == point and hash(derived) == hash(point)
+        ticked = OngoingTimePoint(_Tick(a), _Tick(b))
+        assert ticked is not point
+        assert ticked is not OngoingTimePoint(_Tick(a), _Tick(b))
+        assert ticked == point and hash(ticked) == hash(point)
+        assert OngoingTimePoint(a, b) is point
+
+    @given(ongoing_points())
+    def test_a_cleared_table_keeps_values_and_now(self, point):
+        a, b = point.components()
+        empty_intern_table()
+        again = OngoingTimePoint(a, b)
+        assert again == point and hash(again) == hash(point)
+        assert OngoingTimePoint(a, b) is again
+        assert OngoingTimePoint(MINUS_INF, PLUS_INF) is NOW
+        assert NOW.is_now and NOW.components() == (MINUS_INF, PLUS_INF)
+
+    @given(ongoing_points())
+    def test_pickle_and_copies_return_the_interned_point(self, point):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(point, protocol)) is point
+        assert copy.copy(point) is point
+        assert copy.deepcopy(point) is point
+        interval = pickle.loads(pickle.dumps(OngoingInterval(point, NOW)))
+        assert interval.start is point and interval.end is NOW
+        derived = copy.deepcopy(_Point(*point.components()))
+        assert type(derived) is _Point and derived == point
