@@ -33,7 +33,7 @@ The subpackages:
 * :mod:`repro.relational` — ongoing relations and their algebra (Theorem 2);
 * :mod:`repro.engine` — an in-memory engine standing in for the paper's
   PostgreSQL prototype (planner with the Section VIII predicate split,
-  join algorithms, materialized views, storage model);
+  join algorithms, storage model);
 * :mod:`repro.live` — the push-based subscription engine: clients register
   ongoing queries once and are notified on explicit modifications only —
   never because time passed;

@@ -1,7 +1,10 @@
-"""One experiment driver per table and figure of the paper's evaluation.
+"""One experiment driver per table and figure of the paper's evaluation,
+plus its three ablations and the aggregation extension.
 
-Every module exposes ``run(scale: float = 1.0) -> ExperimentResult``.
-The registry maps the CLI names (``table1``, ``fig8``, ...) to drivers.
+Every driver is ``(scale: float = 1.0) -> ExperimentResult``: a figure's
+or table's module exposes it as ``run``; :mod:`.ablations` holds the four
+others.  The registry maps the CLI names (``table1``, ``fig8``, ...) to
+drivers.
 """
 
 from typing import Callable, Dict
@@ -9,6 +12,7 @@ from typing import Callable, Dict
 from repro.bench.harness import ExperimentResult
 
 from repro.bench.experiments import (
+    ablations,
     fig07_distribution,
     fig08_reevaluations,
     fig09_location,
@@ -36,4 +40,8 @@ REGISTRY: Dict[str, Callable[..., ExperimentResult]] = {
     "fig11": fig11_amortization.run,
     "fig12": fig12_reference_time.run,
     "fig13": fig13_result_size.run,
+    "ablation_index": ablations.index,
+    "ablation_planner": ablations.planner,
+    "ablation_predicates": ablations.predicates,
+    "extension_aggregation": ablations.aggregation,
 }

@@ -51,8 +51,8 @@ def run(scale: float = 1.0) -> ExperimentResult:
         breakeven = breakeven_reevaluations(ongoing.seconds, clifford.seconds)
         breakevens[predicate] = breakeven
         result.add_row(
-            f"Qσ_{predicate}: ongoing {ongoing.millis:.1f} ms (once), "
-            f"Cliff_max {clifford.millis:.1f} ms per evaluation"
+            f"Qσ_{predicate}: ongoing {ongoing} (once), "
+            f"Cliff_max {clifford} per evaluation"
         )
         series = []
         for k in range(0, 7):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.baselines.clifford import cliff_max_reference_time
-from repro.bench.harness import ExperimentResult, measure
+from repro.bench.harness import ExperimentResult, Measurement, measure
 from repro.datasets import (
     TemporalJoinWorkload,
     generate_dex,
@@ -37,22 +37,20 @@ __all__ = ["run"]
 
 
 def _segment_runtimes(make_dataset, workload: TemporalJoinWorkload, scale: float):
-    ongoing_ms: List[float] = []
-    clifford_ms: List[float] = []
-    baseline_ms: List[float] = []
-    n_rows = max(300, int(1_500 * scale))
+    """Per segment: the ongoing, Clifford and without-ongoing measurements."""
+    ongoing: List[Measurement] = []
+    clifford: List[Measurement] = []
+    baseline: List[Measurement] = []
+    n_rows = max(100, int(1_500 * scale))
     for segment in range(SEGMENTS):
         relation = make_dataset(n_rows, segment=segment)
         database = synthetic_database(relation)
         rt = cliff_max_reference_time(relation)
-        ongoing = measure(lambda: workload.run_ongoing(database), repeat=1)
-        clifford = measure(lambda: workload.run_clifford(database, rt), repeat=1)
+        ongoing.append(measure(lambda: workload.run_ongoing(database)))
+        clifford.append(measure(lambda: workload.run_clifford(database, rt)))
         stripped_db = synthetic_database(strip_ongoing(relation))
-        baseline = measure(lambda: workload.run_ongoing(stripped_db), repeat=1)
-        ongoing_ms.append(ongoing.millis)
-        clifford_ms.append(clifford.millis)
-        baseline_ms.append(baseline.millis)
-    return ongoing_ms, clifford_ms, baseline_ms
+        baseline.append(measure(lambda: workload.run_ongoing(stripped_db)))
+    return ongoing, clifford, baseline
 
 
 def run(scale: float = 1.0) -> ExperimentResult:
@@ -62,9 +60,10 @@ def run(scale: float = 1.0) -> ExperimentResult:
     workload = TemporalJoinWorkload("R", "overlaps")
 
     for label, generator in (("D_ex", generate_dex), ("D_sh", generate_dsh)):
-        ongoing_ms, clifford_ms, baseline_ms = _segment_runtimes(
-            generator, workload, scale
-        )
+        ongoing, clifford, baseline = _segment_runtimes(generator, workload, scale)
+        ongoing_ms = [m.millis for m in ongoing]
+        clifford_ms = [m.millis for m in clifford]
+        baseline_ms = [m.millis for m in baseline]
         result.add_row(f"{label} (segment 0 = earliest):")
         result.add_row(
             "  segment    " + " ".join(f"{s:>9}" for s in range(SEGMENTS))
@@ -78,6 +77,8 @@ def run(scale: float = 1.0) -> ExperimentResult:
         result.add_row(
             "  Cliff_max  " + " ".join(f"{v:8.0f}m" for v in clifford_ms)
         )
+        spread = max(m.spread for m in (*ongoing, *clifford, *baseline))
+        result.add_row(f"  (medians in ms; quartile spread ≤ {spread:.0%})")
         result.data[f"{label}_ongoing_ms"] = ongoing_ms
         result.data[f"{label}_baseline_ms"] = baseline_ms
         result.data[f"{label}_clifford_ms"] = clifford_ms
@@ -93,8 +94,8 @@ def run(scale: float = 1.0) -> ExperimentResult:
                 ongoing_ms[-1] > ongoing_ms[0],
             )
         average_share = sum(
-            baseline / ongoing
-            for baseline, ongoing in zip(baseline_ms, ongoing_ms)
+            without / with_ongoing
+            for without, with_ongoing in zip(baseline_ms, ongoing_ms)
         ) / SEGMENTS
         result.add_row(
             f"  baseline accounts for {average_share:.0%} of the ongoing "

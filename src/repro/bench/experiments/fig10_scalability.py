@@ -36,20 +36,19 @@ def run(scale: float = 1.0) -> ExperimentResult:
     ongoing_ms: List[float] = []
     clifford_ms: List[float] = []
     breakevens: List[int] = []
-    result.add_row(f"{'tuples':>10} {'ongoing':>12} {'Cliff_max':>12} {'break-even':>11}")
+    result.add_row(f"{'tuples':>10} {'ongoing':>14} {'Cliff_max':>14} {'break-even':>11}")
     for size in sizes:
         relation = generate_dsc(size)
         database = synthetic_database(relation)
         rt = cliff_max_reference_time(relation)
-        ongoing = measure(lambda: workload.run_ongoing(database), repeat=2)
-        clifford = measure(lambda: workload.run_clifford(database, rt), repeat=2)
+        ongoing = measure(lambda: workload.run_ongoing(database))
+        clifford = measure(lambda: workload.run_clifford(database, rt))
         breakeven = breakeven_reevaluations(ongoing.seconds, clifford.seconds)
         ongoing_ms.append(ongoing.millis)
         clifford_ms.append(clifford.millis)
         breakevens.append(breakeven)
         result.add_row(
-            f"{size:>10} {ongoing.millis:>10.1f}ms {clifford.millis:>10.1f}ms "
-            f"{breakeven:>11}"
+            f"{size:>10} {ongoing!s:>14} {clifford!s:>14} {breakeven:>11}"
         )
     result.data["sizes"] = sizes
     result.data["ongoing_ms"] = ongoing_ms

@@ -1,8 +1,10 @@
 """Fig. 12 — amortization and result size as the reference time varies.
 
 For ``Qσ_ovlp(B)`` on MozillaBugs, the instantiated result is served from a
-materialized ongoing view at different reference times (the earliest point
-of the history up to past its end).  Paper shapes:
+materialized ongoing result at different reference times (the earliest
+point of the history up to past its end), timed as Fig. 11 times it: a
+cold ``database.query`` is the ongoing evaluation, ``instantiate(rt)`` on
+its relation one instantiation.  Paper shapes:
 
 * later reference times amortize faster (Fig. 12a: from 3 instantiations at
   ``rt = min`` down to 2 near ``rt = max``) because the instantiated result
@@ -27,7 +29,6 @@ from repro.bench.harness import (
 )
 from repro.datasets import SelectionWorkload, generate_mozilla, last_tenth
 from repro.datasets import mozilla as mozilla_module
-from repro.engine.views import MaterializedOngoingView
 
 __all__ = ["run"]
 
@@ -42,9 +43,10 @@ def run(scale: float = 1.0) -> ExperimentResult:
     argument = last_tenth(mozilla_module.HISTORY_START, mozilla_module.HISTORY_END)
     workload = SelectionWorkload("B", "overlaps", argument)
 
-    view = MaterializedOngoingView("fig12", workload.plan(), database)
-    ongoing = measure(lambda: view.refresh(), repeat=2)
-    ongoing_size = len(view.result)
+    plan = workload.plan()
+    materialized = database.query(plan)
+    ongoing = measure(lambda: database.query(plan))
+    ongoing_size = len(materialized)
 
     history_span = mozilla_module.HISTORY_END - mozilla_module.HISTORY_START
     reference_times = [
@@ -54,27 +56,31 @@ def run(scale: float = 1.0) -> ExperimentResult:
         ("max", cliff_max_reference_time(dataset.bug_info)),
     ]
 
-    result.add_row(f"ongoing evaluation: {ongoing.millis:.1f} ms, {ongoing_size} tuples")
+    result.add_row(f"ongoing evaluation: {ongoing}, {ongoing_size} tuples")
     result.add_row(
-        f"{'rt':>5} {'instantiate':>12} {'Cliff_max':>11} "
+        f"{'rt':>5} {'instantiate':>14} {'Cliff_max':>14} "
         f"{'amortization':>13} {'result size':>12}"
     )
+    instantiate_ms: List[float] = []
     amortizations: List[float] = []
     sizes: List[int] = []
     for label, rt in reference_times:
-        instantiate = measure(lambda: view.instantiate(rt), repeat=2)
-        clifford = measure(lambda: workload.run_clifford(database, rt), repeat=2)
+        instantiate = measure(lambda: materialized.instantiate(rt))
+        clifford = measure(lambda: workload.run_clifford(database, rt))
         amortization = amortization_instantiations(
             ongoing.seconds, instantiate.seconds, clifford.seconds
         )
-        size = len(view.instantiate(rt))
+        size = len(materialized.instantiate(rt))
+        instantiate_ms.append(instantiate.millis)
         amortizations.append(amortization)
         sizes.append(size)
         shown = "inf" if math.isinf(amortization) else f"{amortization:.2f}"
         result.add_row(
-            f"{label:>5} {instantiate.millis:>10.1f}ms {clifford.millis:>9.1f}ms "
+            f"{label:>5} {instantiate!s:>14} {clifford!s:>14} "
             f"{shown:>13} {size:>12}"
         )
+    result.data["ongoing_ms"] = ongoing.millis
+    result.data["instantiate_ms"] = instantiate_ms
     result.data["amortizations"] = amortizations
     result.data["instantiated_sizes"] = sizes
     result.data["ongoing_size"] = ongoing_size
@@ -88,14 +94,10 @@ def run(scale: float = 1.0) -> ExperimentResult:
         sizes[-1] >= 0.95 * ongoing_size,
     )
     # The paper observes amortization falling from 3 (rt = min) to 2 (late
-    # rts), driven by the growing instantiated result making Clifford's
-    # evaluation slower.  On this substrate both effects are second-order:
-    # the amortization sits flat near 2.  The check is therefore on the
-    # paper's headline claim — a small, nearly constant number of
-    # instantiations (within the 1..4 band) at every reference time.
-    # An amortization below 1 means the ongoing evaluation beat Clifford's
-    # before serving a single instantiated result — stronger than the
-    # paper's 2..3, so only the upper bound is checked.
+    # rts), as the growing instantiated result slows Clifford's evaluation.
+    # Here it sits flat and below 1 at scale 1: one cold build costs less
+    # than one Clifford evaluation, stronger than the paper's 2..3, so the
+    # check is on the headline claim's upper bound only.
     finite = [a for a in amortizations if math.isfinite(a)]
     result.add_check(
         "amortization stays small (≤ 4) at every rt",

@@ -6,8 +6,8 @@ quantities — ratios, break-even counts, crossovers, result sizes — which are
 the paper's actual claims.
 
 Scaling: every experiment accepts a ``scale`` factor.  ``scale=1.0`` is the
-laptop-sized default (seconds per experiment); the ``REPRO_SCALE``
-environment variable overrides it globally, so
+laptop-sized default (seconds per experiment, minutes for Fig. 9); the
+``REPRO_SCALE`` environment variable overrides it globally, so
 ``REPRO_SCALE=3 python -m repro.bench all`` runs everything at 3× data.
 """
 
@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import math
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 __all__ = [
+    "REPEATS",
     "default_scale",
     "measure",
     "Measurement",
@@ -39,36 +41,48 @@ def default_scale() -> float:
     return max(value, 0.01)
 
 
+#: Timed runs behind every :class:`Measurement`, after one warm-up run.
+#: Odd, so the median is one of the runs.
+REPEATS = 5
+
+
 @dataclass(frozen=True)
 class Measurement:
-    """A robust runtime measurement (median of *repeat* runs)."""
+    """The median and quartiles of :data:`REPEATS` timed runs, in seconds;
+    printed as ``<median>ms ±<spread>``."""
 
     seconds: float
-    runs: int
+    q1: float
+    q3: float
 
     @property
     def millis(self) -> float:
         return self.seconds * 1e3
 
+    @property
+    def spread(self) -> float:
+        """Inter-quartile distance ÷ median (the ledger's quartile spread)."""
+        return (self.q3 - self.q1) / self.seconds if self.seconds else 0.0
 
-def measure(
-    fn: Callable[[], object], *, repeat: int = 3, warmup: int = 1
-) -> Measurement:
-    """Median wall-clock runtime of ``fn()`` over *repeat* runs.
+    def __str__(self) -> str:
+        return f"{self.millis:.1f}ms ±{self.spread:.0%}"
 
-    A warmup run absorbs lazy imports, cache population, and allocator
-    effects; the median absorbs scheduler noise without needing many
-    repetitions.
+
+def measure(fn: Callable[[], object]) -> Measurement:
+    """``fn()``'s wall-clock runtime over :data:`REPEATS` runs.
+
+    One warm-up run first absorbs lazy imports, the tables' per-version
+    caches (snapshot, interval and partition indexes) and allocator
+    effects, so every timed run does the same work.
     """
-    for _ in range(warmup):
-        fn()
+    fn()
     samples: List[float] = []
-    for _ in range(repeat):
+    for _ in range(REPEATS):
         started = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - started)
-    samples.sort()
-    return Measurement(seconds=samples[len(samples) // 2], runs=repeat)
+    q1, median, q3 = statistics.quantiles(samples, n=4)
+    return Measurement(seconds=median, q1=q1, q3=q3)
 
 
 @dataclass
@@ -76,8 +90,7 @@ class ExperimentResult:
     """Structured output of one experiment driver.
 
     ``rows`` are printable result lines (the paper-style series);
-    ``checks`` map shape-assertions to booleans (what EXPERIMENTS.md
-    summarizes as reproduced / not reproduced);
+    ``checks`` map shape-assertions to booleans (reproduced or not);
     ``data`` carries raw numbers for downstream consumers.
     """
 
@@ -123,11 +136,11 @@ def breakeven_reevaluations(ongoing_seconds: float, clifford_seconds: float) -> 
 def amortization_instantiations(
     ongoing_seconds: float, instantiate_seconds: float, clifford_seconds: float
 ) -> float:
-    """Instantiations needed for the materialized ongoing view to win.
+    """Instantiations needed for the materialized ongoing result to win.
 
     Serving ``n`` instantiated results costs ``ongoing + n * instantiate``
-    from the view and ``n * clifford`` by re-evaluating; the crossover
-    (Fig. 11's y-axis, fractional) is
+    from the materialized result and ``n * clifford`` by re-evaluating;
+    the crossover (Fig. 11's y-axis, fractional) is
     ``ongoing / (clifford - instantiate)`` — infinite when instantiating is
     not cheaper than re-running the query.
     """

@@ -109,7 +109,7 @@ class Durability:
         )
         #: While True (recovery in progress), committed deltas are NOT
         #: re-appended to the WAL — they are the WAL.  Other listeners
-        #: (live sessions, views) still fire normally.
+        #: (live sessions) still fire normally.
         self._suppress = True
         #: Subscription manifest of the loaded checkpoint; consumed by
         #: :meth:`~repro.live.manager.SubscriptionManager.resume` so a

@@ -6,7 +6,6 @@
   and join algorithm selection;
 * :mod:`repro.engine.executor` — physical operators (scans, the two filter
   halves, hash / merge-interval / nested-loop joins);
-* :mod:`repro.engine.views` — materialized ongoing views (Section IX-C);
 * :mod:`repro.engine.storage` — the byte-accurate tuple layout of Table V;
 * :mod:`repro.engine.indexes` — envelope interval index plus the
   maintained one a merge join keeps each side in (Section X future
@@ -51,7 +50,6 @@ from repro.engine.executor import (
     SeqScan,
     UnionOp,
 )
-from repro.engine.views import MaterializedOngoingView
 from repro.engine.storage import (
     StorageReport,
     pack_rt,
@@ -101,7 +99,6 @@ __all__ = [
     "ProjectOp",
     "SeqScan",
     "UnionOp",
-    "MaterializedOngoingView",
     "StorageReport",
     "pack_rt",
     "pack_tuple",

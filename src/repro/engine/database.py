@@ -13,7 +13,7 @@ physical operators.
 
 **Modification hooks.**  Ongoing query results only become stale on
 *explicit* modifications — never because time passes (Section IX-C).  To
-let derived layers (materialized views, the live subscription engine in
+let derived layers (the live subscription engine in
 :mod:`repro.live`) exploit this, every table carries a monotonically
 increasing ``version`` that is bumped exactly once per modification, and
 the database fans ``(table, version, delta)`` change events out to
@@ -573,7 +573,7 @@ class Database:
         *listener* is called as ``listener(table_name, version, delta)``
         after any table of this database is modified; *delta* names the
         changed rows (or is full-flagged when they are unknown).  The
-        live engine and materialized views subscribe here so refreshes
+        live engine subscribes here so refreshes
         cost work proportional to the modification.  Returns *listener*
         so the call can be used inline.
         """

@@ -284,8 +284,8 @@ class DeltaBuilder:
 
     :meth:`Delta.merge` copies both row tuples, so folding a burst of N
     events one at a time is O(N²); every place that coalesces *streams*
-    of deltas (a table batch, the live manager's per-plan pending map, a
-    view's pending map) accumulates through this builder instead and
+    of deltas (a table batch, the live manager's per-plan pending map)
+    accumulates through this builder instead and
     materializes one immutable :class:`Delta` at consumption time.
     """
 
@@ -420,8 +420,8 @@ class DeltaEvaluator:
 
     The evaluator never falls back silently: :meth:`apply` raises
     :class:`NonIncrementalDelta` when incremental maintenance is not
-    possible, and callers (the live subscription manager, materialized
-    views) re-run :meth:`refresh_full` — the automatic, logged fallback.
+    possible, and its caller (the live subscription manager's
+    maintainer) re-runs :meth:`refresh_full` — the automatic, logged fallback.
     A failed apply or rebuild drops the operator state but keeps the
     store, so consumers keep serving the last consistent result.
     """

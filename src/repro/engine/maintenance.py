@@ -5,9 +5,8 @@ only after an *explicit modification* and is otherwise valid at every
 reference time.  So beyond its operator state a maintained plan has one
 mutable fact — *what was modified since my last refresh* — and one set of
 counters about how it was refreshed.  :class:`IncrementalMaintainer`
-holds both, for every consumer: the single-consumer
-:class:`~repro.engine.views.MaterializedOngoingView` and the live
-session (:mod:`repro.live.manager`), which keeps one maintainer per plan
+holds both for its one consumer, the live session
+(:mod:`repro.live.manager`), which keeps one maintainer per plan
 fingerprint and nothing else about the plan.
 
 **The pending record** (:attr:`IncrementalMaintainer.pending`) is one

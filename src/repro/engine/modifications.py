@@ -25,7 +25,7 @@ change-event machinery (:meth:`~repro.engine.database.Table.batch`): a
 current update bumps the table version once, not twice, and operations
 that touch zero tuples — deleting an interval that already ended, updating
 a key that matches nothing — are true no-ops that bump nothing, so
-derived results (materialized views, live subscriptions) are not
+derived results (live subscriptions) are not
 invalidated spuriously.
 """
 
@@ -115,7 +115,7 @@ def current_delete(
         if terminated:
             # The change event names exactly the rewritten rows, so the
             # heap moves in O(rewritten) and derived results (live
-            # subscriptions, materialized views) refresh by delta instead
+            # subscriptions) refresh by delta instead
             # of re-evaluating over the whole table.
             table.apply_delta(Delta.update(terminated, successors))
     return len(terminated)

@@ -23,7 +23,7 @@ transformations:
 
 Since PR 7 the rewrites run by default on every planning boundary
 (:func:`repro.engine.planner.plan_query`, ``Database.query``, live
-subscriptions, and materialized views); pass the owning database so scans
+subscriptions); pass the owning database so scans
 stop being opaque and conjuncts can sink below joins of base tables.
 
 Correctness follows from Theorem 2 plus the fixed-algebra equivalences and

@@ -3,6 +3,7 @@
 import math
 
 from repro.bench.harness import (
+    REPEATS,
     ExperimentResult,
     amortization_instantiations,
     breakeven_reevaluations,
@@ -13,10 +14,16 @@ from repro.bench.harness import (
 
 class TestMeasure:
     def test_returns_positive_median(self):
-        result = measure(lambda: sum(range(1000)), repeat=3, warmup=1)
-        assert result.seconds > 0
-        assert result.runs == 3
+        result = measure(lambda: sum(range(1000)))
+        assert 0 < result.q1 <= result.seconds <= result.q3
         assert result.millis == result.seconds * 1e3
+        assert result.spread == (result.q3 - result.q1) / result.seconds
+
+    def test_one_odd_repeat_count_of_at_least_five(self):
+        calls = []
+        measure(lambda: calls.append(None))
+        assert REPEATS >= 5 and REPEATS % 2 == 1
+        assert len(calls) == REPEATS + 1  # one warm-up run
 
 
 class TestBreakeven:

@@ -65,10 +65,12 @@ def test_live_results_remain_valid_as_time_passes():
     )
 
     # --- Phase 2: one explicit modification. ----------------------------
+    rows_before = len(db.table("B"))
     deleted = current_delete(
         db.table("B"), lambda row: row.values[0] == 500, at=d(9, 10)
     )
     assert deleted == 1
+    assert len(db.table("B")) == rows_before  # in place: cardinality kept
     assert session.pending == 1  # only the B-plan is dirty
     assert load_sub.stats.pending_events == 0
 

@@ -101,8 +101,15 @@ class TestBatchedRefresh:
         assert sub.stats.pending_events == 0
 
     def test_flush_without_pending_is_a_noop(self):
-        session = LiveSession(_database())
+        db = _database()
+        session = LiveSession(db)
         session.subscribe(_bug_plan())
+        # Bug 501's interval is fixed and already over: deleting it is a
+        # no-op modification, which leaves nothing pending.
+        assert current_delete(
+            db.table("B"), lambda row: row.values[0] == 501, at=d(12, 1)
+        ) == 0
+        assert session.pending == 0
         assert session.flush() == 0
         assert session.stats()["repro_live_evaluations_total"] == 1
 

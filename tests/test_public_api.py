@@ -42,7 +42,6 @@ _MODULES = [
     "repro.engine.plan",
     "repro.engine.planner",
     "repro.engine.executor",
-    "repro.engine.views",
     "repro.engine.storage",
     "repro.engine.indexes",
     "repro.engine.modifications",
@@ -115,8 +114,9 @@ def test_bound_delivery_names_are_public_in_the_live_package_only():
 def test_the_serve_package_exports_delivery_names_only():
     """One thread refreshes and one bus delivers: the bus, the mailbox
     and the policy names — no scheduler, no sharding, no second bus, no
-    pool, no cost model, no index registry — and no metric family but
-    the freshness histogram."""
+    pool, no cost model, no index registry, no second maintained result
+    beside a subscription — and no metric family but the freshness
+    histogram."""
     import repro
     import repro.engine
     import repro.live
@@ -131,12 +131,14 @@ def test_the_serve_package_exports_delivery_names_only():
         "CostModel", "RefreshDecision", "DEFAULT_COST_MODEL",
         "SecondaryIndexRegistry", "PartitionIndex", "ChangeEvent",
         "materialize", "Counter", "Gauge", "DEFAULT_BUCKETS",
+        "MaterializedOngoingView",
     ):
         for package in (
             repro, repro.live, repro.serve, repro.engine, repro.obs
         ):
             assert name not in package.__all__ and not hasattr(package, name)
     assert importlib.util.find_spec("repro.engine.cost") is None
+    assert importlib.util.find_spec("repro.engine.views") is None
 
 
 def test_public_classes_have_documented_public_methods():
