@@ -25,11 +25,10 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.baselines.fixed_algebra import FIXED_PREDICATES, FixedInterval
-from repro.core.interval import OngoingInterval
-from repro.core.timeline import MINUS_INF, PLUS_INF, TimePoint, is_finite
-from repro.core.timepoint import OngoingTimePoint
+from repro.core.timeline import MINUS_INF, TimePoint, is_finite
 from repro.relational.relation import OngoingRelation
-from repro.relational.tuples import FixedTuple
+from repro.relational.schema import AttributeKind
+from repro.relational.tuples import Binder, FixedTuple
 
 __all__ = [
     "bind_relation",
@@ -47,12 +46,7 @@ def bind_relation(relation: OngoingRelation, rt: TimePoint) -> List[FixedTuple]:
     cost per access, which is what the runtime experiments measure; callers
     needing set semantics wrap the result themselves.
     """
-    result: List[FixedTuple] = []
-    for item in relation.tuples:
-        bound = item.instantiate(rt)
-        if bound is not None:
-            result.append(bound)
-    return result
+    return Binder.of(relation.schema).bind(relation.tuples, rt)
 
 
 def selection(
@@ -140,6 +134,10 @@ def sweep_join(
     return output
 
 
+#: The kinds whose values are time points: their components bound the data.
+_TEMPORAL = (AttributeKind.ONGOING_POINT, AttributeKind.ONGOING_INTERVAL)
+
+
 def cliff_max_reference_time(*relations: OngoingRelation) -> TimePoint:
     """A reference time greater than the latest finite end point in the data.
 
@@ -149,16 +147,17 @@ def cliff_max_reference_time(*relations: OngoingRelation) -> TimePoint:
     """
     latest = MINUS_INF
     for relation in relations:
+        temporal = [
+            position
+            for position, attribute in enumerate(relation.schema)
+            if attribute.kind in _TEMPORAL
+        ]
         for item in relation.tuples:
-            for value in item.values:
-                if isinstance(value, OngoingInterval):
-                    for component in value.components():
-                        if is_finite(component) and component > latest:
-                            latest = component
-                elif isinstance(value, OngoingTimePoint):
-                    for component in value.components():
-                        if is_finite(component) and component > latest:
-                            latest = component
+            values = item.values
+            for position in temporal:
+                for component in values[position].components():
+                    if is_finite(component) and component > latest:
+                        latest = component
     if latest == MINUS_INF:
         raise ValueError("relations contain no finite time points")
     return latest + 1

@@ -35,7 +35,7 @@ from repro.engine.database import Database, Table
 from repro.errors import QueryError, SchemaError
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Attribute, AttributeKind, Schema
-from repro.relational.tuples import OngoingTuple
+from repro.relational.tuples import Binder, OngoingTuple
 
 __all__ = ["BitemporalTable"]
 
@@ -152,11 +152,9 @@ class BitemporalTable:
         reference time.
         """
         position = self.table.schema.index_of(TT_ATTRIBUTE)
+        relation = self.table.as_relation()
         rows = []
-        for item in self.table.as_relation():
-            bound = item.instantiate(rt)
-            if bound is None:
-                continue
+        for bound in Binder.of(relation.schema).bind(relation.tuples, rt):
             tt_start, tt_end = bound[position]
             if tt_start <= transaction_time < tt_end:
                 rows.append(bound[:position] + bound[position + 1 :])

@@ -75,7 +75,7 @@ from repro.engine.plan import PlanNode
 from repro.errors import QueryError, SchemaError
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Schema
-from repro.relational.tuples import OngoingTuple
+from repro.relational.tuples import Binder, OngoingTuple
 
 __all__ = [
     "CommitStamp",
@@ -157,6 +157,9 @@ class Table:
     ):
         self.name = name
         self.schema = schema
+        #: Refuses rows the schema's binder would mis-bind (wrong arity,
+        #: an ongoing value in a fixed column) before they are stored.
+        self._check_rows = Binder.of(schema).check
         #: The write lock — shared with the owning database's
         #: :attr:`Database.lock` so multi-table invariants hold; a
         #: standalone table gets its own.  Re-entrant: nested batches and
@@ -316,8 +319,17 @@ class Table:
         self.insert_tuples(added)
 
     def insert_tuples(self, tuples: Iterable[OngoingTuple]) -> None:
-        """Insert pre-built ongoing tuples (used by temporal modifications)."""
+        """Insert pre-built ongoing tuples (used by temporal modifications).
+
+        Raises :class:`~repro.errors.SchemaError`, before anything is
+        stored, for a tuple the schema's binder would mis-bind (wrong
+        arity, or an ongoing value in a fixed column).
+        """
         added = tuple(tuples)
+        self._check_rows(added)
+        self._insert(added)
+
+    def _insert(self, added: Tuple[OngoingTuple, ...]) -> None:
         if added:
             with self.lock:
                 self._changed(Delta(added, appeared=self._add(added)))
@@ -350,8 +362,11 @@ class Table:
         """Swap the table contents (bulk-load path of the dataset builders).
 
         The swap names no rows: it reports the full-flagged delta and
-        observers re-evaluate from scratch.
+        observers re-evaluate from scratch.  Rows are checked like
+        :meth:`insert_tuples` rows.
         """
+        tuples = tuple(tuples)
+        self._check_rows(tuples)
         with self.lock:
             self._load(tuples)
             self._changed(FULL_DELTA)
@@ -623,7 +638,7 @@ class Database:
     def register(self, name: str, relation: OngoingRelation) -> Table:
         """Create a table pre-loaded with *relation*'s tuples."""
         table = self.create_table(name, relation.schema)
-        table.insert_tuples(relation.tuples)
+        table._insert(relation.tuples)  # checked when the relation was built
         return table
 
     def drop_table(self, name: str) -> None:

@@ -260,6 +260,17 @@ class Planner:
             else:
                 if len(item) == 3:
                     name, expression, kind = item  # type: ignore[misc]
+                    # The result is built unchecked, and the binder copies
+                    # fixed columns through: refuse a fixed label on an
+                    # ongoing expression here, as OngoingRelation does.
+                    if (
+                        kind is AttributeKind.FIXED
+                        and infer_kind(expression, schema).is_ongoing
+                    ):
+                        raise SchemaError(
+                            f"projection item {name!r} is declared fixed "
+                            f"but computes an ongoing value"
+                        )
                 else:
                     name, expression = item  # type: ignore[misc]
                     kind = infer_kind(expression, schema)

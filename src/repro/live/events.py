@@ -21,7 +21,7 @@ from typing import Any, FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.core.timeline import TimePoint
 from repro.engine.delta import Delta
-from repro.relational.tuples import FixedTuple
+from repro.relational.tuples import Binder, FixedTuple
 
 __all__ = ["BoundChanges", "RefreshNotification"]
 
@@ -112,7 +112,10 @@ class RefreshNotification:
                     "changes_at() needs a reference time: the subscription "
                     "had none when this refresh was notified"
                 )
-        return BoundChanges(_bind(delta.inserted, rt), _bind(delta.deleted, rt))
+        bind = Binder.of(self.result.schema).bind
+        return BoundChanges(
+            tuple(bind(delta.inserted, rt)), tuple(bind(delta.deleted, rt))
+        )
 
     def coalesce_with(self, newer: "RefreshNotification") -> "RefreshNotification":
         """Merge a *newer* refresh of the same subscription into this one.
@@ -156,9 +159,3 @@ class RefreshNotification:
             delta=merged_delta,
             commit=older_commit,
         )
-
-
-def _bind(items, rt: TimePoint) -> Tuple[FixedTuple, ...]:
-    """The ongoing tuples of one side of a delta that exist at *rt*, bound."""
-    bound = (item.instantiate(rt) for item in items)
-    return tuple(row for row in bound if row is not None)

@@ -40,7 +40,7 @@ from repro.engine.maintenance import IncrementalMaintainer
 from repro.engine.plan import PlanNode
 from repro.errors import QueryError
 from repro.relational.relation import OngoingRelation
-from repro.relational.tuples import FixedTuple
+from repro.relational.tuples import Binder, FixedTuple
 
 from repro.live.events import RefreshNotification
 
@@ -309,10 +309,8 @@ class BoundRows:
         self._stats.instantiations += 1
         counts = self._counts
         counts.clear()  # in place: a ``rows`` view somebody holds stays live
-        for item in result.tuples:
-            row = item.instantiate(self.rt)
-            if row is not None:
-                counts[row] = counts.get(row, 0) + 1
+        for row in Binder.of(result.schema).bind(result.tuples, self.rt):
+            counts[row] = counts.get(row, 0) + 1
 
     @property
     def rows(self) -> AbstractSet[FixedTuple]:

@@ -28,9 +28,11 @@ from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from repro.core import allen as _allen
 from repro.core.boolean import OngoingBoolean, from_bool
+from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
 from repro.core.intervalset import EMPTY_SET, IntervalSet
 from repro.core.operations import equal as _point_equal
+from repro.core.rational import OngoingRational
 from repro.core.timepoint import OngoingTimePoint
 from repro.errors import SchemaError
 from repro.relational.predicates import (
@@ -103,6 +105,8 @@ def infer_kind(expression: Expression, schema: Schema) -> AttributeKind:
             return AttributeKind.ONGOING_INTERVAL
         if isinstance(expression.value, OngoingTimePoint):
             return AttributeKind.ONGOING_POINT
+        if isinstance(expression.value, (OngoingInt, OngoingRational)):
+            return AttributeKind.ONGOING_INTEGER
         return AttributeKind.FIXED
     return AttributeKind.FIXED
 

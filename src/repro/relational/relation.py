@@ -31,9 +31,8 @@ from typing import (
 
 from repro.core.intervalset import UNIVERSAL_SET, IntervalSet
 from repro.core.timeline import TimePoint
-from repro.errors import SchemaError
 from repro.relational.schema import Schema
-from repro.relational.tuples import FixedTuple, OngoingTuple
+from repro.relational.tuples import Binder, FixedTuple, OngoingTuple
 
 __all__ = ["OngoingRelation", "ResultStore"]
 
@@ -43,7 +42,9 @@ class OngoingRelation:
 
     Duplicate tuples (same values *and* same reference time) are removed at
     construction; iteration order is the insertion order of the first
-    occurrence, which keeps example output stable and diffable.
+    occurrence, which keeps example output stable and diffable.  A tuple
+    of the wrong arity, or with an ongoing value in a fixed column, raises
+    :class:`~repro.errors.SchemaError`: the bind operator trusts the kinds.
     """
 
     __slots__ = ("_schema", "_tuples")
@@ -51,12 +52,7 @@ class OngoingRelation:
     def __init__(self, schema: Schema, tuples: Iterable[OngoingTuple] = ()):
         self._schema = schema
         deduplicated = dict.fromkeys(tuples)
-        for item in deduplicated:
-            if len(item.values) != len(schema):
-                raise SchemaError(
-                    f"tuple {item.values!r} has {len(item.values)} values, "
-                    f"schema expects {len(schema)}"
-                )
+        Binder.of(schema).check(deduplicated)
         self._tuples: Tuple[OngoingTuple, ...] = tuple(deduplicated)
 
     # ------------------------------------------------------------------
@@ -131,15 +127,11 @@ class OngoingRelation:
         """``‖R‖rt`` — the fixed relation at reference time *rt*.
 
         Tuples whose reference time does not contain *rt* are omitted;
-        the remaining tuples are instantiated componentwise.  The result is
+        the remaining tuples are instantiated componentwise by the
+        schema's :class:`~repro.relational.tuples.Binder`.  The result is
         a set (fixed relations have set semantics).
         """
-        result = []
-        for item in self._tuples:
-            bound = item.instantiate(rt)
-            if bound is not None:
-                result.append(bound)
-        return frozenset(result)
+        return frozenset(Binder.of(self._schema).bind(self._tuples, rt))
 
     # ------------------------------------------------------------------
     # Value semantics and display

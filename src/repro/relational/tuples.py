@@ -1,4 +1,4 @@
-"""Tuples of ongoing relations and the bind operator on values.
+"""Tuples of ongoing relations and the bind operator on values and rows.
 
 A tuple of an ongoing relation carries, next to its attribute values, the
 reference time attribute ``RT``: the set of reference times at which the
@@ -8,12 +8,22 @@ start with the trivial reference time ``{(-inf, inf)}``; queries restrict it.
 :func:`bind_value` is the bind operator ``‖·‖rt`` for individual values: it
 instantiates ongoing time points and intervals and passes fixed values
 through unchanged — composite values are instantiated componentwise, exactly
-as Section IV prescribes.
+as Section IV prescribes.  :meth:`OngoingTuple.instantiate` applies it to
+every value of one tuple.
+
+:class:`Binder` is the same operator on many tuples of one schema, and every
+whole-relation bind goes through it.  It reads the schema's attribute kinds
+once: fixed columns are copied through untouched, ongoing columns are bound
+by :func:`bind_value`, and the ``(start, end)`` pairs an interval column
+binds to are shared within one call — equal bound intervals are one object.
+Sharing is memory only: compare bound values with ``==``.  It trusts the
+kinds, so :meth:`Binder.check` (run wherever a relation or table takes
+tuples) rejects an ongoing value in a fixed column.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
@@ -21,8 +31,10 @@ from repro.core.rational import OngoingRational
 from repro.core.intervalset import UNIVERSAL_SET, IntervalSet
 from repro.core.timeline import TimePoint
 from repro.core.timepoint import OngoingTimePoint
+from repro.errors import SchemaError
+from repro.relational.schema import AttributeKind, Schema
 
-__all__ = ["OngoingTuple", "bind_value", "FixedTuple"]
+__all__ = ["OngoingTuple", "bind_value", "Binder", "FixedTuple"]
 
 #: An instantiated tuple: plain Python values, no RT.
 FixedTuple = Tuple[object, ...]
@@ -46,6 +58,13 @@ def bind_value(value: object, rt: TimePoint) -> object:
     if isinstance(value, OngoingRational):
         return value.instantiate(rt)
     return value
+
+
+#: The classes of the values :func:`bind_value` instantiates.
+_ONGOING_VALUES = (OngoingTimePoint, OngoingInterval, OngoingInt, OngoingRational)
+#: Exact types of fixed values :meth:`Binder.check` accepts without the
+#: ``isinstance`` test (which it keeps for everything else, subclasses too).
+_PLAIN = frozenset({int, str, float, bool, type(None)})
 
 
 class OngoingTuple:
@@ -115,11 +134,97 @@ class OngoingTuple:
         """Render the tuple paper-style, with ongoing values pretty-printed."""
         rendered = []
         for value in self._values:
-            if isinstance(
-                value,
-                (OngoingTimePoint, OngoingInterval, OngoingInt, OngoingRational),
-            ):
+            if isinstance(value, _ONGOING_VALUES):
                 rendered.append(value.format())
             else:
                 rendered.append(str(value))
         return "(" + ", ".join(rendered) + ")  RT=" + self._rt.format()
+
+
+class Binder:
+    """``‖·‖rt`` on the tuples of one schema, built once from its kinds.
+
+    :meth:`bind` instantiates many tuples at one reference time and equals
+    :meth:`OngoingTuple.instantiate` on each, in value and type; it only
+    does less work.  Fixed columns are copied through, ongoing ones go
+    through :func:`bind_value`, and the pairs of ``ONGOING_INTERVAL``
+    columns are shared through a per-call dict keyed by the pair.  Scalars
+    are not shared (``Fraction(2) == 2`` would merge types), and nothing
+    is kept across calls.
+
+    Binders depend on the kinds alone, so :meth:`of` hands schemas with
+    the same kinds the same (immutable) binder.
+    """
+
+    __slots__ = ("_arity", "_fixed", "_scalars", "_intervals")
+
+    def __init__(self, kinds: Sequence[AttributeKind]):
+        self._arity = len(kinds)
+        self._fixed = tuple(
+            position
+            for position, kind in enumerate(kinds)
+            if kind is AttributeKind.FIXED
+        )
+        self._scalars = tuple(
+            position
+            for position, kind in enumerate(kinds)
+            if kind.is_ongoing and kind is not AttributeKind.ONGOING_INTERVAL
+        )
+        self._intervals = tuple(
+            position
+            for position, kind in enumerate(kinds)
+            if kind is AttributeKind.ONGOING_INTERVAL
+        )
+
+    @classmethod
+    def of(cls, schema: Schema) -> "Binder":
+        """The binder of *schema*'s attribute kinds."""
+        kinds = tuple(attribute.kind for attribute in schema)
+        binder = _BINDERS.get(kinds)
+        if binder is None:
+            binder = _BINDERS[kinds] = cls(kinds)
+        return binder
+
+    def check(self, tuples: Iterable[OngoingTuple]) -> None:
+        """Raise :class:`~repro.errors.SchemaError` unless every tuple has
+        the schema's arity and no ongoing value in a fixed column."""
+        arity, fixed = self._arity, self._fixed
+        for item in tuples:
+            values = item._values
+            if len(values) != arity:
+                raise SchemaError(
+                    f"tuple {values!r} has {len(values)} values, "
+                    f"schema expects {arity}"
+                )
+            for position in fixed:
+                value = values[position]
+                if type(value) not in _PLAIN and isinstance(value, _ONGOING_VALUES):
+                    raise SchemaError(
+                        f"tuple {values!r} holds the ongoing value {value!r} "
+                        f"in fixed column {position}"
+                    )
+
+    def bind(
+        self, tuples: Sequence[OngoingTuple], rt: TimePoint
+    ) -> List[FixedTuple]:
+        """``‖t‖rt`` of every tuple whose RT contains *rt*, in order."""
+        bound: List[FixedTuple] = []
+        append = bound.append
+        scalars, intervals = self._scalars, self._intervals
+        shared: Dict[object, object] = {}
+        share = shared.setdefault
+        for item in tuples:
+            if rt not in item._rt:
+                continue
+            row = list(item._values)
+            for position in scalars:
+                row[position] = bind_value(row[position], rt)
+            for position in intervals:
+                pair = bind_value(row[position], rt)
+                row[position] = share(pair, pair)
+            append(tuple(row))
+        return bound
+
+
+#: One binder per kind signature, shared by every schema that has it.
+_BINDERS: Dict[Tuple[AttributeKind, ...], Binder] = {}

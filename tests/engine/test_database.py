@@ -9,6 +9,7 @@ from repro.engine.plan import scan
 from repro.errors import QueryError, SchemaError
 from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
+from repro.relational.tuples import OngoingTuple
 
 
 def _database() -> Database:
@@ -75,6 +76,22 @@ class TestTable:
         assert len(table) == before_len
         assert table.version == before_version
         assert table.as_relation() is snapshot  # cache untouched, and true
+
+    def test_an_ongoing_value_in_a_fixed_column_is_refused(self):
+        """The binder copies fixed columns through, so a table refuses an
+        ongoing value there before anything is stored."""
+        db = _database()
+        table = db.table("bugs")
+        before_version = table.version
+        with pytest.raises(SchemaError, match="fixed column 1"):
+            table.insert(502, until_now(mmdd(5, 1)), until_now(mmdd(5, 1)))
+        with pytest.raises(SchemaError, match="fixed column 0"):
+            table.insert_many(
+                [(503, "ok", until_now(1)), (until_now(2), "x", until_now(2))]
+            )
+        with pytest.raises(SchemaError, match="fixed column 1"):
+            table.replace_all([OngoingTuple((1, until_now(0), until_now(0)))])
+        assert len(table) == 2 and table.version == before_version
 
     def test_snapshot_is_cached_and_invalidated(self):
         db = _database()

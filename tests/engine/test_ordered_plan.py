@@ -130,7 +130,7 @@ class TestEventualOrderOfMixedKeys:
             "grows": growing,  # rt for rt >= 0: beyond every constant
         }
         db = Database("mixed-keys")
-        table = db.create_table("M", Schema.of("V", "Name"))
+        table = db.create_table("M", Schema.of(("V", "integer"), "Name"))
         for name in ("grows", "rational", "int", "tie"):
             table.insert(values[name], name)
         plan = scan("M").order_by("V", ("Name", True))

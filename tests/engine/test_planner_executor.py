@@ -37,7 +37,7 @@ from repro.engine.plan import (
 from repro.engine.planner import Planner
 from repro.errors import QueryError, SchemaError
 from repro.relational.predicates import col, lit
-from repro.relational.schema import Schema
+from repro.relational.schema import AttributeKind, Schema
 
 
 def d(month, day):
@@ -158,6 +158,12 @@ class TestOtherOperators:
         db = _database()
         result = db.query(scan("B").select_columns("BID"))
         assert sorted(result.column("BID")) == [500, 501, 502]
+
+    def test_projection_declared_fixed_over_an_ongoing_column_is_refused(self):
+        db = _database()
+        plan = scan("B").select_columns(("VT", col("VT"), AttributeKind.FIXED))
+        with pytest.raises(SchemaError, match="declared fixed"):
+            db.query(plan)
 
     def test_union_plan(self):
         db = _database()

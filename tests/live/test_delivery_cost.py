@@ -2,9 +2,9 @@
 
 A flush hands every subscriber the change and the pinned snapshot and
 binds **nothing**; each read pays for itself — ``changes_at`` for the
-delta's tuples, ``rows`` for the result's, once.  Counts of
-``OngoingTuple.instantiate`` calls and ``tracemalloc`` sizes only: no
-wall clock, so the checks hold on any machine.
+delta's tuples, ``rows`` for the result's, once.  Counts of the rows
+handed to ``Binder.bind`` and ``tracemalloc`` sizes only: no wall clock,
+so the checks hold on any machine.
 """
 
 import gc
@@ -18,7 +18,7 @@ from repro.engine.database import Database
 from repro.engine.plan import scan
 from repro.live import LiveSession
 from repro.relational.schema import Schema
-from repro.relational.tuples import OngoingTuple
+from repro.relational.tuples import Binder
 
 RT = 10_000
 
@@ -38,16 +38,17 @@ def _fill(db: Database, rows: int) -> None:
 
 @pytest.fixture
 def binds(monkeypatch):
-    """The ``OngoingTuple.instantiate`` calls made so far, as a list whose
-    length is the count."""
+    """The tuples bound so far — every row handed to ``Binder.bind``, the
+    one path of every whole-result bind — as a list of reference times,
+    one per row, whose length is the count."""
     calls = []
-    original = OngoingTuple.instantiate
+    original = Binder.bind
 
-    def counted(self, rt):
-        calls.append(rt)
-        return original(self, rt)
+    def counted(self, tuples, rt):
+        calls.extend([rt] * len(tuples))
+        return original(self, tuples, rt)
 
-    monkeypatch.setattr(OngoingTuple, "instantiate", counted)
+    monkeypatch.setattr(Binder, "bind", counted)
     return calls
 
 

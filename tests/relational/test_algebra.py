@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.integer import OngoingInt
 from repro.core.interval import fixed_interval, until_now
 from repro.core.intervalset import IntervalSet
+from repro.core.rational import OngoingRational
 from repro.core.timeline import mmdd
 from repro.core.timepoint import NOW, fixed
 from repro.errors import SchemaError
@@ -79,6 +81,21 @@ class TestProjection:
             _bugs(), [("N", lit(NOW), AttributeKind.ONGOING_POINT)]
         )
         assert result.schema.attribute("N").kind is AttributeKind.ONGOING_POINT
+
+    def test_explicit_fixed_kind_on_an_ongoing_column_is_refused(self):
+        with pytest.raises(SchemaError, match="fixed column"):
+            algebra.project(_bugs(), [("VT", col("VT"), AttributeKind.FIXED)])
+
+    def test_ongoing_number_literals_are_typed_ongoing_integer(self):
+        three = OngoingInt.constant(3)
+        half = OngoingRational(three, OngoingInt.constant(6))
+        schema = Schema.of("K")
+        for value in (three, half):
+            kind = algebra.infer_kind(lit(value), schema)
+            assert kind is AttributeKind.ONGOING_INTEGER
+        result = algebra.project(_bugs(), [("three", lit(three))])
+        assert result.schema.attribute("three").kind is AttributeKind.ONGOING_INTEGER
+        assert result.instantiate(d(8, 1)) == frozenset({(3,)})
 
     def test_duplicates_merge_by_set_semantics(self):
         result = algebra.project(_bugs(), [("one", lit(1))])

@@ -32,6 +32,12 @@ class TestConstruction:
         with pytest.raises(SchemaError, match="values"):
             OngoingRelation(_SCHEMA, [OngoingTuple((1,))])
 
+    def test_from_rows_refuses_an_ongoing_value_in_a_fixed_column(self):
+        # The bind operator copies fixed columns through: a wrong schema
+        # would leave the interval unbound, so it fails where it is built.
+        with pytest.raises(SchemaError, match="fixed column 1"):
+            OngoingRelation.from_rows(Schema.of("BID", "VT"), [(1, until_now(0))])
+
     def test_insertion_order_is_stable(self):
         rows = [(i, until_now(i)) for i in range(5)]
         relation = OngoingRelation.from_rows(_SCHEMA, rows)
