@@ -20,7 +20,6 @@ from repro.core.interval import until_now
 from repro.engine.database import Database
 from repro.live import LiveSession
 from repro.relational.schema import Schema
-from repro.sqlish import subscribe
 
 REGIONS = ("emea", "amer", "apac", "latam")
 N_SESSIONS = 20_000
@@ -40,9 +39,8 @@ def main() -> None:
 
     session = LiveSession(db)
     pushes = []
-    sub = subscribe(
+    sub = session.subscribe_sql(
         "SELECT Region, COUNT(*) AS active FROM S GROUP BY Region",
-        session,
         on_refresh=pushes.append,
         reference_time=HISTORY,
         name="ops-dashboard",
@@ -71,9 +69,8 @@ def main() -> None:
     print(f"  apac now: {dict(sub.instantiate(HISTORY + 2))['apac']} sessions")
 
     # A second dashboard with the same SQL shares the materialization.
-    twin = subscribe(
+    twin = session.subscribe_sql(
         "SELECT Region, COUNT(*) AS active FROM S GROUP BY Region",
-        session,
         name="exec-dashboard",
     )
     stats = session.stats()

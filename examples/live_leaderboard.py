@@ -3,8 +3,8 @@
 The ordered-surface PR makes the *full* SQL shape subscribable: one
 statement carries multi-aggregate ``GROUP BY``, ``HAVING``, ``DISTINCT``
 and a maintained ``ORDER BY ... LIMIT k`` window, and the serving layer
-needs no changes at all — :func:`repro.sqlish.subscribe` compiles the
-text to a plan whose top of the tree is a :class:`SortLimit` node.
+needs no changes at all — :meth:`repro.live.LiveSession.subscribe_sql`
+compiles the text to a plan whose top of the tree is a :class:`SortLimit` node.
 
 Two boards over the MozillaBugs workload:
 
@@ -31,7 +31,7 @@ from repro.datasets import generate_mozilla
 from repro.datasets import mozilla as mozilla_module
 from repro.engine.modifications import current_delete, current_insert
 from repro.live import LiveSession
-from repro.sqlish import compile_statement, subscribe
+from repro.sqlish import compile_statement
 
 FEED_SQL = "SELECT ID, Component FROM B ORDER BY ID DESC LIMIT 10"
 
@@ -69,8 +69,8 @@ def main() -> None:
     db = dataset.as_database()
     session = LiveSession(db, delivery_workers=2)
 
-    feed = subscribe(FEED_SQL, session, name="newest-bugs")
-    board = subscribe(BOARD_SQL, session, name="component-leaderboard")
+    feed = session.subscribe_sql(FEED_SQL, name="newest-bugs")
+    board = session.subscribe_sql(BOARD_SQL, name="component-leaderboard")
     _show("initial top components", board, _board_rank)
 
     session.serve(debounce=0.005)

@@ -10,12 +10,14 @@ transformations:
 
 * **selection cascade/split** — a conjunctive selection splits into its
   conjuncts (so each can move independently);
-* **selection push-down** — a selection conjunct sinks below a join into
-  the input whose attributes it references — whether it stood in a
-  selection above the join or inside the join's own predicate (the OSQL
-  compiler places ``S.Severity = 'major'`` there) — below unions into both
-  branches, into the left input of a difference, through projections when
-  the projected columns cover it, through a grouped aggregation when
+* **selection push-down** — a selection conjunct merges into the lowest
+  join whose inputs cover it and sinks below a join into the input whose
+  attributes it references — whether it stood in a selection above the
+  join or inside the join's own predicate (the OSQL compiler joins on
+  ``TRUE`` and leaves the whole WHERE clause above, so this is where every
+  OSQL conjunct is placed) — below unions into both branches, into the
+  left input of a difference, through projections when the projected
+  columns cover it, through a grouped aggregation when
   the conjunct has constant truth per group (it references only grouping
   columns and compares fixed values), always through duplicate
   elimination (δ commutes with σ), and through ORDER BY only when there

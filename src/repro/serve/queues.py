@@ -60,7 +60,7 @@ def check_queue_options(capacity: int, policy: str) -> None:
 
 
 def coalesce_payloads(older: Any, newer: Any) -> Optional[Any]:
-    """The default payload merger: coalesce refresh notifications.
+    """The mailbox's payload merger: coalesce refresh notifications.
 
     Returns the merged payload, or ``None`` when the two cannot merge
     (different subscriptions, or payloads that are not refresh
@@ -98,7 +98,6 @@ class Mailbox:
         "coalesced",
         "errors",
         "_items",
-        "_coalesce",
         # Set by the bus at subscription time.
         "topic",
         "_worker",
@@ -111,7 +110,6 @@ class Mailbox:
         condition: threading.Condition,
         capacity: int = 64,
         policy: str = "coalesce",
-        coalesce: Callable[[Any, Any], Optional[Any]] = coalesce_payloads,
     ):
         check_queue_options(capacity, policy)
         self.listener = listener
@@ -128,7 +126,6 @@ class Mailbox:
         self.coalesced = 0
         self.errors = 0
         self._items: Deque[Any] = deque()
-        self._coalesce = coalesce
         self.topic: Optional[str] = None
         self._worker = None
 
@@ -180,7 +177,7 @@ class Mailbox:
                         self.dropped += 1
                         outcome = DROPPED_OLDEST
                 elif self.policy == "coalesce" and self._items:
-                    merged = self._coalesce(self._items[-1], payload)
+                    merged = coalesce_payloads(self._items[-1], payload)
                     if merged is not None:
                         self._items[-1] = merged
                         # A merge occupies no new queue slot: count it in

@@ -1,23 +1,22 @@
 """Compile OSQL statements onto the engine.
 
-The compiler lowers the AST to the engine's logical plans (scans, joins
-with predicate placement, selections, projections, set operations) —
-including aggregate queries, which compile to the
-:class:`~repro.engine.plan.Aggregate` node over the FROM/WHERE plan.
-Because *every* statement is a pure plan, every statement is
-fingerprintable, subscribable (:func:`repro.sqlish.subscribe`), and
+The compiler is a pure lowering pass from the AST to the engine's logical
+plans: FROM becomes a left-deep chain of joins on ``TRUE``, the whole
+WHERE clause one selection on top of it, then the projection or the
+:class:`~repro.engine.plan.Aggregate` node (with HAVING as a selection
+over its output), DISTINCT, ORDER BY / LIMIT and the set operations.
+Placing each WHERE conjunct is the rewrite's job
+(:func:`repro.engine.rewrite.push_down_selections`, run at every planning
+boundary): equality conjuncts merge into the joins as hash-join keys,
+one-sided ones sink onto their input's scan.  Because *every* statement
+is a pure plan, every statement is fingerprintable, subscribable
+(:meth:`repro.live.SubscriptionManager.subscribe_sql`) and
 delta-maintained: a ``GROUP BY`` dashboard refreshes one group at a time.
-
-Predicate placement mirrors what a SQL optimizer does before the paper's
-Section VIII machinery takes over: the WHERE clause is split into top-level
-conjuncts and each conjunct is attached to the *earliest* join step whose
-combined schema covers its column references, so equality conjuncts become
-hash-join keys and temporal conjuncts become RT-restricting residuals.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.interval import OngoingInterval
 from repro.core.timeline import MINUS_INF, PLUS_INF, from_mmdd
@@ -32,6 +31,7 @@ from repro.engine.plan import SortLimit as PlanSortLimit
 from repro.engine.plan import Union as PlanUnion
 from repro.errors import QueryError
 from repro.relational.predicates import (
+    TRUE_PREDICATE,
     AllenPredicate,
     And,
     Column,
@@ -102,35 +102,29 @@ def _compile_literal(node: nodes.ValueExpr) -> object:
 
 
 # ----------------------------------------------------------------------
-# Name resolution
+# Name resolution and expressions
 # ----------------------------------------------------------------------
 
 
 class _Scope:
-    """Maps OSQL column names to the plan's (qualified) attribute names."""
+    """Maps OSQL column names to the plan attribute names in view.
 
-    def __init__(self, database: Database, tables: Sequence[nodes.TableRef]):
-        self.tables = list(tables)
-        self.qualified = len(tables) > 1
+    The names are the FROM tables' columns, the projection's output or
+    the aggregate's output.  A qualified name like ``B.C`` is also
+    reachable by its short name ``C`` when that is unambiguous.
+    """
+
+    def __init__(self, names: Sequence[str]):
+        self._all = set(names)
         self._by_short: Dict[str, List[str]] = {}
-        self._all: set[str] = set()
-        for table in tables:
-            schema = database.relation(table.table).schema
-            for attribute in schema:
-                if self.qualified:
-                    full = f"{table.exposed_name}.{attribute.name}"
-                else:
-                    full = attribute.name
-                self._all.add(full)
-                self._by_short.setdefault(attribute.name, []).append(full)
+        for name in names:
+            self._by_short.setdefault(name.split(".")[-1], []).append(name)
 
     def resolve(self, name: str) -> str:
         """Resolve an OSQL column reference to a plan attribute name."""
         if name in self._all:
             return name
-        candidates = self._by_short.get(name.split(".")[-1] if "." in name else name)
-        if "." in name:
-            raise QueryError(f"unknown column {name!r}")
+        candidates = [] if "." in name else self._by_short.get(name, [])
         if not candidates:
             raise QueryError(f"unknown column {name!r}")
         if len(candidates) > 1:
@@ -172,172 +166,57 @@ def _compile_boolean(node: nodes.BooleanExpr, scope: _Scope) -> Predicate:
 
 
 # ----------------------------------------------------------------------
-# FROM clause: join chain with predicate placement
+# SELECT statements
 # ----------------------------------------------------------------------
 
 
-def _conjunct_references(node: nodes.BooleanExpr) -> set[str]:
-    if isinstance(node, (nodes.Comparison, nodes.TemporalPredicate)):
-        names = set()
-        for side in (node.left, node.right):
-            names |= _value_references(side)
-        return names
-    if isinstance(node, (nodes.AndExpr, nodes.OrExpr)):
-        names = set()
-        for part in node.parts:
-            names |= _conjunct_references(part)
-        return names
-    if isinstance(node, nodes.NotExpr):
-        return _conjunct_references(node.part)
-    return set()
-
-
-def _value_references(node: nodes.ValueExpr) -> set[str]:
-    if isinstance(node, nodes.ColumnRef):
-        return {node.name}
-    if isinstance(node, nodes.IntersectionCall):
-        return _value_references(node.left) | _value_references(node.right)
-    return set()
-
-
-def _split_conjuncts(node: Optional[nodes.BooleanExpr]) -> List[nodes.BooleanExpr]:
-    if node is None:
-        return []
-    if isinstance(node, nodes.AndExpr):
-        result: List[nodes.BooleanExpr] = []
-        for part in node.parts:
-            result.extend(_split_conjuncts(part))
-        return result
-    return [node]
-
-
-def _build_from_where(
-    statement: nodes.SelectStatement, database: Database, scope: _Scope
-) -> PlanNode:
-    """The FROM/WHERE part of a select as a plan with placed conjuncts."""
+def _from_where(
+    statement: nodes.SelectStatement, database: Database
+) -> Tuple[PlanNode, _Scope]:
+    """FROM as a left-deep chain of joins on ``TRUE`` and WHERE as one
+    selection on top; columns are qualified by table alias when FROM
+    names more than one table."""
     tables = statement.tables
-    conjuncts = _split_conjuncts(statement.where)
-    pending = [(c, {scope.resolve(n) for n in _conjunct_references(c)}) for c in conjuncts]
-    placed = [False] * len(pending)
-
-    available: set[str] = set()
-
-    def table_columns(ref: nodes.TableRef) -> set[str]:
-        schema = database.relation(ref.table).schema
-        if scope.qualified:
-            return {f"{ref.exposed_name}.{a.name}" for a in schema}
-        return {a.name for a in schema}
-
-    def take_applicable() -> List[Predicate]:
-        taken: List[Predicate] = []
-        for position, (conjunct, references) in enumerate(pending):
-            if placed[position]:
-                continue
-            if references <= available:
-                taken.append(_compile_boolean(conjunct, scope))
-                placed[position] = True
-        return taken
-
-    plan: PlanNode = Scan(tables[0].table)
-    available |= table_columns(tables[0])
-    first = True
-    if len(tables) == 1:
-        predicates = take_applicable()
-        if predicates:
-            plan = Select(plan, And(tuple(predicates)) if len(predicates) > 1 else predicates[0])
-    else:
-        for ref in tables[1:]:
-            available |= table_columns(ref)
-            predicates = take_applicable()
-            on: Predicate
-            if predicates:
-                on = And(tuple(predicates)) if len(predicates) > 1 else predicates[0]
-            else:
-                from repro.relational.predicates import TRUE_PREDICATE
-
-                on = TRUE_PREDICATE
-            plan = PlanJoin(
-                plan,
-                Scan(ref.table),
-                on,
-                left_name=tables[0].exposed_name if first else None,
-                right_name=ref.exposed_name,
-            )
-            first = False
-    remaining = [
-        _compile_boolean(conjunct, scope)
-        for position, (conjunct, _) in enumerate(pending)
-        if not placed[position]
-    ]
-    if remaining:
-        plan = Select(
-            plan, And(tuple(remaining)) if len(remaining) > 1 else remaining[0]
-        )
-    return plan
-
-
-# ----------------------------------------------------------------------
-# SELECT list and aggregation
-# ----------------------------------------------------------------------
-
-
-def _has_aggregates(statement: nodes.SelectStatement) -> bool:
-    return any(
-        isinstance(item, nodes.SelectItem)
-        and isinstance(item.expression, nodes.AggregateCall)
-        for item in statement.items
+    qualified = len(tables) > 1
+    scope = _Scope(
+        [
+            f"{ref.exposed_name}.{name}" if qualified else name
+            for ref in tables
+            for name in database.table(ref.table).schema.names
+        ]
     )
-
-
-class _OutputScope:
-    """Resolves names against a plan's *output* columns (HAVING, ORDER BY).
-
-    Mirrors :class:`_Scope`'s by-short matching: a qualified output
-    column like ``B.C`` is also reachable by its short name ``C`` when
-    unambiguous.
-    """
-
-    def __init__(self, names: Sequence[str]):
-        self._all = set(names)
-        self._by_short: Dict[str, List[str]] = {}
-        for name in names:
-            self._by_short.setdefault(name.split(".")[-1], []).append(name)
-
-    def resolve(self, name: str) -> str:
-        if name in self._all:
-            return name
-        if "." in name:
-            raise QueryError(f"unknown column {name!r}")
-        candidates = self._by_short.get(name)
-        if not candidates:
-            raise QueryError(f"unknown column {name!r}")
-        if len(candidates) > 1:
-            raise QueryError(
-                f"ambiguous column {name!r}; qualify it "
-                f"(candidates: {sorted(candidates)})"
-            )
-        return candidates[0]
+    plan: PlanNode = Scan(tables[0].table)
+    for position, ref in enumerate(tables[1:]):
+        plan = PlanJoin(
+            plan,
+            Scan(ref.table),
+            TRUE_PREDICATE,
+            left_name=tables[0].exposed_name if position == 0 else None,
+            right_name=ref.exposed_name,
+        )
+    if statement.where is not None:
+        plan = Select(plan, _compile_boolean(statement.where, scope))
+    return plan, scope
 
 
 def _compile_select(
     statement: nodes.SelectStatement, database: Database
 ) -> PlanNode:
-    scope = _Scope(database, statement.tables)
-    plan = _build_from_where(statement, database, scope)
-    output_scope: object = scope
-    if any(isinstance(item, nodes.StarItem) for item in statement.items):
-        if len(statement.items) != 1:
-            raise QueryError("SELECT * cannot be mixed with other items")
-        if statement.having is not None:
-            raise QueryError("HAVING requires an aggregate SELECT")
-    elif _has_aggregates(statement):
-        plan, output_scope = _compile_aggregate(statement, scope, plan)
-    else:
-        if statement.having is not None:
-            raise QueryError("HAVING requires an aggregate SELECT")
+    plan, scope = _from_where(statement, database)
+    star = any(isinstance(item, nodes.StarItem) for item in statement.items)
+    if star and len(statement.items) != 1:
+        raise QueryError("SELECT * cannot be mixed with other items")
+    if any(
+        isinstance(item, nodes.SelectItem)
+        and isinstance(item.expression, nodes.AggregateCall)
+        for item in statement.items
+    ):
+        plan, scope = _compile_aggregate(statement, scope, plan)
+    elif statement.having is not None:
+        raise QueryError("HAVING requires an aggregate SELECT")
+    elif not star:
         items = []
         for item in statement.items:
-            assert isinstance(item, nodes.SelectItem)
             expression = _compile_value(item.expression, scope)
             if item.alias:
                 name = item.alias
@@ -351,12 +230,12 @@ def _compile_select(
                 )
             items.append((name, expression))
         plan = Project(plan, tuple(items))
-        output_scope = _OutputScope([name for name, _ in items])
+        scope = _Scope([name for name, _ in items])
     if statement.distinct:
         plan = PlanDistinct(plan)
     if statement.order_by or statement.limit is not None:
         keys = tuple(
-            (output_scope.resolve(key.column), key.descending)
+            (scope.resolve(key.column), key.descending)
             for key in statement.order_by
         )
         plan = PlanSortLimit(plan, keys, statement.limit)
@@ -365,84 +244,30 @@ def _compile_select(
 
 def _compile_aggregate(
     statement: nodes.SelectStatement, scope: _Scope, plan: PlanNode
-) -> Tuple[PlanNode, "_OutputScope"]:
-    """Lower ``SELECT k, AGG(...), ... GROUP BY k [HAVING θ]`` to an
-    Aggregate node (one node, all aggregates in SELECT-list order) plus,
-    when HAVING is present, a Select over the aggregate's output columns.
+) -> Tuple[PlanNode, _Scope]:
+    """Lower ``SELECT k, AGG(...), ... GROUP BY k [HAVING θ]`` to one
+    Aggregate node (all aggregates in SELECT-list order) plus, when
+    HAVING is present, a Select over the aggregate's output columns.
 
-    Returns the plan and the output scope (group columns + aggregate
-    output names) that HAVING and ORDER BY resolve against.
+    Returns the plan and the scope of those output columns (group
+    columns + aggregate output names), which HAVING and ORDER BY see.
     """
-    aggregates = [
-        item
-        for item in statement.items
-        if isinstance(item, nodes.SelectItem)
-        and isinstance(item.expression, nodes.AggregateCall)
-    ]
-    plain = [
-        item
-        for item in statement.items
-        if isinstance(item, nodes.SelectItem)
-        and not isinstance(item.expression, nodes.AggregateCall)
-    ]
     group_columns = [scope.resolve(name) for name in statement.group_by]
-    for item in plain:
-        if not isinstance(item.expression, nodes.ColumnRef):
-            raise QueryError("non-aggregate SELECT items must be plain columns")
-        resolved = scope.resolve(item.expression.name)
-        if resolved not in group_columns:
-            raise QueryError(
-                f"column {item.expression.name!r} must appear in GROUP BY"
-            )
     specs = []
-    for item in aggregates:
+    for item in statement.items:
         call = item.expression
-        assert isinstance(call, nodes.AggregateCall)
-        argument = scope.resolve(call.argument) if call.argument else None
-        specs.append((call.function, argument, item.alias or call.function))
+        if isinstance(call, nodes.AggregateCall):
+            argument = scope.resolve(call.argument) if call.argument else None
+            specs.append((call.function, argument, item.alias or call.function))
+        elif not isinstance(call, nodes.ColumnRef):
+            raise QueryError("non-aggregate SELECT items must be plain columns")
+        elif scope.resolve(call.name) not in group_columns:
+            raise QueryError(f"column {call.name!r} must appear in GROUP BY")
     result: PlanNode = PlanAggregate(plan, group_columns, specs=specs)
-    output_scope = _OutputScope(
-        list(group_columns) + [output_name for _, _, output_name in specs]
-    )
+    output = _Scope(group_columns + [output_name for _, _, output_name in specs])
     if statement.having is not None:
-        predicate = _compile_boolean_scoped(statement.having, output_scope)
-        result = Select(result, predicate)
-    return result, output_scope
-
-
-def _compile_boolean_scoped(
-    node: nodes.BooleanExpr, output_scope: "_OutputScope"
-) -> Predicate:
-    """Compile a boolean expression resolving columns via *output_scope*
-    (HAVING sees the aggregate's output row, not the base tables)."""
-    if isinstance(node, nodes.Comparison):
-        return PredComparison(
-            node.op,
-            _compile_value_scoped(node.left, output_scope),
-            _compile_value_scoped(node.right, output_scope),
-        )
-    if isinstance(node, nodes.AndExpr):
-        return And(
-            tuple(_compile_boolean_scoped(p, output_scope) for p in node.parts)
-        )
-    if isinstance(node, nodes.OrExpr):
-        return Or(
-            tuple(_compile_boolean_scoped(p, output_scope) for p in node.parts)
-        )
-    if isinstance(node, nodes.NotExpr):
-        return Not(_compile_boolean_scoped(node.part, output_scope))
-    raise QueryError(
-        f"unsupported HAVING expression: {node!r} (comparisons and "
-        f"boolean combinations over output columns only)"
-    )
-
-
-def _compile_value_scoped(
-    node: nodes.ValueExpr, output_scope: "_OutputScope"
-) -> Expression:
-    if isinstance(node, nodes.ColumnRef):
-        return Column(output_scope.resolve(node.name))
-    return Literal(_compile_literal(node))
+        result = Select(result, _compile_boolean(statement.having, output))
+    return result, output
 
 
 def compile_statement(source: str, database: Database) -> PlanNode:

@@ -147,7 +147,8 @@ class TestPushDown:
         assert db.query(rewritten) == db.query(plan)
 
     def test_one_sided_conjuncts_leave_the_join_predicate(self, db):
-        # Where the OSQL compiler places them: inside Join.predicate.
+        # Inside Join.predicate, where `join(on=...)` puts them and where
+        # a WHERE conjunct merged into the join lands.
         # One fixed conjunct per side and an ongoing one; the two-sided
         # conjuncts stay, in order.
         window = lit(fixed_interval(d(8, 1), d(9, 1)))

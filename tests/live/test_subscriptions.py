@@ -12,7 +12,6 @@ from repro.errors import QueryError
 from repro.live import LiveSession, SubscriptionManager
 from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
-from repro.sqlish import subscribe as sql_subscribe
 
 
 def d(month, day):
@@ -345,11 +344,22 @@ class TestSqlSubscriptions:
 
     def test_sqlish_subscribe_entry_point_shares_the_cache(self):
         db = _database()
-        session = LiveSession(db)
-        first = sql_subscribe(self._SQL, session)
+        session = db.live_session()
+        first = db.subscribe(self._SQL)
         second = session.subscribe_sql(self._SQL)
         assert first.fingerprint == second.fingerprint
         assert session.stats()["repro_live_shared_results"] == 1
+
+    def test_osql_subscriptions_checkpoint_as_their_statement(self):
+        db = _database()
+        session = db.live_session()
+        db.subscribe(self._SQL, name="through-db")
+        session.subscribe_sql(self._SQL, name="through-session")
+        entries = {entry["name"]: entry for entry in capture_subscriptions(session)}
+        assert set(entries) == {"through-db", "through-session"}
+        for entry in entries.values():
+            assert entry["statement"] == self._SQL
+            assert entry["plan_pickle"] is None
 
     def test_database_subscribe_convenience(self):
         db = _database()

@@ -60,8 +60,8 @@ def _plans():
             right_name="S",
         )
         .where(col("R.K") == lit(1)),
-        # One-sided conjuncts inside a join predicate (where the OSQL
-        # compiler places them), one fixed and one ongoing: pushdown
+        # One-sided conjuncts inside a join predicate (where a WHERE
+        # conjunct merged into the join lands), one fixed and one ongoing: pushdown
         # turns both into selections below the join, so the hash join
         # caches only the S rows that can ever match.
         "pushdown-join-predicate": scan("R").join(

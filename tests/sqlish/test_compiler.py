@@ -1,13 +1,16 @@
 """Integration tests for the OSQL compiler against the engine."""
 
+import re
+
 import pytest
 
 from repro.core.interval import OngoingInterval, fixed_interval, until_now
 from repro.core.intervalset import IntervalSet
 from repro.core.timeline import MINUS_INF, PLUS_INF, mmdd
 from repro.core.timepoint import NOW, OngoingTimePoint, fixed, growing, limited
+from repro.datasets import generate_mozilla
 from repro.engine.database import Database
-from repro.errors import QueryError
+from repro.errors import QueryError, ReproError
 from repro.relational.schema import Schema
 from repro.sqlish import compile_statement, run
 from repro.sqlish.compiler import _parse_endpoint
@@ -224,6 +227,84 @@ class TestAggregates:
         assert count.instantiate(d(8, 1)) == 2
         assert biggest.instantiate(d(8, 1)) == 501
 
+    HAVING_TEMPORAL = (
+        "SELECT C, COUNT(*) AS n FROM B GROUP BY C "
+        "HAVING n OVERLAPS PERIOD '[08/15, 08/24)'"
+    )
+
+    def test_temporal_having_fails_before_any_row(self, db):
+        """HAVING compiles like WHERE: a temporal predicate over the
+        aggregate's output (fixed keys, ongoing numbers — never
+        intervals) fails when evaluated, as it would in WHERE."""
+        with pytest.raises(ReproError, match="interval"):
+            db.sql(self.HAVING_TEMPORAL)
+
+    def test_temporal_having_subscription_is_rolled_back(self, db):
+        session = db.live_session()
+        with pytest.raises(ReproError, match="interval"):
+            session.subscribe_sql(self.HAVING_TEMPORAL)
+        assert session.subscriptions == []
+        assert session.stats()["repro_live_shared_results"] == 0
+
+
+class TestPredicatePlacement:
+    """The compiler lowers FROM to joins on TRUE and WHERE to one
+    selection; the rewrite places every conjunct.  The physical plans of
+    the ledger's three-table ``J2`` and the paper's four-table ``QC`` are
+    pinned operator by operator (tuple counts aside)."""
+
+    J2 = (
+        "SELECT A.ID, A.Email, A.VT, S.Severity, B.Product, B.Component "
+        "FROM A, S, B WHERE A.ID = S.ID AND A.VT OVERLAPS S.VT "
+        "AND S.Severity = 'major' AND A.ID = B.ID"
+    )
+    QC = (
+        "SELECT * FROM A, S, B, B AS B2 WHERE A.ID = S.ID "
+        "AND S.Severity = 'major' AND A.VT OVERLAPS S.VT AND A.ID = B.ID "
+        "AND B.Product = B2.Product AND B.Component = B2.Component "
+        "AND B.OS = B2.OS AND A.VT OVERLAPS B2.VT"
+    )
+    A_JOIN_S = [
+        "    HashJoin (keys [0]=[0], 0+1 residual)",
+        "      Qualify (A.ID, A.Email, A.VT...)",
+        "        SeqScan A",
+        "      Qualify (S.ID, S.Severity, S.VT...)",
+        "        FixedFilter (1 conjuncts)",
+        "          SeqScan S (Severity = 'major')",
+    ]
+
+    @pytest.fixture(scope="class")
+    def mozilla(self):
+        return generate_mozilla(200, seed=1).as_database()
+
+    @staticmethod
+    def skeleton(text):
+        return [
+            re.sub(r" \(\d+ tuples\)|: \d+ of \d+ tuples", "", line)
+            for line in text.splitlines()
+        ]
+
+    def test_j2_plans_as_two_hash_joins(self, mozilla):
+        text = mozilla.explain(compile_statement(self.J2, mozilla))
+        assert self.skeleton(text) == [
+            "Project (6 columns)",
+            "  HashJoin (keys [0]=[0], 0+0 residual)",
+            *self.A_JOIN_S,
+            "    Qualify (B.ID, B.Product, B.Component, B.OS...)",
+            "      SeqScan B",
+        ]
+
+    def test_qc_plans_as_three_hash_joins(self, mozilla):
+        text = mozilla.explain(compile_statement(self.QC, mozilla))
+        assert self.skeleton(text) == [
+            "HashJoin (keys [7, 8, 9]=[1, 2, 3], 0+1 residual)",
+            "  HashJoin (keys [0]=[0], 0+0 residual)",
+            *self.A_JOIN_S,
+            "    Qualify (B.ID, B.Product, B.Component, B.OS...)",
+            "      SeqScan B",
+            "  Qualify (B2.ID, B2.Product, B2.Component, B2.OS...)",
+            "    SeqScan B",
+        ]
 
 class TestSemanticEquivalence:
     """OSQL results instantiate identically to Clifford evaluation."""

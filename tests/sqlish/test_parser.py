@@ -92,6 +92,10 @@ class TestLiterals:
         statement = parse("SELECT * FROM B WHERE T = DATE '08/15+'")
         assert statement.where.right == nodes.PointLiteral("08/15+")
 
+    def test_limited_date(self):
+        statement = parse("SELECT * FROM B WHERE U = DATE '+09/01'")
+        assert statement.where.right == nodes.PointLiteral("+09/01")
+
     def test_period_body_is_split(self):
         statement = parse("SELECT * FROM B WHERE VT OVERLAPS PERIOD '[08/15, now)'")
         assert statement.where.right == nodes.PeriodLiteral("08/15", "now")
@@ -153,3 +157,85 @@ class TestSetOperations:
         )
         assert statement.operator == "except"
         assert statement.left.operator == "union"
+
+
+class TestOrderedSurface:
+    def test_distinct(self):
+        statement = parse("SELECT DISTINCT C FROM B")
+        assert statement.distinct
+        assert statement.items == (nodes.SelectItem(nodes.ColumnRef("C"), None),)
+
+    def test_order_by_and_limit(self):
+        statement = parse("SELECT * FROM B ORDER BY BID LIMIT 2")
+        assert statement.order_by == (nodes.OrderItem("BID", False),)
+        assert statement.limit == 2
+
+    def test_order_by_directions(self):
+        statement = parse("SELECT * FROM B ORDER BY C ASC, BID DESC")
+        assert statement.order_by == (
+            nodes.OrderItem("C", False),
+            nodes.OrderItem("BID", True),
+        )
+        assert statement.limit is None
+
+    def test_limit_without_order_by(self):
+        statement = parse(
+            "SELECT DISTINCT C, SUM_DURATION(VT) AS load FROM B GROUP BY C LIMIT 5"
+        )
+        assert statement.distinct
+        assert statement.order_by == ()
+        assert statement.limit == 5
+
+    def test_having_order_by_and_limit_after_group_by(self):
+        statement = parse(
+            "SELECT C, COUNT(*) AS n, AVG(BID) AS a FROM B GROUP BY C "
+            "HAVING n >= 1 AND a < 9 ORDER BY a DESC, C LIMIT 3"
+        )
+        assert statement.group_by == ("C",)
+        assert statement.having == nodes.AndExpr(
+            (
+                nodes.Comparison(">=", nodes.ColumnRef("n"), nodes.NumberLiteral(1)),
+                nodes.Comparison("<", nodes.ColumnRef("a"), nodes.NumberLiteral(9)),
+            )
+        )
+        assert statement.order_by == (
+            nodes.OrderItem("a", True),
+            nodes.OrderItem("C", False),
+        )
+        assert statement.limit == 3
+
+
+class TestReservedWordsAsColumns:
+    """``having``, ``limit`` and ``distinct`` are keywords only where the
+    grammar expects a clause; elsewhere they name columns."""
+
+    def test_in_select_list_where_and_order_by(self):
+        statement = parse(
+            "SELECT having, limit FROM S WHERE distinct > 2 ORDER BY limit DESC"
+        )
+        assert statement.items == (
+            nodes.SelectItem(nodes.ColumnRef("having"), None),
+            nodes.SelectItem(nodes.ColumnRef("limit"), None),
+        )
+        assert statement.where == nodes.Comparison(
+            ">", nodes.ColumnRef("distinct"), nodes.NumberLiteral(2)
+        )
+        assert statement.order_by == (nodes.OrderItem("limit", True),)
+        assert statement.having is None and statement.limit is None
+
+    def test_as_alias_and_group_column(self):
+        statement = parse("SELECT COUNT(*) AS limit FROM B GROUP BY having")
+        assert statement.items == (
+            nodes.SelectItem(nodes.AggregateCall("count", None), "limit"),
+        )
+        assert statement.group_by == ("having",)
+        assert statement.having is None and statement.limit is None
+
+    def test_in_a_conjunction(self):
+        statement = parse("SELECT * FROM B WHERE limit = 3 AND having != 0")
+        assert statement.where == nodes.AndExpr(
+            (
+                nodes.Comparison("=", nodes.ColumnRef("limit"), nodes.NumberLiteral(3)),
+                nodes.Comparison("!=", nodes.ColumnRef("having"), nodes.NumberLiteral(0)),
+            )
+        )

@@ -59,7 +59,6 @@ _MODULES = [
     "repro.sqlish.lexer",
     "repro.sqlish.parser",
     "repro.sqlish.compiler",
-    "repro.sqlish.formatter",
     "repro.bench.harness",
     "repro.live.events",
     "repro.live.subscription",
