@@ -241,4 +241,5 @@ def run_until_marker_then_kill(
         if proc.poll() is None:
             proc.kill()
             proc.wait()
+        proc.stdout.close()
     return CrashResult(proc.returncode, lines, killed, markers_seen)

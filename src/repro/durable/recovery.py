@@ -126,7 +126,7 @@ class Durability:
         self._highest_tick = 0
         self._appends_at_checkpoint = 0
         self._closed = False
-        self._listener = database.add_delta_listener(self._on_delta)
+        database.add_delta_listener(self._on_delta)
 
     # -- write path (delta listener, runs under the write lock) --------
 
@@ -180,7 +180,7 @@ class Durability:
         self.wal.sync()
         with database.lock:
             position = self.wal.position()
-            session = getattr(database, "_live_session", None)
+            session = database._live_session
             subscriptions = (
                 capture_subscriptions(session)
                 if session is not None and not session.closed
@@ -208,10 +208,13 @@ class Durability:
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
+        """Stop logging and close the WAL.  The layer lets go of its
+        database, which holds it, so neither keeps the other alive."""
         if self._closed:
             return
         self._closed = True
-        self.database.remove_delta_listener(self._listener)
+        self.database.remove_delta_listener(self._on_delta)
+        self.database = None
         self.wal.close()
 
     # -- introspection --------------------------------------------------
@@ -372,32 +375,46 @@ def open_database(
         sync_every=sync_every,
     )
     database._durability = durability
-    start_position: Optional[WalPosition] = None
-    if loaded is not None:
-        _install_checkpoint(database, loaded)
-        checkpoint_tick = int(loaded.manifest["tick"])
-        durability.last_checkpoint_tick = checkpoint_tick
-        durability._highest_tick = checkpoint_tick
-        # Replayed modifications re-claim the ticks they claimed
-        # originally, so stamps in warm state match the recording.
-        database._restore_commit_ticks(checkpoint_tick)
-        durability.recovered_manifest = list(
-            loaded.manifest.get("subscriptions", [])
-        )
-        segment, offset = loaded.manifest["wal_position"]
-        start_position = WalPosition(int(segment), int(offset))
     live = None
-    if session is not None:
-        live = database.live_session(**dict(session))
-        live.resume(on_refresh=on_refresh)
-    _replay(database, durability, start_position)
-    if live is not None:
-        live.flush()
-    # The next fresh commit must not reuse a recorded or replayed tick.
-    claimed = database.last_commit.tick if database.last_commit is not None else 0
-    database._restore_commit_ticks(max(durability._highest_tick, claimed))
-    durability._appends_at_checkpoint = durability.wal.appends
-    durability._suppress = False
+    try:
+        start_position: Optional[WalPosition] = None
+        if loaded is not None:
+            _install_checkpoint(database, loaded)
+            checkpoint_tick = int(loaded.manifest["tick"])
+            durability.last_checkpoint_tick = checkpoint_tick
+            durability._highest_tick = checkpoint_tick
+            # Replayed modifications re-claim the ticks they claimed
+            # originally, so stamps in warm state match the recording.
+            database._restore_commit_ticks(checkpoint_tick)
+            durability.recovered_manifest = list(
+                loaded.manifest.get("subscriptions", [])
+            )
+            segment, offset = loaded.manifest["wal_position"]
+            start_position = WalPosition(int(segment), int(offset))
+        if session is not None:
+            live = database.live_session(**dict(session))
+            live.resume(on_refresh=on_refresh)
+        _replay(database, durability, start_position)
+        if live is not None:
+            live.flush()
+        # The next fresh commit must not reuse a recorded or replayed tick.
+        stamp = database.last_commit
+        claimed = stamp.tick if stamp is not None else 0
+        database._restore_commit_ticks(max(durability._highest_tick, claimed))
+        durability._appends_at_checkpoint = durability.wal.appends
+        durability._suppress = False
+    except BaseException:
+        # A failed open releases what it opened — the WAL file, and a
+        # resumed session with its delivery workers — before the error
+        # propagates, and notifies nobody: the resumed subscriptions
+        # leave before the close's final flush could report a replayed
+        # prefix (or drain a re-enqueued notification) that the retry
+        # will report again.  Nothing is logged while replay is suppressed.
+        if live is not None:
+            for subscription in live.subscriptions:
+                subscription.close()
+        database.close()
+        raise
     durability.last_recovery = RecoveryReport(
         checkpoint_tick=durability.last_checkpoint_tick,
         replayed_records=durability.replayed_records,

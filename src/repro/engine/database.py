@@ -167,8 +167,9 @@ class Table:
         self.lock = lock if lock is not None else threading.RLock()
         #: Where commit ticks come from: the owning database's counter
         #: (so ticks order commits across tables), or a private one for a
-        #: standalone table.
-        self._commit_source = (
+        #: standalone table.  ``None`` once the database closed: the table
+        #: then refuses every write (:meth:`_close`).
+        self._commit_source: Optional[Callable[[], CommitStamp]] = (
             commit_source
             if commit_source is not None
             else _standalone_commit_source()
@@ -274,6 +275,22 @@ class Table:
     # Writes
     # ------------------------------------------------------------------
 
+    def _close(self) -> None:
+        """Refuse every later write and let go of the owning database:
+        its commit counter and its change fan-out are the table's only
+        references to it, so a table kept after ``Database.close()`` no
+        longer keeps the database alive.  Reads still work."""
+        self._commit_source = None
+        self._delta_listeners.clear()
+
+    def _require_open(self) -> None:
+        """Raise before a write touches the heap of a closed database's
+        table (write lock held)."""
+        if self._commit_source is None:
+            raise QueryError(
+                f"table {self.name!r} belongs to a closed database"
+            )
+
     def _drop_caches(self) -> None:
         """Forget what was derived from the previous version — and with
         it the last references to rows that version alone held."""
@@ -330,8 +347,9 @@ class Table:
         self._insert(added)
 
     def _insert(self, added: Tuple[OngoingTuple, ...]) -> None:
-        if added:
-            with self.lock:
+        with self.lock:
+            self._require_open()
+            if added:
                 self._changed(Delta(added, appeared=self._add(added)))
 
     def delete_where(self, keep) -> int:
@@ -343,6 +361,7 @@ class Table:
         them is O(removed).
         """
         with self.lock:
+            self._require_open()
             removed = [row for row in self.rows() if not keep(row)]
             if removed:
                 self.apply_delta(Delta.delete(removed))
@@ -368,6 +387,7 @@ class Table:
         tuples = tuple(tuples)
         self._check_rows(tuples)
         with self.lock:
+            self._require_open()
             self._load(tuples)
             self._changed(FULL_DELTA)
 
@@ -375,6 +395,7 @@ class Table:
         """Install a checkpointed state.  Loading is not a modification:
         no listener fires and no commit tick is claimed."""
         with self.lock:
+            self._require_open()
             self._load(rows)
             self._version = version
             self._drop_caches()
@@ -392,7 +413,9 @@ class Table:
 
         Raises :class:`~repro.engine.delta.NonIncrementalDelta` — before
         anything moved — when the delta is full-flagged (it names no
-        rows) or deletes rows this table does not hold.
+        rows) or deletes rows this table does not hold.  Like every write,
+        raises :class:`~repro.errors.QueryError` once the owning database
+        is closed.
         """
         if delta.full:
             raise NonIncrementalDelta(
@@ -404,6 +427,7 @@ class Table:
         for row in delta.deleted:
             net[row] = net.get(row, 0) - 1
         with self.lock:
+            self._require_open()
             heap = self._heap
             absent = sum(
                 max(0, -change - heap.get(row, 0))
@@ -523,6 +547,12 @@ class Database:
         #: database-wide and listeners read the stamp of the event that
         #: invoked them.
         self.last_commit: Optional[CommitStamp] = None
+        #: The lazily created live session (:meth:`live_session`) and the
+        #: WAL + checkpoint layer of a durable database (set by
+        #: :func:`~repro.durable.recovery.open_database`).
+        self._live_session = None
+        self._durability = None
+        self._closed = False
 
     def _next_commit(self) -> CommitStamp:
         stamp = CommitStamp(next(self._commit_ticks), time.monotonic())
@@ -559,24 +589,45 @@ class Database:
         then prunes WAL segments the checkpoint makes obsolete.  Returns
         the path of the published checkpoint directory.
         """
-        durability = getattr(self, "_durability", None)
-        if durability is None:
+        if self._durability is None:
             raise QueryError(
                 "this database is not durable; open it with Database.open(path)"
             )
-        return durability.checkpoint()
+        return self._durability.checkpoint()
 
     def close(self) -> None:
-        """Close the live session (if any) and the durable layer (if any).
+        """Close the live session (if any) and the durable layer (if any);
+        from then on every write, DDL and :meth:`live_session` call raises
+        :class:`~repro.errors.QueryError`.  Reads still work.
 
-        Safe to call on a plain in-memory database, and idempotent.
+        Closing leaves nothing that points back into the database — each
+        table drops its commit source and change hooks, and the session
+        and the durable layer let go of it — so reference counting frees
+        a closed database as soon as the last outside handle (a table, a
+        subscription, a notification somebody kept) drops.  Safe to call
+        on a plain in-memory database, and idempotent.
         """
-        session = getattr(self, "_live_session", None)
-        if session is not None and not session.closed:
-            session.close()
-        durability = getattr(self, "_durability", None)
-        if durability is not None:
-            durability.close()
+        with self.lock:
+            if self._closed:
+                return
+            self._closed = True
+            session, self._live_session = self._live_session, None
+        try:
+            if session is not None:
+                session.close()
+        finally:
+            # Under the write lock: a concurrent write either commits
+            # (and is logged) before this, or is refused after it.
+            with self.lock:
+                for table in self._tables.values():
+                    table._close()
+                self._delta_listeners.clear()
+                if self._durability is not None:
+                    self._durability.close()
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise QueryError(f"database {self.name!r} is closed")
 
     # ------------------------------------------------------------------
     # Modification hooks
@@ -621,6 +672,7 @@ class Database:
     def create_table(self, name: str, schema: Schema) -> Table:
         """Create an empty table; the name must be unused."""
         with self.lock:
+            self._require_open()
             if name in self._tables:
                 raise QueryError(f"table {name!r} already exists")
             table = Table(
@@ -630,9 +682,8 @@ class Database:
             self._tables[name] = table
             # DDL does not flow through the delta listeners (there are no
             # rows to describe), so the durable layer hooks it explicitly.
-            durability = getattr(self, "_durability", None)
-            if durability is not None:
-                durability.log_create(table)
+            if self._durability is not None:
+                self._durability.log_create(table)
             return table
 
     def register(self, name: str, relation: OngoingRelation) -> Table:
@@ -643,6 +694,7 @@ class Database:
 
     def drop_table(self, name: str) -> None:
         with self.lock:
+            self._require_open()
             if name not in self._tables:
                 raise QueryError(f"no table named {name!r}")
             table = self._tables.pop(name)
@@ -749,7 +801,8 @@ class Database:
         then — e.g. ``delivery_workers=4`` to turn on the concurrent
         delivery layer (:mod:`repro.serve`) — and are rejected
         afterwards (one database, one long-lived session).  A closed
-        session is replaced on the next call.
+        session is replaced on the next call; a closed database raises
+        :class:`~repro.errors.QueryError`.
         """
         from repro.live import LiveSession
 
@@ -757,7 +810,8 @@ class Database:
         # not each register a session (the loser would linger as a
         # never-closable duplicate delta listener).
         with self.lock:
-            session = getattr(self, "_live_session", None)
+            self._require_open()
+            session = self._live_session
             if session is None or session.closed:
                 session = LiveSession(self, **session_kwargs)
                 self._live_session = session

@@ -248,7 +248,7 @@ class SubscriptionManager:
         #: :attr:`metrics`; :meth:`close` unregisters it).
         self._observer = SessionMetrics(self)
         self.bus.on_delivered = self._observer.on_delivered
-        self._listener = database.add_delta_listener(self._intake)
+        database.add_delta_listener(self._intake)
 
     # ------------------------------------------------------------------
     # Registration
@@ -314,7 +314,6 @@ class SubscriptionManager:
                 subscription = Subscription(
                     self,
                     maintainer,
-                    on_refresh=on_refresh,
                     reference_time=reference_time,
                     name=name,
                     notify_on_no_change=notify_on_no_change,
@@ -448,7 +447,7 @@ class SubscriptionManager:
         from repro.durable.snapshot import restore_subscription
 
         self._require_open()
-        durability = getattr(self.database, "_durability", None)
+        durability = self.database._durability
         if manifest is None:
             if durability is None:
                 raise QueryError(
@@ -504,11 +503,16 @@ class SubscriptionManager:
         subscribers, and only then do workers exit.  Safe to
         call from an ``on_refresh`` callback: neither the serve loop nor
         a delivery worker waits for or joins the thread it runs on.
+
+        The parts that point back at the session (the serve loop, the
+        metrics observer and the bus's delivery hook into it) let go of
+        it, so a closed session is freed by reference counting once
+        nothing outside holds it.
         """
         if self._closed:
             return
         self.stop_serving()
-        self.database.remove_delta_listener(self._listener)
+        self.database.remove_delta_listener(self._intake)
         try:
             self.flush()  # deliver what is owed before teardown
         except QueryError:  # pragma: no cover — close() raced close()
@@ -517,7 +521,9 @@ class SubscriptionManager:
         for subscription in list(self._subscriptions.values()):
             self.unsubscribe(subscription)
         self.bus.close(drain=True)
+        self.bus.on_delivered = None
         self._observer.close()
+        self._serve_loop.close()
         self._closed = True
 
     def __enter__(self) -> "SubscriptionManager":

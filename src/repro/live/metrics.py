@@ -118,16 +118,20 @@ class SessionMetrics:
         self._unregister = [session.metrics.register_collector(self.collect)]
         #: A durable database (``Database.open``) exposes its WAL and
         #: recovery counters through this session's registry too.
-        durability = getattr(session.database, "_durability", None)
+        durability = session.database._durability
         if durability is not None:
             self._unregister.append(
                 session.metrics.register_collector(durability.collect_samples)
             )
 
     def close(self) -> None:
-        """Unregister the collectors from the (possibly shared) registry."""
+        """Unregister the collectors from the (possibly shared) registry
+        and let go of the session, which holds this observer.  A closed
+        session has no subscriptions, so :meth:`staleness` reports none."""
         for unregister in self._unregister:
             unregister()
+        self._unregister.clear()
+        self._session = None
 
     # ------------------------------------------------------------------
     # Freshness accounting
@@ -161,6 +165,8 @@ class SessionMetrics:
         report the oldest age among them.
         """
         session = self._session
+        if session is None:
+            return {}
         now = time.monotonic()
         ages: Dict[str, float] = {}
         for subscription in session.subscriptions:

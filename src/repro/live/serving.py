@@ -113,6 +113,12 @@ class ServeLoop:
         if thread is not threading.current_thread():
             thread.join(timeout=10)
 
+    def close(self) -> None:
+        """Stop for good and let go of the session, which holds this
+        loop (the session's ``close()`` calls it last)."""
+        self.stop()
+        self._session = None
+
     def wake(self) -> None:
         """A modification dirtied a plan: flush after the next window
         (nothing to do while no loop runs — start() clears the event)."""

@@ -27,7 +27,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
-    Callable,
     Dict,
     FrozenSet,
     Optional,
@@ -101,7 +100,6 @@ class Subscription:
         manager: "SubscriptionManager",
         maintainer: IncrementalMaintainer,
         *,
-        on_refresh: Optional[Callable[[RefreshNotification], None]] = None,
         reference_time: Optional[TimePoint] = None,
         name: Optional[str] = None,
         notify_on_no_change: bool = False,
@@ -112,7 +110,6 @@ class Subscription:
         self.id = next(Subscription._ids)
         self.name = name or f"subscription-{self.id}"
         self.manager = manager
-        self.on_refresh = on_refresh
         #: The reference time a notification's ``rows`` and
         #: ``changes_at()`` bind at; ``None`` delivers the ongoing result
         #: only.  Caller-chosen and mutable — changing it never requires

@@ -1,10 +1,13 @@
 """End-to-end recovery: checkpoint + WAL replay + subscription resume."""
 
+import contextlib
+import gc
 import json
 import logging
 import re
 import threading
 import urllib.request
+import warnings
 
 import pytest
 
@@ -113,6 +116,47 @@ class TestPlainReopen:
         reopened = Database.open(tmp_path)
         assert _packed(reopened.table("R").rows()) == before
         reopened.close()
+
+    @pytest.mark.parametrize("session", [None, {"delivery_workers": 1}])
+    @pytest.mark.parametrize("failure", ["crash", "corrupt"])
+    def test_a_failed_open_releases_what_it_opened(self, tmp_path, failure, session):
+        """A replay that raises — an injected crash, or a non-final WAL
+        segment that fails its CRC — leaves no WAL file open and no
+        resumed session's delivery worker running, and calls back nobody."""
+        db = Database.open(tmp_path, fsync="off", segment_bytes=256)
+        table = _seed(db)
+        db.live_session().subscribe_sql("SELECT * FROM R", name="s1")
+        db.checkpoint()
+        for key in range(30):  # the WAL suffix, over several segments
+            table.insert(100 + key, until_now(50))
+        db.close()
+        if failure == "crash":
+            fault = faults.armed("recovery.mid_replay", after=3)
+        else:
+            segment = sorted((tmp_path / "wal").glob("wal-*.log"))[-2]
+            data = bytearray(segment.read_bytes())
+            data[20] ^= 0xFF  # inside the first frame's stored bytes
+            segment.write_bytes(bytes(data))
+            fault = contextlib.nullcontext()
+
+        def workers():
+            return {t for t in threading.enumerate() if t.name.startswith("delivery-")}
+
+        running = workers()
+        called = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with fault, pytest.raises(DurabilityError, match="crashpoint|non-final"):
+                Database.open(
+                    tmp_path,
+                    segment_bytes=256,
+                    session=session,
+                    on_refresh={"s1": called.append},
+                )
+            gc.collect()
+        assert called == []
+        assert workers() == running
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestFullDeltaReplay:
