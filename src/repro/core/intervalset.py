@@ -19,6 +19,21 @@ smallest element of ``T``.  Reference times range over
 ``MINUS_INF <= rt < PLUS_INF``; the upper limit itself is not a reference
 time (no half-open interval can contain it), which mirrors the paper's use
 of ``inf`` strictly as an exclusive end point.
+
+Sets are interned, as the points of Ω are (:mod:`repro.core.timepoint`):
+a table holds one object per value, so the constructor, every sweep
+connective, ``at_least`` / ``below`` / ``point``, and the storage
+decoders return the object they returned before for an equal set.  A
+predicate gives the same true-set to every tuple on the same side of its
+critical points, so a result of thousands of rows holds a few hundred
+RT objects, not one per row: at 5 000 bugs the cold Qσ_ovlp result of
+the ``cold_paper`` ledger workload (seed 1) holds 342 for 14 618 rows.
+Equality and hashing stay by value: identity saves memory and time, it
+never decides a result.  The table holds at most ``_INTERN_LIMIT`` =
+2¹⁴ sets and is emptied when full, except for :data:`EMPTY_SET` and
+:data:`UNIVERSAL_SET`.  At ≈ 270 B per one-interval set with its table
+entry, a full table retains ≈ 4.4 MB; ``cold_paper`` ends with 1 550
+sets at 5k bugs and 4 078 at 20k.
 """
 
 from __future__ import annotations
@@ -39,6 +54,13 @@ __all__ = ["IntervalSet", "EMPTY_SET", "UNIVERSAL_SET"]
 
 Pair = Tuple[TimePoint, TimePoint]
 
+# Most sets the intern table holds; a miss on a full table empties it.
+# Four times what ``cold_paper`` ends with at 20k bugs (see above).
+_INTERN_LIMIT = 1 << 14
+
+# normalized pairs -> the one set of that value.
+_INTERNED: dict = {}
+
 
 class IntervalSet:
     """An immutable, normalized set of fixed half-open time intervals.
@@ -51,8 +73,9 @@ class IntervalSet:
 
     __slots__ = ("_intervals", "_starts")
 
-    def __init__(self, intervals: Iterable[Pair] = ()):
-        """Build a set from any iterable of ``(start, end)`` pairs.
+    def __new__(cls, intervals: Iterable[Pair] = ()) -> "IntervalSet":
+        """The set of any iterable of ``(start, end)`` pairs — the shared
+        object of its value.
 
         The pairs may overlap, touch, or arrive unsorted — they are
         normalized here.  Empty pairs (``start >= end``) are rejected rather
@@ -77,21 +100,46 @@ class IntervalSet:
                     merged[-1] = (last_start, end)
             else:
                 merged.append((start, end))
-        self._intervals: Tuple[Pair, ...] = tuple(merged)
-        # Parallel list of start points for binary-search membership tests.
-        self._starts: Tuple[TimePoint, ...] = tuple(p[0] for p in merged)
+        return cls._from_normalized(merged)
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which returns
+        # the shared object; the default slots protocol would fill the
+        # slots of the argument-less constructor's EMPTY_SET instead.
+        return (IntervalSet, (self._intervals,))
+
+    def __setstate__(self, state) -> None:
+        # Only a pickle of the default slots form (written before sets
+        # were shared) calls this, on the EMPTY_SET its argument-less
+        # __new__ returned: refuse it rather than overwrite the singleton.
+        raise TypeError(
+            "an IntervalSet pickled in the slots form cannot be loaded: "
+            "its set would overwrite the shared EMPTY_SET"
+        )
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
 
     @classmethod
-    def _from_normalized(cls, pairs: list[Pair]) -> "IntervalSet":
-        """Fast path for results that are normalized by construction."""
-        instance = cls.__new__(cls)
-        instance._intervals = tuple(pairs)
-        instance._starts = tuple(p[0] for p in pairs)
-        return instance
+    def _from_normalized(cls, pairs: Iterable[Pair]) -> "IntervalSet":
+        """The shared set of *pairs*, which the caller guarantees are
+        normalized: a sweep connective by construction, a decoder by its
+        own check.  Nothing here checks them."""
+        key = tuple(pairs)
+        found = _INTERNED.get(key)
+        if found is not None:
+            return found
+        instance = object.__new__(cls)
+        instance._intervals = key
+        # Parallel tuple of start points for binary-search membership tests.
+        instance._starts = tuple(p[0] for p in key)
+        if len(_INTERNED) >= _INTERN_LIMIT:
+            _INTERNED.clear()
+            _INTERNED[()] = _EMPTY
+            _INTERNED[_UNIVERSAL_PAIRS] = _UNIVERSAL
+        # setdefault: a thread that got there first keeps its object.
+        return _INTERNED.setdefault(key, instance)
 
     @classmethod
     def empty(cls) -> "IntervalSet":
@@ -114,6 +162,7 @@ class IntervalSet:
     @classmethod
     def at_least(cls, rt: TimePoint) -> "IntervalSet":
         """All reference times ``>= rt``, i.e. ``{[rt, inf)}``."""
+        check_time_point(rt, what="reference time")
         if rt >= PLUS_INF:
             return _EMPTY
         return cls._from_normalized([(rt, PLUS_INF)])
@@ -121,6 +170,7 @@ class IntervalSet:
     @classmethod
     def below(cls, rt: TimePoint) -> "IntervalSet":
         """All reference times ``< rt``, i.e. ``{(-inf, rt)}``."""
+        check_time_point(rt, what="reference time")
         if rt <= MINUS_INF:
             return _EMPTY
         return cls._from_normalized([(MINUS_INF, rt)])

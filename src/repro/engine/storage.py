@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
@@ -266,12 +266,32 @@ def unpack_rt(buffer: bytes, offset: int = 0) -> tuple[IntervalSet, int]:
     attribute, which it is in :func:`pack_tuple`.
     """
     offset += RT_HEADER_BYTES
+    first = offset
     pairs = []
     while offset + RT_INTERVAL_BYTES <= len(buffer):
         start, offset = _unpack_date(buffer, offset)
         end, offset = _unpack_date(buffer, offset)
         pairs.append((start, end))
-    return IntervalSet(pairs), offset
+    return _decoded_rt(pairs, first), offset
+
+
+def _decoded_rt(pairs: List[Tuple[TimePoint, TimePoint]], first: int) -> IntervalSet:
+    """The shared RT of the pairs decoded from *first* on.
+
+    Every encoder writes ``rt.intervals``, which are normalized, so the
+    pairs must be non-empty, ascending and separated by a gap; anything
+    else is a corrupt or foreign buffer and is refused, not repaired.
+    """
+    last_end = MINUS_INF - 1
+    for index, (start, end) in enumerate(pairs):
+        if not last_end < start < end:
+            raise StorageError(
+                f"reference time interval [{start}, {end}) at offset "
+                f"{first + index * RT_INTERVAL_BYTES} is empty, unsorted, "
+                "or overlaps or touches the one before"
+            )
+        last_end = end
+    return IntervalSet._from_normalized(pairs)
 
 
 def unpack_tuple(buffer: bytes, schema, *, text_attributes=frozenset()) -> OngoingTuple:
@@ -526,12 +546,13 @@ def unpack_tagged_tuple(
         return OngoingTuple(tuple(values)), offset + len(_TRIVIAL_RT)
     (n_intervals,) = _U16.unpack_from(buffer, offset)
     offset += 2
+    first = offset
     pairs = []
     for _ in range(n_intervals):
         start, end = _DATE_PAIR.unpack_from(buffer, offset)
         pairs.append((_undate(start), _undate(end)))
         offset += 8
-    return OngoingTuple(tuple(values), IntervalSet(pairs)), offset
+    return OngoingTuple(tuple(values), _decoded_rt(pairs, first)), offset
 
 
 @dataclass(frozen=True)

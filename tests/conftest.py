@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
+from repro.core import intervalset
 from repro.core.intervalset import UNIVERSAL_SET, IntervalSet
 from repro.core.rational import OngoingRational
 from repro.core.timeline import MINUS_INF, PLUS_INF
@@ -78,6 +79,17 @@ def empty_intern_table() -> None:
         fresh -= 1
     with mock.patch.object(timepoint, "INTERN_LIMIT", 1):
         OngoingTimePoint(fresh, fresh)
+
+
+def empty_rt_table() -> None:
+    """Empty :class:`IntervalSet`'s intern table the way a full one is
+    emptied: one miss while its limit is 1.  Afterwards the table holds
+    ``EMPTY_SET``, ``UNIVERSAL_SET`` and the one fresh set."""
+    fresh = PLUS_INF - 1
+    while ((fresh, PLUS_INF),) in intervalset._INTERNED:
+        fresh -= 1
+    with mock.patch.object(intervalset, "_INTERN_LIMIT", 1):
+        IntervalSet.at_least(fresh)
 
 
 # ----------------------------------------------------------------------

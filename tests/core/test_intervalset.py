@@ -1,10 +1,21 @@
 """Unit tests for IntervalSet — the representation behind RT and St."""
 
+import pickle
+
 import pytest
 
 from repro.core.intervalset import EMPTY_SET, UNIVERSAL_SET, IntervalSet
 from repro.core.timeline import MINUS_INF, PLUS_INF
-from repro.errors import IntervalError
+from repro.errors import IntervalError, TimeDomainError
+
+# IntervalSet([(20190117, 20190301)]) pickled before sets were shared
+# (copyreg's __newobj__ form: an argument-less __new__, then the slots).
+_OLD_SET_PICKLE = (
+    b"\x80\x04\x95a\x00\x00\x00\x00\x00\x00\x00\x8c\x16repro.core.intervalset"
+    b"\x94\x8c\x0bIntervalSet\x94\x93\x94)\x81\x94N}\x94(\x8c\n_intervals\x94J"
+    b"\xa5\x134\x01J]\x144\x01\x86\x94\x85\x94\x8c\x07_starts\x94J\xa5\x134\x01"
+    b"\x85\x94u\x86\x94b."
+)
 
 
 class TestNormalization:
@@ -52,6 +63,37 @@ class TestConstructors:
     def test_below(self):
         assert IntervalSet.below(4).intervals == ((MINUS_INF, 4),)
         assert IntervalSet.below(MINUS_INF).is_empty()
+
+    @pytest.mark.parametrize(
+        "bound",
+        [MINUS_INF - 5, MINUS_INF - 1, PLUS_INF + 1, PLUS_INF + 3, True, 1.5],
+        ids=["minus_inf-5", "minus_inf-1", "plus_inf+1", "plus_inf+3", "bool", "float"],
+    )
+    def test_at_least_and_below_check_the_domain(self, bound):
+        # As the constructor and point do: out of T is refused, never a set
+        # that covers every reference time without being the universal one.
+        with pytest.raises(TimeDomainError):
+            IntervalSet.at_least(bound)
+        with pytest.raises(TimeDomainError):
+            IntervalSet.below(bound)
+        with pytest.raises(TimeDomainError):
+            IntervalSet([(MINUS_INF - 5, 0)])
+
+    def test_the_domain_limits_give_the_shared_universal_and_empty_sets(self):
+        assert IntervalSet.at_least(MINUS_INF) is UNIVERSAL_SET
+        assert IntervalSet.below(PLUS_INF) is UNIVERSAL_SET
+        assert IntervalSet.at_least(PLUS_INF) is EMPTY_SET
+        assert IntervalSet.below(MINUS_INF) is EMPTY_SET
+
+
+class TestOldPickles:
+    def test_a_set_pickled_in_the_slots_form_is_refused(self):
+        # Loading it would fill the slots of EMPTY_SET, which the
+        # argument-less constructor returns.
+        with pytest.raises(TypeError, match="EMPTY_SET"):
+            pickle.loads(_OLD_SET_PICKLE)
+        assert EMPTY_SET.intervals == () and IntervalSet() is EMPTY_SET
+        assert 20190117 not in EMPTY_SET
 
 
 class TestMembership:

@@ -15,6 +15,7 @@ from repro.datasets import (
     SelfJoinWorkload,
     TemporalJoinWorkload,
     generate_dex,
+    generate_dsc,
     generate_dsh,
     generate_mozilla,
     last_tenth,
@@ -71,6 +72,16 @@ class TestSelectionWorkload:
         # The table is large enough that the cost model routes the
         # temporal probe through the interval index.
         assert "OngoingFilter" in text and "IntervalScan" in text
+
+    def test_the_cold_result_holds_one_rt_object_per_rt_value(self):
+        # Qσ_ovlp on D_sc: a predicate gives every tuple on the same side
+        # of its critical points the same true-set, so ~2k rows hold a few
+        # dozen RT values — and as many RT objects, not one per row.
+        database = synthetic_database(generate_dsc(2000))
+        result = SelectionWorkload("R", "overlaps", _SYN_ARGUMENT).run_ongoing(database)
+        values = {item.rt for item in result}
+        assert len(values) > 10 and len(result) > 10 * len(values)
+        assert len({id(item.rt) for item in result}) == len(values)
 
 
 class TestSelfJoinWorkload:

@@ -66,17 +66,17 @@ def test_one_changed_row_in_a_5000_member_group_builds_a_handful_of_values(
     evaluator.refresh_full()
     built = {"OngoingInt": 0, "IntervalSet": 0}
 
-    def counted(cls):
-        original = cls.__init__
+    def counted(cls, constructor):
+        original = getattr(cls, constructor)
 
-        def init(self, *args, **kwargs):
+        def count(*args, **kwargs):
             built[cls.__name__] += 1
-            original(self, *args, **kwargs)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", init)
+        monkeypatch.setattr(cls, constructor, count)
 
-    counted(OngoingInt)
-    counted(IntervalSet)
+    counted(OngoingInt, "__init__")
+    counted(IntervalSet, "__new__")  # a shared set is built by __new__ alone
     old = next(iter(db.table("B").rows()))
     new = OngoingTuple((5_000_000,) + old.values[1:], old.rt)
     delta = evaluator.apply({"B": Delta((new,), (old,))})

@@ -1,5 +1,7 @@
 """Unit tests for the byte-accurate storage layout (Section VIII, Table V)."""
 
+import struct
+
 import pytest
 
 from repro.core.interval import fixed_interval, until_now
@@ -61,6 +63,28 @@ class TestReferenceTimePacking:
 
     def test_empty_rt_is_header_only(self):
         assert len(storage.pack_rt(IntervalSet.empty())) == 21
+
+    def test_decoding_returns_the_shared_set(self):
+        for rt in (IntervalSet([(0, 5), (9, PLUS_INF)]), UNIVERSAL_SET, IntervalSet.empty()):
+            assert storage.unpack_rt(storage.pack_rt(rt))[0] is rt
+
+    @pytest.mark.parametrize(
+        "pairs, offset",
+        [
+            ([(20, 30), (1, 5)], 29),
+            ([(1, 10), (5, 20)], 29),
+            ([(1, 5), (5, 9)], 29),
+            ([(7, 7)], 21),
+            ([(9, 3)], 21),
+        ],
+        ids=["swapped", "overlapping", "adjacent", "empty", "inverted"],
+    )
+    def test_a_non_normalized_rt_is_refused_not_repaired(self, pairs, offset):
+        buffer = bytes(storage.RT_HEADER_BYTES) + b"".join(
+            struct.pack("<ii", start, end) for start, end in pairs
+        )
+        with pytest.raises(StorageError, match=f"at offset {offset} "):
+            storage.unpack_rt(buffer)
 
 
 class TestTuplePacking:

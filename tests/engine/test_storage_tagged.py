@@ -125,6 +125,25 @@ class TestTupleRoundTrip:
         decoded, _ = unpack_tagged_tuple(pack_tagged_tuple(item))
         assert decoded == item
 
+    @pytest.mark.parametrize(
+        "pairs, offset",
+        [
+            ([(20, 30), (1, 5)], 12),
+            ([(1, 10), (5, 20)], 12),
+            ([(1, 5), (5, 9)], 12),
+            ([(3, 8), (9, 9)], 12),
+            ([(9, 3)], 4),
+        ],
+        ids=["swapped", "overlapping", "adjacent", "empty", "inverted"],
+    )
+    def test_a_non_normalized_rt_is_refused_not_repaired(self, pairs, offset):
+        # No values, then the counted RT: its pairs start at offset 4.
+        buffer = struct.pack("<HH", 0, len(pairs)) + b"".join(
+            struct.pack("<ii", start, end) for start, end in pairs
+        )
+        with pytest.raises(StorageError, match=f"at offset {offset} "):
+            unpack_tagged_tuple(buffer)
+
 
 # ----------------------------------------------------------------------
 # The tuple codec handles the common kinds in line: it must write the

@@ -11,13 +11,16 @@ random sample — within each drawn example the check is exhaustive.
 
 import copy
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import intervalset
 from repro.core.boolean import OngoingBoolean
 from repro.core.interval import OngoingInterval, fixed_interval, until_now
+from repro.core.intervalset import EMPTY_SET, UNIVERSAL_SET, IntervalSet
 from repro.core.operations import (
     equal,
     greater_equal,
@@ -31,11 +34,25 @@ from repro.core.operations import (
 
 from repro.core.timeline import MINUS_INF, PLUS_INF
 from repro.core.timepoint import NOW, OngoingTimePoint, fixed, growing, limited
+from repro.engine.database import Database
+from repro.engine.plan import scan
+from repro.engine.storage import (
+    pack_rt,
+    pack_tagged_tuple,
+    unpack_rt,
+    unpack_tagged_tuple,
+)
 from repro.errors import TimeDomainError
+from repro.relational.aggregate import members_support
+from repro.relational.predicates import col, lit
+from repro.relational.schema import Schema
+from repro.relational.tuples import OngoingTuple
 
 from tests.conftest import (
     critical_points,
     empty_intern_table,
+    empty_rt_table,
+    finite_points,
     interval_sets,
     ongoing_points,
 )
@@ -286,3 +303,129 @@ class TestInternedPoints:
         assert interval.start is point and interval.end is NOW
         derived = copy.deepcopy(_Point(*point.components()))
         assert type(derived) is _Point and derived == point
+
+
+def _singletons_intact() -> None:
+    """EMPTY_SET and UNIVERSAL_SET hold their values and are still the
+    objects every path returns for them."""
+    assert EMPTY_SET.intervals == () and not EMPTY_SET
+    assert UNIVERSAL_SET.intervals == ((MINUS_INF, PLUS_INF),)
+    assert UNIVERSAL_SET.is_universal() and 0 in UNIVERSAL_SET
+    assert IntervalSet() is EMPTY_SET and IntervalSet.empty() is EMPTY_SET
+    assert IntervalSet([(MINUS_INF, PLUS_INF)]) is UNIVERSAL_SET
+    assert IntervalSet.universal() is UNIVERSAL_SET
+    assert intervalset._INTERNED[()] is EMPTY_SET
+    assert intervalset._INTERNED[(MINUS_INF, PLUS_INF),] is UNIVERSAL_SET
+
+
+def _scrambled(s: IntervalSet) -> list:
+    """The pairs of *s* in reverse, each split in two touching halves and
+    repeated whole over them: unsorted, adjacent and overlapping input."""
+    pairs = []
+    for start, end in reversed(s.intervals):
+        middle = start + 1
+        if middle < end:
+            pairs += [(middle, end), (start, middle)]
+        pairs.append((start, end))
+    return pairs
+
+
+class TestSharedReferenceTimes:
+    """One object per RT value through every path; identity is memory,
+    never semantics."""
+
+    @given(interval_sets())
+    def test_the_constructor_returns_the_shared_set(self, s1):
+        assert IntervalSet(_scrambled(s1)) is s1
+        assert IntervalSet(s1.intervals) is s1
+        assert IntervalSet(iter(s1)) is s1
+        _singletons_intact()
+
+    @given(interval_sets(), interval_sets())
+    def test_the_connectives_return_the_shared_set(self, s1, s2):
+        for result in (s1 & s2, s1 | s2, s1 - s2, ~s1):
+            assert IntervalSet(result.intervals) is result
+        assert s1 - s2 is s1 & ~s2
+        assert s1 & s2 is s2 & s1 and s1 | s2 is s2 | s1
+        assert ~~s1 is s1 and s1 & s1 is s1 and s1 | s1 is s1
+        assert s1 - s1 is EMPTY_SET
+        assert s1 | ~s1 is UNIVERSAL_SET
+        _singletons_intact()
+
+    @given(finite_points)
+    def test_the_single_interval_constructors_return_the_shared_set(self, rt):
+        assert IntervalSet.at_least(rt) is IntervalSet([(rt, PLUS_INF)])
+        assert IntervalSet.below(rt) is IntervalSet([(MINUS_INF, rt)])
+        assert IntervalSet.point(rt) is IntervalSet([(rt, rt + 1)])
+        assert ~IntervalSet.below(rt) is IntervalSet.at_least(rt)
+        assert IntervalSet.at_least(MINUS_INF) is UNIVERSAL_SET
+        assert IntervalSet.below(PLUS_INF) is UNIVERSAL_SET
+        assert IntervalSet.at_least(PLUS_INF) is EMPTY_SET
+        assert IntervalSet.below(MINUS_INF) is EMPTY_SET
+        _singletons_intact()
+
+    @given(interval_sets())
+    def test_the_decoders_return_the_shared_set(self, s1):
+        assert unpack_rt(pack_rt(s1))[0] is s1
+        row = OngoingTuple((1, "bug", until_now(5)), s1)
+        assert unpack_tagged_tuple(pack_tagged_tuple(row))[0].rt is s1
+        _singletons_intact()
+
+    @given(interval_sets())
+    def test_a_group_support_is_the_shared_set(self, s1):
+        members = [OngoingTuple((index,), IntervalSet.point(index)) for index in range(3)]
+        members += [OngoingTuple((pair,), IntervalSet([pair])) for pair in s1.intervals]
+        expected = s1 | IntervalSet([(0, 3)])
+        assert members_support(members) is expected
+        assert members_support(members[3:]) is s1
+        _singletons_intact()
+
+    def test_an_aggregate_group_row_carries_the_shared_set(self):
+        db = Database("shared-rt")
+        table = db.create_table("E", Schema.of("ID", "G", ("VT", "interval")))
+        for key in range(12):
+            table.insert(key, key % 3, until_now(key * 3))
+        plan = scan("E").where(col("VT").overlaps(lit(fixed_interval(20, 30))))
+        members = db.query(plan)
+        groups = db.query(plan.group_by(("G",), "count", output_name="n"))
+        assert len(groups) == 3
+        for row in groups:
+            support = members_support(
+                member for member in members if member.values[1] == row.values[0]
+            )
+            assert row.rt is support and row.rt is IntervalSet(row.rt.intervals)
+        _singletons_intact()
+
+    @given(interval_sets())
+    def test_pickle_and_copies_return_the_shared_set(self, s1):
+        for value in (s1, EMPTY_SET, UNIVERSAL_SET):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(value, protocol)) is value
+            assert copy.copy(value) is value
+            assert copy.deepcopy(value) is value
+        row = pickle.loads(pickle.dumps(OngoingTuple((1,), s1)))
+        assert row.rt is s1
+        _singletons_intact()
+
+    @given(interval_sets())
+    def test_an_emptying_keeps_values_and_both_singletons(self, s1):
+        pairs = s1.intervals
+        empty_rt_table()
+        _singletons_intact()
+        assert len(intervalset._INTERNED) == 3
+        again = IntervalSet(pairs)
+        assert again == s1 and hash(again) == hash(s1)
+        assert again is not s1 or s1 in (EMPTY_SET, UNIVERSAL_SET)
+        assert IntervalSet(pairs) is again
+        assert IntervalSet.at_least(MINUS_INF) is UNIVERSAL_SET
+        _singletons_intact()
+
+    def test_the_table_never_exceeds_its_bound(self):
+        empty_rt_table()
+        with mock.patch.object(intervalset, "_INTERN_LIMIT", 8):
+            sizes = []
+            for rt in range(40):
+                IntervalSet.point(rt)
+                sizes.append(len(intervalset._INTERNED))
+                _singletons_intact()
+        assert max(sizes) == 8 and min(sizes) == 3
