@@ -12,32 +12,28 @@ Run with::
     python examples/aggregation_preview.py
 """
 
-from repro import allen, duration, fixed_interval, fmt_point, mmdd, until_now
-from repro.relational import (
-    OngoingRelation,
-    Schema,
-    count_tuples,
-    group_by,
-    sum_durations,
-)
+from repro import duration, fixed_interval, fmt_point, mmdd, until_now
+from repro.engine import Database, scan
+from repro.relational import Schema, col, count_tuples, group_by, lit
 
 
-def build_bugs() -> OngoingRelation:
-    schema = Schema.of("BID", "C", ("VT", "interval"))
-    return OngoingRelation.from_rows(
-        schema,
+def build_database() -> Database:
+    db = Database("bugs")
+    db.create_table("B", Schema.of("BID", "C", ("VT", "interval"))).insert_many(
         [
             (500, "Spam filter", until_now(mmdd(1, 25))),
             (501, "Spam filter", fixed_interval(mmdd(3, 30), mmdd(8, 21))),
             (502, "Spam filter", until_now(mmdd(6, 15))),
             (503, "Dashboard", until_now(mmdd(7, 1))),
             (504, "Dashboard", fixed_interval(mmdd(2, 1), mmdd(4, 1))),
-        ],
+        ]
     )
+    return db
 
 
 def main() -> None:
-    bugs = build_bugs()
+    db = build_database()
+    bugs = db.relation("B")
 
     print("=== duration() returns an ongoing integer ===")
     bug_age = duration(until_now(mmdd(1, 25)))
@@ -52,10 +48,8 @@ def main() -> None:
     # A query result's RT is restricted by its predicate, so counting the
     # result gives a genuinely time-dependent answer: how many bugs overlap
     # the August patch window, as a function of the reference time?
-    from repro.relational import col, lit, select
-
     window = fixed_interval(mmdd(8, 15), mmdd(8, 24))
-    affected = select(bugs, col("VT").overlaps(lit(window)))
+    affected = db.query(scan("B").where(col("VT").overlaps(lit(window))))
     affected_count = count_tuples(affected)
     print(f"count of bugs overlapping the patch window = "
           f"{affected_count.format()}")

@@ -30,7 +30,7 @@ Quickstart::
 The subpackages:
 
 * :mod:`repro.core` — ongoing time points, intervals, booleans, operations;
-* :mod:`repro.relational` — ongoing relations and their algebra (Theorem 2);
+* :mod:`repro.relational` — ongoing relations, predicates and aggregation;
 * :mod:`repro.engine` — an in-memory engine standing in for the paper's
   PostgreSQL prototype (planner with the Section VIII predicate split,
   join algorithms, storage model);

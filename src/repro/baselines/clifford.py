@@ -17,18 +17,48 @@ This module provides:
   as the ongoing engine — only on instantiated data with fixed predicates;
 * :func:`cliff_max_reference_time` — the ``Cliff_max`` convention of the
   evaluation: a reference time greater than the latest fixed end point in
-  the data, representing the typical "query at the current time" use.
+  the data, representing the typical "query at the current time" use;
+* :func:`evaluate_fixed` — the paper's correctness contract
+  ``‖Q(D)‖rt = Q(‖D‖rt)`` run from its right-hand side: bind the
+  database at ``rt``, then evaluate the logical plan classically on the
+  bound rows.  With :func:`critical_points` (every reference time at
+  which such a result can change) it is the independent oracle the
+  engine's operators are tested against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+import operator
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
-from repro.baselines.fixed_algebra import FIXED_PREDICATES, FixedInterval
+from repro.baselines.fixed_algebra import (
+    FIXED_PREDICATES,
+    FixedInterval,
+    intersect_f,
+)
+from repro.core.integer import OngoingInt
+from repro.core.interval import OngoingInterval
+from repro.core.rational import OngoingRational
 from repro.core.timeline import MINUS_INF, TimePoint, is_finite
+from repro.core.timepoint import OngoingTimePoint
+from repro.engine import plan as logical
+from repro.errors import QueryError
+from repro.relational.predicates import (
+    AllenPredicate,
+    And,
+    Column,
+    Comparison,
+    Expression,
+    IntervalIntersection,
+    Literal,
+    Not,
+    Or,
+    Predicate,
+    TruePredicate,
+)
 from repro.relational.relation import OngoingRelation
-from repro.relational.schema import AttributeKind
-from repro.relational.tuples import Binder, FixedTuple
+from repro.relational.schema import Attribute, AttributeKind, Schema
+from repro.relational.tuples import Binder, FixedTuple, bind_value
 
 __all__ = [
     "bind_relation",
@@ -36,6 +66,9 @@ __all__ = [
     "hash_join",
     "sweep_join",
     "cliff_max_reference_time",
+    "NotSnapshotReducible",
+    "evaluate_fixed",
+    "critical_points",
 ]
 
 
@@ -161,3 +194,216 @@ def cliff_max_reference_time(*relations: OngoingRelation) -> TimePoint:
     if latest == MINUS_INF:
         raise ValueError("relations contain no finite time points")
     return latest + 1
+
+
+# ----------------------------------------------------------------------
+# The paper's definition, runnable: Q(‖D‖rt)
+# ----------------------------------------------------------------------
+
+
+class NotSnapshotReducible(QueryError):
+    """The plan holds a node whose ongoing result is not ``Q(‖D‖rt)``.
+
+    An aggregate counts ongoing tuples, not the rows they bind to (two
+    tuples that bind to one row at ``rt`` count twice), and a LIMIT picks
+    ongoing tuples by their eventual order, not the rows bound at ``rt``
+    — see :class:`~repro.engine.plan.Aggregate` and
+    :class:`~repro.engine.plan.SortLimit`.  Neither has a fixed-semantics
+    counterpart to compare against.
+    """
+
+
+_COMPARISONS: Dict[str, Callable[[object, object], bool]] = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def evaluate_fixed(
+    plan: logical.PlanNode, database, rt: TimePoint
+) -> FrozenSet[FixedTuple]:
+    """``Q(‖D‖rt)``: *plan* evaluated classically over *database* bound at *rt*.
+
+    Every scanned table is bound with :func:`bind_relation`, and each
+    node runs as the fixed relational operator on sets of bound rows:
+    predicates and computed columns read bound values (Allen relations
+    through :data:`~repro.baselines.fixed_algebra.FIXED_PREDICATES`,
+    ``∩`` through :func:`~repro.baselines.fixed_algebra.intersect_f`,
+    comparisons as plain operators, literals bound at *rt*).  By the
+    paper's Theorem 2 the engine's result of *plan*, instantiated at
+    *rt*, must equal this set.
+
+    *database* is anything whose ``relation(name)`` returns the
+    :class:`OngoingRelation` of a table.  The domain is Scan, Select,
+    Project, Join, Union, Difference, Distinct and a SortLimit without
+    a limit (a set-semantics identity); an Aggregate or a limited
+    SortLimit raises :class:`NotSnapshotReducible`.
+    """
+    return frozenset(_evaluate(plan, database, rt)[1])
+
+
+def _evaluate(
+    node: logical.PlanNode, database, rt: TimePoint
+) -> Tuple[Schema, Iterable[FixedTuple]]:
+    """The output schema of *node* (for name lookups) and its bound rows."""
+    if isinstance(node, logical.Scan):
+        relation = database.relation(node.table)
+        return relation.schema, bind_relation(relation, rt)
+    if isinstance(node, logical.Select):
+        schema, rows = _evaluate(node.child, database, rt)
+        holds = _predicate(node.predicate, schema, rt)
+        return schema, [row for row in rows if holds(row)]
+    if isinstance(node, logical.Project):
+        schema, rows = _evaluate(node.child, database, rt)
+        attributes: List[Attribute] = []
+        columns: List[Callable[[FixedTuple], object]] = []
+        for item in node.items:
+            if isinstance(item, str):
+                attributes.append(schema.attribute(item))
+                columns.append(_expression(Column(item), schema, rt))
+            else:
+                attributes.append(Attribute(item[0]))
+                columns.append(_expression(item[1], schema, rt))
+        return Schema(attributes), [
+            tuple(column(row) for column in columns) for row in rows
+        ]
+    if isinstance(node, logical.Join):
+        left_schema, left_rows = _evaluate(node.left, database, rt)
+        right_schema, right_rows = _evaluate(node.right, database, rt)
+        if node.left_name:
+            left_schema = left_schema.qualify(node.left_name)
+        if node.right_name:
+            right_schema = right_schema.qualify(node.right_name)
+        schema = left_schema.concat(right_schema)
+        holds = _predicate(node.predicate, schema, rt)
+        return schema, [
+            pair
+            for left in left_rows
+            for right in right_rows
+            if holds(pair := left + right)
+        ]
+    if isinstance(node, (logical.Union, logical.Difference)):
+        schema, left_rows = _evaluate(node.left, database, rt)
+        _, right_rows = _evaluate(node.right, database, rt)
+        if isinstance(node, logical.Union):
+            return schema, set(left_rows) | set(right_rows)
+        return schema, set(left_rows) - set(right_rows)
+    if isinstance(node, logical.Distinct) or (
+        isinstance(node, logical.SortLimit) and node.limit is None
+    ):
+        return _evaluate(node.child, database, rt)
+    raise NotSnapshotReducible(
+        f"{type(node).__name__} has no fixed-semantics counterpart: {node!r}"
+    )
+
+
+def _expression(
+    expression: Expression, schema: Schema, rt: TimePoint
+) -> Callable[[FixedTuple], object]:
+    """*expression* as a function of a bound row of *schema*."""
+    if isinstance(expression, Column):
+        return operator.itemgetter(schema.index_of(expression.name))
+    if isinstance(expression, Literal):
+        value = bind_value(expression.value, rt)
+        return lambda row: value
+    if isinstance(expression, IntervalIntersection):
+        left = _expression(expression.left, schema, rt)
+        right = _expression(expression.right, schema, rt)
+        return lambda row: intersect_f(left(row), right(row))
+    raise QueryError(f"no fixed semantics for expression {expression!r}")
+
+
+def _predicate(
+    predicate: Predicate, schema: Schema, rt: TimePoint
+) -> Callable[[FixedTuple], bool]:
+    """*predicate* as the classical test of a bound row of *schema*."""
+    if isinstance(predicate, TruePredicate):
+        return lambda row: True
+    if isinstance(predicate, (And, Or)):
+        parts = [_predicate(part, schema, rt) for part in predicate.parts]
+        if isinstance(predicate, And):
+            return lambda row: all(part(row) for part in parts)
+        return lambda row: any(part(row) for part in parts)
+    if isinstance(predicate, Not):
+        part = _predicate(predicate.part, schema, rt)
+        return lambda row: not part(row)
+    if isinstance(predicate, Comparison):
+        test = _COMPARISONS[predicate.op]
+    elif isinstance(predicate, AllenPredicate):
+        test = FIXED_PREDICATES[predicate.name]
+    else:
+        raise QueryError(f"no fixed semantics for predicate {predicate!r}")
+    left = _expression(predicate.left, schema, rt)
+    right = _expression(predicate.right, schema, rt)
+    return lambda row: bool(test(left(row), right(row)))
+
+
+def critical_points(database, plans: Iterable[logical.PlanNode]) -> List[TimePoint]:
+    """Reference times at which ``evaluate_fixed`` of *plans* can change.
+
+    Every finite component of every ongoing value in the tables the plans
+    scan, every bound of those tuples' reference times, and every
+    literal of the plans — each with its predecessor and successor —
+    plus ``MINUS_INF``.  Between two consecutive points every bound
+    value and every predicate over time points and intervals is
+    constant, so checking these points checks every reference time.  An
+    ongoing number contributes the starts of its segments; a comparison
+    of a *growing* number against another can flip between them, and a
+    caller comparing such numbers adds its own points.
+    """
+    components = set()
+    for plan in plans:
+        for name in plan.referenced_tables():
+            for item in database.relation(name).tuples:
+                for value in item.values:
+                    components.update(_components(value))
+                for start, end in item.rt:
+                    components.update((start, end))
+        for value in _literal_values(plan):
+            components.update(_components(value))
+            if isinstance(value, int) and not isinstance(value, bool):
+                components.add(value)
+    points = {MINUS_INF}
+    for component in components:
+        if is_finite(component):
+            points.update((component - 1, component, component + 1))
+    return sorted(points)
+
+
+def _components(value: object) -> Tuple[TimePoint, ...]:
+    """The time points at which *value*'s instantiation can change shape."""
+    if isinstance(value, (OngoingTimePoint, OngoingInterval)):
+        return value.components()
+    if isinstance(value, OngoingInt):
+        return tuple(segment[0] for segment in value.segments)
+    if isinstance(value, OngoingRational):
+        return _components(value.numerator) + _components(value.denominator)
+    return ()
+
+
+def _literal_values(plan: logical.PlanNode) -> Iterable[object]:
+    """The values of every literal in *plan*'s predicates and expressions."""
+    nodes = [plan]
+    while nodes:
+        node = nodes.pop()
+        nodes.extend(node.children())
+        if isinstance(node, (logical.Select, logical.Join)):
+            terms: List[object] = [node.predicate]
+        elif isinstance(node, logical.Project):
+            terms = [item[1] for item in node.items if not isinstance(item, str)]
+        else:
+            continue
+        while terms:
+            term = terms.pop()
+            if isinstance(term, Literal):
+                yield term.value
+            elif isinstance(term, (And, Or)):
+                terms.extend(term.parts)
+            elif isinstance(term, Not):
+                terms.append(term.part)
+            elif isinstance(term, (Comparison, AllenPredicate, IntervalIntersection)):
+                terms.extend((term.left, term.right))

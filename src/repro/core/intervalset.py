@@ -324,7 +324,7 @@ class IntervalSet:
         """``True`` iff the two sets share at least one reference time.
 
         Cheaper than materializing the intersection when only emptiness
-        matters (used by the difference operator of the algebra).
+        matters.
         """
         left = self._intervals
         right = other._intervals

@@ -54,9 +54,12 @@ from bisect import bisect_left
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core import allen as _allen
+from repro.core.boolean import OngoingBoolean, from_bool
 from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
-from repro.core.intervalset import IntervalSet
+from repro.core.intervalset import EMPTY_SET, IntervalSet
+from repro.core.operations import equal as _point_equal
 from repro.core.rational import OngoingRational
 from repro.engine import indexes
 from repro.engine.accumulators import GroupAccumulators
@@ -70,10 +73,9 @@ from repro.engine.delta import (
 from repro.engine.indexes import IntervalIndex, IntervalProbeIndex
 from repro.errors import QueryError
 from repro.relational.aggregate import scalar_empty_row, validate_aggregate
-from repro.relational.algebra import match_set
 from repro.relational.predicates import Column, Expression, Predicate
 from repro.relational.relation import OngoingRelation
-from repro.relational.schema import Schema
+from repro.relational.schema import AttributeKind, Schema
 from repro.relational.tuples import OngoingTuple
 
 __all__ = [
@@ -829,6 +831,54 @@ class UnionOp(MappedDeltaOperator):
 
     def _children(self) -> Tuple[PhysicalOperator, ...]:
         return (self.left, self.right)
+
+
+def value_equality(
+    schema: Schema, left_row: Tuple[object, ...], right_row: Tuple[object, ...]
+) -> OngoingBoolean:
+    """The ongoing boolean ``‖r.A‖rt = ‖s.A‖rt`` across all attributes.
+
+    Fixed attributes compare with ``==`` (constant over rt); ongoing time
+    points with the ongoing equality of Table II; ongoing intervals with raw
+    endpointwise equality (*instantiated-value* equality — not the Allen
+    ``equals`` with its empty-interval convention).  This is the notion of
+    equality the difference operator of Theorem 2 quantifies over.
+    """
+    result: OngoingBoolean | None = None
+    for attribute, left_value, right_value in zip(schema, left_row, right_row):
+        if attribute.kind is AttributeKind.ONGOING_POINT:
+            piece = _point_equal(left_value, right_value)  # type: ignore[arg-type]
+        elif attribute.kind is AttributeKind.ONGOING_INTERVAL:
+            piece = _allen.interval_value_equals(left_value, right_value)  # type: ignore[arg-type]
+        else:
+            piece = from_bool(left_value == right_value)
+        if piece.is_always_false():
+            return piece
+        result = piece if result is None else result.conjunction(piece)
+    if result is None:
+        # Zero-attribute schemas: the empty tuples are equal everywhere.
+        return from_bool(True)
+    return result
+
+
+def match_set(
+    schema: Schema, row: Tuple[object, ...], candidates: Iterable[OngoingTuple]
+) -> IntervalSet:
+    """Reference times at which *row* has an equal tuple in *candidates*.
+
+    The quantifier kernel of the Theorem 2 difference: :class:`DifferenceOp`
+    recomputes it for exactly the left tuples a right-side delta can
+    affect.
+    """
+    matched = EMPTY_SET
+    for s in candidates:
+        equality = value_equality(schema, row, s.values)
+        if equality.is_always_false():
+            continue
+        contribution = s.rt.intersection(equality.true_set)
+        if not contribution.is_empty():
+            matched = matched.union(contribution)
+    return matched
 
 
 class DifferenceOp(PhysicalOperator):

@@ -326,6 +326,12 @@ class Aggregate(PlanNode):
     materializations.  Like every plan node it is immutable and
     fingerprintable — two subscribers to the same GROUP BY query share
     one materialization and one delta-maintained state.
+
+    An aggregate folds ongoing tuples, not the rows they bind to: two
+    equal tuples with overlapping reference times COUNT as two at an rt
+    where the bound relation holds one row, so the result is not
+    ``Q(‖D‖rt)`` and :func:`repro.baselines.clifford.evaluate_fixed`
+    refuses the node.
     """
 
     __slots__ = ("child", "group_columns", "specs")
@@ -463,6 +469,12 @@ class SortLimit(PlanNode):
     ascending).  Without *limit* the node is a set-semantics identity
     that merely renders sorted; with *limit* the physical operator
     maintains the top-k boundary incrementally in O(Δ log k).
+
+    A limit picks ongoing tuples, not rows bound at an rt: a tuple whose
+    reference time has ended still holds its place in the top k, so a
+    limited result is not ``Q(‖D‖rt)`` and
+    :func:`repro.baselines.clifford.evaluate_fixed` refuses it (an
+    unlimited one is the identity on the set and is evaluated).
     """
 
     __slots__ = ("child", "sort_keys", "limit")

@@ -24,7 +24,10 @@ from __future__ import annotations
 
 from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
+from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
+from repro.core.rational import OngoingRational
+from repro.core.timepoint import OngoingTimePoint
 from repro.engine import indexes
 from repro.engine import plan as logical
 from repro.engine.delta import Delta, OperatorState, shared_source
@@ -46,12 +49,12 @@ from repro.engine.executor import (
 )
 from repro.engine.indexes import ONGOING_VALUES
 from repro.errors import QueryError, SchemaError
-from repro.relational.algebra import infer_kind  # shared column-kind logic
 from repro.relational.predicates import (
     AllenPredicate,
     Column,
     Comparison,
     Expression,
+    IntervalIntersection,
     Literal,
     Predicate,
     TruePredicate,
@@ -407,6 +410,22 @@ class Planner:
                 ongoing_residual,
             )
         return NestedLoopJoin(left, right, out_schema, fixed_residual, ongoing_residual)
+
+
+def infer_kind(expression: Expression, schema: Schema) -> AttributeKind:
+    """Attribute kind of a computed projection column."""
+    if isinstance(expression, Column):
+        return schema.attribute(expression.name).kind
+    if isinstance(expression, IntervalIntersection):
+        return AttributeKind.ONGOING_INTERVAL
+    if isinstance(expression, Literal):
+        if isinstance(expression.value, OngoingInterval):
+            return AttributeKind.ONGOING_INTERVAL
+        if isinstance(expression.value, OngoingTimePoint):
+            return AttributeKind.ONGOING_POINT
+        if isinstance(expression.value, (OngoingInt, OngoingRational)):
+            return AttributeKind.ONGOING_INTEGER
+    return AttributeKind.FIXED
 
 
 class _Requalified(PhysicalOperator):

@@ -1,7 +1,7 @@
 """Logical plan rewriting — the algebraic rules of Section VIII.
 
-The paper notes that for ongoing relations "the same rules hold as for the
-relational algebra operators on fixed relations", e.g.
+The paper notes that for ongoing relations "the same rules hold as for the relational
+algebra operators on fixed relations", e.g.
 ``σ_{θ1 ∧ θ2}(R) ≡ σ_{θ1}(σ_{θ2}(R))``, and that after rewriting the usual
 optimization techniques (selection push-down, join ordering, ...) apply.
 

@@ -1,13 +1,22 @@
-"""Ongoing relations and their relational algebra (Section VII of the paper).
+"""Ongoing relations (Section VII of the paper): the values queries run on.
 
 * :mod:`repro.relational.schema` — schemas with fixed/ongoing attributes;
 * :mod:`repro.relational.tuples` — tuples carrying the RT attribute;
 * :mod:`repro.relational.relation` — ongoing relations and the bind operator;
 * :mod:`repro.relational.predicates` — predicate/expression trees evaluated
   to ongoing booleans (the ``col(...)`` builder API);
-* :mod:`repro.relational.algebra` — π, σ, ×, ⋈, ∪, −, ∩ per Theorem 2;
 * :mod:`repro.relational.aggregate` — RT-aware aggregation (Section X
-  future work, implemented here).
+  future work, implemented here), the reference the engine's aggregate
+  is tested against.
+
+The operators of Theorem 2 exist once, in the engine: build a plan
+(:mod:`repro.engine.plan`) and run it with ``Database.query``.  σ is
+``where``, π is ``select_columns`` (which also renames: a
+``(new_name, col(old_name))`` item), ⋈ is ``join``, the product ``×`` is
+``join`` on ``TRUE_PREDICATE``, ∪ is ``union``, − is ``difference`` and
+``R ∩ S`` is ``R.difference(R.difference(S))``.  The paper's definition
+of each — bind at rt, then run the fixed operator — is
+:func:`repro.baselines.clifford.evaluate_fixed`.
 """
 
 from repro.relational.schema import Attribute, AttributeKind, Schema
@@ -28,18 +37,6 @@ from repro.relational.predicates import (
     TruePredicate,
     col,
     lit,
-)
-from repro.relational.algebra import (
-    coalesce,
-    difference,
-    intersection,
-    join,
-    product,
-    project,
-    rename,
-    select,
-    union,
-    value_equality,
 )
 from repro.relational.aggregate import (
     count_tuples,
@@ -71,16 +68,6 @@ __all__ = [
     "TruePredicate",
     "col",
     "lit",
-    "coalesce",
-    "difference",
-    "intersection",
-    "join",
-    "product",
-    "project",
-    "rename",
-    "select",
-    "union",
-    "value_equality",
     "count_tuples",
     "group_by",
     "max_over",

@@ -11,7 +11,8 @@ The bind operator instantiates a relation at a reference time::
     ‖R‖rt = { x | ∃ r ∈ R: x.A = ‖r.A‖rt  and  rt ∈ r.RT }
 
 and is the yardstick for every correctness test in this repository: for any
-operator ``Op`` of the algebra, ``‖Op(R)‖rt == OpF(‖R‖rt)`` at all rt.
+operator ``Op`` of the engine, ``‖Op(R)‖rt == OpF(‖R‖rt)`` at all rt
+(:func:`repro.baselines.clifford.evaluate_fixed` runs the right-hand side).
 """
 
 from __future__ import annotations

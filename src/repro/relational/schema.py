@@ -200,8 +200,8 @@ class Schema:
         """``True`` iff set operations (union, difference) are allowed.
 
         Compatibility requires the same number, kinds, and order of
-        attributes; names may differ (positional semantics, as usual in
-        relational algebra).
+        attributes; names may differ (positional semantics, as usual for
+        fixed relations).
         """
         if len(self) != len(other):
             return False

@@ -19,6 +19,7 @@ import hypothesis
 import pytest
 from hypothesis import strategies as st
 
+from repro.baselines import clifford
 from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
 from repro.core import intervalset
@@ -27,6 +28,8 @@ from repro.core.rational import OngoingRational
 from repro.core.timeline import MINUS_INF, PLUS_INF
 from repro.core import timepoint
 from repro.core.timepoint import OngoingTimePoint
+from repro.engine.plan import Scan
+from repro.relational.aggregate import group_by
 from repro.relational.tuples import OngoingTuple
 
 # The bus contract is stated once and collected through subclasses in two
@@ -228,3 +231,61 @@ def critical_points(*values: object) -> List[int]:
 def instantiate_set(rts: Iterable[int], value) -> List[object]:
     """Instantiate *value* at each rt (for table-style comparisons)."""
     return [value.instantiate(rt) for rt in rts]
+
+
+# ----------------------------------------------------------------------
+# The paper's definition as the oracle: ‖Q(D)‖rt = Q(‖D‖rt)
+# ----------------------------------------------------------------------
+
+
+def sweep(database, plans, *results) -> List[int]:
+    """Every reference time at which *plans* over *database* or one of
+    *results* can change: :func:`repro.baselines.clifford.critical_points`,
+    and each result row's RT, time points, intervals and ongoing-number
+    segments."""
+    values: List[object] = []
+    for result in results:
+        for item in result.tuples:
+            values.append(item.rt)
+            for value in item.values:
+                if isinstance(value, OngoingRational):
+                    value = value.numerator  # aligned with the denominator's
+                if isinstance(value, OngoingInt):
+                    values.extend(start for start, _, _, _ in value.segments)
+                elif isinstance(value, (OngoingTimePoint, OngoingInterval)):
+                    values.append(value)
+    points = set(clifford.critical_points(database, plans))
+    return sorted(points.union(critical_points(*values)))
+
+
+def assert_fixed_semantics(plan, database, *results, context=None) -> None:
+    """Each of *results* instantiates, at every critical reference time, to
+    ``evaluate_fixed(plan, database, rt)``: the fixed query on the
+    database bound at rt (Theorem 2)."""
+    for rt in sweep(database, [plan], *results):
+        expected = clifford.evaluate_fixed(plan, database, rt)
+        for position, result in enumerate(results):
+            assert result.instantiate(rt) == expected, (context, position, rt)
+
+
+def assert_reference_semantics(plan, database, reference, *results, context=None):
+    """For a plan ``evaluate_fixed`` refuses (an aggregate, a limited
+    sort): each of *results* instantiates like *reference* applied to
+    ``database.query(plan.child)`` — and that child result is first held
+    to :func:`assert_fixed_semantics`.  Returns the reference result."""
+    child = database.query(plan.child)
+    if not isinstance(plan.child, Scan):  # a bare scan is its table
+        assert_fixed_semantics(plan.child, database, child, context=context)
+    expected = reference(child)
+    if not results:
+        return expected
+    for rt in sweep(database, [plan.child], expected, *results):
+        want = expected.instantiate(rt)
+        for position, result in enumerate(results):
+            assert result.instantiate(rt) == want, (context, position, rt)
+    return expected
+
+
+def grouped(plan):
+    """``relational.aggregate.group_by`` with *plan*'s grouping and specs."""
+    return lambda child: group_by(child, plan.group_columns, specs=plan.specs)

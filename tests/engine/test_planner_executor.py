@@ -12,13 +12,18 @@ from unittest import mock
 
 import pytest
 
+from repro.core.integer import OngoingInt
 from repro.core.interval import fixed_interval, until_now
+from repro.core.intervalset import IntervalSet
+from repro.core.rational import OngoingRational
 from repro.core.timeline import mmdd
+from repro.core.timepoint import NOW, fixed
 from repro.engine.database import Database
 from repro.engine.executor import (
     HashJoin,
     MergeIntervalJoin,
     NestedLoopJoin,
+    value_equality,
 )
 from repro.engine import indexes
 from repro.engine.indexes import INDEX_THRESHOLD
@@ -36,8 +41,10 @@ from repro.engine.plan import (
 )
 from repro.engine.planner import Planner
 from repro.errors import QueryError, SchemaError
-from repro.relational.predicates import col, lit
+from repro.relational.predicates import TRUE_PREDICATE, col, lit
 from repro.relational.schema import AttributeKind, Schema
+from repro.relational.tuples import OngoingTuple
+from tests.conftest import assert_fixed_semantics
 
 
 def d(month, day):
@@ -175,6 +182,43 @@ class TestOtherOperators:
         filtered = Select(Scan("B"), col("C") == lit("Dashboard"))
         result = db.query(Difference(Scan("B"), filtered))
         assert sorted(result.column("BID")) == [500, 501]
+
+    def test_explicit_kind_override(self):
+        db = _database()
+        plan = scan("B").select_columns(("N", lit(NOW), AttributeKind.ONGOING_POINT))
+        result = db.query(plan)
+        assert result.schema.attribute("N").kind is AttributeKind.ONGOING_POINT
+        assert result.instantiate(d(8, 1)) == frozenset({(d(8, 1),)})
+
+    def test_ongoing_number_literals_are_typed_ongoing_integer(self):
+        db = _database()
+        three = OngoingInt.constant(3)
+        half = OngoingRational(three, OngoingInt.constant(6))
+        for value in (three, half):
+            result = db.query(scan("B").select_columns(("x", lit(value))))
+            assert result.schema.attribute("x").kind is AttributeKind.ONGOING_INTEGER
+        result = db.query(scan("B").select_columns(("three", lit(three))))
+        assert result.instantiate(d(8, 1)) == frozenset({(3,)})
+
+    def test_duplicates_merge_by_set_semantics(self):
+        result = _database().query(scan("B").select_columns(("one", lit(1))))
+        assert len(result) == 1
+
+    def test_union_requires_compatible_schemas(self):
+        db = _database()
+        with pytest.raises(SchemaError):
+            db.query(scan("B").union(scan("B").select_columns("BID")))
+
+    def test_difference_on_ongoing_attributes_is_per_rt(self):
+        """[01/25, now) and [01/25, 03/01) instantiate identically only at
+        rt = 03/01 (where now binds to 03/01); the difference keeps every
+        other rt."""
+        db = Database("difference")
+        schema = Schema.of(("VT", "interval"))
+        db.create_table("L", schema).insert(until_now(d(1, 25)))
+        db.create_table("R", schema).insert(fixed_interval(d(1, 25), d(3, 1)))
+        (row,) = db.query(scan("L").difference(scan("R"))).tuples
+        assert row.rt == IntervalSet.point(d(3, 1)).complement()
 
     def test_empty_projection_rejected(self):
         with pytest.raises(QueryError):
@@ -391,3 +435,119 @@ class TestIntervalScan:
     def test_non_indexable_attribute_returns_none(self):
         db = self._big_database()
         assert db.table("E").interval_index("ID") is None
+
+
+class TestValueEquality:
+    """The equality the difference's ``match_set`` quantifies over."""
+
+    def test_fixed_attributes(self):
+        schema = Schema.of("K")
+        assert value_equality(schema, (1,), (1,)).is_always_true()
+        assert value_equality(schema, (1,), (2,)).is_always_false()
+
+    def test_ongoing_point_attribute(self):
+        schema = Schema.of(("T", "point"))
+        result = value_equality(schema, (fixed(d(10, 17)),), (NOW,))
+        assert result.true_set == IntervalSet.point(d(10, 17))
+
+    def test_ongoing_interval_attribute_uses_value_equality(self):
+        schema = Schema.of(("VT", "interval"))
+        left = (fixed_interval(d(3, 3), d(3, 3)),)   # always empty
+        right = (fixed_interval(d(5, 5), d(5, 5)),)  # always empty, different
+        # Allen equals would call these equal; value equality must not.
+        assert value_equality(schema, left, right).is_always_false()
+
+
+class TestOperatorReferenceTimes:
+    """Each relational operator's result RTs, pinned on small cases and held
+    to ``evaluate_fixed`` (the fixed query on the bound database) at every
+    critical reference time."""
+
+    def _held(self, db, plan):
+        result = db.query(plan)
+        assert_fixed_semantics(plan, db, result)
+        return result
+
+    def _with_rts(self, **tables) -> Database:
+        db = Database("operator-rts")
+        for name, (schema, rows) in tables.items():
+            db.create_table(name, schema).insert_tuples(rows)
+        return db
+
+    def _pair(self) -> Database:
+        db = Database("operator-pair")
+        schema = Schema.of("K", ("VT", "interval"))
+        db.create_table("L", schema).insert_many(
+            [(1, until_now(d(1, 1))), (2, fixed_interval(d(1, 1), d(2, 1)))]
+        )
+        db.create_table("R", schema).insert(1, until_now(d(1, 1)))
+        return db
+
+    def test_fixed_predicate_keeps_or_drops(self):
+        result = self._held(_database(), scan("B").where(col("C") == lit("Spam filter")))
+        assert sorted(result.column("BID")) == [500, 501]
+        assert all(item.rt.is_universal() for item in result)
+
+    def test_tuples_with_empty_rt_are_dropped(self):
+        window = lit(fixed_interval(d(1, 1), d(1, 10)))
+        result = self._held(_database(), scan("B").where(col("VT").overlaps(window)))
+        assert len(result) == 0
+
+    def test_computed_intersection_column(self):
+        window = lit(fixed_interval(d(1, 20), d(8, 18)))
+        plan = scan("B").select_columns("BID", ("Resp", col("VT").intersect(window)))
+        result = self._held(_database(), plan)
+        assert result.schema.attribute("Resp").kind is AttributeKind.ONGOING_INTERVAL
+        by_bid = {row.values[0]: row.values[1] for row in result}
+        assert by_bid[500].format() == "[01/25, +08/18)"
+
+    def test_rename_is_a_projection_item(self):
+        plan = scan("B").select_columns(("ID", col("BID")), "C", "VT")
+        result = self._held(_database(), plan)
+        assert result.schema.names == ("ID", "C", "VT")
+        assert len(result) == 3
+
+    def test_product_intersects_rts(self):
+        db = self._with_rts(
+            A=(Schema.of("A"), [OngoingTuple((1,), IntervalSet([(0, 10)]))]),
+            B=(Schema.of("B"), [OngoingTuple((2,), IntervalSet([(5, 20)]))]),
+        )
+        (row,) = self._held(db, scan("A").join(scan("B"), TRUE_PREDICATE)).tuples
+        assert row.rt == IntervalSet([(5, 10)])
+
+    def test_product_drops_disjoint_rts(self):
+        db = self._with_rts(
+            A=(Schema.of("A"), [OngoingTuple((1,), IntervalSet([(0, 5)]))]),
+            B=(Schema.of("B"), [OngoingTuple((2,), IntervalSet([(8, 20)]))]),
+        )
+        assert len(self._held(db, scan("A").join(scan("B"), TRUE_PREDICATE))) == 0
+
+    def test_join_is_selection_over_product(self):
+        db = _database()
+        predicate = (col("R.C") == col("S.C")) & col("R.VT").before(col("S.VT"))
+        joined = scan("B").join(scan("B"), predicate, left_name="R", right_name="S")
+        product = scan("B").join(
+            scan("B"), TRUE_PREDICATE, left_name="R", right_name="S"
+        )
+        assert self._held(db, joined) == self._held(db, product.where(predicate))
+
+    def test_union_is_set_union(self):
+        result = self._held(self._pair(), scan("L").union(scan("R")))
+        assert len(result) == 2
+
+    def test_difference_removes_matching_rts(self):
+        result = self._held(self._pair(), scan("L").difference(scan("R")))
+        assert result.column("K") == [2]
+
+    def test_difference_with_partial_rt_overlap(self):
+        db = self._with_rts(
+            L=(Schema.of("K"), [OngoingTuple((1,), IntervalSet([(0, 10)]))]),
+            R=(Schema.of("K"), [OngoingTuple((1,), IntervalSet([(4, 6)]))]),
+        )
+        (row,) = self._held(db, scan("L").difference(scan("R"))).tuples
+        assert row.rt == IntervalSet([(0, 4), (6, 10)])
+
+    def test_intersection_is_the_double_difference(self):
+        plan = scan("L").difference(scan("L").difference(scan("R")))
+        result = self._held(self._pair(), plan)
+        assert result.column("K") == [1]

@@ -6,9 +6,11 @@ through its access path: the constant's bucket of
 ``Table.partition_index`` under ``column = constant``, the
 ``IntervalIndex`` window under a temporal conjunct.  Either must be a
 superset of what the selection keeps.  So at every critical reference
-time three evaluations agree: the cold build, the ``relational/``
-oracle on the table contents and — after each random batch of
-modifications — the delta-maintained result.
+time three evaluations agree: the cold build, the paper's definition
+(:func:`repro.baselines.clifford.evaluate_fixed` on the bound table; for
+a top-k, which it refuses, a reference top-k over the cold build of the
+selection, itself held to ``evaluate_fixed``) and — after each random
+batch of modifications — the delta-maintained result.
 
 The tables are built to stress the access paths: the equality column
 mixes ``True`` / ``1`` and ``False`` / ``0`` (values that compare and hash
@@ -52,15 +54,14 @@ from repro.engine.delta import (
     NonIncrementalDelta,
 )
 from repro.engine.modifications import current_delete, current_insert
-from repro.engine.plan import scan
+from repro.engine.plan import SortLimit, scan
 from repro.engine.planner import plan_query
-from repro.relational.algebra import project, select
 from repro.relational.predicates import col, lit
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
 
-from tests.conftest import critical_points
+from tests.conftest import assert_fixed_semantics, assert_reference_semantics
 
 _SCHEMA = Schema.of("K", "G", ("VT", "interval"))
 _EQUALS = (0, 1, 2, True, False)
@@ -95,37 +96,32 @@ _BATCHES = st.lists(
 )
 
 
-def _top(relation: OngoingRelation, k: int, descending: bool) -> OngoingRelation:
+def _top(plan: SortLimit):
     """ORDER BY G [DESC] LIMIT k, ties broken by the row's ``repr``."""
+    ((_, descending),) = plan.sort_keys
     sign = -1 if descending else 1
-    ordered = sorted(relation, key=lambda item: (sign * item.values[1], repr(item)))
-    return OngoingRelation(relation.schema, ordered[:k])
+
+    def top(relation: OngoingRelation) -> OngoingRelation:
+        ordered = sorted(
+            relation, key=lambda item: (sign * item.values[1], repr(item))
+        )
+        return OngoingRelation(relation.schema, ordered[: plan.limit])
+
+    return top
 
 
 def _plans(value):
-    """plan name → (logical plan, ``relational/`` oracle over R)."""
+    """plan name → logical plan over R."""
     equal = col("K") == lit(value)
     flipped = lit(value) == col("K")
     overlaps = col("VT").overlaps(lit(_WINDOW))
     return {
-        "equality": (scan("R").where(equal), lambda r: select(r, equal)),
-        "temporal": (scan("R").where(overlaps), lambda r: select(r, overlaps)),
-        "mixed": (
-            scan("R").where(flipped & overlaps),
-            lambda r: select(r, flipped & overlaps),
-        ),
-        "projected": (
-            scan("R").where(equal).select_columns("G", "VT"),
-            lambda r: project(select(r, equal), ["G", "VT"]),
-        ),
-        "top-k": (
-            scan("R").where(equal).order_by(("G", True), limit=2),
-            lambda r: _top(select(r, equal), 2, True),
-        ),
-        "top-k-window": (
-            scan("R").where(overlaps).order_by("G", limit=3),
-            lambda r: _top(select(r, overlaps), 3, False),
-        ),
+        "equality": scan("R").where(equal),
+        "temporal": scan("R").where(overlaps),
+        "mixed": scan("R").where(flipped & overlaps),
+        "projected": scan("R").where(equal).select_columns("G", "VT"),
+        "top-k": scan("R").where(equal).order_by(("G", True), limit=2),
+        "top-k-window": scan("R").where(overlaps).order_by("G", limit=3),
     }
 
 
@@ -152,22 +148,14 @@ def _modify(table, modification, value) -> None:
             table.apply_delta(Delta.update((row,), (moved,)))
 
 
-def _points(*relations):
-    values = [_WINDOW]
-    for relation in relations:
-        for item in relation:
-            values.extend(item.values)
-            values.append(item.rt)
-    return critical_points(*values)
-
-
-def _assert_agree(db, plan, oracle, maintained=None):
-    expected = oracle(db.table("R").as_relation())
+def _assert_agree(db, plan, maintained=None):
+    """The cold build (position 0) and *maintained* (position 1) ≡ the
+    oracle at every critical point."""
     compared = [db.query(plan)] + ([maintained] if maintained is not None else [])
-    for rt in _points(expected, *compared):
-        want = expected.instantiate(rt)
-        for name, result in zip(("cold", "maintained"), compared):
-            assert result.instantiate(rt) == want, (name, rt)
+    if isinstance(plan, SortLimit):
+        assert_reference_semantics(plan, db, _top(plan), *compared)
+    else:
+        assert_fixed_semantics(plan, db, *compared)
 
 
 @pytest.mark.parametrize("plan_key", PLAN_KEYS)
@@ -178,12 +166,12 @@ def _assert_agree(db, plan, oracle, maintained=None):
 )
 @settings(max_examples=40, deadline=None)
 def test_cold_pull_maintained_and_oracle_agree(plan_key, initial, value, batches):
-    plan, oracle = _plans(value)[plan_key]
+    plan = _plans(value)[plan_key]
     db = Database("access-paths")
     table = db.create_table("R", _SCHEMA)
     table.insert_tuples(initial)
     with patch.object(indexes, "INDEX_THRESHOLD", 0):
-        _assert_agree(db, plan, oracle)  # builds the caches a write must drop
+        _assert_agree(db, plan)  # builds the caches a write must drop
         evaluator = DeltaEvaluator(plan, db)
         evaluator.refresh_full()
         pending = [DeltaBuilder()]  # what the table committed since the last apply
@@ -199,7 +187,7 @@ def test_cold_pull_maintained_and_oracle_agree(plan_key, initial, value, batches
                 evaluator.apply({"R": taken})
             except NonIncrementalDelta:  # the fallback: an evicted top-k boundary
                 evaluator.refresh_full()
-            _assert_agree(db, plan, oracle, evaluator.result)
+            _assert_agree(db, plan, evaluator.result)
 
 
 @pytest.mark.parametrize(
@@ -219,6 +207,6 @@ def test_the_plans_read_through_their_access_path(plan_key, access_path):
         OngoingTuple((key, 0, until_now(at)))
         for at, key in enumerate((1, True, 2, 1, False))
     )
-    plan, _ = _plans(1)[plan_key]
+    plan = _plans(1)[plan_key]
     with patch.object(indexes, "INDEX_THRESHOLD", 0):
         assert access_path in plan_query(plan, db).explain()

@@ -1,37 +1,41 @@
-"""Property tests for the relational algebra — Theorem 2 as an executable law.
+"""Property tests for the relational operators — Theorem 2 as an executable law.
 
-For every operator ``Op`` on ongoing relations and every reference time::
+For every plan node ``Op`` the engine evaluates and every reference time::
 
     ‖Op(R, S)‖rt  ==  OpF(‖R‖rt, ‖S‖rt)
 
-where ``OpF`` is the classical operator on the instantiated (fixed)
-relations.  Relations are drawn with random fixed attributes, random
-ongoing-interval attributes, and random non-trivial reference times — so
-the law is exercised on inputs that are themselves query results.
+where the right-hand side is
+:func:`repro.baselines.clifford.evaluate_fixed`: the classical operator
+on the instantiated (fixed) tables.  The left-hand side is the engine's
+plan run through ``Database.query``.  Tables are drawn with random fixed
+attributes, random ongoing-interval attributes and random non-trivial
+reference times — so the law is exercised on inputs that are themselves
+query results.
 """
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.baselines.fixed_algebra import overlaps_f
-from repro.core.intervalset import IntervalSet
-from repro.relational import algebra
-from repro.relational.predicates import col, lit
-from repro.relational.relation import OngoingRelation
+from repro.baselines.clifford import evaluate_fixed
+from repro.core.interval import fixed_interval
+from repro.engine.database import Database
+from repro.engine.plan import scan
+from repro.relational.predicates import TRUE_PREDICATE, col, lit
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
 
 from tests.conftest import (
-    critical_points,
+    assert_fixed_semantics,
     interval_sets,
     ongoing_intervals,
+    sweep,
 )
 
 _SCHEMA = Schema.of("K", ("VT", "interval"))
 
 
 @st.composite
-def small_relations(draw) -> OngoingRelation:
+def small_tables(draw):
     rows = draw(
         st.lists(
             st.tuples(
@@ -42,132 +46,95 @@ def small_relations(draw) -> OngoingRelation:
             max_size=5,
         )
     )
-    tuples = [
+    return [
         OngoingTuple((key, interval), rt)
         for key, interval, rt in rows
         if not rt.is_empty()
     ]
-    return OngoingRelation(_SCHEMA, tuples)
 
 
-def _sweep_points(*relations: OngoingRelation):
-    values = []
-    for relation in relations:
-        for item in relation:
-            values.append(item.values[1])
-            values.append(item.rt)
-    return critical_points(*values)
+def _database(left, right=()):
+    db = Database("algebra-props")
+    db.create_table("R", _SCHEMA).insert_tuples(left)
+    db.create_table("S", _SCHEMA).insert_tuples(right)
+    return db
+
+
+def _holds(plan, db):
+    """The engine's result of *plan* ≡ ``evaluate_fixed`` at every
+    critical point."""
+    assert_fixed_semantics(plan, db, db.query(plan))
 
 
 class TestSelectionLaw:
-    @given(small_relations(), st.integers(-20, 20), st.integers(1, 10))
-    def test_selection_commutes_with_instantiation(self, relation, start, width):
-        from repro.core.interval import fixed_interval
+    @given(small_tables(), st.integers(-20, 20), st.integers(1, 10))
+    def test_selection_commutes_with_instantiation(self, rows, start, width):
+        window = fixed_interval(start, start + width)
+        _holds(scan("R").where(col("VT").overlaps(lit(window))), _database(rows))
 
-        window = (start, start + width)
-        predicate = col("VT").overlaps(lit(fixed_interval(*window)))
-        selected = algebra.select(relation, predicate)
-        for rt in _sweep_points(relation):
-            expected = frozenset(
-                row
-                for row in relation.instantiate(rt)
-                if overlaps_f(row[1], window)
-            )
-            assert selected.instantiate(rt) == expected, rt
+    @given(small_tables())
+    def test_selection_on_fixed_attribute_behaves_classically(self, rows):
+        _holds(scan("R").where(col("K") == lit(1)), _database(rows))
 
-    @given(small_relations())
-    def test_selection_on_fixed_attribute_behaves_classically(self, relation):
-        selected = algebra.select(relation, col("K") == lit(1))
-        for rt in _sweep_points(relation):
-            expected = frozenset(
-                row for row in relation.instantiate(rt) if row[0] == 1
-            )
-            assert selected.instantiate(rt) == expected
-
-    @given(small_relations())
-    def test_selection_never_leaves_empty_rt(self, relation):
-        selected = algebra.select(relation, col("K") == lit(1))
+    @given(small_tables())
+    def test_selection_never_leaves_empty_rt(self, rows):
+        selected = _database(rows).query(scan("R").where(col("K") == lit(1)))
         assert all(not item.rt.is_empty() for item in selected)
 
 
 class TestProjectionLaw:
-    @given(small_relations())
-    def test_projection_commutes_with_instantiation(self, relation):
-        projected = algebra.project(relation, ["K"])
-        for rt in _sweep_points(relation):
-            expected = frozenset(
-                (row[0],) for row in relation.instantiate(rt)
-            )
-            assert projected.instantiate(rt) == expected
+    @given(small_tables(), st.integers(-20, 20), st.integers(1, 10))
+    def test_projection_commutes_with_instantiation(self, rows, start, width):
+        window = lit(fixed_interval(start, start + width))
+        db = _database(rows)
+        _holds(scan("R").select_columns("K"), db)
+        _holds(
+            scan("R").select_columns(("I", col("VT").intersect(window)), "K"), db
+        )
 
 
 class TestProductAndJoinLaw:
-    @given(small_relations(), small_relations())
+    @given(small_tables(), small_tables())
     def test_product_commutes_with_instantiation(self, left, right):
-        result = algebra.product(left, right, left_name="R", right_name="S")
-        for rt in _sweep_points(left, right):
-            expected = frozenset(
-                lrow + rrow
-                for lrow in left.instantiate(rt)
-                for rrow in right.instantiate(rt)
-            )
-            assert result.instantiate(rt) == expected
+        plan = scan("R").join(
+            scan("S"), on=TRUE_PREDICATE, left_name="R", right_name="S"
+        )
+        _holds(plan, _database(left, right))
 
-    @given(small_relations(), small_relations())
+    @given(small_tables(), small_tables())
     def test_join_commutes_with_instantiation(self, left, right):
         predicate = (col("R.K") == col("S.K")) & col("R.VT").overlaps(col("S.VT"))
-        result = algebra.join(
-            left, right, predicate, left_name="R", right_name="S"
-        )
-        for rt in _sweep_points(left, right):
-            expected = frozenset(
-                lrow + rrow
-                for lrow in left.instantiate(rt)
-                for rrow in right.instantiate(rt)
-                if lrow[0] == rrow[0] and overlaps_f(lrow[1], rrow[1])
-            )
-            assert result.instantiate(rt) == expected
+        plan = scan("R").join(scan("S"), on=predicate, left_name="R", right_name="S")
+        _holds(plan, _database(left, right))
 
 
 class TestSetOperatorLaws:
-    @given(small_relations(), small_relations())
+    @given(small_tables(), small_tables())
     def test_union_commutes_with_instantiation(self, left, right):
-        result = algebra.union(left, right)
-        for rt in _sweep_points(left, right):
-            expected = left.instantiate(rt) | right.instantiate(rt)
-            assert result.instantiate(rt) == expected
+        _holds(scan("R").union(scan("S")), _database(left, right))
 
-    @given(small_relations(), small_relations())
+    @given(small_tables(), small_tables())
     def test_difference_commutes_with_instantiation(self, left, right):
-        result = algebra.difference(left, right)
-        for rt in _sweep_points(left, right):
-            expected = left.instantiate(rt) - right.instantiate(rt)
-            assert result.instantiate(rt) == expected, rt
+        _holds(scan("R").difference(scan("S")), _database(left, right))
 
-    @given(small_relations(), small_relations())
+    @given(small_tables(), small_tables())
     def test_intersection_commutes_with_instantiation(self, left, right):
-        result = algebra.intersection(left, right)
-        for rt in _sweep_points(left, right):
-            expected = left.instantiate(rt) & right.instantiate(rt)
-            assert result.instantiate(rt) == expected
-
-    @given(small_relations(), small_relations())
-    def test_intersection_equals_double_difference(self, left, right):
-        via_difference = algebra.difference(left, algebra.difference(left, right))
-        direct = algebra.intersection(left, right)
-        for rt in _sweep_points(left, right):
-            assert direct.instantiate(rt) == via_difference.instantiate(rt)
+        """``R ∩ S`` is spelled ``R − (R − S)``; at every rt it is the
+        intersection of the two bound tables."""
+        plan = scan("R").difference(scan("R").difference(scan("S")))
+        db = _database(left, right)
+        result = db.query(plan)
+        _holds(plan, db)
+        for rt in sweep(db, [plan], result):
+            bound = evaluate_fixed(scan("R"), db, rt) & evaluate_fixed(scan("S"), db, rt)
+            assert result.instantiate(rt) == bound, rt
 
 
-class TestCoalesce:
-    @given(small_relations())
-    def test_coalesce_preserves_instantiations(self, relation):
-        coalesced = algebra.coalesce(relation)
-        for rt in _sweep_points(relation):
-            assert coalesced.instantiate(rt) == relation.instantiate(rt)
+class TestIdentityLaws:
+    @given(small_tables(), small_tables())
+    def test_distinct_commutes_with_instantiation(self, left, right):
+        _holds(scan("R").union(scan("S")).distinct(), _database(left, right))
 
-    @given(small_relations())
-    def test_coalesce_yields_unique_values(self, relation):
-        coalesced = algebra.coalesce(relation)
-        values = [item.values for item in coalesced]
-        assert len(values) == len(set(values))
+    @given(small_tables())
+    def test_unlimited_order_by_commutes_with_instantiation(self, rows):
+        _holds(scan("R").order_by(("K", True)), _database(rows))

@@ -26,7 +26,6 @@ from repro.core.timepoint import fixed
 from repro.engine.database import Database
 from repro.engine.plan import scan
 from repro.live import LiveSession
-from repro.relational import algebra
 from repro.relational.aggregate import scalar_empty_row
 from repro.relational.predicates import col
 from repro.relational.relation import OngoingRelation
@@ -187,18 +186,14 @@ def test_every_kind_of_value_binds_to_its_own_type():
 def test_a_self_join_holds_one_pair_per_distinct_bound_interval():
     """Eight keys in two groups, four intervals: the join's 32 rows hold
     64 bound intervals, of which 4 are distinct — and 4 pair objects."""
-    relation = OngoingRelation.from_rows(
-        Schema.of("K", "G", ("VT", "interval")),
-        [(key, key % 2, until_now(key % 4)) for key in range(8)],
+    db = Database("binder-props")
+    db.create_table("T", Schema.of("K", "G", ("VT", "interval"))).insert_many(
+        (key, key % 2, until_now(key % 4)) for key in range(8)
     )
-    joined = algebra.join(
-        relation,
-        relation,
-        col("L.G") == col("R.G"),
-        left_name="L",
-        right_name="R",
+    plan = scan("T").join(
+        scan("T"), on=col("L.G") == col("R.G"), left_name="L", right_name="R"
     )
-    rows = joined.instantiate(100)
+    rows = db.query(plan).instantiate(100)
     pairs = [row[position] for row in rows for position in (2, 5)]
     assert len(rows) == 32 and len(pairs) == 64
     assert len(set(pairs)) == 4

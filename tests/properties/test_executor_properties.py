@@ -10,8 +10,11 @@ a brute-force fixed evaluation.
 Per operator family, the cold build ``Database.query`` runs (the one a
 subscription starts from) and the same rows fed as random insert
 batches through ``DeltaEvaluator.apply`` must both instantiate — at
-every interval boundary — to the result of the independent
-``relational/`` oracle.
+every critical point — to the paper's definition,
+:func:`repro.baselines.clifford.evaluate_fixed` on the bound tables.
+An aggregate, which that definition does not cover, is compared with
+``relational.aggregate.group_by`` over its child's result, the child
+held to ``evaluate_fixed`` first.
 """
 
 import random
@@ -20,7 +23,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.baselines.fixed_algebra import overlaps_f
 from repro.core.interval import fixed_interval, until_now
 from repro.engine.database import Database
 from repro.engine.delta import Delta, DeltaEvaluator
@@ -30,17 +32,22 @@ from repro.engine.executor import (
     NestedLoopJoin,
     SeqScan,
 )
-from repro.engine.plan import scan
+from repro.engine.plan import Aggregate, scan
 from repro.engine.planner import plan_query
 from repro.errors import QueryError
 from repro.relational.aggregate import group_by, scalar_empty_row
-from repro.relational.algebra import difference, join, project, select, union
 from repro.relational.predicates import col, lit
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
 
-from tests.conftest import critical_points, interval_sets, ongoing_intervals
+from tests.conftest import (
+    assert_fixed_semantics,
+    assert_reference_semantics,
+    grouped,
+    interval_sets,
+    ongoing_intervals,
+)
 
 _LEFT = Schema.of("K", ("VT", "interval")).qualify("R")
 _RIGHT = Schema.of("K", ("VT", "interval")).qualify("S")
@@ -70,15 +77,6 @@ def relations(draw, schema):
             if not rt.is_empty()
         ],
     )
-
-
-def _sweep(*relations_):
-    values = []
-    for relation in relations_:
-        for item in relation:
-            values.append(item.values[1])
-            values.append(item.rt)
-    return critical_points(*values)
 
 
 def _evaluated(join_op, left, right):
@@ -117,14 +115,8 @@ def test_join_satisfies_theorem_two(left, right):
         left,
         right,
     )
-    for rt in _sweep(left, right):
-        expected = frozenset(
-            lrow + rrow
-            for lrow in left.instantiate(rt)
-            for rrow in right.instantiate(rt)
-            if lrow[0] == rrow[0] and overlaps_f(lrow[1], rrow[1])
-        )
-        assert joined.instantiate(rt) == expected, rt
+    db = _database(R=left.tuples, S=right.tuples)
+    assert_fixed_semantics(_joined(_EQUI & _TEMPORAL), db, joined)
 
 
 # ----------------------------------------------------------------------
@@ -142,38 +134,21 @@ def _joined(on, right="S"):
     return scan("R").join(scan(right), on=on, left_name="R", right_name="S")
 
 
-def _join_oracle(on):
-    return lambda r, s: join(r, s, on, left_name="R", right_name="S")
-
-
-#: family → (logical plan over tables R and S, ``relational/`` oracle).
+#: family → logical plan over tables R and S.
 _FAMILIES = {
-    "map-like": (
-        scan("R").where(_MAP).select_columns("K"),
-        lambda r, s: project(select(r, _MAP), ["K"]),
-    ),
-    "union": (scan("R").union(scan("S")), union),
-    "hash-join": (_joined(_EQUI & _TEMPORAL), _join_oracle(_EQUI & _TEMPORAL)),
-    "merge-join": (_joined(_TEMPORAL), _join_oracle(_TEMPORAL)),
-    "nested-loop-join": (_joined(_BEFORE), _join_oracle(_BEFORE)),
-    "self-join": (
-        _joined(_EQUI & _TEMPORAL, right="R"),
-        lambda r, s: join(r, r, _EQUI & _TEMPORAL, left_name="R", right_name="S"),
-    ),
-    "difference": (scan("R").difference(scan("S")), difference),
-    "aggregate": (
-        scan("R").group_by(("K",), specs=_SPECS),
-        lambda r, s: group_by(r, ["K"], specs=_SPECS),
-    ),
-    "scalar-aggregate": (
-        scan("R").group_by((), specs=_SPECS),
-        lambda r, s: group_by(r, [], specs=_SPECS),
-    ),
+    "map-like": scan("R").where(_MAP).select_columns("K"),
+    "union": scan("R").union(scan("S")),
+    "hash-join": _joined(_EQUI & _TEMPORAL),
+    "merge-join": _joined(_TEMPORAL),
+    "nested-loop-join": _joined(_BEFORE),
+    "self-join": _joined(_EQUI & _TEMPORAL, right="R"),
+    "difference": scan("R").difference(scan("S")),
+    "aggregate": scan("R").group_by(("K",), specs=_SPECS),
+    "scalar-aggregate": scan("R").group_by((), specs=_SPECS),
     "aggregate-over-distinct-union": (
-        scan("R").union(scan("S")).distinct().group_by(("K",), "count"),
-        lambda r, s: group_by(union(r, s), ["K"], "count"),
+        scan("R").union(scan("S")).distinct().group_by(("K",), "count")
     ),
-    "order-by": (scan("R").order_by(("K", True)), lambda r, s: r),
+    "order-by": scan("R").order_by(("K", True)),
 }
 
 
@@ -223,18 +198,18 @@ def _cold_and_batched(plan, rng, **tables):
 def test_pull_cold_and_batched_deltas_match_the_oracle(
     family, left, right, duplicates, rng
 ):
-    plan, oracle = _FAMILIES[family]
-    expected = oracle(left, right)
+    plan = _FAMILIES[family]
     # Base tables are multisets: repeat some rows under the scans.
-    results = _cold_and_batched(
-        plan,
-        rng,
-        R=left.tuples + left.tuples[:duplicates],
-        S=right.tuples + right.tuples[:duplicates],
-    )
-    for rt in critical_points(-5, 10, *_sweep(left, right)):
-        for result in results:
-            assert result.instantiate(rt) == expected.instantiate(rt), rt
+    tables = {
+        "R": left.tuples + left.tuples[:duplicates],
+        "S": right.tuples + right.tuples[:duplicates],
+    }
+    results = _cold_and_batched(plan, rng, **tables)
+    db = _database(**tables)
+    if isinstance(plan, Aggregate):
+        assert_reference_semantics(plan, db, grouped(plan), *results)
+    else:
+        assert_fixed_semantics(plan, db, *results)
 
 
 @given(relations(_BASE), st.randoms(use_true_random=False))
@@ -307,15 +282,13 @@ def test_merge_join_over_an_empty_envelope_beyond_the_rebuild_floor():
 
     left = (OngoingTuple((-1, fixed_interval(50, 50))),) + rows(100)
     right = rows(100)
-    expected = join(
-        OngoingRelation(_BASE, left), OngoingRelation(_BASE, right),
-        _TEMPORAL, left_name="R", right_name="S",
-    )
     plan = _joined(_TEMPORAL)
-    assert type(plan_query(plan, _database(R=left, S=right))) is MergeIntervalJoin
-    for result in _cold_and_batched(plan, rng, R=left, S=right):
-        assert result == expected
-    assert not any(item.values[0] == -1 for item in expected)
+    db = _database(R=left, S=right)
+    assert type(plan_query(plan, db)) is MergeIntervalJoin
+    cold, batched = _cold_and_batched(plan, rng, R=left, S=right)
+    assert cold == batched
+    assert_fixed_semantics(plan, db, cold)
+    assert not any(item.values[0] == -1 for item in cold)
 
 
 def test_hash_join_rejects_an_empty_key():

@@ -18,7 +18,9 @@ Three invariants ride along:
   returns no problems after every flush — every operator's state agrees
   with itself, by the operator's own check;
 * the equivalence holds at every reference time, not just on the
-  uninstantiated rows.
+  uninstantiated rows — and, for every plan without an aggregate, both
+  instantiate like the paper's definition
+  (:func:`repro.baselines.clifford.evaluate_fixed`).
 """
 
 from unittest.mock import patch
@@ -35,9 +37,11 @@ from repro.engine.modifications import (
     current_insert,
     current_update,
 )
-from repro.engine.plan import scan
+from repro.engine.plan import Aggregate, scan
 from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
+
+from tests.conftest import assert_fixed_semantics
 
 
 def _plans():
@@ -91,6 +95,12 @@ def _plans():
 
 
 PLAN_KEYS = sorted(_plans())
+
+
+def _nodes(plan):
+    yield plan
+    for child in plan.children():
+        yield from _nodes(child)
 
 _KEYS = st.integers(min_value=0, max_value=3)
 _TIMES = st.integers(min_value=0, max_value=30)
@@ -209,7 +219,8 @@ def test_tuned_and_baseline_evaluators_agree_step_for_step(
 def test_tuned_plan_instantiates_like_a_fresh_query(plan_key, modifications):
     """The equivalence holds at every reference time: the tuned
     maintained result instantiates exactly like a from-scratch
-    (unoptimized, unindexed) evaluation."""
+    (unoptimized, unindexed) evaluation — and, below no aggregate, like
+    ``evaluate_fixed`` at every critical point."""
     plan = _plans()[plan_key]
     db = _fresh_database()
     with patch.object(indexes, "INDEX_THRESHOLD", 1):
@@ -224,3 +235,5 @@ def test_tuned_plan_instantiates_like_a_fresh_query(plan_key, modifications):
     for rt in range(-2, 35):
         assert tuned.result.instantiate(rt) == expected.instantiate(rt)
     assert tuned.check_index_integrity() == []
+    if not any(isinstance(node, Aggregate) for node in _nodes(plan)):
+        assert_fixed_semantics(plan, db, tuned.result, expected)

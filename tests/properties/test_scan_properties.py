@@ -11,9 +11,11 @@ Tables hold duplicate rows; commits insert a copy or delete one copy
 common).  The commits reach the evaluator one by one, coalesced in
 random groups, and with a further commit landing between taking a
 pending delta and applying it.  After every apply the maintained result
-must instantiate, at every critical reference time, like the
-``relational/`` oracle on the table contents *the applied deltas
-describe* — and like a cold evaluation once everything is applied.
+must instantiate, at every critical reference time, like
+:func:`repro.baselines.clifford.evaluate_fixed` on the table contents
+*the applied deltas describe* (the aggregate like ``group_by`` over the
+cold build of its child there) — and like a cold evaluation once
+everything is applied.
 """
 
 import pytest
@@ -23,15 +25,12 @@ from hypothesis import strategies as st
 from repro.core.interval import fixed_interval, until_now
 from repro.engine.database import Database
 from repro.engine.delta import Delta, DeltaBuilder, DeltaEvaluator
-from repro.engine.plan import scan
-from repro.relational.aggregate import group_by
-from repro.relational.algebra import join, select
+from repro.engine.plan import Aggregate, scan
 from repro.relational.predicates import col, lit
-from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
 
-from tests.conftest import critical_points
+from tests.conftest import assert_fixed_semantics, assert_reference_semantics, grouped
 
 _SCHEMA = Schema.of("K", ("VT", "interval"))
 _ROWS = [
@@ -42,18 +41,12 @@ _ROWS = [
 _FILTER = (col("K") == lit(1)) & col("VT").overlaps(lit(fixed_interval(0, 6)))
 _ON = (col("B.K") == col("A.K")) & col("B.VT").overlaps(col("A.VT"))
 
-#: plan → (logical plan over B and A, ``relational/`` oracle on relations)
+#: plan key → logical plan over B and A
 _PLANS = {
-    "scan": (scan("B"), lambda b, a: b),
-    "filter": (scan("B").where(_FILTER), lambda b, a: select(b, _FILTER)),
-    "join": (
-        scan("B").join(scan("A"), on=_ON, left_name="B", right_name="A"),
-        lambda b, a: join(b, a, _ON, left_name="B", right_name="A"),
-    ),
-    "aggregate": (
-        scan("B").group_by(("K",), "count"),
-        lambda b, a: group_by(b, ["K"], "count"),
-    ),
+    "scan": scan("B"),
+    "filter": scan("B").where(_FILTER),
+    "join": scan("B").join(scan("A"), on=_ON, left_name="B", right_name="A"),
+    "aggregate": scan("B").group_by(("K",), "count"),
 }
 
 _COMMITS = st.lists(
@@ -82,14 +75,13 @@ def _commit(db, kind, row) -> bool:
     return True
 
 
-def _assert_matches(evaluator, oracle, db, b_rows):
-    expected = oracle(
-        OngoingRelation(_SCHEMA, b_rows), db.table("A").as_relation()
-    )
-    result = evaluator.result
-    values = [item.values[1] for item in _ROWS]
-    for rt in critical_points(0, 6, *values):
-        assert result.instantiate(rt) == expected.instantiate(rt), rt
+def _assert_matches(evaluator, plan, b_rows):
+    """The maintained result ≡ the oracle over B holding *b_rows*."""
+    described = _database(b_rows)
+    if isinstance(plan, Aggregate):
+        assert_reference_semantics(plan, described, grouped(plan), evaluator.result)
+    else:
+        assert_fixed_semantics(plan, described, evaluator.result)
 
 
 @pytest.mark.parametrize("plan_key", sorted(_PLANS))
@@ -103,7 +95,7 @@ def _assert_matches(evaluator, oracle, db, b_rows):
 def test_scans_net_transitions_whatever_the_flush_grouping(
     plan_key, initial, commits, cuts, ahead
 ):
-    plan, oracle = _PLANS[plan_key]
+    plan = _PLANS[plan_key]
     db = _database(initial)
     evaluator = DeltaEvaluator(plan, db)
     evaluator.refresh_full()
@@ -119,7 +111,7 @@ def test_scans_net_transitions_whatever_the_flush_grouping(
         if writer_runs_ahead:
             _commit(db, *ahead)  # lands in the next pending delta
         evaluator.apply({"B": taken})
-        _assert_matches(evaluator, oracle, db, described)
+        _assert_matches(evaluator, plan, described)
 
     for (kind, row), cut in zip(commits, cuts):
         _commit(db, kind, row)

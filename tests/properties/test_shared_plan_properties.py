@@ -4,7 +4,8 @@ A session plans the largest proper sub-trees of a new plan that it
 already maintains as scans over those plans' result stores.  Whatever
 the order plans come and go in, and however commits fall into flush
 rounds, that must stay invisible: after every flush each maintained
-result instantiates like the ``relational/`` oracle on the tables, is
+result instantiates like the paper's definition
+(:func:`repro.baselines.clifford.evaluate_fixed`) on the tables, is
 the result of a session that subscribed that plan *alone*, and every
 subscriber's notification stream — result-level deltas, the tables and
 event counts answered for, the oldest commit's tick — is the lone
@@ -28,11 +29,10 @@ from repro.engine.modifications import (
 from repro.engine.plan import scan
 from repro.engine.rewrite import push_down_selections
 from repro.live import LiveSession
-from repro.relational.algebra import join, project, select
 from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
 
-from tests.conftest import critical_points
+from tests.conftest import assert_fixed_semantics
 
 _SCHEMA = Schema.of("K", ("VT", "interval"))
 _ON_AS = (
@@ -54,16 +54,6 @@ def _plans():
         ),
         "F": scan("B").where(_FILTER),
     }
-
-
-def _oracle(key, a, s, b):
-    """The plans again, as ``relational/`` operators on relations."""
-    if key == "F":
-        return select(b, _FILTER)
-    inner = join(a, s, _ON_AS, left_name="A", right_name="S")
-    if key == "J1":
-        return inner
-    return project(join(inner, b, _ON_B, right_name="B"), _COLUMNS)
 
 
 PLAN_KEYS = sorted(_plans())
@@ -180,15 +170,9 @@ def _held_without_subscribers(world: _World, key) -> bool:
 
 
 def _check_after_flush(shared: _World, lone) -> None:
-    relations = [shared.db.table(name).as_relation() for name in "ASB"]
-    points = critical_points(
-        *(item.values[1] for relation in relations for item in relation)
-    )
     for key, subscription in shared.subscriptions.items():
         result = subscription.result
-        expected = _oracle(key, *relations)
-        for rt in points:
-            assert result.instantiate(rt) == expected.instantiate(rt), (key, rt)
+        assert_fixed_semantics(_plans()[key], shared.db, result, context=key)
         assert result == lone[key].subscriptions[key].result, key
         assert result == shared.db.query(_plans()[key]), key
     for maintainer in shared.session.shared_results():

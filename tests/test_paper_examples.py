@@ -27,6 +27,8 @@ from repro import (
 from repro.engine import Database, scan
 from repro.relational import Schema, col, lit
 
+from tests.conftest import assert_fixed_semantics
+
 
 def d(month, day):
     return mmdd(month, day)
@@ -253,26 +255,30 @@ class TestRunningExample:
                                 )
                             )
             assert result.instantiate(rt) == expected, rt
+        assert_fixed_semantics(_running_example_plan(), db, result)
 
 
 class TestExample3SelectionRestriction:
     def test_reference_time_restriction(self):
-        from repro.relational import OngoingTuple, OngoingRelation
-        from repro.relational.algebra import select
+        """σ over a tuple that is itself a query result: its RT
+        {(-inf, 08/16)} meets the predicate's truth set [01/26, inf)."""
+        from repro.relational import OngoingTuple
 
-        relation = OngoingRelation(
-            Schema.of("BID", "C", ("VT", "interval")),
+        db = Database("example-3")
+        db.create_table("B", Schema.of("BID", "C", ("VT", "interval"))).insert_tuples(
             [
                 OngoingTuple(
                     (500, "Spam filter", until_now(d(1, 25))),
                     IntervalSet.below(d(8, 16)),
                 )
-            ],
+            ]
         )
         window = lit(fixed_interval(d(1, 20), d(8, 18)))
-        result = select(relation, col("VT").overlaps(window))
+        plan = scan("B").where(col("VT").overlaps(window))
+        result = db.query(plan)
         (row,) = result.tuples
         assert row.rt == IntervalSet([(d(1, 26), d(8, 16))])
+        assert_fixed_semantics(plan, db, result)
 
 
 class TestFig4IntervalTaxonomy:

@@ -36,7 +36,6 @@ _MODULES = [
     "repro.relational.tuples",
     "repro.relational.relation",
     "repro.relational.predicates",
-    "repro.relational.algebra",
     "repro.relational.aggregate",
     "repro.engine.database",
     "repro.engine.plan",
