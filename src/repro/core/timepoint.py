@@ -79,12 +79,7 @@ class OngoingTimePoint:
 
     def __new__(cls, *components: TimePoint) -> "OngoingTimePoint":
         """The point ``a+b``: the interned object for exact-``int``
-        components of this exact class, a new checked one otherwise.
-
-        The argument-less form exists only for ``copyreg.__newobj__``,
-        which loads a pickle written before points were interned: it
-        returns a blank object, never interned, whose slots
-        :meth:`__setstate__` then fills.  Nothing else calls it."""
+        components of this exact class, a new checked one otherwise."""
         if len(components) == 2 and cls is OngoingTimePoint:
             a, b = components
             if type(a) is int and type(b) is int:
@@ -92,23 +87,10 @@ class OngoingTimePoint:
                 if point is not None:
                     return point
                 return _intern(components, _make(cls, a, b))
-        if not components:
-            return object.__new__(cls)
         return _make(cls, *components)
 
     def __reduce__(self):
         return (type(self), (self._a, self._b))
-
-    def __setstate__(self, state) -> None:
-        # The older pickle form: (None, {"_a": a, "_b": b}).  Checked as a
-        # constructed point is; it becomes the interned object of its
-        # value if that value has none yet.
-        a, b = state[1]["_a"], state[1]["_b"]
-        _check(a, b)
-        self._a = a
-        self._b = b
-        if type(self) is OngoingTimePoint and type(a) is int and type(b) is int:
-            _intern((a, b), self)
 
     # ------------------------------------------------------------------
     # Components and classification (Fig. 3)

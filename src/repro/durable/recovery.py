@@ -14,11 +14,16 @@ calls :meth:`Durability.log_create` explicitly (DDL fires no delta).
 
 1. load the latest checkpoint (tables, versions, commit tick,
    subscription manifest) and restore the commit-tick counter, so
-   replayed modifications claim the same ticks they did originally;
+   replayed modifications claim the same ticks they did originally; the
+   WAL must reach back to where replay starts (the checkpoint's segment,
+   or segment 1 without one), else the open raises
+   :class:`~repro.errors.DurabilityError` — a checkpoint that did not
+   load cannot stand in for the segments it pruned;
 2. if ``session=`` is given, create the live session and
    :meth:`~repro.live.manager.SubscriptionManager.resume` the
-   checkpointed subscriptions — each re-subscribes by statement (or
-   pickled plan), re-evaluates at the *checkpoint* state (warming the
+   checkpointed subscriptions — each re-subscribes by statement (or by
+   its plan, decoded from data: :func:`~repro.durable.snapshot.
+   decode_plan`), re-evaluates at the *checkpoint* state (warming the
    per-operator delta state), and re-enqueues its undelivered
    notification exactly once;
 3. replay the WAL records at/after the checkpoint position as ordinary
@@ -391,6 +396,15 @@ def open_database(
             )
             segment, offset = loaded.manifest["wal_position"]
             start_position = WalPosition(int(segment), int(offset))
+        replay_from = start_position.segment if start_position else 1
+        first = durability.wal.segments()[0]
+        if first > replay_from:
+            source = f"checkpoint {loaded.path.name}" if loaded else "no checkpoint"
+            raise DurabilityError(
+                f"{root}: replay starts at WAL segment {replay_from} "
+                f"({source}), but the WAL begins at segment {first}: "
+                f"segments {replay_from}-{first - 1} are missing"
+            )
         if session is not None:
             live = database.live_session(**dict(session))
             live.resume(on_refresh=on_refresh)

@@ -9,13 +9,19 @@ and a ``MANIFEST.json`` that records
 * the commit tick the database had reached,
 * every table's schema and row-store version, and
 * every live subscription — by plan fingerprint, with the OSQL statement
-  (or a pickled plan when the subscription was built from a raw plan),
-  its delivery settings, and its **undelivered coalesced notification**
-  captured at :class:`~repro.serve.queues.Mailbox` level so a restarted
-  session can re-enqueue it exactly once.  Both directions of that
-  entry live here — :func:`capture_subscriptions` writes it,
-  :func:`restore_subscription` reads it back — so no other module knows
-  the manifest's keys.
+  (or, for a subscription built from a plan object, the plan as data:
+  :func:`encode_plan`), its delivery settings, and its **undelivered
+  coalesced notification** captured at :class:`~repro.serve.queues.
+  Mailbox` level so a restarted session can re-enqueue it exactly once.
+  Both directions of that entry live here — :func:`capture_subscriptions`
+  writes it, :func:`restore_subscription` reads it back — so no other
+  module knows the manifest's keys.
+
+The manifest is data only: nothing in it names code to run.  Format 1
+stored a statement-less subscription's plan as serialized Python
+objects; such an entry is refused by name when read, never loaded, and
+the statement entries of either format still load.  Format 2 stores the
+plan under ``plan``.
 
 The directory is written under a ``.tmp-`` name and published with one
 atomic ``os.rename`` — a crash mid-checkpoint leaves only an ignored
@@ -28,7 +34,6 @@ import base64
 import json
 import logging
 import os
-import pickle
 import shutil
 import struct
 import zlib
@@ -38,8 +43,39 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from repro.durable import faults
 from repro.engine.database import CommitStamp
 from repro.engine.delta import FULL_DELTA, Delta
-from repro.engine.storage import pack_tagged_tuple, unpack_tagged_tuple
-from repro.errors import DurabilityError
+from repro.engine.plan import (
+    Aggregate,
+    Difference,
+    Distinct,
+    Join,
+    PlanNode,
+    Project,
+    Scan,
+    Select,
+    SortLimit,
+    Union,
+)
+from repro.engine.storage import (
+    pack_tagged_tuple,
+    pack_tagged_value,
+    unpack_tagged_tuple,
+    unpack_tagged_value,
+)
+from repro.errors import DurabilityError, ReproError
+from repro.relational.predicates import (
+    TRUE_PREDICATE,
+    AllenPredicate,
+    And,
+    Column,
+    Comparison,
+    Expression,
+    IntervalIntersection,
+    Literal,
+    Not,
+    Or,
+    Predicate,
+    TruePredicate,
+)
 from repro.relational.schema import Attribute, AttributeKind, Schema
 from repro.serve.queues import coalesce_payloads
 
@@ -51,6 +87,8 @@ __all__ = [
     "write_checkpoint",
     "load_latest_checkpoint",
     "capture_subscriptions",
+    "encode_plan",
+    "decode_plan",
     "serialize_notification",
     "prune_checkpoints",
 ]
@@ -58,7 +96,9 @@ __all__ = [
 logger = logging.getLogger("repro.durable")
 
 MANIFEST_NAME = "MANIFEST.json"
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
+#: Format 1 differs only in how a statement-less subscription's plan is kept.
+_READABLE_FORMATS = (1, CHECKPOINT_FORMAT)
 _HEAP_MAGIC = b"RHEAP\x01\x00\n"
 _PREFIX = "checkpoint-"
 _TMP_PREFIX = ".tmp-"
@@ -137,6 +177,178 @@ def _read_heap(path: Path, memo: Optional[dict] = None) -> Tuple:
 
 
 # ----------------------------------------------------------------------
+# Plan encoding
+# ----------------------------------------------------------------------
+
+
+def encode_plan(node) -> list:
+    """*node* — a plan, or a predicate or expression in one — as nested
+    JSON lists: ``[tag, field, ...]`` per node of the nine plan classes
+    and the nine predicate and expression classes, with each literal as
+    base64 of :func:`~repro.engine.storage.pack_tagged_value`.  Raises
+    :class:`DurabilityError` for a class outside that table or a value
+    the tagged codec cannot store (a float, say)."""
+    tag = type(node).__name__
+    entry = _CODEC.get(tag)
+    if entry is None or entry[0] is not type(node):
+        raise DurabilityError(
+            f"cannot encode {node!r}: {tag} is not a class of the "
+            f"checkpoint's plan format"
+        )
+    return [tag, *entry[1](node)]
+
+
+def _decode(encoded, base: type):
+    """The node of class *base* that *encoded* describes."""
+    tag = encoded[0] if isinstance(encoded, list) and encoded else None
+    entry = _CODEC.get(tag) if isinstance(tag, str) else None
+    if entry is None or not issubclass(entry[0], base):
+        raise DurabilityError(
+            f"expected a {base.__name__} encoding, got {str(encoded)[:80]}"
+        )
+    try:
+        return entry[2](*encoded[1:])
+    except DurabilityError:
+        raise
+    except (ReproError, TypeError, ValueError, struct.error) as exc:
+        # A wrong arity or field type, bad base64, an unknown kind or
+        # value tag, or a constructor's own check.
+        raise DurabilityError(f"bad {tag} encoding {str(encoded)[:80]}: {exc}") from exc
+
+
+def decode_plan(encoded) -> PlanNode:
+    """The plan :func:`encode_plan` encoded, rebuilt through the public
+    constructors so each of their checks runs; anything malformed raises
+    :class:`DurabilityError`."""
+    return _decode(encoded, PlanNode)
+
+
+def _predicate(encoded) -> Predicate:
+    return _decode(encoded, Predicate)
+
+
+def _expression(encoded) -> Expression:
+    return _decode(encoded, Expression)
+
+
+def _literal(value: object) -> str:
+    try:
+        return base64.b64encode(pack_tagged_value(value)).decode("ascii")
+    except ReproError as exc:
+        raise DurabilityError(f"cannot encode literal {value!r}: {exc}") from exc
+
+
+def _unliteral(text: str) -> Literal:
+    raw = base64.b64decode(text, validate=True)
+    value, end = unpack_tagged_value(raw)
+    if end != len(raw):
+        raise DurabilityError(f"literal {text!r} runs past its value")
+    return Literal(value)
+
+
+def _item(item) -> object:
+    """A projection item: a name, ``(name, expression)`` or
+    ``(name, expression, kind)``."""
+    if isinstance(item, str):
+        return item
+    name, expression, *kind = item
+    return [name, encode_plan(expression), *(k.value for k in kind)]
+
+
+def _unitem(item) -> object:
+    if isinstance(item, str):
+        return item
+    if not isinstance(item, list) or len(item) not in (2, 3):
+        raise DurabilityError(f"bad projection item {item!r}")
+    name, expression, *kind = item
+    return (name, _expression(expression), *(AttributeKind(k) for k in kind))
+
+
+def _binary(cls, operand):
+    """``cls(left, right)`` over two operands that *operand* decodes."""
+    return (
+        cls,
+        lambda n: [encode_plan(n.left), encode_plan(n.right)],
+        lambda left, right: cls(operand(left), operand(right)),
+    )
+
+
+def _named(cls, attribute):
+    """``cls(name, left, right)``: a comparison or an Allen predicate."""
+    return (
+        cls,
+        lambda n: [getattr(n, attribute), encode_plan(n.left), encode_plan(n.right)],
+        lambda name, left, right: cls(name, _expression(left), _expression(right)),
+    )
+
+
+def _connective(cls):
+    return (
+        cls,
+        lambda n: [[encode_plan(part) for part in n.parts]],
+        lambda parts: cls([_predicate(part) for part in parts]),
+    )
+
+
+#: The closed table of the format, keyed by class name: the class, the
+#: node's fields, and the node of decoded fields — built through the
+#: public constructor, so its checks run.
+_CODEC = {
+    cls.__name__: (cls, fields, build)
+    for cls, fields, build in [
+        (Scan, lambda n: [n.table], Scan),
+        (
+            Select,
+            lambda n: [encode_plan(n.child), encode_plan(n.predicate)],
+            lambda child, predicate: Select(decode_plan(child), _predicate(predicate)),
+        ),
+        (
+            Project,
+            lambda n: [encode_plan(n.child), [_item(item) for item in n.items]],
+            lambda child, items: Project(
+                decode_plan(child), [_unitem(item) for item in items]
+            ),
+        ),
+        (
+            Join,
+            lambda n: [
+                encode_plan(n.left), encode_plan(n.right), encode_plan(n.predicate),
+                n.left_name, n.right_name,
+            ],
+            lambda left, right, predicate, left_name, right_name: Join(
+                decode_plan(left), decode_plan(right), _predicate(predicate),
+                left_name=left_name, right_name=right_name,
+            ),
+        ),
+        _binary(Union, decode_plan),
+        _binary(Difference, decode_plan),
+        (
+            Aggregate,
+            lambda n: [
+                encode_plan(n.child), list(n.group_columns), [list(s) for s in n.specs]
+            ],
+            lambda child, by, specs: Aggregate(decode_plan(child), by, specs=specs),
+        ),
+        (Distinct, lambda n: [encode_plan(n.child)], lambda c: Distinct(decode_plan(c))),
+        (
+            SortLimit,
+            lambda n: [encode_plan(n.child), [list(k) for k in n.sort_keys], n.limit],
+            lambda child, keys, limit: SortLimit(decode_plan(child), keys, limit),
+        ),
+        (Column, lambda n: [n.name], Column),
+        (Literal, lambda n: [_literal(n.value)], _unliteral),
+        _binary(IntervalIntersection, _expression),
+        _named(Comparison, "op"),
+        _named(AllenPredicate, "name"),
+        _connective(And),
+        _connective(Or),
+        (Not, lambda n: [encode_plan(n.part)], lambda part: Not(_predicate(part))),
+        (TruePredicate, lambda n: [], lambda: TRUE_PREDICATE),
+    ]
+}
+
+
+# ----------------------------------------------------------------------
 # Subscription capture
 # ----------------------------------------------------------------------
 
@@ -199,25 +411,21 @@ def capture_subscriptions(session) -> List[Dict[str, object]]:
         if not subscription.active:
             continue
         statement = getattr(subscription, "statement", None)
-        plan_pickle = None
+        plan = None
         if statement is None:
             try:
-                plan_pickle = base64.b64encode(
-                    pickle.dumps(subscription.plan)
-                ).decode("ascii")
-            except Exception:  # noqa: BLE001 — an unpicklable plan is skippable
-                logger.warning(
-                    "checkpoint: subscription %s has no statement and an "
-                    "unpicklable plan; it will not survive a restart",
-                    subscription.name,
-                )
-                continue
+                plan = encode_plan(subscription.plan)
+            except DurabilityError as exc:
+                raise DurabilityError(
+                    f"checkpoint: subscription {subscription.name!r} cannot "
+                    f"be persisted: {exc}"
+                ) from exc
         entries.append(
             {
                 "name": subscription.name,
                 "fingerprint": subscription.fingerprint,
                 "statement": statement,
-                "plan_pickle": plan_pickle,
+                "plan": plan,
                 "reference_time": subscription.reference_time,
                 "notify_on_no_change": subscription.notify_on_no_change,
                 "backpressure": getattr(subscription, "backpressure", None),
@@ -271,7 +479,9 @@ def restore_subscription(session, entry: Dict[str, object], on_refresh=None):
     *on_refresh* supplies the callback a manifest cannot persist: one
     callable, or a dict keyed by subscription name.  The entry goes
     through the ordinary ``session.subscribe`` path — a statement
-    recompiles against the current catalog, a plan unpickles.  Returns
+    recompiles against the current catalog, a plan decodes
+    (:func:`decode_plan`), and a format-1 plan object is refused by
+    name, never loaded.  Returns
     ``(subscription, pending)`` where *pending* is the captured
     undelivered notification to re-enqueue (``None`` when there was none
     or nobody listens), or ``None`` when the plan cannot be rebuilt —
@@ -287,8 +497,14 @@ def restore_subscription(session, entry: Dict[str, object], on_refresh=None):
             from repro.sqlish import compile_statement
 
             plan = compile_statement(statement, session.database)
+        elif entry.get("plan") is not None:
+            plan = decode_plan(entry["plan"])
         elif entry.get("plan_pickle"):
-            plan = pickle.loads(base64.b64decode(entry["plan_pickle"]))
+            raise DurabilityError(
+                f"subscription {name!r} holds a plan as Python objects "
+                f"(checkpoint format 1), which are not loaded; subscribe "
+                f"it again"
+            )
         else:
             logger.warning(
                 "resume: subscription %r carries neither a statement nor "
@@ -431,10 +647,10 @@ class LoadedCheckpoint(NamedTuple):
 
 def _load_one(path: Path) -> LoadedCheckpoint:
     manifest = json.loads((path / MANIFEST_NAME).read_text(encoding="utf-8"))
-    if manifest.get("format") != CHECKPOINT_FORMAT:
+    if manifest.get("format") not in _READABLE_FORMATS:
         raise DurabilityError(
             f"checkpoint {path.name} has format {manifest.get('format')!r}, "
-            f"expected {CHECKPOINT_FORMAT}"
+            f"expected one of {_READABLE_FORMATS}"
         )
     tables: Dict[str, LoadedTable] = {}
     memo: dict = {}  # one per checkpoint: tables share categories

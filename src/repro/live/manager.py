@@ -287,7 +287,10 @@ class SubscriptionManager:
         *statement* records the OSQL source this plan came from
         (:meth:`subscribe_sql` fills it in) so a durable checkpoint can
         recompile the subscription on :meth:`resume`; plan-object
-        subscriptions are checkpointed as a pickled plan instead.
+        subscriptions are checkpointed as their plan in the manifest's
+        data encoding instead (:func:`~repro.durable.snapshot.encode_plan`:
+        a literal the tagged storage codec cannot hold, such as a float,
+        makes that checkpoint raise).
         """
         self._require_open()
         # Checked here and not left to the bus: a subscription without a
@@ -435,7 +438,8 @@ class SubscriptionManager:
 
         Each entry re-subscribes through the ordinary :meth:`subscribe`
         path — statement entries recompile against the current catalog,
-        plan entries unpickle
+        plan entries decode from data, and a format-1 entry that holds its
+        plan as Python objects is refused by name and skipped
         (:func:`~repro.durable.snapshot.restore_subscription` reads the
         entry; the manifest format is that module's alone) — so recovery
         reuses every registration invariant instead of a parallel code

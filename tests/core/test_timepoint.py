@@ -1,39 +1,15 @@
 """Unit tests for ongoing time points (Definitions 1-2, Fig. 3)."""
 
-import pickle
-import re
 import sys
 import threading
-from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from repro.core import timepoint
-from repro.core.interval import until_now
 from repro.core.timeline import MINUS_INF, PLUS_INF, mmdd
 from repro.core.timepoint import NOW, OngoingTimePoint, fixed, growing, limited
 from repro.errors import TimeDomainError
-
-from tests.conftest import empty_intern_table
-
-# Pickled before points were interned (copyreg's __newobj__ form: an
-# argument-less __new__, then the slots as state), as a checkpoint's
-# ``plan_pickle`` stores the literals of a statement-less subscription:
-# growing(20190117), and until_now(737000).
-_OLD_POINT_PICKLE = (
-    b"\x80\x04\x95Q\x00\x00\x00\x00\x00\x00\x00\x8c\x14repro.core.timepoint\x94"
-    b"\x8c\x10OngoingTimePoint\x94\x93\x94)\x81\x94N}\x94(\x8c\x02_a\x94J\xa5\x134"
-    b"\x01\x8c\x02_b\x94\x8a\x08\x00\x00\x00\x00\x00\x00\x00\x10u\x86\x94b."
-)
-_OLD_INTERVAL_PICKLE = (
-    b"\x80\x04\x95\xb6\x00\x00\x00\x00\x00\x00\x00\x8c\x13repro.core.interval\x94"
-    b"\x8c\x0fOngoingInterval\x94\x93\x94)\x81\x94N}\x94(\x8c\x06_start\x94\x8c\x14"
-    b"repro.core.timepoint\x94\x8c\x10OngoingTimePoint\x94\x93\x94)\x81\x94N}\x94("
-    b"\x8c\x02_a\x94J\xe8>\x0b\x00\x8c\x02_b\x94J\xe8>\x0b\x00u\x86\x94b\x8c\x04_end"
-    b"\x94h\x08)\x81\x94N}\x94(h\x0b\x8a\x08\x00\x00\x00\x00\x00\x00\x00\xf0h\x0c"
-    b"\x8a\x08\x00\x00\x00\x00\x00\x00\x00\x10u\x86\x94bu\x86\x94b."
-)
 
 
 class TestConstruction:
@@ -135,44 +111,14 @@ class TestValueSemantics:
 
 class TestInterning:
     """The laws of the intern table are properties in
-    tests/properties/test_core_properties.py; here: old pickles and
-    threads."""
+    tests/properties/test_core_properties.py; here: the constructor's
+    arity and threads."""
 
-    def test_a_point_pickled_before_interning_loads_as_the_interned_point(self):
-        empty_intern_table()  # neither value below has an object now
-        loaded = pickle.loads(_OLD_POINT_PICKLE)
-        original = growing(20190117)
-        assert loaded == original and hash(loaded) == hash(original)
-        assert loaded is original
-        interval = pickle.loads(_OLD_INTERVAL_PICKLE)
-        assert interval == until_now(737000)
-        assert interval.start is fixed(737000)
-        # now had its object already: the old form gives an equal second one.
-        assert interval.end == NOW and interval.end.is_now
-
-    def test_a_point_pickled_before_interning_is_still_checked(self):
-        blank = OngoingTimePoint.__new__(OngoingTimePoint)  # what such a load does
-        with pytest.raises(TimeDomainError, match="a <= b"):
-            blank.__setstate__((None, {"_a": 5, "_b": 3}))
-        with pytest.raises(TimeDomainError):
-            blank.__setstate__((None, {"_a": True, "_b": 3}))
-
-    def test_the_argument_less_form_is_only_for_old_pickles(self):
-        # It returns a blank object, which the table never holds.
-        table = dict(timepoint._INTERNED)
-        blank = OngoingTimePoint()
-        assert not hasattr(blank, "_a") and not hasattr(blank, "_b")
-        assert all(point is not blank for point in timepoint._INTERNED.values())
-        assert timepoint._INTERNED == table
-        # And no code of the package calls it.
-        package = Path(timepoint.__file__).parents[1]
-        callers = [
-            f"{path.relative_to(package)}:{number}"
-            for path in package.rglob("*.py")
-            for number, line in enumerate(path.read_text().splitlines(), 1)
-            if re.search(r"OngoingTimePoint(\.__new__)?\(\s*(OngoingTimePoint\s*)?\)", line)
-        ]
-        assert callers == []
+    def test_a_point_needs_its_two_components(self):
+        # No argument-less form: an old slots-form pickle is refused, as
+        # it is for IntervalSet.
+        with pytest.raises(TypeError):
+            OngoingTimePoint()
 
     def test_contending_threads_get_their_values_and_now_stays(self):
         # A lost race costs at most one duplicate object, never a wrong

@@ -227,7 +227,7 @@ class TestSubscriptionCapture:
         entry = entries[0]
         assert entry["name"] == "audit"
         assert entry["statement"] == "SELECT * FROM R"
-        assert entry["plan_pickle"] is None
+        assert entry["plan"] is None
         assert entry["reference_time"] == 15
         # Synchronous bus: delivery is inline, nothing can be pending.
         assert entry["pending"] is None

@@ -159,6 +159,59 @@ class TestPlainReopen:
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+class TestUnreadableCheckpoint:
+    """An unreadable newest checkpoint falls back to a longer replay —
+    only while the WAL still reaches back to where that replay starts."""
+
+    def _write(self, root, *, suffix, segment_bytes=256):
+        db = Database.open(root, fsync="off", segment_bytes=segment_bytes)
+        r = db.create_table("R", Schema.of("K", ("VT", "interval")))
+        s = db.create_table("S", Schema.of("K", ("VT", "interval")))
+        for key in range(32):
+            r.insert(key, until_now(10 + key))
+        s.insert(0, until_now(10))
+        db.checkpoint()
+        if suffix:
+            r.insert(99, until_now(50))
+        before = _packed(r.rows())
+        db.close()
+        (checkpoint,) = (root / "checkpoints").iterdir()
+        return checkpoint, before
+
+    @pytest.mark.parametrize("damage", ["heap", "format"])
+    @pytest.mark.parametrize("suffix", [False, True])
+    def test_a_pruned_wal_prefix_fails_the_open(self, tmp_path, damage, suffix):
+        # Without the suffix the open used to return an empty catalog;
+        # with it, replay failed on a table the lost checkpoint created.
+        checkpoint, _ = self._write(tmp_path, suffix=suffix)
+        manifest = json.loads((checkpoint / "MANIFEST.json").read_text())
+        segment = manifest["wal_position"][0]
+        assert segment > 1
+        if damage == "heap":
+            (checkpoint / "0000.heap").write_bytes(b"garbage" * 8)
+        else:
+            manifest["format"] = 99
+            (checkpoint / "MANIFEST.json").write_text(json.dumps(manifest))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(
+                DurabilityError, match=f"segments 1-{segment - 1} are missing"
+            ):
+                Database.open(tmp_path)
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_an_unpruned_wal_replays_in_its_place(self, tmp_path, caplog):
+        checkpoint, before = self._write(
+            tmp_path, suffix=True, segment_bytes=1 << 20
+        )
+        (checkpoint / "0000.heap").write_bytes(b"garbage" * 8)
+        reopened = Database.open(tmp_path)
+        assert _packed(reopened.table("R").rows()) == before
+        assert "skipping unreadable checkpoint" in caplog.text
+        reopened.close()
+
+
 class TestFullDeltaReplay:
     def test_replace_all_replays_via_snapshot_record(self, tmp_path):
         db = Database.open(tmp_path, fsync="off")

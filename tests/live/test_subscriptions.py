@@ -359,7 +359,7 @@ class TestSqlSubscriptions:
         assert set(entries) == {"through-db", "through-session"}
         for entry in entries.values():
             assert entry["statement"] == self._SQL
-            assert entry["plan_pickle"] is None
+            assert entry["plan"] is None
 
     def test_database_subscribe_convenience(self):
         db = _database()
