@@ -8,6 +8,7 @@ the input grows.
 
 from __future__ import annotations
 
+import statistics
 from typing import List
 
 from repro.baselines.clifford import cliff_max_reference_time
@@ -55,12 +56,23 @@ def run(scale: float = 1.0) -> ExperimentResult:
     result.data["clifford_ms"] = clifford_ms
     result.data["breakevens"] = breakevens
 
-    # Linearity: runtime per tuple should stay roughly constant — compare
-    # the largest size against a linear extrapolation from the smallest.
-    predicted = ongoing_ms[0] * sizes[-1] / sizes[0]
-    ratio = ongoing_ms[-1] / predicted if predicted else 1.0
-    result.add_row(f"linearity ratio (measured / linear prediction): {ratio:.2f}")
-    result.add_check("ongoing runtime grows linearly (0.5x..2x)", 0.5 <= ratio <= 2.0)
+    # Linearity: a least-squares line through all four medians; every size
+    # must lie within 0.5x..2x of it.
+    slope, intercept = statistics.linear_regression(sizes, ongoing_ms)
+    fitted = [intercept + slope * size for size in sizes]
+    ratios = [
+        measured / line if line > 0 else float("inf")
+        for measured, line in zip(ongoing_ms, fitted)
+    ]
+    result.add_row(f"fitted slope: {1_000 * slope:.3f} ms per 1k tuples")
+    result.add_row(
+        "largest relative residual: "
+        f"{max(abs(ratio - 1) for ratio in ratios):.1%}"
+    )
+    result.add_check(
+        "ongoing runtime grows linearly (every size 0.5x..2x of the fit)",
+        all(0.5 <= ratio <= 2.0 for ratio in ratios),
+    )
     result.add_check(
         "break-even stays constant as input grows (spread ≤ 2)",
         max(breakevens) - min(breakevens) <= 2,

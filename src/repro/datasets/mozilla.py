@@ -25,6 +25,14 @@ follows the paper: *the history grows backward* — smaller data sets are the
 most recent slice of the full one, so the absolute number of ongoing tuples
 stays constant and their percentage shrinks as the data grows
 (Section IX-A).
+
+The data are a function of ``(n_bugs, seed, ongoing_fraction)`` alone and
+byte-stable across releases and interpreters: the benchmark ledger and the
+experiments compare runs over them.  ``tests/datasets/test_digests.py``
+pins a sha256 digest of every row, so a change to how anything is drawn,
+even one that keeps the distributions, fails there instead of shifting the
+ledger quietly.  Descriptions are drawn in bulk (:func:`_letters`), equal
+byte for byte to ``rng.choices`` and leaving the generator in its state.
 """
 
 from __future__ import annotations
@@ -140,12 +148,64 @@ def _skewed_ongoing_start(rng: random.Random) -> TimePoint:
     return HISTORY_END - rng.randrange(6 * 365, HISTORY_DAYS)
 
 
+#: The letters of a description; ``rng.choices`` picks ``_ALPHABET[j]``.
+_ALPHABET = string.ascii_lowercase + "     "
+
+#: Byte ``j`` → ``_ALPHABET[j]``.
+_SPELL = bytes.maketrans(bytes(range(len(_ALPHABET))), _ALPHABET.encode("ascii"))
+
+#: Per 64-bit lane ``w0 | w1 << 32``: bits 5–31 (``w0 >> 5``) and bits
+#: 38–63 (``w1 >> 6``), the two halves of ``random()``'s 53-bit mantissa.
+_HIGH_LANE = b"\xe0\xff\xff\xff\x00\x00\x00\x00"
+_LOW_LANE = b"\x00\x00\x00\x00\xc0\xff\xff\xff"
+
+#: Lanes the precomputed masks cover; a longer draw builds its own.
+_LANES = 2048
+_HIGH = int.from_bytes(_HIGH_LANE * _LANES, "little")
+_LOW = int.from_bytes(_LOW_LANE * _LANES, "little")
+
+
+def _letters(rng: random.Random, length: int) -> str:
+    """``"".join(rng.choices(_ALPHABET, k=length))``, drawn in bulk.
+
+    Byte-identical to it, and leaves *rng* in the same state.
+    """
+    return _spell(rng.getrandbits(64 * length), length)
+
+
+def _spell(words: int, length: int) -> str:
+    """The letters of the *length* ``random()`` calls that read *words*."""
+    # random() is m / 2**53 with m = (w0 >> 5) << 26 | w1 >> 6 from its two
+    # words; getrandbits(64 k) holds the same 2k words, least significant
+    # first, so 64-bit lane i is call i.  The masks make each lane its m, and
+    # m * 248 < 2**61 carries into no neighbour: lane byte 7 is then
+    # floor(m * 31 / 2**53).  choices' double random() * 31 can round up to
+    # the next integer only if lane bytes 1-6 are all 0xFF; byte 0 (≡ 0 mod
+    # 8) and byte 7 (≤ 30) never are, so six 0xFF bytes flag such a lane.
+    if length <= _LANES:
+        high, low = _HIGH, _LOW
+    else:
+        high = int.from_bytes(_HIGH_LANE * length, "little")
+        low = int.from_bytes(_LOW_LANE * length, "little")
+    mantissas = (words & high) << 21 | (words & low) >> 38
+    lanes = (mantissas * (8 * len(_ALPHABET))).to_bytes(8 * length, "little")
+    if b"\xff" * 6 in lanes:
+        return _spell_exactly(mantissas, length)
+    return lanes[7::8].translate(_SPELL).decode("ascii")
+
+
+def _spell_exactly(mantissas: int, length: int) -> str:
+    """The letters of the 53-bit lanes *mantissas*, by ``choices``' formula."""
+    n = float(len(_ALPHABET))
+    return "".join(
+        _ALPHABET[int(((mantissas >> 64 * i) & (2**53 - 1)) * 2**-53 * n)]
+        for i in range(length)
+    )
+
+
 def _description(rng: random.Random) -> str:
     """A bug description sized so BugInfo tuples average ≈ 968 B."""
-    length = max(40, int(rng.gauss(850, 220)))
-    return "".join(
-        rng.choices(string.ascii_lowercase + "     ", k=length)
-    )
+    return _letters(rng, max(40, int(rng.gauss(850, 220))))
 
 
 def _split_interval(

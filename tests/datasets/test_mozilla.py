@@ -1,6 +1,8 @@
 """Unit tests for the synthetic MozillaBugs generator (Table III, Fig. 7)."""
 
-from repro.core.interval import OngoingInterval
+import random
+from unittest import mock
+
 from repro.datasets import generate_mozilla
 from repro.datasets import mozilla as mozilla_module
 
@@ -62,12 +64,56 @@ class TestCharacteristics:
             assert child.end.b <= parent.end.b
 
 
-class TestScaling:
-    def test_deterministic_given_seed(self):
-        assert generate_mozilla(200, seed=1).bug_info == generate_mozilla(
-            200, seed=1
-        ).bug_info
+class TestBulkDraw:
+    """``_letters`` is ``rng.choices`` over the alphabet, drawn in bulk.
 
+    It relies on two CPython details: ``choices`` picks
+    ``population[floor(random() * n)]``, and ``getrandbits`` fills its
+    result with 32-bit words least significant first.
+    """
+
+    def test_letters_equal_choices_and_leave_the_same_state(self):
+        lengths = (1, 40, 850, mozilla_module._LANES + 1)
+        for seed in range(20):
+            for length in lengths:
+                bulk, reference = random.Random(seed), random.Random(seed)
+                expected = reference.choices(mozilla_module._ALPHABET, k=length)
+                assert mozilla_module._letters(bulk, length) == "".join(expected)
+                assert bulk.random() == reference.random()
+
+    def test_a_lane_that_rounds_up_takes_the_float_formula(self):
+        """Mantissas just below each ``j · 2**53 / 31``: where the double
+        ``random() * 31`` rounds up to ``j``, the letters come from the float
+        formula and agree with it."""
+        alphabet = mozilla_module._ALPHABET
+        n = len(alphabet)
+        lanes = []
+        for j in range(1, n):
+            ceiling = -(-j * 2**53 // n)
+            for m in range(ceiling - 40, ceiling):
+                # The two words random() would read for m, with junk in the
+                # bits it drops.
+                w0 = (m >> 26) << 5 | 0b10101
+                w1 = (m & (2**26 - 1)) << 6 | 0b101010
+                lanes.append((m, w0 | w1 << 32))
+        rounded_up = 0
+        for m, lane in lanes:
+            with mock.patch.object(
+                mozilla_module, "_spell_exactly", wraps=mozilla_module._spell_exactly
+            ) as exact:
+                assert mozilla_module._spell(lane, 1) == alphabet[int((m * 2**-53) * n)]
+            if int((m * 2**-53) * n) != m * n >> 53:
+                rounded_up += 1
+                assert exact.called
+        assert rounded_up > 0
+        # One such lane among many sends the whole draw down the float path.
+        words = sum(lane << 64 * i for i, (_, lane) in enumerate(lanes))
+        assert mozilla_module._spell(words, len(lanes)) == "".join(
+            alphabet[int((m * 2**-53) * n)] for m, _ in lanes
+        )
+
+
+class TestScaling:
     def test_different_seeds_differ(self):
         assert generate_mozilla(200, seed=1).bug_info != generate_mozilla(
             200, seed=2
