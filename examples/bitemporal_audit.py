@@ -36,16 +36,21 @@ def main() -> None:
 
     print("The stored bitemporal relation (TT is ongoing, never instantiated):")
     print(bugs.current().format())
+    # The logical delete capped one stored version; it removed none.
+    assert len(bugs.table) == 2
+    print(f"{len(bugs.table)} stored versions")
     print()
 
     print("AS OF audit queries, evaluated at reference time 12/01:")
     rt = mmdd(12, 1)
-    for slice_label, slice_time in [
-        ("02/01 (before triage)", mmdd(2, 1)),
-        ("04/01 (after triage) ", mmdd(4, 1)),
-        ("07/01 (after delete) ", mmdd(7, 1)),
+    open_vt = (mmdd(1, 25), rt)
+    for slice_label, slice_time, expected in [
+        ("02/01 (before triage)", mmdd(2, 1), [(500, "minor", open_vt)]),
+        ("04/01 (after triage) ", mmdd(4, 1), [(500, "major", open_vt)]),
+        ("07/01 (after delete) ", mmdd(7, 1), []),
     ]:
         rows = bugs.as_of(slice_time, rt)
+        assert rows == expected, (slice_label, rows)
         if rows:
             for bid, severity, vt in rows:
                 print(

@@ -4,11 +4,12 @@
 Database` durable: it registers as a catalog-wide delta listener, so
 every committed modification batch is appended to the
 :class:`~repro.durable.wal.WriteAheadLog` *inside* the table's write lock
-— before the commit is observable to anyone else.  Typed deltas become
-``BATCH`` records; full-flagged deltas (``replace_all`` without an
-explicit delta) become ``SNAPSHOT`` records carrying the table's
-post-state; a dropped table becomes a ``DROP`` record; ``create_table``
-calls :meth:`Durability.log_create` explicitly (DDL fires no delta).
+— before the commit is observable to anyone else.  Every delta names its
+rows (a ``replace_all`` commits its multiset difference) and becomes a
+``BATCH`` record; a dropped table — the hook's ``None`` — becomes a
+``DROP`` record; ``create_table`` calls :meth:`Durability.log_create`
+explicitly (DDL fires no delta).  ``SNAPSHOT`` records are no longer
+written; one in an older log replays through ``replace_all``.
 
 :func:`open_database` is the reopen path:
 
@@ -135,7 +136,9 @@ class Durability:
 
     # -- write path (delta listener, runs under the write lock) --------
 
-    def _on_delta(self, name: str, version: int, delta: Delta) -> None:
+    def _on_delta(
+        self, name: str, version: int, delta: Optional[Delta]
+    ) -> None:
         if self._suppress:
             return
         stamp = self.database.last_commit
@@ -143,20 +146,8 @@ class Durability:
         at = stamp.at if stamp is not None else 0.0
         if tick > self._highest_tick:
             self._highest_tick = tick
-        if delta.full:
-            tables = self.database.tables()
-            table = tables.get(name)
-            if table is None:
-                record = WalRecord(KIND_DROP, name, tick, at)
-            else:
-                # A full-flagged delta names no rows, so the log must:
-                # snapshot the post-state (we are inside the write lock,
-                # the rows cannot move under us).  Replay re-issues it as
-                # replace_all, which re-triggers the same logged
-                # full-refresh fallback downstream.
-                record = WalRecord(
-                    KIND_SNAPSHOT, name, tick, at, rows=table.rows()
-                )
+        if delta is None:
+            record = WalRecord(KIND_DROP, name, tick, at)
         else:
             record = WalRecord(
                 KIND_BATCH,

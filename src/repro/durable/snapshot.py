@@ -42,7 +42,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.durable import faults
 from repro.engine.database import CommitStamp
-from repro.engine.delta import FULL_DELTA, Delta
+from repro.engine.delta import Delta
 from repro.engine.plan import (
     Aggregate,
     Difference,
@@ -366,9 +366,8 @@ def serialize_notification(notification) -> Dict[str, object]:
         "changed_tables": list(notification.changed_tables),
         "commit": [commit.tick, commit.at] if commit is not None else None,
         "delta": None,
-        "delta_full": bool(delta is not None and delta.full),
     }
-    if delta is not None and not delta.full:
+    if delta is not None:
         entry["delta"] = {
             "inserted": [
                 base64.b64encode(pack_tagged_tuple(row)).decode("ascii")
@@ -450,10 +449,10 @@ def deserialize_notification(subscription, pending: Dict[str, object]):
             decoded.append(row)
         return tuple(decoded)
 
+    # A notification of a re-evaluation has no delta; older manifests
+    # also flagged it ``delta_full``, which reads the same way.
     delta: Optional[Delta] = None
-    if pending.get("delta_full"):
-        delta = FULL_DELTA
-    elif pending.get("delta") is not None:
+    if pending.get("delta") is not None:
         payload = pending["delta"]
         delta = Delta(
             inserted=rows(payload.get("inserted", ())),

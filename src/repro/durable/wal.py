@@ -7,7 +7,10 @@ table's write lock).  A record carries the table name, the
 :class:`~repro.engine.database.CommitStamp`, and the typed
 :class:`~repro.engine.delta.Delta` serialized with the tagged layout of
 :mod:`repro.engine.storage` — recovery decodes records without any
-catalog and replays them as ordinary deltas.
+catalog and replays them as ordinary deltas.  Every modification names
+its rows, so the writer emits ``BATCH``, ``CREATE`` and ``DROP`` only;
+``SNAPSHOT`` (a table's whole post-state, once written for swaps that
+named no rows) is still read and replayed, because older logs hold it.
 
 Layout
 ------
@@ -33,7 +36,7 @@ One rule decides, with two constants and no option: a record is
 deflated iff ``_DEFLATE_MIN <= len(payload) < _DEFLATE_MAX`` and the
 result is smaller.  Below 48 bytes (a ``DROP``, an empty batch) deflate
 cannot win back its own block header.  The 64 KiB ceiling keeps bulk
-``register`` / ``replace_all`` records — encoded on the caller's thread
+``register`` / ``replace_all`` batches — encoded on the caller's thread
 and superseded by the next checkpoint — stored as they were, and it is
 the bound the reader inflates under: no frame can make it allocate
 more.  A temporal modification rewrites one end point of a row and logs
@@ -115,8 +118,9 @@ _DEFLATE_MAX = 1 << 16
 
 #: A typed delta committed against one table.
 KIND_BATCH = 1
-#: The full post-state of one table (written for full-flagged deltas,
-#: e.g. ``replace_all`` — they carry no rows, so the log must).
+#: The full post-state of one table.  No longer written (every delta
+#: names its rows); read and replayed through ``replace_all`` because
+#: older logs hold it.
 KIND_SNAPSHOT = 2
 #: DDL: a table was created (schema travels in the record).
 KIND_CREATE = 3

@@ -21,7 +21,6 @@ from repro.engine.delta import (
     Delta,
     DeltaEvaluator,
     EMPTY_DELTA,
-    FULL_DELTA,
     NonIncrementalDelta,
 )
 from repro.engine.plan import (
@@ -74,7 +73,6 @@ __all__ = [
     "Delta",
     "DeltaEvaluator",
     "EMPTY_DELTA",
-    "FULL_DELTA",
     "NonIncrementalDelta",
     "Aggregate",
     "Difference",

@@ -32,6 +32,7 @@ from repro.core.operations import ongoing_min
 from repro.core.timeline import TimePoint
 from repro.core.timepoint import NOW, fixed
 from repro.engine.database import Database, Table
+from repro.engine.delta import Delta
 from repro.errors import QueryError, SchemaError
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Attribute, AttributeKind, Schema
@@ -96,27 +97,29 @@ class BitemporalTable:
 
         The transaction end becomes ``min(now, at) = +at`` — before *at*
         the tuple still reads as current (it *was*), afterwards its
-        transaction time is capped.  Returns the number of affected tuples.
+        transaction time is capped.  One write updating only the capped
+        rows, each stored copy of a duplicate included.  Returns the
+        number of affected tuples.
         """
         self._advance_clock(at)
         position = self.table.schema.index_of(TT_ATTRIBUTE)
         deletion = fixed(at)
-        affected = 0
-        replacement: List[OngoingTuple] = []
-        for item in self.table.as_relation():
-            transaction_time = item.values[position]
-            if not matches(item) or not transaction_time.end.is_now:
-                replacement.append(item)
-                continue
-            new_values = list(item.values)
-            new_values[position] = OngoingInterval(
-                transaction_time.start, ongoing_min(transaction_time.end, deletion)
-            )
-            replacement.append(OngoingTuple(tuple(new_values), item.rt))
-            affected += 1
-        if affected:
-            self.table.replace_all(replacement)
-        return affected
+        old: List[OngoingTuple] = []
+        new: List[OngoingTuple] = []
+        with self.table.lock:
+            for item in self.table.rows():
+                transaction_time = item.values[position]
+                if not matches(item) or not transaction_time.end.is_now:
+                    continue
+                new_values = list(item.values)
+                new_values[position] = OngoingInterval(
+                    transaction_time.start,
+                    ongoing_min(transaction_time.end, deletion),
+                )
+                old.append(item)
+                new.append(OngoingTuple(tuple(new_values), item.rt))
+            self.table.apply_delta(Delta.update(old, new))
+        return len(old)
 
     def update(
         self,

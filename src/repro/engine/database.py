@@ -20,14 +20,17 @@ the database fans ``(table, version, delta)`` change events out to
 registered delta listeners (:meth:`Table.add_delta_listener`,
 :meth:`Database.add_delta_listener`).  The
 :class:`~repro.engine.delta.Delta` names the rows that changed —
-inserted and deleted ongoing tuples; write paths that cannot name them
-(bulk ``replace_all``, ``drop_table``) report the full-flagged delta,
-which downstream consumers answer with a full re-evaluation.  Compound
-modifications (e.g. a current update = delete + insert) wrap themselves
-in :meth:`Table.batch` so observers see a single coalesced event.
+inserted and deleted ongoing tuples — for every write, a bulk
+``replace_all`` included (it commits its exact multiset difference).
+Only ``drop_table`` has no rows to name: listeners receive ``None``,
+meaning the table is gone.  Compound modifications (e.g. a current
+update = delete + insert) wrap themselves in :meth:`Table.batch` so
+observers see a single coalesced event.
 
 **The base heap.**  A table's rows exist once, in a counted,
-insertion-ordered map ``row → multiplicity``.  Every write mutates it in
+insertion-ordered map ``row → multiplicity``.  Every write is a delta
+committed by :meth:`Table.apply_delta`, the one method that moves the
+heap after :meth:`Table.restore` loaded it: it mutates the heap in
 place in O(|Δ|) under the write lock and — because the multiplicities
 are in its hand right then — also tells the delta which rows entered or
 left the *set* (``Delta.appeared`` / ``Delta.vanished``), so scans keep
@@ -50,6 +53,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from collections import Counter
 from collections.abc import Collection
 from contextlib import contextmanager
 from typing import (
@@ -68,7 +72,6 @@ from repro.core.intervalset import UNIVERSAL_SET
 from repro.engine.delta import (
     Delta,
     DeltaBuilder,
-    FULL_DELTA,
     NonIncrementalDelta,
 )
 from repro.engine.plan import PlanNode
@@ -114,9 +117,9 @@ def _standalone_commit_source() -> Callable[[], CommitStamp]:
 
 #: A modification hook: ``listener(table_name, version, delta)`` with the
 #: coalesced row-level :class:`~repro.engine.delta.Delta` of the
-#: modification (full-flagged when the rows are unknown).  Advancing the
+#: modification, or ``None`` when the table was dropped.  Advancing the
 #: reference time never triggers a call — only explicit modifications do.
-DeltaListener = Callable[[str, int, Delta], None]
+DeltaListener = Callable[[str, int, Optional[Delta]], None]
 
 
 class _HeapRows(Collection):
@@ -248,7 +251,7 @@ class Table:
             finally:
                 self.lock.release()
 
-    def _changed(self, delta: Delta = FULL_DELTA) -> None:
+    def _changed(self, delta: Delta) -> None:
         """Record one modification: drop the caches, bump or defer."""
         self._drop_caches()
         if self._pending_delta is None:
@@ -262,12 +265,7 @@ class Table:
     def _bump(self) -> None:
         self._version += 1
         self.last_commit = self._commit_source()
-        delta = (
-            self._pending_delta.build()
-            if self._pending_delta is not None
-            else FULL_DELTA
-        )
-        self._pending_delta = None
+        delta, self._pending_delta = self._pending_delta.build(), None
         for listener in tuple(self._delta_listeners):
             listener(self.name, self._version, delta)
 
@@ -296,18 +294,6 @@ class Table:
         it the last references to rows that version alone held."""
         self._snapshot = None
         self._indexes.clear()
-
-    def _add(self, rows: Collection[OngoingTuple]) -> List[OngoingTuple]:
-        """Count *rows* in; return those whose multiplicity left zero."""
-        heap = self._heap
-        appeared = []
-        for row in rows:
-            held = heap.get(row, 0)
-            heap[row] = held + 1
-            if not held:
-                appeared.append(row)
-        self._size += len(rows)
-        return appeared
 
     def insert(self, *values: object) -> None:
         """Insert one tuple with the trivial reference time."""
@@ -344,13 +330,7 @@ class Table:
         """
         added = tuple(tuples)
         self._check_rows(added)
-        self._insert(added)
-
-    def _insert(self, added: Tuple[OngoingTuple, ...]) -> None:
-        with self.lock:
-            self._require_open()
-            if added:
-                self._changed(Delta(added, appeared=self._add(added)))
+        self.apply_delta(Delta.insert(added))
 
     def delete_where(self, keep) -> int:
         """Physically remove tuples failing *keep* (a tuple -> bool callable).
@@ -367,67 +347,73 @@ class Table:
                 self.apply_delta(Delta.delete(removed))
             return len(removed)
 
-    def _load(self, rows: Iterable[OngoingTuple]) -> None:
-        """Swap the whole heap for *rows*, counted."""
-        heap: Dict[OngoingTuple, int] = {}
-        size = 0
-        for row in rows:
-            heap[row] = heap.get(row, 0) + 1
-            size += 1
-        self._heap = heap
-        self._size = size
-
     def replace_all(self, tuples: Iterable[OngoingTuple]) -> None:
-        """Swap the table contents (bulk-load path of the dataset builders).
-
-        The swap names no rows: it reports the full-flagged delta and
-        observers re-evaluate from scratch.  Rows are checked like
-        :meth:`insert_tuples` rows.
-        """
-        tuples = tuple(tuples)
-        self._check_rows(tuples)
+        """Swap the table contents for *tuples*: one write committing
+        their exact multiset difference from what the table holds (a row
+        held twice and wanted once is deleted once).  An identical swap
+        commits nothing.  Rows are checked like :meth:`insert_tuples`
+        rows."""
+        wanted = Counter(tuples)
+        self._check_rows(wanted)
         with self.lock:
-            self._require_open()
-            self._load(tuples)
-            self._changed(FULL_DELTA)
+            heap = self._heap
+            deleted = [
+                row
+                for row, held in heap.items()
+                for _ in range(held - wanted.get(row, 0))
+            ]
+            inserted = [
+                row
+                for row, count in wanted.items()
+                for _ in range(count - heap.get(row, 0))
+            ]
+            self.apply_delta(Delta(inserted, deleted))
 
     def restore(self, rows: Iterable[OngoingTuple], version: int) -> None:
         """Install a checkpointed state.  Loading is not a modification:
         no listener fires and no commit tick is claimed."""
+        heap: Dict[OngoingTuple, int] = {}
+        for row in rows:
+            heap[row] = heap.get(row, 0) + 1
         with self.lock:
             self._require_open()
-            self._load(rows)
+            self._heap = heap
+            self._size = sum(heap.values())
             self._version = version
             self._drop_caches()
 
     def apply_delta(self, delta: Delta) -> None:
-        """Apply a typed row delta in place, in O(|delta|).
+        """Commit a typed row delta in place, in O(|delta|) — the one
+        write path: inserts, deletes, the Torp-style rewrites, bulk swaps
+        and WAL replay all come through here.
 
-        The entry of WAL replay and of the Torp-style rewrites: the heap
-        moves by the delta's *net* effect per row (a batch that inserts
-        and deletes the same row nets to nothing) and the *same* delta
-        goes to the modification hooks, so derived results (maintainers,
-        live subscriptions) refresh incrementally — replay through this
-        method is indistinguishable from the original modification.
-        Net inserts of a new row land at the end of the heap.
+        The heap moves by the delta's *net* effect per row (a batch that
+        inserts and deletes the same row nets to nothing) and the *same*
+        delta goes to the modification hooks, so derived results
+        (maintainers, live subscriptions) refresh incrementally — replay
+        through this method is indistinguishable from the original
+        modification.  Net inserts of a new row land at the end of the
+        heap.  An empty delta commits nothing.
 
         Raises :class:`~repro.engine.delta.NonIncrementalDelta` — before
-        anything moved — when the delta is full-flagged (it names no
-        rows) or deletes rows this table does not hold.  Like every write,
-        raises :class:`~repro.errors.QueryError` once the owning database
-        is closed.
+        anything moved — when the delta deletes rows this table does not
+        hold.  Like every write, an empty one included, raises
+        :class:`~repro.errors.QueryError` once the owning database is
+        closed.
         """
-        if delta.full:
-            raise NonIncrementalDelta(
-                "full-flagged delta carries no rows to apply"
-            )
         net: Dict[OngoingTuple, int] = {}
-        for row in delta.inserted:
-            net[row] = net.get(row, 0) + 1
-        for row in delta.deleted:
-            net[row] = net.get(row, 0) - 1
+        if delta.deleted:  # an insert-only delta counts straight in
+            for row in delta.inserted:
+                net[row] = net.get(row, 0) + 1
+            for row in delta.deleted:
+                net[row] = net.get(row, 0) - 1
+        changes = (
+            net.items() if net else zip(delta.inserted, itertools.repeat(1))
+        )
         with self.lock:
             self._require_open()
+            if delta.is_empty():
+                return
             heap = self._heap
             absent = sum(
                 max(0, -change - heap.get(row, 0))
@@ -440,18 +426,16 @@ class Table:
                 )
             appeared = []
             vanished = []
-            for row, change in net.items():
-                if not change:
-                    continue
+            for row, change in changes:
                 held = heap.get(row, 0)
                 if held + change:
                     heap[row] = held + change
                     if not held:
                         appeared.append(row)
-                else:
+                elif held:
                     del heap[row]
                     vanished.append(row)
-                self._size += change
+            self._size += len(delta.inserted) - len(delta.deleted)
             self._changed(
                 Delta(
                     delta.inserted,
@@ -638,7 +622,7 @@ class Database:
 
         *listener* is called as ``listener(table_name, version, delta)``
         after any table of this database is modified; *delta* names the
-        changed rows (or is full-flagged when they are unknown).  The
+        changed rows (or is ``None`` when the table was dropped).  The
         live engine subscribes here so refreshes
         cost work proportional to the modification.  Returns *listener*
         so the call can be used inline.
@@ -661,7 +645,9 @@ class Database:
         """Snapshot of every table's modification counter."""
         return {name: table.version for name, table in self._tables.items()}
 
-    def _table_delta(self, name: str, version: int, delta: Delta) -> None:
+    def _table_delta(
+        self, name: str, version: int, delta: Optional[Delta]
+    ) -> None:
         for listener in tuple(self._delta_listeners):
             listener(name, version, delta)
 
@@ -689,7 +675,7 @@ class Database:
     def register(self, name: str, relation: OngoingRelation) -> Table:
         """Create a table pre-loaded with *relation*'s tuples."""
         table = self.create_table(name, relation.schema)
-        table._insert(relation.tuples)  # checked when the relation was built
+        table.apply_delta(Delta.insert(relation.tuples))  # checked at build
         return table
 
     def drop_table(self, name: str) -> None:
@@ -701,12 +687,10 @@ class Database:
             table.remove_delta_listener(self._table_delta)
             # Dropping is a modification of the catalog: results derived
             # from the table can no longer be refreshed, so observers must
-            # hear about it once.  There is no row-level delta for a
-            # vanished table — the full flag forces dependents onto the
-            # re-evaluation path (where they will surface the
-            # missing-table error).
+            # hear about it once — as ``None``, the table is gone.
+            # Dependents rebuild (and surface the missing-table error).
             self._next_commit()
-            self._table_delta(name, table.version + 1, FULL_DELTA)
+            self._table_delta(name, table.version + 1, None)
 
     def table(self, name: str) -> Table:
         try:

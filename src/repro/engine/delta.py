@@ -13,9 +13,10 @@ Design
 ------
 
 * A :class:`Delta` is a pair of ongoing-tuple batches — ``inserted`` and
-  ``deleted`` — plus a ``full`` flag meaning "the precise delta is
-  unknown, re-evaluate from scratch" (bulk loads, dropped tables).
-  A current update is a delete+insert pair coalesced by
+  ``deleted``.  Every modification names its rows (a bulk swap commits
+  its exact multiset difference); only a dropped table has none, and
+  that reaches listeners as ``None``, not as a delta.  A current update
+  is a delete+insert pair coalesced by
   :meth:`~repro.engine.database.Table.batch` into one delta.
 
 * Every physical operator (see :mod:`repro.engine.executor`) states its
@@ -35,8 +36,8 @@ Design
 * Joins keep their build state cached (hash indexes per side) and probe
   only the delta side:  ``Δ(L ⋈ R) = ΔL ⋈ R_old  ∪  L_new ⋈ ΔR``.
 
-* Anything non-incrementalizable — a full-flagged delta, a cold state,
-  an inconsistent count, an evicted top-k boundary — raises
+* Anything non-incrementalizable — a cold state, an inconsistent count,
+  an evicted top-k boundary — raises
   :class:`NonIncrementalDelta`; callers fall back to full re-evaluation
   **automatically** and the fallback is logged on the
   ``repro.engine.delta`` logger.
@@ -68,7 +69,6 @@ __all__ = [
     "Delta",
     "DeltaBuilder",
     "EMPTY_DELTA",
-    "FULL_DELTA",
     "OperatorState",
     "NodeStats",
     "NonIncrementalDelta",
@@ -97,7 +97,8 @@ class NonIncrementalDelta(Exception):
     node_path: Optional[str] = None
     #: Base table whose delta triggered the propagation, when known.
     table: Optional[str] = None
-    #: Compact description of the offending delta (``"+3/-2"``, ``"full"``).
+    #: Compact description of the offending delta (``"+3/-2"``), or
+    #: ``"rebuild"`` when the maintainer's record asked for one.
     delta_shape: Optional[str] = None
 
     def annotate(self, **attrs: Optional[str]) -> "NonIncrementalDelta":
@@ -112,9 +113,7 @@ class Delta:
     """A typed row-level change: inserted and deleted ongoing tuples.
 
     ``inserted``/``deleted`` are multiset batches (a tuple may appear more
-    than once, e.g. when a table holds duplicate rows).  ``full=True``
-    means the precise rows are unknown and consumers must fall back to
-    full re-evaluation; full deltas carry no rows.
+    than once, e.g. when a table holds duplicate rows).
 
     A delta emitted by a :class:`~repro.engine.database.Table` also names
     its **set-level** part: ``appeared`` are the inserted rows whose
@@ -126,26 +125,20 @@ class Delta:
     ``inserted``/``deleted`` themselves (every row is a transition).
     """
 
-    __slots__ = ("inserted", "deleted", "full", "appeared", "vanished")
+    __slots__ = ("inserted", "deleted", "appeared", "vanished")
 
     def __init__(
         self,
         inserted: Tuple[OngoingTuple, ...] = (),
         deleted: Tuple[OngoingTuple, ...] = (),
         *,
-        full: bool = False,
         appeared: Optional[Iterable[OngoingTuple]] = None,
         vanished: Optional[Iterable[OngoingTuple]] = None,
     ):
-        self.inserted = tuple(inserted) if not full else ()
-        self.deleted = tuple(deleted) if not full else ()
-        self.full = full
-        self.appeared = (
-            self.inserted if appeared is None or full else tuple(appeared)
-        )
-        self.vanished = (
-            self.deleted if vanished is None or full else tuple(vanished)
-        )
+        self.inserted = tuple(inserted)
+        self.deleted = tuple(deleted)
+        self.appeared = self.inserted if appeared is None else tuple(appeared)
+        self.vanished = self.deleted if vanished is None else tuple(vanished)
 
     # Constructors ------------------------------------------------------
 
@@ -167,8 +160,8 @@ class Delta:
     # Introspection -----------------------------------------------------
 
     def is_empty(self) -> bool:
-        """``True`` iff the delta changes nothing (and is not full)."""
-        return not self.full and not self.inserted and not self.deleted
+        """``True`` iff the delta changes nothing."""
+        return not self.inserted and not self.deleted
 
     def transitions(self) -> Dict[OngoingTuple, int]:
         """The net set-level change per row: ``+1`` entered the set,
@@ -192,13 +185,7 @@ class Delta:
         return not self.is_empty()
 
     def merge(self, other: "Delta") -> "Delta":
-        """Coalesce two deltas in application order (self, then other).
-
-        A full delta absorbs everything — once the precise rows are
-        unknown for one modification, they are unknown for the batch.
-        """
-        if self.full or other.full:
-            return FULL_DELTA
+        """Coalesce two deltas in application order (self, then other)."""
         if other.is_empty():
             return self
         if self.is_empty():
@@ -211,8 +198,6 @@ class Delta:
         )
 
     def __repr__(self) -> str:
-        if self.full:
-            return "Delta(full)"
         return f"Delta(+{len(self.inserted)}, -{len(self.deleted)})"
 
 
@@ -227,11 +212,9 @@ def shared_source(fingerprint: str) -> str:
 
 
 def _delta_shape(deltas: Iterable[Delta]) -> str:
-    """Compact ``"+i/-d"`` (or ``"full"``) rendering of child deltas."""
+    """Compact ``"+i/-d"`` rendering of child deltas."""
     inserted = deleted = 0
     for delta in deltas:
-        if delta.full:
-            return "full"
         inserted += len(delta.inserted)
         deleted += len(delta.deleted)
     return f"+{inserted}/-{deleted}"
@@ -275,9 +258,6 @@ class NodeStats:
 #: The delta of "nothing changed".
 EMPTY_DELTA = Delta()
 
-#: The delta of "everything may have changed" — forces full re-evaluation.
-FULL_DELTA = Delta(full=True)
-
 
 class DeltaBuilder:
     """Mutable accumulator coalescing many deltas in O(total rows).
@@ -289,26 +269,16 @@ class DeltaBuilder:
     materializes one immutable :class:`Delta` at consumption time.
     """
 
-    __slots__ = ("_inserted", "_deleted", "_appeared", "_vanished", "_full")
+    __slots__ = ("_inserted", "_deleted", "_appeared", "_vanished")
 
     def __init__(self) -> None:
         self._inserted: list = []
         self._deleted: list = []
         self._appeared: list = []
         self._vanished: list = []
-        self._full = False
 
     def add(self, delta: Delta) -> None:
         """Fold one more delta in, in application order."""
-        if self._full:
-            return
-        if delta.full:
-            self._full = True
-            for rows in (
-                self._inserted, self._deleted, self._appeared, self._vanished
-            ):
-                rows.clear()
-            return
         self._inserted.extend(delta.inserted)
         self._deleted.extend(delta.deleted)
         self._appeared.extend(delta.appeared)
@@ -316,8 +286,6 @@ class DeltaBuilder:
 
     def build(self) -> Delta:
         """The coalesced delta accumulated so far."""
-        if self._full:
-            return FULL_DELTA
         if not self._inserted and not self._deleted:
             return EMPTY_DELTA
         return Delta(
@@ -688,11 +656,11 @@ class DeltaEvaluator:
         *table_deltas* maps base-table names to their coalesced deltas
         since the last refresh.  Tables the plan does not read are
         ignored.  Raises :class:`NonIncrementalDelta` when the state is
-        cold, a delta is full-flagged, or an operator's rule cannot
-        absorb it — the caller then falls back to :meth:`refresh_full`.  On
-        any propagation error the operator state is invalidated, so a
-        later apply cannot observe half-updated state; the store keeps
-        serving the last consistent snapshot meanwhile.
+        cold or an operator's rule cannot absorb it — the caller then
+        falls back to :meth:`refresh_full`.  On any propagation error the
+        operator state is invalidated, so a later apply cannot observe
+        half-updated state; the store keeps serving the last consistent
+        snapshot meanwhile.
 
         The whole call is O(|Δ|): the root's count index (owned by the
         store) mutates in place under the store lock and the version is
@@ -701,14 +669,11 @@ class DeltaEvaluator:
         """
         if not self.warm:
             raise NonIncrementalDelta("operator state is cold")
-        relevant: Dict[str, Delta] = {}
-        for name, delta in table_deltas.items():
-            if delta.full:
-                raise NonIncrementalDelta(
-                    f"table {name!r} reported a full (untyped) modification"
-                ).annotate(table=name, delta_shape="full")
-            if not delta.is_empty():
-                relevant[name] = delta
+        relevant = {
+            name: delta
+            for name, delta in table_deltas.items()
+            if not delta.is_empty()
+        }
         store = self._store
         try:
             # The store lock spans the propagation (whose final, atomic
@@ -877,6 +842,6 @@ class DeltaEvaluator:
     def __repr__(self) -> str:
         state = "warm" if self.warm else "cold"
         return (
-            f"DeltaEvaluator({state}, full={self.full_evaluations}, "
-            f"delta={self.delta_applications})"
+            f"DeltaEvaluator({state}, full_evaluations={self.full_evaluations}, "
+            f"delta_applications={self.delta_applications})"
         )

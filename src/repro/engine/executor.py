@@ -246,10 +246,6 @@ class SeqScan(PhysicalOperator):
         self, state: OperatorState, deltas: Sequence[Delta]
     ) -> Delta:
         (delta,) = deltas
-        if delta.full:
-            raise NonIncrementalDelta(
-                f"scan of {self.label or '?'} received a full delta"
-            )
         changes = delta.transitions()
         if state.counts is not None:
             return commit_changes(state, changes)
@@ -1363,8 +1359,6 @@ class SortLimitOp(PhysicalOperator):
         self, state: OperatorState, deltas: Sequence[Delta]
     ) -> Delta:
         (delta,) = deltas
-        if delta.full:
-            raise NonIncrementalDelta("sort/limit received a full delta")
         window: List[Tuple[Tuple[object, ...], OngoingTuple]] = state.extra[
             "window"
         ]

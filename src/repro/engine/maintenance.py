@@ -11,8 +11,10 @@ fingerprint and nothing else about the plan.
 
 **The pending record** (:attr:`IncrementalMaintainer.pending`) is one
 immutable value — the modified tables, the number of change events, the
-commit stamp of the *oldest* of them and, while the operator state is
-warm, the accumulated row deltas per table:
+commit stamp of the *oldest* of them, while the operator state is warm
+the accumulated row deltas per table, and whether the plan must
+*rebuild* (a table it reads was dropped, or a provider re-evaluated or
+failed — the one "rows unknown" decision, and it lives here only):
 
 * :meth:`~IncrementalMaintainer.note_change` replaces it with a grown
   one for every modification of a table the plan reads (others are
@@ -20,9 +22,10 @@ warm, the accumulated row deltas per table:
 * :meth:`~IncrementalMaintainer.refresh` *claims* it whole
   (:meth:`~IncrementalMaintainer.take_pending`) and propagates its rows
   through the cached operator state, falling back to a logged full
-  re-evaluation only when the state is cold or an operator's rule
-  refuses the delta (:class:`~repro.engine.delta.NonIncrementalDelta`,
-  a full-flagged delta included) — however large the batch;
+  re-evaluation only when the record says rebuild, the state is cold or
+  an operator's rule refuses the delta
+  (:class:`~repro.engine.delta.NonIncrementalDelta`) — however large the
+  batch;
 * :meth:`~IncrementalMaintainer.evaluate` *drops* it whole under the
   database write lock, which serializes it against ``note_change``
   (modification hooks fire with that lock held): every modification is
@@ -39,7 +42,7 @@ maintainer created with *providers* — maintainers of proper sub-trees of
 its plan (:func:`providers_of`) — plans each such sub-tree as a stateless
 scan over the provider's result store instead of building its state a
 second time, and every refresh of a provider hands its result-level
-delta (``None`` from a re-evaluation: full-flagged) to its *consumers*
+delta (``None`` from a re-evaluation: rebuild) to its *consumers*
 under the name :func:`~repro.engine.delta.shared_source` gives it,
 exactly as a table's delta arrives under the table's name.  Two
 invariants make that sound:
@@ -91,7 +94,6 @@ from typing import (
 )
 
 from repro.engine.delta import (
-    FULL_DELTA,
     Delta,
     DeltaBuilder,
     DeltaEvaluator,
@@ -117,13 +119,16 @@ class _Pending(NamedTuple):
     :meth:`IncrementalMaintainer.evaluate`, which drops the record — so a
     warm refresh can always trust the rows it claims.  The builders are
     the one mutable part: touched only under the maintainer lock, or by
-    the refresh that claimed the record.
+    the refresh that claimed the record.  ``rebuild`` says the rows do
+    not tell the whole story — a source was dropped, or a provider
+    re-evaluated — and leaves with the claim, as the rows do.
     """
 
     tables: FrozenSet[str]
     events: int
     commit: Optional[object]
     rows: Dict[str, DeltaBuilder]
+    rebuild: bool = False
 
 
 def _nothing_pending() -> _Pending:
@@ -132,7 +137,7 @@ def _nothing_pending() -> _Pending:
 
 def _fold(older: _Pending, newer: _Pending) -> _Pending:
     """One record answering for both, *older* first."""
-    if not older.events and not older.rows:
+    if not older.events and not older.rows and not older.rebuild:
         return newer
     rows = older.rows
     for source, builder in newer.rows.items():
@@ -146,6 +151,7 @@ def _fold(older: _Pending, newer: _Pending) -> _Pending:
         older.events + newer.events,
         newer.commit if older.commit is None else older.commit,
         rows,
+        older.rebuild or newer.rebuild,
     )
 
 
@@ -155,8 +161,8 @@ class RefreshOutcome:
 
     ``delta`` is the exact result-level change when the refresh
     propagated row deltas through cached operator state, and ``None``
-    when it was a full re-evaluation (cold state, full-flagged deltas or
-    a failed propagation — automatic and logged).  ``changed`` says
+    when it was a full re-evaluation (a rebuild, cold state or a failed
+    propagation — automatic and logged).  ``changed`` says
     whether the result set differs from the one served before the
     refresh — on the delta path that is ``not delta.is_empty()``, on the
     full path an explicit old-vs-new comparison (O(|result|) on a path
@@ -237,8 +243,8 @@ class IncrementalMaintainer:
         self.evaluations = 0
         #: Refreshes that propagated deltas through cached state.
         self.delta_refreshes = 0
-        #: *Refreshes* that had to re-evaluate the plan — cold
-        #: state, full-flagged deltas, a failed propagation.  A direct
+        #: *Refreshes* that had to re-evaluate the plan — a rebuild,
+        #: cold state, a failed propagation.  A direct
         #: :meth:`evaluate` (the evaluation that materializes a plan) is
         #: not a refresh and counts under :attr:`evaluations` only.
         self.full_refreshes = 0
@@ -394,7 +400,9 @@ class IncrementalMaintainer:
     # Delta intake
     # ------------------------------------------------------------------
 
-    def note_change(self, table: str, delta: Delta, commit=None) -> None:
+    def note_change(
+        self, table: str, delta: Optional[Delta], commit=None
+    ) -> None:
         """Record one modification of *table* for the next :meth:`refresh`.
 
         A table the plan does not read is ignored.  Otherwise the record
@@ -405,18 +413,25 @@ class IncrementalMaintainer:
         consume them, i.e. while the operator state is warm (a cold
         plan's next refresh is a full evaluation anyway) and scans the
         table itself — what it reads through a provider arrives as that
-        provider's delta (:meth:`_derive`).
+        provider's delta (:meth:`_derive`).  *delta* ``None`` says the
+        table was dropped: the record then asks for a rebuild.
         """
         if table not in self._relevant:
             return
         with self.lock:
-            tables, events, oldest, rows = self._pending
+            tables, events, oldest, rows, rebuild = self._pending
             if table not in tables:
                 tables = tables | {table}
-            if table in self._evaluator.sources:
+            if delta is None:
+                rebuild = True
+            elif table in self._evaluator.sources:
                 self._add_rows(rows, table, delta)
             self._pending = _Pending(
-                tables, events + 1, commit if oldest is None else oldest, rows
+                tables,
+                events + 1,
+                commit if oldest is None else oldest,
+                rows,
+                rebuild,
             )
 
     @staticmethod
@@ -435,12 +450,14 @@ class IncrementalMaintainer:
         when no cut was taken, the pending one.  Ignored unless the
         current operator tree scans the provider's store."""
         with self.lock:
-            if source in self._evaluator.sources:
-                self._add_rows(
-                    self.owed.rows,
-                    source,
-                    FULL_DELTA if delta is None else delta,
-                )
+            if source not in self._evaluator.sources:
+                return
+            if delta is not None:
+                self._add_rows(self.owed.rows, source, delta)
+            elif self._claimed.events:
+                self._claimed = self._claimed._replace(rebuild=True)
+            else:
+                self._pending = self._pending._replace(rebuild=True)
 
     def _hand_down(self, delta: Optional[Delta]) -> None:
         if self.consumers:
@@ -537,10 +554,11 @@ class IncrementalMaintainer:
         ``outcome.delta`` is the exact result-level change when the
         refresh propagated the pending deltas through cached operator
         state, and ``None`` when the refresh was a full re-evaluation —
-        because the state was cold, or an operator's rule refused the
-        delta (:class:`~repro.engine.delta.NonIncrementalDelta`, raised
-        for full-flagged deltas too).  A warm plan always tries the delta
-        first, however many rows are pending.  The fallback is automatic
+        because the record asked for a rebuild, the state was cold, or an
+        operator's rule refused the delta
+        (:class:`~repro.engine.delta.NonIncrementalDelta`).  A warm plan
+        without a rebuild always tries the delta first, however many rows
+        are pending.  The fallback is automatic
         and logged; callers only need the outcome to know which path ran
         and whether to notify.  The delta path costs O(|Δ|) end to end —
         no snapshot is materialized here.
@@ -563,11 +581,15 @@ class IncrementalMaintainer:
             with self.lock:
                 self.delta_fallbacks += 1
             return self._reevaluate(claimed)
-        pending = {
-            table: builder.build() for table, builder in claimed.rows.items()
-        }
         try:
-            delta = evaluator.apply(pending)
+            if claimed.rebuild:
+                raise NonIncrementalDelta(
+                    "a table it reads was dropped, or a plan it reads "
+                    "re-evaluated"
+                ).annotate(delta_shape="rebuild")
+            delta = evaluator.apply(
+                {table: rows.build() for table, rows in claimed.rows.items()}
+            )
         except NonIncrementalDelta as exc:
             logger.info(
                 "delta propagation for %s (plan %s) fell back to full "

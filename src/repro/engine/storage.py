@@ -195,11 +195,8 @@ def sizeof_delta(delta) -> int:
     replication or change-data-capture channel for ongoing databases
     would transfer per modification, and it is what the incremental
     benchmark reports next to the size of the full materialization the
-    delta path avoids re-shipping.  Full-flagged deltas have no row
-    representation (the consumer re-reads the source) and measure 0.
+    delta path avoids re-shipping.
     """
-    if delta.full:
-        return 0
     return sum(
         sizeof_tuple(item) for item in (*delta.inserted, *delta.deleted)
     )

@@ -4,7 +4,8 @@ The paper's invariant — ongoing results never go stale because time passes,
 only because of explicit modifications — means the *only* signal the live
 engine needs is the stream of base-table modifications, which it takes
 from the :class:`~repro.engine.database.Database` delta hooks as plain
-``(table, version, delta)`` calls.  What it hands on has a shape:
+``(table, version, delta)`` calls — every one naming its rows, except a
+dropped table's ``delta=None``.  What it hands on has a shape:
 
 * :class:`RefreshNotification` — what subscribers receive after their
   shared result was refreshed: the change and the pinned snapshot, bound
@@ -97,13 +98,14 @@ class RefreshNotification:
         """What this refresh changed, bound at *rt* — O(|Δ|).
 
         *rt* defaults to the notification's ``reference_time``.  ``None``
-        when the precise change is unknown (``delta`` is ``None`` or
-        full-flagged): re-read :attr:`rows` (or ``result``) instead.  On
+        when the precise change is unknown (``delta`` is ``None``: the
+        result was re-evaluated): re-read :attr:`rows` (or ``result``)
+        instead.  On
         a coalesced notification this is the merged delta, in which one
         tuple may both enter and leave.
         """
         delta = self.delta
-        if delta is None or delta.full:
+        if delta is None:
             return None
         if rt is None:
             rt = self.reference_time

@@ -18,9 +18,9 @@ of the live engine, and it is **one pipeline**:
    plan **once**, however many modifications accumulated, by
    *propagating* the coalesced deltas through the plan's cached operator
    state (work proportional to the modification, not the database).  A
-   refresh that cannot be incremental — cold state, an untyped bulk
-   change, or a delta an operator cannot absorb — falls back to a full
-   re-evaluation automatically, logged and counted;
+   refresh that cannot be incremental — cold state, a dropped table or
+   a re-evaluated provider, or a delta an operator cannot absorb —
+   falls back to a full re-evaluation automatically, logged and counted;
 4. **delivery** — every subscription whose result changed is notified on
    the bus (one that did not change stays silent unless it opted into
    ``notify_on_no_change``).
@@ -549,9 +549,12 @@ class SubscriptionManager:
     # Modification intake
     # ------------------------------------------------------------------
 
-    def _intake(self, table: str, version: int, delta: Delta) -> None:
-        """Database modification hook: hand the row delta to every plan
-        that reads *table*, mark those plans dirty, wake the serve loop.
+    def _intake(
+        self, table: str, version: int, delta: Optional[Delta]
+    ) -> None:
+        """Database modification hook: hand the row delta (``None``: the
+        table was dropped) to every plan that reads *table*, mark those
+        plans dirty, wake the serve loop.
 
         Runs with the database write lock held (hooks fire inside the
         write), so intake is serialized across writer threads and a
@@ -559,7 +562,8 @@ class SubscriptionManager:
         never refreshes: that is :meth:`flush`'s job, on the caller's
         thread or the serve loop's.
         """
-        with self._spans.span("write", table=table, rows=len(delta)):
+        rows = 0 if delta is None else len(delta)
+        with self._spans.span("write", table=table, rows=rows):
             # The hook runs inside the write, after Table._bump stamped
             # the batch — database.last_commit IS this modification's
             # stamp.

@@ -28,6 +28,7 @@ from repro.core.rational import OngoingRational
 from repro.core.timeline import MINUS_INF, PLUS_INF
 from repro.core import timepoint
 from repro.core.timepoint import OngoingTimePoint
+from repro.engine.delta import NonIncrementalDelta
 from repro.engine.plan import Scan
 from repro.relational.aggregate import group_by
 from repro.relational.tuples import OngoingTuple
@@ -71,6 +72,35 @@ def fallback_log(caplog):
         if record.name == "repro.engine.delta"
         and "fell back" in record.getMessage()
     ]
+
+
+@pytest.fixture
+def force_fallback():
+    """``force_fallback(target)`` makes the next warm propagation of one
+    plan — *target* is its ``IncrementalMaintainer`` or a subscription of
+    it — raise :class:`~repro.engine.delta.NonIncrementalDelta` at the
+    plan's root operator, once.  The refresh then falls back exactly as
+    an operator rule refusing the delta would: annotated with the table
+    and the delta shape, logged, counted in ``delta_fallbacks`` and
+    ``full_refreshes``.  Every modification names its rows, so this is
+    how a test gets a fallback whose cause does not matter."""
+    forced = []
+
+    def force(target) -> None:
+        evaluator = getattr(target, "_maintainer", target)._evaluator
+
+        def refuse(node, table_deltas, path="0"):
+            del evaluator._apply
+            raise NonIncrementalDelta("fallback forced by the test").annotate(
+                operator=type(node).__name__, node_path=path
+            )
+
+        evaluator._apply = refuse
+        forced.append(evaluator)
+
+    yield force
+    for evaluator in forced:
+        evaluator.__dict__.pop("_apply", None)
 
 
 def empty_intern_table() -> None:

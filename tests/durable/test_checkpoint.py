@@ -2,6 +2,7 @@
 
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -344,6 +345,21 @@ class TestSubscriptionCapture:
         )
         entry = serialize_notification(notification)
         assert entry["changed_tables"] == ["R"]
-        assert entry["delta_full"] is False
+        assert "delta_full" not in entry
         assert len(entry["delta"]["inserted"]) == 1
         assert entry["delta"]["deleted"] == []
+
+    def test_an_old_full_flagged_entry_decodes_without_a_delta(self):
+        subscription = SimpleNamespace(result=None, reference_time=None)
+        written_before = {
+            "changed_tables": ["R"],
+            "commit": [3, 1.5],
+            "delta": None,
+            "delta_full": True,
+        }
+        notification = snapshot.deserialize_notification(
+            subscription, written_before
+        )
+        assert notification.delta is None
+        assert notification.changed_tables == ("R",)
+        assert notification.commit.tick == 3

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.interval import until_now
 from repro.durable import faults
+from repro.durable.wal import KIND_BATCH, KIND_DROP
 from repro.engine.database import Database
 from repro.engine.storage import pack_tuple
 from repro.errors import DurabilityError, QueryError
@@ -212,24 +213,31 @@ class TestUnreadableCheckpoint:
         reopened.close()
 
 
-class TestFullDeltaReplay:
-    def test_replace_all_replays_via_snapshot_record(self, tmp_path):
+class TestSwapAndDropReplay:
+    def test_replace_all_replays_via_one_batch_record(self, tmp_path):
         db = Database.open(tmp_path, fsync="off")
         table = _seed(db)
+        kept = tuple(table.rows())[:2]
         replacement = [
-            OngoingTuple((100 + k, until_now(60 + k))) for k in range(3)
+            *kept,
+            *(OngoingTuple((100 + k, until_now(60 + k))) for k in range(3)),
         ]
+        wal = db._durability.wal
+        logged = len(list(wal.records()))
         table.replace_all(replacement)
+        table.replace_all(reversed(replacement))  # identical: no write
+        (record,) = [record for _, record in wal.records()][logged:]
+        assert record.kind == KIND_BATCH
+        assert len(record.inserted) == 3 and len(record.deleted) == 3
         before = _packed(table.rows())
         db.close()
         reopened = Database.open(tmp_path)
         assert _packed(reopened.table("R").rows()) == before
         reopened.close()
 
-    def test_snapshot_replay_triggers_logged_fallback(self, tmp_path, caplog):
-        """The satellite regression: an untyped full-flagged delta
-        (replace_all) must recover through the logged full-refresh
-        fallback, not by corrupting the counting state."""
+    def test_replace_all_replays_through_warm_state(self, tmp_path, caplog):
+        """A swap is an ordinary typed delta: replay propagates it through
+        the operator state rebuilt at the checkpoint, with no fallback."""
         db = Database.open(tmp_path, fsync="off")
         table = _seed(db)
         events = []
@@ -249,7 +257,7 @@ class TestFullDeltaReplay:
                 session={},
                 on_refresh={"s1": (lambda event: None)},
             )
-        assert any(
+        assert not any(
             "fell back to full re-evaluation" in record.getMessage()
             for record in caplog.records
         )
@@ -262,6 +270,8 @@ class TestFullDeltaReplay:
         _seed(db)
         db.create_table("S", Schema.of("X")).insert(1)
         db.drop_table("R")
+        *_, (_, record) = db._durability.wal.records()
+        assert (record.kind, record.table) == (KIND_DROP, "R")
         db.close()
         reopened = Database.open(tmp_path, session={})
         assert set(reopened.tables()) == {"S"}

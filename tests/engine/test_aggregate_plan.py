@@ -249,11 +249,12 @@ class TestDeltaRule:
 
 
 class TestLiveFallback:
-    def test_untyped_modification_falls_back_to_full_refresh(self):
+    def test_refused_delta_falls_back_to_full_refresh(self, force_fallback):
         db = _database()
         session = LiveSession(db)
         sub = session.subscribe(scan("E").group_by(("G",), "count"))
-        db.table("E").replace_all(db.table("E").rows())  # full-flagged delta
+        db.table("E").insert(4, "b", 1, until_now(8))
+        force_fallback(sub)
         session.flush()
         stats = session.stats()
         assert stats["repro_live_full_refreshes_total"] == 1

@@ -154,3 +154,22 @@ class TestChangeEventContract:
         )
         assert affected == 1
         assert events == [table.table.version]
+
+    def test_delete_keeps_duplicates_and_names_only_the_capped_rows(self):
+        table = _table()
+        table.insert((500, until_now(d(1, 25))), at=d(1, 26))
+        table.insert((500, until_now(d(1, 25))), at=d(1, 26))  # held twice
+        table.insert((501, until_now(d(1, 27))), at=d(1, 27))
+        deltas = []
+        table.table.add_delta_listener(
+            lambda name, version, delta: deltas.append(delta)
+        )
+        affected = table.delete(lambda row: row.values[0] == 501, at=d(2, 1))
+        assert affected == 1
+        assert len(table.table) == 3
+        (delta,) = deltas
+        assert [row.values[0] for row in delta.deleted] == [501]
+        assert [row.values[0] for row in delta.inserted] == [501]
+        assert sorted(row.values[0] for row in table.table.rows()) == [
+            500, 500, 501
+        ]

@@ -15,7 +15,6 @@ from repro.engine.delta import (
     Delta,
     DeltaEvaluator,
     EMPTY_DELTA,
-    FULL_DELTA,
     NonIncrementalDelta,
     OperatorState,
     commit_changes,
@@ -54,12 +53,10 @@ def _database():
 
 
 class TestDeltaType:
-    def test_empty_and_full(self):
+    def test_empty(self):
         assert EMPTY_DELTA.is_empty()
-        assert not FULL_DELTA.is_empty()
-        assert FULL_DELTA.full
-        assert not EMPTY_DELTA.full
         assert len(EMPTY_DELTA) == 0
+        assert Delta.__slots__ == ("inserted", "deleted", "appeared", "vanished")
 
     def test_merge_concatenates_in_order(self):
         a = OngoingTuple((1,))
@@ -67,11 +64,6 @@ class TestDeltaType:
         merged = Delta.insert((a,)).merge(Delta.delete((b,)))
         assert merged.inserted == (a,)
         assert merged.deleted == (b,)
-
-    def test_full_absorbs(self):
-        typed = Delta.insert((OngoingTuple((1,)),))
-        assert typed.merge(FULL_DELTA).full
-        assert FULL_DELTA.merge(typed).full
 
     def test_merge_identities(self):
         typed = Delta.insert((OngoingTuple((1,)),))
@@ -105,10 +97,6 @@ class TestDeltaType:
         built = builder.build()
         assert built.inserted == tuple(rows)
         assert built.deleted == (rows[0],)
-        # full absorbs and empties
-        builder.add(FULL_DELTA)
-        builder.add(Delta.insert((rows[1],)))  # ignored after full
-        assert builder.build() is FULL_DELTA
         assert DeltaBuilder().build() is EMPTY_DELTA
 
 
@@ -122,7 +110,7 @@ class TestTypedTableDeltas:
         db.table("R").insert(7, until_now(1))
         ((name, delta),) = captured
         assert name == "R"
-        assert len(delta.inserted) == 1 and not delta.deleted and not delta.full
+        assert len(delta.inserted) == 1 and not delta.deleted
         assert delta.inserted[0].values[0] == 7
 
     def test_current_update_is_one_delete_insert_pair(self):
@@ -137,27 +125,39 @@ class TestTypedTableDeltas:
         (delta,) = captured  # batch-coalesced: exactly one event
         assert len(delta.deleted) == 1
         assert len(delta.inserted) == 2  # terminated-row successor + new row
-        assert not delta.full
 
-    def test_replace_all_without_delta_is_full(self):
+    def test_replace_all_commits_the_multiset_difference(self):
         db = _database()
+        table = db.table("R")
+        first, second, third = tuple(table.rows())
+        table.insert(*first.values)  # first is now held twice
         captured = []
         db.add_delta_listener(
             lambda name, version, delta: captured.append(delta)
         )
-        db.table("R").replace_all([OngoingTuple((9, until_now(1)))])
+        new = OngoingTuple((9, until_now(1)))
+        version = table.version
+        table.replace_all([first, second, new, new])
         (delta,) = captured
-        assert delta.full
+        assert delta.deleted == (first, third)  # one copy of first
+        assert delta.inserted == (new, new)
+        assert table.version == version + 1
+        assert sorted(table.rows(), key=repr) == sorted(
+            [first, second, new, new], key=repr
+        )
+        # An identical swap, in any order, is no write.
+        table.replace_all(reversed(tuple(table.rows())))
+        assert len(captured) == 1
+        assert table.version == version + 1
 
-    def test_drop_table_reports_full(self):
+    def test_drop_table_reports_none(self):
         db = _database()
         captured = []
         db.add_delta_listener(
             lambda name, version, delta: captured.append((name, delta))
         )
         db.drop_table("S")
-        ((name, delta),) = captured
-        assert name == "S" and delta.full
+        assert captured == [("S", None)]
 
     def test_noop_modification_emits_nothing(self):
         db = _database()
@@ -247,7 +247,6 @@ class TestDeltaStorage:
         delta = Delta.update((old,), (new,))
         assert sizeof_delta(delta) == sizeof_tuple(old) + sizeof_tuple(new)
         assert sizeof_delta(EMPTY_DELTA) == 0
-        assert sizeof_delta(FULL_DELTA) == 0  # no rows to ship
 
 
 class TestEvaluatorFallback:
@@ -256,13 +255,6 @@ class TestEvaluatorFallback:
         evaluator = DeltaEvaluator(scan("R"), db)
         with pytest.raises(NonIncrementalDelta, match="cold"):
             evaluator.apply({})
-
-    def test_full_table_delta_raises(self):
-        db = _database()
-        evaluator = DeltaEvaluator(scan("R"), db)
-        evaluator.refresh_full()
-        with pytest.raises(NonIncrementalDelta, match="full"):
-            evaluator.apply({"R": FULL_DELTA})
 
     def test_unrelated_table_delta_is_ignored(self):
         db = _database()
@@ -305,7 +297,7 @@ class TestEvaluatorFallback:
         assert [t.values[0] for t in result.tuples] == [99]
         assert len(result) != rows_before + 1  # no pre-drop leftovers
 
-    def test_refresh_routes_and_falls_back(self):
+    def test_refresh_routes_and_falls_back(self, force_fallback):
         db = _database()
         maintainer = _maintainer(db)
         # cold: full path
@@ -317,21 +309,39 @@ class TestEvaluatorFallback:
         assert outcome.delta is not None and len(outcome.delta.inserted) == 1
         assert 10 in [t.values[0] for t in maintainer.result.tuples]
         assert maintainer.delta_refreshes == 1
-        # warm + full-flagged delta: logged fallback to full
+        # warm + a refused delta: logged fallback to full
         fallbacks = maintainer.delta_fallbacks
         db.table("R").replace_all([OngoingTuple((9, until_now(1)))])
+        force_fallback(maintainer)
         outcome = maintainer.refresh()
         assert outcome.delta is None
         assert maintainer.delta_fallbacks == fallbacks + 1
         assert [t.values[0] for t in maintainer.result.tuples] == [9]
+
+    def test_a_dropped_table_asks_for_one_rebuild(self, fallback_log):
+        db = _database()
+        maintainer = _maintainer(db)
+        maintainer.evaluate()
+        maintainer.note_change("R", None)  # what drop_table hands on
+        assert maintainer.pending.rebuild
+        maintainer.claim()
+        db.table("R").insert(11, until_now(3))
+        maintainer.claim()  # folds the first claim with the write
+        outcome = maintainer.refresh()
+        assert outcome.delta is None and outcome.events == 2
+        (record,) = fallback_log()
+        assert "delta=rebuild" in record
+        assert maintainer.full_refreshes == maintainer.delta_fallbacks == 1
+        # The bit left with the claim: the next write is a delta again.
+        assert not maintainer.pending.rebuild
+        db.table("R").insert(10, until_now(2))
+        assert maintainer.refresh().delta is not None
 
     def test_refresh_full_after_modifications_matches_query(self):
         db = _database()
         evaluator = DeltaEvaluator(scan("R"), db)
         evaluator.refresh_full()
         db.table("R").replace_all([OngoingTuple((9, until_now(1)))])
-        with pytest.raises(NonIncrementalDelta):
-            evaluator.apply({"R": FULL_DELTA})
         result = evaluator.refresh_full()
         assert frozenset(result.tuples) == frozenset(
             db.query(scan("R")).tuples

@@ -66,7 +66,7 @@ class TestIncrementalFlush:
         expected = db.query(_spam_plan())
         assert frozenset(sub.result.tuples) == frozenset(expected.tuples)
 
-    def test_untyped_bulk_load_falls_back_to_full(self):
+    def test_bulk_swap_refreshes_incrementally(self):
         db = _database()
         session = LiveSession(db)
         sub = session.subscribe(_spam_plan())
@@ -75,17 +75,32 @@ class TestIncrementalFlush:
         )
         session.flush()
         stats = session.stats()
-        assert stats["repro_live_full_refreshes_total"] == 1
-        assert stats["repro_live_delta_refreshes_total"] == 0
+        assert stats["repro_live_full_refreshes_total"] == 0
+        assert stats["repro_live_delta_refreshes_total"] == 1
         assert [row[0] for row in sub.instantiate(d(5, 1))] == [600]
 
-    def test_delta_path_resumes_after_a_fallback(self):
+    def test_a_refused_delta_falls_back_to_full(self, force_fallback):
         db = _database()
         session = LiveSession(db)
         sub = session.subscribe(_spam_plan())
         db.table("B").replace_all(
             [OngoingTuple((600, "Spam filter", until_now(d(4, 1))))]
         )
+        force_fallback(sub)
+        session.flush()
+        stats = session.stats()
+        assert stats["repro_live_full_refreshes_total"] == 1
+        assert stats["repro_live_delta_refreshes_total"] == 0
+        assert [row[0] for row in sub.instantiate(d(5, 1))] == [600]
+
+    def test_delta_path_resumes_after_a_fallback(self, force_fallback):
+        db = _database()
+        session = LiveSession(db)
+        sub = session.subscribe(_spam_plan())
+        db.table("B").replace_all(
+            [OngoingTuple((600, "Spam filter", until_now(d(4, 1))))]
+        )
+        force_fallback(sub)
         session.flush()  # fallback rebuilds the operator state...
         db.table("B").insert(601, "Spam filter", until_now(d(5, 1)))
         session.flush()  # ...so this one is incremental again
@@ -93,8 +108,28 @@ class TestIncrementalFlush:
         assert {row[0] for row in sub.instantiate(d(6, 1))} == {600, 601}
 
 
+class TestRebuild:
+    def test_a_drop_rebuilds_once_and_logs_it(self, fallback_log):
+        db = _database()
+        session = LiveSession(db)
+        sub = session.subscribe(_spam_plan())
+        db.drop_table("B")
+        recreated = db.create_table(
+            "B", Schema.of("BID", "C", ("VT", "interval"))
+        )
+        recreated.insert(900, "Spam filter", until_now(d(5, 1)))
+        session.flush()
+        (record,) = fallback_log()
+        assert f"plan {sub.fingerprint[:12]}" in record
+        assert "delta=rebuild" in record
+        stats = session.stats()
+        assert stats["repro_live_full_refreshes_total"] == 1
+        assert stats["repro_live_delta_refreshes_total"] == 0
+        assert [t.values[0] for t in sub.result.tuples] == [900]
+
+
 class TestOneMeaningPerCounter:
-    def test_session_totals_are_the_plans_own_counters(self):
+    def test_session_totals_are_the_plans_own_counters(self, force_fallback):
         """Each refresh is counted once, by the plan it happened to: the
         session's totals are the sum over its plans, survive a plan's
         last unsubscribe, and are what the explain header shows — so
@@ -108,7 +143,9 @@ class TestOneMeaningPerCounter:
         session.flush()
         db.table("B").insert(504, "Crash", until_now(d(5, 2)))
         session.flush()
-        db.table("B").replace_all(tuple(db.table("B").rows()))
+        db.table("B").insert(505, "Other", until_now(d(5, 3)))
+        force_fallback(spam)
+        force_fallback(crash)
         session.flush()
         names = ("evaluations", "delta_refreshes", "full_refreshes")
 
@@ -118,9 +155,9 @@ class TestOneMeaningPerCounter:
 
         before = totals()
         assert before == {
-            "evaluations": 8,  # 2 subscribes + 2 plans × (2 typed + 1 untyped)
+            "evaluations": 8,  # 2 subscribes + 2 plans × 3 writes
             "delta_refreshes": 4,
-            "full_refreshes": 2,  # the replace_all, once per plan
+            "full_refreshes": 2,  # the forced fallback, once per plan
         }
         plans = session.shared_results()
         assert before == {
@@ -187,15 +224,16 @@ class TestChangeFilter:
         assert [t.values[0] for t in event.delta.inserted] == [503]
         assert event.delta.deleted == ()
 
-    def test_unchanged_full_fallback_is_also_silent(self):
-        """Suppression works on the fallback path too: an untyped bulk
-        load that happens to leave the result identical stays silent."""
+    def test_unchanged_full_fallback_is_also_silent(self, force_fallback):
+        """Suppression works on the fallback path too: a re-evaluation
+        that happens to leave the result identical stays silent."""
         db = _database()
         session = LiveSession(db)
         received = []
-        session.subscribe(_spam_plan(), on_refresh=received.append)
-        # Re-load B with identical contents — untyped, forces full path.
-        db.table("B").replace_all(db.table("B").rows())
+        sub = session.subscribe(_spam_plan(), on_refresh=received.append)
+        # A row the plan filters out, refreshed through the full path.
+        db.table("B").insert(505, "Other", until_now(d(5, 3)))
+        force_fallback(sub)
         session.flush()
         assert session.stats()["repro_live_full_refreshes_total"] == 1
         assert received == []
@@ -340,7 +378,7 @@ class TestPendingDeltaHousekeeping:
         session.subscribe(_spam_plan(), on_refresh=insert_into_p)
         p_sub = session.subscribe(scan("P"))
         # order matters: the spam plan refreshes first (its callback
-        # writes P mid-round), then P takes the full path (untyped swap).
+        # writes P mid-round), then P refreshes the swap and the write.
         db.table("B").insert(503, "Spam filter", until_now(d(5, 1)))
         db.table("P").replace_all(
             (*db.table("P").rows(), OngoingTuple((11, until_now(d(3, 1)))))

@@ -134,8 +134,8 @@ class TestDatabaseChangeEvents:
         events = []
         db.add_delta_listener(
             lambda table, version, delta: events.append(
-                (table, version, delta.full)
+                (table, version, delta)
             )
         )
         db.drop_table("B")
-        assert events == [("B", 1, True)]
+        assert events == [("B", 1, None)]

@@ -138,19 +138,19 @@ class TestDatabaseExplainAnalyze:
 
 class TestFallbackTelemetry:
     def test_fallback_records_carry_fingerprint_operator_table(
-        self, fallback_log
+        self, fallback_log, force_fallback
     ):
         db = _database()
         session = LiveSession(db)
         sub = session.subscribe(scan("R"))
-        # A full-flagged delta (replace_all without a row delta) forces
-        # the logged fallback path.
-        db.table("R").replace_all(db.table("R").rows())
+        db.table("R").insert(7, until_now(d(2, 1)))
+        force_fallback(sub)
         session.flush()
         (record,) = fallback_log()
         assert f"plan {sub.fingerprint[:12]}" in record
+        assert "operator=SeqScan" in record
         assert "table=R" in record
-        assert "delta=full" in record
+        assert "delta=+1/-0" in record
         assert "delta_fallbacks=1" in sub.explain_analyze()
         assert session.stats()["repro_live_full_refreshes_total"] == 1
         text = session.metrics.render_prometheus()
@@ -158,12 +158,15 @@ class TestFallbackTelemetry:
         validate_prometheus_text(text)
         session.close()
 
-    def test_stats_agree_with_fallback_counter(self, fallback_log):
+    def test_stats_agree_with_fallback_counter(
+        self, fallback_log, force_fallback
+    ):
         db = _database()
         session = LiveSession(db)
         sub = session.subscribe(scan("R"))
         for _ in range(3):
-            db.table("R").replace_all(db.table("R").rows())
+            db.table("R").insert(7, until_now(d(2, 1)))
+            force_fallback(sub)
             session.flush()
         snapshot = session.metrics.snapshot()
         (sample,) = snapshot["repro_live_full_refreshes_total"]["samples"]

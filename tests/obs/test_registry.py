@@ -120,7 +120,9 @@ class TestCollectors:
 
 
 class TestFallbackLog:
-    def test_record_fallback_logs_and_counts(self, fallback_log):
+    def test_record_fallback_logs_and_counts(
+        self, fallback_log, force_fallback
+    ):
         # A fallback is logged once on repro.engine.delta and counted in
         # the registry the session exports to.
         registry = Registry()
@@ -129,13 +131,13 @@ class TestFallbackLog:
         table.insert(1, until_now(mmdd(1, 1)))
         session = LiveSession(db, registry=registry)
         sub = session.subscribe(scan("R"))
-        # replace_all without a row delta is a full-flagged delta.
-        table.replace_all(table.rows())
+        table.insert(2, until_now(mmdd(1, 2)))
+        force_fallback(sub)
         session.flush()
         (record,) = fallback_log()
         assert f"plan {sub.fingerprint[:12]}" in record
         assert "table=R" in record
-        assert "delta=full" in record
+        assert "delta=+1/-0" in record
         snap = registry.snapshot()
         (sample,) = snap["repro_live_full_refreshes_total"]["samples"]
         assert sample["value"] == 1.0

@@ -3,7 +3,7 @@
 A refresh hands its subscribers the change and the pinned snapshot;
 nothing is bound until somebody reads.  The contract of the three reads:
 for any plan, any sequence of modifications (the PR-2 generators of
-``test_delta_properties.py`` plus a full-flagged ``replace_all``), any
+``test_delta_properties.py`` plus a bulk ``replace_all``), any
 grouping of them into flushes and any of the three ways a notification
 travels — the synchronous bus, one delivery worker, a ``coalesce``
 mailbox of capacity 1 behind a consumer that is held back —
@@ -77,10 +77,10 @@ _REFERENCE_TIMES = st.lists(st.sampled_from(_RTS), min_size=10, max_size=10)
 
 def _extras(kinds, tables, **sizes):
     """Modifications the PR-2 generators lack, as ``(position in the
-    script, modification)``: ``replace_all`` — full-flagged, it names no
-    rows — and ``delete_row``, which removes one row of several that may
-    bind alike (the current deletes terminate rows, they rarely remove
-    one)."""
+    script, modification)``: ``replace_all`` — a bulk swap, committed as
+    its multiset difference — and ``delete_row``, which removes one row
+    of several that may bind alike (the current deletes terminate rows,
+    they rarely remove one)."""
     return st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=6),

@@ -37,7 +37,9 @@ def _plans():
 
 
 class TestReviewRegressions:
-    def test_write_racing_a_full_refresh_keeps_its_dirty_mark(self):
+    def test_write_racing_a_full_refresh_keeps_its_dirty_mark(
+        self, force_fallback
+    ):
         """A write that lands after a full re-evaluation re-read the
         tables must keep the plan dirty: the full path drops the dirty
         mark of every event it subsumed, and only those."""
@@ -55,9 +57,9 @@ class TestReviewRegressions:
             return outcome
 
         shared.refresh = racing_refresh
-        # replace_all is untyped (full-flagged delta): the refresh takes
-        # the full re-evaluation path.
-        db.table("R").replace_all(db.table("R").rows())
+        # The refresh takes the full re-evaluation path.
+        current_insert(db.table("R"), (2,), at=80)
+        force_fallback(shared)
         session.flush()
         shared.refresh = real_refresh
         assert session.stats()["repro_live_full_refreshes_total"] == 1

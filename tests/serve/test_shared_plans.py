@@ -298,15 +298,22 @@ class TestCleanOrPrivate:
         _assert_cold(db, j1=j1, j2=j2)
         session.close()
 
-    def test_an_untyped_modification_rebuilds_provider_then_consumer(self):
+    def test_a_provider_fallback_rebuilds_provider_then_consumer(
+        self, fallback_log, force_fallback
+    ):
         db = _seed(Database("shared"))
         session = LiveSession(db)
         told = []
         j1 = session.subscribe(J1)
         j2 = session.subscribe(J2, on_refresh=told.append)
         rows = tuple(db.table("S").rows())
-        db.table("S").replace_all(rows[1:])  # full-flagged: names no rows
+        db.table("S").replace_all(rows[1:])
+        force_fallback(j1)
         assert session.flush() == 2
+        provider, consumer = fallback_log()
+        assert f"plan {j1.fingerprint[:12]}" in provider
+        assert f"plan {j2.fingerprint[:12]}" in consumer
+        assert "delta=rebuild" in consumer
         _assert_cold(db, j1=j1, j2=j2)
         assert session.stats()["repro_live_full_refreshes_total"] == 2
         (rebuilt,) = told
