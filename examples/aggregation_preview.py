@@ -14,7 +14,13 @@ Run with::
 
 from repro import duration, fixed_interval, fmt_point, mmdd, until_now
 from repro.engine import Database, scan
-from repro.relational import Schema, col, count_tuples, group_by, lit
+from repro.relational import Schema, col, lit
+
+
+def count_of(db: Database, plan):
+    """``SELECT COUNT(*)`` over *plan*: the scalar aggregate's one value."""
+    (row,) = db.query(plan.group_by((), "count")).tuples
+    return row.values[0]
 
 
 def build_database() -> Database:
@@ -33,7 +39,6 @@ def build_database() -> Database:
 
 def main() -> None:
     db = build_database()
-    bugs = db.relation("B")
 
     print("=== duration() returns an ongoing integer ===")
     bug_age = duration(until_now(mmdd(1, 25)))
@@ -44,13 +49,12 @@ def main() -> None:
 
     print("=== COUNT(*) as a function of the reference time ===")
     # Base tuples exist at every reference time, so their count is constant:
-    print(f"count over the base table = {count_tuples(bugs).format()}")
+    print(f"count over the base table = {count_of(db, scan('B')).format()}")
     # A query result's RT is restricted by its predicate, so counting the
     # result gives a genuinely time-dependent answer: how many bugs overlap
     # the August patch window, as a function of the reference time?
     window = fixed_interval(mmdd(8, 15), mmdd(8, 24))
-    affected = db.query(scan("B").where(col("VT").overlaps(lit(window))))
-    affected_count = count_tuples(affected)
+    affected_count = count_of(db, scan("B").where(col("VT").overlaps(lit(window))))
     print(f"count of bugs overlapping the patch window = "
           f"{affected_count.format()}")
     print()
@@ -63,14 +67,16 @@ def main() -> None:
     print()
 
     print("=== GROUP BY component with ongoing aggregates ===")
-    per_component = group_by(bugs, ["C"], "count")
+    per_component = db.query(scan("B").group_by(("C",), "count"))
     for row in per_component:
         component, count = row.values
         print(f"  {component:12} -> {count.format()}")
     print()
 
     print("=== total open-bug days per component (SUM of durations) ===")
-    per_component_load = group_by(bugs, ["C"], "sum_duration", "VT", output_name="load")
+    per_component_load = db.query(
+        scan("B").group_by(("C",), "sum_duration", "VT", output_name="load")
+    )
     for row in per_component_load:
         component, load = row.values
         values = ", ".join(

@@ -23,12 +23,17 @@ This module provides:
   database at ``rt``, then evaluate the logical plan classically on the
   bound rows.  With :func:`critical_points` (every reference time at
   which such a result can change) it is the independent oracle the
-  engine's operators are tested against.
+  engine's operators are tested against;
+* :func:`evaluate_pointwise` — the definition of the two nodes
+  ``evaluate_fixed`` refuses, an Aggregate and a limited SortLimit: a
+  fixed GROUP BY, resp. a top-k, over the bag of the child's ongoing
+  tuples, bound at ``rt``.
 """
 
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.baselines.fixed_algebra import (
@@ -39,7 +44,7 @@ from repro.baselines.fixed_algebra import (
 from repro.core.integer import OngoingInt
 from repro.core.interval import OngoingInterval
 from repro.core.rational import OngoingRational
-from repro.core.timeline import MINUS_INF, TimePoint, is_finite
+from repro.core.timeline import MINUS_INF, PLUS_INF, TimePoint, is_finite
 from repro.core.timepoint import OngoingTimePoint
 from repro.engine import plan as logical
 from repro.errors import QueryError
@@ -68,6 +73,7 @@ __all__ = [
     "cliff_max_reference_time",
     "NotSnapshotReducible",
     "evaluate_fixed",
+    "evaluate_pointwise",
     "critical_points",
 ]
 
@@ -209,7 +215,8 @@ class NotSnapshotReducible(QueryError):
     ongoing tuples by their eventual order, not the rows bound at ``rt``
     — see :class:`~repro.engine.plan.Aggregate` and
     :class:`~repro.engine.plan.SortLimit`.  Neither has a fixed-semantics
-    counterpart to compare against.
+    counterpart over the bound database; each is defined over its child's
+    ongoing tuples instead, by :func:`evaluate_pointwise`.
     """
 
 
@@ -299,6 +306,81 @@ def _evaluate(
     raise NotSnapshotReducible(
         f"{type(node).__name__} has no fixed-semantics counterpart: {node!r}"
     )
+
+
+#: Where a top-k ranks its sort keys: the last reference time of T.  The
+#: ongoing numbers a key can hold are in their final affine form there,
+#: with offsets far below ``PLUS_INF``, so their order at it is the
+#: eventual order ``SortLimit`` ranks by.
+_SETTLED: TimePoint = PLUS_INF - 1
+
+
+def evaluate_pointwise(
+    plan: logical.PlanNode, child: OngoingRelation, rt: TimePoint
+) -> FrozenSet[FixedTuple]:
+    """``‖plan‖rt`` of an Aggregate or a limited SortLimit, from the ongoing
+    tuples *child* its child evaluates to.
+
+    Both nodes are defined over the **bag** of the child's ongoing
+    tuples, not over ``‖child‖rt``: two tuples that bind to one row at
+    *rt* are two members.
+
+    * ``γ``: the fixed GROUP BY over the child's tuples whose RT holds
+      *rt*, each bound at *rt* — COUNT is ``len``, SUM_DURATION the
+      ``sum`` of the bound intervals' clamped lengths, MIN / MAX are
+      ``min`` / ``max``, AVG the exact :class:`~fractions.Fraction` mean.
+      A group exists at *rt* only with a member there, the scalar one
+      too — except that a scalar aggregate over a child with no tuples
+      at all is its one row of zeros, at every *rt*.
+    * ``ORDER BY … LIMIT k``: the child's tuples — all of them, whatever
+      their RT — ranked by their sort keys bound where ongoing numbers
+      have settled (the eventual order; ties by the tuple's ``repr``),
+      the first *k* kept and bound at *rt*.
+
+    *child* is taken as given — a caller holds it to its own definition
+    first — and bound with the one :class:`Binder`; the rest is plain
+    Python over fixed values.
+    """
+    schema = child.schema
+    binder = Binder.of(schema)
+    if isinstance(plan, logical.Aggregate):
+        if not plan.group_columns and not child.tuples:
+            return frozenset({(0,) * len(plan.specs)})
+        keys = [schema.index_of(name) for name in plan.group_columns]
+        groups: Dict[Tuple[object, ...], List[FixedTuple]] = {}
+        for row in binder.bind(child.tuples, rt):
+            groups.setdefault(tuple(row[p] for p in keys), []).append(row)
+        return frozenset(
+            key + tuple(_aggregate(spec, schema, rows) for spec in plan.specs)
+            for key, rows in groups.items()
+        )
+    if isinstance(plan, logical.SortLimit) and plan.limit is not None:
+        ranked = sorted(child.tuples, key=repr)
+        for name, descending in reversed(plan.sort_keys):  # stable sorts
+            position = schema.index_of(name)
+            ranked.sort(
+                key=lambda item: bind_value(item.values[position], _SETTLED),
+                reverse=descending,
+            )
+        return frozenset(binder.bind(ranked[: plan.limit], rt))
+    raise QueryError(f"no pointwise definition for {type(plan).__name__}")
+
+
+def _aggregate(spec, schema: Schema, rows: List[FixedTuple]) -> object:
+    """One aggregate *spec* over a group's bound *rows* (at least one)."""
+    name, argument, _ = spec
+    if name == "count":
+        return len(rows)
+    values = [row[schema.index_of(argument)] for row in rows]
+    if name == "sum_duration":
+        return sum(max(0, end - start) for start, end in values)
+    if name == "min":
+        return min(values)
+    if name == "max":
+        return max(values)
+    if name == "avg":
+        return Fraction(sum(values), len(values))
+    raise QueryError(f"no pointwise definition for aggregate {name!r}")
 
 
 def _expression(

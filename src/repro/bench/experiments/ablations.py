@@ -14,8 +14,9 @@ ablation return the same answer.
 * :func:`predicates` — the gap-based predicates vs. the literal Table II
   compositions (:data:`repro.core.allen.COMPOSED_REFERENCE`: four
   ``less_than`` calls and three sweep-line conjunctions for ``overlaps``);
-* :func:`aggregation` — RT-aware aggregation over a ``Qσ_ovlp(B)`` result:
-  the event-sweep COUNT vs. the naive one-step-per-tuple fold, and GROUP BY.
+* :func:`aggregation` — RT-aware aggregation over a ``Qσ_ovlp(B)`` result,
+  as ``Aggregate`` plans through ``Database.query``: the accumulators'
+  COUNT vs. the naive one-step-per-tuple fold, and GROUP BY.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from repro.datasets import (
 )
 from repro.datasets import mozilla as mozilla_module
 from repro.datasets import synthetic as synthetic_module
+from repro.engine.database import Database
 from repro.engine.indexes import IntervalIndex
-from repro.relational.aggregate import count_tuples, group_by
+from repro.engine.plan import scan
 
 __all__ = ["aggregation", "index", "planner", "predicates"]
 
@@ -156,7 +158,7 @@ def predicates(scale: float = 1.0) -> ExperimentResult:
 
 
 def aggregation(scale: float = 1.0) -> ExperimentResult:
-    """Event-sweep COUNT vs. the naive fold, and GROUP BY."""
+    """The accumulators' COUNT vs. the naive fold, and GROUP BY."""
     result = ExperimentResult(
         experiment="Extension: aggregation",
         title="RT-aware aggregation over Qσ_ovlp(B) (MozillaBugs)",
@@ -165,6 +167,12 @@ def aggregation(scale: float = 1.0) -> ExperimentResult:
     restricted = SelectionWorkload("B", "overlaps", _MOZILLA_WINDOW).run_ongoing(
         database
     )
+    results = Database("aggregation")
+    results.register("Q", restricted)
+
+    def count():
+        (row,) = results.query(scan("Q").group_by((), "count")).tuples
+        return row.values[0]
 
     def fold():
         total = OngoingInt.constant(0)
@@ -172,22 +180,21 @@ def aggregation(scale: float = 1.0) -> ExperimentResult:
             total = total + OngoingInt.step(item.rt)
         return total
 
+    def grouping(*aggregate):
+        return lambda: results.query(scan("Q").group_by(("Component",), *aggregate))
+
     groupings = {
-        "GROUP BY count": lambda: group_by(restricted, ["Component"], "count"),
-        "GROUP BY sum_duration": lambda: group_by(
-            restricted, ["Component"], "sum_duration", "VT"
-        ),
+        "GROUP BY count": grouping("count"),
+        "GROUP BY sum_duration": grouping("sum_duration", "VT"),
     }
     for label, work in (
-        ("COUNT, event sweep", lambda: count_tuples(restricted)),
+        ("COUNT, accumulators", count),
         ("COUNT, naive fold", fold),
         *groupings.items(),
     ):
         result.add_row(f"  {label:<22} {measure(work)}")
     result.add_row(f"  over {len(restricted)} tuples")
-    result.add_check(
-        "the event sweep equals the naive fold", count_tuples(restricted) == fold()
-    )
+    result.add_check("the accumulators' COUNT equals the naive fold", count() == fold())
     result.add_check(
         "GROUP BY count and sum_duration return groups",
         all(len(group()) > 0 for group in groupings.values()),

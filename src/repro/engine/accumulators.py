@@ -33,20 +33,27 @@ Nothing here validates membership: what the children emit is set-level
 by construction (see :class:`~repro.engine.executor.AggregateOp`), and
 the O(1) conservation checks below turn the inconsistencies that *can*
 be seen into :class:`~repro.engine.delta.NonIncrementalDelta`.
+
+The aggregates themselves are named here too: which argument each takes
+(:func:`validate_aggregate`, run when a plan is built) and what a scalar
+aggregate over zero members yields (:func:`scalar_empty_row`).  What
+each aggregate *means* at a reference time is stated once, outside the
+engine: :func:`repro.baselines.clifford.evaluate_pointwise`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import heapq
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.duration import duration
 from repro.core.integer import OngoingInt, Segment
-from repro.core.intervalset import IntervalSet
+from repro.core.intervalset import UNIVERSAL_SET, IntervalSet
 from repro.core.rational import OngoingRational
 from repro.core.timeline import MINUS_INF, PLUS_INF, TimePoint
 from repro.engine.delta import NonIncrementalDelta
 from repro.errors import PredicateError
-from repro.relational.aggregate import _extremum_sweep
+from repro.relational.schema import AttributeKind, Schema
 from repro.relational.tuples import OngoingTuple
 
 #: ``boundary → [Δintercept, Δslope]``.
@@ -55,9 +62,122 @@ EventMap = Dict[TimePoint, List[int]]
 #: One spec as the accumulators read it: ``(aggregate, argument position)``.
 SpecPlan = Tuple[str, Optional[int]]
 
-#: MIN / MAX over the members present at rt; 0 where there is none (the
-#: registry's ``empty_value``, outside the group's RT by construction).
+#: Aggregate name → its argument: none (COUNT), an ongoing interval
+#: attribute, or a fixed numeric one.
+_ARGUMENTS = {
+    "count": "ignored",
+    "sum_duration": "interval",
+    "min": "numeric",
+    "max": "numeric",
+    "avg": "numeric",
+}
+
+#: MIN / MAX over the members present at rt; 0 where there is none
+#: (outside the group's RT by construction).
 _EXTREMA = {"min": min, "max": max}
+
+
+def known_aggregates() -> Tuple[str, ...]:
+    """The recognized aggregate names, sorted."""
+    return tuple(sorted(_ARGUMENTS))
+
+
+def validate_aggregate(
+    schema: Schema, aggregate: str, attr: Optional[str]
+) -> None:
+    """Reject an unknown aggregate or an ill-typed argument before any
+    work — so an aggregate over an empty input still surfaces it, and a
+    bad plan fails when it is built."""
+    argument = _ARGUMENTS.get(aggregate)
+    if argument is None:
+        raise PredicateError(
+            f"unknown aggregate {aggregate!r}; known: {sorted(_ARGUMENTS)}"
+        )
+    if argument == "ignored":
+        return
+    if attr is None:
+        if argument == "interval":
+            raise PredicateError(f"{aggregate} requires an interval attribute")
+        raise PredicateError(f"{aggregate} requires an attribute")
+    kind = schema.attribute(attr).kind
+    if argument == "interval":
+        if kind is not AttributeKind.ONGOING_INTERVAL:
+            raise PredicateError(
+                f"{attr!r} is not an ongoing interval attribute"
+            )
+    elif kind.is_ongoing:
+        raise PredicateError(f"{attr!r} must be a fixed numeric attribute")
+
+
+def scalar_empty_row(aggregates: Sequence[str]) -> OngoingTuple:
+    """The one row scalar *aggregates* yield over zero members, valid at
+    every rt: the constant 0 per column (SQL's ``COUNT(*) = 0`` on an
+    empty table), an undefined ``0/0`` for AVG."""
+    zero = OngoingInt.constant(0)
+    return OngoingTuple(
+        tuple(
+            OngoingRational(zero, zero) if name == "avg" else zero
+            for name in aggregates
+        ),
+        UNIVERSAL_SET,
+    )
+
+
+def _extremum_sweep(
+    members: Iterable[Tuple[IntervalSet, int]],
+    *,
+    empty_value: int,
+    better: Callable[[int, int], int],
+) -> OngoingInt:
+    """Piecewise-constant extremum via one sweep with a lazy-deletion heap.
+
+    Members activate at their RT starts and retire at their RT ends; the
+    heap top is the current extremum, and retired values are discarded
+    lazily when they surface.  O(B log B) total for B boundaries — the
+    naive rule (re-scan all members per segment) is O(B × members).
+    """
+    sign = 1 if better(0, 1) == 0 else -1  # min keeps the heap top smallest
+    starts: Dict[TimePoint, List[int]] = {}
+    ends: Dict[TimePoint, List[int]] = {}
+    boundaries = set()
+    for rt_set, value in members:
+        for start, end in rt_set:
+            starts.setdefault(start, []).append(sign * value)
+            ends.setdefault(end, []).append(sign * value)
+            boundaries.add(start)
+            boundaries.add(end)
+    if not boundaries:
+        return OngoingInt.constant(empty_value)
+
+    heap: List[int] = []
+    retired: Dict[int, int] = {}
+
+    def current() -> int:
+        while heap:
+            top = heap[0]
+            pending = retired.get(top, 0)
+            if not pending:
+                return sign * top
+            heapq.heappop(heap)
+            if pending == 1:
+                del retired[top]
+            else:
+                retired[top] = pending - 1
+        return empty_value
+
+    segments: List[Segment] = []
+    cursor = MINUS_INF
+    for boundary in sorted(boundaries):
+        if cursor < boundary:
+            segments.append((cursor, boundary, current(), 0))
+            cursor = boundary
+        for value in ends.get(boundary, ()):  # half-open: retire first
+            retired[value] = retired.get(value, 0) + 1
+        for value in starts.get(boundary, ()):
+            heapq.heappush(heap, value)
+    if cursor < PLUS_INF:
+        segments.append((cursor, PLUS_INF, current(), 0))
+    return OngoingInt(segments)
 
 
 def add_event(

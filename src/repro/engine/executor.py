@@ -62,7 +62,11 @@ from repro.core.intervalset import EMPTY_SET, IntervalSet
 from repro.core.operations import equal as _point_equal
 from repro.core.rational import OngoingRational
 from repro.engine import indexes
-from repro.engine.accumulators import GroupAccumulators
+from repro.engine.accumulators import (
+    GroupAccumulators,
+    scalar_empty_row,
+    validate_aggregate,
+)
 from repro.engine.delta import (
     Delta,
     EMPTY_DELTA,
@@ -72,7 +76,6 @@ from repro.engine.delta import (
 )
 from repro.engine.indexes import IntervalIndex, IntervalProbeIndex
 from repro.errors import QueryError
-from repro.relational.aggregate import scalar_empty_row, validate_aggregate
 from repro.relational.predicates import Column, Expression, Predicate
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import AttributeKind, Schema

@@ -310,11 +310,10 @@ class Aggregate(PlanNode):
 
     *group_columns* name fixed attributes of the child; *specs* is an
     **ordered list** of ``(aggregate, argument, output_name)`` triples,
-    one output column each.  The valid aggregate names are whatever the
-    registry of :mod:`repro.relational.aggregate` holds — see
-    :func:`repro.relational.aggregate.known_aggregates`; this class does
-    not enumerate them (the planner validates against the registry at
-    plan time).  *argument* is the aggregated column (``None`` for
+    one output column each.  The valid aggregate names are
+    :func:`repro.engine.accumulators.known_aggregates`; this class does
+    not enumerate them (the plan is validated when it is built).
+    *argument* is the aggregated column (``None`` for
     ``count``); a missing *output_name* is normalized to the aggregate
     name at construction, so ``output_name=None`` and an explicit
     ``output_name="count"`` are the *same* plan.
@@ -327,7 +326,17 @@ class Aggregate(PlanNode):
     fingerprintable — two subscribers to the same GROUP BY query share
     one materialization and one delta-maintained state.
 
-    An aggregate folds ongoing tuples, not the rows they bind to: two
+    **Semantics (bag).**  ‖γ(Q)‖rt is the fixed GROUP BY over the bag of
+    Q's ongoing tuples whose RT holds rt, each bound at rt: COUNT counts
+    them, SUM_DURATION sums their bound intervals' clamped lengths,
+    MIN / MAX / AVG read a fixed numeric column (AVG exactly, as a
+    fraction).  A group is in the result at rt only if a member is; a
+    scalar aggregate (no *group_columns*) yields its constant row — 0
+    per column — only when Q has no tuples at all, and then at every rt.
+    :func:`repro.baselines.clifford.evaluate_pointwise` is this
+    definition, run.
+
+    The bag is of ongoing tuples, not of the rows they bind to: two
     equal tuples with overlapping reference times COUNT as two at an rt
     where the bound relation holds one row, so the result is not
     ``Q(‖D‖rt)`` and :func:`repro.baselines.clifford.evaluate_fixed`
@@ -474,7 +483,10 @@ class SortLimit(PlanNode):
     reference time has ended still holds its place in the top k, so a
     limited result is not ``Q(‖D‖rt)`` and
     :func:`repro.baselines.clifford.evaluate_fixed` refuses it (an
-    unlimited one is the identity on the set and is evaluated).
+    unlimited one is the identity on the set and is evaluated).  At rt
+    it is the fixed top-k over the bag of Q's ongoing tuples, ranked
+    by the eventual order, of which those whose RT holds rt are bound
+    there — :func:`repro.baselines.clifford.evaluate_pointwise`.
     """
 
     __slots__ = ("child", "sort_keys", "limit")

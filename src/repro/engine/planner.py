@@ -288,12 +288,8 @@ class Planner:
     def _plan_aggregate(
         self, node: logical.Aggregate, database
     ) -> PhysicalOperator:
-        from repro.relational.aggregate import validate_aggregate
-
         child = self.plan(node.child, database)
         schema = child.schema
-        for aggregate, argument, _ in node.specs:
-            validate_aggregate(schema, aggregate, argument)
         positions: List[int] = []
         for name in node.group_columns:
             if schema.attribute(name).kind.is_ongoing:

@@ -4,10 +4,7 @@
 * :mod:`repro.relational.tuples` — tuples carrying the RT attribute;
 * :mod:`repro.relational.relation` — ongoing relations and the bind operator;
 * :mod:`repro.relational.predicates` — predicate/expression trees evaluated
-  to ongoing booleans (the ``col(...)`` builder API);
-* :mod:`repro.relational.aggregate` — RT-aware aggregation (Section X
-  future work, implemented here), the reference the engine's aggregate
-  is tested against.
+  to ongoing booleans (the ``col(...)`` builder API).
 
 The operators of Theorem 2 exist once, in the engine: build a plan
 (:mod:`repro.engine.plan`) and run it with ``Database.query``.  σ is
@@ -16,7 +13,10 @@ The operators of Theorem 2 exist once, in the engine: build a plan
 ``join`` on ``TRUE_PREDICATE``, ∪ is ``union``, − is ``difference`` and
 ``R ∩ S`` is ``R.difference(R.difference(S))``.  The paper's definition
 of each — bind at rt, then run the fixed operator — is
-:func:`repro.baselines.clifford.evaluate_fixed`.
+:func:`repro.baselines.clifford.evaluate_fixed`.  Aggregation γ
+(``group_by``) and ``ORDER BY … LIMIT`` (``order_by``) are defined over
+the bag of their child's ongoing tuples instead:
+:func:`repro.baselines.clifford.evaluate_pointwise`.
 """
 
 from repro.relational.schema import Attribute, AttributeKind, Schema
@@ -37,13 +37,6 @@ from repro.relational.predicates import (
     TruePredicate,
     col,
     lit,
-)
-from repro.relational.aggregate import (
-    count_tuples,
-    group_by,
-    max_over,
-    min_over,
-    sum_durations,
 )
 
 __all__ = [
@@ -68,9 +61,4 @@ __all__ = [
     "TruePredicate",
     "col",
     "lit",
-    "count_tuples",
-    "group_by",
-    "max_over",
-    "min_over",
-    "sum_durations",
 ]

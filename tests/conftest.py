@@ -29,8 +29,7 @@ from repro.core.timeline import MINUS_INF, PLUS_INF
 from repro.core import timepoint
 from repro.core.timepoint import OngoingTimePoint
 from repro.engine.delta import NonIncrementalDelta
-from repro.engine.plan import Scan
-from repro.relational.aggregate import group_by
+from repro.engine.plan import Aggregate, Scan, SortLimit
 from repro.relational.tuples import OngoingTuple
 
 # The bus contract is stated once and collected through subclasses in two
@@ -298,24 +297,22 @@ def assert_fixed_semantics(plan, database, *results, context=None) -> None:
             assert result.instantiate(rt) == expected, (context, position, rt)
 
 
-def assert_reference_semantics(plan, database, reference, *results, context=None):
+def assert_reference_semantics(plan, database, *results, context=None) -> None:
     """For a plan ``evaluate_fixed`` refuses (an aggregate, a limited
-    sort): each of *results* instantiates like *reference* applied to
-    ``database.query(plan.child)`` — and that child result is first held
-    to :func:`assert_fixed_semantics`.  Returns the reference result."""
+    sort): each of *results* instantiates, at every critical reference
+    time, to ``evaluate_pointwise(plan, child, rt)`` — the definition
+    over the bag of the child's ongoing tuples, *child* being
+    ``database.query(plan.child)``.  That child result is first held to
+    its own definition: this one again for an aggregate or a limited
+    sort, :func:`assert_fixed_semantics` for any other node."""
     child = database.query(plan.child)
-    if not isinstance(plan.child, Scan):  # a bare scan is its table
+    if isinstance(plan.child, Aggregate) or (
+        isinstance(plan.child, SortLimit) and plan.child.limit is not None
+    ):
+        assert_reference_semantics(plan.child, database, child, context=context)
+    elif not isinstance(plan.child, Scan):  # a bare scan is its table
         assert_fixed_semantics(plan.child, database, child, context=context)
-    expected = reference(child)
-    if not results:
-        return expected
-    for rt in sweep(database, [plan.child], expected, *results):
-        want = expected.instantiate(rt)
+    for rt in sweep(database, [plan.child], child, *results):
+        expected = clifford.evaluate_pointwise(plan, child, rt)
         for position, result in enumerate(results):
-            assert result.instantiate(rt) == want, (context, position, rt)
-    return expected
-
-
-def grouped(plan):
-    """``relational.aggregate.group_by`` with *plan*'s grouping and specs."""
-    return lambda child: group_by(child, plan.group_columns, specs=plan.specs)
+            assert result.instantiate(rt) == expected, (context, position, rt)

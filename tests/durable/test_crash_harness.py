@@ -17,12 +17,16 @@ the directory, and asserts:
 
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.durable import faults
 from repro.engine.database import Database
 from repro.engine.storage import pack_tuple
+
+#: The checkout this file belongs to: the child runs its ``src/``.
+ROOT = Path(__file__).resolve().parents[2]
 
 CHILD = textwrap.dedent(
     """
@@ -80,8 +84,8 @@ def test_kill_nine_mid_burst_recovers_consistently(tmp_path, fsync):
         marker="ACK",
         count=30,
         timeout=90.0,
-        env={"PYTHONPATH": "src"},
-        cwd="/root/repo",
+        env={"PYTHONPATH": str(ROOT / "src")},
+        cwd=str(ROOT),
     )
     assert result.killed, f"child exited on its own: {result.lines[-5:]}"
     assert result.returncode == -9

@@ -3,11 +3,15 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.durable import faults
 from repro.durable.faults import CRASHPOINTS, InjectedCrash
+
+#: The checkout this file belongs to: the children run its ``src/``.
+ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(autouse=True)
@@ -86,13 +90,13 @@ class TestEnvArming:
         )
         env = dict(os.environ)
         env["REPRO_CRASHPOINT"] = "wal.pre_append"
-        env["PYTHONPATH"] = "src"
+        env["PYTHONPATH"] = str(ROOT / "src")
         out = subprocess.run(
             [sys.executable, str(script)],
             capture_output=True,
             text=True,
             env=env,
-            cwd="/root/repo",
+            cwd=str(ROOT),
             timeout=60,
         )
         assert "CRASHED" in out.stdout
@@ -106,13 +110,13 @@ class TestEnvArming:
         )
         env = dict(os.environ)
         env["REPRO_CRASHPOINT"] = "wal.post_append:exit"
-        env["PYTHONPATH"] = "src"
+        env["PYTHONPATH"] = str(ROOT / "src")
         out = subprocess.run(
             [sys.executable, str(script)],
             capture_output=True,
             text=True,
             env=env,
-            cwd="/root/repo",
+            cwd=str(ROOT),
             timeout=60,
         )
         assert out.returncode == faults.KILLED_STATUS

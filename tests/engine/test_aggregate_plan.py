@@ -9,9 +9,10 @@ from repro.engine.modifications import current_delete, current_update
 from repro.engine.plan import Aggregate, scan
 from repro.errors import PredicateError, SchemaError
 from repro.live import LiveSession
-from repro.relational.aggregate import group_by
 from repro.relational.predicates import col, lit
 from repro.relational.schema import AttributeKind, Schema
+
+from tests.conftest import assert_reference_semantics
 
 
 def _database() -> Database:
@@ -86,9 +87,7 @@ class TestExecution:
     def test_pull_path_matches_relational_operator(self):
         db = _database()
         plan = scan("E").group_by(("G",), "count", output_name="n")
-        assert db.query(plan) == group_by(
-            db.relation("E"), ["G"], "count", output_name="n"
-        )
+        assert_reference_semantics(plan, db, db.query(plan))
 
     def test_aggregate_over_filtered_child(self):
         db = _database()
@@ -96,8 +95,7 @@ class TestExecution:
         plan = (
             scan("E").where(col("VT").overlaps(window)).group_by(("G",), "count")
         )
-        filtered = db.query(scan("E").where(col("VT").overlaps(window)))
-        assert db.query(plan) == group_by(filtered, ["G"], "count")
+        assert_reference_semantics(plan, db, db.query(plan))
 
     def test_scalar_aggregate_over_empty_table(self):
         db = Database("empty")

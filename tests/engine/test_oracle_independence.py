@@ -1,20 +1,20 @@
 """The oracles are never a production path, and never the engine.
 
-Two yardsticks check the engine's operators:
-:func:`repro.baselines.clifford.evaluate_fixed` — the paper's definition,
-the fixed query over the database bound at rt — for every relational
-node, and :func:`repro.relational.aggregate.group_by` for aggregates,
-which do not reduce to a snapshot.  A comparison only means something
-while neither side calls the other:
+Two definitions check the engine's operators, both in
+:mod:`repro.baselines.clifford`: :func:`~repro.baselines.clifford.evaluate_fixed`
+— the paper's definition, the fixed query over the database bound at rt
+— for every relational node, and
+:func:`~repro.baselines.clifford.evaluate_pointwise` — the fixed GROUP BY,
+resp. top-k, over the bag of the child's ongoing tuples — for an
+aggregate and a limited sort, which do not reduce to a snapshot.  A
+comparison only means something while neither side calls the other:
 
-* the engine imports from :mod:`repro.relational.aggregate` only the
-  kernels below, each by name.  Since the aggregate keeps invertible
-  accumulators of its own (:mod:`repro.engine.accumulators`), ``group_by``
-  and its per-group computes — COUNT, SUM_DURATION, AVG, the union of a
-  group's member RTs — are not among them;
 * ``baselines/clifford.py`` imports nothing from :mod:`repro.engine` but
-  the logical plan nodes it interprets, and nothing from the aggregate
-  reference.
+  the logical plan nodes it interprets — in particular nothing from
+  :mod:`repro.engine.accumulators`, the aggregate it defines;
+* no engine module imports a second aggregate implementation: the
+  sweep-based ``repro.relational.aggregate`` is gone, and the engine
+  imports nothing from :mod:`repro.baselines`.
 """
 
 import ast
@@ -22,17 +22,6 @@ from pathlib import Path
 
 import repro.baselines.clifford
 import repro.engine
-import repro.relational.aggregate
-
-#: The aggregate reference, and the package root that re-exports it.
-_ORACLE_MODULES = ("repro.relational", "repro.relational.aggregate")
-
-#: Kernel name → why the engine and the aggregate reference share it.
-_SHARED_KERNELS = {
-    "_extremum_sweep": "MIN / MAX are not invertible: one sweep over a (rt, value) iterable",
-    "scalar_empty_row": "the constant row of a scalar aggregate over zero members",
-    "validate_aggregate": "plan-time type check of an aggregate's argument",
-}
 
 
 def _imports(tree: ast.AST):
@@ -51,28 +40,34 @@ def _parsed(path: Path) -> ast.AST:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def test_engine_imports_only_per_tuple_kernels_from_the_oracle():
+def _within(module: str, package: str) -> bool:
+    return module == package or module.startswith(package + ".")
+
+
+def test_engine_imports_no_oracle_and_no_second_aggregate():
     offenders = []
     for path in sorted(Path(repro.engine.__file__).parent.glob("*.py")):
         for lineno, module, name in _imports(_parsed(path)):
-            if module in _ORACLE_MODULES and name not in _SHARED_KERNELS:
+            if (
+                _within(module, "repro.baselines")
+                or module == "repro.relational.aggregate"
+                or (module == "repro.relational" and name == "aggregate")
+            ):
                 offenders.append(f"{path.name}:{lineno} imports {module} {name}")
     assert not offenders, offenders
 
 
 def test_the_fixed_semantics_oracle_reads_only_the_plan_from_the_engine():
-    aggregate_names = set(repro.relational.aggregate.__all__)
+    """``evaluate_fixed`` and ``evaluate_pointwise`` share a module: no
+    import of it reaches the engine beyond ``plan`` — not the
+    accumulators, not the executor that runs them."""
     offenders = []
     path = Path(repro.baselines.clifford.__file__)
     for lineno, module, name in _imports(_parsed(path)):
-        engine = module == "repro.engine" or module.startswith("repro.engine.")
-        if engine and (module, name) not in {
+        if _within(module, "repro.engine") and (module, name) not in {
             ("repro.engine", "plan"),
             ("repro.engine.plan", name),
         }:
             offenders.append(f"{lineno}: {module} {name}")
-        if module == "repro.relational.aggregate" or (
-            module == "repro.relational" and name in aggregate_names
-        ):
-            offenders.append(f"{lineno}: {module} {name}")
     assert not offenders, offenders
+    assert "evaluate_pointwise" in repro.baselines.clifford.__all__

@@ -8,8 +8,9 @@ through its access path: the constant's bucket of
 superset of what the selection keeps.  So at every critical reference
 time three evaluations agree: the cold build, the paper's definition
 (:func:`repro.baselines.clifford.evaluate_fixed` on the bound table; for
-a top-k, which it refuses, a reference top-k over the cold build of the
-selection, itself held to ``evaluate_fixed``) and — after each random
+a top-k, which it refuses, :func:`~repro.baselines.clifford.evaluate_pointwise`
+over the cold build of the selection, itself held to ``evaluate_fixed``)
+and — after each random
 batch of modifications — the delta-maintained result.
 
 The tables are built to stress the access paths: the equality column
@@ -57,7 +58,6 @@ from repro.engine.modifications import current_delete, current_insert
 from repro.engine.plan import SortLimit, scan
 from repro.engine.planner import plan_query
 from repro.relational.predicates import col, lit
-from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
 
@@ -94,20 +94,6 @@ _MODIFICATION = st.one_of(
 _BATCHES = st.lists(
     st.lists(_MODIFICATION, min_size=1, max_size=4), min_size=1, max_size=4
 )
-
-
-def _top(plan: SortLimit):
-    """ORDER BY G [DESC] LIMIT k, ties broken by the row's ``repr``."""
-    ((_, descending),) = plan.sort_keys
-    sign = -1 if descending else 1
-
-    def top(relation: OngoingRelation) -> OngoingRelation:
-        ordered = sorted(
-            relation, key=lambda item: (sign * item.values[1], repr(item))
-        )
-        return OngoingRelation(relation.schema, ordered[: plan.limit])
-
-    return top
 
 
 def _plans(value):
@@ -153,7 +139,7 @@ def _assert_agree(db, plan, maintained=None):
     oracle at every critical point."""
     compared = [db.query(plan)] + ([maintained] if maintained is not None else [])
     if isinstance(plan, SortLimit):
-        assert_reference_semantics(plan, db, _top(plan), *compared)
+        assert_reference_semantics(plan, db, *compared)
     else:
         assert_fixed_semantics(plan, db, *compared)
 

@@ -6,13 +6,14 @@ accumulators (:mod:`repro.engine.accumulators`): every changed row adds
 or retracts its own boundary events and the touched groups' maps are
 walked into their output rows.  For any GROUP BY plan and any sequence
 of typed modifications that must produce — step for step — rows **equal
-and hash-equal** to a from-scratch
-:func:`repro.relational.aggregate.group_by` over the cold build of the
-aggregate's child, the independent aggregate reference
-(``tests/engine/test_oracle_independence.py``), at every critical point
-of every ongoing value in play.  The child itself is held to the paper's
-definition, :func:`repro.baselines.clifford.evaluate_fixed`, which an
-aggregate does not reduce to (it counts ongoing tuples, not bound rows).
+and hash-equal** to a from-scratch cold build, and instantiations equal,
+at every critical point of every ongoing value in play, to the
+aggregate's definition: :func:`repro.baselines.clifford.evaluate_pointwise`,
+the fixed GROUP BY over the bag of the child's ongoing tuples present
+at rt (``tests/engine/test_oracle_independence.py`` keeps it apart from
+the engine).  The child itself is held to the paper's definition,
+:func:`repro.baselines.clifford.evaluate_fixed`, which an aggregate does
+not reduce to (it counts ongoing tuples, not bound rows).
 
 The plans cover what the ledger's pool cannot reach: several specs in
 one GROUP BY (``count + avg``), HAVING over an ongoing count, ``avg``
@@ -67,11 +68,7 @@ from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
 
-from tests.conftest import (
-    assert_fixed_semantics,
-    assert_reference_semantics,
-    grouped,
-)
+from tests.conftest import assert_fixed_semantics, assert_reference_semantics
 
 _WINDOW = lit(fixed_interval(10, 20))
 _IN_WINDOW = col("VT").overlaps(_WINDOW)
@@ -237,29 +234,26 @@ def _hashed(relation):
 
 
 def _assert_matches_the_oracle(db, plan_key, result, context=""):
-    """*result* ≡ ``group_by`` over the cold build of the aggregate's
-    child, which is held to ``evaluate_fixed`` first: rows equal and
-    hash-equal, and equal instantiations at every critical point.  A
-    HAVING above the aggregate runs over those groups as a table, held
-    to ``evaluate_fixed`` there."""
+    """*result* instantiates like ``evaluate_pointwise`` over the cold
+    build of the aggregate's child, held to ``evaluate_fixed`` first, at
+    every critical point; and its rows are equal and hash-equal to a cold
+    build.  A HAVING above the aggregate runs over the aggregate's cold
+    build — itself held to ``evaluate_pointwise`` — as a table, and is
+    held to ``evaluate_fixed`` there."""
     plan = _PLANS[plan_key]
     context = (plan_key, context)
     if isinstance(plan, Aggregate):
-        expected = assert_reference_semantics(
-            plan, db, grouped(plan), result, context=context
-        )
+        assert_reference_semantics(plan, db, result, context=context)
     else:
         groups = Database("groups")
         aggregate = plan.child
-        groups.register(
-            "G",
-            assert_reference_semantics(
-                aggregate, db, grouped(aggregate), context=context
-            ),
+        table = groups.register("G", db.query(aggregate))
+        assert_reference_semantics(
+            aggregate, db, table.as_relation(), context=context
         )
         having = scan("G").where(plan.predicate)
-        expected = groups.query(having)
-        assert_fixed_semantics(having, groups, expected, result, context=context)
+        assert_fixed_semantics(having, groups, result, context=context)
+    expected = db.query(plan)
     assert result.schema.names == expected.schema.names
     assert _hashed(result) == _hashed(expected), context
 
@@ -317,9 +311,10 @@ def test_aggregate_instantiations_agree_at_all_reference_times(
 def test_accumulated_rows_are_the_oracles_rows_after_every_flush(
     plan_key, modifications
 ):
-    """The contract: after every flush the maintained result is
-    ``relational.aggregate.group_by`` on the tables — rows equal and
-    hash-equal, at every critical point — incrementally, with each
+    """The contract: after every flush the maintained result is the
+    aggregate's pointwise definition on the tables at every critical
+    point, and a cold build's rows, equal and hash-equal — incrementally,
+    with each
     output row still the row its group's accumulators walk to.  A fresh
     cold build (``db.query``) lands on the same rows."""
     plan = _PLANS[plan_key]

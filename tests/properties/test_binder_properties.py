@@ -23,10 +23,10 @@ from repro.core.intervalset import UNIVERSAL_SET
 from repro.core.rational import OngoingRational
 from repro.core.timeline import MINUS_INF, PLUS_INF
 from repro.core.timepoint import fixed
+from repro.engine.accumulators import scalar_empty_row
 from repro.engine.database import Database
 from repro.engine.plan import scan
 from repro.live import LiveSession
-from repro.relational.aggregate import scalar_empty_row
 from repro.relational.predicates import col
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Attribute, AttributeKind, Schema

@@ -43,7 +43,6 @@ from repro.engine.storage import (
     unpack_tagged_tuple,
 )
 from repro.errors import TimeDomainError
-from repro.relational.aggregate import members_support
 from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
@@ -373,11 +372,22 @@ class TestSharedReferenceTimes:
 
     @given(interval_sets())
     def test_a_group_support_is_the_shared_set(self, s1):
-        members = [OngoingTuple((index,), IntervalSet.point(index)) for index in range(3)]
-        members += [OngoingTuple((pair,), IntervalSet([pair])) for pair in s1.intervals]
-        expected = s1 | IntervalSet([(0, 3)])
-        assert members_support(members) is expected
-        assert members_support(members[3:]) is s1
+        """Group 0 holds three point members and one member per interval
+        of *s1*; group 1 only the latter."""
+        members = [OngoingTuple((0, index), IntervalSet.point(index)) for index in range(3)]
+        for group in (0, 1):
+            members += [
+                OngoingTuple((group, 10 + index), IntervalSet([pair]))
+                for index, pair in enumerate(s1.intervals)
+            ]
+        db = Database("group-support")
+        db.create_table("E", Schema.of("G", "V")).insert_tuples(members)
+        rows = {
+            row.values[0]: row.rt
+            for row in db.query(scan("E").group_by(("G",), "count"))
+        }
+        assert rows[0] is s1 | IntervalSet([(0, 3)])
+        assert rows.get(1, EMPTY_SET) is s1
         _singletons_intact()
 
     def test_an_aggregate_group_row_carries_the_shared_set(self):
@@ -390,8 +400,11 @@ class TestSharedReferenceTimes:
         groups = db.query(plan.group_by(("G",), "count", output_name="n"))
         assert len(groups) == 3
         for row in groups:
-            support = members_support(
-                member for member in members if member.values[1] == row.values[0]
+            support = IntervalSet(
+                pair
+                for member in members
+                if member.values[1] == row.values[0]
+                for pair in member.rt
             )
             assert row.rt is support and row.rt is IntervalSet(row.rt.intervals)
         _singletons_intact()

@@ -12,9 +12,9 @@ subscription starts from) and the same rows fed as random insert
 batches through ``DeltaEvaluator.apply`` must both instantiate — at
 every critical point — to the paper's definition,
 :func:`repro.baselines.clifford.evaluate_fixed` on the bound tables.
-An aggregate, which that definition does not cover, is compared with
-``relational.aggregate.group_by`` over its child's result, the child
-held to ``evaluate_fixed`` first.
+An aggregate and a top-k, which that definition does not cover, are
+compared with :func:`repro.baselines.clifford.evaluate_pointwise` over
+their child's result, the child held to ``evaluate_fixed`` first.
 """
 
 import random
@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core.interval import fixed_interval, until_now
 from repro.engine.database import Database
+from repro.engine.accumulators import scalar_empty_row
 from repro.engine.delta import Delta, DeltaEvaluator
 from repro.engine.executor import (
     HashJoin,
@@ -35,7 +36,6 @@ from repro.engine.executor import (
 from repro.engine.plan import Aggregate, scan
 from repro.engine.planner import plan_query
 from repro.errors import QueryError
-from repro.relational.aggregate import group_by, scalar_empty_row
 from repro.relational.predicates import col, lit
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Schema
@@ -44,7 +44,6 @@ from repro.relational.tuples import OngoingTuple
 from tests.conftest import (
     assert_fixed_semantics,
     assert_reference_semantics,
-    grouped,
     interval_sets,
     ongoing_intervals,
 )
@@ -207,7 +206,7 @@ def test_pull_cold_and_batched_deltas_match_the_oracle(
     results = _cold_and_batched(plan, rng, **tables)
     db = _database(**tables)
     if isinstance(plan, Aggregate):
-        assert_reference_semantics(plan, db, grouped(plan), *results)
+        assert_reference_semantics(plan, db, *results)
     else:
         assert_fixed_semantics(plan, db, *results)
 
@@ -218,12 +217,7 @@ def test_top_k_paths_agree_and_respect_the_order(relation, rng):
     cold, batched = _cold_and_batched(plan, rng, R=relation.tuples)
     assert frozenset(cold.tuples) == frozenset(batched.tuples)
     assert len(cold) == min(2, len(relation))
-    dropped = frozenset(relation.tuples) - frozenset(cold.tuples)
-    assert all(
-        kept.values[0] >= other.values[0]
-        for kept in cold
-        for other in dropped
-    )
+    assert_reference_semantics(plan, _database(R=relation.tuples), cold, batched)
 
 
 def test_scalar_aggregate_over_an_empty_child_is_the_constant_row():
@@ -240,8 +234,8 @@ def test_scalar_aggregate_over_an_empty_child_is_the_constant_row():
         OngoingTuple((2, fixed_interval(0, 9))),
     )
     evaluator.apply({"R": Delta.insert(rows)})
-    expected = group_by(OngoingRelation(_BASE, rows), [], specs=_SPECS)
-    assert evaluator.result == expected
+    assert evaluator.result == _database(R=rows).query(plan)
+    assert_reference_semantics(plan, _database(R=rows), evaluator.result)
     evaluator.apply({"R": Delta.delete(rows)})
     assert evaluator.result.tuples == (empty_row,)
 

@@ -15,6 +15,10 @@ Two plan families, two guarantees:
 * the **tight-k plan** (``LIMIT 2`` over churning groups) exercises the
   boundary-eviction fallback on purpose — there only exactness is
   asserted; the fallback is the documented, logged escape hatch.
+
+An aggregate or a top-k that sits right over the scan or over an
+aggregate is also held, at every critical point, to its pointwise
+definition (:func:`repro.baselines.clifford.evaluate_pointwise`).
 """
 
 from hypothesis import given, settings
@@ -27,10 +31,12 @@ from repro.engine.modifications import (
     current_insert,
     current_update,
 )
-from repro.engine.plan import scan
+from repro.engine.plan import Aggregate, Scan, SortLimit, scan
 from repro.live import LiveSession
 from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
+
+from tests.conftest import assert_reference_semantics
 
 _MULTI_SPECS = [("count", None, "n"), ("avg", "N", "a"), ("max", "N", "m")]
 
@@ -108,6 +114,16 @@ _MODIFICATIONS = st.lists(
 )
 
 
+def _assert_pointwise(plan, db, result) -> None:
+    """Hold *result* to ``evaluate_pointwise`` where *plan* is an aggregate
+    or a top-k over a scan or an aggregate."""
+    pointwise = isinstance(plan, Aggregate) or (
+        isinstance(plan, SortLimit) and plan.limit is not None
+    )
+    if pointwise and isinstance(plan.child, (Scan, Aggregate)):
+        assert_reference_semantics(plan, db, result)
+
+
 def _fresh_database() -> Database:
     db = Database("ordered-props")
     table = db.create_table("R", Schema.of("K", "N", ("VT", "interval")))
@@ -180,6 +196,7 @@ def test_tight_topk_is_exact_even_through_fallbacks(plan_key, modifications):
             f"{plan_key}: top-k diverged at step {step} after "
             f"{modification!r}"
         )
+    _assert_pointwise(plan, db, sub.result)
 
 
 @given(st.sampled_from(IN_WINDOW_KEYS), _MODIFICATIONS)
@@ -199,4 +216,5 @@ def test_ordered_instantiations_agree_at_all_reference_times(
     expected = db.query(plan)
     for rt in range(-2, 35):
         assert sub.instantiate(rt) == expected.instantiate(rt)
+    _assert_pointwise(plan, db, sub.result)
     assert session.stats()["repro_live_full_refreshes_total"] == 0

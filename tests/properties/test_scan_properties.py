@@ -13,8 +13,9 @@ random groups, and with a further commit landing between taking a
 pending delta and applying it.  After every apply the maintained result
 must instantiate, at every critical reference time, like
 :func:`repro.baselines.clifford.evaluate_fixed` on the table contents
-*the applied deltas describe* (the aggregate like ``group_by`` over the
-cold build of its child there) — and like a cold evaluation once
+*the applied deltas describe* (the aggregate like its pointwise
+definition, :func:`repro.baselines.clifford.evaluate_pointwise`, over
+the cold build of its child there) — and like a cold evaluation once
 everything is applied.
 """
 
@@ -30,7 +31,7 @@ from repro.relational.predicates import col, lit
 from repro.relational.schema import Schema
 from repro.relational.tuples import OngoingTuple
 
-from tests.conftest import assert_fixed_semantics, assert_reference_semantics, grouped
+from tests.conftest import assert_fixed_semantics, assert_reference_semantics
 
 _SCHEMA = Schema.of("K", ("VT", "interval"))
 _ROWS = [
@@ -79,7 +80,7 @@ def _assert_matches(evaluator, plan, b_rows):
     """The maintained result ≡ the oracle over B holding *b_rows*."""
     described = _database(b_rows)
     if isinstance(plan, Aggregate):
-        assert_reference_semantics(plan, described, grouped(plan), evaluator.result)
+        assert_reference_semantics(plan, described, evaluator.result)
     else:
         assert_fixed_semantics(plan, described, evaluator.result)
 

@@ -8,7 +8,8 @@ all-or-nothing, a torn trailing record is truncated, and nothing
 before the tear is lost or reordered.
 
 The test drives a random op sequence (plain inserts, predicate
-deletes, and ``replace_all`` snapshots) against a durable database,
+deletes, and ``replace_all`` swaps, each committed as one ``BATCH``
+record of the exact multiset difference) against a durable database,
 snapshotting the packed table state and WAL offset after every op.
 It then replays recovery from a copy of the log truncated at every
 recorded boundary — plus a deliberately torn mid-record offset — and

@@ -1,21 +1,27 @@
-"""Unit tests for RT-aware aggregation (Section X future work)."""
+"""RT-aware aggregation (Section X future work), as ``Aggregate`` plans.
+
+Every plan runs through ``Database.query`` — the cold build a
+subscription starts from — over a table whose rows carry reference
+times of their own, and each result is held to the aggregate's pointwise
+definition (:func:`repro.baselines.clifford.evaluate_pointwise`) at every
+critical reference time before the hand-picked values below are read.
+"""
+
+import time
 
 import pytest
 
 from repro.core.interval import fixed_interval, until_now
 from repro.core.intervalset import IntervalSet
 from repro.core.timeline import mmdd
+from repro.engine.database import Database
+from repro.engine.plan import scan
 from repro.errors import PredicateError, SchemaError
-from repro.relational.aggregate import (
-    count_tuples,
-    group_by,
-    max_over,
-    min_over,
-    sum_durations,
-)
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import AttributeKind, Schema
 from repro.relational.tuples import OngoingTuple
+
+from tests.conftest import assert_reference_semantics
 
 
 def d(month, day):
@@ -39,9 +45,35 @@ def _bugs() -> OngoingRelation:
     )
 
 
+def _database(tuples=None) -> Database:
+    """Table B holding *tuples* (default: the three bugs)."""
+    db = Database("aggregates")
+    db.register("B", _bugs() if tuples is None else OngoingRelation(_SCHEMA, tuples))
+    return db
+
+
+def _aggregate(db, *args, **kwargs) -> OngoingRelation:
+    """``scan("B").group_by(*args, **kwargs)`` through ``Database.query``,
+    held to the pointwise definition."""
+    plan = scan("B").group_by(*args, **kwargs)
+    result = db.query(plan)
+    assert_reference_semantics(plan, db, result)
+    return result
+
+
+def _scalar(db, aggregate, attr=None):
+    """The one value of the scalar ``aggregate(attr)`` over B."""
+    ((value,),) = (row.values for row in _aggregate(db, (), aggregate, attr))
+    return value
+
+
+def _rejected(db, *args):
+    return db.query(scan("B").group_by(*args))
+
+
 class TestCount:
     def test_count_follows_reference_times(self):
-        count = count_tuples(_bugs())
+        count = _scalar(_database(), "count")
         assert count.instantiate(-10) == 0
         assert count.instantiate(10) == 2
         assert count.instantiate(60) == 3
@@ -51,7 +83,7 @@ class TestCount:
 
     def test_count_matches_bag_semantics_everywhere(self):
         bugs = _bugs()
-        count = count_tuples(bugs)
+        count = _scalar(_database(), "count")
         for rt in range(-20, 350, 7):
             present = sum(1 for item in bugs if rt in item.rt)
             assert count.instantiate(rt) == present
@@ -59,11 +91,10 @@ class TestCount:
 
 class TestSumDurations:
     def test_sum_combines_ramps_inside_rts(self):
-        bugs = _bugs()
-        total = sum_durations(bugs, "VT")
+        total = _scalar(_database(), "sum_duration", "VT")
         for rt in range(-20, 350, 7):
             expected = 0
-            for item in bugs:
+            for item in _bugs():
                 if rt in item.rt:
                     start, end = item.values[2].instantiate(rt)
                     expected += max(0, end - start)
@@ -71,29 +102,28 @@ class TestSumDurations:
 
     def test_requires_interval_attribute(self):
         with pytest.raises(PredicateError, match="interval"):
-            sum_durations(_bugs(), "Sev")
+            _rejected(_database(), (), "sum_duration", "Sev")
 
 
 class TestExtrema:
     def test_min_and_max_over_present_tuples(self):
-        bugs = _bugs()
-        low = min_over(bugs, "Sev", empty_value=-1)
-        high = max_over(bugs, "Sev", empty_value=-1)
-        assert low.instantiate(10) == 1 and high.instantiate(10) == 3
-        assert low.instantiate(60) == 1 and high.instantiate(60) == 5
-        assert low.instantiate(150) == 3 and high.instantiate(150) == 5
-        assert low.instantiate(500) == -1
+        db = _database()
+        result = _aggregate(db, (), specs=[("min", "Sev", "low"), ("max", "Sev", "high")])
+        assert result.instantiate(10) == {(1, 3)}
+        assert result.instantiate(60) == {(1, 5)}
+        assert result.instantiate(150) == {(3, 5)}
+        assert result.instantiate(500) == frozenset()  # no bug is present
 
     def test_requires_fixed_numeric_attribute(self):
         with pytest.raises(PredicateError):
-            min_over(_bugs(), "VT")
+            _rejected(_database(), (), "min", "VT")
         with pytest.raises(PredicateError):
-            min_over(_bugs(), "C")
+            _rejected(_database(), (), "min", "C")
 
 
 class TestGroupBy:
     def test_group_count(self):
-        result = group_by(_bugs(), ["C"], "count")
+        result = _aggregate(_database(), ("C",), "count")
         assert result.schema.names == ("C", "count")
         assert result.schema.attribute("count").kind is AttributeKind.ONGOING_INTEGER
         by_component = {row.values[0]: row for row in result}
@@ -103,13 +133,13 @@ class TestGroupBy:
         assert by_component["dash"].values[1].instantiate(10) == 1
 
     def test_group_rt_is_member_union(self):
-        result = group_by(_bugs(), ["C"], "count")
+        result = _aggregate(_database(), ("C",), "count")
         by_component = {row.values[0]: row for row in result}
         assert by_component["spam"].rt == IntervalSet([(0, 300)])
         assert by_component["dash"].rt == IntervalSet([(0, 100)])
 
     def test_group_sum_duration(self):
-        result = group_by(_bugs(), ["C"], "sum_duration", "VT")
+        result = _aggregate(_database(), ("C",), "sum_duration", "VT")
         by_component = {row.values[0]: row for row in result}
         rt = 80
         expected = 0
@@ -120,46 +150,45 @@ class TestGroupBy:
         assert by_component["spam"].values[1].instantiate(rt) == expected
 
     def test_group_min_max(self):
-        result = group_by(_bugs(), ["C"], "max", "Sev", output_name="worst")
+        result = _aggregate(_database(), ("C",), "max", "Sev", output_name="worst")
         by_component = {row.values[0]: row for row in result}
         assert by_component["spam"].values[1].instantiate(60) == 5
 
     def test_instantiation_through_the_relation(self):
         """Group tuples instantiate like any other ongoing tuple."""
-        result = group_by(_bugs(), ["C"], "count")
+        result = _aggregate(_database(), ("C",), "count")
         rows = result.instantiate(60)
         assert ("spam", 2) in rows
 
     def test_unknown_aggregate_rejected(self):
         with pytest.raises(PredicateError, match="unknown aggregate"):
-            group_by(_bugs(), ["C"], "median", "Sev")
+            _rejected(_database(), ("C",), "median", "Sev")
 
     def test_grouping_by_ongoing_attribute_rejected(self):
         with pytest.raises(SchemaError, match="fixed"):
-            group_by(_bugs(), ["VT"], "count")
+            _rejected(_database(), ("VT",), "count")
 
     def test_aggregates_requiring_attributes_reject_none(self):
         with pytest.raises(PredicateError):
-            group_by(_bugs(), ["C"], "sum_duration")
+            _rejected(_database(), ("C",), "sum_duration")
         with pytest.raises(PredicateError):
-            group_by(_bugs(), ["C"], "min")
+            _rejected(_database(), ("C",), "min")
 
     def test_attribute_kinds_checked_even_on_empty_relations(self):
-        """Validation is eager: an empty input no longer hides a schema
-        error (there used to be no group to trip over it)."""
-        empty = OngoingRelation(_SCHEMA, [])
+        """Validation is eager: an empty input does not hide a schema
+        error (there is no group to trip over it)."""
+        empty = _database([])
         with pytest.raises(PredicateError):
-            group_by(empty, ["C"], "sum_duration", "Sev")
+            _rejected(empty, ("C",), "sum_duration", "Sev")
         with pytest.raises(PredicateError):
-            group_by(empty, ["C"], "min", "VT")
+            _rejected(empty, ("C",), "min", "VT")
 
 
 class TestScalarAggregates:
     """SQL semantics: a scalar aggregate yields one row even over nothing."""
 
     def test_scalar_count_over_empty_relation_is_constant_zero(self):
-        empty = OngoingRelation(_SCHEMA, [])
-        result = group_by(empty, [], "count")
+        result = _aggregate(_database([]), (), "count")
         assert len(result) == 1
         (row,) = result.tuples
         for rt in (-100, 0, 60, 10_000):
@@ -167,44 +196,53 @@ class TestScalarAggregates:
         assert rt in row.rt  # the constant is valid at every reference time
 
     def test_scalar_sum_and_extrema_over_empty_relation(self):
-        empty = OngoingRelation(_SCHEMA, [])
         for aggregate, attr in (
             ("sum_duration", "VT"),
             ("min", "Sev"),
             ("max", "Sev"),
         ):
-            result = group_by(empty, [], aggregate, attr)
-            assert len(result) == 1, aggregate
-            # MIN/MAX over nothing yield their (default) empty_value — 0,
-            # like the standalone min_over/max_over do where no tuple exists.
-            assert result.tuples[0].values[0].instantiate(123) == 0
+            # MIN/MAX over nothing yield 0, like SUM_DURATION.
+            assert _scalar(_database([]), aggregate, attr).instantiate(123) == 0
 
     def test_scalar_aggregate_over_nonempty_relation_unchanged(self):
-        result = group_by(_bugs(), [], "count")
-        assert len(result) == 1
-        assert result.tuples[0].values[0].instantiate(60) == 3
+        assert _scalar(_database(), "count").instantiate(60) == 3
 
     def test_grouped_aggregate_over_empty_relation_stays_empty(self):
         """Only the *scalar* form materializes a row from nothing — a
         GROUP BY over an empty relation has no groups to show."""
-        empty = OngoingRelation(_SCHEMA, [])
-        assert len(group_by(empty, ["C"], "count")) == 0
+        assert len(_aggregate(_database([]), ("C",), "count")) == 0
+
+    def test_scalar_row_only_over_a_child_with_no_tuples(self):
+        """A child with no tuples at all yields the constant row at every
+        rt; a child that is only empty *at* rt yields no row there."""
+        specs = [("count", None, "n"), ("avg", "Sev", "mean")]
+        nothing = _aggregate(_database([]), (), specs=specs)
+        assert nothing.instantiate(500) == {(0, 0)}
+        later = [OngoingTuple(("spam", 4, until_now(0)), IntervalSet([(200, 300)]))]
+        absent = _aggregate(_database(later), (), specs=specs)
+        assert absent.instantiate(100) == frozenset()
+        assert absent.instantiate(250) == {(1, 4)}
+        assert absent.instantiate(500) == frozenset()
 
 
 class TestSweepEquivalence:
-    """The event sweeps are insensitive to member order — the property the
-    delta engine relies on when it re-aggregates a maintained group."""
+    """The accumulators are insensitive to member order — what lets the
+    delta engine fold a maintained group's changes in any order."""
 
     def test_results_do_not_depend_on_tuple_order(self):
-        tuples = list(_bugs().tuples)
-        reordered = OngoingRelation(_SCHEMA, tuples[::-1])
-        assert count_tuples(_bugs()) == count_tuples(reordered)
-        assert sum_durations(_bugs(), "VT") == sum_durations(reordered, "VT")
-        assert min_over(_bugs(), "Sev") == min_over(reordered, "Sev")
-        assert max_over(_bugs(), "Sev") == max_over(reordered, "Sev")
+        reordered = _database(_bugs().tuples[::-1])
+        for aggregate, attr in (
+            ("count", None),
+            ("sum_duration", "VT"),
+            ("min", "Sev"),
+            ("max", "Sev"),
+        ):
+            assert _scalar(_database(), aggregate, attr) == _scalar(
+                reordered, aggregate, attr
+            )
 
     def test_sum_durations_matches_pairwise_addition(self):
-        """The one-sweep sum equals the reference pairwise OngoingInt sum."""
+        """The accumulated sum equals the pairwise OngoingInt sum."""
         from repro.core.duration import duration
         from repro.core.integer import OngoingInt
 
@@ -216,7 +254,7 @@ class TestSweepEquivalence:
             if not item.rt.is_universal():
                 contribution = contribution.mask(item.rt)
             total = total + contribution
-        assert sum_durations(bugs, "VT") == total
+        assert _scalar(_database(), "sum_duration", "VT") == total
 
 
 def _wide_relation(n: int) -> OngoingRelation:
@@ -234,62 +272,59 @@ def _wide_relation(n: int) -> OngoingRelation:
 
 
 class TestLinearityGuard:
-    """Micro-benchmark guard: MIN/MAX/SUM_DURATION must stay near-linear.
+    """Micro-benchmark guard: the engine's cold build of an aggregate
+    must stay near-linear in its members.
 
-    The former implementations re-scanned all members per RT segment
-    (O(boundaries × members)) or re-aligned the partial sum per member —
-    at this size either would take tens of seconds, so a generous
-    wall-clock bound pins the event-sweep complexity without being
-    flaky on slow CI runners.
+    Re-scanning all members per RT segment (O(boundaries × members)) or
+    re-aligning a partial sum per member would take tens of seconds at
+    this size, so a generous wall-clock bound pins the complexity
+    without being flaky on slow CI runners.  The clock covers
+    ``Database.query`` only: planning, the scan and the aggregate.
     """
 
     _MEMBERS = 4_000
     _BUDGET_SECONDS = 2.0
 
     def test_extrema_and_sum_duration_sweep_in_linear_time(self):
-        import time
-
-        relation = _wide_relation(self._MEMBERS)
+        db = Database("wide")
+        db.register("B", _wide_relation(self._MEMBERS))
+        plan = scan("B").group_by(
+            (),
+            specs=[("min", "Sev", "low"), ("max", "Sev", "high"), ("sum_duration", "VT", "load")],
+        )
         started = time.perf_counter()
-        low = min_over(relation, "Sev")
-        high = max_over(relation, "Sev")
-        load = sum_durations(relation, "VT")
+        result = db.query(plan)
         elapsed = time.perf_counter() - started
         assert elapsed < self._BUDGET_SECONDS, (
-            f"aggregate sweeps took {elapsed:.2f}s for {self._MEMBERS} "
+            f"aggregate cold build took {elapsed:.2f}s for {self._MEMBERS} "
             f"members — quadratic regression?"
         )
         # Sanity anchors so the guard cannot pass on broken results.
+        ((low, high, load),) = (row.values for row in result)
         midpoint = self._MEMBERS
         assert low.instantiate(midpoint) == 0
         assert high.instantiate(midpoint) == 96
         assert load.instantiate(-1) == 0
 
     def test_group_support_union_is_one_sweep(self):
-        """The group-RT union must merge all member intervals in one
-        sort+sweep — pairwise IntervalSet.union over members with
-        *disjoint* reference times is quadratic."""
-        import time
-
-        from repro.relational.aggregate import members_support
-
-        disjoint = OngoingRelation(
-            _SCHEMA,
-            [
-                OngoingTuple(
-                    ("c", 1, fixed_interval(0, 1)),
-                    IntervalSet([(3 * i, 3 * i + 1)]),
-                )
-                for i in range(self._MEMBERS)
-            ],
-        )
+        """The group RT must merge all member intervals in one walk — a
+        pairwise IntervalSet.union over members with *disjoint* reference
+        times is quadratic."""
+        disjoint = [
+            OngoingTuple(
+                ("c", 1, fixed_interval(0, 1)),
+                IntervalSet([(3 * i, 3 * i + 1)]),
+            )
+            for i in range(self._MEMBERS)
+        ]
+        db = _database(disjoint)
         started = time.perf_counter()
-        grouped = group_by(disjoint, ["C"], "count")
+        grouped = db.query(scan("B").group_by(("C",), "count"))
         elapsed = time.perf_counter() - started
         assert elapsed < self._BUDGET_SECONDS, (
             f"group support union took {elapsed:.2f}s for "
             f"{self._MEMBERS} disjoint members — quadratic regression?"
         )
         (row,) = grouped.tuples
-        assert row.rt == members_support(disjoint.tuples)
+        assert row.rt == IntervalSet(pair for item in disjoint for pair in item.rt)
         assert row.rt.cardinality == self._MEMBERS

@@ -36,7 +36,6 @@ _MODULES = [
     "repro.relational.tuples",
     "repro.relational.relation",
     "repro.relational.predicates",
-    "repro.relational.aggregate",
     "repro.engine.database",
     "repro.engine.plan",
     "repro.engine.planner",
@@ -137,6 +136,24 @@ def test_the_serve_package_exports_delivery_names_only():
             assert name not in package.__all__ and not hasattr(package, name)
     assert importlib.util.find_spec("repro.engine.cost") is None
     assert importlib.util.find_spec("repro.engine.views") is None
+
+
+def test_aggregates_have_one_implementation_and_one_definition():
+    """The engine's accumulators are the one aggregate implementation;
+    ``evaluate_pointwise`` is the definition they are held to.  The
+    second, sweep-based implementation and its helpers are gone."""
+    import repro
+    import repro.relational
+    from repro.baselines.clifford import evaluate_pointwise
+
+    assert evaluate_pointwise.__doc__
+    assert importlib.util.find_spec("repro.relational.aggregate") is None
+    for name in (
+        "group_by", "count_tuples", "sum_durations", "min_over", "max_over",
+        "members_support",
+    ):
+        for package in (repro, repro.relational):
+            assert name not in package.__all__ and not hasattr(package, name)
 
 
 def test_public_classes_have_documented_public_methods():
