@@ -63,7 +63,7 @@ from repro.relational.predicates import (
 )
 from repro.relational.relation import OngoingRelation
 from repro.relational.schema import Attribute, AttributeKind, Schema
-from repro.relational.tuples import Binder, FixedTuple, bind_value
+from repro.relational.tuples import FixedTuple, OngoingTuple, bind_value
 
 __all__ = [
     "bind_relation",
@@ -85,7 +85,38 @@ def bind_relation(relation: OngoingRelation, rt: TimePoint) -> List[FixedTuple]:
     cost per access, which is what the runtime experiments measure; callers
     needing set semantics wrap the result themselves.
     """
-    return Binder.of(relation.schema).bind(relation.tuples, rt)
+    return _bind(relation.schema, relation.tuples, rt)
+
+
+def _bind(
+    schema: Schema, tuples: Sequence[OngoingTuple], rt: TimePoint
+) -> List[FixedTuple]:
+    """``‖t‖rt`` of every tuple whose RT contains *rt*, each row built anew.
+
+    The engine's :class:`~repro.relational.tuples.Binder` keeps the row
+    of a tuple that binds alike at every rt and hands it out again; this
+    baseline does not.  Clifford's approach instantiates the database at
+    each access, and the oracle must not share the engine's memo.  Equal
+    bound intervals are one pair within a call, as in the binder.
+    """
+    interval = AttributeKind.ONGOING_INTERVAL
+    kinds = list(enumerate(attribute.kind for attribute in schema))
+    scalars = [p for p, kind in kinds if kind.is_ongoing and kind is not interval]
+    intervals = [p for p, kind in kinds if kind is interval]
+    shared: Dict[object, object] = {}
+    share = shared.setdefault
+    bound: List[FixedTuple] = []
+    for item in tuples:
+        if rt not in item.rt:
+            continue
+        row = list(item.values)
+        for position in scalars:
+            row[position] = bind_value(row[position], rt)
+        for position in intervals:
+            pair = bind_value(row[position], rt)
+            row[position] = share(pair, pair)
+        bound.append(tuple(row))
+    return bound
 
 
 def selection(
@@ -338,17 +369,16 @@ def evaluate_pointwise(
       the first *k* kept and bound at *rt*.
 
     *child* is taken as given — a caller holds it to its own definition
-    first — and bound with the one :class:`Binder`; the rest is plain
+    first — and bound as :func:`bind_relation` binds; the rest is plain
     Python over fixed values.
     """
     schema = child.schema
-    binder = Binder.of(schema)
     if isinstance(plan, logical.Aggregate):
         if not plan.group_columns and not child.tuples:
             return frozenset({(0,) * len(plan.specs)})
         keys = [schema.index_of(name) for name in plan.group_columns]
         groups: Dict[Tuple[object, ...], List[FixedTuple]] = {}
-        for row in binder.bind(child.tuples, rt):
+        for row in _bind(schema, child.tuples, rt):
             groups.setdefault(tuple(row[p] for p in keys), []).append(row)
         return frozenset(
             key + tuple(_aggregate(spec, schema, rows) for spec in plan.specs)
@@ -362,7 +392,7 @@ def evaluate_pointwise(
                 key=lambda item: bind_value(item.values[position], _SETTLED),
                 reverse=descending,
             )
-        return frozenset(binder.bind(ranked[: plan.limit], rt))
+        return frozenset(_bind(schema, ranked[: plan.limit], rt))
     raise QueryError(f"no pointwise definition for {type(plan).__name__}")
 
 

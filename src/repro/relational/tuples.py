@@ -12,13 +12,19 @@ as Section IV prescribes.  :meth:`OngoingTuple.instantiate` applies it to
 every value of one tuple.
 
 :class:`Binder` is the same operator on many tuples of one schema, and every
-whole-relation bind goes through it.  It reads the schema's attribute kinds
+whole-relation bind of the engine goes through it (Clifford's baseline
+keeps its own, memo-free pass).  It reads the schema's attribute kinds
 once: fixed columns are copied through untouched, ongoing columns are bound
 by :func:`bind_value`, and the ``(start, end)`` pairs an interval column
 binds to are shared within one call — equal bound intervals are one object.
-Sharing is memory only: compare bound values with ``==``.  It trusts the
-kinds, so :meth:`Binder.check` (run wherever a relation or table takes
-tuples) rejects an ongoing value in a fixed column.
+A tuple whose values are the same at every reference time (fixed points
+and intervals, constant integers and ratios — most rows of the paper's
+data sets) binds once: the binder keeps the row it built in one slot of
+the tuple and returns that object at every later reference time, for as
+long as the tuple lives.  Sharing is memory only: compare bound values
+with ``==``.  It trusts the kinds, so :meth:`Binder.check` (run wherever
+a relation or table takes tuples) rejects an ongoing value in a fixed
+column.
 """
 
 from __future__ import annotations
@@ -62,6 +68,19 @@ def bind_value(value: object, rt: TimePoint) -> object:
 
 #: The classes of the values :func:`bind_value` instantiates.
 _ONGOING_VALUES = (OngoingTimePoint, OngoingInterval, OngoingInt, OngoingRational)
+
+
+def _rt_invariant(value: object) -> bool:
+    """``True`` iff ``bind_value(value, rt)`` is the same at every rt."""
+    if isinstance(value, (OngoingTimePoint, OngoingInterval)):
+        return value.is_fixed
+    if isinstance(value, OngoingInt):
+        return value.is_constant()
+    if isinstance(value, OngoingRational):
+        return value.numerator.is_constant() and value.denominator.is_constant()
+    return True
+
+
 #: Exact types of fixed values :meth:`Binder.check` accepts without the
 #: ``isinstance`` test (which it keeps for everything else, subclasses too).
 _PLAIN = frozenset({int, str, float, bool, type(None)})
@@ -70,12 +89,15 @@ _PLAIN = frozenset({int, str, float, bool, type(None)})
 class OngoingTuple:
     """An immutable tuple with a reference time attribute ``RT``."""
 
-    __slots__ = ("_values", "_rt", "_hash")
+    __slots__ = ("_values", "_rt", "_hash", "_bound")
 
     def __init__(self, values: Tuple[object, ...], rt: IntervalSet = UNIVERSAL_SET):
         self._values = tuple(values)
         self._rt = rt
         self._hash = None
+        # Binder.bind's memo: None before the first bind, then the bound
+        # row if every value is rt-invariant, else False.
+        self._bound = None
 
     @property
     def values(self) -> Tuple[object, ...]:
@@ -149,14 +171,18 @@ class Binder:
     does less work.  Fixed columns are copied through, ongoing ones go
     through :func:`bind_value`, and the pairs of ``ONGOING_INTERVAL``
     columns are shared through a per-call dict keyed by the pair.  Scalars
-    are not shared (``Fraction(2) == 2`` would merge types), and nothing
-    is kept across calls.
+    are not shared (``Fraction(2) == 2`` would merge types).  The first
+    bind of a tuple whose ongoing-kind values are all rt-invariant keeps
+    the row in the tuple's ``_bound`` slot (like its hash memo, for as
+    long as the tuple lives), and every later bind at any rt in its RT
+    returns that same object; rows holding an ongoing value are bound
+    afresh at each call.
 
     Binders depend on the kinds alone, so :meth:`of` hands schemas with
     the same kinds the same (immutable) binder.
     """
 
-    __slots__ = ("_arity", "_fixed", "_scalars", "_intervals")
+    __slots__ = ("_arity", "_fixed", "_scalars", "_intervals", "_ongoing")
 
     def __init__(self, kinds: Sequence[AttributeKind]):
         self._arity = len(kinds)
@@ -175,6 +201,7 @@ class Binder:
             for position, kind in enumerate(kinds)
             if kind is AttributeKind.ONGOING_INTERVAL
         )
+        self._ongoing = self._scalars + self._intervals
 
     @classmethod
     def of(cls, schema: Schema) -> "Binder":
@@ -210,19 +237,26 @@ class Binder:
         """``‖t‖rt`` of every tuple whose RT contains *rt*, in order."""
         bound: List[FixedTuple] = []
         append = bound.append
-        scalars, intervals = self._scalars, self._intervals
+        scalars, intervals, ongoing = self._scalars, self._intervals, self._ongoing
         shared: Dict[object, object] = {}
         share = shared.setdefault
         for item in tuples:
             if rt not in item._rt:
                 continue
-            row = list(item._values)
-            for position in scalars:
-                row[position] = bind_value(row[position], rt)
-            for position in intervals:
-                pair = bind_value(row[position], rt)
-                row[position] = share(pair, pair)
-            append(tuple(row))
+            row = item._bound
+            if row is None or row is False:
+                values = item._values
+                row = list(values)
+                for position in scalars:
+                    row[position] = bind_value(row[position], rt)
+                for position in intervals:
+                    pair = bind_value(row[position], rt)
+                    row[position] = share(pair, pair)
+                row = tuple(row)
+                if item._bound is None:
+                    invariant = all(_rt_invariant(values[at]) for at in ongoing)
+                    item._bound = row if invariant else False
+            append(row)
         return bound
 
 

@@ -1,8 +1,11 @@
-"""Golden digests of the generated data sets the benchmark ledger reads.
+"""Golden digests of the generated data sets the benchmark ledger and
+Fig. 9 read.
 
 Each digest is a sha256 over ``repr(item.values)`` of every row, relation
-by relation, recorded when descriptions were still drawn one character at
-a time with ``rng.choices``.  A change to how anything is drawn must fail
+by relation.  MozillaBugs, D_sc and D_ex were recorded when descriptions
+were still drawn one character at a time with ``rng.choices``; D_sh and
+the segment-placed D_ex of Fig. 9 were recorded later, on unchanged
+generators.  A change to how anything is drawn must fail
 here on purpose instead of shifting the ledger's numbers quietly.  The
 digests hold on every CPython the suite runs under (3.10–3.12).
 """
@@ -11,7 +14,7 @@ import hashlib
 
 import pytest
 
-from repro.datasets import generate_dex, generate_dsc, generate_mozilla
+from repro.datasets import generate_dex, generate_dsc, generate_dsh, generate_mozilla
 
 
 def _mozilla():
@@ -31,6 +34,19 @@ _DIGESTS = {
     "dex": (
         lambda: (generate_dex(2000),),
         "0f2594af67d3284093f4fb853d5f2e327fcbbf6c66a2ca4b582bb8ff3156224d",
+    ),
+    # Fig. 9's inputs: ongoing points placed in one history segment.
+    "dex_segment": (
+        lambda: (generate_dex(2000, segment=2),),
+        "7a65a67f61c38de45bdb4c727fceb73fa15df72412ba075abffee927602863ff",
+    ),
+    "dsh": (
+        lambda: (generate_dsh(2000),),
+        "acc2dc072b18fc5eee2b872e9f9606b28de7fc5bc4e86f8d81d8f4de56042800",
+    ),
+    "dsh_segment": (
+        lambda: (generate_dsh(2000, segment=2),),
+        "88c75bd95a7a4e166bacf32c46b3bb0dd5565405b3224053c48e5180f81d2abc",
     ),
 }
 

@@ -347,8 +347,8 @@ class TestSessionResume:
         table.insert(101, until_now(51))
         session.flush()  # queued behind the stuck delivery
         db.checkpoint()  # captures the undelivered notification
+        plug.set()  # before close() joins the delivery worker
         db.close()
-        plug.set()
 
         received = []
         reopened = Database.open(

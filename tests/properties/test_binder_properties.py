@@ -4,11 +4,16 @@
 return exactly what :meth:`OngoingTuple.instantiate` (``bind_value`` on
 each value) returns, in value *and* type, for every kind of value a
 relation stores — at every relation-level critical point and its
-neighbours.  Every whole-relation bind goes through it, so the four
-consumers (``OngoingRelation.instantiate``, Clifford's ``bind_relation``,
-``BoundRows`` and ``changes_at``) must agree with the per-tuple yardstick
-too.  Sharing equal bound intervals is memory only: the last test pins
-that it happens.
+neighbours.  Every whole-relation bind of the engine goes through it, so
+its three consumers (``OngoingRelation.instantiate``, ``BoundRows`` and
+``changes_at``) must agree with the per-tuple yardstick too, and so must
+Clifford's ``bind_relation``, which binds afresh at every access.  Each
+is also fed relations the binder has bound before — at two reference
+times in either order, or through tuples derived by ``with_rt`` /
+``restrict`` — since a row that is the same at every reference time
+keeps the row it first bound to.  Sharing equal bound intervals and
+keeping rt-invariant rows are memory only: the last two tests pin that
+they happen.
 """
 
 from fractions import Fraction
@@ -81,6 +86,35 @@ def relations(draw) -> OngoingRelation:
     )
 
 
+@st.composite
+def bound_before(draw) -> OngoingRelation:
+    """A relation whose tuples the binder has already bound at two
+    reference times, in either order — or tuples derived by ``with_rt``
+    / ``restrict`` from bound ones, themselves bound twice."""
+    relation = draw(relations())
+    binder = Binder.of(relation.schema)
+    for rt in draw(st.lists(st.sampled_from(_reference_times(relation)), max_size=2)):
+        binder.bind(relation.tuples, rt)
+    derive = draw(st.sampled_from(("none", "with_rt", "restrict")))
+    if derive != "none":
+        derived = []
+        for item in relation:
+            rt = draw(interval_sets())
+            item = item.with_rt(rt) if derive == "with_rt" else item.restrict(rt)
+            if not item.rt.is_empty():
+                derived.append(item)
+        relation = OngoingRelation(relation.schema, derived)
+        for rt in draw(
+            st.lists(st.sampled_from(_reference_times(relation)), max_size=2)
+        ):
+            binder.bind(relation.tuples, rt)
+    return relation
+
+
+#: Fresh relations and relations the binder has bound before.
+_RELATIONS = st.one_of(relations(), bound_before())
+
+
 def _reference_times(relation: OngoingRelation):
     """Every component of every value and RT, ±1 (``critical_points``),
     with the cuts of ongoing integers and rationals added."""
@@ -110,7 +144,7 @@ def _yardstick(tuples, rt):
     return [row for row in bound if row is not None]
 
 
-@given(relations())
+@given(_RELATIONS)
 def test_the_binder_equals_bind_value_in_value_and_type(relation):
     binder = Binder.of(relation.schema)
     for rt in _reference_times(relation):
@@ -118,7 +152,7 @@ def test_the_binder_equals_bind_value_in_value_and_type(relation):
         assert _typed(binder.bind(relation.tuples, rt)) == _typed(expected), rt
 
 
-@given(relations())
+@given(_RELATIONS)
 def test_the_whole_relation_consumers_agree_with_the_yardstick(relation):
     for rt in _reference_times(relation):
         expected = _yardstick(relation.tuples, rt)
@@ -126,7 +160,7 @@ def test_the_whole_relation_consumers_agree_with_the_yardstick(relation):
         assert _typed(bind_relation(relation, rt)) == _typed(expected), rt
 
 
-@given(relations(), st.data())
+@given(_RELATIONS, st.data())
 def test_bound_rows_and_changes_at_agree_with_the_yardstick(relation, data):
     """A table holding the relation's tuples, subscribed: ``BoundRows``
     binds the whole result and ``changes_at`` a delta of the rest."""
@@ -198,3 +232,24 @@ def test_a_self_join_holds_one_pair_per_distinct_bound_interval():
     assert len(rows) == 32 and len(pairs) == 64
     assert len(set(pairs)) == 4
     assert len({id(pair) for pair in pairs}) == 4
+
+
+def test_an_rt_invariant_row_binds_to_one_object_at_every_reference_time():
+    """A row of fixed values binds once: the same object at every rt, in
+    either order.  A row holding an expanding interval binds afresh, to
+    ``(a, rt)`` at each rt, after its first bind as before it."""
+    schema = Schema.of("K", ("VT", "interval"), ("N", "integer"))
+    invariant = OngoingTuple((1, fixed_interval(2, 5), OngoingInt.constant(3)))
+    expanding = OngoingTuple((2, until_now(2), 3))
+    binder = Binder.of(schema)
+    later = binder.bind([invariant, expanding], 20)
+    earlier = binder.bind([invariant, expanding], 10)
+    assert later[0] is earlier[0]
+    assert later[0] == earlier[0] == (1, (2, 5), 3)
+    assert later[1] is not earlier[1]
+    assert later[1] == (2, (2, 20), 3) and earlier[1] == (2, (2, 10), 3)
+    derived = invariant.with_rt(invariant.rt)
+    assert binder.bind([derived], 30) == [later[0]]
+    # Clifford's baseline instantiates at each access: no row carried over.
+    (again,) = bind_relation(OngoingRelation(schema, [invariant]), 30)
+    assert again == later[0] and again is not later[0]
