@@ -77,7 +77,6 @@ from repro.relational.predicates import (
     TruePredicate,
 )
 from repro.relational.schema import Attribute, AttributeKind, Schema
-from repro.serve.queues import coalesce_payloads
 
 __all__ = [
     "MANIFEST_NAME",
@@ -382,24 +381,21 @@ def serialize_notification(notification) -> Dict[str, object]:
 
 
 def _capture_pending(session, subscription) -> Optional[Dict[str, object]]:
-    """The subscription's queued-but-undelivered notification, coalesced.
+    """The subscription's queued-but-undelivered notifications, folded
+    into one.
 
     Only a bus with delivery workers queues anything (without them a
     notification is delivered before ``publish`` returns, so nothing is
-    ever pending).  The capture is non-destructive: the items stay
-    queued for delivery.
+    ever pending).  Every queued payload is this subscription's
+    notification, so they all merge.  The capture is non-destructive:
+    the items stay queued for delivery.
     """
-    payloads = [
-        payload
-        for group in session.bus.capture_pending(f"refresh:{subscription.id}")
-        for payload in group
-    ]
+    payloads = session.bus.capture_pending(subscription.id)
     if not payloads:
         return None
     merged = payloads[0]
-    for nxt in payloads[1:]:
-        coalesced = coalesce_payloads(merged, nxt)
-        merged = coalesced if coalesced is not None else nxt
+    for newer in payloads[1:]:
+        merged = merged.coalesce_with(newer)
     return serialize_notification(merged)
 
 
@@ -426,7 +422,6 @@ def capture_subscriptions(session) -> List[Dict[str, object]]:
                 "statement": statement,
                 "plan": plan,
                 "reference_time": subscription.reference_time,
-                "notify_on_no_change": subscription.notify_on_no_change,
                 "backpressure": getattr(subscription, "backpressure", None),
                 "queue_capacity": getattr(subscription, "queue_capacity", None),
                 "pending": _capture_pending(session, subscription),
@@ -480,7 +475,8 @@ def restore_subscription(session, entry: Dict[str, object], on_refresh=None):
     through the ordinary ``session.subscribe`` path — a statement
     recompiles against the current catalog, a plan decodes
     (:func:`decode_plan`), and a format-1 plan object is refused by
-    name, never loaded.  Returns
+    name, never loaded.  Keys the session no longer reads (an older
+    entry's ``notify_on_no_change``) are ignored.  Returns
     ``(subscription, pending)`` where *pending* is the captured
     undelivered notification to re-enqueue (``None`` when there was none
     or nobody listens), or ``None`` when the plan cannot be rebuilt —
@@ -519,7 +515,6 @@ def restore_subscription(session, entry: Dict[str, object], on_refresh=None):
         on_refresh=callback,
         reference_time=entry.get("reference_time"),
         name=name,
-        notify_on_no_change=bool(entry.get("notify_on_no_change", False)),
         backpressure=entry.get("backpressure"),
         queue_capacity=entry.get("queue_capacity"),
         statement=statement,

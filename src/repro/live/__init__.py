@@ -8,7 +8,8 @@ needs, and this package is that service:
 
 * :mod:`repro.live.events` — the :class:`RefreshNotification` record; it
   travels on the :class:`EventBus` (:mod:`repro.serve.bus`, re-exported
-  here).  A notification hands over the change and the pinned snapshot; it is
+  here) to the one mailbox of the subscription whose result changed.  A
+  notification hands over the change and the pinned snapshot; it is
   bound to a reference time when it is read — ``rows`` (the whole
   result, once, on first access) or ``changes_at(rt)`` (a
   :class:`BoundChanges`, O(|Δ|));
@@ -20,8 +21,9 @@ needs, and this package is that service:
   :class:`LiveSession` facade, one pipeline: registration → typed-delta
   intake from the database hooks → batched coalescing flushes that
   *propagate* row deltas through cached operator state
-  (:mod:`repro.engine.delta`) instead of re-evaluating → notification
-  fan-out with empty-delta suppression.  Per plan it holds one
+  (:mod:`repro.engine.delta`) instead of re-evaluating → one
+  notification per subscription whose result changed (an empty delta
+  notifies nobody).  Per plan it holds one
   :class:`~repro.engine.maintenance.IncrementalMaintainer`, keyed by
   :meth:`~repro.engine.plan.PlanNode.fingerprint` — structurally equal
   plans from different clients share one evaluation — plus the

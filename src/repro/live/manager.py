@@ -22,8 +22,8 @@ of the live engine, and it is **one pipeline**:
    a re-evaluated provider, or a delta an operator cannot absorb —
    falls back to a full re-evaluation automatically, logged and counted;
 4. **delivery** — every subscription whose result changed is notified on
-   the bus (one that did not change stays silent unless it opted into
-   ``notify_on_no_change``).
+   the bus, in its own mailbox; one whose result did not change stays
+   silent.
 
 There are two ways to run step 3, and no others: call :meth:`flush`
 yourself, or :meth:`~SubscriptionManager.serve` and let the background
@@ -236,7 +236,6 @@ class SubscriptionManager:
             "repro_live_cache_hits_total": 0,
             **{key: 0 for key, _ in _PLAN_COUNTERS},
         }
-        self._unsubscribe_bus: Dict[int, Callable[[], None]] = {}
         self._closed = False
         self._flushing = False
         self._reentrant_flush_requested = False
@@ -261,7 +260,6 @@ class SubscriptionManager:
         on_refresh: Optional[Callable[[RefreshNotification], None]] = None,
         reference_time: Optional[TimePoint] = None,
         name: Optional[str] = None,
-        notify_on_no_change: bool = False,
         backpressure: Optional[str] = None,
         queue_capacity: Optional[int] = None,
         statement: Optional[str] = None,
@@ -273,7 +271,7 @@ class SubscriptionManager:
         ones attach for free (a cache hit).  *on_refresh* is invoked after
         every modification-driven refresh **that changed this result**;
         a flush whose propagated delta turns out empty (an irrelevant row
-        was modified) stays silent unless *notify_on_no_change* is set.
+        was modified) stays silent.
         *reference_time* (the caller-chosen instantiation point, mutable
         on the returned handle) selects the fixed rows delivered with
         each notification.
@@ -319,20 +317,16 @@ class SubscriptionManager:
                     maintainer,
                     reference_time=reference_time,
                     name=name,
-                    notify_on_no_change=notify_on_no_change,
                     statement=statement,
                     backpressure=backpressure,
                     queue_capacity=queue_capacity,
                 )
-                # Register the bus listener *before* attaching the
-                # subscription (and before releasing the write lock):
-                # once attached, a flush on another thread may notify
-                # immediately, and a topic with no listener yet would
-                # drop that delivery.
-                unsubscribe = None
+                # Give the subscription its mailbox *before* attaching it
+                # (and before releasing the write lock): once attached, a
+                # flush on another thread may notify immediately.
                 if on_refresh is not None:
-                    unsubscribe = self.bus.subscribe(
-                        f"refresh:{subscription.id}",
+                    subscription._unsubscribe_bus = self.bus.subscribe(
+                        subscription.id,
                         on_refresh,
                         capacity=queue_capacity,
                         policy=backpressure,
@@ -347,8 +341,6 @@ class SubscriptionManager:
             with self._lock:
                 maintainer.subscribers.append(subscription)
                 self._subscriptions[subscription.id] = subscription
-                if unsubscribe is not None:
-                    self._unsubscribe_bus[subscription.id] = unsubscribe
         return subscription
 
     def _attach_plan(self, plan: PlanNode) -> Tuple[IncrementalMaintainer, bool]:
@@ -469,9 +461,7 @@ class SubscriptionManager:
             if durability is not None:
                 durability.resumed_subscriptions += 1
             if pending is not None:
-                self.bus.restore_pending(
-                    f"refresh:{subscription.id}", (pending,)
-                )
+                self.bus.restore_pending(subscription.id, (pending,))
                 with self._lock:
                     self._stats["repro_live_notifications_total"] += 1
                 if durability is not None:
@@ -485,7 +475,10 @@ class SubscriptionManager:
         with self._lock:
             if self._subscriptions.pop(subscription.id, None) is None:
                 return
-            unsubscribe_bus = self._unsubscribe_bus.pop(subscription.id, None)
+            # Let go of the thunk: it holds the mailbox, whose callback
+            # may hold this subscription's notifications — a cycle.
+            unsubscribe_bus = subscription._unsubscribe_bus
+            subscription._unsubscribe_bus = None
         if unsubscribe_bus is not None:
             unsubscribe_bus()
         maintainer = subscription._detach()
@@ -601,23 +594,21 @@ class SubscriptionManager:
         ``repro.engine.delta`` logger) when the plan or the delta is not
         incrementalizable.  Returns the number of refreshes performed.
 
-        Subscriptions whose result did not change are not notified
-        (unless they set ``notify_on_no_change``); on the incremental
-        path that is decided by the propagated delta being empty, on the
-        fallback path by comparing the re-evaluated relation with the
-        previous one.
+        Subscriptions whose result did not change are not notified; on
+        the incremental path that is decided by the propagated delta
+        being empty, on the fallback path by comparing the re-evaluated
+        relation with the previous one.
 
         Error isolation: a plan whose refresh raises (e.g. its base
         table was dropped) does not abort the flush — the remaining dirty
         plans still refresh, the failing plan keeps serving its last
-        materialization, and the error is published on the bus's
-        ``"error"`` topic as ``(fingerprint, exception)`` and counted in
-        :meth:`stats` under ``"repro_live_refresh_errors_total"``.
-        Whatever else escapes one plan's refresh — the refresh
-        *machinery* failing, not the plan — is counted under the same
-        key, announced on the bus's listener-error topic as
-        ``("flush", fingerprint[:12], exception)``, and leaves the plan
-        marked for the next round; the round's other plans still refresh.
+        materialization, and the error is counted in :meth:`stats` under
+        ``"repro_live_refresh_errors_total"`` and logged on
+        ``repro.live.manager`` with the plan's fingerprint and the tick
+        of the oldest commit it owes.  Whatever else escapes one plan's
+        refresh — the refresh *machinery* failing, not the plan — is
+        counted and logged the same way and leaves the plan marked for
+        the next round; the round's other plans still refresh.
 
         Re-entrant calls (an ``on_refresh`` callback modified tables and
         called ``flush()`` — or another thread did while this flush was
@@ -669,20 +660,15 @@ class SubscriptionManager:
         expected refresh errors itself, so an exception reaching the
         round loop (or the serve loop, which passes no fingerprint) means
         the refresh *machinery* failed.  Count it, keep the plan marked
-        while its record is still owed, and announce it on the
-        listener-error topic — a refresher failing silently would
-        otherwise surface only as growing staleness."""
+        while its record is still owed, and log it — a refresher failing
+        silently would otherwise surface only as growing staleness."""
         with self._lock:
             self._stats["repro_live_refresh_errors_total"] += 1
             maintainer = self._plans.get(fingerprint)
             if maintainer is not None and maintainer.dirty:
                 self._dirty[fingerprint] = None
-        try:
-            self.bus.publish(
-                EventBus.LISTENER_ERROR_TOPIC, ("flush", fingerprint[:12], exc)
-            )
-        except Exception:  # noqa: BLE001 — reporting must never re-raise
-            logger.exception("refresh failure announcement failed")
+        owed = None if maintainer is None else maintainer.owed.commit
+        _log_refresh_failure("refresh machinery failed", fingerprint, owed, exc)
 
     def _refresh_one(self, fingerprint: str) -> bool:
         """Refresh one plan and notify its subscriptions.
@@ -714,10 +700,12 @@ class SubscriptionManager:
             except Exception as exc:  # noqa: BLE001 — isolate per plan
                 with self._lock:
                     self._stats["repro_live_refresh_errors_total"] += 1
-                self.bus.publish("error", (fingerprint, exc))
+                _log_refresh_failure(
+                    "refresh failed", fingerprint, announced.commit, exc
+                )
                 return False
             for subscription in list(maintainer.subscribers):
-                if not outcome.changed and not subscription.notify_on_no_change:
+                if not outcome.changed:
                     subscription._mark_unchanged(outcome.events)
                     with self._lock:
                         self._stats[
@@ -896,6 +884,20 @@ class SubscriptionManager:
         data["repro_serve_dropped_notifications_total"] = bus_stats["dropped"]
         data["repro_serve_coalesced_notifications_total"] = bus_stats["coalesced"]
         return data
+
+
+def _log_refresh_failure(
+    what: str, fingerprint: str, owed, exc: BaseException
+) -> None:
+    """Log one isolated refresh failure with what an operator needs to
+    find it: the plan's fingerprint and the oldest commit stamp it owed."""
+    logger.error(
+        "%s: plan %s, owed commit tick %s",
+        what,
+        fingerprint[:12] or "?",
+        getattr(owed, "tick", None),
+        exc_info=exc,
+    )
 
 
 #: The user-facing name of the facade: one live session over one database.

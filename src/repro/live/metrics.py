@@ -137,14 +137,10 @@ class SessionMetrics:
     # Freshness accounting
     # ------------------------------------------------------------------
 
-    def on_delivered(self, payload: object) -> None:
+    def on_delivered(self, payload: RefreshNotification) -> None:
         """Bus hook: fires once per callback that returned.  Only
-        commit-stamped refresh notifications count toward freshness —
-        error records and other payloads pass through."""
-        if (
-            not isinstance(payload, RefreshNotification)
-            or payload.commit is None
-        ):
+        commit-stamped notifications count toward freshness."""
+        if payload.commit is None:
             return
         seconds = max(0.0, time.monotonic() - payload.commit.at)
         self.freshness.labels(
@@ -176,9 +172,7 @@ class SessionMetrics:
             stamp = None if maintainer is None else maintainer.owed.commit
             if stamp is not None:
                 age = max(age, now - stamp.at)
-            queued = session.bus.oldest_commit_age(
-                f"refresh:{subscription.id}", now
-            )
+            queued = session.bus.oldest_commit_age(subscription.id, now)
             if queued is not None:
                 age = max(age, queued)
             ages[name] = max(age, ages.get(name, 0.0))

@@ -27,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
     AbstractSet,
+    Callable,
     Dict,
     FrozenSet,
     Optional,
@@ -70,7 +71,7 @@ class SubscriptionStats:
     coalesced_events: int = 0
     instantiations: int = 0
     #: Refresh rounds whose propagated delta was empty for this
-    #: subscription's result — suppressed unless ``notify_on_no_change``.
+    #: subscription's result — never delivered.
     suppressed: int = 0
     _maintainer: Optional[IncrementalMaintainer] = field(default=None, repr=False)
 
@@ -102,7 +103,6 @@ class Subscription:
         *,
         reference_time: Optional[TimePoint] = None,
         name: Optional[str] = None,
-        notify_on_no_change: bool = False,
         statement: Optional[str] = None,
         backpressure: Optional[str] = None,
         queue_capacity: Optional[int] = None,
@@ -116,11 +116,6 @@ class Subscription:
         #: a re-evaluation; a notification keeps the one in force when
         #: its refresh was notified.
         self.reference_time = reference_time
-        #: Subscription-level change filter: by default a flush whose
-        #: propagated delta leaves this result unchanged (an irrelevant
-        #: row was touched) delivers *no* refresh notification.  Set to
-        #: ``True`` to hear about every flush of a dirty dependency.
-        self.notify_on_no_change = notify_on_no_change
         #: How this subscription was registered, for durable checkpoints:
         #: the OSQL source (recompiled on resume) and the per-subscriber
         #: mailbox overrides.  ``None`` means "plan object only" /
@@ -130,6 +125,10 @@ class Subscription:
         self.queue_capacity = queue_capacity
         self.stats = SubscriptionStats(_maintainer=maintainer)
         self._maintainer: Optional[IncrementalMaintainer] = maintainer
+        #: Takes this subscription's mailbox off the bus; set by the
+        #: session when it subscribed with a callback, ``None`` without
+        #: one — then nobody listens and nothing is published.
+        self._unsubscribe_bus: Optional[Callable[[], None]] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -236,10 +235,12 @@ class Subscription:
         delta=None,
         commit=None,
     ) -> int:
-        """Record one refresh; deliver notifications via the event bus.
+        """Record one refresh; hand its notification to this
+        subscription's mailbox on the bus.
 
-        Returns the number of callbacks actually delivered (0 when nobody
-        listens), so the session's counters stay truthful.  *delta* is
+        Returns 1 when the callback returned (or, with delivery workers,
+        the mailbox accepted the notification) and 0 otherwise — nobody
+        listens — so the session's counters stay truthful.  *delta* is
         the result-level change when the refresh ran incrementally;
         *commit* is the stamp of the oldest modification batch this
         refresh answers, carried on the notification for freshness
@@ -247,9 +248,7 @@ class Subscription:
         """
         self.stats.refreshes += 1
         self.stats.coalesced_events += coalesced
-        bus = self.manager.bus
-        topic = f"refresh:{self.id}"
-        if bus.listener_count(topic) == 0 and bus.listener_count("refresh") == 0:
+        if self._unsubscribe_bus is None:
             return 0
         notification = RefreshNotification(
             subscription=self,
@@ -259,11 +258,8 @@ class Subscription:
             delta=delta,
             commit=commit,
         )
-        with self.manager._spans.span(
-            "enqueue", subscription=self.name, topic=topic
-        ):
-            delivered = bus.publish(topic, notification)
-            delivered += bus.publish("refresh", notification)
+        with self.manager._spans.span("enqueue", subscription=self.name):
+            delivered = int(self.manager.bus.publish(self.id, notification))
         self.stats.notifications += delivered
         return delivered
 

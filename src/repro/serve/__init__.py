@@ -10,9 +10,11 @@ recomputation.  This package is that delivery machinery, layered on
   :class:`Mailbox` queues with ``block`` / ``drop_oldest`` / ``coalesce``
   backpressure policies (coalescing merges the notifications'
   result-level deltas, so skipped deliveries lose no information);
-* :mod:`repro.serve.bus` — the :class:`EventBus`, the one bus: its
-  ``publish`` calls the listeners itself, or — given delivery workers —
-  enqueues, so one slow subscriber can no longer stall a flush.
+* :mod:`repro.serve.bus` — the :class:`EventBus`, the one bus, keyed by
+  subscription: a notification has one addressee, so each subscription
+  has at most one mailbox and ``publish`` reaches that one or none.  It
+  calls the listener itself, or — given delivery workers — enqueues, so
+  one slow subscriber can no longer stall a flush.
 
 None of this is a second pipeline.  A live session
 (:class:`~repro.live.manager.SubscriptionManager`) is always
@@ -33,7 +35,9 @@ The session keeps one :class:`~repro.engine.maintenance.IncrementalMaintainer`
 per plan, one routing map, one lock and one bus whatever it is given
 here; without workers the bus queues nothing, so its queueing questions
 (backlog, drain, pending capture) have empty answers rather than a
-second implementation.
+second implementation.  A refresh that fails is counted and logged by
+the session; a callback that raises is counted and logged by the bus —
+neither is published anywhere.
 
 Concurrency invariants (tested in ``tests/serve/``):
 

@@ -1,13 +1,17 @@
-"""The notification bus: topic fan-out on the publisher's thread or on workers.
+"""The notification bus: one mailbox per subscription, delivered on the
+publisher's thread or on workers.
 
-:class:`EventBus` is the one bus of the live engine.  Every listener
-gets a :class:`~repro.serve.queues.Mailbox`; ``workers`` says which
-thread calls it back:
+A notification has one addressee — the subscription whose result
+changed — so :class:`EventBus` is keyed by subscription: each key
+(the session uses the subscription id) has at most one listener and its
+:class:`~repro.serve.queues.Mailbox`, and :meth:`EventBus.publish`
+reaches that one mailbox or none.  ``workers`` says which thread calls
+the listener back:
 
-* ``workers=0`` — :meth:`EventBus.publish` calls the listeners itself,
-  in subscription order, before it returns.  Nothing is ever queued; the
-  mailbox only keeps the listener's counters.
-* ``workers=N`` — ``publish`` *enqueues* under each mailbox's
+* ``workers=0`` — ``publish`` calls the listener itself before it
+  returns.  Nothing is ever queued; the mailbox only keeps the
+  listener's counters.
+* ``workers=N`` — ``publish`` *enqueues* under the mailbox's
   backpressure policy and N delivery threads call the listeners, so one
   slow subscriber callback no longer stalls a flush.  A mailbox is pinned
   to exactly one worker, which yields **in-order, exactly-once delivery
@@ -16,17 +20,16 @@ thread calls it back:
   mailboxes so no subscriber starves another.
 
 Either way one method runs a listener (:meth:`EventBus._deliver`), so
-isolation, failure announcement and accounting are the same on both
-paths: a raising listener is recorded on :attr:`EventBus.errors`,
-counted in ``delivery_errors`` and announced on the ``listener-error``
-topic, and its peers — and its own later payloads — are still delivered;
-``delivered`` and the ``on_delivered`` hook count callbacks that
-*returned*.
+isolation and accounting are the same on both paths: a raising listener
+is recorded on :attr:`EventBus.errors`, counted in ``delivery_errors``
+and logged on ``repro.serve.bus``, and the other subscribers — and its
+own later payloads — are still delivered; ``delivered`` and the
+``on_delivered`` hook count callbacks that *returned*.
 
-``publish`` returns the listeners that returned (``workers=0``) or the
-payloads accepted (``workers=N``); call :meth:`EventBus.drain` to wait
-until every queue is empty and every in-flight callback returned — the
-flush/benchmark barrier.
+``publish`` says whether the listener returned (``workers=0``) or the
+mailbox accepted the payload (``workers=N``); call
+:meth:`EventBus.drain` to wait until every queue is empty and every
+in-flight callback returned — the flush/benchmark barrier.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import logging
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 
 from repro.durable import faults
 from repro.obs.trace import NULL_TRACER
@@ -47,7 +50,7 @@ __all__ = ["EventBus"]
 
 logger = logging.getLogger("repro.serve.bus")
 
-#: The per-listener counters :meth:`EventBus.stats` sums (a mailbox's
+#: The per-mailbox counters :meth:`EventBus.stats` sums (a mailbox's
 #: are retired into the bus's totals when its listener unsubscribes).
 _COUNTERS = ("queued", "delivered", "dropped", "coalesced", "errors")
 
@@ -124,7 +127,7 @@ class _DeliveryWorker:
 
 
 class EventBus:
-    """Topic-based fan-out with listener error isolation.
+    """One mailbox per key, with listener error isolation.
 
     *workers* delivery threads call the listeners (``0``: the publishing
     thread does); *capacity* and *policy* are the default mailbox size
@@ -138,32 +141,14 @@ class EventBus:
     the ``delivered`` counter — the session observes write→deliver
     freshness there.
 
-    Listener exceptions are swallowed per delivery and recorded on
-    :attr:`errors` (a bounded list of ``(topic, listener, exception)``
-    triples) so one misbehaving subscriber cannot prevent the remaining
-    subscribers from hearing about a refresh.  Each failure is also
-    announced on the :attr:`LISTENER_ERROR_TOPIC` topic as
-    ``(topic, listener, exception)`` so operators can watch subscriber
-    health without polling :attr:`errors`.
-
-    Failures raised *while delivering on the listener-error topic itself*
-    are recorded but never re-announced: without that guard, a
-    listener-error listener that raises would re-enter the error publish
-    and recurse until the stack blows — starving every other subscriber
-    of the original delivery.  Failures on every *other* topic —
-    including the :attr:`ERROR_TOPIC` refresh-failure channel — are
-    announced with their originating topic carried through, so operators
-    can tell a failing error-listener from a failing refresh-listener.
+    Listener exceptions are swallowed per delivery, logged, and recorded
+    on :attr:`errors` (a bounded list of ``(key, exception)`` pairs), so
+    one misbehaving subscriber cannot keep the others from hearing about
+    a refresh.
     """
 
     #: How many delivery errors to keep for inspection.
     MAX_ERRORS = 100
-
-    #: The topic refresh/flush failures are published on (by the manager).
-    ERROR_TOPIC = "error"
-
-    #: The topic listener delivery failures are announced on (by the bus).
-    LISTENER_ERROR_TOPIC = "listener-error"
 
     def __init__(
         self,
@@ -182,13 +167,13 @@ class EventBus:
         self.policy = policy
         self.block_timeout = block_timeout
         self.on_delivered = on_delivered
-        self.errors: List[Tuple[str, Callable, Exception]] = []
+        self.errors: List[Tuple[Hashable, Exception]] = []
         self._spans = tracer if tracer is not None else NULL_TRACER
-        #: Guards the topic map, :attr:`errors` and the retired totals;
-        #: never held while a listener runs.  Taken before a mailbox's
-        #: condition, never after.
+        #: Guards writes to the mailbox map, :attr:`errors` and the
+        #: retired totals; never held while a listener runs.  Taken
+        #: before a mailbox's condition, never after.
         self._lock = threading.Lock()
-        self._mailboxes: Dict[str, List[Mailbox]] = {}
+        self._mailboxes: Dict[Hashable, Mailbox] = {}
         self._retired = dict.fromkeys(_COUNTERS, 0)
         self._closed = False
         self._workers = [
@@ -206,21 +191,26 @@ class EventBus:
 
     def subscribe(
         self,
-        topic: str,
+        key: Hashable,
         listener: Callable[[Any], None],
         *,
         capacity: Optional[int] = None,
         policy: Optional[str] = None,
     ) -> Callable[[], None]:
-        """Register *listener* for *topic*; returns an unsubscribe thunk.
+        """Give *key* its mailbox, delivering to *listener*; returns an
+        unsubscribe thunk.
 
-        *capacity* / *policy* override the bus defaults for this
-        subscriber's mailbox — a dashboard can coalesce while an audit
-        log blocks.  They are checked whatever ``workers`` is.
+        A key that already has a mailbox is refused (:class:`ValueError`):
+        a notification has one addressee.  *capacity* / *policy*
+        override the bus defaults for this mailbox — a dashboard can
+        coalesce while an audit log blocks.  They are checked whatever
+        ``workers`` is.
         """
         if self._closed:
             raise RuntimeError("the bus is closed")
         with self._lock:
+            if key in self._mailboxes:
+                raise ValueError(f"{key!r} already has a mailbox")
             worker = next(self._next_worker)
             mailbox = Mailbox(
                 listener,
@@ -228,16 +218,15 @@ class EventBus:
                 capacity=capacity if capacity is not None else self.capacity,
                 policy=policy if policy is not None else self.policy,
             )
-            mailbox.topic = topic
+            mailbox.key = key
             mailbox._worker = worker
-            self._mailboxes.setdefault(topic, []).append(mailbox)
+            self._mailboxes[key] = mailbox
 
         def unsubscribe() -> None:
             with self._lock:
-                try:
-                    self._mailboxes.get(topic, []).remove(mailbox)
-                except ValueError:
+                if self._mailboxes.get(key) is not mailbox:
                     return
+                del self._mailboxes[key]
                 with mailbox.condition:
                     mailbox._close()
                     if mailbox.scheduled:
@@ -248,57 +237,40 @@ class EventBus:
 
         return unsubscribe
 
-    def listener_count(self, topic: Optional[str] = None) -> int:
-        with self._lock:
-            if topic is not None:
-                return len(self._mailboxes.get(topic, ()))
-            return sum(len(group) for group in self._mailboxes.values())
-
-    def _group(self, topic: str) -> Tuple[Mailbox, ...]:
-        with self._lock:
-            return tuple(self._mailboxes.get(topic, ()))
-
     # ------------------------------------------------------------------
     # Publishing and delivery
     # ------------------------------------------------------------------
 
-    def publish(self, topic: str, payload: Any) -> int:
-        """Hand *payload* to every listener of *topic*.
+    def publish(self, key: Hashable, payload: Any) -> bool:
+        """Hand *payload* to *key*'s listener, if it has one.
 
-        Without workers the listeners run now and the return value counts
-        those that returned.  With workers the payload is enqueued and
-        the return value counts the mailboxes that accepted it (queued or
-        coalesced — a coalesced payload's information still reaches the
-        subscriber, merged into the notification already waiting); a
-        closed bus accepts nothing.  ``block``-policy waits are always
-        bounded by ``block_timeout``, and a publish issued **from a
-        delivery worker thread** (a callback publishing, an error
-        announcement) never waits at all — a worker blocking on a mailbox
-        only it can drain would deadlock itself and starve every
-        subscriber pinned to it.
+        Without workers the listener runs now and the result says whether
+        it returned.  With workers the payload is enqueued and the result
+        says whether the mailbox accepted it (queued or coalesced — a
+        coalesced payload's information still reaches the subscriber,
+        merged into the notification already waiting); a closed bus
+        accepts nothing.  ``block``-policy waits are always bounded by
+        ``block_timeout``, and a publish issued **from a delivery worker
+        thread** (a callback publishing) never waits at all — a worker
+        blocking on a mailbox only it can drain would deadlock itself
+        and starve every subscriber pinned to it.
         """
-        if self._closed:
-            return 0
-        group = self._group(topic)
+        mailbox = self._mailboxes.get(key)
+        if mailbox is None or self._closed:
+            return False
         if not self._workers:
-            accepted = 0
-            for mailbox in group:
-                with mailbox.condition:
-                    if mailbox.closed:  # unsubscribed since the snapshot
-                        continue
-                    mailbox.queued += 1
-                accepted += self._deliver(mailbox, payload)
-            return accepted
+            with mailbox.condition:
+                if mailbox.closed:  # unsubscribed since the lookup
+                    return False
+                mailbox.queued += 1
+            return self._deliver(mailbox, payload)
         timeout = (
             0.0
             if threading.get_ident() in self._worker_idents
             else self.block_timeout
         )
-        accepted = 0
-        for mailbox in group:
-            if mailbox.put(payload, timeout=timeout) != REJECTED:
-                accepted += 1
-            mailbox._worker.schedule(mailbox)
+        accepted = mailbox.put(payload, timeout=timeout) != REJECTED
+        mailbox._worker.schedule(mailbox)
         return accepted
 
     def _deliver(self, mailbox: Mailbox, payload: Any) -> bool:
@@ -319,7 +291,10 @@ class EventBus:
                 faults.fire("delivery.pre_ack")
             except Exception as exc:  # noqa: BLE001 — isolation is the point
                 self._tally(mailbox, "errors")
-                self._record_failure(mailbox.topic, listener, exc)
+                with self._lock:
+                    if len(self.errors) < self.MAX_ERRORS:
+                        self.errors.append((mailbox.key, exc))
+                logger.exception("delivery to %r failed", mailbox.key)
                 return False
         self._tally(mailbox, "delivered")
         hook = self.on_delivered
@@ -341,24 +316,6 @@ class EventBus:
         with self._lock:
             self._retired[counter] += 1
 
-    def _record_failure(
-        self, topic: str, listener: Callable, exc: Exception
-    ) -> None:
-        """Record one delivery failure; announce it unless that would
-        recurse through the error channel.
-
-        Only failures raised *on the listener-error topic itself* are
-        suppressed — announcing those would re-enter this publish and
-        recurse.  A failing listener on any other topic (the refresh
-        topics, but also the ``"error"`` refresh-failure channel) is
-        announced with its originating *topic* carried in the payload.
-        """
-        with self._lock:
-            if len(self.errors) < self.MAX_ERRORS:
-                self.errors.append((topic, listener, exc))
-        if topic != self.LISTENER_ERROR_TOPIC:
-            self.publish(self.LISTENER_ERROR_TOPIC, (topic, listener, exc))
-
     # ------------------------------------------------------------------
     # The queues, asked from outside
     # ------------------------------------------------------------------
@@ -368,25 +325,20 @@ class EventBus:
         the adaptive serve-loop debounce reads (cheaper than
         :meth:`stats`, which also walks the counters)."""
         with self._lock:
-            return sum(
-                len(mailbox)
-                for group in self._mailboxes.values()
-                for mailbox in group
-            )
+            return sum(len(mailbox) for mailbox in self._mailboxes.values())
 
     def stats(self) -> Dict[str, int]:
         """The delivery counters, monotonic over the bus's life, plus the
-        current ``backlog`` and ``listeners``."""
+        current ``backlog`` and ``listeners`` (mailboxes)."""
         with self._lock:
             totals = dict(self._retired)
-            backlog = listeners = 0
-            for group in self._mailboxes.values():
-                for mailbox in group:
-                    with mailbox.condition:
-                        for name in _COUNTERS:
-                            totals[name] += getattr(mailbox, name)
-                        backlog += len(mailbox._items)
-                listeners += len(group)
+            backlog = 0
+            for mailbox in self._mailboxes.values():
+                with mailbox.condition:
+                    for name in _COUNTERS:
+                        totals[name] += getattr(mailbox, name)
+                    backlog += len(mailbox._items)
+            listeners = len(self._mailboxes)
         totals["delivery_errors"] = totals.pop("errors")
         return {
             "workers": len(self._workers),
@@ -396,40 +348,41 @@ class EventBus:
         }
 
     def oldest_commit_age(
-        self, topic: str, now: Optional[float] = None
+        self, key: Hashable, now: Optional[float] = None
     ) -> Optional[float]:
         """Age of the oldest commit-stamped payload still queued for
-        *topic*'s listeners, or ``None`` when nothing stamped waits.
+        *key*, or ``None`` when nothing stamped waits.
 
         Snapshot-time introspection for the staleness gauges — walks the
-        topic's mailboxes only when asked, so delivery pays nothing.
+        mailbox only when asked, so delivery pays nothing.
         """
-        ages = [mailbox.oldest_commit_age(now) for mailbox in self._group(topic)]
-        return max((age for age in ages if age is not None), default=None)
+        mailbox = self._mailboxes.get(key)
+        return None if mailbox is None else mailbox.oldest_commit_age(now)
 
-    def capture_pending(self, topic: str) -> List[Tuple[Any, ...]]:
-        """Undelivered payloads per listener of *topic*, oldest first.
+    def capture_pending(self, key: Hashable) -> Tuple[Any, ...]:
+        """*key*'s undelivered payloads, oldest first.
 
-        The checkpoint capture path (non-destructive — items stay queued
-        for delivery): one tuple per subscribed listener, in
-        subscription order.
+        The checkpoint capture path (non-destructive — the items stay
+        queued for delivery).
         """
-        return [mailbox.capture() for mailbox in self._group(topic)]
+        mailbox = self._mailboxes.get(key)
+        return () if mailbox is None else mailbox.capture()
 
-    def restore_pending(self, topic: str, items: Tuple[Any, ...]) -> int:
-        """Hand recovered payloads to every listener of *topic*.
+    def restore_pending(self, key: Hashable, items: Tuple[Any, ...]) -> int:
+        """Hand recovered payloads to *key*'s listener.
 
         The recovery path: with workers the payloads are appended behind
         anything already queued (bypassing backpressure) and the owning
-        workers woken; without, they are published like any other.
-        Returns the number of accepted payload deliveries.
+        worker woken; without, they are published like any other.
+        Returns the number of accepted payloads.
         """
+        mailbox = self._mailboxes.get(key)
+        if mailbox is None:
+            return 0
         if not self._workers:
-            return sum(self.publish(topic, item) for item in items)
-        accepted = 0
-        for mailbox in self._group(topic):
-            accepted += mailbox.restore(items)
-            mailbox._worker.schedule(mailbox)
+            return sum(self.publish(key, item) for item in items)
+        accepted = mailbox.restore(items)
+        mailbox._worker.schedule(mailbox)
         return accepted
 
     # ------------------------------------------------------------------
@@ -447,9 +400,9 @@ class EventBus:
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             # One pass must observe every worker idle without waiting:
-            # a delivery on worker B may publish to a mailbox on already
-            # checked worker A (error announcements, chained publishes),
-            # so any wait invalidates the passes before it.
+            # a callback on worker B may publish (or flush, which
+            # publishes) to a mailbox on already checked worker A, so
+            # any wait invalidates the passes before it.
             settled = True
             for worker in self._workers:
                 if worker.thread is threading.current_thread():

@@ -13,7 +13,8 @@ policy*:
 * ``"coalesce"`` — merge the newest item into the queue tail
   (:meth:`~repro.live.events.RefreshNotification.coalesce_with` merges
   their result-level deltas), so a full queue keeps *all* information in
-  fewer messages.  Items that cannot merge fall back to ``drop_oldest``.
+  fewer messages.  A mailbox holds one subscription's notifications, so
+  any two of them merge: ``coalesce`` never drops.
 
 A mailbox is pinned to exactly one delivery worker
 (:mod:`repro.serve.bus`), which is what makes delivery **in-order per
@@ -33,7 +34,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
-__all__ = ["BACKPRESSURE_POLICIES", "Mailbox", "coalesce_payloads"]
+__all__ = ["BACKPRESSURE_POLICIES", "Mailbox"]
 
 #: The recognized backpressure policies, in documentation order.
 BACKPRESSURE_POLICIES = ("block", "drop_oldest", "coalesce")
@@ -59,23 +60,6 @@ def check_queue_options(capacity: int, policy: str) -> None:
         raise ValueError("mailbox capacity must be at least 1")
 
 
-def coalesce_payloads(older: Any, newer: Any) -> Optional[Any]:
-    """The mailbox's payload merger: coalesce refresh notifications.
-
-    Returns the merged payload, or ``None`` when the two cannot merge
-    (different subscriptions, or payloads that are not refresh
-    notifications at all — error records, or anything else published on
-    a plain topic).  Callers treat ``None`` as "fall back to drop_oldest".
-    """
-    merge = getattr(older, "coalesce_with", None)
-    if merge is None:
-        return None
-    try:
-        return merge(newer)
-    except (ValueError, AttributeError, TypeError):
-        return None
-
-
 class Mailbox:
     """One subscriber's bounded delivery queue.
 
@@ -99,7 +83,7 @@ class Mailbox:
         "errors",
         "_items",
         # Set by the bus at subscription time.
-        "topic",
+        "key",
         "_worker",
     )
 
@@ -126,7 +110,7 @@ class Mailbox:
         self.coalesced = 0
         self.errors = 0
         self._items: Deque[Any] = deque()
-        self.topic: Optional[str] = None
+        self.key: Any = None
         self._worker = None
 
     # ------------------------------------------------------------------
@@ -176,20 +160,15 @@ class Mailbox:
                         self._items.popleft()
                         self.dropped += 1
                         outcome = DROPPED_OLDEST
-                elif self.policy == "coalesce" and self._items:
-                    merged = coalesce_payloads(self._items[-1], payload)
-                    if merged is not None:
-                        self._items[-1] = merged
-                        # A merge occupies no new queue slot: count it in
-                        # ``coalesced`` only, or ``queued`` double-counts
-                        # admitted notifications.
-                        self.coalesced += 1
-                        self.condition.notify_all()
-                        return COALESCED
-                    self._items.popleft()
-                    self.dropped += 1
-                    outcome = DROPPED_OLDEST
-                else:  # drop_oldest (or an unmergeable coalesce)
+                elif self.policy == "coalesce":
+                    self._items[-1] = self._items[-1].coalesce_with(payload)
+                    # A merge occupies no new queue slot: count it in
+                    # ``coalesced`` only, or ``queued`` double-counts
+                    # admitted notifications.
+                    self.coalesced += 1
+                    self.condition.notify_all()
+                    return COALESCED
+                else:  # drop_oldest
                     self._items.popleft()
                     self.dropped += 1
                     outcome = DROPPED_OLDEST

@@ -15,6 +15,7 @@ from repro.durable.snapshot import (
     _read_heap,
     _write_heap,
     capture_subscriptions,
+    deserialize_notification,
     load_latest_checkpoint,
     prune_checkpoints,
     serialize_notification,
@@ -241,8 +242,10 @@ class TestSubscriptionCapture:
         plug = threading.Event()
         session = db.live_session(delivery_workers=1)
         first_delivery = threading.Event()
+        delivered = []
 
         def listener(event):
+            delivered.append(event)
             first_delivery.set()
             plug.wait(timeout=30)
 
@@ -253,10 +256,13 @@ class TestSubscriptionCapture:
             db.table("R").insert(100, until_now(50))
             session.flush()
             assert first_delivery.wait(timeout=10)
-            # Worker is stuck in the listener; a second notification
-            # stays queued in the mailbox.
+            # Worker is stuck in the listener; the later notifications
+            # stay queued in the mailbox, one slot each.
             db.table("R").insert(101, until_now(51))
             session.flush()
+            db.table("R").delete_where(lambda row: row.values[0] != 100)
+            session.flush()
+            assert len(session.bus.capture_pending(sub.id)) == 2
             entries = capture_subscriptions(session)
             pending = entries[0]["pending"]
             assert pending is not None
@@ -266,7 +272,40 @@ class TestSubscriptionCapture:
             assert capture_subscriptions(session)[0]["pending"] == pending
         finally:
             plug.set()
-            session.close()
+        assert session.bus.drain(timeout=10)
+        # The capture is the fold of what was then delivered.  Kills: a
+        # capture that keeps the newer of two payloads instead of merging.
+        _, second, third = delivered
+        folded = second.delta.merge(third.delta)
+        captured = deserialize_notification(sub, pending).delta
+        assert captured.inserted == folded.inserted
+        assert captured.deleted == folded.deleted
+        session.close()
+
+    def test_an_entry_that_asked_for_no_change_notifications_resumes(self):
+        """A manifest written while ``notify_on_no_change`` existed still
+        resumes; the key is ignored, so a refresh that changes nothing
+        stays silent.  Kills: restore handing the key on to
+        ``subscribe()``, which no longer takes it."""
+        db = _database()
+        session = db.live_session()
+        session.subscribe_sql("SELECT * FROM R WHERE K = 1", name="audit")
+        (entry,) = capture_subscriptions(session)
+        assert "notify_on_no_change" not in entry
+        session.close()
+        heard = []
+        resumed_session = db.live_session()
+        (resumed,) = resumed_session.resume(
+            [{**entry, "notify_on_no_change": True}], on_refresh=heard.append
+        )
+        assert resumed.name == "audit"
+        db.table("R").insert(7, until_now(30))  # not a K = 1 row
+        resumed_session.flush()
+        assert heard == [] and resumed.stats.suppressed == 1
+        db.table("R").insert(1, until_now(31))
+        resumed_session.flush()
+        assert len(heard) == 1
+        resumed_session.close()
 
     def test_a_checkpoint_survives_a_queued_avg_notification(self, tmp_path):
         """A queued notification of an AVG plan carries ``OngoingRational``
@@ -274,8 +313,6 @@ class TestSubscriptionCapture:
         (at the parent: ``StorageError: cannot serialize value
         OngoingRational(...)`` out of ``serialize_notification``)."""
         import threading
-
-        from repro.serve.queues import coalesce_payloads
 
         db = Database.open(tmp_path, fsync="off")
         table = db.create_table("B", Schema.of("ID", "Product", ("VT", "interval")))
@@ -300,13 +337,9 @@ class TestSubscriptionCapture:
                 table.insert(key, "core", until_now(50))
                 session.flush()
                 assert first_delivery.wait(timeout=10)
-            queued = [
-                payload
-                for group in session.bus.capture_pending(f"refresh:{sub.id}")
-                for payload in group
-            ]
+            queued = session.bus.capture_pending(sub.id)
             assert len(queued) == 2
-            captured = coalesce_payloads(*queued).delta
+            captured = queued[0].coalesce_with(queued[1]).delta
             assert captured.inserted and captured.deleted
             db.checkpoint()
         finally:

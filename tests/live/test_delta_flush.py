@@ -9,6 +9,8 @@ delta, and every non-incrementalizable situation falls back to a full
 re-evaluation without changing observable results.
 """
 
+import logging
+
 import pytest
 
 from repro.core.interval import fixed_interval, until_now
@@ -193,25 +195,6 @@ class TestChangeFilter:
         assert sub.stats.pending_events == 0  # the flush still drained it
         assert session.stats()["repro_live_suppressed_notifications_total"] == 1
 
-    def test_notify_on_no_change_opts_back_in(self):
-        db = _database()
-        session = LiveSession(db)
-        received = []
-        session.subscribe(
-            _spam_plan(),
-            on_refresh=received.append,
-            notify_on_no_change=True,
-        )
-        current_update(
-            db.table("B"),
-            lambda r: r.values[0] == 502,
-            (502, "Other"),
-            at=d(6, 1),
-        )
-        session.flush()
-        assert len(received) == 1
-        assert received[0].delta is not None and received[0].delta.is_empty()
-
     def test_relevant_change_notifies_with_the_result_delta(self):
         db = _database()
         session = LiveSession(db)
@@ -240,16 +223,15 @@ class TestChangeFilter:
         assert session.stats()["repro_live_suppressed_notifications_total"] == 1
 
     def test_mixed_subscribers_one_refresh(self):
-        """One shared result, one suppressed subscriber, one opted-in."""
+        """One shared result, one subscriber listening and one not: a
+        write that leaves the result as it was silences both and
+        publishes nothing; one that changes it reaches the listener
+        once."""
         db = _database()
         session = LiveSession(db)
-        silent_events, eager_events = [], []
-        silent = session.subscribe(_spam_plan(), on_refresh=silent_events.append)
-        eager = session.subscribe(
-            _spam_plan(),
-            on_refresh=eager_events.append,
-            notify_on_no_change=True,
-        )
+        heard = []
+        listening = session.subscribe(_spam_plan(), on_refresh=heard.append)
+        quiet = session.subscribe(_spam_plan())
         current_update(
             db.table("B"),
             lambda r: r.values[0] == 502,
@@ -257,10 +239,15 @@ class TestChangeFilter:
             at=d(6, 1),
         )
         session.flush()
-        assert silent_events == []
-        assert len(eager_events) == 1
-        assert silent.stats.suppressed == 1
-        assert eager.stats.refreshes == 1
+        assert heard == []
+        assert listening.stats.suppressed == quiet.stats.suppressed == 1
+        assert session.bus.stats()["queued"] == 0
+        db.table("B").insert(503, "Spam filter", until_now(d(5, 1)))
+        session.flush()
+        assert len(heard) == 1
+        assert listening.stats.notifications == 1
+        assert quiet.stats.notifications == 0
+        assert session.stats()["repro_live_evaluations_total"] == 3
 
 
 class TestPendingDeltaHousekeeping:
@@ -287,10 +274,10 @@ class TestPendingDeltaHousekeeping:
         expected = db.query(_spam_plan())
         assert frozenset(sub.result.tuples) == frozenset(expected.tuples)
 
-    def test_delta_path_error_is_isolated_per_plan(self):
+    def test_delta_path_error_is_isolated_per_plan(self, caplog):
         """An exception raised *inside* delta propagation (not a clean
         NonIncrementalDelta) must not abort the flush: the failing plan
-        recovers via full re-evaluation or lands on the error bus, and
+        recovers via full re-evaluation or is counted and logged, and
         every other dirty plan still refreshes."""
         db = _database()
         session = LiveSession(db)
@@ -298,13 +285,13 @@ class TestPendingDeltaHousekeeping:
         # delta path and on the full path alike.
         doomed = session.subscribe(scan("B").where(col("BID") > lit(100)))
         survivor = session.subscribe(_spam_plan())
-        errors = []
-        session.bus.subscribe("error", errors.append)
         db.table("B").insert(None, "Spam filter", until_now(d(5, 1)))
-        assert session.flush() == 1  # the survivor refreshed
+        with caplog.at_level(logging.ERROR, logger="repro.live.manager"):
+            assert session.flush() == 1  # the survivor refreshed
         assert survivor.stats.refreshes == 1
         assert doomed.stats.refreshes == 0
-        assert len(errors) == 1 and errors[0][0] == doomed.fingerprint
+        (failure,) = [r for r in caplog.records if r.name == "repro.live.manager"]
+        assert f"plan {doomed.fingerprint[:12]}," in failure.getMessage()
         assert session.stats()["repro_live_refresh_errors_total"] == 1
         # the doomed plan keeps serving its last good materialization
         assert doomed.result is not None

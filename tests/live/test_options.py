@@ -37,12 +37,23 @@ SESSION_OPTIONS = [
     "trace",
 ]
 SERVE_OPTIONS = ["debounce", "debounce_min", "debounce_max"]
+#: What one subscription may say about itself.  A refresh that changed
+#: nothing notifies nobody: there is no keyword to ask otherwise.
+SUBSCRIBE_OPTIONS = [
+    "on_refresh",
+    "reference_time",
+    "name",
+    "backpressure",
+    "queue_capacity",
+    "statement",
+]
 
 
 def test_session_options_are_exactly_these():
     for function, positional, options in (
         (LiveSession.__init__, ["self", "database"], SESSION_OPTIONS),
         (LiveSession.serve, ["self"], SERVE_OPTIONS),
+        (LiveSession.subscribe, ["self", "plan"], SUBSCRIBE_OPTIONS),
     ):
         parameters = inspect.signature(function).parameters
         assert list(parameters) == positional + options

@@ -1,5 +1,7 @@
 """Subscription lifecycle, batched refresh, and notification delivery."""
 
+import logging
+
 import pytest
 
 from repro.core.interval import fixed_interval, until_now
@@ -277,17 +279,64 @@ class TestNotifications:
         assert session.flush() == 1
         assert len(received) == 1
         assert bad.stats.refreshes == good.stats.refreshes == 1
-        assert session.bus.errors  # the failure is recorded, not raised
+        # The failure is recorded against its subscription, not raised.
+        ((key, error),) = session.bus.errors
+        assert key == bad.id and isinstance(error, RuntimeError)
 
-    def test_session_wide_refresh_topic(self):
+
+    def test_each_change_is_one_notification_per_subscription(self):
+        """Two subscriptions of one shared plan: one write, one
+        notification each, each published once.  Kills: the double
+        publish (a second, session-wide copy of every notification)."""
+        db = _database()
+        session = LiveSession(db)
+        heard = {"a": [], "b": []}
+        subs = {
+            name: session.subscribe(_bug_plan(), on_refresh=heard[name].append)
+            for name in heard
+        }
+        db.table("B").insert(502, "More", until_now(d(8, 2)))
+        assert session.flush() == 1
+        for name, sub in subs.items():
+            (event,) = heard[name]
+            assert event.subscription is sub
+            assert sub.stats.notifications == 1
+        bus = session.bus.stats()
+        assert (bus["queued"], bus["delivered"], bus["listeners"]) == (2, 2, 2)
+        assert session.stats()["repro_live_notifications_total"] == 2
+
+    def test_a_subscription_without_a_callback_has_no_mailbox(self):
+        """Only a subscription with a callback takes a mailbox, and
+        closing it frees the mailbox."""
         db = _database()
         session = LiveSession(db)
         session.subscribe(_bug_plan())
+        assert session.bus.stats()["listeners"] == 0
         heard = []
-        session.bus.subscribe("refresh", heard.append)
+        sub = session.subscribe(_bug_plan(), on_refresh=heard.append)
+        assert session.bus.stats()["listeners"] == 1
+        sub.close()
+        assert session.bus.stats()["listeners"] == 0
         db.table("B").insert(502, "More", until_now(d(8, 2)))
         session.flush()
-        assert len(heard) == 1
+        assert heard == [] and session.bus.stats()["queued"] == 0
+
+    def test_a_raising_callback_is_logged_against_its_subscription(self, caplog):
+        db = _database()
+        session = LiveSession(db)
+
+        def explode(event):
+            raise RuntimeError("client went away")
+
+        bad = session.subscribe(_bug_plan(), on_refresh=explode)
+        db.table("B").insert(502, "More", until_now(d(8, 2)))
+        with caplog.at_level(logging.ERROR, logger="repro.serve.bus"):
+            session.flush()
+        (record,) = [r for r in caplog.records if r.name == "repro.serve.bus"]
+        assert repr(bad.id) in record.getMessage()
+        assert isinstance(record.exc_info[1], RuntimeError)
+        assert bad.stats.notifications == 0
+        assert session.bus.stats()["delivery_errors"] == 1
 
 
 class TestFailureIsolation:
@@ -303,25 +352,24 @@ class TestFailureIsolation:
         with pytest.raises(QueryError, match="MISSING"):
             session.subscribe(scan("MISSING"))
 
-    def test_dropped_table_does_not_abort_the_flush(self):
+    def test_dropped_table_does_not_abort_the_flush(self, caplog):
         """Per-plan error isolation: the failing plan keeps its last
         materialization, other dirty plans still refresh."""
         db = _database()
         session = LiveSession(db)
         doomed = session.subscribe(scan("P"))
         survivor = session.subscribe(_bug_plan())
-        errors = []
-        session.bus.subscribe("error", errors.append)
         db.table("B").insert(502, "More", until_now(d(8, 2)))
         db.drop_table("P")
         assert session.pending == 2
-        assert session.flush() == 1  # only the surviving plan re-evaluated
+        with caplog.at_level(logging.ERROR, logger="repro.live.manager"):
+            assert session.flush() == 1  # only the surviving plan re-evaluated
         assert survivor.stats.refreshes == 1
         assert doomed.stats.refreshes == 0
         assert len(doomed.result.tuples) == 1  # last materialization serves on
-        ((fingerprint, error),) = errors
-        assert fingerprint == doomed.fingerprint
-        assert isinstance(error, QueryError)
+        (failure,) = [r for r in caplog.records if r.name == "repro.live.manager"]
+        assert f"plan {doomed.fingerprint[:12]}," in failure.getMessage()
+        assert isinstance(failure.exc_info[1], QueryError)
         assert session.stats()["repro_live_refresh_errors_total"] == 1
 
     def test_notification_counter_counts_real_deliveries_only(self):

@@ -2,8 +2,11 @@
 thread calls the listeners: one suite, stated once and collected through
 subclasses that pin ``workers`` — ``0`` in ``tests/live/test_events.py``,
 ``2`` in ``tests/serve/test_bus.py``.  Every wait is bounded; without
-workers ``drain`` has nothing to wait for.
+workers ``drain`` has nothing to wait for.  The bus is keyed by
+subscription: a key has one mailbox or none.
 """
+
+import logging
 
 import pytest
 
@@ -40,14 +43,75 @@ class BusRows:
 
 
 class BusContract(BusRows):
-    def test_fan_out_reaches_every_listener(self):
+    def test_a_second_mailbox_for_one_key_is_refused(self):
+        """A notification has one addressee: a publish reaches the key's
+        one mailbox or none.  Kills: fan-out creeping back (a list of
+        listeners per key, a second ``subscribe`` appended to it)."""
+        bus = self.bus()
+        seen, other = [], []
+        bus.subscribe("t", seen.append)
+        with pytest.raises(ValueError, match="already has a mailbox"):
+            bus.subscribe("t", other.append)
+        assert bus.publish("t", 1) == 1
+        assert bus.publish("nobody", 2) == 0
+        assert bus.drain(timeout=5)
+        assert seen == [1] and other == []
+        assert bus.stats()["listeners"] == 1
+
+    def test_keys_are_independent(self):
+        """A publish reaches its own key's mailbox and no other."""
         bus = self.bus()
         seen_a, seen_b = [], []
-        bus.subscribe("t", seen_a.append)
-        bus.subscribe("t", seen_b.append)
-        assert bus.publish("t", 1) == 2
+        bus.subscribe("a", seen_a.append)
+        bus.subscribe("b", seen_b.append)
+        bus.publish("b", 1)
+        bus.publish("a", 2)
         assert bus.drain(timeout=5)
-        assert seen_a == [1] and seen_b == [1]
+        assert seen_a == [2] and seen_b == [1]
+        assert bus.stats()["listeners"] == 2
+
+    def test_a_publish_nobody_listens_to_is_not_counted(self):
+        """A key without a mailbox: the publish is refused and leaves
+        every counter as it was.  Kills: a session-wide channel that
+        hears what no subscription's mailbox took."""
+        bus = self.bus()
+        seen = []
+        bus.subscribe("t", seen.append)
+        assert bus.publish("nobody", 1) is False
+        assert bus.drain(timeout=5)
+        stats = bus.stats()
+        assert [stats[name] for name in ("queued", "delivered", "dropped")] == [0] * 3
+        assert stats["coalesced"] == stats["delivery_errors"] == 0
+        assert seen == []
+
+    def test_the_queueing_questions_of_a_key_without_a_mailbox(self):
+        """Never subscribed, or unsubscribed: nothing pending, nothing
+        aged, and a restore hands nothing over."""
+        bus = self.bus()
+        seen = []
+        cancel = bus.subscribe("t", seen.append)
+        cancel()
+        for key in ("t", "nobody"):
+            assert bus.capture_pending(key) == ()
+            assert bus.oldest_commit_age(key) is None
+            assert bus.restore_pending(key, ("a", "b")) == 0
+        assert bus.drain(timeout=5)
+        assert seen == [] and bus.stats()["queued"] == 0
+
+    def test_peers_still_delivered_after_an_error_storm(self):
+        """One key's listener raising on every payload neither starves
+        nor reorders another key's deliveries."""
+        bus = self.bus()
+        seen = []
+        bus.subscribe("bad", explode)
+        bus.subscribe("good", seen.append)
+        for payload in range(20):
+            bus.publish("bad", payload)
+            bus.publish("good", payload)
+        assert bus.drain(timeout=5)
+        assert seen == list(range(20))
+        stats = bus.stats()
+        assert (stats["delivered"], stats["delivery_errors"]) == (20, 20)
 
     def test_in_order_exactly_once_per_listener(self):
         bus = self.bus(capacity=256)
@@ -58,16 +122,6 @@ class BusContract(BusRows):
         assert bus.drain(timeout=10)
         assert seen == list(range(200))
 
-    def test_topics_are_independent(self):
-        bus = self.bus()
-        seen = []
-        bus.subscribe("a", seen.append)
-        bus.publish("b", 1)
-        assert bus.drain(timeout=5)
-        assert seen == []
-        assert bus.listener_count("a") == 1
-        assert bus.listener_count() == 1
-
     def test_unsubscribe_thunk(self):
         bus = self.bus()
         seen = []
@@ -76,7 +130,11 @@ class BusContract(BusRows):
         cancel()  # idempotent
         assert bus.publish("t", 1) == 0
         assert bus.drain(timeout=5)
-        assert seen == [] and bus.listener_count() == 0
+        assert seen == [] and bus.stats()["listeners"] == 0
+        bus.subscribe("t", seen.append)  # the key is free again
+        assert bus.publish("t", 2) == 1
+        assert bus.drain(timeout=5)
+        assert seen == [2]
 
     def test_totals_survive_an_unsubscribe(self):
         bus = self.bus()
@@ -87,19 +145,22 @@ class BusContract(BusRows):
         stats = bus.stats()
         assert (stats["queued"], stats["delivered"], stats["listeners"]) == (1, 1, 0)
 
-    def test_error_isolation_and_recording(self):
+    def test_error_isolation_recording_and_logging(self, caplog):
         bus = self.bus()
         seen = []
-        bus.subscribe("t", explode)
-        bus.subscribe("t", seen.append)
-        bus.publish("t", "first")
-        bus.publish("t", "second")  # the failing listener's queue keeps going
-        assert bus.drain(timeout=5)
+        bus.subscribe("bad", explode)
+        bus.subscribe("good", seen.append)
+        with caplog.at_level(logging.ERROR, logger="repro.serve.bus"):
+            for payload in ("first", "second"):  # the failing queue keeps going
+                bus.publish("bad", payload)
+                bus.publish("good", payload)
+            assert bus.drain(timeout=5)
         assert seen == ["first", "second"]
-        assert [(topic, listener) for topic, listener, _ in bus.errors] == [
-            ("t", explode)
-        ] * 2
-        assert all(isinstance(error, RuntimeError) for _, _, error in bus.errors)
+        assert [key for key, _ in bus.errors] == ["bad", "bad"]
+        assert all(isinstance(error, RuntimeError) for _, error in bus.errors)
+        logged = [r for r in caplog.records if r.name == "repro.serve.bus"]
+        assert len(logged) == 2
+        assert all("'bad'" in r.getMessage() and r.exc_info for r in logged)
 
     def test_errors_are_bounded(self):
         bus = self.bus(capacity=EventBus.MAX_ERRORS + 16)
@@ -119,9 +180,10 @@ class BusContract(BusRows):
         the two buses disagreed)."""
         hooked, seen = [], []
         bus = self.bus(on_delivered=lambda payload: (hooked.append(payload), 1 / 0))
-        bus.subscribe("t", explode)
-        bus.subscribe("t", seen.append)
-        bus.publish("t", "payload")
+        bus.subscribe("bad", explode)
+        bus.subscribe("good", seen.append)
+        bus.publish("bad", "payload")
+        bus.publish("good", "payload")
         assert bus.drain(timeout=5)
         stats = bus.stats()
         assert set(stats) == STATS_KEYS
@@ -132,13 +194,14 @@ class BusContract(BusRows):
         assert len(bus.errors) == 1
         assert not hasattr(bus, "delivered")  # one count, in stats()
         # Nothing waits once drained: the queueing questions, at rest.
-        assert bus.backlog() == 0 and bus.oldest_commit_age("t") is None
-        assert bus.capture_pending("t") == [(), ()]  # one per listener
-        assert bus.capture_pending("nobody") == []
+        assert bus.backlog() == 0 and bus.oldest_commit_age("good") is None
+        assert bus.capture_pending("good") == ()
+        assert bus.capture_pending("nobody") == ()
+        assert bus.oldest_commit_age("nobody") is None
 
     def test_pre_ack_crashpoint_is_isolated_like_a_listener_error(self):
-        """The listener ran, the acknowledgement did not: recorded and
-        announced as that listener's failure, never counted delivered."""
+        """The listener ran, the acknowledgement did not: recorded as
+        that listener's failure, never counted delivered."""
         hooked, seen = [], []
         bus = self.bus(on_delivered=hooked.append)
         bus.subscribe("t", seen.append)
@@ -146,8 +209,8 @@ class BusContract(BusRows):
             bus.publish("t", "payload")
             assert bus.drain(timeout=5)
         assert seen == ["payload"] and hooked == []
-        ((topic, listener, error),) = bus.errors
-        assert topic == "t" and isinstance(error, faults.InjectedCrash)
+        ((key, error),) = bus.errors
+        assert key == "t" and isinstance(error, faults.InjectedCrash)
         assert bus.stats()["delivered"] == 0
 
     def test_restore_pending_hands_each_payload_over_exactly_once(self):
@@ -183,75 +246,5 @@ class BusContract(BusRows):
             bus = self.bus()
             with pytest.raises(ValueError):
                 bus.subscribe("t", print, **options)
-            assert bus.listener_count() == 0
+            assert bus.stats()["listeners"] == 0
 
-
-class ErrorTopicGuardContract(BusRows):
-    """A listener that raises while handling an error must not recurse
-    through the error channel or starve its peers (PR 3 regression)."""
-
-    def test_listener_failures_are_announced(self):
-        bus = self.bus()
-        failures = []
-        bus.subscribe(EventBus.LISTENER_ERROR_TOPIC, failures.append)
-        bus.subscribe("refresh", explode)
-        bus.publish("refresh", "payload")
-        assert bus.drain(timeout=5)
-        ((topic, listener, error),) = failures
-        assert topic == "refresh" and listener is explode
-        assert isinstance(error, RuntimeError)
-
-    def test_error_topic_failure_announcement_carries_its_topic(self):
-        # PR 6 regression: a failing listener registered on the "error"
-        # topic was silently recorded but never announced — the guard
-        # suppressed every error-class topic instead of only the
-        # listener-error channel, and the announcement lost its topic.
-        bus = self.bus()
-        announced = []
-        bus.subscribe(EventBus.LISTENER_ERROR_TOPIC, announced.append)
-        bus.subscribe("error", explode)
-        bus.publish("error", ("fingerprint", ValueError("x")))
-        assert bus.drain(timeout=5)
-        ((topic, listener, error),) = announced
-        assert topic == "error"  # the originating topic, carried through
-        assert listener is explode
-        assert isinstance(error, RuntimeError)
-
-    def test_raising_error_listener_does_not_recurse(self):
-        bus = self.bus()
-        survivors = []
-        bus.subscribe("error", explode)
-        bus.subscribe("error", survivors.append)
-        # Publishing on the error topic with a raising listener used to
-        # be the recursion seed; now it records and moves on.
-        bus.publish("error", ("fingerprint", ValueError("x")))
-        assert bus.drain(timeout=5)
-        assert len(survivors) == 1
-        ((topic, listener, _),) = bus.errors
-        assert topic == "error" and listener is explode
-
-    def test_raising_listener_error_listener_terminates(self):
-        bus = self.bus()
-
-        def meta_explode(payload):
-            raise RuntimeError("the watcher is broken too")
-
-        bus.subscribe("refresh", explode)
-        bus.subscribe(EventBus.LISTENER_ERROR_TOPIC, meta_explode)
-        # refresh fails → announced on listener-error → that listener
-        # fails too → recorded, NOT re-announced.  Termination is the
-        # regression being tested: this used to be unbounded.
-        bus.publish("refresh", "payload")
-        assert bus.drain(timeout=5)
-        topics = [topic for topic, _, _ in bus.errors]
-        assert topics == ["refresh", EventBus.LISTENER_ERROR_TOPIC]
-
-    def test_peers_still_delivered_after_error_storm(self):
-        bus = self.bus()
-        seen = []
-        bus.subscribe(EventBus.LISTENER_ERROR_TOPIC, explode)
-        bus.subscribe("t", explode)
-        bus.subscribe("t", seen.append)
-        bus.publish("t", "payload")
-        assert bus.drain(timeout=5)
-        assert seen == ["payload"]

@@ -8,15 +8,10 @@ import time
 import pytest
 
 from repro.serve.bus import EventBus
-from tests.serve.bus_contract import (
-    STATS_KEYS,
-    BusContract,
-    BusRows,
-    ErrorTopicGuardContract,
-)
+from tests.serve.bus_contract import STATS_KEYS, BusContract, BusRows
 
 
-class TestAsyncEventBus(BusContract):
+class TestEventBusWithWorkers(BusContract):
     workers = 2
 
     def test_slow_listener_does_not_stall_fast_peers(self):
@@ -27,9 +22,10 @@ class TestAsyncEventBus(BusContract):
         def slow(_):
             release_slow.wait(timeout=10)
 
-        bus.subscribe("t", slow)
-        bus.subscribe("t", lambda item: fast_done.set())
-        bus.publish("t", "payload")
+        bus.subscribe("slow", slow)
+        bus.subscribe("fast", lambda item: fast_done.set())
+        bus.publish("slow", "payload")
+        bus.publish("fast", "payload")
         # The fast subscriber hears about it while the slow one is stuck.
         assert fast_done.wait(timeout=5)
         release_slow.set()
@@ -71,30 +67,41 @@ class TestAsyncEventBus(BusContract):
         bus.close()
 
     def test_coalesce_policy_keeps_latest_information(self):
+        """Capacity 1, the one worker jammed in delivery #1: the later
+        payloads merge into the one waiting, none is dropped, and the
+        newest arrives last."""
         bus = EventBus(workers=1, capacity=1, policy="coalesce")
-        release = threading.Event()
+        jammed, release = threading.Event(), threading.Event()
         seen = []
 
         def subscriber(item):
-            if not seen:
-                release.wait(timeout=10)  # jam the worker on delivery #1
-            seen.append(item)
+            if not jammed.is_set():
+                jammed.set()
+                release.wait(timeout=10)
+            seen.append(item.values)
 
         bus.subscribe("t", subscriber)
-        bus.publish("t", "first")  # delivered (slowly)
-        time.sleep(0.05)  # let the worker pick "first" up
+        bus.publish("t", _Merging("first"))
+        assert jammed.wait(timeout=5)
         for payload in ("second", "third", "fourth"):
-            bus.publish("t", payload)  # capacity 1: unmergeable → newest kept
+            assert bus.publish("t", _Merging(payload))
         release.set()
         assert bus.drain(timeout=5)
-        assert seen[0] == "first"
-        assert seen[-1] == "fourth"  # the latest payload always arrives
-        assert len(seen) < 4  # the backlog really was bounded
+        assert seen == [("first",), ("second", "third", "fourth")]
+        stats = bus.stats()
+        assert (stats["queued"], stats["coalesced"], stats["dropped"]) == (2, 2, 0)
         bus.close()
 
 
-class TestErrorTopicGuard(ErrorTopicGuardContract):
-    workers = 2
+class _Merging:
+    """A payload that coalesces as a notification does: every value
+    kept, the newest last."""
+
+    def __init__(self, *values):
+        self.values = values
+
+    def coalesce_with(self, newer):
+        return _Merging(*self.values, *newer.values)
 
 
 class TestDeliveryPool(BusRows):

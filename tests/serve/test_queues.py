@@ -155,17 +155,30 @@ class TestCoalescing:
         assert len(box) == 2
         assert box.coalesced == 0
 
-    def test_unmergeable_payloads_fall_back_to_drop_oldest(self):
-        box, _ = _mailbox(capacity=1, policy="coalesce")
-        box.put("plain")  # no coalesce_with
-        assert box.put("newer") == DROPPED_OLDEST
-        assert _drain(box) == ["newer"]
-
     def test_different_subscriptions_never_merge(self):
+        """A mailbox holds one subscription's notifications; another's
+        reaching it is a fault, refused loudly rather than dropped."""
         box, _ = _mailbox(capacity=1, policy="coalesce")
         box.put(_notification(_FakeSubscription(), inserted=("a",)))
-        outcome = box.put(_notification(_FakeSubscription(), inserted=("b",)))
-        assert outcome == DROPPED_OLDEST
+        with pytest.raises(ValueError, match="different subscriptions"):
+            box.put(_notification(_FakeSubscription(), inserted=("b",)))
+        assert len(box) == 1 and box.dropped == box.coalesced == 0
+
+    @pytest.mark.parametrize(
+        "policy, dropped", [("coalesce", 0), ("drop_oldest", 2), ("block", 2)]
+    )
+    def test_only_a_chosen_policy_or_a_block_timeout_drops(self, policy, dropped):
+        """Three notifications of one subscription into capacity 1:
+        ``coalesce`` keeps them all in the one slot; ``drop_oldest`` and
+        a ``block`` that times out evict the older ones."""
+        subscription = _FakeSubscription()
+        box, _ = _mailbox(capacity=1, policy=policy)
+        for value in ("a", "b", "c"):
+            box.put(_notification(subscription, inserted=(value,)), timeout=0)
+        (kept,) = _drain(box)
+        assert box.dropped == dropped
+        values = {row.values[0] for row in kept.delta.inserted}
+        assert values == ({"a", "b", "c"} if policy == "coalesce" else {"c"})
 
     def test_unknown_delta_coalesces_to_unknown(self):
         subscription = _FakeSubscription()

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.interval import until_now
 from repro.engine.database import Database
-from repro.engine.modifications import current_insert
+from repro.engine.modifications import current_delete, current_insert
 from repro.engine.plan import scan
 from repro.errors import QueryError
 from repro.live import LiveSession
@@ -78,7 +78,6 @@ class TestReviewRegressions:
         db = _database()
         session = LiveSession(db)
         sub = session.subscribe(_plans()["filter"])
-        loud = session.subscribe(_plans()["filter"], notify_on_no_change=True)
         (shared,) = session.shared_results()
         real_refresh = shared.refresh
 
@@ -104,7 +103,7 @@ class TestReviewRegressions:
             "repro_live_evaluations_total",
         ):
             assert after[name] == before[name], name
-        assert loud.stats.refreshes == 1
+        assert sub.stats.refreshes + sub.stats.suppressed == 1  # no phantom
         assert session.pending == 0
         session.close()
 
@@ -181,42 +180,54 @@ class TestAsyncDelivery:
         session.close()
 
     def test_coalesce_backpressure_counts_and_merges(self):
+        """Capacity 1, the one worker jammed in delivery #1: every later
+        notification lands in the one waiting, none is dropped, and the
+        subscriber's fold of what arrives is the result bound at its
+        reference time.  Kills: ``coalesce`` falling back to
+        ``drop_oldest`` (a dropped notification takes its delta with it:
+        ``dropped`` counts it and the fold misses its rows)."""
         db = _database()
         session = LiveSession(
             db, delivery_workers=1, queue_capacity=1, backpressure="coalesce"
         )
-        release = threading.Event()
+        jammed, release = threading.Event(), threading.Event()
         received = []
 
         def subscriber(event):
-            if not received:
+            if not jammed.is_set():
+                jammed.set()
                 release.wait(timeout=10)
+            bound.apply(event)
             received.append(event)
 
-        session.subscribe(_plans()["filter"], on_refresh=subscriber)
+        plan = _plans()["filter"]
+        sub = session.subscribe(plan, on_refresh=subscriber, reference_time=60)
+        bound = sub.bound_rows()
         current_insert(db.table("R"), (1,), at=20)
-        session.flush()  # delivery #1 jams the only worker
-        time.sleep(0.05)
-        for i in range(3):  # three more refreshes pile onto capacity 1
-            current_insert(db.table("R"), (1,), at=21 + i)
-            session.flush()
+        session.flush()
+        assert jammed.wait(timeout=10)
+        current_insert(db.table("R"), (1,), at=21)  # takes the one slot
+        session.flush()
+        current_delete(db.table("R"), lambda row: row.values[0] == 1, at=30)
+        session.flush()  # merges
+        current_insert(db.table("R"), (1,), at=31)
+        session.flush()  # merges
         release.set()
         assert session.bus.drain(timeout=10)
         stats = session.stats()
+        assert stats["repro_serve_dropped_notifications_total"] == 0
         assert stats["repro_serve_coalesced_notifications_total"] == 2
         # queued and coalesced partition the admitted notifications: two
         # occupied queue slots (delivered separately), two merged into the
         # waiting one.  4 would mean the old double-count.
         assert stats["repro_serve_queued_notifications_total"] == 2
-        assert stats["repro_serve_queued_notifications_total"] + stats["repro_serve_coalesced_notifications_total"] == 4
-        assert len(received) == 2
-        final = received[-1]
+        assert len(received) == 2 and session.bus.errors == []
         # The coalesced notification carries the merged result-level
-        # delta: all three late inserts, none lost.
-        assert final.delta is not None and len(final.delta.inserted) == 3
-        assert frozenset(final.result.tuples) == frozenset(
-            db.query(_plans()["filter"]).tuples
-        )
+        # delta, none of it lost: folded, it is the bound result.
+        final = received[-1]
+        assert final.delta is not None
+        assert frozenset(final.result.tuples) == frozenset(db.query(plan).tuples)
+        assert frozenset(bound.rows) == sub.instantiate(60)
         session.close()
 
     def test_per_subscription_policy_override(self):
@@ -283,7 +294,7 @@ class TestMailboxOptionsAreCheckedWhoeverDelivers:
                     "SELECT * FROM R", on_refresh=print, name="audit", **options
                 )
         assert session.subscriptions == [] and session.shared_results() == []
-        assert session.bus.listener_count() == 0
+        assert session.bus.stats()["listeners"] == 0
         session.close()
 
     def test_a_checkpoint_of_a_session_without_workers_reopens_with_them(

@@ -136,6 +136,10 @@ def test_the_serve_package_exports_delivery_names_only():
             assert name not in package.__all__ and not hasattr(package, name)
     assert importlib.util.find_spec("repro.engine.cost") is None
     assert importlib.util.find_spec("repro.engine.views") is None
+    # The bus is keyed by subscription: no topics, no error channels.
+    for name in ("listener_count", "ERROR_TOPIC", "LISTENER_ERROR_TOPIC"):
+        assert not hasattr(repro.EventBus, name)
+    assert not hasattr(repro.serve.queues, "coalesce_payloads")
 
 
 def test_aggregates_have_one_implementation_and_one_definition():
