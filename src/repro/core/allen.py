@@ -170,8 +170,18 @@ def overlaps(i: OngoingInterval, j: OngoingInterval) -> OngoingBoolean:
 
     This is the *symmetric* overlap of the paper's evaluation (the usual
     overlap check plus the per-reference-time non-emptiness checks), not
-    Allen's strict ``overlaps``.
+    Allen's strict ``overlaps``.  Four fixed endpoints decide it by four
+    fixed comparisons, the same at every reference time.
     """
+    i_start, i_end, j_start, j_end = i._start, i._end, j._start, j._end
+    if (
+        i_start._a == i_start._b
+        and i_end._a == i_end._b
+        and j_start._a == j_start._b
+        and j_end._a == j_end._b
+    ):
+        ts, te, js, je = i_start._a, i_end._a, j_start._a, j_end._a
+        return O_TRUE if ts < je and js < te and ts < te and js < je else O_FALSE
     return _combine(
         (),
         (

@@ -23,9 +23,11 @@ objects; such an entry is refused by name when read, never loaded, and
 the statement entries of either format still load.  Format 2 stores the
 plan under ``plan``.
 
-The directory is written under a ``.tmp-`` name and published with one
-atomic ``os.rename`` — a crash mid-checkpoint leaves only an ignored
-temp directory, never a half checkpoint.
+The directory is written under a ``.tmp-`` name, its files and then the
+directory itself are fsynced, and it is published with one atomic
+``os.rename`` followed by an fsync of the parent — a crash mid-checkpoint
+leaves only an ignored temp directory, never a half checkpoint, and a
+power loss leaves the previous checkpoint or this whole one.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.durable import faults
+from repro.durable.wal import fsync_directory
 from repro.engine.database import CommitStamp
 from repro.engine.delta import Delta
 from repro.engine.plan import (
@@ -607,24 +610,12 @@ def write_checkpoint(
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.flush()
         os.fsync(handle.fileno())
+    fsync_directory(tmp)  # the entries naming the heaps and the manifest
     faults.fire("checkpoint.pre_publish")
     final = directory / label
     os.rename(tmp, final)
-    _fsync_directory(directory)
+    fsync_directory(directory)
     return final
-
-
-def _fsync_directory(directory: Path) -> None:
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 class LoadedTable(NamedTuple):

@@ -62,7 +62,9 @@ Fsync policy
 
 ``always`` fsyncs after every append (a commit acknowledged to the
 caller is on disk), ``batch`` fsyncs every ``sync_every`` appends and on
-rotation/checkpoint/close, ``off`` never fsyncs automatically.  Explicit
+rotation/checkpoint/close, ``off`` never fsyncs automatically.  Unless
+the policy is ``off``, a new segment is followed by an fsync of the WAL
+directory, so the entry naming it survives power loss.  Explicit
 :meth:`WriteAheadLog.sync` always reaches the disk regardless of policy
 — checkpoints depend on that.
 
@@ -288,6 +290,21 @@ def _inflate(stored: memoryview, where: str) -> bytes:
     return bytes(stored[: _HEADER.size]) + body
 
 
+def fsync_directory(directory: Path) -> None:
+    """Make *directory*'s entries (files created or renamed in it) survive
+    power loss; a platform that cannot open a directory skips it."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
 class WriteAheadLog:
     """Append/scan interface over the segment files of one database."""
 
@@ -356,6 +373,8 @@ class WriteAheadLog:
             self._file.write(SEGMENT_MAGIC)
             size = len(SEGMENT_MAGIC)
         self._current_size = size
+        if create and self.fsync_policy != "off":
+            fsync_directory(self.directory)  # the entry naming the segment
 
     def _start_segment(self) -> None:
         self._current_seq += 1

@@ -8,9 +8,10 @@ definitional compositions (COMPOSED_REFERENCE) on a mixed pool of shapes.
 import pytest
 
 from repro.core import allen
+from repro.core.boolean import O_FALSE, O_TRUE
 from repro.core.interval import OngoingInterval, fixed_interval, until_now
 from repro.core.intervalset import IntervalSet
-from repro.core.timeline import mmdd
+from repro.core.timeline import MINUS_INF, PLUS_INF, mmdd
 from repro.core.timepoint import NOW, OngoingTimePoint, fixed, growing, limited
 
 
@@ -164,3 +165,30 @@ class TestOptimizedMatchesComposed:
         for i in self.POOL:
             for j in self.POOL:
                 assert fast(i, j) == composed(i, j), (name, i, j)
+
+
+class TestFixedOverlaps:
+    """Four fixed endpoints decide ``overlaps`` by four fixed comparisons.
+    Each row names the mutant of that shortcut it kills; every row also
+    matches the composed definition."""
+
+    ROWS = [
+        # [0, 5) and [5, 9) touch: kills ``t̃s < te`` -> ``t̃s <= te``.
+        (fixed_interval(0, 5), fixed_interval(5, 9), O_FALSE),
+        # The same pair swapped: kills ``ts < t̃e`` -> ``ts <= t̃e``.
+        (fixed_interval(5, 9), fixed_interval(0, 5), O_FALSE),
+        # An empty [5, 5) inside [0, 9): kills dropping ``ts < te``.
+        (fixed_interval(5, 5), fixed_interval(0, 9), O_FALSE),
+        # Swapped: kills dropping ``t̃s < t̃e``.
+        (fixed_interval(0, 9), fixed_interval(5, 5), O_FALSE),
+        # Endpoints at the domain limits overlap like any other: kills a
+        # shortcut that takes a sentinel for an ongoing endpoint.
+        (fixed_interval(MINUS_INF, 5), fixed_interval(3, PLUS_INF), O_TRUE),
+        (fixed_interval(MINUS_INF, 3), fixed_interval(3, PLUS_INF), O_FALSE),
+        (fixed_interval(MINUS_INF, PLUS_INF), fixed_interval(7, 8), O_TRUE),
+    ]
+
+    @pytest.mark.parametrize("i, j, expected", ROWS)
+    def test_row(self, i, j, expected):
+        assert allen.overlaps(i, j) is expected
+        assert allen.COMPOSED_REFERENCE["overlaps"](i, j) == expected

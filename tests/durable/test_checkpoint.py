@@ -1,5 +1,6 @@
 """Unit tests for atomic checkpoints (heaps, manifest, capture, crashes)."""
 
+import os
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -119,6 +120,40 @@ class TestWriteLoad:
             )
         loaded = load_latest_checkpoint(tmp_path)
         assert loaded.manifest["tick"] == 2
+
+    def test_the_checkpoint_is_synced_before_and_after_it_is_published(self, tmp_path):
+        """Its own directory (the entries naming the heaps and the
+        manifest) is fsynced before the rename publishes it, and the
+        parent (the entry naming it) after: a power loss then leaves the
+        previous checkpoint or this whole one."""
+        events = []
+        real_fsync, real_rename = os.fsync, os.rename
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
+
+        def rename(source, target):
+            events.append(("rename", Path(target).name))
+            real_rename(source, target)
+
+        db = _database()
+        with mock.patch("os.fsync", fsync), mock.patch("os.rename", rename):
+            final = write_checkpoint(
+                tmp_path,
+                database=db,
+                wal_position=WalPosition(1, 8),
+                subscriptions=[],
+                tick=db.last_commit.tick,
+            )
+        published = events.index(("rename", final.name))
+
+        def synced(path):
+            inode = path.stat().st_ino
+            return [at for at, event in enumerate(events) if event == ("fsync", inode)]
+
+        assert synced(final) and max(synced(final)) < published
+        assert synced(final.parent) and min(synced(final.parent)) > published
 
     def test_empty_root_loads_none(self, tmp_path):
         assert load_latest_checkpoint(tmp_path) is None

@@ -6,6 +6,7 @@ import tempfile
 import tracemalloc
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -164,6 +165,29 @@ class TestFsyncPolicies:
         wal.sync()  # explicit sync works regardless of policy
         assert wal.fsyncs == 1
         wal.close()
+
+    def test_every_new_segment_is_named_on_disk_before_it_is_used(self, tmp_path):
+        """A segment created (at open or by rotation) is followed by an
+        fsync of the WAL directory that already lists it: without it a
+        power loss can drop the file whose frames were synced."""
+        listed = []  # the segments each fsync of the directory saw
+        real_fsync = os.fsync
+        directory = tmp_path / "wal"
+
+        def fsync(fd):
+            if os.path.samestat(os.fstat(fd), os.stat(directory)):
+                listed.append(sorted(path.name for path in directory.glob("wal-*.log")))
+            real_fsync(fd)
+
+        with mock.patch("os.fsync", fsync):
+            wal = WriteAheadLog(directory, fsync="batch", segment_bytes=256)
+            assert listed == [["wal-00000001.log"]]
+            for tick in range(1, 30):
+                wal.append(_batch(tick, inserted=(_row(tick),)))
+            wal.close()
+        names = [f"wal-{seq:08d}.log" for seq in wal.segments()]
+        assert len(names) > 1
+        assert listed == [names[: count + 1] for count in range(len(names))]
 
     def test_stats_shape(self, tmp_path):
         wal = WriteAheadLog(tmp_path, fsync="batch")

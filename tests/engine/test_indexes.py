@@ -1,7 +1,9 @@
 """Unit tests for the envelope interval index (Section X future work)
 and the incrementally maintained secondary indexes."""
 
+import gc
 import random
+import tracemalloc
 from unittest.mock import patch
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from repro.core.interval import OngoingInterval, fixed_interval, until_now
 from repro.core.timeline import MINUS_INF, PLUS_INF, mmdd
 from repro.core.timepoint import NOW, fixed
+from repro.datasets import generate_dsc
 from repro.engine import indexes
 from repro.engine.database import Database
 from repro.engine.delta import Delta, DeltaEvaluator, NonIncrementalDelta
@@ -92,6 +95,37 @@ class TestBasics:
         )
         assert len(index.stabbing(mmdd(1, 1))) == 1
         assert len(index.stabbing(mmdd(4, 1))) == 0
+
+    def test_probe_right_of_center_over_equal_ends(self):
+        # One node: the middle entry [2, 10) puts the center at 6, which
+        # every envelope straddles.  A query starting right of it keeps the
+        # prefix of the descending ends above its start — the bisection
+        # must stop before ends equal to the start, not after them.
+        index = IntervalIndex(
+            _relation([fixed_interval(s, 10) for s in range(3)] + [fixed_interval(3, 8)]),
+            "VT",
+        )
+        assert [t.values[0] for t in index.overlapping(10, 20)] == []
+        assert [t.values[0] for t in index.overlapping(9, 20)] == [0, 1, 2]
+        assert [t.values[0] for t in index.overlapping(8, 20)] == [0, 1, 2]
+        assert [t.values[0] for t in index.overlapping(7, 20)] == [0, 1, 2, 3]
+
+    def test_an_envelope_costs_list_slots_not_a_tuple(self):
+        """D_sc at 50k rows: a node holds its envelopes as four parallel
+        lists (≈ 50 B per envelope with the nodes); nodes that kept a
+        ``(start, end, row)`` tuple per envelope cost 89 B."""
+        relation = generate_dsc(50_000, seed=2020)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = IntervalIndex(relation, "VT")
+            gc.collect()
+            steady = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert index.size == 50_000
+        assert steady <= 56 * index.size
 
 
 class TestAgainstBruteForce:
