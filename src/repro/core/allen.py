@@ -31,7 +31,7 @@ from repro.core.operations import (
     ongoing_min,
 )
 from repro.core.timeline import MINUS_INF, PLUS_INF
-from repro.core.timepoint import OngoingTimePoint
+from repro.core.timepoint import NOW, OngoingTimePoint
 
 __all__ = [
     "before",
@@ -171,17 +171,26 @@ def overlaps(i: OngoingInterval, j: OngoingInterval) -> OngoingBoolean:
     This is the *symmetric* overlap of the paper's evaluation (the usual
     overlap check plus the per-reference-time non-emptiness checks), not
     Allen's strict ``overlaps``.  Four fixed endpoints decide it by four
-    fixed comparisons, the same at every reference time.
+    fixed comparisons, the same at every reference time, and a fixed
+    period against ``[a, now)`` by two more.
     """
     i_start, i_end, j_start, j_end = i._start, i._end, j._start, j._end
-    if (
-        i_start._a == i_start._b
-        and i_end._a == i_end._b
-        and j_start._a == j_start._b
-        and j_end._a == j_end._b
-    ):
-        ts, te, js, je = i_start._a, i_end._a, j_start._a, j_end._a
-        return O_TRUE if ts < je and js < te and ts < te and js < je else O_FALSE
+    if i_start._a == i_start._b and j_start._a == j_start._b:
+        if j_end is NOW:  # overlaps is symmetric: [a, now) goes on the left
+            i_start, i_end, j_start, j_end = j_start, j_end, i_start, i_end
+        if i_end._a == i_end._b and j_end._a == j_end._b:
+            ts, te, js, je = i_start._a, i_end._a, j_start._a, j_end._a
+            overlap = ts < je and js < te and ts < te and js < je
+            return O_TRUE if overlap else O_FALSE
+        if i_end is NOW and j_end._a == j_end._b:
+            # [a, now) against [s, e): true once both have started, for
+            # ever, if a < e and s < e — what _combine builds, without gaps.
+            a, s, e = i_start._a, j_start._a, j_end._a
+            if a < e and s < e:
+                return OngoingBoolean(
+                    IntervalSet._from_normalized([(max(a, s) + 1, PLUS_INF)])
+                )
+            return O_FALSE
     return _combine(
         (),
         (

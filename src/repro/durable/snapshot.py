@@ -479,7 +479,8 @@ def restore_subscription(session, entry: Dict[str, object], on_refresh=None):
     recompiles against the current catalog, a plan decodes
     (:func:`decode_plan`), and a format-1 plan object is refused by
     name, never loaded.  Keys the session no longer reads (an older
-    entry's ``notify_on_no_change``) are ignored.  Returns
+    entry's ``notify_on_no_change``) are ignored; the removed
+    ``drop_oldest`` policy resumes as ``coalesce``.  Returns
     ``(subscription, pending)`` where *pending* is the captured
     undelivered notification to re-enqueue (``None`` when there was none
     or nobody listens), or ``None`` when the plan cannot be rebuilt —
@@ -513,12 +514,19 @@ def restore_subscription(session, entry: Dict[str, object], on_refresh=None):
     except Exception:  # noqa: BLE001 — one bad entry must not abort recovery
         logger.exception("resume: subscription %r could not be rebuilt", name)
         return None
+    backpressure = entry.get("backpressure")
+    if backpressure == "drop_oldest":  # removed: a full mailbox merges now
+        backpressure = "coalesce"
+        logging.getLogger("repro.live.manager").warning(
+            "resume: subscription %r resumes with coalesce, not the removed "
+            "drop_oldest", name
+        )
     subscription = session.subscribe(
         plan,
         on_refresh=callback,
         reference_time=entry.get("reference_time"),
         name=name,
-        backpressure=entry.get("backpressure"),
+        backpressure=backpressure,
         queue_capacity=entry.get("queue_capacity"),
         statement=statement,
     )

@@ -40,11 +40,11 @@ thread or the serve loop's — and step 4 goes through the session's one
 :class:`~repro.serve.bus.EventBus`, where ``delivery_workers`` says which
 thread calls back: ``0`` (the default) runs each callback inside the
 flush that notified it; ``N`` enqueues notifications to per-subscriber
-bounded mailboxes (``backpressure`` policy: ``block`` / ``drop_oldest``
-/ ``coalesce``) and N worker threads run the callbacks, so one slow
-callback no longer stalls the flush.  The mailbox options are checked —
-and persisted by a checkpoint — either way.  The threads a session can
-own are therefore the serve loop and the delivery workers.
+bounded mailboxes (``backpressure`` policy: ``block`` / ``coalesce``;
+a full one never evicts) and N worker threads run the callbacks, so one
+slow callback no longer stalls the flush.  The mailbox options are
+checked — and persisted by a checkpoint — either way.  The threads a
+session can own are therefore the serve loop and the delivery workers.
 
 :meth:`~SubscriptionManager.close` stops the loop, performs a final
 flush, drains every queue, and joins all workers.  Freshness accounting

@@ -72,7 +72,7 @@ CANONICAL_SAMPLES = (
     ("repro_serve_delivered_notifications_total", "counter",
      "Notifications delivered to subscriber callbacks"),
     ("repro_serve_dropped_notifications_total", "counter",
-     "Notifications dropped by the drop_oldest policy"),
+     "Notifications discarded by a closed mailbox (its subscriber left)"),
     ("repro_serve_coalesced_notifications_total", "counter",
      "Notifications merged by the coalesce policy"),
 )

@@ -279,10 +279,10 @@ class BoundRows:
     tuple stays in :attr:`rows` until both are gone.
 
     Create it where no notification of the subscription is still on its
-    way (right after ``subscribe``, or from within the callback), and
-    under a mailbox that may drop (``drop_oldest``) do not fold at all:
-    a lost or repeated delta is detected only when it drives a count
-    below zero.
+    way (right after ``subscribe``, or from within the callback): a
+    repeated or missed delta is detected only when it drives a count
+    below zero.  A full mailbox merges notifications and never drops
+    one, so the fold holds under either backpressure policy.
     """
 
     __slots__ = ("rt", "_stats", "_counts")

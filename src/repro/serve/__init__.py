@@ -7,9 +7,9 @@ recomputation.  This package is that delivery machinery, layered on
 :mod:`repro.live`:
 
 * :mod:`repro.serve.queues` — per-subscriber bounded
-  :class:`Mailbox` queues with ``block`` / ``drop_oldest`` / ``coalesce``
-  backpressure policies (coalescing merges the notifications'
-  result-level deltas, so skipped deliveries lose no information);
+  :class:`Mailbox` queues with ``block`` / ``coalesce`` backpressure
+  policies (a full one waits or merges the notifications' result-level
+  deltas and never evicts, so skipped deliveries lose no information);
 * :mod:`repro.serve.bus` — the :class:`EventBus`, the one bus, keyed by
   subscription: a notification has one addressee, so each subscription
   has at most one mailbox and ``publish`` reaches that one or none.  It

@@ -15,8 +15,8 @@ the listener back:
   backpressure policy and N delivery threads call the listeners, so one
   slow subscriber callback no longer stalls a flush.  A mailbox is pinned
   to exactly one worker, which yields **in-order, exactly-once delivery
-  per subscription** (modulo the subscriber's own ``coalesce`` policy)
-  with zero global coordination; workers round-robin across their
+  per subscription** (a full mailbox merges notifications, never drops
+  one) with zero global coordination; workers round-robin across their
   mailboxes so no subscriber starves another.
 
 Either way one method runs a listener (:meth:`EventBus._deliver`), so
@@ -53,6 +53,10 @@ logger = logging.getLogger("repro.serve.bus")
 #: The per-mailbox counters :meth:`EventBus.stats` sums (a mailbox's
 #: are retired into the bus's totals when its listener unsubscribes).
 _COUNTERS = ("queued", "delivered", "dropped", "coalesced", "errors")
+
+#: Seconds a ``block``-policy publish waits for space before it merges
+#: instead (a dead subscriber must not wedge the flush pipeline forever).
+BLOCK_TIMEOUT = 30.0
 
 
 class _DeliveryWorker:
@@ -131,11 +135,10 @@ class EventBus:
 
     *workers* delivery threads call the listeners (``0``: the publishing
     thread does); *capacity* and *policy* are the default mailbox size
-    and backpressure policy (``block`` / ``drop_oldest`` / ``coalesce``),
-    overridable per subscriber; *block_timeout* bounds how long a
-    ``block``-policy publish may wait before degrading to
-    ``drop_oldest`` (liveness: a dead subscriber must not wedge the flush
-    pipeline forever; the degrade is counted as dropped).  *tracer*
+    and backpressure policy (``block`` / ``coalesce``), overridable per
+    subscriber; a ``block``-policy publish waits at most
+    :data:`BLOCK_TIMEOUT` for space, then merges (counted as coalesced,
+    never as dropped).  *tracer*
     records a ``deliver`` span per callback; *on_delivered* is invoked
     with the payload once per callback that returned, in lockstep with
     the ``delivered`` counter — the session observes write→deliver
@@ -156,7 +159,6 @@ class EventBus:
         workers: int = 0,
         capacity: int = 64,
         policy: str = "coalesce",
-        block_timeout: float = 30.0,
         tracer=None,
         on_delivered: Optional[Callable[[Any], None]] = None,
     ) -> None:
@@ -165,7 +167,6 @@ class EventBus:
         check_queue_options(capacity, policy)
         self.capacity = capacity
         self.policy = policy
-        self.block_timeout = block_timeout
         self.on_delivered = on_delivered
         self.errors: List[Tuple[Hashable, Exception]] = []
         self._spans = tracer if tracer is not None else NULL_TRACER
@@ -249,11 +250,11 @@ class EventBus:
         says whether the mailbox accepted it (queued or coalesced — a
         coalesced payload's information still reaches the subscriber,
         merged into the notification already waiting); a closed bus
-        accepts nothing.  ``block``-policy waits are always bounded by
-        ``block_timeout``, and a publish issued **from a delivery worker
-        thread** (a callback publishing) never waits at all — a worker
-        blocking on a mailbox only it can drain would deadlock itself
-        and starve every subscriber pinned to it.
+        accepts nothing.  A ``block``-policy wait lasts at most
+        :data:`BLOCK_TIMEOUT`, then merges; a publish issued **from a
+        delivery worker thread** (a callback publishing) merges without
+        waiting — a worker blocking on a mailbox only it can drain would
+        deadlock itself and starve every subscriber pinned to it.
         """
         mailbox = self._mailboxes.get(key)
         if mailbox is None or self._closed:
@@ -264,11 +265,8 @@ class EventBus:
                     return False
                 mailbox.queued += 1
             return self._deliver(mailbox, payload)
-        timeout = (
-            0.0
-            if threading.get_ident() in self._worker_idents
-            else self.block_timeout
-        )
+        on_worker = threading.get_ident() in self._worker_idents
+        timeout = 0.0 if on_worker else BLOCK_TIMEOUT
         accepted = mailbox.put(payload, timeout=timeout) != REJECTED
         mailbox._worker.schedule(mailbox)
         return accepted

@@ -5,16 +5,16 @@ whole flush pipeline: every subscriber owns a bounded :class:`Mailbox`,
 and what happens when it fills is that subscriber's *backpressure
 policy*:
 
-* ``"block"`` — the producer waits for space.  Delivery is lossless and
-  exactly-once; backpressure propagates upstream to the flusher (and
-  ultimately to writers), which is what a must-not-miss consumer wants.
-* ``"drop_oldest"`` — evict the oldest queued item to admit the newest.
-  Bounded staleness for consumers that only care about recency.
+* ``"block"`` — the producer waits for space, so backpressure
+  propagates upstream to the flusher (and ultimately to writers).
 * ``"coalesce"`` — merge the newest item into the queue tail
   (:meth:`~repro.live.events.RefreshNotification.coalesce_with` merges
   their result-level deltas), so a full queue keeps *all* information in
-  fewer messages.  A mailbox holds one subscription's notifications, so
-  any two of them merge: ``coalesce`` never drops.
+  fewer messages.
+
+A mailbox holds one subscription's notifications, so any two of them
+merge, and a full mailbox never evicts one: a ``block`` wait that runs
+out merges too.  Only a closed mailbox (its addressee left) discards.
 
 A mailbox is pinned to exactly one delivery worker
 (:mod:`repro.serve.bus`), which is what makes delivery **in-order per
@@ -37,20 +37,23 @@ from typing import Any, Callable, Deque, Optional, Tuple
 __all__ = ["BACKPRESSURE_POLICIES", "Mailbox"]
 
 #: The recognized backpressure policies, in documentation order.
-BACKPRESSURE_POLICIES = ("block", "drop_oldest", "coalesce")
+BACKPRESSURE_POLICIES = ("block", "coalesce")
 
 #: Outcomes of :meth:`Mailbox.put` (for stats and tests).  The payload is
-#: accepted in every case except ``REJECTED`` (a closed mailbox):
-#: ``DROPPED_OLDEST`` means an *older* queued item was evicted to admit it.
+#: accepted in every case except ``REJECTED`` (a closed mailbox).
 QUEUED = "queued"
 COALESCED = "coalesced"
-DROPPED_OLDEST = "dropped_oldest"
 REJECTED = "rejected"
 
 
 def check_queue_options(capacity: int, policy: str) -> None:
     """Reject a mailbox size or backpressure policy no mailbox accepts —
     the one check, whichever thread will end up delivering."""
+    if policy == "drop_oldest":
+        raise ValueError(
+            "the drop_oldest backpressure policy was removed (a full mailbox "
+            "never evicts); choose 'coalesce', which merges instead"
+        )
     if policy not in BACKPRESSURE_POLICIES:
         raise ValueError(
             f"unknown backpressure policy {policy!r}; "
@@ -123,59 +126,37 @@ class Mailbox:
         Returns the outcome: ``"queued"`` (a new queue slot),
         ``"coalesced"`` (merged into the waiting tail item — counted in
         ``coalesced``, *not* in ``queued``, so the two counters partition
-        the admitted payloads), ``"dropped_oldest"`` (admitted by
-        evicting the oldest queued item), or ``"rejected"`` (the mailbox
-        is closed; the payload is discarded and counted as dropped).
-        Only the ``block`` policy can make the caller wait; *timeout*
-        bounds that wait (a timeout falls back to ``drop_oldest`` so the
-        producer always makes progress).
+        the admitted payloads), or ``"rejected"`` (the mailbox is closed;
+        the payload is discarded and counted as dropped).  Only the
+        ``block`` policy can make the caller wait; *timeout* bounds that
+        wait, and a wait that runs out merges as ``coalesce`` does, so
+        the producer always makes progress and nothing is lost.
 
         Must be called **with the condition held** when the caller
         already holds it, or unheld otherwise — the method acquires it
         itself.
         """
         with self.condition:
+            if self.policy == "block":  # returns at once unless full
+                self.condition.wait_for(
+                    lambda: self.closed or len(self._items) < self.capacity,
+                    timeout=timeout,
+                )
             if self.closed:
                 self.dropped += 1
                 return REJECTED
-            outcome = QUEUED
             if len(self._items) >= self.capacity:
-                if self.policy == "block":
-                    deadline = (
-                        None
-                        if timeout is None
-                        else threading.TIMEOUT_MAX
-                        if timeout < 0
-                        else timeout
-                    )
-                    waited = self.condition.wait_for(
-                        lambda: self.closed
-                        or len(self._items) < self.capacity,
-                        timeout=deadline,
-                    )
-                    if self.closed:
-                        self.dropped += 1
-                        return REJECTED
-                    if not waited:  # timed out: degrade, don't deadlock
-                        self._items.popleft()
-                        self.dropped += 1
-                        outcome = DROPPED_OLDEST
-                elif self.policy == "coalesce":
-                    self._items[-1] = self._items[-1].coalesce_with(payload)
-                    # A merge occupies no new queue slot: count it in
-                    # ``coalesced`` only, or ``queued`` double-counts
-                    # admitted notifications.
-                    self.coalesced += 1
-                    self.condition.notify_all()
-                    return COALESCED
-                else:  # drop_oldest
-                    self._items.popleft()
-                    self.dropped += 1
-                    outcome = DROPPED_OLDEST
+                self._items[-1] = self._items[-1].coalesce_with(payload)
+                # A merge occupies no new queue slot: count it in
+                # ``coalesced`` only, or ``queued`` double-counts
+                # admitted notifications.
+                self.coalesced += 1
+                self.condition.notify_all()
+                return COALESCED
             self._items.append(payload)
             self.queued += 1
             self.condition.notify_all()
-            return outcome
+            return QUEUED
 
     # ------------------------------------------------------------------
     # Durability side (checkpoint capture / recovery restore)

@@ -8,7 +8,7 @@ definitional compositions (COMPOSED_REFERENCE) on a mixed pool of shapes.
 import pytest
 
 from repro.core import allen
-from repro.core.boolean import O_FALSE, O_TRUE
+from repro.core.boolean import O_FALSE, O_TRUE, OngoingBoolean
 from repro.core.interval import OngoingInterval, fixed_interval, until_now
 from repro.core.intervalset import IntervalSet
 from repro.core.timeline import MINUS_INF, PLUS_INF, mmdd
@@ -192,3 +192,46 @@ class TestFixedOverlaps:
     def test_row(self, i, j, expected):
         assert allen.overlaps(i, j) is expected
         assert allen.COMPOSED_REFERENCE["overlaps"](i, j) == expected
+
+
+def _from(rt):
+    """True from *rt* on, for ever."""
+    return OngoingBoolean(IntervalSet([(rt, PLUS_INF)]))
+
+
+class TestUntilNowOverlaps:
+    """A fixed period against ``[a, now)`` is decided without the gap
+    machinery (``_combine`` is never reached): ``[max(a, s) + 1, +inf)``
+    when ``a < e`` and ``s < e``, else never.  Each row names the mutant
+    of that shortcut it kills; every row also matches the composed
+    definition."""
+
+    ROWS = [
+        # a == e: [9, now) starts as [5, 9) ends: kills ``a < e`` ->
+        # ``a <= e``.
+        (until_now(9), fixed_interval(5, 9), O_FALSE),
+        # a == s: true once now > 5, not at 5 itself (where [5, now) is
+        # empty): kills ``max(a, s) + 1`` -> ``max(a, s)``.
+        (until_now(5), fixed_interval(5, 9), _from(6)),
+        # a < s: true once the period has started: kills ``max`` ->
+        # ``min`` (and reading the start from ``a`` alone).
+        (until_now(2), fixed_interval(5, 9), _from(6)),
+        # a > s: true once [a, now) is non-empty: kills reading the
+        # start from ``s`` alone.
+        (until_now(7), fixed_interval(5, 9), _from(8)),
+        # An empty period [5, 5), and an inverted one: kills dropping
+        # ``s < e``.
+        (until_now(2), fixed_interval(5, 5), O_FALSE),
+        (until_now(2), fixed_interval(8, 3), O_FALSE),
+        # The period as the left operand: kills a swap that is skipped or
+        # partial (the pair would reach ``_combine``) or that reads ``e``
+        # from the ``[a, now)`` side.
+        (fixed_interval(5, 9), until_now(7), _from(8)),
+        (fixed_interval(5, 9), until_now(9), O_FALSE),
+    ]
+
+    @pytest.mark.parametrize("i, j, expected", ROWS)
+    def test_row(self, i, j, expected, monkeypatch):
+        assert allen.COMPOSED_REFERENCE["overlaps"](i, j) == expected
+        monkeypatch.setattr(allen, "_combine", None)
+        assert allen.overlaps(i, j) == expected

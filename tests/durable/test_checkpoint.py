@@ -1,6 +1,9 @@
 """Unit tests for atomic checkpoints (heaps, manifest, capture, crashes)."""
 
+import json
+import logging
 import os
+import shutil
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -341,6 +344,36 @@ class TestSubscriptionCapture:
         resumed_session.flush()
         assert len(heard) == 1
         resumed_session.close()
+
+    def test_a_removed_policy_resumes_as_coalesce(self, tmp_path, caplog):
+        """A format-2 manifest that persisted ``drop_oldest`` (the
+        committed v2 fixture, rewritten in a copy) resumes both
+        subscriptions with ``coalesce``, one log line each on
+        ``repro.live.manager``.  Kills: resume handing the removed
+        policy on to ``subscribe()`` (refused, the entry skipped), or
+        mapping it silently or to ``block``."""
+        root = tmp_path / "db"
+        shutil.copytree(Path(__file__).parent / "fixtures" / "v2" / "db", root)
+        (manifest_path,) = root.glob("checkpoints/*/MANIFEST.json")
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["format"] == 2
+        for entry in manifest["subscriptions"]:
+            assert entry["backpressure"] is None
+            entry["backpressure"] = "drop_oldest"
+        manifest_path.write_text(json.dumps(manifest))
+        caplog.set_level(logging.WARNING, logger="repro.live.manager")
+        db = Database.open(root, session={}, on_refresh=lambda event: None)
+        subscriptions = db.live_session().subscriptions
+        assert sorted(sub.name for sub in subscriptions) == ["by_plan", "by_statement"]
+        assert {sub.backpressure for sub in subscriptions} == {"coalesce"}
+        messages = sorted(
+            record.getMessage()
+            for record in caplog.records
+            if record.name == "repro.live.manager"
+        )
+        assert len(messages) == 2
+        assert all("drop_oldest" in line and "coalesce" in line for line in messages)
+        db.close()
 
     def test_a_checkpoint_survives_a_queued_avg_notification(self, tmp_path):
         """A queued notification of an AVG plan carries ``OngoingRational``

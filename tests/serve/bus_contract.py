@@ -23,6 +23,17 @@ def explode(payload):
     raise RuntimeError("boom")
 
 
+class Merging:
+    """A payload that coalesces as a notification does: every value
+    kept, the newest last."""
+
+    def __init__(self, *values):
+        self.values = values
+
+    def coalesce_with(self, newer):
+        return Merging(*self.values, *newer.values)
+
+
 class BusRows:
     """Builds buses with the row's ``workers`` and closes them after."""
 

@@ -7,8 +7,9 @@ import time
 
 import pytest
 
+from repro.serve import bus as bus_module
 from repro.serve.bus import EventBus
-from tests.serve.bus_contract import STATS_KEYS, BusContract, BusRows
+from tests.serve.bus_contract import STATS_KEYS, BusContract, BusRows, Merging
 
 
 class TestEventBusWithWorkers(BusContract):
@@ -33,37 +34,54 @@ class TestEventBusWithWorkers(BusContract):
 
     def test_publish_from_worker_thread_never_deadlocks_itself(self):
         """A callback that publishes into a full block-policy mailbox
-        pinned to its own worker must degrade, not wait for space only
-        that worker could ever free."""
+        pinned to its own worker must merge, not wait for space only
+        that worker could ever free.  Kills: the worker waiting on
+        itself (the drain times out), and the worker evicting the
+        waiting payload (``second`` delivered alone, ``dropped`` 1)."""
         bus = EventBus(workers=1, capacity=1, policy="block")
         seen = []
-        bus.subscribe("fanin", seen.append)
+        bus.subscribe("fanin", lambda item: seen.append(item.values))
 
         def fan_in(_):
-            bus.publish("fanin", "first")
-            bus.publish("fanin", "second")  # full, same worker: degrade
+            bus.publish("fanin", Merging("first"))
+            bus.publish("fanin", Merging("second"))  # full, same worker: merge
 
         bus.subscribe("trigger", fan_in)
         bus.publish("trigger", None)
         assert bus.drain(timeout=5)
-        assert seen == ["second"]  # oldest evicted, newest delivered
-        assert bus.stats()["dropped"] == 1
+        assert seen == [("first", "second")]  # one merged delivery
+        stats = bus.stats()
+        assert (stats["coalesced"], stats["dropped"]) == (1, 0)
         bus.close()
 
-    def test_a_blocked_publisher_waits_no_longer_than_block_timeout(self):
-        bus = EventBus(workers=1, capacity=1, policy="block", block_timeout=0.05)
-        release = threading.Event()
+    def test_a_blocked_publisher_waits_no_longer_than_block_timeout(
+        self, monkeypatch
+    ):
+        """Kills: a ``block`` publish waiting past ``BLOCK_TIMEOUT``, or
+        not waiting at all, and a timed-out wait that evicts the waiting
+        payload instead of merging into it."""
+        monkeypatch.setattr(bus_module, "BLOCK_TIMEOUT", 0.05)
+        bus = EventBus(workers=1, capacity=1, policy="block")
+        running, release = threading.Event(), threading.Event()
         seen = []
-        bus.subscribe("t", lambda item: (release.wait(timeout=10), seen.append(item)))
-        bus.publish("t", "running")
-        time.sleep(0.05)  # let the worker pick "running" up
-        bus.publish("t", "evicted")
+
+        def subscriber(item):
+            running.set()
+            release.wait(timeout=10)
+            seen.append(item.values)
+
+        bus.subscribe("t", subscriber)
+        bus.publish("t", Merging("running"))
+        assert running.wait(timeout=5)  # the worker holds "running"
+        bus.publish("t", Merging("waiting"))
         started = time.monotonic()
-        assert bus.publish("t", "kept") == 1  # full: waits, then degrades
+        assert bus.publish("t", Merging("merged")) == 1  # full: waits, then merges
         assert 0.04 <= time.monotonic() - started < 2
         release.set()
         assert bus.drain(timeout=5)
-        assert seen == ["running", "kept"] and bus.stats()["dropped"] == 1
+        assert seen == [("running",), ("waiting", "merged")]
+        stats = bus.stats()
+        assert (stats["coalesced"], stats["dropped"]) == (1, 0)
         bus.close()
 
     def test_coalesce_policy_keeps_latest_information(self):
@@ -81,27 +99,16 @@ class TestEventBusWithWorkers(BusContract):
             seen.append(item.values)
 
         bus.subscribe("t", subscriber)
-        bus.publish("t", _Merging("first"))
+        bus.publish("t", Merging("first"))
         assert jammed.wait(timeout=5)
         for payload in ("second", "third", "fourth"):
-            assert bus.publish("t", _Merging(payload))
+            assert bus.publish("t", Merging(payload))
         release.set()
         assert bus.drain(timeout=5)
         assert seen == [("first",), ("second", "third", "fourth")]
         stats = bus.stats()
         assert (stats["queued"], stats["coalesced"], stats["dropped"]) == (2, 2, 0)
         bus.close()
-
-
-class _Merging:
-    """A payload that coalesces as a notification does: every value
-    kept, the newest last."""
-
-    def __init__(self, *values):
-        self.values = values
-
-    def coalesce_with(self, newer):
-        return _Merging(*self.values, *newer.values)
 
 
 class TestDeliveryPool(BusRows):

@@ -12,11 +12,11 @@ from repro.core.intervalset import UNIVERSAL_SET
 from repro.serve.queues import (
     BACKPRESSURE_POLICIES,
     COALESCED,
-    DROPPED_OLDEST,
     Mailbox,
     QUEUED,
     REJECTED,
 )
+from tests.serve.bus_contract import Merging
 
 
 def _mailbox(**kwargs):
@@ -50,28 +50,38 @@ def _notification(subscription, *, inserted=(), result="result"):
 
 class TestPolicies:
     def test_policy_catalogue(self):
-        assert BACKPRESSURE_POLICIES == ("block", "drop_oldest", "coalesce")
+        """Kills: an evicting policy coming back into the catalogue."""
+        assert BACKPRESSURE_POLICIES == ("block", "coalesce")
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             _mailbox(policy="bounce")
+
+    def test_removed_policy_is_refused_by_name(self):
+        """Kills: ``drop_oldest`` accepted again, or refused with a
+        message that does not say what to choose instead."""
+        with pytest.raises(ValueError, match="drop_oldest .* removed.*'coalesce'"):
+            _mailbox(policy="drop_oldest")
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             _mailbox(capacity=0)
 
     def test_queued_until_capacity(self):
-        box, _ = _mailbox(capacity=3, policy="drop_oldest")
+        box, _ = _mailbox(capacity=3, policy="coalesce")
         assert [box.put(i) for i in range(3)] == [QUEUED] * 3
         assert len(box) == 3
 
-    def test_drop_oldest_evicts_head(self):
-        box, _ = _mailbox(capacity=2, policy="drop_oldest")
-        box.put("a")
-        box.put("b")
-        assert box.put("c") == DROPPED_OLDEST
-        assert _drain(box) == ["b", "c"]
-        assert box.dropped == 1
+    @pytest.mark.parametrize("policy", BACKPRESSURE_POLICIES)
+    def test_a_full_mailbox_never_evicts_its_head(self, policy):
+        """Kills: a full mailbox admitting the newest by evicting the
+        oldest (the head would be gone and ``dropped`` 1)."""
+        box, _ = _mailbox(capacity=2, policy=policy)
+        box.put(Merging("a"))
+        box.put(Merging("b"))
+        assert box.put(Merging("c"), timeout=0) == COALESCED
+        assert [item.values for item in _drain(box)] == [("a",), ("b", "c")]
+        assert (box.dropped, box.coalesced) == (0, 1)
 
     def test_block_policy_waits_for_space(self):
         box, _ = _mailbox(capacity=1, policy="block")
@@ -92,11 +102,16 @@ class TestPolicies:
         assert _drain(box) == ["b"]
         assert box.dropped == 0
 
-    def test_block_policy_timeout_degrades_to_drop(self):
+    def test_block_policy_timeout_merges(self):
+        """Kills: a timed-out ``block`` wait evicting the waiting item,
+        or counting its merge in ``queued`` or ``dropped``."""
         box, _ = _mailbox(capacity=1, policy="block")
-        box.put("a")
-        assert box.put("b", timeout=0.01) == DROPPED_OLDEST
-        assert _drain(box) == ["b"]
+        box.put(Merging("a"))
+        started = time.monotonic()
+        assert box.put(Merging("b"), timeout=0.01) == COALESCED
+        assert time.monotonic() - started >= 0.01  # it did wait first
+        assert [item.values for item in _drain(box)] == [("a", "b")]
+        assert (box.queued, box.coalesced, box.dropped) == (1, 1, 0)
 
     def test_closed_mailbox_rejects(self):
         box, _ = _mailbox(capacity=2)
@@ -164,21 +179,19 @@ class TestCoalescing:
             box.put(_notification(_FakeSubscription(), inserted=("b",)))
         assert len(box) == 1 and box.dropped == box.coalesced == 0
 
-    @pytest.mark.parametrize(
-        "policy, dropped", [("coalesce", 0), ("drop_oldest", 2), ("block", 2)]
-    )
-    def test_only_a_chosen_policy_or_a_block_timeout_drops(self, policy, dropped):
-        """Three notifications of one subscription into capacity 1:
-        ``coalesce`` keeps them all in the one slot; ``drop_oldest`` and
-        a ``block`` that times out evict the older ones."""
+    @pytest.mark.parametrize("policy", BACKPRESSURE_POLICIES)
+    def test_no_policy_drops(self, policy):
+        """Three notifications of one subscription into capacity 1: both
+        ``coalesce`` and a ``block`` that cannot wait keep them all in
+        the one slot.  Kills: either policy evicting the older ones (the
+        kept delta would hold ``c`` only, ``dropped`` 2)."""
         subscription = _FakeSubscription()
         box, _ = _mailbox(capacity=1, policy=policy)
         for value in ("a", "b", "c"):
             box.put(_notification(subscription, inserted=(value,)), timeout=0)
         (kept,) = _drain(box)
-        assert box.dropped == dropped
-        values = {row.values[0] for row in kept.delta.inserted}
-        assert values == ({"a", "b", "c"} if policy == "coalesce" else {"c"})
+        assert (box.dropped, box.coalesced) == (0, 2)
+        assert {row.values[0] for row in kept.delta.inserted} == {"a", "b", "c"}
 
     def test_unknown_delta_coalesces_to_unknown(self):
         subscription = _FakeSubscription()
@@ -214,16 +227,19 @@ class TestCaptureRestore:
         assert box.queued == 3
 
     def test_restore_bypasses_backpressure(self):
-        box, _ = _mailbox(capacity=1, policy="drop_oldest")
-        box.put("live")
+        """Kills: a restore that merges or evicts at capacity, and a put
+        after it that evicts rather than merges."""
+        box, _ = _mailbox(capacity=1, policy="coalesce")
+        box.put(Merging("live"))
         # A restore may transiently exceed capacity: recovery must never
         # silently drop the notification it is re-enqueueing.
-        assert box.restore(("recovered",)) == 1
-        assert _drain(box) == ["live", "recovered"]
+        assert box.restore((Merging("recovered"),)) == 1
+        assert [item.values for item in _drain(box)] == [("live",), ("recovered",)]
         # The next ordinary put re-applies the policy as usual.
-        box.put("a")
-        assert box.put("b") == DROPPED_OLDEST
-        assert _drain(box) == ["b"]
+        box.put(Merging("a"))
+        assert box.put(Merging("b")) == COALESCED
+        assert [item.values for item in _drain(box)] == [("a", "b")]
+        assert box.dropped == 0
 
     def test_restore_into_closed_mailbox_is_refused(self):
         box, _ = _mailbox(capacity=2)

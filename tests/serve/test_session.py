@@ -183,9 +183,10 @@ class TestAsyncDelivery:
         """Capacity 1, the one worker jammed in delivery #1: every later
         notification lands in the one waiting, none is dropped, and the
         subscriber's fold of what arrives is the result bound at its
-        reference time.  Kills: ``coalesce`` falling back to
-        ``drop_oldest`` (a dropped notification takes its delta with it:
-        ``dropped`` counts it and the fold misses its rows)."""
+        reference time.  Kills: a full ``coalesce`` mailbox evicting its
+        oldest notification instead of merging (an evicted notification
+        takes its delta with it: ``dropped`` counts it and the fold
+        misses its rows)."""
         db = _database()
         session = LiveSession(
             db, delivery_workers=1, queue_capacity=1, backpressure="coalesce"
@@ -227,6 +228,40 @@ class TestAsyncDelivery:
         final = received[-1]
         assert final.delta is not None
         assert frozenset(final.result.tuples) == frozenset(db.query(plan).tuples)
+        assert frozenset(bound.rows) == sub.instantiate(60)
+        session.close()
+
+    def test_a_block_mailbox_its_own_worker_fills_merges(self):
+        """Capacity 1, ``block``, one worker, and a callback that writes
+        and flushes twice on that worker: the first flush takes the one
+        slot, and the second cannot wait for space only its own thread
+        frees, so it merges into the waiting notification.  Kills: that
+        publish evicting the waiting notification (``dropped`` counts it
+        and the fold misses the rows written at 21)."""
+        db = _database()
+        session = LiveSession(
+            db, delivery_workers=1, queue_capacity=1, backpressure="block"
+        )
+        received = []
+
+        def subscriber(event):
+            bound.apply(event)
+            received.append(event)
+            if len(received) == 1:
+                for at in (21, 22):
+                    current_insert(db.table("R"), (1,), at=at)
+                    session.flush()  # publishes on the worker thread
+
+        plan = _plans()["filter"]
+        sub = session.subscribe(plan, on_refresh=subscriber, reference_time=60)
+        bound = sub.bound_rows()
+        current_insert(db.table("R"), (1,), at=20)
+        session.flush()
+        assert session.bus.drain(timeout=10)
+        stats = session.stats()
+        assert stats["repro_serve_dropped_notifications_total"] == 0
+        assert stats["repro_serve_coalesced_notifications_total"] >= 1
+        assert len(received) == 2 and session.bus.errors == []
         assert frozenset(bound.rows) == sub.instantiate(60)
         session.close()
 
@@ -471,6 +506,50 @@ class TestServeLoop:
         assert session.pending == 0
         # All ten inserts landed in at most a couple of flush rounds.
         assert session.stats()["repro_live_flushes_total"] <= 3
+        session.close()
+
+    def test_a_slow_consumer_under_serve_merges_and_loses_nothing(self):
+        """The ledger's slow-consumer shape, small: one delivery worker, a
+        ``coalesce`` mailbox of capacity 2, a callback that sleeps 20 ms,
+        and bursts of 25 commits under ``serve()``.  Each burst is one
+        refresh and the next starts once it is published, so the mailbox
+        fills while the callback sleeps.  Kills: a full mailbox evicting a
+        notification (``dropped`` counts it and the fold misses its
+        rows), and a merge that loses its delta (``changes_at`` is
+        ``None``)."""
+        db = _database()
+        session = LiveSession(
+            db, delivery_workers=1, queue_capacity=2, backpressure="coalesce"
+        )
+        received = []
+
+        def slow(event):
+            time.sleep(0.02)
+            received.append(event)
+
+        plan = _plans()["filter"]
+        sub = session.subscribe(plan, on_refresh=slow, reference_time=1000)
+        bound = sub.bound_rows()
+        session.serve(debounce=0.001)
+        started = time.monotonic()
+        for burst in range(10):
+            published = sub.stats.notifications
+            with db.table("R").lock:  # the burst is atomic for the loop
+                for i in range(25):
+                    current_insert(db.table("R"), (1 + i % 2,), at=100 + 25 * burst + i)
+            deadline = time.monotonic() + 5
+            while sub.stats.notifications == published:
+                assert time.monotonic() < deadline, "the burst was never published"
+                time.sleep(0.001)
+        assert session.bus.drain(timeout=10)
+        assert time.monotonic() - started < 2
+        stats = session.stats()
+        assert stats["repro_serve_coalesced_notifications_total"] > 0
+        assert stats["repro_serve_dropped_notifications_total"] == 0
+        assert all(event.changes_at(1000) is not None for event in received)
+        for event in received:
+            bound.apply(event)
+        assert frozenset(bound.rows) == db.query(plan).instantiate(1000)
         session.close()
 
     def test_close_delivers_owed_notifications(self):
