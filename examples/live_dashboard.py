@@ -11,8 +11,9 @@ Run with::
 
     python examples/live_dashboard.py
 
-For the concurrent variant — writer threads, sharded background flushing,
-threaded delivery with backpressure — see ``live_dashboard_serve.py``.
+For the concurrent variant — writer threads, background flushing,
+threaded delivery into mailboxes that merge when full — see
+``live_dashboard_serve.py``.
 """
 
 import time

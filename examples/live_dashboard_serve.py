@@ -7,9 +7,9 @@ deployment would:
 * **4 writer threads** hammer the bug table with current inserts/deletes
   (the database write lock serializes them; every write is one typed
   change event);
-* the session runs **4 delivery workers** (threaded fan-out with
-  ``coalesce`` backpressure — a slow dashboard client receives fewer,
-  merged notifications instead of stalling everyone);
+* the session runs **4 delivery workers** (threaded fan-out into
+  mailboxes of 8 that merge when full — a slow dashboard client receives
+  fewer, merged notifications instead of stalling everyone);
 * :meth:`~repro.live.SubscriptionManager.serve` flushes in the
   background, debounced, woken only by modifications — the dashboards
   never poll and the engine never recomputes because time passed.
@@ -44,7 +44,6 @@ def main() -> None:
     session = LiveSession(
         db,
         delivery_workers=4,
-        backpressure="coalesce",
         queue_capacity=8,
     )
     pushes = []
@@ -129,8 +128,8 @@ def main() -> None:
     )
     print(
         f"pushes: {n_pushes} delivered / {final['repro_serve_queued_notifications_total']} "
-        f"queued, {final['repro_serve_coalesced_notifications_total']} coalesced under "
-        f"backpressure, {final['repro_serve_dropped_notifications_total']} dropped"
+        f"queued, {final['repro_serve_coalesced_notifications_total']} coalesced in "
+        f"full mailboxes, {final['repro_serve_dropped_notifications_total']} dropped"
     )
     expected = db.query(workload.plan())
     assert all(

@@ -58,7 +58,6 @@ def main() -> None:
     session = LiveSession(
         db,
         delivery_workers=2,
-        backpressure="coalesce",
         queue_capacity=8,
         freshness_slo=FreshnessSLO(0.25, objective=0.95, window=128),
     )

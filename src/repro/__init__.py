@@ -38,8 +38,8 @@ The subpackages:
   ongoing queries once and are notified on explicit modifications only —
   never because time passed;
 * :mod:`repro.serve` — the delivery layer: the one :class:`EventBus`,
-  with threaded notification fan-out and per-subscriber backpressure
-  opt-in on :class:`LiveSession` (``delivery_workers``);
+  with threaded notification fan-out and per-subscriber mailboxes that
+  merge when full, opt-in on :class:`LiveSession` (``delivery_workers``);
 * :mod:`repro.obs` — the operations plane: the metrics registry
   (Prometheus rendering under ``repro_<layer>_<what>_total`` names),
   the opt-in refresh-pipeline trace recorder (Chrome trace-event JSON),

@@ -100,35 +100,6 @@ class OngoingInt:
             segments.append((MINUS_INF, PLUS_INF, outside, 0))
         return cls(segments)
 
-    @classmethod
-    def sum_of_steps(cls, sets: Iterable[IntervalSet]) -> "OngoingInt":
-        """``Σ indicator(rt ∈ s)`` over many sets, in one event sweep.
-
-        Equivalent to summing :meth:`step` instances but linear in the
-        total number of interval boundaries — this is what makes COUNT over
-        large relations cheap.
-        """
-        events: dict[TimePoint, int] = {}
-        for interval_set in sets:
-            for start, end in interval_set:
-                events[start] = events.get(start, 0) + 1
-                events[end] = events.get(end, 0) - 1
-        if not events:
-            return cls.constant(0)
-        segments: List[Segment] = []
-        cursor = MINUS_INF
-        level = 0
-        for boundary in sorted(events):
-            if events[boundary] == 0:
-                continue
-            if cursor < boundary:
-                segments.append((cursor, boundary, level, 0))
-            level += events[boundary]
-            cursor = boundary
-        if cursor < PLUS_INF:
-            segments.append((cursor, PLUS_INF, level, 0))
-        return cls(segments)
-
     # ------------------------------------------------------------------
     # Introspection and the bind operator
     # ------------------------------------------------------------------

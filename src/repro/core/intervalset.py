@@ -221,18 +221,6 @@ class IntervalSet:
             raise IntervalError("empty interval set has no latest end")
         return self._intervals[-1][1]
 
-    def total_ticks(self) -> TimePoint:
-        """Total number of reference times covered (may be infinite-sized).
-
-        Sets touching a domain limit report ``PLUS_INF`` to signal an
-        unbounded cover.
-        """
-        if not self._intervals:
-            return 0
-        if self._intervals[0][0] <= MINUS_INF or self._intervals[-1][1] >= PLUS_INF:
-            return PLUS_INF
-        return sum(end - start for start, end in self._intervals)
-
     # ------------------------------------------------------------------
     # The sweep-line connectives (Algorithm 1 and its duals)
     # ------------------------------------------------------------------

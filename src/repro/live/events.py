@@ -122,8 +122,8 @@ class RefreshNotification:
     def coalesce_with(self, newer: "RefreshNotification") -> "RefreshNotification":
         """Merge a *newer* refresh of the same subscription into this one.
 
-        Used by the serving layer's ``coalesce`` backpressure policy: a
-        slow subscriber whose queue fills receives one notification that
+        Used by the serving layer's full mailboxes: a slow subscriber
+        whose queue fills receives one notification that
         carries the latest result and reference time and the **merged
         result-level delta** — applying it to the state the subscriber
         last saw yields exactly the latest result, so no information is

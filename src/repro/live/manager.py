@@ -40,11 +40,12 @@ thread or the serve loop's — and step 4 goes through the session's one
 :class:`~repro.serve.bus.EventBus`, where ``delivery_workers`` says which
 thread calls back: ``0`` (the default) runs each callback inside the
 flush that notified it; ``N`` enqueues notifications to per-subscriber
-bounded mailboxes (``backpressure`` policy: ``block`` / ``coalesce``;
-a full one never evicts) and N worker threads run the callbacks, so one
-slow callback no longer stalls the flush.  The mailbox options are
-checked — and persisted by a checkpoint — either way.  The threads a
-session can own are therefore the serve loop and the delivery workers.
+bounded mailboxes (a full one merges at once: the flush never waits for
+a subscriber, and nothing is evicted) and N worker threads run the
+callbacks, so one slow callback no longer stalls the flush.  The mailbox
+options are checked — and persisted by a checkpoint — either way.  The
+threads a session can own are therefore the serve loop and the delivery
+workers.
 
 :meth:`~SubscriptionManager.close` stops the loop, performs a final
 flush, drains every queue, and joins all workers.  Freshness accounting
@@ -107,7 +108,7 @@ from repro.obs.registry import Registry
 from repro.obs.slo import FreshnessSLO
 from repro.obs.trace import NULL_TRACER, TraceRecorder
 from repro.serve.bus import EventBus
-from repro.serve.queues import check_queue_options
+from repro.serve.queues import check_capacity
 
 from repro.live.events import RefreshNotification
 from repro.live.metrics import SessionMetrics
@@ -129,6 +130,27 @@ _PLAN_COUNTERS = (
     ("repro_store_snapshots_taken_total", "snapshots_taken"),
     ("repro_store_snapshots_reused_total", "snapshots_reused"),
 )
+
+#: What ``backpressure=`` accepts.  Both names mean the one behaviour — a
+#: full mailbox merges at once and nobody waits — and are kept because
+#: the ledger's session passes ``"block"``, its burst workload
+#: ``"coalesce"``, and checkpoints persist a subscription's name for it
+#: (ROADMAP 3b's ``pool_v2`` may drop the keyword).
+_BACKPRESSURE = ("block", "coalesce")
+
+
+def _check_backpressure(name: Optional[str]) -> None:
+    """Refuse a ``backpressure`` name no session accepts (``None`` is a
+    subscription keeping the session's)."""
+    if name == "drop_oldest":
+        raise ValueError(
+            "the drop_oldest backpressure policy was removed (a full mailbox "
+            "never evicts); choose 'coalesce', which merges instead"
+        )
+    if name is not None and name not in _BACKPRESSURE:
+        raise ValueError(
+            f"unknown backpressure policy {name!r}; choose one of {_BACKPRESSURE}"
+        )
 
 
 class SubscriptionManager:
@@ -173,6 +195,8 @@ class SubscriptionManager:
                 "flush_shards was removed in PR 23 (one thread refreshes); "
                 "the keyword only accepts 0"
             )
+        # Not an option either: checked, then stored nowhere.
+        _check_backpressure(backpressure)
         self.database = database
         self.delivery_workers = delivery_workers
         #: The session's metrics registry.  Counters are on by default:
@@ -208,7 +232,6 @@ class SubscriptionManager:
         self.bus = EventBus(
             workers=delivery_workers,
             capacity=queue_capacity,
-            policy=backpressure,
             tracer=self.tracer,
         )
         #: Guards all session state below (never held while delivering).
@@ -276,11 +299,13 @@ class SubscriptionManager:
         on the returned handle) selects the fixed rows delivered with
         each notification.
 
-        *backpressure* and *queue_capacity* override the session-wide
-        mailbox policy for this subscriber only (a must-not-miss audit
-        consumer can ``block`` while dashboards ``coalesce``).  Checked
-        here whatever ``delivery_workers`` is — a checkpoint persists
-        them for a session that may have workers.
+        *queue_capacity* overrides the session-wide mailbox size for this
+        subscriber only (an audit consumer that wants every notification
+        separately gets room for them while dashboards merge).
+        *backpressure* is kept with the subscription but selects nothing:
+        ``"block"`` and ``"coalesce"`` both merge into a full mailbox at
+        once.  Both are checked here whatever ``delivery_workers`` is — a
+        checkpoint persists them for a session that may have workers.
 
         *statement* records the OSQL source this plan came from
         (:meth:`subscribe_sql` fills it in) so a durable checkpoint can
@@ -294,10 +319,9 @@ class SubscriptionManager:
         # Checked here and not left to the bus: a subscription without a
         # callback never reaches it, yet a checkpoint persists its options
         # for a resume that may supply one.
-        check_queue_options(
-            self.bus.capacity if queue_capacity is None else queue_capacity,
-            self.bus.policy if backpressure is None else backpressure,
-        )
+        _check_backpressure(backpressure)
+        if queue_capacity is not None:
+            check_capacity(queue_capacity)
         # Rewrite before fingerprinting: pushed-down selections shrink the
         # cached operator state, and the fingerprint of the *rewritten*
         # plan is the canonical sharing key — two subscribers whose plans
@@ -329,7 +353,6 @@ class SubscriptionManager:
                         subscription.id,
                         on_refresh,
                         capacity=queue_capacity,
-                        policy=backpressure,
                     )
             except Exception:
                 # Roll the registration back: a plan that failed to

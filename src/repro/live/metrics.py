@@ -74,7 +74,7 @@ CANONICAL_SAMPLES = (
     ("repro_serve_dropped_notifications_total", "counter",
      "Notifications discarded by a closed mailbox (its subscriber left)"),
     ("repro_serve_coalesced_notifications_total", "counter",
-     "Notifications merged by the coalesce policy"),
+     "Notifications merged into a full mailbox"),
 )
 
 #: Per-operator series ``(name, node_report key, kind, help)``, labeled by

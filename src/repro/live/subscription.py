@@ -119,7 +119,9 @@ class Subscription:
         #: How this subscription was registered, for durable checkpoints:
         #: the OSQL source (recompiled on resume) and the per-subscriber
         #: mailbox overrides.  ``None`` means "plan object only" /
-        #: "session defaults" respectively.
+        #: "session defaults" respectively.  ``backpressure`` is the name
+        #: the subscriber gave and selects nothing: every full mailbox
+        #: merges at once.
         self.statement = statement
         self.backpressure = backpressure
         self.queue_capacity = queue_capacity
@@ -282,7 +284,7 @@ class BoundRows:
     way (right after ``subscribe``, or from within the callback): a
     repeated or missed delta is detected only when it drives a count
     below zero.  A full mailbox merges notifications and never drops
-    one, so the fold holds under either backpressure policy.
+    one, so the fold holds however full the mailbox gets.
     """
 
     __slots__ = ("rt", "_stats", "_counts")

@@ -7,9 +7,9 @@ recomputation.  This package is that delivery machinery, layered on
 :mod:`repro.live`:
 
 * :mod:`repro.serve.queues` — per-subscriber bounded
-  :class:`Mailbox` queues with ``block`` / ``coalesce`` backpressure
-  policies (a full one waits or merges the notifications' result-level
-  deltas and never evicts, so skipped deliveries lose no information);
+  :class:`Mailbox` queues; a full one merges the notifications'
+  result-level deltas at once and never evicts, so skipped deliveries
+  lose no information and the publisher never waits;
 * :mod:`repro.serve.bus` — the :class:`EventBus`, the one bus, keyed by
   subscription: a notification has one addressee, so each subscription
   has at most one mailbox and ``publish`` reaches that one or none.  It
@@ -25,7 +25,7 @@ threads the last stage runs on::
     session = LiveSession(
         db,
         delivery_workers=4,   # callbacks on worker threads, not in the flush
-        backpressure="coalesce",
+        queue_capacity=64,    # per mailbox; a full one merges into its tail
     )
     session.serve(debounce=0.005)   # background modification-driven flushing
     ...
@@ -55,6 +55,6 @@ Concurrency invariants (tested in ``tests/serve/``):
 """
 
 from repro.serve.bus import EventBus
-from repro.serve.queues import BACKPRESSURE_POLICIES, Mailbox
+from repro.serve.queues import Mailbox
 
-__all__ = ["BACKPRESSURE_POLICIES", "EventBus", "Mailbox"]
+__all__ = ["EventBus", "Mailbox"]

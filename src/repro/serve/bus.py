@@ -11,13 +11,14 @@ the listener back:
 * ``workers=0`` — ``publish`` calls the listener itself before it
   returns.  Nothing is ever queued; the mailbox only keeps the
   listener's counters.
-* ``workers=N`` — ``publish`` *enqueues* under the mailbox's
-  backpressure policy and N delivery threads call the listeners, so one
-  slow subscriber callback no longer stalls a flush.  A mailbox is pinned
+* ``workers=N`` — ``publish`` *enqueues* and N delivery threads call the
+  listeners, so one slow subscriber callback no longer stalls a flush.
+  A full mailbox merges the payload into its tail at once: ``publish``
+  never waits for a subscriber, whoever calls it.  A mailbox is pinned
   to exactly one worker, which yields **in-order, exactly-once delivery
-  per subscription** (a full mailbox merges notifications, never drops
-  one) with zero global coordination; workers round-robin across their
-  mailboxes so no subscriber starves another.
+  per subscription** (a merge drops no notification) with zero global
+  coordination; workers round-robin across their mailboxes so no
+  subscriber starves another.
 
 Either way one method runs a listener (:meth:`EventBus._deliver`), so
 isolation and accounting are the same on both paths: a raising listener
@@ -44,7 +45,7 @@ from typing import Any, Callable, Deque, Dict, Hashable, List, Optional, Tuple
 from repro.durable import faults
 from repro.obs.trace import NULL_TRACER
 
-from repro.serve.queues import Mailbox, REJECTED, check_queue_options
+from repro.serve.queues import Mailbox, REJECTED, check_capacity
 
 __all__ = ["EventBus"]
 
@@ -53,10 +54,6 @@ logger = logging.getLogger("repro.serve.bus")
 #: The per-mailbox counters :meth:`EventBus.stats` sums (a mailbox's
 #: are retired into the bus's totals when its listener unsubscribes).
 _COUNTERS = ("queued", "delivered", "dropped", "coalesced", "errors")
-
-#: Seconds a ``block``-policy publish waits for space before it merges
-#: instead (a dead subscriber must not wedge the flush pipeline forever).
-BLOCK_TIMEOUT = 30.0
 
 
 class _DeliveryWorker:
@@ -90,7 +87,7 @@ class _DeliveryWorker:
                 if not self.ready:
                     return
                 mailbox = self.ready.popleft()
-                item = mailbox._pop()
+                item = mailbox._items.popleft()
                 if len(mailbox._items):
                     self.ready.append(mailbox)  # round-robin: go to the back
                 else:
@@ -134,11 +131,9 @@ class EventBus:
     """One mailbox per key, with listener error isolation.
 
     *workers* delivery threads call the listeners (``0``: the publishing
-    thread does); *capacity* and *policy* are the default mailbox size
-    and backpressure policy (``block`` / ``coalesce``), overridable per
-    subscriber; a ``block``-policy publish waits at most
-    :data:`BLOCK_TIMEOUT` for space, then merges (counted as coalesced,
-    never as dropped).  *tracer*
+    thread does); *capacity* is the default mailbox size, overridable per
+    subscriber.  A publish to a full mailbox merges into its tail
+    (counted as coalesced, never as dropped) and never waits.  *tracer*
     records a ``deliver`` span per callback; *on_delivered* is invoked
     with the payload once per callback that returned, in lockstep with
     the ``delivered`` counter — the session observes write→deliver
@@ -158,15 +153,13 @@ class EventBus:
         *,
         workers: int = 0,
         capacity: int = 64,
-        policy: str = "coalesce",
         tracer=None,
         on_delivered: Optional[Callable[[Any], None]] = None,
     ) -> None:
         if workers < 0:
             raise ValueError("a bus cannot have a negative number of workers")
-        check_queue_options(capacity, policy)
+        check_capacity(capacity)
         self.capacity = capacity
-        self.policy = policy
         self.on_delivered = on_delivered
         self.errors: List[Tuple[Hashable, Exception]] = []
         self._spans = tracer if tracer is not None else NULL_TRACER
@@ -181,7 +174,6 @@ class EventBus:
             _DeliveryWorker(f"delivery-{index}", self._deliver)
             for index in range(workers)
         ]
-        self._worker_idents = {worker.thread.ident for worker in self._workers}
         self._next_worker = itertools.cycle(self._workers or (None,))
         #: What the mailboxes of a bus without workers synchronize on.
         self._inline = threading.Condition()
@@ -196,16 +188,15 @@ class EventBus:
         listener: Callable[[Any], None],
         *,
         capacity: Optional[int] = None,
-        policy: Optional[str] = None,
     ) -> Callable[[], None]:
         """Give *key* its mailbox, delivering to *listener*; returns an
         unsubscribe thunk.
 
         A key that already has a mailbox is refused (:class:`ValueError`):
-        a notification has one addressee.  *capacity* / *policy*
-        override the bus defaults for this mailbox — a dashboard can
-        coalesce while an audit log blocks.  They are checked whatever
-        ``workers`` is.
+        a notification has one addressee.  *capacity* overrides the bus
+        default for this mailbox — an audit log that wants every
+        notification separately can have room for them while a dashboard
+        merges.  It is checked whatever ``workers`` is.
         """
         if self._closed:
             raise RuntimeError("the bus is closed")
@@ -217,7 +208,6 @@ class EventBus:
                 listener,
                 condition=self._inline if worker is None else worker.condition,
                 capacity=capacity if capacity is not None else self.capacity,
-                policy=policy if policy is not None else self.policy,
             )
             mailbox.key = key
             mailbox._worker = worker
@@ -233,6 +223,9 @@ class EventBus:
                     if mailbox.scheduled:
                         worker.ready.remove(mailbox)
                         mailbox.scheduled = False
+                        # The worker may be idle now: wake a drain or a
+                        # stop waiting for that.
+                        mailbox.condition.notify_all()
                     for name in _COUNTERS:
                         self._retired[name] += getattr(mailbox, name)
 
@@ -250,11 +243,9 @@ class EventBus:
         says whether the mailbox accepted it (queued or coalesced — a
         coalesced payload's information still reaches the subscriber,
         merged into the notification already waiting); a closed bus
-        accepts nothing.  A ``block``-policy wait lasts at most
-        :data:`BLOCK_TIMEOUT`, then merges; a publish issued **from a
-        delivery worker thread** (a callback publishing) merges without
-        waiting — a worker blocking on a mailbox only it can drain would
-        deadlock itself and starve every subscriber pinned to it.
+        accepts nothing.  It never waits for space, so one stuck
+        subscriber delays neither the publisher nor anyone else, and a
+        callback publishing from its own worker cannot wait on itself.
         """
         mailbox = self._mailboxes.get(key)
         if mailbox is None or self._closed:
@@ -265,9 +256,7 @@ class EventBus:
                     return False
                 mailbox.queued += 1
             return self._deliver(mailbox, payload)
-        on_worker = threading.get_ident() in self._worker_idents
-        timeout = 0.0 if on_worker else BLOCK_TIMEOUT
-        accepted = mailbox.put(payload, timeout=timeout) != REJECTED
+        accepted = mailbox.put(payload) != REJECTED
         mailbox._worker.schedule(mailbox)
         return accepted
 
@@ -370,7 +359,7 @@ class EventBus:
         """Hand recovered payloads to *key*'s listener.
 
         The recovery path: with workers the payloads are appended behind
-        anything already queued (bypassing backpressure) and the owning
+        anything already queued (never merged) and the owning
         worker woken; without, they are published like any other.
         Returns the number of accepted payloads.
         """

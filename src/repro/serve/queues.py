@@ -1,30 +1,25 @@
-"""Per-subscriber bounded mailboxes with backpressure policies.
+"""Per-subscriber bounded mailboxes that merge when full.
 
 The serving layer never lets one slow client dictate the pace of the
 whole flush pipeline: every subscriber owns a bounded :class:`Mailbox`,
-and what happens when it fills is that subscriber's *backpressure
-policy*:
-
-* ``"block"`` — the producer waits for space, so backpressure
-  propagates upstream to the flusher (and ultimately to writers).
-* ``"coalesce"`` — merge the newest item into the queue tail
-  (:meth:`~repro.live.events.RefreshNotification.coalesce_with` merges
-  their result-level deltas), so a full queue keeps *all* information in
-  fewer messages.
-
-A mailbox holds one subscription's notifications, so any two of them
-merge, and a full mailbox never evicts one: a ``block`` wait that runs
-out merges too.  Only a closed mailbox (its addressee left) discards.
+and a put into a full one merges the newest item into the queue tail
+(:meth:`~repro.live.events.RefreshNotification.coalesce_with` merges
+their result-level deltas) at once.  A mailbox holds one subscription's
+notifications, so any two of them merge: a full queue keeps *all*
+information in fewer messages, and the publisher never waits for a
+subscriber.  Only a closed mailbox (its addressee left) discards.  A
+caller who wants every notification delivered separately gives the
+mailbox room for them (a larger capacity).
 
 A mailbox is pinned to exactly one delivery worker
 (:mod:`repro.serve.bus`), which is what makes delivery **in-order per
 subscription** without any global ordering machinery; the worker's
-condition variable doubles as the mailbox lock, so producers, consumers,
-and the backpressure wait all synchronize on one primitive.  A bus
-without workers hands each payload straight to the listener and keeps
-the mailbox for its counters only — the options are checked all the same
-(:func:`check_queue_options`): they are persisted with a subscription,
-and a later session may well have workers.
+condition variable doubles as the mailbox lock, so producers and the
+consumer synchronize on one primitive.  A bus without workers hands
+each payload straight to the listener and keeps the mailbox for its
+counters only — the capacity is checked all the same
+(:func:`check_capacity`): it is persisted with a subscription, and a
+later session may well have workers.
 """
 
 from __future__ import annotations
@@ -34,10 +29,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Tuple
 
-__all__ = ["BACKPRESSURE_POLICIES", "Mailbox"]
-
-#: The recognized backpressure policies, in documentation order.
-BACKPRESSURE_POLICIES = ("block", "coalesce")
+__all__ = ["Mailbox"]
 
 #: Outcomes of :meth:`Mailbox.put` (for stats and tests).  The payload is
 #: accepted in every case except ``REJECTED`` (a closed mailbox).
@@ -46,19 +38,9 @@ COALESCED = "coalesced"
 REJECTED = "rejected"
 
 
-def check_queue_options(capacity: int, policy: str) -> None:
-    """Reject a mailbox size or backpressure policy no mailbox accepts —
-    the one check, whichever thread will end up delivering."""
-    if policy == "drop_oldest":
-        raise ValueError(
-            "the drop_oldest backpressure policy was removed (a full mailbox "
-            "never evicts); choose 'coalesce', which merges instead"
-        )
-    if policy not in BACKPRESSURE_POLICIES:
-        raise ValueError(
-            f"unknown backpressure policy {policy!r}; "
-            f"choose one of {BACKPRESSURE_POLICIES}"
-        )
+def check_capacity(capacity: int) -> None:
+    """Reject a mailbox size no mailbox accepts — the one check,
+    whichever thread will end up delivering."""
     if capacity < 1:
         raise ValueError("mailbox capacity must be at least 1")
 
@@ -67,15 +49,14 @@ class Mailbox:
     """One subscriber's bounded delivery queue.
 
     All state is guarded by *condition* — the owning delivery worker's
-    condition variable, shared so a single ``notify_all`` wakes both the
-    worker (new item) and blocked producers (space freed).  The mailbox
-    never runs listener code itself; it only stores payloads.
+    condition variable, so the worker's ready queue and its mailboxes
+    change under one lock.  The mailbox never runs listener code itself;
+    it only stores payloads.
     """
 
     __slots__ = (
         "listener",
         "capacity",
-        "policy",
         "condition",
         "scheduled",
         "closed",
@@ -96,12 +77,10 @@ class Mailbox:
         *,
         condition: threading.Condition,
         capacity: int = 64,
-        policy: str = "coalesce",
     ):
-        check_queue_options(capacity, policy)
+        check_capacity(capacity)
         self.listener = listener
         self.capacity = capacity
-        self.policy = policy
         self.condition = condition
         #: ``True`` while the mailbox sits in its worker's ready queue.
         self.scheduled = False
@@ -120,28 +99,20 @@ class Mailbox:
     # Producer side
     # ------------------------------------------------------------------
 
-    def put(self, payload: Any, *, timeout: Optional[float] = None) -> str:
-        """Admit *payload* under this mailbox's backpressure policy.
+    def put(self, payload: Any) -> str:
+        """Admit *payload* without waiting.
 
         Returns the outcome: ``"queued"`` (a new queue slot),
         ``"coalesced"`` (merged into the waiting tail item — counted in
         ``coalesced``, *not* in ``queued``, so the two counters partition
         the admitted payloads), or ``"rejected"`` (the mailbox is closed;
-        the payload is discarded and counted as dropped).  Only the
-        ``block`` policy can make the caller wait; *timeout* bounds that
-        wait, and a wait that runs out merges as ``coalesce`` does, so
-        the producer always makes progress and nothing is lost.
+        the payload is discarded and counted as dropped).
 
         Must be called **with the condition held** when the caller
         already holds it, or unheld otherwise — the method acquires it
         itself.
         """
         with self.condition:
-            if self.policy == "block":  # returns at once unless full
-                self.condition.wait_for(
-                    lambda: self.closed or len(self._items) < self.capacity,
-                    timeout=timeout,
-                )
             if self.closed:
                 self.dropped += 1
                 return REJECTED
@@ -151,11 +122,9 @@ class Mailbox:
                 # ``coalesced`` only, or ``queued`` double-counts
                 # admitted notifications.
                 self.coalesced += 1
-                self.condition.notify_all()
                 return COALESCED
             self._items.append(payload)
             self.queued += 1
-            self.condition.notify_all()
             return QUEUED
 
     # ------------------------------------------------------------------
@@ -175,11 +144,11 @@ class Mailbox:
     def restore(self, items: Tuple[Any, ...]) -> int:
         """Re-enqueue previously captured payloads (recovery path).
 
-        Appends behind anything already queued, bypassing the
-        backpressure policy — a restore may transiently exceed
-        ``capacity``; the next ordinary :meth:`put` re-applies the
-        policy.  Counted in ``queued``.  Returns how many were accepted
-        (0 on a closed mailbox).  The caller must schedule the owning
+        Appends behind anything already queued, never merging — a
+        restore may transiently exceed ``capacity``; the next ordinary
+        :meth:`put` merges into the tail as usual.  Counted in
+        ``queued``.  Returns how many were accepted (0 on a closed
+        mailbox).  The caller must schedule the owning
         worker afterwards (:meth:`~repro.serve.bus.EventBus.publish`
         does this for ordinary traffic).
         """
@@ -191,17 +160,11 @@ class Mailbox:
                 return 0
             self._items.extend(accepted)
             self.queued += len(accepted)
-            self.condition.notify_all()
             return len(accepted)
 
     # ------------------------------------------------------------------
-    # Worker side (always called with the condition held)
+    # Unsubscribe side (called with the condition held)
     # ------------------------------------------------------------------
-
-    def _pop(self) -> Any:
-        item = self._items.popleft()
-        self.condition.notify_all()  # space freed: wake blocked producers
-        return item
 
     def _close(self) -> int:
         """Drop all queued items; returns how many were discarded."""
@@ -209,7 +172,6 @@ class Mailbox:
         self._items.clear()
         self.closed = True
         self.dropped += discarded
-        self.condition.notify_all()
         return discarded
 
     def __len__(self) -> int:
@@ -239,7 +201,7 @@ class Mailbox:
 
     def __repr__(self) -> str:
         return (
-            f"Mailbox(policy={self.policy!r}, capacity={self.capacity}, "
+            f"Mailbox(capacity={self.capacity}, "
             f"queued={self.queued}, delivered={self.delivered}, "
             f"dropped={self.dropped}, coalesced={self.coalesced})"
         )

@@ -44,14 +44,6 @@ class TestConstruction:
         )
         assert len(value.segments) == 1
 
-    def test_sum_of_steps_matches_individual_addition(self):
-        sets = [IntervalSet([(0, 5)]), IntervalSet([(3, 9)]), IntervalSet([(4, 5)])]
-        fast = OngoingInt.sum_of_steps(sets)
-        slow = OngoingInt.constant(0)
-        for interval_set in sets:
-            slow = slow + OngoingInt.step(interval_set)
-        assert fast == slow
-
 
 class TestArithmetic:
     @given(interval_sets(), interval_sets())
@@ -112,8 +104,12 @@ class TestComparisons:
 
     def test_threshold_query(self):
         """'When does the count exceed 2?' — an ongoing boolean."""
-        count = OngoingInt.sum_of_steps(
-            [IntervalSet([(0, 10)]), IntervalSet([(2, 8)]), IntervalSet([(4, 6)])]
+        count = sum(
+            (
+                OngoingInt.step(IntervalSet([span]))
+                for span in ((0, 10), (2, 8), (4, 6))
+            ),
+            OngoingInt.constant(0),
         )
         exceeded = count.greater_than(2)
         assert exceeded.true_set == IntervalSet([(4, 6)])

@@ -186,11 +186,6 @@ class TestIntrospection:
         with pytest.raises(IntervalError):
             EMPTY_SET.latest_end()
 
-    def test_total_ticks(self):
-        assert IntervalSet([(1, 3), (5, 8)]).total_ticks() == 5
-        assert EMPTY_SET.total_ticks() == 0
-        assert UNIVERSAL_SET.total_ticks() == PLUS_INF
-
     def test_bool_len_iter(self):
         s = IntervalSet([(1, 3), (5, 8)])
         assert bool(s) and not bool(EMPTY_SET)

@@ -45,7 +45,7 @@ class TestEventBus(BusContract):
         delivered = []
         bus = EventBus(on_delivered=delivered.append)
         seen = []
-        bus.subscribe("t", seen.append, capacity=1, policy="block")
+        bus.subscribe("t", seen.append, capacity=1)
         bus.subscribe("bad", lambda payload: 1 / 0)
         assert bus.publish("t", "a") and not bus.publish("bad", "a")
         assert delivered == ["a"]  # once per successful delivery only

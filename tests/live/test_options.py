@@ -12,6 +12,8 @@ session's metric families are exactly the ones its one table lists
 import ast
 import inspect
 import io
+import threading
+import time
 import tokenize
 from pathlib import Path
 
@@ -20,10 +22,14 @@ import pytest
 import repro
 from repro.core.interval import until_now
 from repro.engine.database import Database
+from repro.engine.modifications import current_insert
 from repro.errors import QueryError
 from repro.live import LiveSession
 from repro.live.metrics import CANONICAL_SAMPLES
 from repro.relational.schema import Schema
+from repro.serve import bus as bus_module
+from repro.serve.bus import EventBus
+from repro.serve.queues import Mailbox
 
 #: The constructor's keyword names.  ``flush_shards`` is not an option:
 #: it accepts ``0`` only (see the guard test below).
@@ -63,6 +69,24 @@ def test_session_options_are_exactly_these():
         )
 
 
+#: What the bus and its mailboxes take: a size, and nothing about what a
+#: full mailbox does — every full one merges at once, whoever publishes.
+BUS_SIGNATURES = (
+    (EventBus.__init__, ["self", "workers", "capacity", "tracer", "on_delivered"]),
+    (EventBus.subscribe, ["self", "key", "listener", "capacity"]),
+    (Mailbox.__init__, ["self", "listener", "condition", "capacity"]),
+    (Mailbox.put, ["self", "payload"]),
+)
+
+
+def test_the_bus_takes_no_backpressure_policy():
+    """Kills: a policy, or a wait with its timeout, coming back under
+    the bus."""
+    for function, parameters in BUS_SIGNATURES:
+        assert list(inspect.signature(function).parameters) == parameters
+    assert not hasattr(bus_module, "BLOCK_TIMEOUT")
+
+
 def _database():
     db = Database("options")
     db.create_table("R", Schema.of("K", ("VT", "interval")))
@@ -80,6 +104,70 @@ def test_flush_shards_accepts_zero_and_nothing_else():
     assert not hasattr(session, "flush_shards")
     assert "flush_shards" not in session.stats()
     session.close()
+
+
+def _fill_a_mailbox(backpressure):
+    """One worker stuck in the first callback, capacity 1, two more
+    refreshes: what the subscriber hears, and the session's stats."""
+    session = LiveSession(
+        _database(), delivery_workers=1, queue_capacity=1,
+        backpressure=backpressure,
+    )
+    stuck, release = threading.Event(), threading.Event()
+    heard = []
+
+    def subscriber(event):
+        if not stuck.is_set():
+            stuck.set()
+            release.wait(timeout=5)
+        changes = event.changes_at(60)
+        heard.append((sorted(changes.inserted), sorted(changes.deleted)))
+
+    session.subscribe_sql(
+        "SELECT * FROM R", on_refresh=subscriber, reference_time=60
+    )
+    table = session.database.table("R")
+    current_insert(table, (1,), at=20)
+    session.flush()
+    assert stuck.wait(timeout=5)
+    for key, at in ((2, 21), (3, 22)):  # the first fills it, the second merges
+        current_insert(table, (key,), at=at)
+        started = time.monotonic()
+        session.flush()
+        assert time.monotonic() - started < 0.25, "the flush waited"
+    release.set()
+    assert session.bus.drain(timeout=10)
+    stats = session.stats()
+    assert not hasattr(session, "backpressure")
+    session.close()
+    return heard, stats
+
+
+def test_backpressure_accepts_block_and_coalesce_and_nothing_else():
+    """The keyword the ledger's lifecycle passes (``"block"``), and its
+    burst workload (``"coalesce"``), select nothing: a session built
+    with either hears the same stream once a mailbox fills, and neither
+    value is stored.  Kills: a leftover ``block`` wait (its third
+    refresh waits for the stuck callback; a wait that outlasts it queues
+    separately: three notifications, nothing coalesced), and
+    ``drop_oldest`` or an unknown name accepted again."""
+    db = _database()
+    session = LiveSession(db)
+    for name, match in (
+        ("drop_oldest", "drop_oldest .* removed.*'coalesce'"),
+        ("bounce", "unknown backpressure policy 'bounce'"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            LiveSession(db, backpressure=name)
+        with pytest.raises(ValueError, match=match):
+            session.subscribe_sql("SELECT * FROM R", backpressure=name)
+    session.close()
+    block, coalesce = _fill_a_mailbox("block"), _fill_a_mailbox("coalesce")
+    assert block == coalesce
+    heard, stats = block
+    assert len(heard) == 2
+    assert stats["repro_serve_coalesced_notifications_total"] == 1
+    assert stats["repro_serve_dropped_notifications_total"] == 0
 
 
 def test_the_session_families_a_scrape_exposes_are_the_canonical_table():

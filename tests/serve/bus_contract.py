@@ -47,7 +47,7 @@ class BusRows:
             bus.close(drain=False)
 
     def bus(self, **options):
-        options = {"capacity": 128, "policy": "block", **options}
+        options = {"capacity": 128, **options}
         bus = EventBus(workers=self.workers, **options)
         self._buses.append(bus)
         return bus
@@ -225,7 +225,7 @@ class BusContract(BusRows):
         assert bus.stats()["delivered"] == 0
 
     def test_restore_pending_hands_each_payload_over_exactly_once(self):
-        bus = self.bus(capacity=1)  # a restore bypasses backpressure
+        bus = self.bus(capacity=1)  # a restore never merges
         seen = []
         bus.subscribe("t", seen.append)
         assert bus.restore_pending("t", ("a", "b", "c")) == 3
@@ -249,9 +249,9 @@ class BusContract(BusRows):
         assert seen == (["late"] if inline else [])
 
     def test_options_no_mailbox_accepts_are_rejected(self):
-        """Kills: ``capacity`` / ``policy`` unchecked when ``workers ==
-        0`` — a session persists them for one that may have workers."""
-        for options in ({"policy": "nonsense"}, {"capacity": 0}, {"capacity": -3}):
+        """Kills: ``capacity`` unchecked when ``workers == 0`` — a
+        session persists it for one that may have workers."""
+        for options in ({"capacity": 0}, {"capacity": -3}):
             with pytest.raises(ValueError):
                 EventBus(workers=self.workers, **options)
             bus = self.bus()

@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from repro.serve import bus as bus_module
 from repro.serve.bus import EventBus
 from tests.serve.bus_contract import STATS_KEYS, BusContract, BusRows, Merging
 
@@ -33,12 +32,12 @@ class TestEventBusWithWorkers(BusContract):
         assert bus.drain(timeout=5)
 
     def test_publish_from_worker_thread_never_deadlocks_itself(self):
-        """A callback that publishes into a full block-policy mailbox
-        pinned to its own worker must merge, not wait for space only
-        that worker could ever free.  Kills: the worker waiting on
-        itself (the drain times out), and the worker evicting the
-        waiting payload (``second`` delivered alone, ``dropped`` 1)."""
-        bus = EventBus(workers=1, capacity=1, policy="block")
+        """A callback that publishes into a full mailbox pinned to its
+        own worker merges, as every publish to a full mailbox does.
+        Kills: a publish waiting for space only that worker could ever
+        free (the drain times out), and one evicting the waiting payload
+        (``second`` delivered alone, ``dropped`` 1)."""
+        bus = EventBus(workers=1, capacity=1)
         seen = []
         bus.subscribe("fanin", lambda item: seen.append(item.values))
 
@@ -54,14 +53,14 @@ class TestEventBusWithWorkers(BusContract):
         assert (stats["coalesced"], stats["dropped"]) == (1, 0)
         bus.close()
 
-    def test_a_blocked_publisher_waits_no_longer_than_block_timeout(
-        self, monkeypatch
-    ):
-        """Kills: a ``block`` publish waiting past ``BLOCK_TIMEOUT``, or
-        not waiting at all, and a timed-out wait that evicts the waiting
-        payload instead of merging into it."""
-        monkeypatch.setattr(bus_module, "BLOCK_TIMEOUT", 0.05)
-        bus = EventBus(workers=1, capacity=1, policy="block")
+    def test_a_publish_to_a_full_mailbox_returns_at_once_and_merges(self):
+        """Capacity 1, the subscriber stuck in its first callback: each
+        later publish into the full mailbox returns at once and merges
+        into the payload waiting, none is dropped, and the newest
+        arrives last.  Kills: a publish that waits for space (it returns
+        only once the stuck callback gives up, then queues separately),
+        and one that evicts the waiting payload instead of merging."""
+        bus = EventBus(workers=1, capacity=1)
         running, release = threading.Event(), threading.Event()
         seen = []
 
@@ -74,38 +73,14 @@ class TestEventBusWithWorkers(BusContract):
         bus.publish("t", Merging("running"))
         assert running.wait(timeout=5)  # the worker holds "running"
         bus.publish("t", Merging("waiting"))
-        started = time.monotonic()
-        assert bus.publish("t", Merging("merged")) == 1  # full: waits, then merges
-        assert 0.04 <= time.monotonic() - started < 2
+        for payload in ("merged", "newest"):
+            started = time.monotonic()
+            assert bus.publish("t", Merging(payload)) == 1  # full: merges
+            assert time.monotonic() - started < 0.5
+        assert not seen  # the subscriber is still stuck
         release.set()
         assert bus.drain(timeout=5)
-        assert seen == [("running",), ("waiting", "merged")]
-        stats = bus.stats()
-        assert (stats["coalesced"], stats["dropped"]) == (1, 0)
-        bus.close()
-
-    def test_coalesce_policy_keeps_latest_information(self):
-        """Capacity 1, the one worker jammed in delivery #1: the later
-        payloads merge into the one waiting, none is dropped, and the
-        newest arrives last."""
-        bus = EventBus(workers=1, capacity=1, policy="coalesce")
-        jammed, release = threading.Event(), threading.Event()
-        seen = []
-
-        def subscriber(item):
-            if not jammed.is_set():
-                jammed.set()
-                release.wait(timeout=10)
-            seen.append(item.values)
-
-        bus.subscribe("t", subscriber)
-        bus.publish("t", Merging("first"))
-        assert jammed.wait(timeout=5)
-        for payload in ("second", "third", "fourth"):
-            assert bus.publish("t", Merging(payload))
-        release.set()
-        assert bus.drain(timeout=5)
-        assert seen == [("first",), ("second", "third", "fourth")]
+        assert seen == [("running",), ("waiting", "merged", "newest")]
         stats = bus.stats()
         assert (stats["queued"], stats["coalesced"], stats["dropped"]) == (2, 2, 0)
         bus.close()

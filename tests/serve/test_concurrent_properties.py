@@ -188,7 +188,7 @@ class TestStress:
 
         stats = session.stats()
         assert stats["repro_live_refresh_errors_total"] == 0
-        assert stats["repro_serve_dropped_notifications_total"] == 0  # block policy: lossless
+        assert stats["repro_serve_dropped_notifications_total"] == 0  # a full mailbox merges: lossless
         assert session.bus.backlog() == 0
         assert stats["repro_serve_delivered_notifications_total"] == stats["repro_serve_queued_notifications_total"]
         # Every subscriber converged on the exact from-scratch result.

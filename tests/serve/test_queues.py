@@ -1,4 +1,4 @@
-"""Bounded mailboxes: capacity, backpressure policies, coalescing."""
+"""Bounded mailboxes: capacity, merging when full, capture and restore."""
 
 import threading
 import time
@@ -9,13 +9,7 @@ from repro.live.events import RefreshNotification
 from repro.engine.delta import Delta
 from repro.relational.tuples import OngoingTuple
 from repro.core.intervalset import UNIVERSAL_SET
-from repro.serve.queues import (
-    BACKPRESSURE_POLICIES,
-    COALESCED,
-    Mailbox,
-    QUEUED,
-    REJECTED,
-)
+from repro.serve.queues import COALESCED, Mailbox, QUEUED, REJECTED
 from tests.serve.bus_contract import Merging
 
 
@@ -31,7 +25,7 @@ def _drain(box):
     items = []
     with box.condition:
         while len(box._items):
-            items.append(box._pop())
+            items.append(box._items.popleft())
     return items
 
 
@@ -48,70 +42,43 @@ def _notification(subscription, *, inserted=(), result="result"):
     )
 
 
-class TestPolicies:
-    def test_policy_catalogue(self):
-        """Kills: an evicting policy coming back into the catalogue."""
-        assert BACKPRESSURE_POLICIES == ("block", "coalesce")
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            _mailbox(policy="bounce")
-
-    def test_removed_policy_is_refused_by_name(self):
-        """Kills: ``drop_oldest`` accepted again, or refused with a
-        message that does not say what to choose instead."""
-        with pytest.raises(ValueError, match="drop_oldest .* removed.*'coalesce'"):
-            _mailbox(policy="drop_oldest")
-
+class TestAdmission:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             _mailbox(capacity=0)
 
     def test_queued_until_capacity(self):
-        box, _ = _mailbox(capacity=3, policy="coalesce")
+        box, _ = _mailbox(capacity=3)
         assert [box.put(i) for i in range(3)] == [QUEUED] * 3
         assert len(box) == 3
 
-    @pytest.mark.parametrize("policy", BACKPRESSURE_POLICIES)
-    def test_a_full_mailbox_never_evicts_its_head(self, policy):
+    def test_a_full_mailbox_never_evicts_its_head(self):
         """Kills: a full mailbox admitting the newest by evicting the
-        oldest (the head would be gone and ``dropped`` 1)."""
-        box, _ = _mailbox(capacity=2, policy=policy)
+        oldest (the head would be gone and ``dropped`` 1), or counting
+        the merge in ``queued`` too."""
+        box, _ = _mailbox(capacity=2)
         box.put(Merging("a"))
         box.put(Merging("b"))
-        assert box.put(Merging("c"), timeout=0) == COALESCED
+        assert box.put(Merging("c")) == COALESCED
         assert [item.values for item in _drain(box)] == [("a",), ("b", "c")]
-        assert (box.dropped, box.coalesced) == (0, 1)
+        assert (box.queued, box.coalesced, box.dropped) == (2, 1, 0)
 
-    def test_block_policy_waits_for_space(self):
-        box, _ = _mailbox(capacity=1, policy="block")
-        box.put("a")
-        outcomes = []
-
-        def producer():
-            outcomes.append(box.put("b"))
-
-        thread = threading.Thread(target=producer)
-        thread.start()
-        time.sleep(0.05)
-        assert not outcomes  # still blocked on the full queue
-        with box.condition:
-            assert box._pop() == "a"
-        thread.join(timeout=5)
-        assert outcomes == [QUEUED]
-        assert _drain(box) == ["b"]
-        assert box.dropped == 0
-
-    def test_block_policy_timeout_merges(self):
-        """Kills: a timed-out ``block`` wait evicting the waiting item,
-        or counting its merge in ``queued`` or ``dropped``."""
-        box, _ = _mailbox(capacity=1, policy="block")
+    def test_a_full_mailbox_merges_without_waiting(self):
+        """A put into a full mailbox that nobody drains returns at once.
+        Kills: a put that waits for space (the producer is still waiting
+        when joined, and a pop would then let it queue separately)."""
+        box, _ = _mailbox(capacity=1)
         box.put(Merging("a"))
+        outcomes = []
+        producer = threading.Thread(
+            target=lambda: outcomes.append(box.put(Merging("b")))
+        )
         started = time.monotonic()
-        assert box.put(Merging("b"), timeout=0.01) == COALESCED
-        assert time.monotonic() - started >= 0.01  # it did wait first
+        producer.start()
+        producer.join(timeout=5)
+        assert not producer.is_alive() and outcomes == [COALESCED]
+        assert time.monotonic() - started < 0.25
         assert [item.values for item in _drain(box)] == [("a", "b")]
-        assert (box.queued, box.coalesced, box.dropped) == (1, 1, 0)
 
     def test_closed_mailbox_rejects(self):
         box, _ = _mailbox(capacity=2)
@@ -129,7 +96,7 @@ class _FakeSubscription:
 class TestCoalescing:
     def test_notifications_merge_at_capacity(self):
         subscription = _FakeSubscription()
-        box, _ = _mailbox(capacity=1, policy="coalesce")
+        box, _ = _mailbox(capacity=1)
         first = _notification(subscription, inserted=("a",), result="r1")
         second = _notification(subscription, inserted=("b",), result="r2")
         assert box.put(first) == QUEUED
@@ -149,7 +116,7 @@ class TestCoalescing:
 
     def test_counters_partition_admitted_payloads(self):
         subscription = _FakeSubscription()
-        box, _ = _mailbox(capacity=2, policy="coalesce")
+        box, _ = _mailbox(capacity=2)
         outcomes = [
             box.put(_notification(subscription, inserted=(str(i),)))
             for i in range(5)
@@ -164,7 +131,7 @@ class TestCoalescing:
 
     def test_below_capacity_items_stay_distinct(self):
         subscription = _FakeSubscription()
-        box, _ = _mailbox(capacity=4, policy="coalesce")
+        box, _ = _mailbox(capacity=4)
         box.put(_notification(subscription, inserted=("a",)))
         box.put(_notification(subscription, inserted=("b",)))
         assert len(box) == 2
@@ -173,22 +140,20 @@ class TestCoalescing:
     def test_different_subscriptions_never_merge(self):
         """A mailbox holds one subscription's notifications; another's
         reaching it is a fault, refused loudly rather than dropped."""
-        box, _ = _mailbox(capacity=1, policy="coalesce")
+        box, _ = _mailbox(capacity=1)
         box.put(_notification(_FakeSubscription(), inserted=("a",)))
         with pytest.raises(ValueError, match="different subscriptions"):
             box.put(_notification(_FakeSubscription(), inserted=("b",)))
         assert len(box) == 1 and box.dropped == box.coalesced == 0
 
-    @pytest.mark.parametrize("policy", BACKPRESSURE_POLICIES)
-    def test_no_policy_drops(self, policy):
-        """Three notifications of one subscription into capacity 1: both
-        ``coalesce`` and a ``block`` that cannot wait keep them all in
-        the one slot.  Kills: either policy evicting the older ones (the
+    def test_a_full_mailbox_drops_nothing(self):
+        """Three notifications of one subscription into capacity 1 keep
+        them all in the one slot.  Kills: evicting the older ones (the
         kept delta would hold ``c`` only, ``dropped`` 2)."""
         subscription = _FakeSubscription()
-        box, _ = _mailbox(capacity=1, policy=policy)
+        box, _ = _mailbox(capacity=1)
         for value in ("a", "b", "c"):
-            box.put(_notification(subscription, inserted=(value,)), timeout=0)
+            box.put(_notification(subscription, inserted=(value,)))
         (kept,) = _drain(box)
         assert (box.dropped, box.coalesced) == (0, 2)
         assert {row.values[0] for row in kept.delta.inserted} == {"a", "b", "c"}
@@ -226,16 +191,16 @@ class TestCaptureRestore:
         assert _drain(box) == ["live", "recovered-a", "recovered-b"]
         assert box.queued == 3
 
-    def test_restore_bypasses_backpressure(self):
+    def test_restore_never_merges(self):
         """Kills: a restore that merges or evicts at capacity, and a put
         after it that evicts rather than merges."""
-        box, _ = _mailbox(capacity=1, policy="coalesce")
+        box, _ = _mailbox(capacity=1)
         box.put(Merging("live"))
         # A restore may transiently exceed capacity: recovery must never
         # silently drop the notification it is re-enqueueing.
         assert box.restore((Merging("recovered"),)) == 1
         assert [item.values for item in _drain(box)] == [("live",), ("recovered",)]
-        # The next ordinary put re-applies the policy as usual.
+        # The next ordinary put merges into the tail as usual.
         box.put(Merging("a"))
         assert box.put(Merging("b")) == COALESCED
         assert [item.values for item in _drain(box)] == [("a", "b")]

@@ -1,5 +1,6 @@
 """The serving session: async delivery, serve loop, stats."""
 
+import queue
 import threading
 import time
 
@@ -234,8 +235,8 @@ class TestAsyncDelivery:
     def test_a_block_mailbox_its_own_worker_fills_merges(self):
         """Capacity 1, ``block``, one worker, and a callback that writes
         and flushes twice on that worker: the first flush takes the one
-        slot, and the second cannot wait for space only its own thread
-        frees, so it merges into the waiting notification.  Kills: that
+        slot, and the second merges into the waiting notification — it
+        never waits for space only its own thread frees.  Kills: that
         publish evicting the waiting notification (``dropped`` counts it
         and the fold misses the rows written at 21)."""
         db = _database()
@@ -265,44 +266,94 @@ class TestAsyncDelivery:
         assert frozenset(bound.rows) == sub.instantiate(60)
         session.close()
 
-    def test_per_subscription_policy_override(self):
+    def test_per_subscription_capacity_override(self):
+        """Session capacity 1, one worker jammed in the first callback of
+        a subscriber given room for 64: that subscriber hears every
+        refresh separately, while the one keeping the session's single
+        slot hears them merged.  Kills: the override ignored (the roomy
+        mailbox merges too, ``audit`` gets 2) or applied session-wide
+        (``board`` gets 4)."""
         db = _database()
-        session = LiveSession(
-            db, delivery_workers=1, queue_capacity=1, backpressure="coalesce"
-        )
-        release = threading.Event()
-        audit = []
+        session = LiveSession(db, delivery_workers=1, queue_capacity=1)
+        running, release = threading.Event(), threading.Event()
+        audit, board = [], []
 
         def auditor(event):
             if not audit:
+                running.set()
                 release.wait(timeout=10)
             audit.append(event)
 
-        session.subscribe(
-            _plans()["filter"],
-            on_refresh=auditor,
-            backpressure="block",
-            queue_capacity=64,
-        )
+        plan = _plans()["filter"]
+        session.subscribe(plan, on_refresh=auditor, queue_capacity=64)
+        session.subscribe(plan, on_refresh=board.append)
         current_insert(db.table("R"), (1,), at=20)
         session.flush()
-        time.sleep(0.05)
+        assert running.wait(timeout=10)
         for i in range(3):
             current_insert(db.table("R"), (1,), at=21 + i)
             session.flush()
         release.set()
         assert session.bus.drain(timeout=10)
-        # A blocking subscriber hears every refresh individually.
-        assert len(audit) == 4
-        assert session.stats()["repro_serve_coalesced_notifications_total"] == 0
+        assert (len(audit), len(board)) == (4, 1)
+        stats = session.stats()
+        assert stats["repro_serve_coalesced_notifications_total"] == 3
+        assert stats["repro_serve_dropped_notifications_total"] == 0
+        session.close()
+
+    def test_a_stuck_subscriber_delays_neither_the_flush_nor_its_peers(self):
+        """``block``, capacity 1, two workers: A is stuck in its callback
+        with its mailbox full, B is pinned to the other worker.  Each of
+        three write+flush rounds returns at once and B hears it at once;
+        once released, A's fold is its result and nothing was dropped.
+        Kills: a publish that waits for space in a full mailbox (every
+        later flush, and B's notification behind it, waits for A)."""
+        db = _database()
+        session = LiveSession(
+            db, delivery_workers=2, queue_capacity=1, backpressure="block"
+        )
+        stuck, release = threading.Event(), threading.Event()
+        heard = queue.Queue()
+
+        def stuck_callback(event):
+            stuck.set()
+            release.wait(timeout=60)
+            bound.apply(event)
+
+        plan = _plans()["filter"]
+        a = session.subscribe(plan, on_refresh=stuck_callback, reference_time=60)
+        bound = a.bound_rows()
+        b = session.subscribe(plan, on_refresh=heard.put, reference_time=60)
+        mailboxes = session.bus._mailboxes
+        assert mailboxes[a.id]._worker is not mailboxes[b.id]._worker
+        current_insert(db.table("R"), (1,), at=20)
+        session.flush()
+        assert stuck.wait(timeout=10)  # A's worker holds the first one
+        current_insert(db.table("R"), (1,), at=21)
+        session.flush()  # takes A's one slot: A's mailbox is full
+        for _ in range(2):
+            heard.get(timeout=10)
+        for at in (22, 23, 24):
+            current_insert(db.table("R"), (1,), at=at)
+            started = time.monotonic()
+            session.flush()
+            assert time.monotonic() - started < 0.1, "the flush waited for A"
+            heard.get(timeout=0.1)  # B's notification, not held behind A
+        release.set()
+        assert session.bus.drain(timeout=10)
+        assert frozenset(bound.rows) == a.instantiate(60)
+        stats = session.stats()
+        assert stats["repro_serve_dropped_notifications_total"] == 0
+        assert stats["repro_serve_coalesced_notifications_total"] >= 1
+        assert session.bus.errors == []
         session.close()
 
 
 class TestMailboxOptionsAreCheckedWhoeverDelivers:
     """A session without workers used to accept — and a checkpoint to
     persist — options no mailbox takes; the database then could not be
-    opened with workers.  Kills: ``capacity`` / ``policy`` unchecked when
-    ``workers == 0``."""
+    opened with workers.  Kills: ``capacity`` / ``backpressure``
+    unchecked when ``workers == 0``."""
 
     @pytest.mark.parametrize("delivery_workers", [0, 1])
     @pytest.mark.parametrize(

@@ -120,7 +120,7 @@ def test_the_serve_package_exports_delivery_names_only():
     import repro.obs
     import repro.serve
 
-    assert repro.serve.__all__ == ["BACKPRESSURE_POLICIES", "EventBus", "Mailbox"]
+    assert repro.serve.__all__ == ["EventBus", "Mailbox"]
     assert repro.EventBus is repro.live.EventBus is repro.serve.EventBus
     for name in (
         "FlushScheduler", "FlushRound", "shard_index",
