@@ -79,11 +79,20 @@ BUS_SIGNATURES = (
 )
 
 
-def test_the_bus_takes_no_backpressure_policy():
-    """Kills: a policy, or a wait with its timeout, coming back under
-    the bus."""
-    for function, parameters in BUS_SIGNATURES:
-        assert list(inspect.signature(function).parameters) == parameters
+@pytest.mark.parametrize(
+    "function, parameters",
+    BUS_SIGNATURES,
+    ids=[function.__qualname__ for function, _ in BUS_SIGNATURES],
+)
+def test_the_bus_takes_no_backpressure_policy(function, parameters):
+    """Kills: a policy, or a wait with its timeout, coming back as a
+    parameter of the bus or of its mailboxes."""
+    assert list(inspect.signature(function).parameters) == parameters
+
+
+def test_the_bus_has_no_block_timeout():
+    """Kills: the publisher's wait coming back with its module-level
+    bound."""
     assert not hasattr(bus_module, "BLOCK_TIMEOUT")
 
 
@@ -143,25 +152,59 @@ def _fill_a_mailbox(backpressure):
     return heard, stats
 
 
-def test_backpressure_accepts_block_and_coalesce_and_nothing_else():
-    """The keyword the ledger's lifecycle passes (``"block"``), and its
-    burst workload (``"coalesce"``), select nothing: a session built
-    with either hears the same stream once a mailbox fills, and neither
-    value is stored.  Kills: a leftover ``block`` wait (its third
-    refresh waits for the stuck callback; a wait that outlasts it queues
-    separately: three notifications, nothing coalesced), and
-    ``drop_oldest`` or an unknown name accepted again."""
-    db = _database()
-    session = LiveSession(db)
-    for name, match in (
-        ("drop_oldest", "drop_oldest .* removed.*'coalesce'"),
-        ("bounce", "unknown backpressure policy 'bounce'"),
-    ):
-        with pytest.raises(ValueError, match=match):
-            LiveSession(db, backpressure=name)
-        with pytest.raises(ValueError, match=match):
-            session.subscribe_sql("SELECT * FROM R", backpressure=name)
+def _open_session_with(db, backpressure):
+    session = LiveSession(db, backpressure=backpressure)
+    assert not hasattr(session, "backpressure")
     session.close()
+
+
+def _subscribe_with(db, backpressure):
+    session = LiveSession(db)
+    try:
+        subscription = session.subscribe_sql(
+            "SELECT * FROM R", backpressure=backpressure
+        )
+        assert subscription.backpressure == backpressure
+    finally:
+        session.close()
+
+
+#: Where ``backpressure=`` is checked: the session-wide value, stored
+#: nowhere, and a subscription's own, kept for its manifest.
+BACKPRESSURE_ENTRY_POINTS = {
+    "session": _open_session_with,
+    "subscribe": _subscribe_with,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(BACKPRESSURE_ENTRY_POINTS))
+def test_backpressure_accepts_block_and_coalesce(entry):
+    """The names the ledger's lifecycle (``"block"``) and its burst
+    workload (``"coalesce"``) pass.  Kills: either refused."""
+    for name in ("block", "coalesce"):
+        BACKPRESSURE_ENTRY_POINTS[entry](_database(), name)
+
+
+@pytest.mark.parametrize("entry", sorted(BACKPRESSURE_ENTRY_POINTS))
+def test_backpressure_refuses_drop_oldest_by_name(entry):
+    """Kills: ``drop_oldest`` accepted again, or refused with a message
+    that does not say what to choose instead."""
+    with pytest.raises(ValueError, match="drop_oldest .* removed.*'coalesce'"):
+        BACKPRESSURE_ENTRY_POINTS[entry](_database(), "drop_oldest")
+
+
+@pytest.mark.parametrize("entry", sorted(BACKPRESSURE_ENTRY_POINTS))
+def test_backpressure_rejects_an_unknown_name(entry):
+    with pytest.raises(ValueError, match="unknown backpressure policy 'bounce'"):
+        BACKPRESSURE_ENTRY_POINTS[entry](_database(), "bounce")
+
+
+def test_block_and_coalesce_give_identical_streams():
+    """Either accepted name selects nothing: a session built with either
+    hears the same stream once a mailbox fills.  Kills: a leftover
+    ``block`` wait (its third refresh waits for the stuck callback; a
+    wait that outlasts it queues separately: three notifications,
+    nothing coalesced)."""
     block, coalesce = _fill_a_mailbox("block"), _fill_a_mailbox("coalesce")
     assert block == coalesce
     heard, stats = block

@@ -80,6 +80,18 @@ class TestAdmission:
         assert time.monotonic() - started < 0.25
         assert [item.values for item in _drain(box)] == [("a", "b")]
 
+    def test_a_popped_slot_queues_the_next_put_separately(self):
+        """A full mailbox merges only while it is full.  Kills: a put
+        that merges into the tail although a pop has freed a slot (the
+        consumer would hear ``a`` and ``b`` as one)."""
+        box, _ = _mailbox(capacity=1)
+        box.put(Merging("a"))
+        with box.condition:
+            assert box._items.popleft().values == ("a",)
+        assert box.put(Merging("b")) == QUEUED
+        assert [item.values for item in _drain(box)] == [("b",)]
+        assert (box.queued, box.coalesced, box.dropped) == (2, 0, 0)
+
     def test_closed_mailbox_rejects(self):
         box, _ = _mailbox(capacity=2)
         box.put("a")
