@@ -6,8 +6,8 @@ wired in:
 
 * the session carries a :class:`~repro.obs.FreshnessSLO` — every
   delivered notification is stamped at write time, so the SLO window
-  sees true write→deliver latency and the adaptive ``serve()`` debounce
-  tightens while the error budget burns;
+  sees true write→deliver latency and ``/health`` reports the error
+  budget (the SLO only observes: it does not steer ``serve()``);
 * an :class:`~repro.obs.ObsServer` exposes the whole plane over HTTP on
   an ephemeral port — the script scrapes its own ``/metrics``,
   ``/health``, ``/subscriptions``, and ``/explain`` endpoints exactly
@@ -54,7 +54,7 @@ def main() -> None:
 
     # A 250ms write→deliver target: generous for this workload, so the
     # endpoint reports a healthy budget — lower it to watch /health
-    # flip to 503 and the debounce band tighten.
+    # flip to 503.
     session = LiveSession(
         db,
         delivery_workers=2,

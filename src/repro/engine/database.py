@@ -335,10 +335,11 @@ class Table:
     def delete_where(self, keep) -> int:
         """Physically remove tuples failing *keep* (a tuple -> bool callable).
 
-        Returns the number of removed tuples.  Used by the Torp-style
-        modification layer; ordinary queries never delete.  *keep* is
-        opaque, so finding the rows is one pass over the heap; removing
-        them is O(removed).
+        Returns the number of removed tuples.  A physical delete: the
+        Torp-style modification layer (:mod:`repro.engine.modifications`)
+        commits through :meth:`apply_delta` instead, and ordinary queries
+        never delete.  *keep* is opaque, so finding the rows is one pass
+        over the heap; removing them is O(removed).
         """
         with self.lock:
             self._require_open()

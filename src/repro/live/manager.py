@@ -207,9 +207,9 @@ class SubscriptionManager:
         #: sessions onto one scrape surface.
         self.metrics = registry if registry is not None else Registry()
         #: Optional freshness objective (:class:`~repro.obs.slo.FreshnessSLO`).
-        #: Every observed write→deliver latency feeds it, ``/health``
-        #: reports its error-budget burn, and the adaptive serve-loop
-        #: debounce tightens toward its floor while the budget burns.
+        #: Every observed write→deliver latency feeds it and ``/health``
+        #: reports its error-budget burn.  It only observes: the serve
+        #: loop's window does not read it.
         self.freshness_slo = freshness_slo
         #: Opt-in span recording (``trace=True`` / a capacity int / a
         #: :class:`~repro.obs.trace.TraceRecorder`).  ``None`` when off.
@@ -767,10 +767,10 @@ class SubscriptionManager:
         **Adaptive debounce**: pass *debounce_min*/*debounce_max* to
         scale the window with load instead of fixing it — an idle system
         reacts at *debounce_min* latency, a genuinely backlogged one
-        waits up to *debounce_max* so more writes coalesce into each
-        flush round and the queues get room to drain
-        (:mod:`repro.live.serving` has the policy).  The fixed *debounce*
-        is ignored while a band is set.
+        waits up to *debounce_max* (reached at ``queue_capacity``) so
+        more writes coalesce into each flush round and the queues get
+        room to drain (:mod:`repro.live.serving` has the policy).  The
+        fixed *debounce* is ignored while a band is set.
         """
         self._require_open()
         self._serve_loop.start(debounce, debounce_min, debounce_max)
@@ -779,7 +779,8 @@ class SubscriptionManager:
     def current_debounce(self) -> float:
         """The window the serve loop would sleep right now (adaptive
         debounce reads the live queue depth; fixed returns the constant
-        without probing the queues at all)."""
+        without probing the queues at all; a closed session returns the
+        band's floor)."""
         return self._serve_loop.current_debounce()
 
     def stop_serving(self) -> None:
@@ -796,12 +797,6 @@ class SubscriptionManager:
         """Load signal for the adaptive debounce: undelivered
         notifications plus dirty plans awaiting refresh."""
         return self.pending + self.bus.backlog()
-
-    def _fanout(self) -> int:
-        """How many queues can legitimately hold one item each after a
-        single write: every subscription's mailbox, every shared plan."""
-        with self._lock:
-            return len(self._subscriptions) + len(self._plans)
 
     # ------------------------------------------------------------------
     # Freshness accounting

@@ -12,15 +12,11 @@ window is one ``(low, high)`` band; a fixed window is the band with
 ``low == high``.  Before each sleep the loop reads the session's queue
 depth — undelivered notifications in the delivery mailboxes plus dirty
 plans awaiting refresh — and interpolates linearly between the band
-edges, saturating at the larger of ``queue_capacity`` and the session's
-fan-out (subscriptions + shared plans), so one write rippling to many
-subscribers does not count as a backlog: an idle system reacts at *low*
-latency, a genuinely backlogged one waits up to *high* so more writes
-coalesce into each round and the queues get room to drain.  A
-:class:`~repro.obs.slo.FreshnessSLO` whose error budget is burning pulls
-the window back toward *low* by the burn factor — the loop trades
-coalescing for freshness exactly when the objective says deliveries are
-arriving too late.
+edges, saturating at ``queue_capacity``: an idle system reacts at *low*
+latency, a backlogged one waits up to *high* so more writes coalesce
+into each round and the queues get room to drain.  The window reads
+nothing else: a :class:`~repro.obs.slo.FreshnessSLO` observes how fresh
+the deliveries arrive, it does not steer the loop.
 """
 
 from __future__ import annotations
@@ -49,8 +45,8 @@ class ServeLoop:
 
     def __init__(self, session: "SubscriptionManager", *, capacity: int):
         self._session = session
-        #: The depth at which the adaptive window saturates is at least
-        #: one full mailbox (see :meth:`debounce_scale`).
+        #: The depth at which the adaptive window saturates: one full
+        #: mailbox.
         self._capacity = capacity
         self._band: Tuple[float, float] = (0.0, 0.0)
         self._wakeup = threading.Event()
@@ -129,48 +125,28 @@ class ServeLoop:
     # Debounce policy
     # ------------------------------------------------------------------
 
-    def debounce_scale(self) -> int:
-        """The depth at which the adaptive window saturates.
-
-        One full mailbox at minimum, stretched by fan-out: the depth
-        signal sums notifications across *all* mailboxes plus *all*
-        dirty plans, so a session with many subscribers reaches large
-        absolute depths from a single write — saturation must grow with
-        the number of queues that can legitimately hold one item each,
-        or every fanned-out flush round would sleep the whole band.
-        """
-        return max(self._capacity, self._session._fanout())
-
     def debounce_for_depth(self, depth: int) -> float:
         """The sleep window for one observed queue *depth*.
 
-        Linear between the band edges, saturating at
-        :meth:`debounce_scale`; a fixed window (``low == high``) comes
-        back unchanged.  A burning freshness SLO (burn > 1) shrinks the
-        window toward the floor by the burn factor.
+        Linear between the band edges, saturating at ``queue_capacity``;
+        a fixed window (``low == high``) comes back unchanged.
         """
         low, high = self._band
         if depth <= 0 or high <= low:
             return low
-        scale = self.debounce_scale()
-        if depth >= scale:
-            window = high
-        else:
-            window = low + (high - low) * (depth / scale)
-        slo = self._session.freshness_slo
-        if slo is not None:
-            burn = slo.error_budget_burn()
-            if burn > 1.0:
-                window = low + (window - low) / burn
-        return window
+        if depth >= self._capacity:
+            return high
+        return low + (high - low) * (depth / self._capacity)
 
     def current_debounce(self) -> float:
         """The window the loop would sleep right now (a fixed window is
-        returned without probing the queues at all)."""
+        returned without probing the queues at all, and a closed
+        session's floor: nothing is queued)."""
         low, high = self._band
-        if low == high:
+        session = self._session
+        if low == high or session is None:
             return low
-        return self.debounce_for_depth(self._session._queue_depth())
+        return self.debounce_for_depth(session._queue_depth())
 
     # ------------------------------------------------------------------
     # The loop

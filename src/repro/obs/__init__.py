@@ -18,8 +18,8 @@ Five pillars, all zero-dependency:
   form;
 * :mod:`repro.obs.slo` — the freshness objective
   (:class:`~repro.obs.slo.FreshnessSLO`): a windowed error-budget-burn
-  computation fed by write→deliver latencies, consulted by the serve
-  loop's adaptive debounce and the ``/health`` endpoint;
+  computation fed by write→deliver latencies, read by the ``/health``
+  endpoint (it observes; nothing steers by it);
 * :mod:`repro.obs.server` — the live HTTP scrape surface
   (:class:`~repro.obs.server.ObsServer`): ``/metrics`` (Prometheus
   text), SLO-aware ``/health``, ``/subscriptions`` and

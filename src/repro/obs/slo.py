@@ -15,12 +15,11 @@ ages into a health signal:
   budget.  Burn ≤ 1 means the window is inside budget; burn 2 means
   violations are arriving at twice the tolerated rate.
 
-The SLO is consumed in two places: the ``/health`` endpoint
-(:mod:`repro.obs.server`) reports 200/503 from :meth:`healthy` with the
-burn detail, and ``LiveSession.serve()``'s adaptive debounce divides its
-load-scaled window by the burn rate, so a burning budget tightens the
-debounce back toward its floor (latency wins over batching exactly when
-the SLO says subscribers are seeing stale results).
+The SLO only observes.  Its readers are the ``/health`` endpoint
+(:mod:`repro.obs.server`), which reports 200/503 from :meth:`healthy`
+with the burn detail, :meth:`snapshot`, and the session's freshness
+feed that calls :meth:`observe`.  Nothing steers by it: the serve loop's
+debounce reads the queue depth, not the burn.
 
 Like the rest of :mod:`repro.obs` this is dependency-free and imports
 nothing from the engine layers above it.

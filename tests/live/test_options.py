@@ -25,7 +25,9 @@ from repro.engine.database import Database
 from repro.engine.modifications import current_insert
 from repro.errors import QueryError
 from repro.live import LiveSession
+from repro.live.manager import SubscriptionManager
 from repro.live.metrics import CANONICAL_SAMPLES
+from repro.live.serving import ServeLoop
 from repro.relational.schema import Schema
 from repro.serve import bus as bus_module
 from repro.serve.bus import EventBus
@@ -94,6 +96,24 @@ def test_the_bus_has_no_block_timeout():
     """Kills: the publisher's wait coming back with its module-level
     bound."""
     assert not hasattr(bus_module, "BLOCK_TIMEOUT")
+
+
+#: What the serve window reads is the band, ``queue_capacity`` and the
+#: measured queue depth; a saturation point stretched by fan-out is gone.
+REMOVED_WINDOW_INPUTS = (
+    (ServeLoop, "debounce_scale"),
+    (SubscriptionManager, "_fanout"),
+)
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    REMOVED_WINDOW_INPUTS,
+    ids=[f"{owner.__name__}.{name}" for owner, name in REMOVED_WINDOW_INPUTS],
+)
+def test_the_serve_window_reads_no_fanout(owner, name):
+    """Kills: the window's saturation stretched by fan-out coming back."""
+    assert not hasattr(owner, name)
 
 
 def _database():

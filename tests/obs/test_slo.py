@@ -1,4 +1,5 @@
-"""Freshness SLOs: the error-budget math and its serve-loop coupling."""
+"""Freshness SLOs: the error-budget math, and a serve loop that does not
+steer by it."""
 
 import pytest
 
@@ -65,40 +66,27 @@ class TestBudgetMath:
         assert snap["error_budget_burn"] == pytest.approx(2.0)
 
 
-class TestServeLoopCoupling:
-    """A burning budget tightens the adaptive debounce toward its floor."""
+class TestTheSLOOnlyObserves:
+    """A burning budget is reported, it does not steer the debounce."""
 
     def _session(self, slo):
         db = Database("slo-debounce")
         db.create_table("T", Schema.of("K", ("VT", "interval")))
-        return LiveSession(db, freshness_slo=slo)
+        return LiveSession(db, freshness_slo=slo, queue_capacity=8)
 
-    def test_burning_budget_tightens_band_window(self):
+    def test_burning_budget_leaves_band_window_untouched(self):
+        """Kills: the burn division put back (a burn of 2.0 would halve
+        the saturated window's distance above the floor)."""
         slo = FreshnessSLO(0.001, objective=0.5, window=4)
         session = self._session(slo)
         try:
             session.serve(debounce_min=0.001, debounce_max=0.1)
-            saturated = session._serve_loop.debounce_scale()
-            relaxed = session._serve_loop.debounce_for_depth(saturated)
-            assert relaxed == pytest.approx(0.1)
+            assert session._serve_loop.debounce_for_depth(8) == 0.1
             for _ in range(4):
-                slo.observe(1.0)  # burn = 2.0
-            tightened = session._serve_loop.debounce_for_depth(saturated)
-            # window = low + (high - low) / burn
-            assert tightened == pytest.approx(0.001 + (0.1 - 0.001) / 2.0)
-            assert tightened < relaxed
-        finally:
-            session.close()
-
-    def test_healthy_budget_leaves_band_untouched(self):
-        slo = FreshnessSLO(10.0, window=4)
-        session = self._session(slo)
-        try:
-            session.serve(debounce_min=0.001, debounce_max=0.1)
-            for _ in range(4):
-                slo.observe(0.001)
-            saturated = session._serve_loop.debounce_scale()
-            assert session._serve_loop.debounce_for_depth(saturated) == pytest.approx(0.1)
+                slo.observe(1.0)
+            assert slo.error_budget_burn() == pytest.approx(2.0)
+            assert not slo.healthy()
+            assert session._serve_loop.debounce_for_depth(8) == 0.1
         finally:
             session.close()
 

@@ -466,23 +466,33 @@ class TestAdaptiveDebounce:
         finally:
             session.close()
 
-    def test_saturation_scales_with_fanout(self):
-        """One write rippling to many subscribers is fan-out, not
-        backlog: with more subscriptions than queue_capacity, a depth of
-        one-notification-per-subscriber must not saturate the window."""
+    def test_saturation_is_queue_capacity_whatever_the_fanout(self):
+        """The window reads the band, ``queue_capacity`` and the depth
+        alone: forty subscriptions do not stretch where it saturates.
+        Kills: ``max(capacity, fanout)`` put back (saturation at 41)."""
         db = _database()
         session = LiveSession(db, queue_capacity=4)
         plan = _plans()["filter"]
         subs = [session.subscribe(plan) for _ in range(40)]
         session.serve(debounce_min=0.001, debounce_max=0.25)
         try:
-            # 40 subscriptions + 1 shared plan → saturation well past 4.
-            assert session._serve_loop.debounce_for_depth(40) < 0.25
-            assert session._serve_loop.debounce_for_depth(41) == 0.25
+            assert session._serve_loop.debounce_for_depth(3) < 0.25
+            assert session._serve_loop.debounce_for_depth(4) == 0.25
         finally:
             for sub in subs:
                 sub.close()
             session.close()
+
+    def test_closed_session_reports_the_band_floor(self):
+        """Nothing is queued once a session is closed: its window is the
+        floor, read like ``serving`` / ``pending`` / ``stats()`` are.
+        Kills: the loop reading the queue depth of a session it let go
+        (``AttributeError``)."""
+        session = LiveSession(_database())
+        session.serve(debounce_min=0.001, debounce_max=0.05)
+        session.close()
+        assert not session.serving and session.pending == 0
+        assert session.current_debounce() == 0.001
 
     def test_fixed_debounce_ignores_depth(self):
         db = _database()
